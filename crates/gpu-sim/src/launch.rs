@@ -34,7 +34,10 @@ pub enum LaunchKind {
 /// feeding Table 3) replay blocks in a fixed order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exec {
-    /// Blocks run on the rayon pool (fast wall-clock, default).
+    /// Blocks are claimed dynamically by the launching thread and the
+    /// resident pool workers, so which thread runs which block varies; the
+    /// per-block results come back in block-id order (fast wall-clock,
+    /// default).
     Par,
     /// Blocks run sequentially in block-id order (deterministic paging).
     Seq,
@@ -458,16 +461,29 @@ impl Gpu {
     }
 }
 
+/// A block time as the scheduler sees it: integer nanoseconds ×1000 (times
+/// here are ≥ 0 and far below u64 range).
+fn ticks(t: f64) -> u64 {
+    (t * 1000.0).round() as u64
+}
+
 /// Greedy list-scheduling makespan of `times` on `slots` identical machines
 /// (assign each job in order to the earliest-finishing slot).
-fn makespan<I: Iterator<Item = f64>>(times: I, slots: usize) -> f64 {
+fn makespan<I: ExactSizeIterator<Item = f64>>(times: I, slots: usize) -> f64 {
+    if times.len() <= slots {
+        // Every job gets an idle slot: the scheduler below would pop a
+        // zero each time, so the makespan is the longest rounded job.
+        return times.map(ticks).max().unwrap_or(0) as f64 / 1000.0;
+    }
+    list_schedule(times, slots)
+}
+
+fn list_schedule<I: Iterator<Item = f64>>(times: I, slots: usize) -> f64 {
     let mut heap: BinaryHeap<Reverse<u64>> = (0..slots).map(|_| Reverse(0u64)).collect();
-    // f64 times are packed as integer nanoseconds ×1000 for the heap (total
-    // times here are ≥ 0 and far below u64 range).
     let mut max_finish = 0u64;
     for t in times {
         let Reverse(earliest) = heap.pop().expect("slots >= 1");
-        let finish = earliest + (t * 1000.0).round() as u64;
+        let finish = earliest + ticks(t);
         max_finish = max_finish.max(finish);
         heap.push(Reverse(finish));
     }
@@ -596,11 +612,24 @@ mod tests {
     }
 
     mod props {
-        use super::super::makespan;
+        use super::super::{list_schedule, makespan};
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// With a slot per block the shortcut prices exactly what the
+            /// list scheduler would, to the bit.
+            #[test]
+            fn prop_idle_slot_shortcut_equals_list_scheduler(
+                times in proptest::collection::vec(0.0f64..1.0e7, 1..96),
+                spare in 0usize..8,
+            ) {
+                let slots = times.len() + spare;
+                let fast = makespan(times.iter().copied(), slots);
+                let slow = list_schedule(times.iter().copied(), slots);
+                prop_assert_eq!(fast.to_bits(), slow.to_bits());
+            }
 
             /// Greedy list scheduling respects the classic bounds:
             /// max(longest job, total/slots) <= makespan <= total/slots + longest.

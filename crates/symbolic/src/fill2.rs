@@ -31,6 +31,10 @@ pub struct Fill2Workspace {
     epoch: u32,
     queue: Vec<Idx>,
     next: Vec<Idx>,
+    /// One bit per vertex: set while the vertex is a discovered threshold
+    /// the sweep has not consumed yet. The sweep consumes every bit it
+    /// sets, so the bitmap is all-zero between calls.
+    thresholds: Vec<u64>,
 }
 
 impl Fill2Workspace {
@@ -41,6 +45,7 @@ impl Fill2Workspace {
             epoch: 0,
             queue: Vec::with_capacity(64),
             next: Vec::with_capacity(64),
+            thresholds: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -98,56 +103,66 @@ pub fn fill2_row(
     let mut m = RowMetrics::default();
     let stamp = ws.next_stamp();
     let fill = &mut ws.fill;
+    let thresholds = &mut ws.thresholds;
     let srcu = src as usize;
+    // Every vertex emitted below `src` is a threshold of the sweep.
+    let mut discover = |v: Idx, thresholds: &mut [u64], m: &mut RowMetrics| {
+        if v < src {
+            thresholds[v as usize / 64] |= 1 << (v % 64);
+        }
+        emit(v);
+        m.emitted += 1;
+    };
 
     // Seed: the original entries of row `src` (Algorithm 1 lines 1-10).
+    // The diagonal is guaranteed structurally present after pre-processing.
     fill[srcu] = stamp;
-    emit(src); // diagonal (guaranteed structurally present after pre-processing)
-    m.emitted += 1;
+    discover(src, thresholds, &mut m);
     for &v in a.row_cols(srcu) {
         if v == src {
             continue; // diagonal already emitted
         }
         fill[v as usize] = stamp;
-        emit(v);
-        m.emitted += 1;
+        discover(v, thresholds, &mut m);
     }
 
-    // Threshold sweep (lines 11-27). `fill[t] == stamp` marks vertices
-    // reached so far; thresholds are consumed in ascending order, and
-    // fill-ins below `src` discovered later in the sweep still get their
-    // turn because they are always greater than the current threshold.
-    for threshold in 0..src {
-        if fill[threshold as usize] != stamp {
-            continue;
-        }
-        ws.queue.clear();
-        ws.queue.push(threshold);
-        while !ws.queue.is_empty() {
-            m.steps += 1;
-            m.frontiers += ws.queue.len() as u64;
-            m.max_queue = m.max_queue.max(ws.queue.len() as u64);
-            ws.next.clear();
-            for &u in &ws.queue {
-                for &w in a.row_cols(u as usize) {
-                    m.edges += 1;
-                    if fill[w as usize] == stamp {
-                        continue;
-                    }
-                    fill[w as usize] = stamp;
-                    if w > threshold {
-                        // New fill-in of row `src` (L side if w < src,
-                        // U side if w > src); if below `src` it will also
-                        // serve as a later threshold.
-                        emit(w);
-                        m.emitted += 1;
-                    } else {
-                        // Intermediate vertex: keep traversing.
-                        ws.next.push(w);
+    // Threshold sweep (lines 11-27) over the discovered vertices `< src`
+    // in ascending order, a bitmap word at a time. Fill-ins below `src`
+    // discovered later in the sweep still get their turn because they are
+    // always greater than the current threshold: they land in the current
+    // word's higher bits or in a later word.
+    for word in 0..srcu.div_ceil(64) {
+        while thresholds[word] != 0 {
+            let bit = thresholds[word].trailing_zeros();
+            thresholds[word] &= !(1 << bit);
+            let threshold = word as Idx * 64 + bit;
+            ws.queue.clear();
+            ws.queue.push(threshold);
+            while !ws.queue.is_empty() {
+                m.steps += 1;
+                m.frontiers += ws.queue.len() as u64;
+                m.max_queue = m.max_queue.max(ws.queue.len() as u64);
+                ws.next.clear();
+                for &u in &ws.queue {
+                    for &w in a.row_cols(u as usize) {
+                        m.edges += 1;
+                        if fill[w as usize] == stamp {
+                            continue;
+                        }
+                        fill[w as usize] = stamp;
+                        if w > threshold {
+                            // New fill-in of row `src` (L side if w < src,
+                            // U side if w > src); if below `src` it will
+                            // also serve as a later threshold.
+                            discover(w, thresholds, &mut m);
+                        } else {
+                            // Intermediate vertex: keep traversing.
+                            ws.next.push(w);
+                        }
                     }
                 }
+                std::mem::swap(&mut ws.queue, &mut ws.next);
             }
-            std::mem::swap(&mut ws.queue, &mut ws.next);
         }
     }
     m
@@ -279,5 +294,101 @@ mod tests {
         let mut ws = Fill2Workspace::new(n);
         let (row5, _) = fill2_row_sorted(&a, 5, &mut ws);
         assert_eq!(row5, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// The sweep as first written: tests every vertex below `src` against
+    /// the stamp array. Kept as the reference the bitmap sweep must match.
+    fn fill2_row_full_scan(
+        a: &Csr,
+        src: u32,
+        ws: &mut Fill2Workspace,
+        mut emit: impl FnMut(Idx),
+    ) -> RowMetrics {
+        let mut m = RowMetrics::default();
+        let stamp = ws.next_stamp();
+        let fill = &mut ws.fill;
+        fill[src as usize] = stamp;
+        emit(src);
+        m.emitted += 1;
+        for &v in a.row_cols(src as usize) {
+            if v == src {
+                continue;
+            }
+            fill[v as usize] = stamp;
+            emit(v);
+            m.emitted += 1;
+        }
+        for threshold in 0..src {
+            if fill[threshold as usize] != stamp {
+                continue;
+            }
+            ws.queue.clear();
+            ws.queue.push(threshold);
+            while !ws.queue.is_empty() {
+                m.steps += 1;
+                m.frontiers += ws.queue.len() as u64;
+                m.max_queue = m.max_queue.max(ws.queue.len() as u64);
+                ws.next.clear();
+                for &u in &ws.queue {
+                    for &w in a.row_cols(u as usize) {
+                        m.edges += 1;
+                        if fill[w as usize] == stamp {
+                            continue;
+                        }
+                        fill[w as usize] = stamp;
+                        if w > threshold {
+                            emit(w);
+                            m.emitted += 1;
+                        } else {
+                            ws.next.push(w);
+                        }
+                    }
+                }
+                std::mem::swap(&mut ws.queue, &mut ws.next);
+            }
+        }
+        m
+    }
+
+    mod props {
+        use super::*;
+        use gplu_sparse::gen::circuit::{circuit, CircuitParams};
+        use gplu_sparse::gen::mesh::{mesh, MeshParams};
+        use gplu_sparse::gen::random::{banded_dominant, random_dominant};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// The bitmap sweep visits the same thresholds in the same
+            /// order as the full scan: same emit sequence (not just the
+            /// same set) and the same five metrics on every row, which is
+            /// what keeps the symbolic phase's simulated time unchanged.
+            #[test]
+            fn prop_bitmap_sweep_equals_full_scan(
+                family in 0usize..4,
+                n in 20usize..200,
+                density in 2.0f64..9.0,
+                seed in 0u64..1000,
+            ) {
+                let a = match family {
+                    0 => random_dominant(n, density, seed),
+                    1 => banded_dominant(n, 1 + density as usize / 2, seed),
+                    2 => mesh(&MeshParams::for_target(n, density, seed)),
+                    _ => circuit(&CircuitParams { n, nnz_per_row: density, seed, ..Default::default() }),
+                };
+                let n = a.n_rows();
+                let mut ws = Fill2Workspace::new(n);
+                let mut reference_ws = Fill2Workspace::new(n);
+                for src in 0..n as u32 {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let m = fill2_row(&a, src, &mut ws, |c| got.push(c));
+                    let r = fill2_row_full_scan(&a, src, &mut reference_ws, |c| want.push(c));
+                    prop_assert_eq!(&got, &want, "emit order, row {}", src);
+                    prop_assert_eq!(m, r, "metrics, row {}", src);
+                    prop_assert!(ws.thresholds.iter().all(|&w| w == 0), "bitmap left dirty");
+                }
+            }
+        }
     }
 }
