@@ -205,6 +205,21 @@ impl fmt::Display for GpluError {
 
 impl std::error::Error for GpluError {}
 
+impl GpluError {
+    /// Maps a threshold-pivot discovery failure onto the pipeline surface:
+    /// a column with no usable pivot is a [`GpluError::SingularPivot`]
+    /// outside any level schedule, which the escalation ladder keys on.
+    pub(crate) fn from_pivot_discovery(e: SparseError) -> Self {
+        match e {
+            SparseError::ZeroPivot { col } => GpluError::SingularPivot {
+                col,
+                level: usize::MAX,
+            },
+            other => GpluError::Sparse(other),
+        }
+    }
+}
+
 impl From<SparseError> for GpluError {
     fn from(e: SparseError) -> Self {
         GpluError::Sparse(e)

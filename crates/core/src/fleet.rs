@@ -270,13 +270,7 @@ fn compute_fleet_once(
             fleet.makespan().as_ns(),
             &[("tau", tau.into())],
         );
-        let disc = discover_pivots(&matrix, tau).map_err(|e| match e {
-            SparseError::ZeroPivot { col } => GpluError::SingularPivot {
-                col,
-                level: usize::MAX,
-            },
-            other => GpluError::Sparse(other),
-        });
+        let disc = discover_pivots(&matrix, tau).map_err(GpluError::from_pivot_discovery);
         if let Ok(d) = &disc {
             let cost = fleet
                 .device(rep_device(fleet)?)

@@ -756,13 +756,7 @@ impl LuFactorization {
                 gpu.now().as_ns(),
                 &[("tau", tau.into())],
             );
-            let disc = discover_pivots(&matrix, tau).map_err(|e| match e {
-                SparseError::ZeroPivot { col } => GpluError::SingularPivot {
-                    col,
-                    level: usize::MAX,
-                },
-                other => GpluError::Sparse(other),
-            });
+            let disc = discover_pivots(&matrix, tau).map_err(GpluError::from_pivot_discovery);
             if let Ok(d) = &disc {
                 gpu.advance(SimTime::from_ns(gpu.cost().pivot_discovery_ns(d.flops)));
             }

@@ -34,7 +34,7 @@ use gplu_numeric::{
 use gplu_schedule::Levels;
 use gplu_sim::{Gpu, SimError, SimTime};
 use gplu_sparse::verify::residual_probe;
-use gplu_sparse::{Csc, Csr, Permutation, SparseError};
+use gplu_sparse::{Csc, Csr, Permutation};
 use gplu_trace::{TraceSink, NOOP};
 
 /// Everything pattern-only that a repeat factorization can reuse.
@@ -197,13 +197,7 @@ impl RefactorPlan {
         // silently factor with the wrong rows on the diagonal — reject
         // with a typed error instead.
         if let PivotPolicy::Threshold { tau } = self.pivot_policy {
-            let disc = discover_pivots(&matrix, tau).map_err(|e| match e {
-                SparseError::ZeroPivot { col } => GpluError::SingularPivot {
-                    col,
-                    level: usize::MAX,
-                },
-                other => GpluError::Sparse(other),
-            })?;
+            let disc = discover_pivots(&matrix, tau).map_err(GpluError::from_pivot_discovery)?;
             let disc_time = SimTime::from_ns(gpu.cost().pivot_discovery_ns(disc.flops));
             gpu.advance(disc_time);
             report.preprocess += disc_time;

@@ -92,6 +92,32 @@ pub struct PivotDiscovery {
     pub flops: u64,
 }
 
+/// Which rows the active column of [`discover_pivots`] occupies.
+struct Occupancy {
+    in_col: Vec<bool>,
+    /// The occupied rows, in first-touch order.
+    touched: Vec<usize>,
+    /// Bit `t` set: the row at pivot position `t` is occupied, so column
+    /// `t` of L has an update to apply. All-zero between columns.
+    pending: Vec<u64>,
+}
+
+impl Occupancy {
+    /// Marks row `i` as occupied; `pinv[i]` is its pivot position
+    /// (`usize::MAX` while unassigned).
+    #[inline]
+    fn occupy(&mut self, i: usize, pinv: &[usize]) {
+        if !self.in_col[i] {
+            self.in_col[i] = true;
+            self.touched.push(i);
+            let pos = pinv[i];
+            if pos != usize::MAX {
+                self.pending[pos / 64] |= 1 << (pos % 64);
+            }
+        }
+    }
+}
+
 /// Runs Gilbert–Peierls left-looking LU with threshold partial pivoting
 /// over `a` (the preprocessed matrix) and returns the row permutation it
 /// chose. `tau ∈ (0, 1]`: the natural diagonal row is kept whenever
@@ -107,45 +133,55 @@ pub fn discover_pivots(a: &Csr, tau: f64) -> Result<PivotDiscovery, SparseError>
     // perm[t] = original row assigned to pivot position t.
     let mut perm = vec![usize::MAX; n];
     let mut pinv = vec![usize::MAX; n];
-    // L columns by pivot position: (original row, multiplier), rows
-    // unassigned at build time.
-    let mut lcols: Vec<Vec<(Idx, f64)>> = vec![Vec::new(); n];
-    // Dense accumulator for the active column + occupancy worklist.
+    // L columns by pivot position, back to back in one arena: (original
+    // row, multiplier), rows unassigned at build time.
+    let mut l_ptr = Vec::with_capacity(n + 1);
+    l_ptr.push(0usize);
+    let mut l_rows: Vec<Idx> = Vec::new();
+    let mut l_vals: Vec<f64> = Vec::new();
+    // Dense accumulator for the active column + its occupancy.
     let mut x = vec![0.0f64; n];
-    let mut in_col = vec![false; n];
-    let mut touched: Vec<usize> = Vec::new();
+    let mut occ = Occupancy {
+        in_col: vec![false; n],
+        touched: Vec::new(),
+        pending: vec![0u64; n.div_ceil(64)],
+    };
     let mut swaps = 0usize;
     let mut flops = 0u64;
 
     for j in 0..n {
         for (i, v) in acsc.col_iter(j) {
             x[i] = v;
-            if !in_col[i] {
-                in_col[i] = true;
-                touched.push(i);
-            }
+            occ.occupy(i, &pinv);
         }
         // Left-looking elimination in ascending pivot order — the same
-        // update order (and the same arithmetic) the engines apply.
-        for t in 0..j {
-            let u_tj = x[perm[t]];
-            if u_tj == 0.0 {
-                continue;
-            }
-            for &(i, lv) in &lcols[t] {
-                let i = i as usize;
-                if !in_col[i] {
-                    in_col[i] = true;
-                    touched.push(i);
+        // update order (and the same arithmetic) the engines apply. A
+        // row occupied while eliminating position t was unassigned when
+        // column t of L was built, so its own position is above t: it
+        // lands in the current word's higher bits or in a later word,
+        // and one ascending sweep reaches it.
+        for word in 0..j.div_ceil(64) {
+            while occ.pending[word] != 0 {
+                let bit = occ.pending[word].trailing_zeros() as usize;
+                occ.pending[word] &= !(1 << bit);
+                let t = word * 64 + bit;
+                let u_tj = x[perm[t]];
+                if u_tj == 0.0 {
+                    continue;
                 }
-                x[i] -= lv * u_tj;
-                flops += 1;
+                let col = l_ptr[t]..l_ptr[t + 1];
+                for (&i, &lv) in l_rows[col.clone()].iter().zip(&l_vals[col]) {
+                    let i = i as usize;
+                    occ.occupy(i, &pinv);
+                    x[i] -= lv * u_tj;
+                    flops += 1;
+                }
             }
         }
         // Pivot selection among rows not yet assigned to earlier pivots.
         let mut best = usize::MAX;
         let mut best_mag = 0.0f64;
-        for &i in &touched {
+        for &i in &occ.touched {
             if pinv[i] == usize::MAX {
                 let m = x[i].abs();
                 if m > best_mag || (m == best_mag && m > 0.0 && i < best) {
@@ -168,19 +204,19 @@ pub fn discover_pivots(a: &Csr, tau: f64) -> Result<PivotDiscovery, SparseError>
         perm[j] = chosen;
         pinv[chosen] = j;
         let piv = x[chosen];
-        let mut lcol = Vec::new();
-        for &i in &touched {
+        for &i in &occ.touched {
             if pinv[i] == usize::MAX && x[i] != 0.0 {
-                lcol.push((i as Idx, x[i] / piv));
+                l_rows.push(i as Idx);
+                l_vals.push(x[i] / piv);
                 flops += 1;
             }
         }
-        lcols[j] = lcol;
-        for &i in &touched {
+        l_ptr.push(l_rows.len());
+        for &i in &occ.touched {
             x[i] = 0.0;
-            in_col[i] = false;
+            occ.in_col[i] = false;
         }
-        touched.clear();
+        occ.touched.clear();
     }
 
     Ok(PivotDiscovery {
@@ -194,9 +230,97 @@ pub fn discover_pivots(a: &Csr, tau: f64) -> Result<PivotDiscovery, SparseError>
 mod tests {
     use super::*;
     use gplu_sparse::convert::coo_to_csr;
+    use gplu_sparse::gen::hard::HardKind;
     use gplu_sparse::gen::random::{banded_dominant, random_dominant};
     use gplu_sparse::perm::permute_csr;
     use gplu_sparse::{Coo, Permutation};
+    use proptest::prelude::*;
+
+    /// Discovery with every earlier pivot position scanned per column
+    /// and one heap vector per L column — the reference `discover_pivots`
+    /// must match in `pinv`, `swaps` and `flops`.
+    fn discover_pivots_scan(a: &Csr, tau: f64) -> Result<PivotDiscovery, SparseError> {
+        let n = a.n_rows();
+        let acsc = csr_to_csc(a);
+        // perm[t] = original row assigned to pivot position t.
+        let mut perm = vec![usize::MAX; n];
+        let mut pinv = vec![usize::MAX; n];
+        // L columns by pivot position: (original row, multiplier), rows
+        // unassigned at build time.
+        let mut lcols: Vec<Vec<(Idx, f64)>> = vec![Vec::new(); n];
+        // Dense accumulator for the active column + occupancy worklist.
+        let mut x = vec![0.0f64; n];
+        let mut in_col = vec![false; n];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut swaps = 0usize;
+        let mut flops = 0u64;
+
+        for j in 0..n {
+            for (i, v) in acsc.col_iter(j) {
+                x[i] = v;
+                if !in_col[i] {
+                    in_col[i] = true;
+                    touched.push(i);
+                }
+            }
+            for t in 0..j {
+                let u_tj = x[perm[t]];
+                if u_tj == 0.0 {
+                    continue;
+                }
+                for &(i, lv) in &lcols[t] {
+                    let i = i as usize;
+                    if !in_col[i] {
+                        in_col[i] = true;
+                        touched.push(i);
+                    }
+                    x[i] -= lv * u_tj;
+                    flops += 1;
+                }
+            }
+            let mut best = usize::MAX;
+            let mut best_mag = 0.0f64;
+            for &i in &touched {
+                if pinv[i] == usize::MAX {
+                    let m = x[i].abs();
+                    if m > best_mag || (m == best_mag && m > 0.0 && i < best) {
+                        best_mag = m;
+                        best = i;
+                    }
+                }
+            }
+            if best == usize::MAX || best_mag == 0.0 || !best_mag.is_finite() {
+                return Err(SparseError::ZeroPivot { col: j });
+            }
+            let diag_ok = pinv[j] == usize::MAX && x[j].abs() >= tau * best_mag && x[j] != 0.0;
+            let chosen = if diag_ok { j } else { best };
+            if chosen != j {
+                swaps += 1;
+            }
+            perm[j] = chosen;
+            pinv[chosen] = j;
+            let piv = x[chosen];
+            let mut lcol = Vec::new();
+            for &i in &touched {
+                if pinv[i] == usize::MAX && x[i] != 0.0 {
+                    lcol.push((i as Idx, x[i] / piv));
+                    flops += 1;
+                }
+            }
+            lcols[j] = lcol;
+            for &i in &touched {
+                x[i] = 0.0;
+                in_col[i] = false;
+            }
+            touched.clear();
+        }
+
+        Ok(PivotDiscovery {
+            pinv: pinv.iter().map(|&p| p as Idx).collect(),
+            swaps,
+            flops: flops + n as u64,
+        })
+    }
 
     #[test]
     fn dominant_matrix_needs_no_swaps() {
@@ -300,5 +424,33 @@ mod tests {
         // dominant diagonal always does.
         let d = discover_pivots(&a, 1.0).expect("ok");
         assert_eq!(d.swaps, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_bitmap_sweep_equals_full_scan(
+            family in 0usize..6,
+            n in 8usize..200,
+            density in 2.0f64..7.0,
+            seed in 0u64..1000,
+            full in 0usize..2,
+        ) {
+            let a = match family {
+                0 => random_dominant(n, density, seed),
+                1 => banded_dominant(n, 1 + density as usize / 2, seed),
+                k => HardKind::ALL[k - 2].generate(n, seed),
+            };
+            let tau = if full == 1 { 1.0 } else { DEFAULT_PIVOT_TAU };
+            match (discover_pivots(&a, tau), discover_pivots_scan(&a, tau)) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.pinv, want.pinv);
+                    prop_assert_eq!(got.swaps, want.swaps);
+                    prop_assert_eq!(got.flops, want.flops);
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
     }
 }

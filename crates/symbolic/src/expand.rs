@@ -19,10 +19,14 @@
 //! Closure rule (exactly the engines' access contract): for every column
 //! `j` and every dependency entry `(t, j)` with `t < j`, each sub-diagonal
 //! row of column `t` must also be present in column `j`. Columns are
-//! repaired in ascending order; because column `t < j` is already final
-//! when `j` is processed, a single outer pass with a per-column inner
-//! fixpoint (new sub-diagonal deps discovered while repairing `j` are
-//! replayed until quiescent) reaches the full closure.
+//! repaired in ascending order, so column `t < j` is already final when
+//! `j` is processed, and the closure of column `j` is a reachability sweep
+//! (the formulation of the symbolic stage itself, and of GSoFa/GLU3.0):
+//! the column's rows are stamped in a marker array, its rows `< j` seed a
+//! frontier, and each frontier dependency walks the sub-diagonal suffix of
+//! its final column exactly once — an unstamped row joins column `j` and,
+//! when `< j`, the next frontier. The column is sorted once, when its
+//! frontier runs dry.
 //!
 //! The pass is *bounded*: the permuted old fill can close to far more
 //! entries than a fresh symbolic pass on the permuted matrix would
@@ -31,8 +35,8 @@
 //! caller falls back to a full re-symbolic pass — the last rung before
 //! rejection on the recovery ladder.
 
-use gplu_sparse::convert::coo_to_csr;
-use gplu_sparse::{Coo, Csr, Idx, Val};
+use gplu_sparse::convert::{csc_to_csr, csr_to_csc};
+use gplu_sparse::{Csc, Csr, Idx, Val};
 
 /// Result of a bounded in-place pattern expansion.
 #[derive(Debug)]
@@ -43,25 +47,13 @@ pub struct ExpandOutcome {
     /// Number of structural entries inserted (including repaired
     /// diagonals).
     pub added: usize,
-    /// Maximum number of inner fixpoint passes any single column needed —
-    /// how deep the swap-induced fill cascaded.
+    /// Maximum number of growing frontier generations any single column
+    /// needed — how deep the swap-induced fill cascaded.
     pub rounds: usize,
     /// Whether the closure completed within `budget`. When false the
     /// pattern is unusable and the caller must re-run symbolic
     /// factorization on the permuted matrix.
     pub closed: bool,
-}
-
-/// Inserts `row` into the sorted column `col` as an explicit zero if
-/// absent; returns whether an insertion happened.
-fn insert_zero(col: &mut Vec<(Idx, Val)>, row: Idx) -> bool {
-    match col.binary_search_by_key(&row, |&(r, _)| r) {
-        Ok(_) => false,
-        Err(pos) => {
-            col.insert(pos, (row, 0.0));
-            true
-        }
-    }
 }
 
 /// Completes the left-looking closure of `filled_perm` (the row-permuted
@@ -73,66 +65,103 @@ fn insert_zero(col: &mut Vec<(Idx, Val)>, row: Idx) -> bool {
 pub fn expand_fill(filled_perm: &Csr, budget: usize) -> ExpandOutcome {
     let n = filled_perm.n_rows();
     debug_assert_eq!(n, filled_perm.n_cols(), "square systems only");
+    let input = csr_to_csc(filled_perm);
 
-    // Column-wise working form; rows arrive ascending because the CSR is
-    // scanned in row order.
-    let mut cols: Vec<Vec<(Idx, Val)>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for (j, v) in filled_perm.row_iter(i) {
-            cols[j].push((i as Idx, v));
-        }
-    }
+    // Output arena: the final columns back to back, rows ascending.
+    // `sub[t]` is where column `t`'s sub-diagonal suffix starts in it.
+    let mut col_ptr = Vec::with_capacity(n + 1);
+    col_ptr.push(0usize);
+    let mut rows: Vec<Idx> = Vec::with_capacity(input.nnz());
+    let mut vals: Vec<Val> = Vec::with_capacity(input.nnz());
+    let mut sub: Vec<usize> = Vec::with_capacity(n);
+
+    // mark[r] == j: row r is already in column j (no column is Idx::MAX).
+    let mut mark = vec![Idx::MAX; n];
+    // Rows inserted into the active column, in discovery order.
+    let mut fresh: Vec<Idx> = Vec::new();
+    let mut frontier: Vec<Idx> = Vec::new();
+    let mut next: Vec<Idx> = Vec::new();
 
     let mut added = 0usize;
     let mut rounds = 0usize;
     let mut closed = true;
 
-    'outer: for j in 0..n {
-        let (left, right) = cols.split_at_mut(j);
-        let colj = &mut right[0];
-        // The engines address every pivot through the diagonal slot; make
-        // sure it exists structurally (its value is repaired numerically).
-        if insert_zero(colj, j as Idx) {
-            added += 1;
-        }
-        let mut pass = 0usize;
-        loop {
-            let mut grew = false;
-            // Snapshot the dependency prefix: insertions below may extend
-            // it, which the next pass picks up.
-            let deps: Vec<usize> = colj
-                .iter()
-                .map(|&(r, _)| r as usize)
-                .take_while(|&r| r < j)
-                .collect();
-            for t in deps {
-                for &(r, _) in &left[t] {
-                    if (r as usize) > t && insert_zero(colj, r) {
-                        added += 1;
-                        grew = true;
+    for j in 0..n {
+        let diag = j as Idx;
+        let in_rows = input.col_rows(j);
+        fresh.clear();
+        // Once the budget is blown the remaining columns pass through
+        // unrepaired; the caller discards the pattern.
+        if closed {
+            for &r in in_rows {
+                mark[r as usize] = diag;
+            }
+            // The engines address every pivot through the diagonal slot;
+            // make sure it exists structurally (its value is repaired
+            // numerically).
+            if mark[j] != diag {
+                mark[j] = diag;
+                fresh.push(diag);
+                added += 1;
+            }
+            frontier.clear();
+            frontier.extend(in_rows.iter().take_while(|&&r| r < diag));
+            let mut generation = 0usize;
+            // One generation inserts exactly what one pass over the whole
+            // dependency prefix would: the prefix's older members walked
+            // their columns in an earlier generation and those columns are
+            // final, so re-walking them finds every row stamped.
+            while !frontier.is_empty() {
+                let before = fresh.len();
+                next.clear();
+                for &t in &frontier {
+                    let t = t as usize;
+                    for &r in &rows[sub[t]..col_ptr[t + 1]] {
+                        if mark[r as usize] != diag {
+                            mark[r as usize] = diag;
+                            fresh.push(r);
+                            if r < diag {
+                                next.push(r);
+                            }
+                        }
                     }
                 }
-            }
-            if !grew {
-                break;
-            }
-            pass += 1;
-            rounds = rounds.max(pass);
-            if added > budget {
-                closed = false;
-                break 'outer;
+                if fresh.len() == before {
+                    break;
+                }
+                added += fresh.len() - before;
+                generation += 1;
+                rounds = rounds.max(generation);
+                if added > budget {
+                    closed = false;
+                    break;
+                }
+                std::mem::swap(&mut frontier, &mut next);
             }
         }
+
+        // Merge the input column with its sorted insertions.
+        fresh.sort_unstable();
+        let mut zeros = fresh.iter().copied().peekable();
+        for (&r, &v) in in_rows.iter().zip(input.col_vals(j)) {
+            while let Some(z) = zeros.next_if(|&z| z < r) {
+                rows.push(z);
+                vals.push(0.0);
+            }
+            rows.push(r);
+            vals.push(v);
+        }
+        for z in zeros {
+            rows.push(z);
+            vals.push(0.0);
+        }
+        let start = col_ptr[j];
+        sub.push(start + rows[start..].partition_point(|&r| r <= diag));
+        col_ptr.push(rows.len());
     }
 
-    let mut coo = Coo::new(n, n);
-    for (j, col) in cols.iter().enumerate() {
-        for &(i, v) in col {
-            coo.push(i as usize, j, v);
-        }
-    }
     ExpandOutcome {
-        filled: coo_to_csr(&coo),
+        filled: csc_to_csr(&Csc::from_parts_unchecked(n, n, col_ptr, rows, vals)),
         added,
         rounds,
         closed,
@@ -145,9 +174,117 @@ mod tests {
     use crate::cpu::symbolic_cpu;
     use crate::reference::fill_by_elimination;
     use gplu_sim::CostModel;
+    use gplu_sparse::convert::coo_to_csr;
+    use gplu_sparse::gen::circuit::{circuit, CircuitParams};
+    use gplu_sparse::gen::hard::HardKind;
+    use gplu_sparse::gen::mesh::{mesh, MeshParams};
     use gplu_sparse::gen::random::{banded_dominant, random_dominant};
     use gplu_sparse::perm::permute_csr;
-    use gplu_sparse::Permutation;
+    use gplu_sparse::{Coo, Permutation};
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// Inserts `row` into the sorted column `col` as an explicit zero if
+    /// absent; returns whether an insertion happened.
+    fn insert_zero(col: &mut Vec<(Idx, Val)>, row: Idx) -> bool {
+        match col.binary_search_by_key(&row, |&(r, _)| r) {
+            Ok(_) => false,
+            Err(pos) => {
+                col.insert(pos, (row, 0.0));
+                true
+            }
+        }
+    }
+
+    /// The closure as a literal fixpoint — the definition `expand_fill`
+    /// must reproduce field for field: every pass replays the column's
+    /// whole dependency prefix with sorted inserts until a pass adds
+    /// nothing, and the budget is checked after each growing pass.
+    fn expand_fill_fixpoint(filled_perm: &Csr, budget: usize) -> ExpandOutcome {
+        let n = filled_perm.n_rows();
+        let mut cols: Vec<Vec<(Idx, Val)>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for (j, v) in filled_perm.row_iter(i) {
+                cols[j].push((i as Idx, v));
+            }
+        }
+
+        let mut added = 0usize;
+        let mut rounds = 0usize;
+        let mut closed = true;
+
+        'outer: for j in 0..n {
+            let (left, right) = cols.split_at_mut(j);
+            let colj = &mut right[0];
+            if insert_zero(colj, j as Idx) {
+                added += 1;
+            }
+            let mut pass = 0usize;
+            loop {
+                let mut grew = false;
+                // Snapshot the dependency prefix: insertions below may
+                // extend it, which the next pass picks up.
+                let deps: Vec<usize> = colj
+                    .iter()
+                    .map(|&(r, _)| r as usize)
+                    .take_while(|&r| r < j)
+                    .collect();
+                for t in deps {
+                    for &(r, _) in &left[t] {
+                        if (r as usize) > t && insert_zero(colj, r) {
+                            added += 1;
+                            grew = true;
+                        }
+                    }
+                }
+                if !grew {
+                    break;
+                }
+                pass += 1;
+                rounds = rounds.max(pass);
+                if added > budget {
+                    closed = false;
+                    break 'outer;
+                }
+            }
+        }
+
+        let mut coo = Coo::new(n, n);
+        for (j, col) in cols.iter().enumerate() {
+            for &(i, v) in col {
+                coo.push(i as usize, j, v);
+            }
+        }
+        ExpandOutcome {
+            filled: coo_to_csr(&coo),
+            added,
+            rounds,
+            closed,
+        }
+    }
+
+    /// `expand_fill` against the fixpoint on one input, over the budgets
+    /// that cut at the first cascade, mid-closure, late, and never.
+    fn assert_matches_fixpoint(fp: &Csr) {
+        let nnz = fp.nnz();
+        for budget in [8, nnz / 4, nnz, 4 * nnz + 256] {
+            let got = expand_fill(fp, budget);
+            let want = expand_fill_fixpoint(fp, budget);
+            assert_eq!(got.closed, want.closed, "closed @ budget {budget}");
+            assert_eq!(got.added, want.added, "added @ budget {budget}");
+            assert_eq!(got.rounds, want.rounds, "rounds @ budget {budget}");
+            // Equal even when cut: finished columns, the partial column
+            // and the untouched tail are all emitted the same way.
+            assert_eq!(got.filled.row_ptr, want.filled.row_ptr);
+            assert_eq!(got.filled.col_idx, want.filled.col_idx);
+            assert_eq!(got.filled.vals, want.filled.vals);
+        }
+    }
+
+    fn permute_rows(f: &Csr, forward: Vec<Idx>) -> Csr {
+        let p = Permutation::from_forward(forward).expect("bijection");
+        permute_csr(f, &p, &Permutation::identity(f.n_cols()))
+    }
 
     fn filled_of(a: &Csr) -> Csr {
         symbolic_cpu(a, &CostModel::default()).result.filled
@@ -180,11 +317,13 @@ mod tests {
         for seed in [11, 12] {
             let a = random_dominant(80, 3.0, seed);
             let f = filled_of(&a);
-            let out = expand_fill(&f, f.nnz());
+            let out = expand_fill(&f, 0);
             assert!(out.closed);
             assert_eq!(out.added, 0, "symbolic fill is already a closure");
             assert_eq!(out.rounds, 0);
-            assert_eq!(out.filled.nnz(), f.nnz());
+            assert_eq!(out.filled.row_ptr, f.row_ptr);
+            assert_eq!(out.filled.col_idx, f.col_idx);
+            assert_eq!(out.filled.vals, f.vals);
             assert_closed(&out.filled);
         }
     }
@@ -257,5 +396,80 @@ mod tests {
         assert!(out.closed);
         assert_eq!(out.filled.get(1, 1), Some(0.0), "diagonal slot repaired");
         assert_closed(&out.filled);
+    }
+
+    #[test]
+    fn missing_diagonal_in_a_cascading_column() {
+        // Column 2 has no diagonal slot and reaches row 3 only through
+        // two generations: dep 0 brings row 1, dep 1 brings rows 2 and 3.
+        let mut coo = Coo::new(4, 4);
+        for (i, j, v) in [
+            (0, 0, 1.0),
+            (1, 0, 2.0),
+            (1, 1, 3.0),
+            (2, 1, 4.0),
+            (3, 1, 5.0),
+            (0, 2, 6.0),
+            (3, 3, 7.0),
+        ] {
+            coo.push(i, j, v);
+        }
+        let f = coo_to_csr(&coo);
+        let out = expand_fill(&f, 16);
+        assert!(out.closed);
+        // (2,2) diagonal, (1,2) from dep 0, (3,2) from dep 1; row 2 was
+        // stamped by the diagonal repair, so dep 1 does not count it twice.
+        assert_eq!(out.added, 3);
+        assert_eq!(out.rounds, 2);
+        assert_eq!(out.filled.get(2, 2), Some(0.0));
+        assert_eq!(out.filled.get(1, 2), Some(0.0));
+        assert_eq!(out.filled.get(3, 2), Some(0.0));
+        assert_eq!(out.filled.get(0, 2), Some(6.0), "input values ride along");
+        assert_closed(&out.filled);
+        assert_matches_fixpoint(&f);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_frontier_closure_equals_fixpoint(
+            family in 0usize..4,
+            n in 12usize..90,
+            density in 2.0f64..6.0,
+            seed in 0u64..1000,
+            swap_share in 0.0f64..1.0,
+        ) {
+            let a = match family {
+                0 => random_dominant(n, density, seed),
+                1 => banded_dominant(n, 1 + density as usize / 2, seed),
+                2 => mesh(&MeshParams::for_target(n, density, seed)),
+                _ => circuit(&CircuitParams { n, nnz_per_row: density, seed, ..Default::default() }),
+            };
+            let f = filled_of(&a);
+            let n = f.n_rows();
+            // 0 … n/2 random row transpositions of the predicted fill.
+            let mut rng = gplu_sparse::gen::rng(seed ^ 0xE4BA);
+            let mut fwd: Vec<Idx> = (0..n as Idx).collect();
+            for _ in 0..(swap_share * (n / 2) as f64) as usize {
+                fwd.swap(rng.gen_range(0..n), rng.gen_range(0..n));
+            }
+            assert_matches_fixpoint(&permute_rows(&f, fwd));
+        }
+
+        /// The permutations the pipeline feeds in: threshold discovery on
+        /// the adversarial families, applied to the predicted fill.
+        #[test]
+        fn prop_discovered_pivot_orders_equal_fixpoint(
+            kind in 0usize..4,
+            n in 24usize..120,
+            seed in 0u64..1000,
+            full in 0usize..2,
+        ) {
+            let a = HardKind::ALL[kind].generate(n, seed);
+            let tau = if full == 1 { 1.0 } else { 0.1 };
+            let d = gplu_numeric::discover_pivots(&a, tau).expect("hard families are pivotable");
+            assert_matches_fixpoint(&permute_rows(&filled_of(&a), d.pinv));
+        }
     }
 }
