@@ -1,13 +1,14 @@
 //! Wall-clock benches of the per-column kernel core itself: the three
 //! access disciplines of `process_column` over one filled pattern, plus
 //! the cost of building the `PivotCache` they share. This isolates the
-//! location work (binary search vs merge-join) from the engine/simulator
-//! machinery the `numeric` bench includes.
+//! location work (binary search vs the dense accumulator the merge and
+//! dense disciplines share) from the engine/simulator machinery the
+//! `numeric` bench includes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gplu_bench::Prepared;
 use gplu_numeric::values::ValueStore;
-use gplu_numeric::{AccessDiscipline, PivotCache};
+use gplu_numeric::{AccessDiscipline, ColumnScratch, PivotCache};
 use gplu_sim::CostModel;
 use gplu_sparse::convert::csr_to_csc;
 use gplu_sparse::gen::suite::large_suite;
@@ -37,9 +38,17 @@ fn bench_numeric_kernel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(name, "HT20"), &pattern, |b, p| {
             b.iter(|| {
                 let vals = ValueStore::new(&p.vals);
+                let mut scratch = ColumnScratch::default();
                 for j in 0..n {
-                    gplu_numeric::outcome::process_column(p, &vals, j, discipline, &cache)
-                        .expect("column ok");
+                    gplu_numeric::outcome::process_column(
+                        p,
+                        &vals,
+                        j,
+                        discipline,
+                        &cache,
+                        &mut scratch,
+                    )
+                    .expect("column ok");
                 }
                 vals
             })

@@ -29,9 +29,7 @@
 
 use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
-use crate::outcome::{
-    process_column_with, AccessDiscipline, NumericOutcome, PivotCache, PivotRule,
-};
+use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Gpu, SimError};
@@ -243,14 +241,7 @@ impl NumericEngine for BlockedEngine<'_> {
                     self.tiles
                         .fetch_add(gemm_tiles_of(items), Ordering::Relaxed);
                 }
-                match process_column_with(
-                    run.pattern,
-                    run.vals,
-                    col,
-                    AccessDiscipline::Merge,
-                    run.cache,
-                    run.rule,
-                ) {
+                match run.process_column(col, AccessDiscipline::Merge) {
                     Ok((c, perturb)) => {
                         self.steps.fetch_add(c.merge_steps, Ordering::Relaxed);
                         if let Some(delta) = perturb {

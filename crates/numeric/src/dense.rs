@@ -17,9 +17,7 @@
 
 use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
-use crate::outcome::{
-    process_column_with, AccessDiscipline, NumericOutcome, PivotCache, PivotRule,
-};
+use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Gpu, SimError};
@@ -112,14 +110,7 @@ impl NumericEngine for DenseEngine {
                     ctx.work(4 * n as u64 / stripes as u64);
                     ctx.mem((items * 8 + 4 * n as u64) / stripes as u64);
                     if stripe == 0 {
-                        match process_column_with(
-                            run.pattern,
-                            run.vals,
-                            col,
-                            AccessDiscipline::Dense,
-                            run.cache,
-                            run.rule,
-                        ) {
+                        match run.process_column(col, AccessDiscipline::Dense) {
                             Ok((_, Some(delta))) => {
                                 run.perturbs.lock().push((col, delta));
                             }

@@ -19,8 +19,12 @@
 
 use crate::error::NumericError;
 use crate::modes::{classify_level_cached, launch_shape, LevelType, ModeMix};
-use crate::outcome::{column_cost_estimate_cached, NumericOutcome, PivotCache, PivotRule};
+use crate::outcome::{
+    column_cost_estimate_cached, process_column_with, AccessDiscipline, ColCosts, NumericOutcome,
+    PivotCache, PivotRule,
+};
 use crate::resume::{LevelHook, LevelProgress, NumericResume};
+use crate::scratch::ScratchPool;
 use crate::values::ValueStore;
 use gplu_schedule::Levels;
 use gplu_sim::{Gpu, Kernel, SimError};
@@ -67,6 +71,9 @@ pub struct LevelRun<'a> {
     pub cache: &'a PivotCache,
     /// The shared value store.
     pub vals: &'a ValueStore,
+    /// The factorization's dense accumulators, one checked out per
+    /// kernel-core call.
+    pub(crate) scratch: &'a ScratchPool,
     /// First kernel-core error raised by any column of this level.
     pub error: &'a Mutex<Option<SparseError>>,
     /// Index of the level in the schedule.
@@ -97,6 +104,27 @@ impl LevelRun<'_> {
     /// Grid size of this level's launch.
     pub fn grid(&self) -> usize {
         self.cols.len() * self.stripes
+    }
+
+    /// Runs the kernel core on column `col` of this level against the
+    /// shared value store, with an accumulator from the factorization's
+    /// pool and the run's pivot rule.
+    pub fn process_column(
+        &self,
+        col: usize,
+        discipline: AccessDiscipline,
+    ) -> Result<(ColCosts, Option<f64>), SparseError> {
+        self.scratch.with(|ws| {
+            process_column_with(
+                self.pattern,
+                self.vals,
+                col,
+                discipline,
+                self.cache,
+                self.rule,
+                ws,
+            )
+        })
     }
 
     /// Launches the level's kernel: host-launched normally, tail-launched
@@ -215,6 +243,7 @@ pub fn run_levels<E: NumericEngine>(
     let mut mix = resume.map_or_else(ModeMix::default, |r| r.mode_mix);
     let error: Mutex<Option<SparseError>> = Mutex::new(None);
     let perturbs: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
+    let scratch = ScratchPool::default();
     let replay = pivot.is_some() && engine.device_replay();
     let mut kicked_off = false;
 
@@ -247,6 +276,7 @@ pub fn run_levels<E: NumericEngine>(
             pattern,
             cache,
             vals: &vals,
+            scratch: &scratch,
             error: &error,
             level: li,
             cols,

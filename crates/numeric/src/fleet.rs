@@ -29,6 +29,7 @@ use crate::error::NumericError;
 use crate::merge::MergeEngine;
 use crate::modes::{launch_shape, ModeMix};
 use crate::outcome::{column_cost_estimate_cached, NumericOutcome, PivotCache, PivotRule};
+use crate::scratch::ScratchPool;
 use crate::sparse::SparseEngine;
 use crate::values::ValueStore;
 use gplu_schedule::Levels;
@@ -36,6 +37,7 @@ use gplu_sim::{split_even, DeviceAlloc, DeviceFleet, SimError, SimTime};
 use gplu_sparse::{Csc, Idx, SparseError};
 use gplu_trace::TraceSink;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 
 /// Outcome of a fleet numeric run: the ordinary [`NumericOutcome`]
 /// (bit-identical factors, makespan time) plus fleet accounting.
@@ -50,6 +52,15 @@ pub struct FleetNumericOutcome {
     pub died: Vec<usize>,
     /// Columns re-run on survivors after device deaths.
     pub resharded_cols: usize,
+}
+
+/// One device's share of a level: its columns and their hoisted item
+/// counts, index-parallel. Borrowed from the level on the first attempt,
+/// owned when a reshard reassembles the columns of failed devices.
+struct Chunk<'a> {
+    device: usize,
+    cols: Cow<'a, [Idx]>,
+    items: Cow<'a, [u64]>,
 }
 
 /// Runs `engine` over the level schedule sharded across the live devices
@@ -112,6 +123,7 @@ pub fn run_levels_fleet<E: NumericEngine>(
     let mut mix = ModeMix::default();
     let error: Mutex<Option<SparseError>> = Mutex::new(None);
     let perturbs: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
+    let scratch = ScratchPool::default();
 
     for (li, cols) in levels.groups.iter().enumerate() {
         let t = engine.classify(pattern, &cache, cols);
@@ -136,48 +148,52 @@ pub fn run_levels_fleet<E: NumericEngine>(
             .map(|&j| column_cost_estimate_cached(pattern, &cache, j as usize).1)
             .collect();
 
-        // Contiguous per-device column chunks; `gather_bytes[d]` collects
-        // the value bytes device d actually produced this level (reshards
-        // shift bytes to the survivors that did the work).
+        // Contiguous per-device column chunks, borrowed straight out of the
+        // level (`split_even` hands out ranges); only a reshard builds
+        // owned lists. `gather_bytes[d]` collects the value bytes device d
+        // actually produced this level (reshards shift bytes to the
+        // survivors that did the work).
         let mut gather_bytes = vec![0u64; fleet.len()];
         let owners = fleet.alive();
-        let mut pending: Vec<(usize, Vec<usize>)> = {
-            let ranges = split_even(cols.len(), owners.len());
-            owners
-                .iter()
-                .zip(ranges)
-                .map(|(&d, r)| (d, r.collect::<Vec<usize>>()))
-                .collect()
-        };
+        let mut pending: Vec<Chunk<'_>> = owners
+            .iter()
+            .zip(split_even(cols.len(), owners.len()))
+            .map(|(&device, r)| Chunk {
+                device,
+                cols: Cow::from(&cols[r.clone()]),
+                items: Cow::from(&items_of[r]),
+            })
+            .collect();
         let mut last_err: Option<SimError> = None;
         while !pending.is_empty() {
-            let mut failed_idx: Vec<usize> = Vec::new();
-            for (d, idx) in pending.drain(..) {
-                if idx.is_empty() {
+            let mut failed: Vec<(Idx, u64)> = Vec::new();
+            for chunk in pending.drain(..) {
+                if chunk.cols.is_empty() {
                     continue;
                 }
+                let d = chunk.device;
                 let gpu = fleet.device(d);
-                let chunk_cols: Vec<Idx> = idx.iter().map(|&i| cols[i]).collect();
-                let chunk_items: Vec<u64> = idx.iter().map(|&i| items_of[i]).collect();
                 let run = LevelRun {
                     gpu,
                     pattern,
                     cache: &cache,
                     vals: &vals,
+                    scratch: &scratch,
                     error: &error,
                     level: li,
-                    cols: &chunk_cols,
+                    cols: &chunk.cols,
                     mode: t,
                     threads,
                     stripes,
-                    items_of: &chunk_items,
+                    items_of: &chunk.items,
                     rule,
                     perturbs: &perturbs,
                     tail_launch: false,
                 };
                 match engine.run_level(&run) {
                     Ok(()) => {
-                        gather_bytes[d] += chunk_cols
+                        gather_bytes[d] += chunk
+                            .cols
                             .iter()
                             .map(|&j| {
                                 let j = j as usize;
@@ -193,12 +209,12 @@ pub fn run_levels_fleet<E: NumericEngine>(
                         }
                         fleet.mark_dead(d);
                         died.push(d);
-                        failed_idx.extend(idx);
+                        failed.extend(chunk.cols.iter().copied().zip(chunk.items.iter().copied()));
                         last_err = Some(e);
                     }
                 }
             }
-            if failed_idx.is_empty() {
+            if failed.is_empty() {
                 break;
             }
             let survivors = fleet.alive();
@@ -207,13 +223,22 @@ pub fn run_levels_fleet<E: NumericEngine>(
                     "every fleet device died during numeric".into(),
                 ))));
             }
-            resharded_cols += failed_idx.len();
-            let mut shards: Vec<(usize, Vec<usize>)> =
-                survivors.iter().map(|&d| (d, Vec::new())).collect();
-            for (i, ci) in failed_idx.into_iter().enumerate() {
-                shards[i % survivors.len()].1.push(ci);
+            resharded_cols += failed.len();
+            let mut shards: Vec<(Vec<Idx>, Vec<u64>)> = vec![Default::default(); survivors.len()];
+            for (i, (col, items)) in failed.into_iter().enumerate() {
+                let shard = &mut shards[i % survivors.len()];
+                shard.0.push(col);
+                shard.1.push(items);
             }
-            pending = shards;
+            pending = survivors
+                .iter()
+                .zip(shards)
+                .map(|(&device, (c, i))| Chunk {
+                    device,
+                    cols: Cow::from(c),
+                    items: Cow::from(i),
+                })
+                .collect();
         }
 
         // Level barrier: all-gather the level's updated columns so every

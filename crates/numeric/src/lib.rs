@@ -37,8 +37,11 @@
 //!
 //! All access patterns share one kernel core,
 //! [`outcome::process_column`], parameterized by
-//! [`outcome::AccessDiscipline`]; per-factorization pivot/segment
-//! positions are precomputed once in an [`outcome::PivotCache`].
+//! [`outcome::AccessDiscipline`]: the dense and merge disciplines
+//! eliminate in a pooled `O(n)` accumulator ([`scratch`]) by direct row
+//! indexing, binary search runs Algorithm 6's probing loop.
+//! Per-factorization pivot/segment positions are precomputed once in an
+//! [`outcome::PivotCache`].
 //!
 //! The engines themselves implement one interface: the
 //! [`engine::NumericEngine`] trait owns only the per-level kernel and its
@@ -65,6 +68,7 @@ pub mod modes;
 pub mod outcome;
 pub mod pivoting;
 pub mod resume;
+pub mod scratch;
 pub mod seq;
 pub mod sparse;
 pub mod trisolve;
@@ -92,6 +96,7 @@ pub use modes::{classify_level, classify_level_cached, classify_schedule, LevelT
 pub use outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 pub use pivoting::{discover_pivots, PivotDiscovery, PivotPolicy, DEFAULT_PIVOT_TAU};
 pub use resume::{LevelHook, LevelProgress, NumericResume};
+pub use scratch::ColumnScratch;
 pub use seq::{factorize_seq, factorize_seq_rule};
 pub use sparse::{
     factorize_gpu_sparse, factorize_gpu_sparse_forced, factorize_gpu_sparse_run,

@@ -16,14 +16,17 @@
 //! binary-search engine it needs no per-column dense buffers, so all
 //! `TB_max` blocks stay resident regardless of `n`.
 //!
+//! That is the *device* kernel being modelled and priced. The host
+//! executes the same per-position arithmetic in the kernel core's dense
+//! accumulator and reports the walk's cursor advances (`merge_steps`) in
+//! closed form — see [`crate::outcome::AccessDiscipline::Merge`].
+//!
 //! The level-loop scaffolding lives in [`crate::engine::run_levels`]; this
 //! module contributes only the [`MergeEngine`] kernel.
 
 use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
-use crate::outcome::{
-    process_column_with, AccessDiscipline, NumericOutcome, PivotCache, PivotRule,
-};
+use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Gpu, SimError};
@@ -68,14 +71,7 @@ impl NumericEngine for MergeEngine {
             ctx.bulk_flops(3, items / stripes as u64);
             ctx.mem(items * 8 / stripes as u64);
             if stripe == 0 {
-                match process_column_with(
-                    run.pattern,
-                    run.vals,
-                    col,
-                    AccessDiscipline::Merge,
-                    run.cache,
-                    run.rule,
-                ) {
+                match run.process_column(col, AccessDiscipline::Merge) {
                     Ok((c, perturb)) => {
                         self.steps.fetch_add(c.merge_steps, Ordering::Relaxed);
                         if let Some(delta) = perturb {

@@ -1,7 +1,9 @@
-//! Shared outcome type, the per-column functional kernel core, and the
-//! per-factorization pivot-position cache.
+//! Shared outcome type, the per-column functional kernel core (a dense
+//! accumulator for the dense and merge disciplines, Algorithm 6's probing
+//! loop for binary search), and the per-factorization pivot-position cache.
 
 use crate::modes::ModeMix;
+use crate::scratch::ColumnScratch;
 use crate::values::ValueStore;
 use gplu_sim::{GpuStatsSnapshot, SimTime};
 use gplu_sparse::{Csc, SparseError};
@@ -42,19 +44,33 @@ pub struct NumericOutcome {
 
 /// How a numeric kernel locates the update targets inside a destination
 /// column.
+///
+/// [`Dense`](AccessDiscipline::Dense) and
+/// [`Merge`](AccessDiscipline::Merge) execute on one core — scatter the
+/// column into an `O(n)` accumulator, update by direct row indexing,
+/// gather back — and differ only in what they count. Each target position
+/// receives its subtractions in ascending dependency order and then the
+/// division, whichever way it is located, so all three disciplines
+/// produce the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessDiscipline {
     /// Dense per-column buffers (GLU 3.0): each target row indexes an
-    /// `O(n)` scatter buffer directly. Functionally realized here as an
-    /// ascending merge, which touches the same positions once each.
+    /// `O(n)` scatter buffer directly — which is exactly how the core
+    /// executes it. No location counter.
     Dense,
     /// Sorted CSC with per-element binary search — the paper's
-    /// Algorithm 6. Every located target pays `log2(nnz_col)` probes.
+    /// Algorithm 6. Every located target pays `log2(nnz_col)` probes, and
+    /// the probing loop really runs: [`ColCosts::probes`] prices
+    /// Figure 8 / Table 4.
     BinarySearch,
     /// Sorted CSC with a two-pointer merge-join of the source segment and
     /// the destination column. Both sides are sorted by row, so one
     /// forward walk locates every target: `O(nnz_t + nnz_j)` per update
-    /// instead of `O(nnz_t · log nnz_j)`, and no probe surcharge.
+    /// instead of `O(nnz_t · log nnz_j)`, and no probe surcharge. The
+    /// arithmetic is [`Dense`](AccessDiscipline::Dense)'s; the walk's
+    /// cursor advances are reported in closed form as
+    /// [`ColCosts::merge_steps`] — per dependency, the distance in column
+    /// `j` from `u_tj` to the segment's last row.
     Merge,
 }
 
@@ -189,9 +205,10 @@ pub struct ColCosts {
     pub nnz: u64,
 }
 
-/// Factorizes column `j` against finished columns, reading and writing
-/// through the atomic [`ValueStore`] (`pattern` supplies the immutable
-/// structure, `cache` the pre-computed pivot/segment positions).
+/// Factorizes column `j` against finished columns of the shared
+/// [`ValueStore`] (`pattern` supplies the immutable structure, `cache`
+/// the pre-computed pivot/segment positions, `scratch` the block's dense
+/// accumulator).
 ///
 /// `discipline` selects the access pattern being modelled — see
 /// [`AccessDiscipline`]. All three apply bit-identical arithmetic in the
@@ -207,8 +224,18 @@ pub fn process_column(
     j: usize,
     discipline: AccessDiscipline,
     cache: &PivotCache,
+    scratch: &mut ColumnScratch,
 ) -> Result<ColCosts, SparseError> {
-    process_column_with(pattern, vals, j, discipline, cache, PivotRule::Exact).map(|(c, _)| c)
+    process_column_with(
+        pattern,
+        vals,
+        j,
+        discipline,
+        cache,
+        PivotRule::Exact,
+        scratch,
+    )
+    .map(|(c, _)| c)
 }
 
 /// [`process_column`] with an explicit [`PivotRule`]. Returns the column's
@@ -216,6 +243,10 @@ pub fn process_column(
 /// the perturbed pivot is written back into the value store so the factor
 /// is self-consistent (it exactly factors the input with `a_jj` bumped by
 /// the delta).
+///
+/// The dense and merge disciplines are failure-atomic: every check runs
+/// on the accumulator, and the store is written only once they have all
+/// passed, so an `Err` leaves `vals` exactly as it was.
 pub fn process_column_with(
     pattern: &Csc,
     vals: &ValueStore,
@@ -223,7 +254,19 @@ pub fn process_column_with(
     discipline: AccessDiscipline,
     cache: &PivotCache,
     rule: PivotRule,
+    scratch: &mut ColumnScratch,
 ) -> Result<(ColCosts, Option<f64>), SparseError> {
+    if discipline != AccessDiscipline::BinarySearch {
+        return accumulate_column(
+            pattern,
+            vals,
+            j,
+            discipline == AccessDiscipline::Merge,
+            cache,
+            rule,
+            scratch,
+        );
+    }
     let mut costs = ColCosts::default();
     let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
     costs.nnz = (end - start) as u64;
@@ -240,62 +283,13 @@ pub fn process_column_with(
         }
         let t_lower = cache.lower_start(t);
         let t_end = pattern.col_ptr[t + 1];
-        match discipline {
-            AccessDiscipline::BinarySearch => {
-                for src in t_lower..t_end {
-                    let i = pattern.row_idx[src] as usize;
-                    let (pos, probes) = pattern.find_in_col(i, j);
-                    costs.probes += probes as u64;
-                    costs.items += 1;
-                    let pos = pos.ok_or(SparseError::MissingFill { row: i, col: j })?;
-                    vals.set(pos, vals.get(pos) - vals.get(src) * u_tj);
-                }
-            }
-            AccessDiscipline::Dense => {
-                // Dense discipline: direct indexing; functionally an
-                // ascending merge locates the same positions with one
-                // touch per entry.
-                let mut dst = k + 1;
-                for src in t_lower..t_end {
-                    let i = pattern.row_idx[src];
-                    while dst < end && pattern.row_idx[dst] < i {
-                        dst += 1;
-                    }
-                    if dst >= end || pattern.row_idx[dst] != i {
-                        return Err(SparseError::MissingFill {
-                            row: i as usize,
-                            col: j,
-                        });
-                    }
-                    costs.items += 1;
-                    vals.set(dst, vals.get(dst) - vals.get(src) * u_tj);
-                    dst += 1;
-                }
-            }
-            AccessDiscipline::Merge => {
-                // Merge-join: both the source segment and the destination
-                // column are sorted by row, so a single forward walk of
-                // `dst` locates every target. Each cursor advance is one
-                // streamed comparison — counted, never repeated.
-                let mut dst = k + 1;
-                for src in t_lower..t_end {
-                    let i = pattern.row_idx[src];
-                    while dst < end && pattern.row_idx[dst] < i {
-                        dst += 1;
-                        costs.merge_steps += 1;
-                    }
-                    if dst >= end || pattern.row_idx[dst] != i {
-                        return Err(SparseError::MissingFill {
-                            row: i as usize,
-                            col: j,
-                        });
-                    }
-                    costs.items += 1;
-                    vals.set(dst, vals.get(dst) - vals.get(src) * u_tj);
-                    dst += 1;
-                    costs.merge_steps += 1;
-                }
-            }
+        for src in t_lower..t_end {
+            let i = pattern.row_idx[src] as usize;
+            let (pos, probes) = pattern.find_in_col(i, j);
+            costs.probes += probes as u64;
+            costs.items += 1;
+            let pos = pos.ok_or(SparseError::MissingFill { row: i, col: j })?;
+            vals.set(pos, vals.get(pos) - vals.get(src) * u_tj);
         }
     }
 
@@ -315,6 +309,90 @@ pub fn process_column_with(
         costs.items += 1;
         vals.set(k, vals.get(k) / pivot);
     }
+    Ok((costs, perturbed))
+}
+
+/// The dense-accumulator core behind the dense and merge disciplines:
+/// scatter column `j` into `x[row]`, eliminate against each dependency by
+/// direct indexing, apply the pivot rule, and gather back — one load and
+/// one store per entry of the shared store, plain `f64` arithmetic in
+/// between.
+///
+/// Per target position the subtractions arrive in ascending dependency
+/// order, then the division — the order the sorted-CSC walk applied them
+/// in — so the factor bits are the walk's. `count_steps` prices that walk
+/// without taking it: per dependency with a non-empty segment its
+/// destination cursor advanced from just past `u_tj` to just past the
+/// segment's last row.
+///
+/// Kept out of line: the engines' kernels are closures inside the generic
+/// level drivers, instantiated once per engine per downstream crate, and
+/// one shared copy of the hot loop beats a copy in each.
+#[inline(never)]
+fn accumulate_column(
+    pattern: &Csc,
+    vals: &ValueStore,
+    j: usize,
+    count_steps: bool,
+    cache: &PivotCache,
+    rule: PivotRule,
+    scratch: &mut ColumnScratch,
+) -> Result<(ColCosts, Option<f64>), SparseError> {
+    let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
+    let rows = &pattern.row_idx[start..end];
+    let mut costs = ColCosts {
+        nnz: rows.len() as u64,
+        ..ColCosts::default()
+    };
+    let (stamp, x, mark) = scratch.begin(pattern.n_rows());
+    for (k, &r) in rows.iter().enumerate() {
+        x[r as usize] = vals.get(start + k);
+        mark[r as usize] = stamp;
+    }
+
+    for (k, &t) in rows.iter().enumerate() {
+        let t = t as usize;
+        if t >= j {
+            break;
+        }
+        costs.deps += 1;
+        let u_tj = x[t];
+        if u_tj == 0.0 {
+            continue;
+        }
+        let t_lower = cache.lower_start(t);
+        let seg = &pattern.row_idx[t_lower..pattern.col_ptr[t + 1]];
+        for (s, &r) in seg.iter().enumerate() {
+            let r = r as usize;
+            if mark[r] != stamp {
+                return Err(SparseError::MissingFill { row: r, col: j });
+            }
+            x[r] -= vals.get(t_lower + s) * u_tj;
+        }
+        costs.items += seg.len() as u64;
+        if let (true, Some(&last)) = (count_steps, seg.last()) {
+            // `last` was just found in the column, past position `k`.
+            costs.merge_steps += 1 + rows[k + 1..].partition_point(|&r| r < last) as u64;
+        }
+    }
+
+    // The pivot is final here (the level barrier ordered every update
+    // before this call), so the static-perturbation rule applies
+    // deterministically regardless of engine or access discipline.
+    let diag_pos = cache.diag(j).ok_or(SparseError::ZeroDiagonal { row: j })?;
+    let (pivot, perturbed) = rule.apply(x[j]);
+    if pivot == 0.0 || !pivot.is_finite() {
+        return Err(SparseError::ZeroPivot { col: j });
+    }
+    let diag = diag_pos - start;
+    for (k, &r) in rows[..diag].iter().enumerate() {
+        vals.set(start + k, x[r as usize]);
+    }
+    vals.set(diag_pos, pivot);
+    for (k, &r) in rows[diag + 1..].iter().enumerate() {
+        vals.set(diag_pos + 1 + k, x[r as usize] / pivot);
+    }
+    costs.items += (rows.len() - diag - 1) as u64;
     Ok((costs, perturbed))
 }
 
@@ -361,13 +439,39 @@ pub fn column_cost_estimate_cached(pattern: &Csc, cache: &PivotCache, j: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gplu_schedule::{levelize_cpu, DepGraph, Levels};
     use gplu_sim::CostModel;
-    use gplu_sparse::convert::csr_to_csc;
-    use gplu_sparse::gen::random::random_dominant;
+    use gplu_sparse::convert::{coo_to_csr, csr_to_csc};
+    use gplu_sparse::gen::hard::HardKind;
+    use gplu_sparse::gen::random::{banded_dominant, random_dominant};
+    use gplu_sparse::gen::{circuit, mesh};
+    use gplu_sparse::Csr;
     use gplu_symbolic::symbolic_cpu;
+    use proptest::prelude::*;
+    use std::sync::Barrier;
 
-    fn filled(a: &gplu_sparse::Csr) -> Csc {
+    fn filled(a: &Csr) -> Csc {
         csr_to_csc(&symbolic_cpu(a, &CostModel::default()).result.filled)
+    }
+
+    fn filled_with_levels(a: &Csr) -> (Csc, Levels) {
+        let sym = symbolic_cpu(a, &CostModel::default()).result.filled;
+        let levels = levelize_cpu(&DepGraph::build(&sym), &CostModel::default()).levels;
+        (csr_to_csc(&sym), levels)
+    }
+
+    fn all_ones_2x2() -> Csc {
+        let mut coo = gplu_sparse::Coo::new(2, 2);
+        for i in 0..2 {
+            for j in 0..2 {
+                coo.push(i, j, 1.0);
+            }
+        }
+        filled(&coo_to_csr(&coo))
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     const ALL: [AccessDiscipline; 3] = [
@@ -375,6 +479,362 @@ mod tests {
         AccessDiscipline::BinarySearch,
         AccessDiscipline::Merge,
     ];
+    const ACCUMULATED: [AccessDiscipline; 2] = [AccessDiscipline::Dense, AccessDiscipline::Merge];
+
+    /// The sorted-CSC walk the dense and merge disciplines ran before the
+    /// accumulator core: for every dependency a compare-and-advance cursor
+    /// over column `j`, updates applied in place. Reference for values,
+    /// costs (`merge_steps` is the cursor's advance count) and errors.
+    fn process_column_walk(
+        pattern: &Csc,
+        vals: &ValueStore,
+        j: usize,
+        discipline: AccessDiscipline,
+        cache: &PivotCache,
+        rule: PivotRule,
+    ) -> Result<(ColCosts, Option<f64>), SparseError> {
+        assert_ne!(discipline, AccessDiscipline::BinarySearch);
+        let count_steps = discipline == AccessDiscipline::Merge;
+        let mut costs = ColCosts::default();
+        let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
+        costs.nnz = (end - start) as u64;
+
+        for k in start..end {
+            let t = pattern.row_idx[k] as usize;
+            if t >= j {
+                break;
+            }
+            costs.deps += 1;
+            let u_tj = vals.get(k);
+            if u_tj == 0.0 {
+                continue;
+            }
+            let mut dst = k + 1;
+            for src in cache.lower_start(t)..pattern.col_ptr[t + 1] {
+                let i = pattern.row_idx[src];
+                while dst < end && pattern.row_idx[dst] < i {
+                    dst += 1;
+                    costs.merge_steps += count_steps as u64;
+                }
+                if dst >= end || pattern.row_idx[dst] != i {
+                    return Err(SparseError::MissingFill {
+                        row: i as usize,
+                        col: j,
+                    });
+                }
+                costs.items += 1;
+                vals.set(dst, vals.get(dst) - vals.get(src) * u_tj);
+                dst += 1;
+                costs.merge_steps += count_steps as u64;
+            }
+        }
+
+        let diag_pos = cache.diag(j).ok_or(SparseError::ZeroDiagonal { row: j })?;
+        let (pivot, perturbed) = rule.apply(vals.get(diag_pos));
+        if pivot == 0.0 || !pivot.is_finite() {
+            return Err(SparseError::ZeroPivot { col: j });
+        }
+        if perturbed.is_some() {
+            vals.set(diag_pos, pivot);
+        }
+        for k in (diag_pos + 1)..end {
+            costs.items += 1;
+            vals.set(k, vals.get(k) / pivot);
+        }
+        Ok((costs, perturbed))
+    }
+
+    /// Runs every column in level order through both kernels on separate
+    /// stores, up to the first failing column, and asserts identical
+    /// results (costs, perturbation deltas or the error) per column and
+    /// identical value bits at the end. Returns how many columns skipped
+    /// a dependency on an exact-zero `u_tj`.
+    fn assert_accumulator_equals_walk(
+        pattern: &Csc,
+        levels: &Levels,
+        label: &str,
+    ) -> Result<usize, TestCaseError> {
+        let cache = PivotCache::build(pattern);
+        let mut skipped = 0;
+        for d in ACCUMULATED {
+            // 1e-8 is the pipeline's static-pivoting floor; 1e-2 makes the
+            // clamp fire dozens of times on the hard families.
+            for rule in [
+                PivotRule::Exact,
+                PivotRule::Perturb { threshold: 1e-8 },
+                PivotRule::Perturb { threshold: 1e-2 },
+            ] {
+                let got = ValueStore::new(&pattern.vals);
+                let want = ValueStore::new(&pattern.vals);
+                let mut scratch = ColumnScratch::default();
+                let mut failed = None;
+                'levels: for cols in &levels.groups {
+                    for &j in cols {
+                        let j = j as usize;
+                        let g =
+                            process_column_with(pattern, &got, j, d, &cache, rule, &mut scratch);
+                        let w = process_column_walk(pattern, &want, j, d, &cache, rule);
+                        prop_assert_eq!(&g, &w, "{}: {:?} {:?} column {}", label, d, rule, j);
+                        match g {
+                            Ok((c, _)) => {
+                                let structural = column_cost_estimate_cached(pattern, &cache, j).1;
+                                skipped += (c.items < structural) as usize;
+                            }
+                            Err(_) => {
+                                failed = Some(j);
+                                break 'levels;
+                            }
+                        }
+                    }
+                }
+                // The walk half-writes a failing column; every other
+                // position must agree to the bit.
+                let (got, mut want) = (got.into_vec(), want.into_vec());
+                if let Some(j) = failed {
+                    let range = pattern.col_ptr[j]..pattern.col_ptr[j + 1];
+                    want[range.clone()].copy_from_slice(&pattern.vals[range.clone()]);
+                    prop_assert!(
+                        bits(&got[range.clone()]) == bits(&pattern.vals[range]),
+                        "{}: {:?} {:?} failing column {} written",
+                        label,
+                        d,
+                        rule,
+                        j
+                    );
+                }
+                let differs = (0..got.len()).find(|&k| got[k].to_bits() != want[k].to_bits());
+                prop_assert_eq!(differs, None, "{}: {:?} {:?} value bits", label, d, rule);
+            }
+        }
+        Ok(skipped)
+    }
+
+    fn assert_on_matrix(a: &Csr, label: &str) -> Result<(), TestCaseError> {
+        let (pattern, levels) = filled_with_levels(a);
+        assert_accumulator_equals_walk(&pattern, &levels, label).map(|_| ())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn prop_accumulator_equals_walk(
+            n in 20usize..120,
+            density in 3.0f64..6.0,
+            band in 2usize..8,
+            seed in 0u64..500,
+        ) {
+            assert_on_matrix(&random_dominant(n, density, seed), "random")?;
+            assert_on_matrix(&banded_dominant(n, band, seed), "banded")?;
+            assert_on_matrix(
+                &mesh::mesh(&mesh::MeshParams::for_target(n.max(25), density, seed)),
+                "mesh",
+            )?;
+            assert_on_matrix(
+                &circuit::circuit(&circuit::CircuitParams {
+                    n: n.max(30),
+                    nnz_per_row: density,
+                    seed,
+                    ..Default::default()
+                }),
+                "circuit",
+            )?;
+            // Unpivoted hard traffic: tiny, cancelling and structurally
+            // absent pivots, so the error and perturbation paths run too.
+            for kind in HardKind::ALL {
+                assert_on_matrix(&kind.generate(n, seed), kind.name())?;
+            }
+        }
+    }
+
+    #[test]
+    fn accumulator_equals_walk_across_explicit_zero_dependencies() {
+        // Zero the first super-diagonal entry of every other column: no
+        // earlier dependency can update it, so it is still an exact 0.0
+        // when the kernel reads it as `u_tj` and the dependency is skipped.
+        let (mut pattern, levels) = filled_with_levels(&random_dominant(80, 5.0, 67));
+        for j in (0..80).step_by(2) {
+            let first = pattern.col_ptr[j];
+            if (pattern.row_idx[first] as usize) < j {
+                pattern.vals[first] = 0.0;
+            }
+        }
+        let skipped =
+            assert_accumulator_equals_walk(&pattern, &levels, "explicit zeros").expect("equal");
+        assert!(skipped > 0, "the zero-u_tj skip path must be exercised");
+    }
+
+    #[test]
+    fn two_threads_share_the_pool_over_wide_levels() {
+        let (pattern, levels) = filled_with_levels(&random_dominant(200, 3.0, 68));
+        assert!(levels.groups.iter().any(|g| g.len() >= 8), "wide level");
+        let cache = PivotCache::build(&pattern);
+        let want = ValueStore::new(&pattern.vals);
+        for j in levels.groups.iter().flatten() {
+            let j = *j as usize;
+            process_column_walk(
+                &pattern,
+                &want,
+                j,
+                AccessDiscipline::Merge,
+                &cache,
+                PivotRule::Exact,
+            )
+            .expect("walk ok");
+        }
+
+        let got = ValueStore::new(&pattern.vals);
+        let pool = crate::scratch::ScratchPool::default();
+        for cols in &levels.groups {
+            let (left, right) = cols.split_at(cols.len() / 2);
+            // Both threads hold a checked-out scratch at the same time on
+            // their first column (levels of one column run on one thread).
+            let both = Barrier::new(2);
+            let rendezvous = !left.is_empty();
+            std::thread::scope(|s| {
+                for half in [left, right] {
+                    let (pattern, got, cache, pool, both) = (&pattern, &got, &cache, &pool, &both);
+                    s.spawn(move || {
+                        for (i, &j) in half.iter().enumerate() {
+                            pool.with(|ws| {
+                                if rendezvous && i == 0 {
+                                    both.wait();
+                                }
+                                process_column(
+                                    pattern,
+                                    got,
+                                    j as usize,
+                                    AccessDiscipline::Merge,
+                                    cache,
+                                    ws,
+                                )
+                                .expect("column ok");
+                            });
+                        }
+                    });
+                }
+            });
+        }
+        assert_eq!(bits(&got.snapshot()), bits(&want.snapshot()));
+    }
+
+    #[test]
+    fn rerunning_a_column_on_the_same_scratch_sees_no_stale_marks() {
+        // Column j of the closed pattern, then the same column of a
+        // pattern with one of its fill rows removed, on one scratch: a
+        // stamp derived from `j` would still find the removed row marked
+        // and drop the update into a stale accumulator slot.
+        let (pattern, open, (row, col)) = unclosed_pattern();
+        let cache = PivotCache::build(&pattern);
+        let open_cache = PivotCache::build(&open);
+        let mut scratch = ColumnScratch::default();
+        let vals = ValueStore::new(&pattern.vals);
+        for j in 0..=col {
+            process_column(
+                &pattern,
+                &vals,
+                j,
+                AccessDiscipline::Dense,
+                &cache,
+                &mut scratch,
+            )
+            .expect("closed pattern factorizes");
+        }
+        let vals = ValueStore::new(&open.vals);
+        let mut err = None;
+        for j in 0..=col {
+            if let Err(e) = process_column(
+                &open,
+                &vals,
+                j,
+                AccessDiscipline::Dense,
+                &open_cache,
+                &mut scratch,
+            ) {
+                err = Some((j, e));
+                break;
+            }
+        }
+        assert_eq!(err, Some((col, SparseError::MissingFill { row, col })));
+    }
+
+    /// A closed filled pattern and a copy with one pure fill-in position
+    /// `(row, col)` removed, so column `col` raises `MissingFill` there.
+    fn unclosed_pattern() -> (Csc, Csc, (usize, usize)) {
+        let a = random_dominant(40, 4.0, 69);
+        let pattern = filled(&a);
+        let a_csc = csr_to_csc(&a);
+        for col in 0..40 {
+            for k in pattern.col_ptr[col]..pattern.col_ptr[col + 1] {
+                let row = pattern.row_idx[k] as usize;
+                if row > col && a_csc.find_in_col(row, col).0.is_none() {
+                    let mut col_ptr = pattern.col_ptr.clone();
+                    for p in &mut col_ptr[col + 1..] {
+                        *p -= 1;
+                    }
+                    let mut row_idx = pattern.row_idx.clone();
+                    let mut vals = pattern.vals.clone();
+                    row_idx.remove(k);
+                    vals.remove(k);
+                    let open = Csc::from_parts_unchecked(40, 40, col_ptr, row_idx, vals);
+                    return (pattern, open, (row, col));
+                }
+            }
+        }
+        panic!("the fill of a random matrix has a sub-diagonal fill-in");
+    }
+
+    /// Runs columns `0..=col` through both kernels and asserts that the
+    /// accumulator's failing column raises the walk's error and leaves
+    /// the store exactly as it found it.
+    fn assert_failure_is_atomic(pattern: &Csc, col: usize, want_err: SparseError) {
+        let cache = PivotCache::build(pattern);
+        for d in ACCUMULATED {
+            let got = ValueStore::new(&pattern.vals);
+            let want = ValueStore::new(&pattern.vals);
+            let mut scratch = ColumnScratch::default();
+            for j in 0..col {
+                process_column(pattern, &got, j, d, &cache, &mut scratch).expect("prefix ok");
+                process_column_walk(pattern, &want, j, d, &cache, PivotRule::Exact)
+                    .expect("prefix ok");
+            }
+            let before = bits(&got.snapshot());
+            let err = process_column(pattern, &got, col, d, &cache, &mut scratch).unwrap_err();
+            assert_eq!(err, want_err, "{d:?}");
+            assert_eq!(
+                process_column_walk(pattern, &want, col, d, &cache, PivotRule::Exact).unwrap_err(),
+                err,
+                "{d:?}: same error as the walk"
+            );
+            assert_eq!(bits(&got.snapshot()), before, "{d:?}: store untouched");
+        }
+    }
+
+    #[test]
+    fn missing_fill_leaves_the_store_untouched() {
+        let (_, open, (row, col)) = unclosed_pattern();
+        assert_failure_is_atomic(&open, col, SparseError::MissingFill { row, col });
+    }
+
+    #[test]
+    fn zero_pivot_leaves_the_store_untouched() {
+        assert_failure_is_atomic(&all_ones_2x2(), 1, SparseError::ZeroPivot { col: 1 });
+    }
+
+    #[test]
+    fn zero_diagonal_leaves_the_store_untouched() {
+        // Column 2 holds rows {0, 1} and no diagonal: dependency 0 updates
+        // its (1, 2) entry (which the walk writes in place) before the
+        // missing pivot position is discovered.
+        let pattern = Csc::from_parts_unchecked(
+            3,
+            3,
+            vec![0, 2, 3, 5],
+            vec![0, 1, 1, 0, 1],
+            vec![2.0, 1.0, 3.0, 1.0, 1.0],
+        );
+        assert_failure_is_atomic(&pattern, 2, SparseError::ZeroDiagonal { row: 2 });
+    }
 
     #[test]
     fn all_disciplines_match_sequential() {
@@ -383,11 +843,12 @@ mod tests {
         let cache = PivotCache::build(&pattern);
         let mut seq = pattern.clone();
         crate::seq::factorize_seq(&mut seq).expect("seq factorizes");
+        let mut scratch = ColumnScratch::default();
 
         for &d in &ALL {
             let vals = ValueStore::new(&pattern.vals);
             for j in 0..40 {
-                process_column(&pattern, &vals, j, d, &cache).expect("column ok");
+                process_column(&pattern, &vals, j, d, &cache, &mut scratch).expect("column ok");
             }
             let got = vals.into_vec();
             for (k, (&want, got)) in seq.vals.iter().zip(&got).enumerate() {
@@ -401,8 +862,9 @@ mod tests {
 
     #[test]
     fn merge_is_bit_identical_to_sequential() {
-        // Merge walks positions in exactly the sequential order, so the
-        // factors must agree to the last bit, not merely to a tolerance.
+        // Merge applies every position's updates in exactly the sequential
+        // order, so the factors must agree to the last bit, not merely to
+        // a tolerance.
         let a = random_dominant(60, 5.0, 63);
         let pattern = filled(&a);
         let cache = PivotCache::build(&pattern);
@@ -410,8 +872,17 @@ mod tests {
         crate::seq::factorize_seq(&mut seq).expect("seq factorizes");
 
         let vals = ValueStore::new(&pattern.vals);
+        let mut scratch = ColumnScratch::default();
         for j in 0..60 {
-            process_column(&pattern, &vals, j, AccessDiscipline::Merge, &cache).expect("ok");
+            process_column(
+                &pattern,
+                &vals,
+                j,
+                AccessDiscipline::Merge,
+                &cache,
+                &mut scratch,
+            )
+            .expect("ok");
         }
         assert_eq!(vals.into_vec(), seq.vals);
     }
@@ -422,11 +893,19 @@ mod tests {
         let pattern = filled(&a);
         let cache = PivotCache::build(&pattern);
         let vals = ValueStore::new(&pattern.vals);
+        let mut scratch = ColumnScratch::default();
         let mut dense_probes = 0;
         let mut items = 0;
         for j in 0..30 {
-            let c =
-                process_column(&pattern, &vals, j, AccessDiscipline::Dense, &cache).expect("ok");
+            let c = process_column(
+                &pattern,
+                &vals,
+                j,
+                AccessDiscipline::Dense,
+                &cache,
+                &mut scratch,
+            )
+            .expect("ok");
             dense_probes += c.probes;
             items += c.items;
         }
@@ -437,10 +916,16 @@ mod tests {
         let vals = ValueStore::new(&pattern.vals);
         let mut sparse_probes = 0;
         for j in 0..30 {
-            sparse_probes +=
-                process_column(&pattern, &vals, j, AccessDiscipline::BinarySearch, &cache)
-                    .expect("ok")
-                    .probes;
+            sparse_probes += process_column(
+                &pattern,
+                &vals,
+                j,
+                AccessDiscipline::BinarySearch,
+                &cache,
+                &mut scratch,
+            )
+            .expect("ok")
+            .probes;
         }
         assert!(sparse_probes > 0, "binary search must pay probes");
     }
@@ -454,9 +939,17 @@ mod tests {
         let pattern = filled(&a);
         let cache = PivotCache::build(&pattern);
         let vals = ValueStore::new(&pattern.vals);
+        let mut scratch = ColumnScratch::default();
         for j in 0..50 {
-            let c =
-                process_column(&pattern, &vals, j, AccessDiscipline::Merge, &cache).expect("ok");
+            let c = process_column(
+                &pattern,
+                &vals,
+                j,
+                AccessDiscipline::Merge,
+                &cache,
+                &mut scratch,
+            )
+            .expect("ok");
             assert_eq!(c.probes, 0);
             assert!(
                 c.merge_steps <= c.deps * c.nnz,
@@ -520,20 +1013,22 @@ mod tests {
         // [[1,1],[1,1]] cancels to an exact zero pivot in column 1; the
         // perturb rule must clamp it instead of erroring, and the clamped
         // value must land in the store.
-        let mut coo = gplu_sparse::Coo::new(2, 2);
-        for i in 0..2 {
-            for j in 0..2 {
-                coo.push(i, j, 1.0);
-            }
-        }
-        let a = gplu_sparse::convert::coo_to_csr(&coo);
-        let pattern = filled(&a);
+        let pattern = all_ones_2x2();
         let cache = PivotCache::build(&pattern);
         let vals = ValueStore::new(&pattern.vals);
         let rule = PivotRule::Perturb { threshold: 1e-8 };
+        let mut scratch = ColumnScratch::default();
         for j in 0..2 {
-            process_column_with(&pattern, &vals, j, AccessDiscipline::Merge, &cache, rule)
-                .expect("perturbed column factorizes");
+            process_column_with(
+                &pattern,
+                &vals,
+                j,
+                AccessDiscipline::Merge,
+                &cache,
+                rule,
+                &mut scratch,
+            )
+            .expect("perturbed column factorizes");
         }
         let got = vals.into_vec();
         let diag1 = cache.diag(1).expect("diagonal present");
@@ -542,20 +1037,14 @@ mod tests {
 
     #[test]
     fn zero_pivot_detected() {
-        let mut coo = gplu_sparse::Coo::new(2, 2);
-        for i in 0..2 {
-            for j in 0..2 {
-                coo.push(i, j, 1.0);
-            }
-        }
-        let a = gplu_sparse::convert::coo_to_csr(&coo);
-        let pattern = filled(&a);
+        let pattern = all_ones_2x2();
         let cache = PivotCache::build(&pattern);
         let vals = ValueStore::new(&pattern.vals);
-        process_column(&pattern, &vals, 0, AccessDiscipline::BinarySearch, &cache)
-            .expect("col 0 fine");
+        let mut scratch = ColumnScratch::default();
+        let d = AccessDiscipline::BinarySearch;
+        process_column(&pattern, &vals, 0, d, &cache, &mut scratch).expect("col 0 fine");
         assert!(matches!(
-            process_column(&pattern, &vals, 1, AccessDiscipline::BinarySearch, &cache),
+            process_column(&pattern, &vals, 1, d, &cache, &mut scratch),
             Err(SparseError::ZeroPivot { col: 1 })
         ));
     }

@@ -11,6 +11,7 @@
 //! construction rather than by parallel-to-sequential transliteration.
 
 use crate::outcome::{process_column_with, AccessDiscipline, PivotCache, PivotRule};
+use crate::scratch::ColumnScratch;
 use crate::values::ValueStore;
 use gplu_sparse::{Csc, SparseError};
 
@@ -19,8 +20,9 @@ use gplu_sparse::{Csc, SparseError};
 /// diagonal).
 ///
 /// `lu` must carry the *complete* fill pattern (from symbolic
-/// factorization) — a missing fill position would silently drop an update,
-/// which is why the symbolic phase must precede this one.
+/// factorization): an update aimed at a position the pattern lacks is a
+/// typed [`SparseError::MissingFill`], never a dropped update. On any
+/// error `lu` is left as it was.
 pub fn factorize_seq(lu: &mut Csc) -> Result<(), SparseError> {
     factorize_seq_rule(lu, PivotRule::Exact).map(|_| ())
 }
@@ -32,10 +34,18 @@ pub fn factorize_seq(lu: &mut Csc) -> Result<(), SparseError> {
 pub fn factorize_seq_rule(lu: &mut Csc, rule: PivotRule) -> Result<Vec<(usize, f64)>, SparseError> {
     let cache = PivotCache::build(lu);
     let vals = ValueStore::new(&lu.vals);
+    let mut scratch = ColumnScratch::default();
     let mut perturbs = Vec::new();
     for j in 0..lu.n_cols() {
-        let (_, perturb) =
-            process_column_with(lu, &vals, j, AccessDiscipline::Merge, &cache, rule)?;
+        let (_, perturb) = process_column_with(
+            lu,
+            &vals,
+            j,
+            AccessDiscipline::Merge,
+            &cache,
+            rule,
+            &mut scratch,
+        )?;
         if let Some(delta) = perturb {
             perturbs.push((j, delta));
         }

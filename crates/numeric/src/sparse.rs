@@ -16,9 +16,7 @@
 use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
 use crate::modes::{classify_level_cached, LevelType};
-use crate::outcome::{
-    process_column_with, AccessDiscipline, NumericOutcome, PivotCache, PivotRule,
-};
+use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Gpu, SimError};
@@ -78,14 +76,7 @@ impl NumericEngine for SparseEngine {
             ctx.bulk_flops(3, (items + probe_items) / stripes as u64);
             ctx.mem(items * 8 / stripes as u64);
             if stripe == 0 {
-                match process_column_with(
-                    run.pattern,
-                    run.vals,
-                    col,
-                    AccessDiscipline::BinarySearch,
-                    run.cache,
-                    run.rule,
-                ) {
+                match run.process_column(col, AccessDiscipline::BinarySearch) {
                     Ok((c, perturb)) => {
                         self.probes.fetch_add(c.probes, Ordering::Relaxed);
                         if let Some(delta) = perturb {
