@@ -7,9 +7,9 @@
 //! Usage: `ablation_multigpu [--scale N]`
 
 use gplu_bench::{fill_size_of, Args, Prepared, Table};
-use gplu_sim::Gpu;
+use gplu_sim::DeviceFleet;
 use gplu_sparse::gen::suite::{frontier_pair, DEFAULT_SCALE};
-use gplu_symbolic::{symbolic_multi_gpu, Partition};
+use gplu_symbolic::{symbolic_fleet, Partition};
 
 fn main() {
     let args = Args::parse();
@@ -30,13 +30,9 @@ fn main() {
                 if k == 1 && partition == Partition::Strided {
                     continue; // identical to blocked at k = 1
                 }
-                let fleet: Vec<Gpu> = (0..k)
-                    .map(|_| {
-                        let (p, f) = (&prep, fill);
-                        p.gpu_symbolic(f)
-                    })
-                    .collect();
-                let out = symbolic_multi_gpu(&fleet, &pre, partition).expect("multi-gpu ok");
+                let fleet =
+                    DeviceFleet::from_devices((0..k).map(|_| prep.gpu_symbolic(fill)).collect());
+                let out = symbolic_fleet(&fleet, &pre, partition).expect("multi-gpu ok");
                 let base_ns = *base.get_or_insert(out.time.as_ns());
                 t.row([
                     k.to_string(),

@@ -9,14 +9,14 @@ use gplu_server::{
     generate_workload, JobHandle, ServiceConfig, ServiceReport, SloSpec, SolverService,
     WorkloadParams,
 };
-use gplu_sim::{CostModel, DeviceFleet, FaultPlan, Gpu, GpuConfig};
+use gplu_sim::{CostModel, DeviceFleet, FaultPlan, GpuConfig};
 use gplu_sparse::convert::coo_to_csr;
 use gplu_sparse::gen::hard::HardKind;
 use gplu_sparse::gen::{circuit, mesh, planar};
 use gplu_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use gplu_sparse::ordering::OrderingKind;
 use gplu_sparse::{Coo, Csr, SparseError};
-use gplu_trace::{chrome_trace, metrics_text, Recorder, NOOP};
+use gplu_trace::{chrome_trace, metrics_text, Recorder, TraceSink, NOOP};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
@@ -897,71 +897,45 @@ fn load(path: &str) -> Result<Csr, CliError> {
     Ok(a)
 }
 
-fn gpu_for(a: &Csr, opts: &RunOptions) -> Gpu {
+/// Builds the simulated devices for a run: `--devices` of them (one by
+/// default), each with its share of the fault plan.
+fn fleet_for(a: &Csr, opts: &RunOptions) -> DeviceFleet<'static> {
     let cfg = match opts.mem {
         Some(bytes) => GpuConfig::v100().with_memory(bytes),
         None => GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
     };
-    match &opts.fault_plan {
-        Some(plan) => Gpu::with_fault_plan(cfg, CostModel::default(), plan.clone()),
-        None => Gpu::new(cfg),
-    }
-}
-
-/// Builds the simulated device fleet for a `--devices` run.
-fn fleet_for(a: &Csr, opts: &RunOptions) -> DeviceFleet {
-    let cfg = match opts.mem {
-        Some(bytes) => GpuConfig::v100().with_memory(bytes),
-        None => GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
+    let plans = match (&opts.fleet_fault_plans, &opts.fault_plan) {
+        (Some(plans), _) => plans.as_slice(),
+        (None, Some(plan)) => std::slice::from_ref(plan),
+        (None, None) => &[],
     };
-    match &opts.fleet_fault_plans {
-        Some(plans) => {
-            DeviceFleet::with_fault_plans(opts.devices, cfg, CostModel::default(), plans)
-        }
-        None => DeviceFleet::new(opts.devices, cfg),
-    }
+    DeviceFleet::with_fault_plans(opts.devices, cfg, CostModel::default(), plans)
 }
 
 /// Runs the pipeline, recording telemetry when any of `--trace-out`,
 /// `--report-json`, or `--metrics` was given, and writes the requested
-/// artifacts.
+/// artifacts. `--devices` above 1 takes the fleet entry point (sharded
+/// symbolic phase, `fleet` section in the run report; checkpointing was
+/// already rejected at parse time); otherwise the one device runs the
+/// classic entry points.
 fn compute_with_telemetry(
-    gpu: &Gpu,
+    fleet: &DeviceFleet<'_>,
     a: &Csr,
     opts: &RunOptions,
     out: &mut dyn Write,
 ) -> Result<LuFactorization, CliError> {
-    if !opts.wants_telemetry() {
-        return Ok(match &opts.checkpoint {
-            Some(ckpt) => LuFactorization::compute_checkpointed(gpu, a, &opts.lu, ckpt, &NOOP)?,
-            None => LuFactorization::compute(gpu, a, &opts.lu)?,
-        });
-    }
-    let recorder = Recorder::new();
+    let recorder = opts.wants_telemetry().then(Recorder::new);
+    let trace: &dyn TraceSink = recorder.as_ref().map_or(&NOOP, |r| r);
     let f = match &opts.checkpoint {
-        Some(ckpt) => LuFactorization::compute_checkpointed(gpu, a, &opts.lu, ckpt, &recorder)?,
-        None => LuFactorization::compute_traced(gpu, a, &opts.lu, &recorder)?,
+        _ if opts.devices > 1 => LuFactorization::compute_fleet_traced(fleet, a, &opts.lu, trace)?,
+        Some(ckpt) => {
+            LuFactorization::compute_checkpointed(fleet.device(0), a, &opts.lu, ckpt, trace)?
+        }
+        None => LuFactorization::compute_traced(fleet.device(0), a, &opts.lu, trace)?,
     };
-    write_telemetry_artifacts(a, &f, &recorder.into_events(), opts, out)?;
-    Ok(f)
-}
-
-/// The `--devices` twin of [`compute_with_telemetry`]: runs the
-/// fleet-sharded pipeline (checkpointing was already rejected at parse
-/// time) and writes the same artifacts — the run report carries the
-/// `fleet` section with per-device timings and interconnect traffic.
-fn compute_fleet_with_telemetry(
-    fleet: &DeviceFleet,
-    a: &Csr,
-    opts: &RunOptions,
-    out: &mut dyn Write,
-) -> Result<LuFactorization, CliError> {
-    if !opts.wants_telemetry() {
-        return Ok(LuFactorization::compute_fleet(fleet, a, &opts.lu)?);
+    if let Some(recorder) = recorder {
+        write_telemetry_artifacts(a, &f, &recorder.into_events(), opts, out)?;
     }
-    let recorder = Recorder::new();
-    let f = LuFactorization::compute_fleet_traced(fleet, a, &opts.lu, &recorder)?;
-    write_telemetry_artifacts(a, &f, &recorder.into_events(), opts, out)?;
     Ok(f)
 }
 
@@ -989,30 +963,13 @@ fn write_telemetry_artifacts(
     Ok(())
 }
 
-/// Prints injected-fault counters and the recovery record after a
-/// factorization that ran under a fault plan (or recovered from genuine
-/// pressure).
-fn report_faults(out: &mut dyn Write, gpu: &Gpu, f: &LuFactorization) -> std::io::Result<()> {
-    let stats = gpu.stats();
-    if stats.injected_faults() > 0 {
-        writeln!(
-            out,
-            "injected faults: {} oom, {} launch, {} squeeze",
-            stats.injected_oom, stats.injected_launch_faults, stats.injected_squeezes
-        )?;
-    }
-    if !f.report.recovery.is_empty() {
-        writeln!(out, "recovery: {}", f.report.recovery.summary())?;
-    }
-    Ok(())
-}
-
-/// Fleet-wide fault and interconnect reporting for a `--devices` run:
-/// sums injected faults across every device, then prints the fleet
-/// summary line (per-device makespan share, deaths, exchange traffic).
-fn report_fleet_faults(
+/// Prints injected-fault counters (summed over the devices) and the
+/// recovery record after a factorization that ran under a fault plan (or
+/// recovered from genuine pressure), then — for a fleet run — the fleet
+/// summary line (deaths, exchange traffic, resharded work).
+fn report_faults(
     out: &mut dyn Write,
-    fleet: &DeviceFleet,
+    fleet: &DeviceFleet<'_>,
     f: &LuFactorization,
 ) -> std::io::Result<()> {
     let (mut oom, mut launch, mut squeeze) = (0, 0, 0);
@@ -1054,6 +1011,24 @@ fn report_fleet_faults(
     Ok(())
 }
 
+/// What `factorize` and `solve` share: build the devices, run the
+/// pipeline on them, and report faults and recovery (`factorize` prints
+/// the phase summary first; `solve` prints it after the solve).
+fn factorize_on_devices(
+    a: &Csr,
+    opts: &RunOptions,
+    summary_first: bool,
+    out: &mut dyn Write,
+) -> Result<(DeviceFleet<'static>, LuFactorization), CliError> {
+    let fleet = fleet_for(a, opts);
+    let f = compute_with_telemetry(&fleet, a, opts, out)?;
+    if summary_first {
+        writeln!(out, "{}", f.report.summary())?;
+    }
+    report_faults(out, &fleet, &f)?;
+    Ok((fleet, f))
+}
+
 /// Runs one command against `out`.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
@@ -1093,19 +1068,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 .ok_or_else(|| CliError::Usage("factorize needs a path".into()))?;
             let opts = parse_options(&args[2..])?;
             let a = load(path)?;
-            let f = if opts.devices > 1 {
-                let fleet = fleet_for(&a, &opts);
-                let f = compute_fleet_with_telemetry(&fleet, &a, &opts, out)?;
-                writeln!(out, "{}", f.report.summary())?;
-                report_fleet_faults(out, &fleet, &f)?;
-                f
-            } else {
-                let gpu = gpu_for(&a, &opts);
-                let f = compute_with_telemetry(&gpu, &a, &opts, out)?;
-                writeln!(out, "{}", f.report.summary())?;
-                report_faults(out, &gpu, &f)?;
-                f
-            };
+            let (_, f) = factorize_on_devices(&a, &opts, true, out)?;
             if let Some(ckpt) = &opts.checkpoint {
                 writeln!(
                     out,
@@ -1149,31 +1112,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 .ok_or_else(|| CliError::Usage("solve needs a path".into()))?;
             let opts = parse_options(&args[2..])?;
             let a = load(path)?;
-            let fleet = (opts.devices > 1).then(|| fleet_for(&a, &opts));
-            let gpu = gpu_for(&a, &opts);
-            let f = match &fleet {
-                Some(fleet) => {
-                    let f = compute_fleet_with_telemetry(fleet, &a, &opts, out)?;
-                    report_fleet_faults(out, fleet, &f)?;
-                    f
-                }
-                None => {
-                    let f = compute_with_telemetry(&gpu, &a, &opts, out)?;
-                    report_faults(out, &gpu, &f)?;
-                    f
-                }
-            };
+            let (fleet, f) = factorize_on_devices(&a, &opts, false, out)?;
             let x_true = vec![1.0; a.n_rows()];
             let b = a.spmv(&x_true);
             let x = if opts.gpu_solve {
                 // On a fleet the triangular solve runs on device 0 — the
                 // factors are replicated after the level-barrier exchanges.
-                let solve_gpu = match &fleet {
-                    Some(fleet) => fleet.device(0),
-                    None => &gpu,
-                };
                 let plan = f.solve_plan();
-                let (x, t) = f.solve_on_gpu(solve_gpu, &plan, &b)?;
+                let (x, t) = f.solve_on_gpu(fleet.device(0), &plan, &b)?;
                 writeln!(out, "gpu solve: {t}")?;
                 x
             } else {

@@ -1,4 +1,9 @@
-//! The end-to-end pipeline.
+//! The end-to-end pipeline: one driver behind every entry point.
+//!
+//! `compute`, `compute_checkpointed`, `compute_fleet` and the warm
+//! `refactorize` all run on a [`DeviceFleet`] — a single `Gpu` is a
+//! borrowed fleet of one — through [`compute_on`] (the escalation ladder)
+//! and [`Pass`] (one function per phase over a small shared context).
 //!
 //! [`LuFactorization::compute`] is self-healing: device OOM in the
 //! symbolic phase first backs off chunk sizes (inside the engines), then
@@ -8,19 +13,20 @@
 //! [`PhaseReport::recovery`], and every terminal failure is a structured
 //! [`GpluError`] — the pipeline never panics on a well-formed input.
 
-use crate::checkpoint::{self, CheckpointOptions, CheckpointSession, PhaseMark, PreState};
+use crate::checkpoint::{
+    self, CheckpointOptions, CheckpointSession, PhaseMark, PreState, ResumeState,
+};
 use crate::error::GpluError;
 use crate::preprocess::{preprocess, PreprocessOptions, PreprocessOutcome};
 use crate::recovery::{Phase, RecoveryAction, RecoveryLog};
-use crate::report::PhaseReport;
+use crate::report::{FleetReport, PhaseReport};
 use gplu_numeric::{
-    discover_pivots, factorize_gpu_blocked_run_cached, factorize_gpu_dense_run_cached,
-    factorize_gpu_merge_run_cached, factorize_gpu_sparse_run_cached, BlockPlan, LevelHook,
-    LevelProgress, NumericError, NumericResume, PivotCache, PivotPolicy, PivotRule,
-    DEFAULT_BLOCK_THRESHOLD, DEFAULT_PIVOT_TAU,
+    discover_pivots, run_levels, BlockPlan, BlockedEngine, DenseEngine, LevelHook, LevelProgress,
+    MergeEngine, NumericEngine, NumericError, NumericResume, PivotCache, PivotPolicy, PivotRule,
+    SparseEngine, DEFAULT_BLOCK_THRESHOLD, DEFAULT_PIVOT_TAU,
 };
 use gplu_schedule::{levelize_gpu_traced, DepGraph, Levels};
-use gplu_sim::{Gpu, SimError, SimTime};
+use gplu_sim::{DeviceFleet, FleetStats, Gpu, SimError, SimTime};
 use gplu_sparse::convert::csr_to_csc;
 use gplu_sparse::ordering::OrderingKind;
 use gplu_sparse::perm::permute_csr;
@@ -28,8 +34,9 @@ use gplu_sparse::triangular::solve_lu;
 use gplu_sparse::verify::residual_probe;
 use gplu_sparse::{Csc, Csr, Permutation, SparseError, Val};
 use gplu_symbolic::{
-    expand_fill, symbolic_ooc_dynamic_run, symbolic_ooc_run, symbolic_um_traced, ChunkHook,
-    ChunkProgress, SymbolicResult, SymbolicResume, UmMode,
+    expand_fill, symbolic_fleet, symbolic_ooc_dynamic_run, symbolic_ooc_run, symbolic_um_traced,
+    ChunkHook, ChunkProgress, FleetSymbolicOutcome, Partition, SymbolicResult, SymbolicResume,
+    UmMode,
 };
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::cell::RefCell;
@@ -189,7 +196,7 @@ pub struct LuFactorization {
 /// Maps a ladder's terminal failure onto the structured error surface:
 /// a single-rung OOM becomes [`GpluError::DeviceOom`]; a multi-rung
 /// exhaustion becomes [`GpluError::RecoveryExhausted`].
-pub(crate) fn ladder_exhausted(phase: Phase, attempts: usize, last: SimError) -> GpluError {
+fn ladder_exhausted(phase: Phase, attempts: usize, last: SimError) -> GpluError {
     if attempts > 1 {
         GpluError::RecoveryExhausted {
             phase,
@@ -229,12 +236,7 @@ pub(crate) fn format_name(format: NumericFormat) -> &'static str {
 /// structural sweep comparing adjacent columns' sub-diagonal row sets
 /// (host-side, like levelization's dependency-graph build), traced as its
 /// own `phase.block_detect` span so warm paths can prove they skipped it.
-pub(crate) fn detect_block_plan(
-    gpu: &Gpu,
-    pattern: &Csc,
-    threshold: f64,
-    trace: &dyn TraceSink,
-) -> BlockPlan {
+fn detect_block_plan(gpu: &Gpu, pattern: &Csc, threshold: f64, trace: &dyn TraceSink) -> BlockPlan {
     trace.span_begin(
         "phase.block_detect",
         "phase",
@@ -263,12 +265,7 @@ pub(crate) fn detect_block_plan(
 
 /// Emits a `recovery` instant alongside a [`RecoveryLog::record`] call.
 /// The owned attribute strings are only built when the sink is live.
-pub(crate) fn trace_recovery(
-    trace: &dyn TraceSink,
-    ts_ns: f64,
-    phase: Phase,
-    action: &RecoveryAction,
-) {
+fn trace_recovery(trace: &dyn TraceSink, ts_ns: f64, phase: Phase, action: &RecoveryAction) {
     if trace.enabled() {
         trace.instant(
             "recovery",
@@ -373,12 +370,7 @@ fn hooked_cut(
 /// of pre-processing's `repair_diagonal`, applied when a pivot cancels
 /// to zero during elimination. Returns the previous matrix diagonal so
 /// the caller can record the perturbation magnitude.
-pub(crate) fn bump_diag(
-    matrix: &mut Csr,
-    pattern: &mut Csc,
-    col: usize,
-    value: f64,
-) -> Option<f64> {
+fn bump_diag(matrix: &mut Csr, pattern: &mut Csc, col: usize, value: f64) -> Option<f64> {
     let (pos, _) = pattern.find_in_col(col, col);
     let pos = pos?;
     pattern.vals[pos] = value;
@@ -397,7 +389,7 @@ pub(crate) fn bump_diag(
 /// Adds `delta` onto the stored diagonal of row `col` — mirroring an
 /// engine-level static pivot clamp into the input so the matrix and its
 /// factors agree exactly.
-pub(crate) fn add_to_diag(matrix: &mut Csr, col: usize, delta: f64) -> bool {
+fn add_to_diag(matrix: &mut Csr, col: usize, delta: f64) -> bool {
     for k in matrix.row_ptr[col]..matrix.row_ptr[col + 1] {
         if matrix.col_idx[k] as usize == col {
             matrix.vals[k] += delta;
@@ -428,7 +420,7 @@ impl LuFactorization {
         opts: &LuOptions,
         trace: &dyn TraceSink,
     ) -> Result<Self, GpluError> {
-        Self::compute_inner(gpu, a, opts, None, trace)
+        compute_on(&DeviceFleet::from(gpu), false, a, opts, None, trace)
     }
 
     /// [`LuFactorization::compute_traced`] with crash-consistent
@@ -448,442 +440,280 @@ impl LuFactorization {
         trace: &dyn TraceSink,
     ) -> Result<Self, GpluError> {
         let mut session = CheckpointSession::open(ckpt, a, opts, gpu, trace)?;
-        Self::compute_inner(gpu, a, opts, Some(&mut session), trace)
+        let fleet = DeviceFleet::from(gpu);
+        compute_on(&fleet, false, a, opts, Some(&mut session), trace)
+    }
+}
+
+/// The one driver behind every entry point: the residual-gated escalation
+/// loop around [`Pass::run`]. Runs the user's pivoting policy, measures
+/// the factors against the acceptance gate, and — when
+/// [`ResidualGate::escalate`] is set — climbs the ladder (threshold
+/// pivoting at the default tau → full partial pivoting → static
+/// perturbation floor) until a rung passes or every rung is spent, in
+/// which case the typed [`GpluError::NumericallySingular`] rejection is
+/// returned. Never a silently wrong answer.
+///
+/// `sharded` is what the fleet-taking entry points choose (see
+/// [`Pass::fleet_before`]); a `Gpu`-taking entry point passes a borrowed
+/// fleet of one and `false`.
+pub(crate) fn compute_on(
+    fleet: &DeviceFleet<'_>,
+    sharded: bool,
+    a: &Csr,
+    opts: &LuOptions,
+    mut session: Option<&mut CheckpointSession>,
+    trace: &dyn TraceSink,
+) -> Result<LuFactorization, GpluError> {
+    let mut rungs: Vec<PivotPolicy> = vec![opts.pivot];
+    if opts.gate.enabled && opts.gate.escalate {
+        match opts.pivot {
+            PivotPolicy::NoPivot | PivotPolicy::Static { .. } => {
+                rungs.push(PivotPolicy::Threshold {
+                    tau: DEFAULT_PIVOT_TAU,
+                });
+                rungs.push(PivotPolicy::Threshold { tau: 1.0 });
+            }
+            PivotPolicy::Threshold { tau } if tau < 1.0 => {
+                rungs.push(PivotPolicy::Threshold { tau: 1.0 });
+            }
+            PivotPolicy::Threshold { .. } => {}
+        }
+        // Last constructive rung: clamp every surviving small pivot
+        // to a floor scaled by the matrix norm. The factors then
+        // exactly factor the correspondingly bumped matrix, with the
+        // deltas mirrored into it and logged.
+        let floor = (a.frobenius_norm() * 1e-8).max(f64::MIN_POSITIVE);
+        rungs.push(PivotPolicy::Static { threshold: floor });
     }
 
-    /// The residual-gated escalation loop around [`Self::compute_once`]:
-    /// runs the user's pivoting policy, measures the factors against the
-    /// acceptance gate, and — when [`ResidualGate::escalate`] is set —
-    /// climbs the ladder (threshold pivoting at the default tau → full
-    /// partial pivoting → static perturbation floor) until a rung passes
-    /// or every rung is spent, in which case the typed
-    /// [`GpluError::NumericallySingular`] rejection is returned. Never a
-    /// silently wrong answer.
-    fn compute_inner(
-        gpu: &Gpu,
-        a: &Csr,
-        opts: &LuOptions,
-        mut session: Option<&mut CheckpointSession>,
-        trace: &dyn TraceSink,
-    ) -> Result<Self, GpluError> {
-        let mut rungs: Vec<PivotPolicy> = vec![opts.pivot];
-        if opts.gate.enabled && opts.gate.escalate {
-            match opts.pivot {
-                PivotPolicy::NoPivot | PivotPolicy::Static { .. } => {
-                    rungs.push(PivotPolicy::Threshold {
-                        tau: DEFAULT_PIVOT_TAU,
-                    });
-                    rungs.push(PivotPolicy::Threshold { tau: 1.0 });
-                }
-                PivotPolicy::Threshold { tau } if tau < 1.0 => {
-                    rungs.push(PivotPolicy::Threshold { tau: 1.0 });
-                }
-                PivotPolicy::Threshold { .. } => {}
-            }
-            // Last constructive rung: clamp every surviving small pivot
-            // to a floor scaled by the matrix norm. The factors then
-            // exactly factor the correspondingly bumped matrix, with the
-            // deltas mirrored into it and logged.
-            let floor = (a.frobenius_norm() * 1e-8).max(f64::MIN_POSITIVE);
-            rungs.push(PivotPolicy::Static { threshold: floor });
-        }
-
-        let total = rungs.len();
-        let mut best_residual = f64::INFINITY;
-        for (i, &policy) in rungs.iter().enumerate() {
-            let mut seed = RecoveryLog::default();
-            if i > 0 {
-                let action = RecoveryAction::PivotEscalated {
+    let total = rungs.len();
+    let mut best_residual = f64::INFINITY;
+    for (i, &policy) in rungs.iter().enumerate() {
+        // Durability covers only the first attempt: an escalated
+        // retry runs under a different policy, so a partial snapshot
+        // from the failed rung must not replay into it.
+        let sess = if i == 0 { session.take() } else { None };
+        let mut pass = Pass::new(fleet, sharded, sess, trace);
+        if i > 0 {
+            pass.recover(
+                Phase::Numeric,
+                RecoveryAction::PivotEscalated {
                     from: policy_desc(rungs[i - 1]),
                     to: policy_desc(policy),
-                };
-                trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                seed.record(Phase::Numeric, action);
-            }
-            // Durability covers only the first attempt: an escalated
-            // retry runs under a different policy, so a partial snapshot
-            // from the failed rung must not replay into it.
-            let sess = if i == 0 { session.take() } else { None };
-            match Self::compute_once(gpu, a, opts, policy, sess, trace, seed) {
-                Ok(mut f) => {
-                    if !opts.gate.enabled {
-                        return Ok(f);
-                    }
-                    let r = residual_probe(&f.preprocessed, &f.lu, opts.gate.probes.max(1));
-                    f.report.residual = Some(r);
-                    let pass = r.is_finite() && r <= opts.gate.threshold;
-                    if trace.enabled() {
-                        trace.instant(
-                            "numeric.residual_gate",
-                            "verify",
-                            gpu.now().as_ns(),
-                            &[
-                                ("residual", r.into()),
-                                ("threshold", opts.gate.threshold.into()),
-                                ("pass", pass.into()),
-                                ("policy", AttrValue::Str(policy_desc(policy))),
-                            ],
-                        );
-                    }
-                    if pass {
-                        return Ok(f);
-                    }
-                    best_residual = best_residual.min(r);
+                },
+            );
+        }
+        match pass.run(a, opts, policy) {
+            Ok(mut f) => {
+                if !opts.gate.enabled {
+                    return Ok(f);
                 }
-                Err(e @ GpluError::Crashed { .. }) => return Err(e),
-                Err(e) => {
-                    // Only pivot-class failures are worth escalating;
-                    // device and input failures have their own ladders
-                    // and their own types.
-                    let escalatable = matches!(
-                        e,
-                        GpluError::SingularPivot { .. }
-                            | GpluError::Sparse(SparseError::ZeroPivot { .. })
-                            | GpluError::Sparse(SparseError::ZeroDiagonal { .. })
+                let r = residual_probe(&f.preprocessed, &f.lu, opts.gate.probes.max(1));
+                f.report.residual = Some(r);
+                let accepted = r.is_finite() && r <= opts.gate.threshold;
+                if trace.enabled() {
+                    trace.instant(
+                        "numeric.residual_gate",
+                        "verify",
+                        fleet.makespan().as_ns(),
+                        &[
+                            ("residual", r.into()),
+                            ("threshold", opts.gate.threshold.into()),
+                            ("pass", accepted.into()),
+                            ("policy", AttrValue::Str(policy_desc(policy))),
+                        ],
                     );
-                    if !escalatable || i + 1 == total {
-                        return Err(e);
-                    }
+                }
+                if accepted {
+                    return Ok(f);
+                }
+                best_residual = best_residual.min(r);
+            }
+            Err(e @ GpluError::Crashed { .. }) => return Err(e),
+            Err(e) => {
+                // Only pivot-class failures are worth escalating;
+                // device and input failures have their own ladders
+                // and their own types.
+                let escalatable = matches!(
+                    e,
+                    GpluError::SingularPivot { .. }
+                        | GpluError::Sparse(SparseError::ZeroPivot { .. })
+                        | GpluError::Sparse(SparseError::ZeroDiagonal { .. })
+                );
+                if !escalatable || i + 1 == total {
+                    return Err(e);
                 }
             }
         }
-        Err(GpluError::NumericallySingular {
-            residual: best_residual,
-            threshold: opts.gate.threshold,
-            attempts: total,
-        })
+    }
+    Err(GpluError::NumericallySingular {
+        residual: best_residual,
+        threshold: opts.gate.threshold,
+        attempts: total,
+    })
+}
+
+/// What the phases of one pipeline pass share: the devices, the optional
+/// durability session, the trace sink, and the recovery log and report
+/// being built. [`Pass::run`] is a cold pass under a fixed pivoting
+/// policy; the warm path ([`crate::RefactorPlan::refactorize_traced`])
+/// runs [`Pass::numeric`] alone.
+pub(crate) struct Pass<'a> {
+    /// The devices — a borrowed fleet of one behind the `Gpu`-taking entry
+    /// points. Host-side work advances every live clock; device work that
+    /// is not sharded (levelization, block detection, snapshot writes)
+    /// runs on the lead device and the fleet barriers after it.
+    fleet: &'a DeviceFleet<'a>,
+    /// `Some` behind the fleet-taking entry points, and the two things
+    /// they choose: the symbolic phase is sharded (`symbolic_fleet`
+    /// instead of the `opts.symbolic` ladder), and `report.fleet` is
+    /// filled — measured against this reading of the fleet as the pass
+    /// found it.
+    fleet_before: Option<FleetStats>,
+    session: Option<&'a mut CheckpointSession>,
+    trace: &'a dyn TraceSink,
+    pub(crate) recovery: RecoveryLog,
+    pub(crate) report: PhaseReport,
+    /// Checkpoint I/O failures inside engine hooks land here (see
+    /// `hooked_cut`); the ladders rethrow them instead of degrading.
+    ckpt_err: RefCell<Option<GpluError>>,
+}
+
+/// The numeric phase's inputs: everything [`Pass::numeric`] needs beyond
+/// the shared context, as the cold pass and the warm path each supply it.
+pub(crate) struct NumericPhase<'p> {
+    /// The format the caller asked for (span attribute only).
+    pub(crate) requested: NumericFormat,
+    /// The formats to try, in degradation order.
+    pub(crate) ladder: &'p [NumericFormat],
+    /// Present whenever `ladder` contains [`NumericFormat::SparseBlocked`].
+    pub(crate) block_plan: Option<&'p BlockPlan>,
+    /// A captured pivot cache marks the run as a warm replay
+    /// (tail-launched levels, `refactorize` span attribute).
+    pub(crate) pivot: Option<&'p PivotCache>,
+    /// The pass's pivoting policy. Static perturbation acts inside the
+    /// engines at division time; every other policy factorizes exactly
+    /// (threshold pivoting has already moved its swaps into the row
+    /// permutation).
+    pub(crate) policy: PivotPolicy,
+    /// Late singular-pivot repair value, when repair is enabled.
+    pub(crate) repair: Option<f64>,
+    pub(crate) matrix: &'p mut Csr,
+    pub(crate) pattern: &'p mut Csc,
+    pub(crate) levels: &'p Levels,
+    /// Row and column permutation (snapshotted with a late repair).
+    pub(crate) perms: (&'p Permutation, &'p Permutation),
+    /// Completed-level watermark to resume from, tagged with the format
+    /// that cut it.
+    pub(crate) partial: Option<(u8, NumericResume)>,
+}
+
+impl<'a> Pass<'a> {
+    pub(crate) fn new(
+        fleet: &'a DeviceFleet<'a>,
+        sharded: bool,
+        session: Option<&'a mut CheckpointSession>,
+        trace: &'a dyn TraceSink,
+    ) -> Self {
+        let mut report = PhaseReport::default();
+        if sharded {
+            report.fleet = Some(FleetReport {
+                devices: fleet.len(),
+                ..Default::default()
+            });
+        }
+        Pass {
+            fleet,
+            fleet_before: sharded.then(|| fleet.stats()),
+            session,
+            trace,
+            recovery: RecoveryLog::default(),
+            report,
+            ckpt_err: RefCell::new(None),
+        }
+    }
+
+    fn now_ns(&self) -> f64 {
+        self.fleet.makespan().as_ns()
+    }
+
+    /// First live device: it runs the unsharded device work, and its
+    /// per-phase statistics deltas are the report's `phase_stats`.
+    fn lead(&self) -> Result<&'a Gpu, GpluError> {
+        let lead = (0..self.fleet.len()).find(|&d| !self.fleet.is_dead(d));
+        lead.map(|d| self.fleet.device(d))
+            .ok_or_else(|| GpluError::Sim(SimError::BadLaunch("no live devices in fleet".into())))
+    }
+
+    /// Advances every live device's clock by `t` — host-side work
+    /// (ordering, pivot discovery, pattern expansion)
+    /// blocks the whole fleet equally.
+    fn advance_all(&self, t: SimTime) {
+        for d in self.fleet.alive() {
+            self.fleet.device(d).advance(t);
+        }
+    }
+
+    /// Records a corrective action in the log and as a `recovery` instant.
+    fn recover(&mut self, phase: Phase, action: RecoveryAction) {
+        trace_recovery(self.trace, self.now_ns(), phase, &action);
+        self.recovery.record(phase, action);
+    }
+
+    /// Logs every device that died since the last call as
+    /// [`RecoveryAction::DeviceLost`] (fleet-taking entry points only; a
+    /// borrowed fleet of one never loses its device).
+    fn note_losses(&mut self, phase: Phase, resharded: usize) {
+        let (Some(before), Some(fr)) = (&self.fleet_before, &self.report.fleet) else {
+            return;
+        };
+        let lost: Vec<usize> = (0..self.fleet.len())
+            .filter(|&d| self.fleet.is_dead(d) && !before.devices[d].dead && !fr.dead.contains(&d))
+            .collect();
+        for device in lost {
+            self.recover(phase, RecoveryAction::DeviceLost { device, resharded });
+            if let Some(fr) = &mut self.report.fleet {
+                fr.dead.push(device);
+            }
+        }
     }
 
     /// One full pipeline pass under a fixed pivoting policy. The caller
-    /// ([`Self::compute_inner`]) owns gating and escalation;
-    /// `seed_recovery` carries any escalation events that led here.
-    fn compute_once(
-        gpu: &Gpu,
+    /// ([`compute_on`]) owns gating and escalation.
+    fn run(
+        mut self,
         a: &Csr,
         opts: &LuOptions,
         policy: PivotPolicy,
-        mut session: Option<&mut CheckpointSession>,
-        trace: &dyn TraceSink,
-        seed_recovery: RecoveryLog,
-    ) -> Result<Self, GpluError> {
-        let mut report = PhaseReport::default();
-        let mut recovery = seed_recovery;
-        let every = session.as_ref().map_or(usize::MAX, |s| s.every());
-        // Checkpoint I/O failures inside engine hooks land here (see
-        // `hooked_cut`); the ladders rethrow them instead of degrading.
-        let ckpt_err: RefCell<Option<GpluError>> = RefCell::new(None);
-        let resume_state = session.as_mut().and_then(|s| s.resume.take());
-        if let Some(r) = &resume_state {
+    ) -> Result<LuFactorization, GpluError> {
+        let resume = self.session.as_mut().and_then(|s| s.resume.take());
+        if let Some(r) = &resume {
             // Continue the interrupted run's clock so simulated timings
             // accumulate across the restart rather than starting over.
-            let now = gpu.now().as_ns();
+            let now = self.now_ns();
             if r.clock_ns > now {
-                gpu.advance(SimTime::from_ns(r.clock_ns - now));
+                self.advance_all(SimTime::from_ns(r.clock_ns - now));
             }
-            recovery = r.recovery.clone();
+            self.recovery = r.recovery.clone();
         }
+        let resume = resume.as_ref();
 
-        // 1. Pre-processing (host) — replayed from the snapshot on
-        // resume (every snapshot carries it, including any later
-        // diagonal repairs).
-        let (mut matrix, mut p_row, p_col) = if let Some(r) = &resume_state {
-            let pre = &r.pre;
-            report.preprocess = SimTime::from_ns(pre.time_ns);
-            report.repaired_diagonals = pre.repaired;
-            (pre.matrix.clone(), pre.p_row.clone(), pre.p_col.clone())
-        } else {
-            let pre_before = gpu.stats();
-            trace.span_begin("phase.preprocess", "phase", gpu.now().as_ns(), &[]);
-            let PreprocessOutcome {
-                matrix,
-                p_row,
-                p_col,
-                repaired,
-                time,
-            } = preprocess(a, &opts.preprocess, gpu.cost())?;
-            gpu.advance(time);
-            report.preprocess = time;
-            report.repaired_diagonals = repaired;
-            trace.span_end(
-                "phase.preprocess",
-                "phase",
-                gpu.now().as_ns(),
-                &[("repaired_diagonals", repaired.into())],
-            );
-            report.phase_stats.preprocess = gpu.stats().since(&pre_before);
-            if let Some(sess) = session.as_deref_mut() {
-                sess.set_preprocess(&PreState {
-                    matrix: matrix.clone(),
-                    p_row: p_row.clone(),
-                    p_col: p_col.clone(),
-                    repaired,
-                    time_ns: time.as_ns(),
-                });
-                sess.cut(gpu, trace, PhaseMark::Preprocessed, None)?;
-            }
-            (matrix, p_row, p_col)
-        };
-
-        // 2. Symbolic factorization (GPU), with engine degradation: the
-        // out-of-core engines already back off their chunk sizes under
-        // OOM; if one still fails, fall back to unified memory, whose
-        // on-demand paging cannot run out of device capacity. A snapshot
-        // past this phase replays the filled pattern instead; a partial
-        // snapshot replays the chunk watermark on the engine that cut it.
-        let mut symbolic = if let Some(done) =
-            resume_state.as_ref().and_then(|r| r.symbolic.as_ref())
-        {
-            report.chunk_size = done.chunk_size;
-            report.symbolic_iterations = done.iterations;
-            done.result.clone()
-        } else {
-            let sym_partial = resume_state.as_ref().and_then(|r| r.sym_partial.as_ref());
-            let engine_ladder: &[SymbolicEngine] = match opts.symbolic {
-                SymbolicEngine::Ooc => &[SymbolicEngine::Ooc, SymbolicEngine::UmPrefetch],
-                SymbolicEngine::OocDynamic => {
-                    &[SymbolicEngine::OocDynamic, SymbolicEngine::UmPrefetch]
-                }
-                SymbolicEngine::UmNoPrefetch => &[SymbolicEngine::UmNoPrefetch],
-                SymbolicEngine::UmPrefetch => &[SymbolicEngine::UmPrefetch],
-            };
-            let sym_before = gpu.stats();
-            trace.span_begin(
-                "phase.symbolic",
-                "phase",
-                gpu.now().as_ns(),
-                &[("engine", engine_name(opts.symbolic).into())],
-            );
-            let mut symbolic: Option<SymbolicResult> = None;
-            let mut last_err: Option<SimError> = None;
-            let mut attempts = 0usize;
-            let mut used_engine = opts.symbolic;
-            for (i, &engine) in engine_ladder.iter().enumerate() {
-                if i > 0 {
-                    // The failed attempt left its allocations behind; clear
-                    // the device before the fallback engine runs.
-                    gpu.mem.reset();
-                    let action = RecoveryAction::EngineDegraded {
-                        from: engine_name(engine_ladder[i - 1]).to_string(),
-                        to: engine_name(engine).to_string(),
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
-                    recovery.record(Phase::Symbolic, action);
-                }
-                attempts += 1;
-                // Partial state only replays on the rung that cut it.
-                let rung_resume = sym_partial
-                    .filter(|(tag, _)| *tag == checkpoint::engine_tag(engine))
-                    .map(|(_, r)| r);
-                let mut hook_storage;
-                let hook: Option<&mut ChunkHook<'_>> = match session.as_deref_mut() {
-                    Some(sess) => {
-                        let slot = &ckpt_err;
-                        hook_storage = move |p: &ChunkProgress| -> Result<(), SimError> {
-                            if !p.iters_done.is_multiple_of(every) {
-                                return Ok(());
-                            }
-                            let payload =
-                                CheckpointSession::symbolic_partial_payload(engine, &p.to_resume());
-                            hooked_cut(sess, gpu, trace, slot, PhaseMark::SymbolicPartial, payload)
-                        };
-                        Some(&mut hook_storage)
-                    }
-                    None => None,
-                };
-                match run_symbolic(
-                    gpu,
-                    &matrix,
-                    engine,
-                    &mut report,
-                    &mut recovery,
-                    trace,
-                    rung_resume,
-                    hook,
-                ) {
-                    Ok(result) => {
-                        symbolic = Some(result);
-                        used_engine = engine;
-                        break;
-                    }
-                    Err(e) => {
-                        if let Some(ce) = ckpt_err.borrow_mut().take() {
-                            return Err(ce);
-                        }
-                        if matches!(e, SimError::Crashed { .. }) {
-                            // An injected kill is terminal by design: no
-                            // ladder degrades around it — a later run
-                            // resumes from the last durable snapshot.
-                            return Err(e.into());
-                        }
-                        last_err = Some(e);
-                    }
-                }
-            }
-            report.phase_stats.symbolic = gpu.stats().since(&sym_before);
-            trace.span_end(
-                "phase.symbolic",
-                "phase",
-                gpu.now().as_ns(),
-                &[
-                    ("engine", engine_name(used_engine).into()),
-                    ("attempts", attempts.into()),
-                    ("ok", symbolic.is_some().into()),
-                ],
-            );
-            let Some(symbolic) = symbolic else {
-                let last = last_err.unwrap_or(SimError::BadLaunch("no symbolic engine ran".into()));
-                return Err(ladder_exhausted(Phase::Symbolic, attempts, last));
-            };
-            if let Some(sess) = session.as_deref_mut() {
-                sess.set_symbolic(&symbolic, report.chunk_size, report.symbolic_iterations);
-                sess.note_recovery(&recovery);
-                sess.cut(gpu, trace, PhaseMark::Symbolic, None)?;
-            }
-            symbolic
-        };
-
-        // 2b. Threshold-pivot discovery (host pre-pass): the
-        // level-scheduled engines cannot pivot at runtime, so under the
-        // threshold policy a sequential Gilbert–Peierls sweep picks the
-        // row permutation *before* levelization. On dominant traffic the
-        // diagonal clears tau everywhere, swaps == 0, and every
-        // downstream artifact is untouched (the fast path the pivoting
-        // benchmark measures).
+        let (mut matrix, mut p_row, p_col) = self.preprocess(a, opts, resume)?;
+        let mut symbolic = self.symbolic(&matrix, opts.symbolic, resume)?;
         if let PivotPolicy::Threshold { tau } = policy {
-            trace.span_begin(
-                "phase.pivot_discovery",
-                "phase",
-                gpu.now().as_ns(),
-                &[("tau", tau.into())],
-            );
-            let disc = discover_pivots(&matrix, tau).map_err(GpluError::from_pivot_discovery);
-            if let Ok(d) = &disc {
-                gpu.advance(SimTime::from_ns(gpu.cost().pivot_discovery_ns(d.flops)));
-            }
-            trace.span_end(
-                "phase.pivot_discovery",
-                "phase",
-                gpu.now().as_ns(),
-                &[
-                    (
-                        "swaps",
-                        (disc.as_ref().map_or(0, |d| d.swaps) as u64).into(),
-                    ),
-                    ("ok", disc.is_ok().into()),
-                ],
-            );
-            let disc = disc?;
-            report.pivot_swaps = disc.swaps;
-            if disc.swaps > 0 {
-                let p_pivot = Permutation::from_forward(disc.pinv).map_err(|e| {
-                    GpluError::Input(format!("pivot discovery produced a non-bijective map: {e}"))
-                })?;
-                let id = Permutation::identity(matrix.n_cols());
-                matrix = permute_csr(&matrix, &p_pivot, &id);
-                p_row = p_row.then(&p_pivot);
-                // The predicted fill no longer covers the permuted rows;
-                // grow it in place (bounded), or re-run symbolic from
-                // scratch when the in-place closure blows its budget.
-                let filled_perm = permute_csr(&symbolic.filled, &p_pivot, &id);
-                trace.span_begin("numeric.pattern_expand", "phase", gpu.now().as_ns(), &[]);
-                let budget = 4 * filled_perm.nnz() + 256;
-                let expansion = expand_fill(&filled_perm, budget);
-                gpu.advance(SimTime::from_ns(
-                    gpu.cost()
-                        .pattern_expand_ns((filled_perm.nnz() + expansion.added) as u64),
-                ));
-                trace.span_end(
-                    "numeric.pattern_expand",
-                    "phase",
-                    gpu.now().as_ns(),
-                    &[
-                        ("added", (expansion.added as u64).into()),
-                        ("rounds", (expansion.rounds as u64).into()),
-                        ("closed", expansion.closed.into()),
-                    ],
-                );
-                if expansion.closed {
-                    report.pattern_expanded = expansion.added;
-                    let action = RecoveryAction::PatternExpanded {
-                        added: expansion.added,
-                        rounds: expansion.rounds,
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
-                    recovery.record(Phase::Symbolic, action);
-                    symbolic.filled = expansion.filled;
-                } else {
-                    let action = RecoveryAction::Resymbolic {
-                        abandoned: expansion.added,
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
-                    recovery.record(Phase::Symbolic, action);
-                    // Unified memory cannot run out of device capacity,
-                    // making it the safe engine for the fallback pass.
-                    let prev = report.symbolic;
-                    symbolic = run_symbolic(
-                        gpu,
-                        &matrix,
-                        SymbolicEngine::UmPrefetch,
-                        &mut report,
-                        &mut recovery,
-                        trace,
-                        None,
-                        None,
-                    )?;
-                    report.symbolic = prev + report.symbolic;
-                }
-            }
+            self.pivot_discovery(tau, &mut matrix, &mut p_row, &mut symbolic)?;
         }
-        report.fill_nnz = symbolic.fill_nnz();
-        report.new_fill_ins = symbolic.new_fill_ins(&matrix);
+        self.report.fill_nnz = symbolic.fill_nnz();
+        self.report.new_fill_ins = symbolic.new_fill_ins(&matrix);
+        let levels = self.levelize(&symbolic, resume)?;
 
-        // 3. Levelization (GPU, dynamic parallelism) — replayed from the
-        // snapshot when available ([`Levels::from_level_of`] rebuilds the
-        // groups deterministically).
-        let levels: Levels = if let Some(lv) = resume_state.as_ref().and_then(|r| r.levels()) {
-            report.n_levels = lv.n_levels();
-            report.max_level_width = lv.max_width();
-            lv
-        } else {
-            let lvl_before = gpu.stats();
-            trace.span_begin("phase.levelize", "phase", gpu.now().as_ns(), &[]);
-            let dep = DepGraph::build(&symbolic.filled);
-            let lvl = levelize_gpu_traced(gpu, &dep, trace).map_err(|e| match e {
-                SimError::OutOfMemory { .. } => GpluError::DeviceOom {
-                    phase: Phase::Levelize,
-                    attempts: 1,
-                },
-                other => GpluError::from(other),
-            })?;
-            report.levelize = lvl.time;
-            report.n_levels = lvl.levels.n_levels();
-            report.max_level_width = lvl.levels.max_width();
-            trace.span_end(
-                "phase.levelize",
-                "phase",
-                gpu.now().as_ns(),
-                &[
-                    ("levels", report.n_levels.into()),
-                    ("max_width", report.max_level_width.into()),
-                ],
-            );
-            report.phase_stats.levelize = gpu.stats().since(&lvl_before);
-            if let Some(sess) = session.as_deref_mut() {
-                sess.set_levels(&lvl.levels.level_of);
-                sess.note_recovery(&recovery);
-                sess.cut(gpu, trace, PhaseMark::Levelized, None)?;
-            }
-            lvl.levels
-        };
-
-        // 4. Numeric factorization (GPU), format per the paper's
+        // Numeric factorization (GPU), format per the paper's
         // criterion unless forced, with format degradation: the dense
         // engine's O(n) column buffers are the memory-hungry rung; on
         // device failure fall back to the buffer-free merge-join CSC
         // kernel. (Forced Sparse/SparseMerge are already the conservative
-        // formats and run as requested.) A partial snapshot replays the
-        // completed-level watermark and value store on the format that
-        // cut it.
+        // formats and run as requested.)
         let mut pattern = csr_to_csc(&symbolic.filled);
         // Auto follows the paper's *switch* criterion to CSC residency,
         // then the cost model's BLAS-3 crossover picks between the plain
@@ -892,13 +722,14 @@ impl LuFactorization {
         // columns share their row sets (mesh/Delaunay-class fill), so the
         // crossover gates on measured fill density and the detected mean
         // supernode width.
+        let lead = self.lead()?;
         let mut block_plan: Option<BlockPlan> = None;
-        let format_ladder: &[NumericFormat] = match opts.format {
+        let ladder: &[NumericFormat] = match opts.format {
             NumericFormat::Auto => {
-                if gpu.config().should_use_sparse_format(matrix.n_rows()) {
-                    let plan = detect_block_plan(gpu, &pattern, opts.block_threshold, trace);
+                if lead.config().should_use_sparse_format(matrix.n_rows()) {
+                    let plan = detect_block_plan(lead, &pattern, opts.block_threshold, self.trace);
                     let fill_density = pattern.nnz() as f64 / pattern.n_cols().max(1) as f64;
-                    if gpu
+                    if lead
                         .cost()
                         .blocked_crossover(fill_density, plan.mean_width())
                     {
@@ -916,52 +747,518 @@ impl LuFactorization {
             NumericFormat::SparseMerge => &[NumericFormat::SparseMerge],
             NumericFormat::SparseBlocked => {
                 block_plan = Some(detect_block_plan(
-                    gpu,
+                    lead,
                     &pattern,
                     opts.block_threshold,
-                    trace,
+                    self.trace,
                 ));
                 &[NumericFormat::SparseBlocked, NumericFormat::SparseMerge]
             }
         };
-        let num_before = gpu.stats();
-        trace.span_begin(
-            "phase.numeric",
+        // Block detection advanced only the lead clock; re-sync.
+        self.fleet.barrier();
+        let lu = self.numeric(NumericPhase {
+            requested: opts.format,
+            ladder,
+            block_plan: block_plan.as_ref(),
+            pivot: None,
+            policy,
+            repair: opts
+                .preprocess
+                .repair_singular
+                .then_some(opts.preprocess.repair_value),
+            matrix: &mut matrix,
+            pattern: &mut pattern,
+            levels: &levels,
+            perms: (&p_row, &p_col),
+            partial: resume.and_then(|r| r.numeric.clone()),
+        })?;
+
+        if let (Some(before), Some(fr)) = (&self.fleet_before, &mut self.report.fleet) {
+            let after = self.fleet.stats();
+            fr.dead.sort_unstable();
+            fr.per_device_ns = after
+                .devices
+                .iter()
+                .zip(&before.devices)
+                .map(|(now, then)| now.stats.since(&then.stats).now.as_ns())
+                .collect();
+            fr.exchanges = after.interconnect.exchanges - before.interconnect.exchanges;
+            fr.exchange_bytes = after.interconnect.bytes - before.interconnect.bytes;
+            fr.exchange_ns = (after.interconnect.time - before.interconnect.time).as_ns();
+        }
+        self.report.recovery = self.recovery;
+        Ok(LuFactorization {
+            lu,
+            preprocessed: matrix,
+            p_row,
+            p_col,
+            levels,
+            report: self.report,
+        })
+    }
+
+    /// Phase 1, pre-processing (host) — replayed from the snapshot on resume
+    /// (every snapshot carries it, including any later diagonal repairs).
+    fn preprocess(
+        &mut self,
+        a: &Csr,
+        opts: &LuOptions,
+        resume: Option<&ResumeState>,
+    ) -> Result<(Csr, Permutation, Permutation), GpluError> {
+        if let Some(r) = resume {
+            let pre = &r.pre;
+            self.report.preprocess = SimTime::from_ns(pre.time_ns);
+            self.report.repaired_diagonals = pre.repaired;
+            return Ok((pre.matrix.clone(), pre.p_row.clone(), pre.p_col.clone()));
+        }
+        let lead = self.lead()?;
+        let pre_before = lead.stats();
+        self.trace
+            .span_begin("phase.preprocess", "phase", self.now_ns(), &[]);
+        let PreprocessOutcome {
+            matrix,
+            p_row,
+            p_col,
+            repaired,
+            time,
+        } = preprocess(a, &opts.preprocess, lead.cost())?;
+        self.advance_all(time);
+        self.report.preprocess = time;
+        self.report.repaired_diagonals = repaired;
+        self.trace.span_end(
+            "phase.preprocess",
             "phase",
-            gpu.now().as_ns(),
-            &[("format", format_name(opts.format).into())],
+            self.now_ns(),
+            &[("repaired_diagonals", repaired.into())],
         );
-        let mut num_partial = resume_state.as_ref().and_then(|r| r.numeric.clone());
-        let mut repair_attempted = false;
-        // Static perturbation acts inside the engines at division time;
-        // every other policy factorizes exactly (threshold pivoting
-        // already moved its swaps into the row permutation above).
+        self.report.phase_stats.preprocess = lead.stats().since(&pre_before);
+        if let Some(sess) = self.session.as_deref_mut() {
+            sess.set_preprocess(&PreState {
+                matrix: matrix.clone(),
+                p_row: p_row.clone(),
+                p_col: p_col.clone(),
+                repaired,
+                time_ns: time.as_ns(),
+            });
+            sess.cut(lead, self.trace, PhaseMark::Preprocessed, None)?;
+        }
+        Ok((matrix, p_row, p_col))
+    }
+
+    /// Phase 2, symbolic factorization (GPU). A snapshot past this phase replays
+    /// the filled pattern instead of running it.
+    fn symbolic(
+        &mut self,
+        matrix: &Csr,
+        engine: SymbolicEngine,
+        resume: Option<&ResumeState>,
+    ) -> Result<SymbolicResult, GpluError> {
+        if let Some(done) = resume.and_then(|r| r.symbolic.as_ref()) {
+            self.report.chunk_size = done.chunk_size;
+            self.report.symbolic_iterations = done.iterations;
+            return Ok(done.result.clone());
+        }
+        let lead = self.lead()?;
+        let sym_before = lead.stats();
+        let symbolic = if self.fleet_before.is_some() {
+            self.symbolic_sharded(matrix)
+        } else {
+            let partial = resume.and_then(|r| r.sym_partial.as_ref());
+            self.symbolic_ladder(lead, matrix, engine, partial)
+        };
+        self.report.phase_stats.symbolic = lead.stats().since(&sym_before);
+        let symbolic = symbolic?;
+        if let Some(sess) = self.session.as_deref_mut() {
+            sess.set_symbolic(
+                &symbolic,
+                self.report.chunk_size,
+                self.report.symbolic_iterations,
+            );
+            sess.note_recovery(&self.recovery);
+            sess.cut(lead, self.trace, PhaseMark::Symbolic, None)?;
+        }
+        Ok(symbolic)
+    }
+
+    /// The `opts.symbolic` engine on the lead device, with engine
+    /// degradation: the out-of-core engines already back off their chunk
+    /// sizes under OOM; if one still fails, fall back to unified memory,
+    /// whose on-demand paging cannot run out of device capacity. A partial
+    /// snapshot replays the chunk watermark on the engine that cut it.
+    fn symbolic_ladder(
+        &mut self,
+        gpu: &Gpu,
+        matrix: &Csr,
+        requested: SymbolicEngine,
+        partial: Option<&(u8, SymbolicResume)>,
+    ) -> Result<SymbolicResult, GpluError> {
+        let engine_ladder: &[SymbolicEngine] = match requested {
+            SymbolicEngine::Ooc => &[SymbolicEngine::Ooc, SymbolicEngine::UmPrefetch],
+            SymbolicEngine::OocDynamic => &[SymbolicEngine::OocDynamic, SymbolicEngine::UmPrefetch],
+            SymbolicEngine::UmNoPrefetch => &[SymbolicEngine::UmNoPrefetch],
+            SymbolicEngine::UmPrefetch => &[SymbolicEngine::UmPrefetch],
+        };
+        let trace = self.trace;
+        let every = self.session.as_ref().map_or(usize::MAX, |s| s.every());
+        trace.span_begin(
+            "phase.symbolic",
+            "phase",
+            self.now_ns(),
+            &[("engine", engine_name(requested).into())],
+        );
+        let mut symbolic: Option<SymbolicResult> = None;
+        let mut last_err: Option<SimError> = None;
+        let mut attempts = 0usize;
+        let mut used_engine = requested;
+        for (i, &engine) in engine_ladder.iter().enumerate() {
+            if i > 0 {
+                // The failed attempt left its allocations behind; clear
+                // the device before the fallback engine runs.
+                gpu.mem.reset();
+                self.recover(
+                    Phase::Symbolic,
+                    RecoveryAction::EngineDegraded {
+                        from: engine_name(engine_ladder[i - 1]).to_string(),
+                        to: engine_name(engine).to_string(),
+                    },
+                );
+            }
+            attempts += 1;
+            // Partial state only replays on the rung that cut it.
+            let rung_resume = partial
+                .filter(|(tag, _)| *tag == checkpoint::engine_tag(engine))
+                .map(|(_, r)| r);
+            let mut hook_storage;
+            let hook: Option<&mut ChunkHook<'_>> = match self.session.as_deref_mut() {
+                Some(sess) => {
+                    let slot = &self.ckpt_err;
+                    hook_storage = move |p: &ChunkProgress| -> Result<(), SimError> {
+                        if !p.iters_done.is_multiple_of(every) {
+                            return Ok(());
+                        }
+                        let payload =
+                            CheckpointSession::symbolic_partial_payload(engine, &p.to_resume());
+                        hooked_cut(sess, gpu, trace, slot, PhaseMark::SymbolicPartial, payload)
+                    };
+                    Some(&mut hook_storage)
+                }
+                None => None,
+            };
+            match run_symbolic(
+                gpu,
+                matrix,
+                engine,
+                &mut self.report,
+                &mut self.recovery,
+                trace,
+                rung_resume,
+                hook,
+            ) {
+                Ok(result) => {
+                    symbolic = Some(result);
+                    used_engine = engine;
+                    break;
+                }
+                Err(e) => {
+                    if let Some(ce) = self.ckpt_err.borrow_mut().take() {
+                        return Err(ce);
+                    }
+                    if matches!(e, SimError::Crashed { .. }) {
+                        // An injected kill is terminal by design: no
+                        // ladder degrades around it — a later run
+                        // resumes from the last durable snapshot.
+                        return Err(e.into());
+                    }
+                    last_err = Some(e);
+                }
+            }
+        }
+        trace.span_end(
+            "phase.symbolic",
+            "phase",
+            self.now_ns(),
+            &[
+                ("engine", engine_name(used_engine).into()),
+                ("attempts", attempts.into()),
+                ("ok", symbolic.is_some().into()),
+            ],
+        );
+        symbolic.ok_or_else(|| {
+            let last = last_err.unwrap_or(SimError::BadLaunch("no symbolic engine ran".into()));
+            ladder_exhausted(Phase::Symbolic, attempts, last)
+        })
+    }
+
+    /// Fill counting sharded by source-row range across the live devices
+    /// (GSoFa-style), with the fill-count merge priced on the
+    /// interconnect — what the fleet-taking entry points run instead of
+    /// the `opts.symbolic` ladder.
+    fn symbolic_sharded(&mut self, matrix: &Csr) -> Result<SymbolicResult, GpluError> {
+        self.trace.span_begin(
+            "phase.symbolic",
+            "phase",
+            self.now_ns(),
+            &[
+                ("engine", "FleetOoc".into()),
+                ("devices", self.fleet.n_alive().into()),
+            ],
+        );
+        let out = self.run_symbolic_fleet(matrix)?;
+        self.report.symbolic = out.time;
+        self.report.symbolic_iterations = 1;
+        self.trace.span_end(
+            "phase.symbolic",
+            "phase",
+            self.now_ns(),
+            &[
+                ("engine", "FleetOoc".into()),
+                ("devices", self.fleet.n_alive().into()),
+                ("efficiency", out.efficiency.into()),
+            ],
+        );
+        Ok(out.result)
+    }
+
+    /// One `symbolic_fleet` run with its device losses logged. Deaths
+    /// reshard inside it; only a whole-fleet death or an injected crash
+    /// surfaces as an error.
+    fn run_symbolic_fleet(&mut self, matrix: &Csr) -> Result<FleetSymbolicOutcome, GpluError> {
+        let out = match symbolic_fleet(self.fleet, matrix, Partition::Blocked) {
+            Ok(out) => out,
+            Err(e @ SimError::Crashed { .. }) => return Err(e.into()),
+            Err(e) => return Err(ladder_exhausted(Phase::Symbolic, 1, e)),
+        };
+        self.note_losses(Phase::Symbolic, out.resharded_rows);
+        if let Some(fr) = &mut self.report.fleet {
+            fr.resharded_rows += out.resharded_rows;
+        }
+        Ok(out)
+    }
+
+    /// Phase 2b, threshold-pivot discovery (host pre-pass): the level-scheduled
+    /// engines cannot pivot at runtime, so under the threshold policy a
+    /// sequential Gilbert–Peierls sweep picks the row permutation *before*
+    /// levelization. On dominant traffic the diagonal clears tau
+    /// everywhere, swaps == 0, and every downstream artifact is untouched
+    /// (the fast path the pivoting benchmark measures).
+    fn pivot_discovery(
+        &mut self,
+        tau: f64,
+        matrix: &mut Csr,
+        p_row: &mut Permutation,
+        symbolic: &mut SymbolicResult,
+    ) -> Result<(), GpluError> {
+        let cost = self.lead()?.cost();
+        self.trace.span_begin(
+            "phase.pivot_discovery",
+            "phase",
+            self.now_ns(),
+            &[("tau", tau.into())],
+        );
+        let disc = discover_pivots(matrix, tau).map_err(GpluError::from_pivot_discovery);
+        if let Ok(d) = &disc {
+            self.advance_all(SimTime::from_ns(cost.pivot_discovery_ns(d.flops)));
+        }
+        self.trace.span_end(
+            "phase.pivot_discovery",
+            "phase",
+            self.now_ns(),
+            &[
+                (
+                    "swaps",
+                    (disc.as_ref().map_or(0, |d| d.swaps) as u64).into(),
+                ),
+                ("ok", disc.is_ok().into()),
+            ],
+        );
+        let disc = disc?;
+        self.report.pivot_swaps = disc.swaps;
+        if disc.swaps == 0 {
+            return Ok(());
+        }
+        let p_pivot = Permutation::from_forward(disc.pinv).map_err(|e| {
+            GpluError::Input(format!("pivot discovery produced a non-bijective map: {e}"))
+        })?;
+        let id = Permutation::identity(matrix.n_cols());
+        *matrix = permute_csr(matrix, &p_pivot, &id);
+        *p_row = p_row.then(&p_pivot);
+        // The predicted fill no longer covers the permuted rows; grow it
+        // in place (bounded), or re-run symbolic from scratch when the
+        // in-place closure blows its budget.
+        let filled_perm = permute_csr(&symbolic.filled, &p_pivot, &id);
+        self.trace
+            .span_begin("numeric.pattern_expand", "phase", self.now_ns(), &[]);
+        let budget = 4 * filled_perm.nnz() + 256;
+        let expansion = expand_fill(&filled_perm, budget);
+        self.advance_all(SimTime::from_ns(
+            cost.pattern_expand_ns((filled_perm.nnz() + expansion.added) as u64),
+        ));
+        self.trace.span_end(
+            "numeric.pattern_expand",
+            "phase",
+            self.now_ns(),
+            &[
+                ("added", (expansion.added as u64).into()),
+                ("rounds", (expansion.rounds as u64).into()),
+                ("closed", expansion.closed.into()),
+            ],
+        );
+        if expansion.closed {
+            self.report.pattern_expanded = expansion.added;
+            self.recover(
+                Phase::Symbolic,
+                RecoveryAction::PatternExpanded {
+                    added: expansion.added,
+                    rounds: expansion.rounds,
+                },
+            );
+            symbolic.filled = expansion.filled;
+            return Ok(());
+        }
+        self.recover(
+            Phase::Symbolic,
+            RecoveryAction::Resymbolic {
+                abandoned: expansion.added,
+            },
+        );
+        let prev = self.report.symbolic;
+        *symbolic = if self.fleet_before.is_some() {
+            let re = self.run_symbolic_fleet(matrix)?;
+            self.report.symbolic = re.time;
+            re.result
+        } else {
+            // Unified memory cannot run out of device capacity, making it
+            // the safe engine for the fallback pass.
+            run_symbolic(
+                self.lead()?,
+                matrix,
+                SymbolicEngine::UmPrefetch,
+                &mut self.report,
+                &mut self.recovery,
+                self.trace,
+                None,
+                None,
+            )?
+        };
+        self.report.symbolic = prev + self.report.symbolic;
+        Ok(())
+    }
+
+    /// Phase 3, levelization (GPU, dynamic parallelism) on the lead device (the
+    /// dependency DAG is global state every device needs; replicating the
+    /// run would change nothing), then a barrier so the whole fleet enters
+    /// the numeric phase together. Replayed from the snapshot when
+    /// available ([`Levels::from_level_of`] rebuilds the groups
+    /// deterministically).
+    fn levelize(
+        &mut self,
+        symbolic: &SymbolicResult,
+        resume: Option<&ResumeState>,
+    ) -> Result<Levels, GpluError> {
+        if let Some(lv) = resume.and_then(|r| r.levels()) {
+            self.report.n_levels = lv.n_levels();
+            self.report.max_level_width = lv.max_width();
+            return Ok(lv);
+        }
+        let lead = self.lead()?;
+        let lvl_before = lead.stats();
+        self.trace
+            .span_begin("phase.levelize", "phase", self.now_ns(), &[]);
+        let dep = DepGraph::build(&symbolic.filled);
+        let lvl = levelize_gpu_traced(lead, &dep, self.trace).map_err(|e| match e {
+            SimError::OutOfMemory { .. } => GpluError::DeviceOom {
+                phase: Phase::Levelize,
+                attempts: 1,
+            },
+            other => GpluError::from(other),
+        })?;
+        self.fleet.barrier();
+        self.report.levelize = lvl.time;
+        self.report.n_levels = lvl.levels.n_levels();
+        self.report.max_level_width = lvl.levels.max_width();
+        self.trace.span_end(
+            "phase.levelize",
+            "phase",
+            self.now_ns(),
+            &[
+                ("levels", self.report.n_levels.into()),
+                ("max_width", self.report.max_level_width.into()),
+            ],
+        );
+        self.report.phase_stats.levelize = lead.stats().since(&lvl_before);
+        if let Some(sess) = self.session.as_deref_mut() {
+            sess.set_levels(&lvl.levels.level_of);
+            sess.note_recovery(&self.recovery);
+            sess.cut(lead, self.trace, PhaseMark::Levelized, None)?;
+        }
+        Ok(lvl.levels)
+    }
+
+    /// Phase 4, the numeric phase, cold or warm: the format ladder (degrading on
+    /// device failure), each level's columns sharded across the live
+    /// devices with the boundary-column all-gather priced at every level
+    /// barrier, one late singular-pivot repair, and the mirroring of
+    /// engine-level perturbations into `matrix`. A partial snapshot
+    /// replays the completed-level watermark and value store on the format
+    /// that cut it. Fills the report's numeric fields and returns the
+    /// factors.
+    pub(crate) fn numeric(&mut self, job: NumericPhase<'_>) -> Result<Csc, GpluError> {
+        let NumericPhase {
+            requested,
+            ladder,
+            block_plan,
+            pivot,
+            policy,
+            repair,
+            matrix,
+            pattern,
+            levels,
+            perms,
+            mut partial,
+        } = job;
+        let (fleet, trace) = (self.fleet, self.trace);
+        let lead = self.lead()?;
         let rule = match policy {
             PivotPolicy::Static { threshold } => PivotRule::Perturb { threshold },
             _ => PivotRule::Exact,
         };
+        let every = self.session.as_ref().map_or(usize::MAX, |s| s.every());
+        let num_before = lead.stats();
+        let mut begin_attrs: Vec<(&'static str, AttrValue)> = vec![
+            ("format", format_name(requested).into()),
+            ("devices", fleet.n_alive().into()),
+        ];
+        if pivot.is_some() {
+            begin_attrs.push(("refactorize", true.into()));
+        }
+        trace.span_begin("phase.numeric", "phase", self.now_ns(), &begin_attrs);
+        let mut repair_attempted = false;
         let (numeric, used_format) = 'numeric: loop {
             let mut last_err: Option<SimError> = None;
             let mut attempts = 0usize;
-            for (i, &format) in format_ladder.iter().enumerate() {
+            for (i, &format) in ladder.iter().enumerate() {
                 if i > 0 {
-                    gpu.mem.reset();
-                    let action = RecoveryAction::FormatDegraded {
-                        from: format_name(format_ladder[i - 1]).to_string(),
-                        to: format_name(format).to_string(),
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                    recovery.record(Phase::Numeric, action);
+                    for d in fleet.alive() {
+                        fleet.device(d).mem.reset();
+                    }
+                    self.recover(
+                        Phase::Numeric,
+                        RecoveryAction::FormatDegraded {
+                            from: format_name(ladder[i - 1]).to_string(),
+                            to: format_name(format).to_string(),
+                        },
+                    );
                 }
                 attempts += 1;
-                let rung_resume = num_partial
+                let rung_resume = partial
                     .as_ref()
                     .filter(|(tag, _)| *tag == checkpoint::format_tag(format))
                     .map(|(_, r)| r);
                 let mut hook_storage;
-                let hook: Option<&mut LevelHook<'_>> = match session.as_deref_mut() {
+                let hook: Option<&mut LevelHook<'_>> = match self.session.as_deref_mut() {
                     Some(sess) => {
-                        let slot = &ckpt_err;
+                        let slot = &self.ckpt_err;
                         hook_storage = move |p: &LevelProgress<'_>| -> Result<(), SimError> {
                             let done = p.level + 1;
                             if !done.is_multiple_of(every) && done != p.n_levels {
@@ -979,62 +1276,47 @@ impl LuFactorization {
                             };
                             let payload =
                                 CheckpointSession::numeric_partial_payload(format, &state);
-                            hooked_cut(sess, gpu, trace, slot, PhaseMark::NumericPartial, payload)
+                            hooked_cut(sess, lead, trace, slot, PhaseMark::NumericPartial, payload)
                         };
                         Some(&mut hook_storage)
                     }
                     None => None,
                 };
-                let run = match format {
-                    NumericFormat::Dense => factorize_gpu_dense_run_cached(
-                        gpu,
-                        &pattern,
-                        &levels,
-                        trace,
-                        rung_resume,
-                        hook,
-                        None,
-                        rule,
-                    ),
-                    NumericFormat::Sparse => factorize_gpu_sparse_run_cached(
-                        gpu,
-                        &pattern,
-                        &levels,
-                        None,
-                        trace,
-                        rung_resume,
-                        hook,
-                        None,
-                        rule,
-                    ),
-                    NumericFormat::SparseBlocked => factorize_gpu_blocked_run_cached(
-                        gpu,
-                        &pattern,
-                        &levels,
-                        block_plan.as_ref().expect("blocked rung carries a plan"),
-                        trace,
-                        rung_resume,
-                        hook,
-                        None,
-                        rule,
-                    ),
+                let mut engine: Box<dyn NumericEngine + '_> = match format {
+                    NumericFormat::Dense => Box::new(DenseEngine::default()),
+                    NumericFormat::Sparse => Box::new(SparseEngine::new(None)),
+                    NumericFormat::SparseBlocked => Box::new(BlockedEngine::new(
+                        block_plan.expect("blocked rung carries a plan"),
+                    )),
                     NumericFormat::Auto | NumericFormat::SparseMerge => {
-                        factorize_gpu_merge_run_cached(
-                            gpu,
-                            &pattern,
-                            &levels,
-                            trace,
-                            rung_resume,
-                            hook,
-                            None,
-                            rule,
-                        )
+                        Box::new(MergeEngine::default())
                     }
                 };
+                let run = run_levels(
+                    &mut *engine,
+                    fleet,
+                    pattern,
+                    levels,
+                    trace,
+                    rung_resume,
+                    hook,
+                    pivot,
+                    rule,
+                );
+                // Devices lost on a failed rung stay lost for the next; the
+                // columns they shed were discarded with the rung, so only a
+                // rung that completes counts resharded work.
+                let resharded = run.as_ref().map_or(0, |out| out.resharded_cols);
+                self.note_losses(Phase::Numeric, resharded);
                 match run {
-                    Ok(out) => break 'numeric (out, format),
+                    Ok(out) => {
+                        if let Some(fr) = &mut self.report.fleet {
+                            fr.resharded_cols += out.resharded_cols;
+                        }
+                        break 'numeric (out.outcome, format);
+                    }
                     Err(NumericError::Sim(e)) => {
-                        if let Some(ce) = ckpt_err.borrow_mut().take() {
+                        if let Some(ce) = self.ckpt_err.borrow_mut().take() {
                             return Err(ce);
                         }
                         if matches!(e, SimError::Crashed { .. }) {
@@ -1048,41 +1330,41 @@ impl LuFactorization {
                         // and schedule stay valid: patch the diagonal
                         // (the paper's Table 4 constant) and retry the
                         // numeric ladder once.
-                        let value = opts.preprocess.repair_value;
-                        let old = if opts.preprocess.repair_singular && !repair_attempted {
-                            bump_diag(&mut matrix, &mut pattern, col, value)
-                        } else {
-                            None
+                        let patched = repair.filter(|_| !repair_attempted).and_then(|value| {
+                            bump_diag(matrix, pattern, col, value).map(|old| (value, old))
+                        });
+                        let Some((value, old)) = patched else {
+                            return Err(GpluError::SingularPivot { col, level });
                         };
-                        if let Some(old) = old {
-                            repair_attempted = true;
-                            gpu.mem.reset();
-                            let action = RecoveryAction::PivotRepaired {
+                        repair_attempted = true;
+                        for d in fleet.alive() {
+                            fleet.device(d).mem.reset();
+                        }
+                        self.recover(
+                            Phase::Numeric,
+                            RecoveryAction::PivotRepaired {
                                 col,
                                 value,
                                 magnitude: (value - old).abs(),
-                            };
-                            trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                            recovery.record(Phase::Numeric, action);
-                            report.repaired_diagonals += 1;
-                            // Any mid-level snapshot predates the repair;
-                            // restart the numeric phase fresh and make the
-                            // repaired matrix the durable one.
-                            num_partial = None;
-                            if let Some(sess) = session.as_deref_mut() {
-                                sess.set_preprocess(&PreState {
-                                    matrix: matrix.clone(),
-                                    p_row: p_row.clone(),
-                                    p_col: p_col.clone(),
-                                    repaired: report.repaired_diagonals,
-                                    time_ns: report.preprocess.as_ns(),
-                                });
-                                sess.note_recovery(&recovery);
-                                sess.cut(gpu, trace, PhaseMark::Levelized, None)?;
-                            }
-                            continue 'numeric;
+                            },
+                        );
+                        self.report.repaired_diagonals += 1;
+                        // Any mid-level snapshot predates the repair;
+                        // restart the numeric phase fresh and make the
+                        // repaired matrix the durable one.
+                        partial = None;
+                        if let Some(sess) = self.session.as_deref_mut() {
+                            sess.set_preprocess(&PreState {
+                                matrix: matrix.clone(),
+                                p_row: perms.0.clone(),
+                                p_col: perms.1.clone(),
+                                repaired: self.report.repaired_diagonals,
+                                time_ns: self.report.preprocess.as_ns(),
+                            });
+                            sess.note_recovery(&self.recovery);
+                            sess.cut(lead, trace, PhaseMark::Levelized, None)?;
                         }
-                        return Err(GpluError::SingularPivot { col, level });
+                        continue 'numeric;
                     }
                     Err(NumericError::Input(msg)) => return Err(GpluError::Input(msg)),
                 }
@@ -1090,52 +1372,47 @@ impl LuFactorization {
             let last = last_err.unwrap_or(SimError::BadLaunch("no numeric format ran".into()));
             return Err(ladder_exhausted(Phase::Numeric, attempts, last));
         };
-        report.numeric = numeric.time;
-        report.mode_mix = (numeric.mode_mix.a, numeric.mode_mix.b, numeric.mode_mix.c);
-        report.m_limit = numeric.m_limit;
-        report.probes = numeric.probes;
-        report.merge_steps = numeric.merge_steps;
-        report.gemm_tiles = numeric.gemm_tiles;
+        self.report.numeric = numeric.time;
+        self.report.mode_mix = (numeric.mode_mix.a, numeric.mode_mix.b, numeric.mode_mix.c);
+        self.report.m_limit = numeric.m_limit;
+        self.report.probes = numeric.probes;
+        self.report.merge_steps = numeric.merge_steps;
+        self.report.gemm_tiles = numeric.gemm_tiles;
         trace.span_end(
             "phase.numeric",
             "phase",
-            gpu.now().as_ns(),
+            self.now_ns(),
             &[
                 ("format", format_name(used_format).into()),
                 ("mode_a", numeric.mode_mix.a.into()),
                 ("mode_b", numeric.mode_mix.b.into()),
                 ("mode_c", numeric.mode_mix.c.into()),
+                ("devices", fleet.n_alive().into()),
             ],
         );
-        report.phase_stats.numeric = gpu.stats().since(&num_before);
+        self.report.phase_stats.numeric = lead.stats().since(&num_before);
         if !numeric.perturbations.is_empty() {
             // The factors exactly factor the bumped matrix; mirror the
             // clamp deltas into the preprocessed diagonal so residuals
             // and solves target the system the factors represent.
             let mut max_delta = 0.0f64;
             for &(col, delta) in &numeric.perturbations {
-                add_to_diag(&mut matrix, col, delta);
+                add_to_diag(matrix, col, delta);
                 max_delta = max_delta.max(delta.abs());
             }
-            let action = RecoveryAction::PivotPerturbed {
-                cols: numeric.perturbations.len(),
-                max_delta,
-            };
-            trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-            recovery.record(Phase::Numeric, action);
+            self.recover(
+                Phase::Numeric,
+                RecoveryAction::PivotPerturbed {
+                    cols: numeric.perturbations.len(),
+                    max_delta,
+                },
+            );
         }
-        report.recovery = recovery;
-
-        Ok(LuFactorization {
-            lu: numeric.lu,
-            preprocessed: matrix,
-            p_row,
-            p_col,
-            levels,
-            report,
-        })
+        Ok(numeric.lu)
     }
+}
 
+impl LuFactorization {
     /// Permutes a right-hand side into factor ordering (`P_row · b`).
     pub fn permute_rhs(&self, b: &[Val]) -> Vec<Val> {
         self.p_row.permute_vec(b)

@@ -21,18 +21,11 @@
 use crate::checkpoint::pattern_fingerprint;
 use crate::error::GpluError;
 use crate::pipeline::{
-    add_to_diag, bump_diag, format_name, ladder_exhausted, trace_recovery, LuFactorization,
-    LuOptions, NumericFormat, ResidualGate,
+    LuFactorization, LuOptions, NumericFormat, NumericPhase, Pass, ResidualGate,
 };
-use crate::recovery::{Phase, RecoveryAction, RecoveryLog};
-use crate::report::PhaseReport;
-use gplu_numeric::{
-    discover_pivots, factorize_gpu_blocked_run_cached, factorize_gpu_dense_run_cached,
-    factorize_gpu_merge_run_cached, factorize_gpu_sparse_run_cached, BlockPlan, NumericError,
-    PivotCache, PivotPolicy, PivotRule,
-};
+use gplu_numeric::{discover_pivots, BlockPlan, PivotCache, PivotPolicy};
 use gplu_schedule::Levels;
-use gplu_sim::{Gpu, SimError, SimTime};
+use gplu_sim::{DeviceFleet, Gpu, SimTime};
 use gplu_sparse::verify::residual_probe;
 use gplu_sparse::{Csc, Csr, Permutation};
 use gplu_trace::{TraceSink, NOOP};
@@ -150,8 +143,9 @@ impl RefactorPlan {
                 pattern_fingerprint(a)
             )));
         }
-        let mut report = PhaseReport::default();
-        let mut recovery = RecoveryLog::default();
+        let fleet = DeviceFleet::from(gpu);
+        let mut pass = Pass::new(&fleet, false, None, trace);
+        let report = &mut pass.report;
 
         // 1. Host value scatter — the only pre-processing the warm path
         // does. Replays permutation and both diagonal-repair rules
@@ -224,9 +218,10 @@ impl RefactorPlan {
         // cold path's per-column dense buffers). All engines apply
         // bit-identical arithmetic — the formats differ only in access
         // cost — so the bit-for-bit contract with the cold pipeline is
-        // unaffected. Explicitly forced formats are replayed as forced
-        // (degradation and late pivot repair included).
-        let format_ladder: &[NumericFormat] = match self.format {
+        // unaffected. Explicitly forced formats are replayed as forced;
+        // degradation, late pivot repair and the mirroring of static
+        // clamps are the cold pass's own numeric phase.
+        let ladder: &[NumericFormat] = match self.format {
             NumericFormat::Auto => &[NumericFormat::SparseMerge],
             NumericFormat::Dense => &[NumericFormat::Dense, NumericFormat::SparseMerge],
             NumericFormat::Sparse => &[NumericFormat::Sparse],
@@ -235,157 +230,24 @@ impl RefactorPlan {
                 &[NumericFormat::SparseBlocked, NumericFormat::SparseMerge]
             }
         };
-        let rule = match self.pivot_policy {
-            PivotPolicy::Static { threshold } => PivotRule::Perturb { threshold },
-            _ => PivotRule::Exact,
-        };
-        let num_before = gpu.stats();
-        trace.span_begin(
-            "phase.numeric",
-            "phase",
-            gpu.now().as_ns(),
-            &[
-                ("format", format_name(self.format).into()),
-                ("refactorize", true.into()),
-            ],
-        );
-        let mut repair_attempted = false;
-        let (numeric, used_format) = 'numeric: loop {
-            let mut last_err: Option<SimError> = None;
-            let mut attempts = 0usize;
-            for (i, &format) in format_ladder.iter().enumerate() {
-                if i > 0 {
-                    gpu.mem.reset();
-                    let action = RecoveryAction::FormatDegraded {
-                        from: format_name(format_ladder[i - 1]).to_string(),
-                        to: format_name(format).to_string(),
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                    recovery.record(Phase::Numeric, action);
-                }
-                attempts += 1;
-                let run = match format {
-                    NumericFormat::Dense => factorize_gpu_dense_run_cached(
-                        gpu,
-                        &pattern,
-                        &self.levels,
-                        trace,
-                        None,
-                        None,
-                        Some(&self.pivot),
-                        rule,
-                    ),
-                    NumericFormat::Sparse => factorize_gpu_sparse_run_cached(
-                        gpu,
-                        &pattern,
-                        &self.levels,
-                        None,
-                        trace,
-                        None,
-                        None,
-                        Some(&self.pivot),
-                        rule,
-                    ),
-                    NumericFormat::SparseBlocked => factorize_gpu_blocked_run_cached(
-                        gpu,
-                        &pattern,
-                        &self.levels,
-                        self.block_plan
-                            .as_ref()
-                            .expect("SparseBlocked plan captures its blocking pass"),
-                        trace,
-                        None,
-                        None,
-                        Some(&self.pivot),
-                        rule,
-                    ),
-                    NumericFormat::Auto | NumericFormat::SparseMerge => {
-                        factorize_gpu_merge_run_cached(
-                            gpu,
-                            &pattern,
-                            &self.levels,
-                            trace,
-                            None,
-                            None,
-                            Some(&self.pivot),
-                            rule,
-                        )
-                    }
-                };
-                match run {
-                    Ok(out) => break 'numeric (out, format),
-                    Err(NumericError::Sim(e)) => {
-                        if matches!(e, SimError::Crashed { .. }) {
-                            return Err(e.into());
-                        }
-                        last_err = Some(e);
-                    }
-                    Err(NumericError::SingularPivot { col, level }) => {
-                        let value = self.repair_value;
-                        let old = if self.repair_singular && !repair_attempted {
-                            bump_diag(&mut matrix, &mut pattern, col, value)
-                        } else {
-                            None
-                        };
-                        if let Some(old) = old {
-                            repair_attempted = true;
-                            gpu.mem.reset();
-                            let action = RecoveryAction::PivotRepaired {
-                                col,
-                                value,
-                                magnitude: (value - old).abs(),
-                            };
-                            trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                            recovery.record(Phase::Numeric, action);
-                            report.repaired_diagonals += 1;
-                            continue 'numeric;
-                        }
-                        return Err(GpluError::SingularPivot { col, level });
-                    }
-                    Err(NumericError::Input(msg)) => return Err(GpluError::Input(msg)),
-                }
-            }
-            let last = last_err.unwrap_or(SimError::BadLaunch("no numeric format ran".into()));
-            return Err(ladder_exhausted(Phase::Numeric, attempts, last));
-        };
-        report.numeric = numeric.time;
-        report.mode_mix = (numeric.mode_mix.a, numeric.mode_mix.b, numeric.mode_mix.c);
-        report.m_limit = numeric.m_limit;
-        report.probes = numeric.probes;
-        report.merge_steps = numeric.merge_steps;
-        report.gemm_tiles = numeric.gemm_tiles;
-        trace.span_end(
-            "phase.numeric",
-            "phase",
-            gpu.now().as_ns(),
-            &[
-                ("format", format_name(used_format).into()),
-                ("mode_a", numeric.mode_mix.a.into()),
-                ("mode_b", numeric.mode_mix.b.into()),
-                ("mode_c", numeric.mode_mix.c.into()),
-            ],
-        );
-        report.phase_stats.numeric = gpu.stats().since(&num_before);
-        if !numeric.perturbations.is_empty() {
-            // Mirror engine-level static clamps into the scattered matrix
-            // so the factors exactly factor what residuals are measured
-            // against (same contract as the cold path).
-            let mut max_delta = 0.0f64;
-            for &(col, delta) in &numeric.perturbations {
-                add_to_diag(&mut matrix, col, delta);
-                max_delta = max_delta.max(delta.abs());
-            }
-            let action = RecoveryAction::PivotPerturbed {
-                cols: numeric.perturbations.len(),
-                max_delta,
-            };
-            trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-            recovery.record(Phase::Numeric, action);
-        }
-        report.recovery = recovery;
+        let lu = pass.numeric(NumericPhase {
+            requested: self.format,
+            ladder,
+            block_plan: self.block_plan.as_ref(),
+            pivot: Some(&self.pivot),
+            policy: self.pivot_policy,
+            repair: self.repair_singular.then_some(self.repair_value),
+            matrix: &mut matrix,
+            pattern: &mut pattern,
+            levels: &self.levels,
+            perms: (&self.p_row, &self.p_col),
+            partial: None,
+        })?;
+        let mut report = pass.report;
+        report.recovery = pass.recovery;
 
         let f = LuFactorization {
-            lu: numeric.lu,
+            lu,
             preprocessed: matrix,
             p_row: self.p_row.clone(),
             p_col: self.p_col.clone(),
@@ -536,6 +398,7 @@ impl LuFactorization {
 mod tests {
     use super::*;
     use crate::preprocess::PreprocessOptions;
+    use crate::RecoveryAction;
     use gplu_sim::GpuConfig;
     use gplu_sparse::gen::circuit::{circuit, CircuitParams};
     use gplu_sparse::gen::random::{banded_dominant, random_dominant};

@@ -84,14 +84,44 @@ impl FleetStats {
 
 /// `N` independent simulated devices joined by an NVLink-priced
 /// interconnect. See the module docs.
+///
+/// A fleet normally owns its devices (`DeviceFleet<'static>`); a **fleet
+/// of one** can instead borrow a caller's [`Gpu`] ([`From<&Gpu>`]), which
+/// is how the single-device entry points run on the fleet drivers while
+/// the caller keeps reading its own clock, arena and statistics.
 #[derive(Debug)]
-pub struct DeviceFleet {
-    devices: Vec<Gpu>,
+pub struct DeviceFleet<'a> {
+    devices: Devices<'a>,
     dead: Mutex<Vec<bool>>,
     interconnect: Mutex<InterconnectStats>,
 }
 
-impl DeviceFleet {
+#[derive(Debug)]
+enum Devices<'a> {
+    Owned(Vec<Gpu>),
+    Borrowed(&'a [Gpu]),
+}
+
+impl std::ops::Deref for Devices<'_> {
+    type Target = [Gpu];
+
+    fn deref(&self) -> &[Gpu] {
+        match self {
+            Devices::Owned(v) => v,
+            Devices::Borrowed(s) => s,
+        }
+    }
+}
+
+impl<'a> From<&'a Gpu> for DeviceFleet<'a> {
+    /// A fleet of one that borrows `gpu`: everything the fleet does lands
+    /// on the caller's device.
+    fn from(gpu: &'a Gpu) -> Self {
+        DeviceFleet::over(Devices::Borrowed(std::slice::from_ref(gpu)))
+    }
+}
+
+impl DeviceFleet<'static> {
     /// A fleet of `n` identical devices with the default cost model.
     pub fn new(n: usize, cfg: GpuConfig) -> Self {
         DeviceFleet::with_cost(n, cfg, CostModel::default())
@@ -128,6 +158,12 @@ impl DeviceFleet {
     /// Wraps pre-built devices (heterogeneous configs allowed).
     pub fn from_devices(devices: Vec<Gpu>) -> Self {
         assert!(!devices.is_empty(), "a fleet needs at least one device");
+        DeviceFleet::over(Devices::Owned(devices))
+    }
+}
+
+impl<'a> DeviceFleet<'a> {
+    fn over(devices: Devices<'a>) -> Self {
         let n = devices.len();
         DeviceFleet {
             devices,
@@ -252,9 +288,20 @@ impl DeviceFleet {
         max
     }
 
-    /// The latest clock among live devices.
+    /// The latest clock among live devices (all devices when every one
+    /// is dead). Reads clocks only — level loops call this per span
+    /// timestamp; [`FleetStats::makespan`] is the snapshot holders' twin.
     pub fn makespan(&self) -> SimTime {
-        self.stats().makespan()
+        let dead = self.dead.lock();
+        let latest = |with_dead: bool| {
+            let live = self.devices.iter().zip(dead.iter());
+            live.filter(|(_, &d)| with_dead || !d)
+                .map(|(gpu, _)| gpu.now())
+                .reduce(SimTime::max)
+        };
+        latest(false)
+            .or_else(|| latest(true))
+            .unwrap_or(SimTime::ZERO)
     }
 
     /// A consistent snapshot of every device plus the interconnect.
@@ -283,25 +330,21 @@ impl DeviceFleet {
 /// Splits `0..n_items` into `parts` contiguous ranges whose lengths differ
 /// by at most one (the first `n_items % parts` ranges get the extra item).
 /// Trailing ranges are empty when `parts > n_items`.
-pub fn split_even(n_items: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+pub fn split_even(n_items: usize, parts: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
     let parts = parts.max(1);
     let base = n_items / parts;
     let extra = n_items % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    (0..parts).map(move |p| {
+        let start = p * base + p.min(extra);
+        start..start + base + usize::from(p < extra)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fleet(n: usize) -> DeviceFleet {
+    fn fleet(n: usize) -> DeviceFleet<'static> {
         DeviceFleet::new(n, GpuConfig::v100())
     }
 
@@ -370,6 +413,19 @@ mod tests {
     }
 
     #[test]
+    fn a_borrowed_fleet_of_one_is_the_callers_device() {
+        let gpu = Gpu::new(GpuConfig::v100());
+        let f = DeviceFleet::from(&gpu);
+        f.device(0).advance(SimTime::from_ns(700.0));
+        let a = f.device(0).mem.alloc(4096).expect("alloc ok");
+        assert_eq!(f.barrier(), SimTime::from_ns(700.0));
+        assert_eq!(f.makespan(), gpu.now());
+        assert_eq!(gpu.now(), SimTime::from_ns(700.0));
+        assert_eq!(gpu.mem.used_bytes(), 4096);
+        gpu.mem.free(a).expect("free ok");
+    }
+
+    #[test]
     fn dead_devices_drop_out_of_barriers_and_exchange() {
         let f = fleet(3);
         f.device(1).advance(SimTime::from_ns(9000.0));
@@ -403,10 +459,10 @@ mod tests {
 
     #[test]
     fn split_even_covers_and_balances() {
-        let parts = split_even(10, 4);
-        assert_eq!(parts, vec![0..3, 3..6, 6..8, 8..10]);
-        assert_eq!(split_even(2, 4), vec![0..1, 1..2, 2..2, 2..2]);
-        assert_eq!(split_even(0, 3), vec![0..0, 0..0, 0..0]);
+        let split = |n, parts| split_even(n, parts).collect::<Vec<_>>();
+        assert_eq!(split(10, 4), vec![0..3, 3..6, 6..8, 8..10]);
+        assert_eq!(split(2, 4), vec![0..1, 1..2, 2..2, 2..2]);
+        assert_eq!(split(0, 3), vec![0..0, 0..0, 0..0]);
         // Every item lands in exactly one range.
         let mut seen = [false; 10];
         for r in split_even(10, 3) {

@@ -32,7 +32,7 @@ use crate::error::NumericError;
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, Gpu, SimError};
+use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError};
 use gplu_sparse::Csc;
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::cmp::Ordering as CmpOrdering;
@@ -190,14 +190,15 @@ fn gemm_tiles_of(items: u64) -> u64 {
 
 /// The blocked numeric engine: merge-join arithmetic, BLAS-3 pricing for
 /// supernode-member columns.
-pub(crate) struct BlockedEngine<'p> {
+pub struct BlockedEngine<'p> {
     plan: &'p BlockPlan,
     steps: AtomicU64,
     tiles: AtomicU64,
 }
 
 impl<'p> BlockedEngine<'p> {
-    pub(crate) fn new(plan: &'p BlockPlan) -> BlockedEngine<'p> {
+    /// The engine over a precomputed blocking `plan`.
+    pub fn new(plan: &'p BlockPlan) -> BlockedEngine<'p> {
         BlockedEngine {
             plan,
             steps: AtomicU64::new(0),
@@ -299,49 +300,25 @@ pub fn factorize_gpu_blocked(
 ) -> Result<NumericOutcome, NumericError> {
     let cache = PivotCache::build(pattern);
     let plan = BlockPlan::detect(pattern, &cache, threshold);
-    factorize_gpu_blocked_traced(gpu, pattern, levels, &plan, &NOOP)
-}
-
-/// [`factorize_gpu_blocked`] with a precomputed [`BlockPlan`] and
-/// telemetry: each `numeric.level` span-end carries the level's width,
-/// mode, merge steps, distinct blocks touched, mean block width, and
-/// BLAS-3 tiles executed.
-pub fn factorize_gpu_blocked_traced(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    plan: &BlockPlan,
-    trace: &dyn TraceSink,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_blocked_run(gpu, pattern, levels, plan, trace, None, None)
-}
-
-/// Full-control entry point: [`factorize_gpu_blocked_traced`] plus optional
-/// level-granular resume state and a per-level checkpoint hook.
-pub fn factorize_gpu_blocked_run(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    plan: &BlockPlan,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-) -> Result<NumericOutcome, NumericError> {
     factorize_gpu_blocked_run_cached(
         gpu,
         pattern,
         levels,
-        plan,
-        trace,
-        resume,
-        hook,
+        &plan,
+        &NOOP,
+        None,
+        None,
         None,
         PivotRule::Exact,
     )
 }
 
-/// [`factorize_gpu_blocked_run`] with an optional prebuilt [`PivotCache`].
-/// As with the other sorted-CSC engines, a supplied cache marks the run as
+/// Full-control entry point: [`factorize_gpu_blocked`] with a precomputed
+/// [`BlockPlan`], telemetry (each `numeric.level` span-end carries the
+/// level's width, mode, merge steps, distinct blocks touched, mean block
+/// width, and BLAS-3 tiles executed), optional level-granular resume
+/// state, a per-level checkpoint hook, and an optional prebuilt
+/// [`PivotCache`]. As with the other sorted-CSC engines, a supplied cache marks the run as
 /// a captured-schedule replay: levels after the kick-off are tail-launched
 /// device-side (Algorithm 5). The [`BlockPlan`] is pattern-only, so warm
 /// refactorizations replay both artifacts without re-scanning.
@@ -360,7 +337,7 @@ pub fn factorize_gpu_blocked_run_cached(
     let mut engine = BlockedEngine::new(plan);
     run_levels(
         &mut engine,
-        gpu,
+        &DeviceFleet::from(gpu),
         pattern,
         levels,
         trace,
@@ -369,6 +346,7 @@ pub fn factorize_gpu_blocked_run_cached(
         pivot,
         rule,
     )
+    .map(|run| run.outcome)
 }
 
 #[cfg(test)]

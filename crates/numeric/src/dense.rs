@@ -20,27 +20,18 @@ use crate::error::NumericError;
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, Gpu, SimError};
+use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError};
 use gplu_sparse::Csc;
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The dense-column numeric engine: direct row indexing into `O(n)`
 /// scatter buffers, with concurrency capped at the paper's `M`.
-pub(crate) struct DenseEngine {
+#[derive(Default)]
+pub struct DenseEngine {
     m_limit: usize,
     col_bytes: u64,
     batches: AtomicU64,
-}
-
-impl DenseEngine {
-    pub(crate) fn new() -> DenseEngine {
-        DenseEngine {
-            m_limit: 0,
-            col_bytes: 0,
-            batches: AtomicU64::new(0),
-        }
-    }
 }
 
 impl NumericEngine for DenseEngine {
@@ -158,46 +149,25 @@ pub fn factorize_gpu_dense(
     pattern: &Csc,
     levels: &Levels,
 ) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_dense_traced(gpu, pattern, levels, &NOOP)
-}
-
-/// [`factorize_gpu_dense`] with telemetry: one `numeric.level` span per
-/// schedule level; the end event carries the level's width, its A/B/C mode
-/// classification, and the number of M-capped batches it took.
-pub fn factorize_gpu_dense_traced(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_dense_run(gpu, pattern, levels, trace, None, None)
-}
-
-/// Full-control entry point: [`factorize_gpu_dense_traced`] plus optional
-/// level-granular resume state and a per-level checkpoint hook.
-pub fn factorize_gpu_dense_run(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-) -> Result<NumericOutcome, NumericError> {
     factorize_gpu_dense_run_cached(
         gpu,
         pattern,
         levels,
-        trace,
-        resume,
-        hook,
+        &NOOP,
+        None,
+        None,
         None,
         PivotRule::Exact,
     )
 }
 
-/// [`factorize_gpu_dense_run`] with an optional prebuilt [`PivotCache`]
-/// (the pattern-keyed refactorization fast path: the cache is pattern-only,
-/// so a service factorizing the same pattern repeatedly builds it once).
+/// Full-control entry point: [`factorize_gpu_dense`] with telemetry (one
+/// `numeric.level` span per schedule level; the end event carries the
+/// level's width, its A/B/C mode classification, and the number of
+/// M-capped batches it took), optional level-granular resume state, a
+/// per-level checkpoint hook, and an optional prebuilt [`PivotCache`] (the
+/// pattern-keyed refactorization fast path: the cache is pattern-only, so
+/// a service factorizing the same pattern repeatedly builds it once).
 ///
 /// Unlike the sorted-CSC engines, the dense format cannot replay a
 /// captured schedule device-side: every M-capped batch allocates and frees
@@ -215,10 +185,10 @@ pub fn factorize_gpu_dense_run_cached(
     pivot: Option<&PivotCache>,
     rule: PivotRule,
 ) -> Result<NumericOutcome, NumericError> {
-    let mut engine = DenseEngine::new();
+    let mut engine = DenseEngine::default();
     run_levels(
         &mut engine,
-        gpu,
+        &DeviceFleet::from(gpu),
         pattern,
         levels,
         trace,
@@ -227,6 +197,7 @@ pub fn factorize_gpu_dense_run_cached(
         pivot,
         rule,
     )
+    .map(|run| run.outcome)
 }
 
 #[cfg(test)]

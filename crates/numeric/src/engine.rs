@@ -1,16 +1,37 @@
-//! The unified [`NumericEngine`] trait and the shared level-loop driver.
+//! The unified [`NumericEngine`] trait and the one level loop.
 //!
-//! Every GPU numeric engine runs the same scaffolding: stage the CSC
-//! structure and level numbers on the device, seed the value store
-//! (optionally from a resume cut), walk the level schedule classifying
-//! each level into a GLU 3.0 kernel mode, launch one kernel per level
+//! Every numeric run — one device or many, cold, resumed or replayed —
+//! goes through [`run_levels`] on a [`DeviceFleet`]; a single `Gpu` is a
+//! borrowed fleet of one. The loop stages the CSC structure and level
+//! numbers on every live device, seeds the value store (optionally from a
+//! resume cut), walks the level schedule classifying each level into a
+//! GLU 3.0 kernel mode, launches one kernel per device per level
 //! (host-launched cold, tail-launched on captured-schedule replays),
-//! wrap each level in a `numeric.level` trace span, feed the checkpoint
-//! hook after every level barrier, and assemble a [`NumericOutcome`].
-//! That scaffolding used to be copied into `dense.rs`, `sparse.rs` and
-//! `merge.rs` verbatim; it now lives once in [`run_levels`], and each
-//! engine implements only what actually differs — its kernel body, its
-//! counters, and its per-level telemetry attributes.
+//! wraps each level in a `numeric.level` trace span with the engine's
+//! per-level attributes and a drift sample, feeds the checkpoint hook
+//! after every level barrier, and assembles the outcome. Each engine
+//! implements only what actually differs — its kernel body, its counters,
+//! and its per-level telemetry attributes.
+//!
+//! **Sharding.** Within one schedule level every column depends only on
+//! columns of *earlier* levels, so a level's columns can be computed
+//! anywhere — the split changes which device pays for which column, never
+//! the values. Each level is cut into contiguous per-device chunks
+//! ([`split_even`]); the level barrier then prices the **boundary-column
+//! all-gather** (every device must see the level's updated column values
+//! before the next level starts) on the fleet's NVLink interconnect.
+//! Values live in one shared host-side [`ValueStore`] — the simulator
+//! separates functional execution from pricing — which is what makes the
+//! factors bit-identical at every device count. With one live device
+//! nothing is exchanged and the barrier advances nothing: a fleet of one
+//! is priced exactly as the device alone.
+//!
+//! **Device loss.** A device that fails (injected OOM or launch fault)
+//! while another is still alive is marked dead and its chunk reshards
+//! onto the survivors; column recomputation is idempotent, so the retry
+//! is safe. The *last* live device is never declared dead: its error is
+//! returned to the caller's format ladder, exactly what a lone `Gpu`
+//! does. Injected crashes stay terminal, as everywhere in the pipeline.
 //!
 //! The sequential reference ([`crate::seq`]) is the host-side
 //! instantiation of the same interface: it runs the identical kernel
@@ -18,6 +39,7 @@
 //! device, which is why all engines agree bit-for-bit.
 
 use crate::error::NumericError;
+use crate::fleet::FleetNumericOutcome;
 use crate::modes::{classify_level_cached, launch_shape, LevelType, ModeMix};
 use crate::outcome::{
     column_cost_estimate_cached, process_column_with, AccessDiscipline, ColCosts, NumericOutcome,
@@ -27,8 +49,8 @@ use crate::resume::{LevelHook, LevelProgress, NumericResume};
 use crate::scratch::ScratchPool;
 use crate::values::ValueStore;
 use gplu_schedule::Levels;
-use gplu_sim::{Gpu, Kernel, SimError};
-use gplu_sparse::{Csc, SparseError};
+use gplu_sim::{split_even, DeviceAlloc, DeviceFleet, Gpu, Kernel, SimError, SimTime};
+use gplu_sparse::{Csc, Idx, SparseError};
 use gplu_trace::{AttrValue, TraceSink};
 use parking_lot::Mutex;
 
@@ -63,7 +85,7 @@ impl EngineCounters {
 /// Everything one level's execution needs, handed to
 /// [`NumericEngine::run_level`] by the driver.
 pub struct LevelRun<'a> {
-    /// The device.
+    /// The device running this share of the level.
     pub gpu: &'a Gpu,
     /// The filled pattern (sorted CSC).
     pub pattern: &'a Csc,
@@ -78,7 +100,7 @@ pub struct LevelRun<'a> {
     pub error: &'a Mutex<Option<SparseError>>,
     /// Index of the level in the schedule.
     pub level: usize,
-    /// The level's columns.
+    /// This device's columns of the level (all of them on one device).
     pub cols: &'a [gplu_sparse::Idx],
     /// The level's GLU 3.0 kernel mode.
     pub mode: LevelType,
@@ -189,8 +211,10 @@ pub trait NumericEngine: Sync {
     fn finish(&self, _out: &mut NumericOutcome) {}
 }
 
-/// Runs `engine` over the level schedule — the scaffolding every GPU
-/// numeric engine shares.
+/// Runs `engine` over the level schedule, each level's columns sharded
+/// across the live devices of `fleet` — the scaffolding every numeric
+/// entry point shares. See the module docs for the partitioning, exchange
+/// and device-loss discipline.
 ///
 /// A supplied `pivot` cache marks the run as a **captured-schedule
 /// replay** (the pattern-keyed refactorization fast path): the host kicks
@@ -200,9 +224,9 @@ pub trait NumericEngine: Sync {
 /// discipline), paying [`gplu_sim::CostModel::device_launch_ns`] instead
 /// of [`gplu_sim::CostModel::host_launch_ns`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_levels<E: NumericEngine>(
+pub fn run_levels<E: NumericEngine + ?Sized>(
     engine: &mut E,
-    gpu: &Gpu,
+    fleet: &DeviceFleet<'_>,
     pattern: &Csc,
     levels: &Levels,
     trace: &dyn TraceSink,
@@ -210,22 +234,49 @@ pub fn run_levels<E: NumericEngine>(
     mut hook: Option<&mut LevelHook<'_>>,
     pivot: Option<&PivotCache>,
     rule: PivotRule,
-) -> Result<NumericOutcome, NumericError> {
+) -> Result<FleetNumericOutcome, NumericError> {
     let n = pattern.n_cols();
-    let before = gpu.stats();
+    let before: Vec<_> = fleet.devices().iter().map(Gpu::stats).collect();
+    let mut died: Vec<usize> = Vec::new();
+    let mut resharded_cols = 0usize;
 
-    // Resident: the CSC structure + values (float) + level numbers.
+    // Resident on every live device (each holds a full copy, the GSoFa
+    // layout the symbolic fleet also uses): the CSC structure + values
+    // (float) + level numbers. A device that cannot stage is lost to the
+    // survivors; the last live device's failure is the caller's to handle.
     let csc_bytes = ((n + 1) as u64 + 2 * pattern.nnz() as u64) * 4;
-    let csc_dev = gpu.mem.alloc(csc_bytes)?;
-    gpu.h2d(csc_bytes);
-    let lvl_dev = gpu.mem.alloc(n as u64 * 4)?;
+    let mut arenas: Vec<Option<(DeviceAlloc, DeviceAlloc)>> = vec![None; fleet.len()];
+    for d in fleet.alive() {
+        let gpu = fleet.device(d);
+        let staged = gpu.mem.alloc(csc_bytes).and_then(|csc_dev| {
+            gpu.h2d(csc_bytes);
+            let lvl_dev = gpu.mem.alloc(n as u64 * 4).inspect_err(|_| {
+                let _ = gpu.mem.free(csc_dev);
+            })?;
+            Ok((csc_dev, lvl_dev))
+        });
+        match staged {
+            Ok(pair) => arenas[d] = Some(pair),
+            Err(e) if is_fatal(&e) || fleet.n_alive() == 1 => return Err(e.into()),
+            Err(_) => {
+                fleet.mark_dead(d);
+                died.push(d);
+            }
+        }
+    }
+    let mut owners = fleet.alive();
+    let Some(&lead) = owners.first() else {
+        return Err(NumericError::Sim(SimError::BadLaunch(
+            "no live devices in fleet".into(),
+        )));
+    };
 
     if let Some(r) = resume {
         r.check(pattern.nnz(), levels.groups.len())
             .map_err(NumericError::Input)?;
         engine.seed(r);
     }
-    engine.begin(gpu, pattern)?;
+    engine.begin(fleet.device(lead), pattern)?;
 
     let start_level = resume.map_or(0, |r| r.start_level);
     let vals = match resume {
@@ -246,6 +297,10 @@ pub fn run_levels<E: NumericEngine>(
     let scratch = ScratchPool::default();
     let replay = pivot.is_some() && engine.device_replay();
     let mut kicked_off = false;
+    // Value bytes each device produced in the current level — what the
+    // others must receive at the barrier. Untouched while one device is
+    // live: nothing moves then.
+    let mut gather_bytes = vec![0u64; fleet.len()];
 
     for (li, cols) in levels.groups.iter().enumerate() {
         if li < start_level {
@@ -262,8 +317,12 @@ pub fn run_levels<E: NumericEngine>(
         trace.span_begin(
             "numeric.level",
             "level",
-            gpu.now().as_ns(),
-            &[("level", li.into()), ("width", cols.len().into())],
+            fleet.makespan().as_ns(),
+            &[
+                ("level", li.into()),
+                ("width", cols.len().into()),
+                ("devices", owners.len().into()),
+            ],
         );
         // Hoisted: one structural cost estimate per column, shared by all
         // of its cooperating stripes (type C runs 64 per column).
@@ -271,8 +330,10 @@ pub fn run_levels<E: NumericEngine>(
             .iter()
             .map(|&j| column_cost_estimate_cached(pattern, cache, j as usize).1)
             .collect();
-        let run = LevelRun {
-            gpu,
+        // The whole level as the lead device would run it; every device's
+        // share is this with its own `gpu`, `cols` and `items_of`.
+        let level = LevelRun {
+            gpu: fleet.device(owners[0]),
             pattern,
             cache,
             vals: &vals,
@@ -288,24 +349,96 @@ pub fn run_levels<E: NumericEngine>(
             perturbs: &perturbs,
             tail_launch: replay && kicked_off,
         };
-        let clk0 = trace.enabled().then(|| gpu.clocks());
-        engine.run_level(&run)?;
+        let clk0 = trace.enabled().then(|| level.gpu.clocks());
+        let exchange = owners.len() > 1;
+        if exchange {
+            gather_bytes.fill(0);
+        }
+
+        // Runs one device's share. A failing device is marked dead and
+        // its columns queued for the survivors (recomputation is
+        // idempotent) only while a survivor exists: the last live
+        // device's error goes to the caller's ladder, exactly as a lone
+        // `Gpu`'s does. Injected crashes are terminal everywhere.
+        let mut run_share = |d: usize,
+                             cols: &[Idx],
+                             items: &[u64],
+                             failed: &mut Vec<(Idx, u64)>|
+         -> Result<(), SimError> {
+            if cols.is_empty() {
+                return Ok(());
+            }
+            let share = LevelRun {
+                gpu: fleet.device(d),
+                cols,
+                items_of: items,
+                ..level
+            };
+            match engine.run_level(&share) {
+                Ok(()) if exchange => {
+                    let col_ptr = &pattern.col_ptr;
+                    gather_bytes[d] += cols
+                        .iter()
+                        .map(|&j| (col_ptr[j as usize + 1] - col_ptr[j as usize]) as u64 * 8)
+                        .sum::<u64>();
+                }
+                Ok(()) => {}
+                Err(e) if is_fatal(&e) || fleet.n_alive() == 1 => return Err(e),
+                Err(_) => {
+                    if let Some((csc_dev, lvl_dev)) = arenas[d].take() {
+                        let _ = share.gpu.mem.free(lvl_dev);
+                        let _ = share.gpu.mem.free(csc_dev);
+                    }
+                    fleet.mark_dead(d);
+                    died.push(d);
+                    failed.extend(cols.iter().copied().zip(items.iter().copied()));
+                }
+            }
+            Ok(())
+        };
+        // Contiguous per-device chunks borrowed straight out of the level;
+        // only a reshard builds owned lists, dealt round-robin.
+        let mut failed: Vec<(Idx, u64)> = Vec::new();
+        for (&d, r) in owners.iter().zip(split_even(cols.len(), owners.len())) {
+            run_share(d, &cols[r.clone()], &items_of[r], &mut failed)?;
+        }
+        while !failed.is_empty() {
+            owners = fleet.alive();
+            resharded_cols += failed.len();
+            let mut shards: Vec<(Vec<Idx>, Vec<u64>)> = vec![Default::default(); owners.len()];
+            for (i, (col, items)) in failed.drain(..).enumerate() {
+                let shard = &mut shards[i % owners.len()];
+                shard.0.push(col);
+                shard.1.push(items);
+            }
+            for (&d, (cols, items)) in owners.iter().zip(&shards) {
+                run_share(d, cols, items, &mut failed)?;
+            }
+        }
         kicked_off = true;
+
+        // Level barrier: all-gather the level's updated columns so every
+        // device enters the next level with the full value state.
+        if exchange {
+            fleet.all_gather(&gather_bytes);
+        }
         if trace.enabled() {
             let delta = engine.counters().delta(&counters_before);
             let mut attrs: Vec<(&'static str, AttrValue)> = vec![
                 ("level", li.into()),
                 ("width", cols.len().into()),
                 ("mode", t.letter().into()),
+                ("devices", owners.len().into()),
             ];
-            engine.level_attrs(&run, &delta, &mut attrs);
-            trace.span_end("numeric.level", "level", gpu.now().as_ns(), &attrs);
-            // Predicted-vs-observed sample for the drift profiler: levels
-            // that executed BLAS-3 tiles are priced by the GEMM terms of
-            // the cost model, everything else by the scalar kernel terms —
-            // distinct pricing paths, so they drift independently.
+            engine.level_attrs(&level, &delta, &mut attrs);
+            trace.span_end("numeric.level", "level", fleet.makespan().as_ns(), &attrs);
+            // Predicted-vs-observed sample for the drift profiler, read on
+            // the level's lead device: levels that executed BLAS-3 tiles
+            // are priced by the GEMM terms of the cost model, everything
+            // else by the scalar kernel terms — distinct pricing paths, so
+            // they drift independently.
             if let Some((obs0, pred0)) = clk0 {
-                let (obs1, pred1) = gpu.clocks();
+                let (obs1, pred1) = level.gpu.clocks();
                 if obs1 > obs0 {
                     let kind = if delta.gemm_tiles > 0 {
                         "gemm_tile"
@@ -343,9 +476,17 @@ pub fn run_levels<E: NumericEngine>(
         }
     }
 
-    gpu.mem.free(lvl_dev)?;
-    gpu.d2h(pattern.nnz() as u64 * 4); // factored values back to host
-    gpu.mem.free(csc_dev)?;
+    // Tear down the arenas; one device ships the (identical) factored
+    // values back to the host.
+    for (gpu, arena) in fleet.devices().iter().zip(&mut arenas) {
+        if let Some((csc_dev, lvl_dev)) = arena.take() {
+            gpu.mem.free(lvl_dev)?;
+            gpu.mem.free(csc_dev)?;
+        }
+    }
+    let ship = owners[0];
+    fleet.device(ship).d2h(pattern.nnz() as u64 * 4);
+    fleet.barrier();
 
     let lu = Csc::from_parts_unchecked(
         pattern.n_rows(),
@@ -354,15 +495,29 @@ pub fn run_levels<E: NumericEngine>(
         pattern.row_idx.clone(),
         vals.into_vec(),
     );
-    let stats = gpu.stats().since(&before);
+    let per_device: Vec<SimTime> = fleet
+        .devices()
+        .iter()
+        .zip(&before)
+        .map(|(g, b)| g.stats().since(b).now)
+        .collect();
+    let makespan = owners
+        .iter()
+        .map(|&d| per_device[d])
+        .fold(SimTime::ZERO, SimTime::max);
+    let stats = fleet.device(ship).stats().since(&before[ship]);
     let c = engine.counters();
     // Deterministic artifact: levels run in order, but within a level the
-    // recording order is the launch's block order — sort by column.
+    // recording order is the launch's block order — sort by column. A
+    // share that partially ran before its device died records its
+    // perturbations again when a survivor re-runs it; the recomputed
+    // deltas are identical, so dedup by column.
     let mut perturbations = perturbs.into_inner();
     perturbations.sort_unstable_by_key(|&(col, _)| col);
+    perturbations.dedup_by_key(|&mut (col, _)| col);
     let mut out = NumericOutcome {
         lu,
-        time: stats.now,
+        time: makespan,
         stats,
         mode_mix: mix,
         m_limit: None,
@@ -373,5 +528,16 @@ pub fn run_levels<E: NumericEngine>(
         perturbations,
     };
     engine.finish(&mut out);
-    Ok(out)
+    Ok(FleetNumericOutcome {
+        outcome: out,
+        per_device,
+        died,
+        resharded_cols,
+    })
+}
+
+/// Injected crashes must abort the whole pipeline: no device-loss or
+/// format ladder degrades around them.
+fn is_fatal(e: &SimError) -> bool {
+    matches!(e, SimError::Crashed { .. })
 }

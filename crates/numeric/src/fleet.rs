@@ -1,43 +1,21 @@
-//! The fleet numeric driver: level-partitioned factorization across a
-//! [`DeviceFleet`].
-//!
-//! Within one schedule level every column depends only on columns of
-//! *earlier* levels, so a level's columns can be computed anywhere — the
-//! split changes which device pays for which column, never the values.
-//! [`run_levels_fleet`] partitions each level's columns into contiguous
-//! per-device chunks, runs the same [`NumericEngine`] kernels the
-//! single-device driver runs, then prices the **boundary-column
-//! all-gather** at the level barrier (every device must see the level's
-//! updated column values before the next level starts) on the fleet's
-//! NVLink interconnect. Values live in one shared host-side
-//! [`ValueStore`] — the simulator separates functional execution from
-//! pricing — which is what makes fleet results bit-identical to the
-//! single-device run for every engine and device count.
-//!
-//! A device failure (injected OOM or launch fault) marks the device dead
-//! and reshards its chunk onto the survivors; column recomputation is
-//! idempotent, so the retry is safe. Injected crashes stay terminal, as
-//! everywhere else in the pipeline.
-//!
-//! The fleet path is a cold end-to-end run: level-granular resume and
-//! the captured-schedule replay fast path remain single-device features.
+//! The fleet-taking numeric entry points: thin constructors that pair one
+//! engine with [`run_levels`] on a caller-built [`DeviceFleet`], plus the
+//! fleet accounting every run reports ([`FleetNumericOutcome`]). The
+//! `Gpu`-taking `factorize_gpu_*` entry points are the same constructors
+//! over a borrowed fleet of one; the level loop, its sharding and its
+//! device-loss discipline live in [`crate::engine`].
 
 use crate::blocked::{BlockPlan, BlockedEngine};
 use crate::dense::DenseEngine;
-use crate::engine::{LevelRun, NumericEngine};
+use crate::engine::run_levels;
 use crate::error::NumericError;
 use crate::merge::MergeEngine;
-use crate::modes::{launch_shape, ModeMix};
-use crate::outcome::{column_cost_estimate_cached, NumericOutcome, PivotCache, PivotRule};
-use crate::scratch::ScratchPool;
+use crate::outcome::{NumericOutcome, PivotRule};
 use crate::sparse::SparseEngine;
-use crate::values::ValueStore;
 use gplu_schedule::Levels;
-use gplu_sim::{split_even, DeviceAlloc, DeviceFleet, SimError, SimTime};
-use gplu_sparse::{Csc, Idx, SparseError};
+use gplu_sim::{DeviceFleet, SimTime};
+use gplu_sparse::Csc;
 use gplu_trace::TraceSink;
-use parking_lot::Mutex;
-use std::borrow::Cow;
 
 /// Outcome of a fleet numeric run: the ordinary [`NumericOutcome`]
 /// (bit-identical factors, makespan time) plus fleet accounting.
@@ -54,311 +32,75 @@ pub struct FleetNumericOutcome {
     pub resharded_cols: usize,
 }
 
-/// One device's share of a level: its columns and their hoisted item
-/// counts, index-parallel. Borrowed from the level on the first attempt,
-/// owned when a reshard reassembles the columns of failed devices.
-struct Chunk<'a> {
-    device: usize,
-    cols: Cow<'a, [Idx]>,
-    items: Cow<'a, [u64]>,
-}
-
-/// Runs `engine` over the level schedule sharded across the live devices
-/// of `fleet`. See the module docs for the partitioning and exchange
-/// discipline.
-pub fn run_levels_fleet<E: NumericEngine>(
-    engine: &mut E,
-    fleet: &DeviceFleet,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    rule: PivotRule,
-) -> Result<FleetNumericOutcome, NumericError> {
-    let n = pattern.n_cols();
-    let before: Vec<_> = fleet.devices().iter().map(|g| g.stats()).collect();
-    let mut died: Vec<usize> = Vec::new();
-    let mut resharded_cols = 0usize;
-
-    // Stage the CSC structure + values + level numbers on every live
-    // device (each holds a full copy, the GSoFa layout the symbolic
-    // fleet also uses). A device that cannot even stage is dead on
-    // arrival for this phase.
-    let csc_bytes = ((n + 1) as u64 + 2 * pattern.nnz() as u64) * 4;
-    let mut arenas: Vec<Option<(DeviceAlloc, DeviceAlloc)>> = Vec::new();
-    for d in 0..fleet.len() {
-        arenas.push(None);
-        if fleet.is_dead(d) {
-            continue;
-        }
-        let gpu = fleet.device(d);
-        let staged = gpu.mem.alloc(csc_bytes).and_then(|csc_dev| {
-            gpu.h2d(csc_bytes);
-            match gpu.mem.alloc(n as u64 * 4) {
-                Ok(lvl_dev) => Ok((csc_dev, lvl_dev)),
-                Err(e) => {
-                    let _ = gpu.mem.free(csc_dev);
-                    Err(e)
-                }
-            }
-        });
-        match staged {
-            Ok(pair) => arenas[d] = Some(pair),
-            Err(e @ SimError::Crashed { .. }) => return Err(e.into()),
-            Err(_) => {
-                fleet.mark_dead(d);
-                died.push(d);
-            }
-        }
-    }
-    let alive = fleet.alive();
-    let Some(&lead) = alive.first() else {
-        return Err(NumericError::Sim(SimError::BadLaunch(
-            "no live devices in fleet".into(),
-        )));
-    };
-    engine.begin(fleet.device(lead), pattern)?;
-
-    let vals = ValueStore::new(&pattern.vals);
-    let cache = PivotCache::build(pattern);
-    let mut mix = ModeMix::default();
-    let error: Mutex<Option<SparseError>> = Mutex::new(None);
-    let perturbs: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
-    let scratch = ScratchPool::default();
-
-    for (li, cols) in levels.groups.iter().enumerate() {
-        let t = engine.classify(pattern, &cache, cols);
-        match t {
-            crate::modes::LevelType::A => mix.a += 1,
-            crate::modes::LevelType::B => mix.b += 1,
-            crate::modes::LevelType::C => mix.c += 1,
-        }
-        let (threads, stripes) = launch_shape(t);
-        trace.span_begin(
-            "numeric.level",
-            "level",
-            fleet.makespan().as_ns(),
-            &[
-                ("level", li.into()),
-                ("width", cols.len().into()),
-                ("devices", fleet.n_alive().into()),
-            ],
-        );
-        let items_of: Vec<u64> = cols
-            .iter()
-            .map(|&j| column_cost_estimate_cached(pattern, &cache, j as usize).1)
-            .collect();
-
-        // Contiguous per-device column chunks, borrowed straight out of the
-        // level (`split_even` hands out ranges); only a reshard builds
-        // owned lists. `gather_bytes[d]` collects the value bytes device d
-        // actually produced this level (reshards shift bytes to the
-        // survivors that did the work).
-        let mut gather_bytes = vec![0u64; fleet.len()];
-        let owners = fleet.alive();
-        let mut pending: Vec<Chunk<'_>> = owners
-            .iter()
-            .zip(split_even(cols.len(), owners.len()))
-            .map(|(&device, r)| Chunk {
-                device,
-                cols: Cow::from(&cols[r.clone()]),
-                items: Cow::from(&items_of[r]),
-            })
-            .collect();
-        let mut last_err: Option<SimError> = None;
-        while !pending.is_empty() {
-            let mut failed: Vec<(Idx, u64)> = Vec::new();
-            for chunk in pending.drain(..) {
-                if chunk.cols.is_empty() {
-                    continue;
-                }
-                let d = chunk.device;
-                let gpu = fleet.device(d);
-                let run = LevelRun {
-                    gpu,
-                    pattern,
-                    cache: &cache,
-                    vals: &vals,
-                    scratch: &scratch,
-                    error: &error,
-                    level: li,
-                    cols: &chunk.cols,
-                    mode: t,
-                    threads,
-                    stripes,
-                    items_of: &chunk.items,
-                    rule,
-                    perturbs: &perturbs,
-                    tail_launch: false,
-                };
-                match engine.run_level(&run) {
-                    Ok(()) => {
-                        gather_bytes[d] += chunk
-                            .cols
-                            .iter()
-                            .map(|&j| {
-                                let j = j as usize;
-                                (pattern.col_ptr[j + 1] - pattern.col_ptr[j]) as u64 * 8
-                            })
-                            .sum::<u64>();
-                    }
-                    Err(e @ SimError::Crashed { .. }) => return Err(e.into()),
-                    Err(e) => {
-                        if let Some((csc_dev, lvl_dev)) = arenas[d].take() {
-                            let _ = fleet.device(d).mem.free(lvl_dev);
-                            let _ = fleet.device(d).mem.free(csc_dev);
-                        }
-                        fleet.mark_dead(d);
-                        died.push(d);
-                        failed.extend(chunk.cols.iter().copied().zip(chunk.items.iter().copied()));
-                        last_err = Some(e);
-                    }
-                }
-            }
-            if failed.is_empty() {
-                break;
-            }
-            let survivors = fleet.alive();
-            if survivors.is_empty() {
-                return Err(NumericError::Sim(last_err.unwrap_or(SimError::BadLaunch(
-                    "every fleet device died during numeric".into(),
-                ))));
-            }
-            resharded_cols += failed.len();
-            let mut shards: Vec<(Vec<Idx>, Vec<u64>)> = vec![Default::default(); survivors.len()];
-            for (i, (col, items)) in failed.into_iter().enumerate() {
-                let shard = &mut shards[i % survivors.len()];
-                shard.0.push(col);
-                shard.1.push(items);
-            }
-            pending = survivors
-                .iter()
-                .zip(shards)
-                .map(|(&device, (c, i))| Chunk {
-                    device,
-                    cols: Cow::from(c),
-                    items: Cow::from(i),
-                })
-                .collect();
-        }
-
-        // Level barrier: all-gather the level's updated columns so every
-        // device enters the next level with the full value state.
-        fleet.all_gather(&gather_bytes);
-        trace.span_end(
-            "numeric.level",
-            "level",
-            fleet.makespan().as_ns(),
-            &[
-                ("level", li.into()),
-                ("width", cols.len().into()),
-                ("mode", t.letter().into()),
-                ("devices", fleet.n_alive().into()),
-            ],
-        );
-        if let Some(e) = error.lock().take() {
-            return Err(NumericError::from_sparse_at_level(e, li));
-        }
-    }
-
-    // Tear down the arenas; one device ships the (identical) factored
-    // values back to the host.
-    for (d, arena) in arenas.iter_mut().enumerate() {
-        if let Some((csc_dev, lvl_dev)) = arena.take() {
-            let gpu = fleet.device(d);
-            gpu.mem.free(lvl_dev)?;
-            gpu.mem.free(csc_dev)?;
-        }
-    }
-    let ship = fleet.alive().first().copied().unwrap_or(lead);
-    fleet.device(ship).d2h(pattern.nnz() as u64 * 4);
-    fleet.barrier();
-
-    let lu = Csc::from_parts_unchecked(
-        pattern.n_rows(),
-        n,
-        pattern.col_ptr.clone(),
-        pattern.row_idx.clone(),
-        vals.into_vec(),
-    );
-    let per_device: Vec<SimTime> = fleet
-        .devices()
-        .iter()
-        .zip(&before)
-        .map(|(g, b)| g.stats().since(b).now)
-        .collect();
-    let makespan = fleet
-        .alive()
-        .iter()
-        .map(|&d| per_device[d])
-        .fold(SimTime::ZERO, SimTime::max);
-    let stats = fleet.device(ship).stats().since(&before[ship]);
-    let c = engine.counters();
-    let mut perturbations = perturbs.into_inner();
-    perturbations.sort_unstable_by_key(|&(col, _)| col);
-    // A chunk that partially ran before its device died records its
-    // perturbations twice when the survivor re-runs it; the recomputed
-    // deltas are identical, so dedup by column.
-    perturbations.dedup_by_key(|&mut (col, _)| col);
-    let mut out = NumericOutcome {
-        lu,
-        time: makespan,
-        stats,
-        mode_mix: mix,
-        m_limit: None,
-        batches: c.batches,
-        probes: c.probes,
-        merge_steps: c.merge_steps,
-        gemm_tiles: c.gemm_tiles,
-        perturbations,
-    };
-    engine.finish(&mut out);
-    Ok(FleetNumericOutcome {
-        outcome: out,
-        per_device,
-        died,
-        resharded_cols,
-    })
-}
-
 /// Merge-join engine across a fleet (the production numeric path).
 pub fn factorize_fleet_merge(
-    fleet: &DeviceFleet,
+    fleet: &DeviceFleet<'_>,
     pattern: &Csc,
     levels: &Levels,
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = MergeEngine::new();
-    run_levels_fleet(&mut engine, fleet, pattern, levels, trace, rule)
+    let mut engine = MergeEngine::default();
+    run_levels(
+        &mut engine,
+        fleet,
+        pattern,
+        levels,
+        trace,
+        None,
+        None,
+        None,
+        rule,
+    )
 }
 
 /// Binary-search engine across a fleet.
 pub fn factorize_fleet_sparse(
-    fleet: &DeviceFleet,
+    fleet: &DeviceFleet<'_>,
     pattern: &Csc,
     levels: &Levels,
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
     let mut engine = SparseEngine::new(None);
-    run_levels_fleet(&mut engine, fleet, pattern, levels, trace, rule)
+    run_levels(
+        &mut engine,
+        fleet,
+        pattern,
+        levels,
+        trace,
+        None,
+        None,
+        None,
+        rule,
+    )
 }
 
 /// Dense-column engine across a fleet.
 pub fn factorize_fleet_dense(
-    fleet: &DeviceFleet,
+    fleet: &DeviceFleet<'_>,
     pattern: &Csc,
     levels: &Levels,
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = DenseEngine::new();
-    run_levels_fleet(&mut engine, fleet, pattern, levels, trace, rule)
+    let mut engine = DenseEngine::default();
+    run_levels(
+        &mut engine,
+        fleet,
+        pattern,
+        levels,
+        trace,
+        None,
+        None,
+        None,
+        rule,
+    )
 }
 
 /// Supernode-blocked engine across a fleet.
 pub fn factorize_fleet_blocked(
-    fleet: &DeviceFleet,
+    fleet: &DeviceFleet<'_>,
     pattern: &Csc,
     levels: &Levels,
     plan: &BlockPlan,
@@ -366,15 +108,30 @@ pub fn factorize_fleet_blocked(
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
     let mut engine = BlockedEngine::new(plan);
-    run_levels_fleet(&mut engine, fleet, pattern, levels, trace, rule)
+    run_levels(
+        &mut engine,
+        fleet,
+        pattern,
+        levels,
+        trace,
+        None,
+        None,
+        None,
+        rule,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::factorize_gpu_merge;
+    use crate::outcome::PivotCache;
+    use crate::resume::{LevelHook, LevelProgress, NumericResume};
+    use crate::{
+        factorize_gpu_blocked_run_cached, factorize_gpu_dense_run_cached, factorize_gpu_merge,
+        factorize_gpu_merge_run_cached, factorize_gpu_sparse_run_cached,
+    };
     use gplu_schedule::{levelize_cpu, DepGraph};
-    use gplu_sim::{CostModel, Gpu, GpuConfig};
+    use gplu_sim::{CostModel, Gpu, GpuConfig, SimError};
     use gplu_sparse::convert::csr_to_csc;
     use gplu_sparse::gen::random::banded_dominant;
     use gplu_symbolic::symbolic_cpu;
@@ -405,71 +162,100 @@ mod tests {
         (csr_to_csc(&sym.result.filled), levels)
     }
 
-    fn fleet(_pattern: &Csc, k: usize) -> DeviceFleet {
+    fn fleet(k: usize) -> DeviceFleet<'static> {
         DeviceFleet::new(k, GpuConfig::v100())
     }
 
     #[test]
     fn fleet_matches_single_device_bits_for_every_engine_and_count() {
         let (pattern, levels) = setup(10, 50, 4, 71);
-        let single_gpu = Gpu::new(GpuConfig::v100());
-        let single = factorize_gpu_merge(&single_gpu, &pattern, &levels).expect("single");
         let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
+        let (p, l, x) = (&pattern, &levels, PivotRule::Exact);
+        let gpu = || Gpu::new(GpuConfig::v100());
+        let singles = [
+            factorize_gpu_merge_run_cached(&gpu(), p, l, &NOOP, None, None, None, x),
+            factorize_gpu_sparse_run_cached(&gpu(), p, l, None, &NOOP, None, None, None, x),
+            factorize_gpu_dense_run_cached(&gpu(), p, l, &NOOP, None, None, None, x),
+            factorize_gpu_blocked_run_cached(&gpu(), p, l, &plan, &NOOP, None, None, None, x),
+        ]
+        .map(|run| run.expect("single device"));
         for k in [1, 2, 4, 8] {
-            let runs: Vec<(&str, FleetNumericOutcome)> = vec![
-                (
-                    "merge",
-                    factorize_fleet_merge(
-                        &fleet(&pattern, k),
-                        &pattern,
-                        &levels,
-                        &NOOP,
-                        PivotRule::Exact,
-                    )
-                    .expect("merge"),
-                ),
-                (
-                    "sparse",
-                    factorize_fleet_sparse(
-                        &fleet(&pattern, k),
-                        &pattern,
-                        &levels,
-                        &NOOP,
-                        PivotRule::Exact,
-                    )
-                    .expect("sparse"),
-                ),
-                (
-                    "dense",
-                    factorize_fleet_dense(
-                        &fleet(&pattern, k),
-                        &pattern,
-                        &levels,
-                        &NOOP,
-                        PivotRule::Exact,
-                    )
-                    .expect("dense"),
-                ),
+            let runs = [
+                ("merge", factorize_fleet_merge(&fleet(k), p, l, &NOOP, x)),
+                ("sparse", factorize_fleet_sparse(&fleet(k), p, l, &NOOP, x)),
+                ("dense", factorize_fleet_dense(&fleet(k), p, l, &NOOP, x)),
                 (
                     "blocked",
-                    factorize_fleet_blocked(
-                        &fleet(&pattern, k),
-                        &pattern,
-                        &levels,
-                        &plan,
-                        &NOOP,
-                        PivotRule::Exact,
-                    )
-                    .expect("blocked"),
+                    factorize_fleet_blocked(&fleet(k), p, l, &plan, &NOOP, x),
                 ),
             ];
-            for (name, out) in runs {
+            for ((name, run), single) in runs.into_iter().zip(&singles) {
+                let out = run.expect(name);
                 assert_eq!(
-                    single.lu.vals, out.outcome.lu.vals,
+                    singles[0].lu.vals, out.outcome.lu.vals,
                     "{name} k={k} must be bit-identical"
                 );
                 assert!(out.died.is_empty());
+                if k == 1 {
+                    // A fleet of one is the single-device run, to the clock.
+                    let (f, g) = (&out.outcome, single);
+                    assert_eq!(f.time, g.time, "{name}: simulated time");
+                    assert_eq!(
+                        (f.probes, f.merge_steps, f.batches, f.gemm_tiles),
+                        (g.probes, g.merge_steps, g.batches, g.gemm_tiles),
+                        "{name}: counters"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn a_run_cut_at_a_level_resumes_bit_identically_at_every_count() {
+        let (pattern, levels) = setup(6, 40, 4, 74);
+        let cut_after = levels.groups.len() / 2;
+        for k in [1, 2] {
+            let run = |resume: Option<&NumericResume>, hook: Option<&mut LevelHook<'_>>| {
+                let mut engine = MergeEngine::default();
+                run_levels(
+                    &mut engine,
+                    &fleet(k),
+                    &pattern,
+                    &levels,
+                    &NOOP,
+                    resume,
+                    hook,
+                    None,
+                    PivotRule::Exact,
+                )
+            };
+            let whole = run(None, None).expect("uninterrupted").outcome;
+
+            // Snapshot at the level barrier, then abort the run there.
+            let mut cut: Option<NumericResume> = None;
+            let mut hook = |p: &LevelProgress<'_>| -> Result<(), SimError> {
+                if p.level + 1 < cut_after {
+                    return Ok(());
+                }
+                cut = Some(NumericResume {
+                    start_level: p.level + 1,
+                    vals: (0..p.vals.len()).map(|i| p.vals.get(i)).collect(),
+                    mode_mix: p.mode_mix,
+                    probes: p.probes,
+                    merge_steps: p.merge_steps,
+                    batches: p.batches,
+                    gemm_tiles: p.gemm_tiles,
+                });
+                Err(SimError::BadLaunch("cut".into()))
+            };
+            assert!(run(None, Some(&mut hook)).is_err(), "k={k}: the cut aborts");
+            let cut = cut.expect("hook ran");
+            assert_eq!(cut.start_level, cut_after);
+
+            let resumed = run(Some(&cut), None).expect("resumed").outcome;
+            assert_eq!(whole.lu.vals, resumed.lu.vals, "k={k}: bit-identical");
+            assert_eq!(whole.merge_steps, resumed.merge_steps, "k={k}: counters");
+            assert_eq!(whole.mode_mix, resumed.mode_mix, "k={k}: mode mix");
         }
     }
 

@@ -75,23 +75,17 @@ pub mod trisolve;
 pub mod values;
 
 pub use blocked::{
-    factorize_gpu_blocked, factorize_gpu_blocked_run, factorize_gpu_blocked_run_cached,
-    factorize_gpu_blocked_traced, BlockPlan, DEFAULT_BLOCK_THRESHOLD, TILE_WIDTH,
+    factorize_gpu_blocked, factorize_gpu_blocked_run_cached, BlockPlan, BlockedEngine,
+    DEFAULT_BLOCK_THRESHOLD, TILE_WIDTH,
 };
-pub use dense::{
-    factorize_gpu_dense, factorize_gpu_dense_run, factorize_gpu_dense_run_cached,
-    factorize_gpu_dense_traced,
-};
+pub use dense::{factorize_gpu_dense, factorize_gpu_dense_run_cached, DenseEngine};
 pub use engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
 pub use error::NumericError;
 pub use fleet::{
     factorize_fleet_blocked, factorize_fleet_dense, factorize_fleet_merge, factorize_fleet_sparse,
-    run_levels_fleet, FleetNumericOutcome,
+    FleetNumericOutcome,
 };
-pub use merge::{
-    factorize_gpu_merge, factorize_gpu_merge_run, factorize_gpu_merge_run_cached,
-    factorize_gpu_merge_traced,
-};
+pub use merge::{factorize_gpu_merge, factorize_gpu_merge_run_cached, MergeEngine};
 pub use modes::{classify_level, classify_level_cached, classify_schedule, LevelType, ModeMix};
 pub use outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 pub use pivoting::{discover_pivots, PivotDiscovery, PivotPolicy, DEFAULT_PIVOT_TAU};
@@ -99,8 +93,8 @@ pub use resume::{LevelHook, LevelProgress, NumericResume};
 pub use scratch::ColumnScratch;
 pub use seq::{factorize_seq, factorize_seq_rule};
 pub use sparse::{
-    factorize_gpu_sparse, factorize_gpu_sparse_forced, factorize_gpu_sparse_run,
-    factorize_gpu_sparse_run_cached, factorize_gpu_sparse_traced,
+    factorize_gpu_sparse, factorize_gpu_sparse_forced, factorize_gpu_sparse_run_cached,
+    SparseEngine,
 };
 pub use trisolve::{
     solve_gpu, solve_gpu_batch, solve_gpu_batch_traced, solve_gpu_traced, BatchSolveOutcome,

@@ -29,23 +29,16 @@ use crate::error::NumericError;
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, Gpu, SimError};
+use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError};
 use gplu_sparse::Csc;
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The merge-join numeric engine: streaming two-pointer update location,
 /// priced as the pure item stream.
-pub(crate) struct MergeEngine {
+#[derive(Default)]
+pub struct MergeEngine {
     steps: AtomicU64,
-}
-
-impl MergeEngine {
-    pub(crate) fn new() -> MergeEngine {
-        MergeEngine {
-            steps: AtomicU64::new(0),
-        }
-    }
 }
 
 impl NumericEngine for MergeEngine {
@@ -110,46 +103,25 @@ pub fn factorize_gpu_merge(
     pattern: &Csc,
     levels: &Levels,
 ) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_merge_traced(gpu, pattern, levels, &NOOP)
-}
-
-/// [`factorize_gpu_merge`] with telemetry: one `numeric.level` span per
-/// schedule level; the end event carries the level's width, its A/B/C
-/// mode, and the merge-cursor steps the level contributed.
-pub fn factorize_gpu_merge_traced(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_merge_run(gpu, pattern, levels, trace, None, None)
-}
-
-/// Full-control entry point: [`factorize_gpu_merge_traced`] plus optional
-/// level-granular resume state and a per-level checkpoint hook.
-pub fn factorize_gpu_merge_run(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-) -> Result<NumericOutcome, NumericError> {
     factorize_gpu_merge_run_cached(
         gpu,
         pattern,
         levels,
-        trace,
-        resume,
-        hook,
+        &NOOP,
+        None,
+        None,
         None,
         PivotRule::Exact,
     )
 }
 
-/// [`factorize_gpu_merge_run`] with an optional prebuilt [`PivotCache`]
-/// (the pattern-keyed refactorization fast path: the cache is pattern-only,
-/// so a service factorizing the same pattern repeatedly builds it once).
+/// Full-control entry point: [`factorize_gpu_merge`] with telemetry (one
+/// `numeric.level` span per schedule level; the end event carries the
+/// level's width, its A/B/C mode, and the merge-cursor steps the level
+/// contributed), optional level-granular resume state, a per-level
+/// checkpoint hook, and an optional prebuilt [`PivotCache`] (the
+/// pattern-keyed refactorization fast path: the cache is pattern-only, so
+/// a service factorizing the same pattern repeatedly builds it once).
 ///
 /// A supplied cache also marks the run as a **captured-schedule replay**:
 /// the level sequence was already executed once, so the host does not need
@@ -170,10 +142,10 @@ pub fn factorize_gpu_merge_run_cached(
     pivot: Option<&PivotCache>,
     rule: PivotRule,
 ) -> Result<NumericOutcome, NumericError> {
-    let mut engine = MergeEngine::new();
+    let mut engine = MergeEngine::default();
     run_levels(
         &mut engine,
-        gpu,
+        &DeviceFleet::from(gpu),
         pattern,
         levels,
         trace,
@@ -182,6 +154,7 @@ pub fn factorize_gpu_merge_run_cached(
         pivot,
         rule,
     )
+    .map(|run| run.outcome)
 }
 
 #[cfg(test)]

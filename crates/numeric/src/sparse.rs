@@ -19,7 +19,7 @@ use crate::modes::{classify_level_cached, LevelType};
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, Gpu, SimError};
+use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError};
 use gplu_sparse::Csc;
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,13 +33,15 @@ pub const PROBE_WEIGHT: f64 = 0.12;
 
 /// The binary-search numeric engine (Algorithm 6), with GLU 3.0's
 /// forced-mode ablation knob.
-pub(crate) struct SparseEngine {
+pub struct SparseEngine {
     force: Option<LevelType>,
     probes: AtomicU64,
 }
 
 impl SparseEngine {
-    pub(crate) fn new(force: Option<LevelType>) -> SparseEngine {
+    /// The engine, with every level's mode classification overridden to
+    /// `force` when given.
+    pub fn new(force: Option<LevelType>) -> SparseEngine {
         SparseEngine {
             force,
             probes: AtomicU64::new(0),
@@ -127,50 +129,26 @@ pub fn factorize_gpu_sparse_forced(
     levels: &Levels,
     force: Option<LevelType>,
 ) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_sparse_traced(gpu, pattern, levels, force, &NOOP)
-}
-
-/// [`factorize_gpu_sparse_forced`] with telemetry: one `numeric.level` span
-/// per schedule level; the end event carries the level's width, its A/B/C
-/// mode, and the binary-search probe count the level contributed.
-pub fn factorize_gpu_sparse_traced(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    force: Option<LevelType>,
-    trace: &dyn TraceSink,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_sparse_run(gpu, pattern, levels, force, trace, None, None)
-}
-
-/// Full-control entry point: [`factorize_gpu_sparse_traced`] plus optional
-/// level-granular resume state and a per-level checkpoint hook.
-#[allow(clippy::too_many_arguments)]
-pub fn factorize_gpu_sparse_run(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    force: Option<LevelType>,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-) -> Result<NumericOutcome, NumericError> {
     factorize_gpu_sparse_run_cached(
         gpu,
         pattern,
         levels,
         force,
-        trace,
-        resume,
-        hook,
+        &NOOP,
+        None,
+        None,
         None,
         PivotRule::Exact,
     )
 }
 
-/// [`factorize_gpu_sparse_run`] with an optional prebuilt [`PivotCache`]
-/// (the pattern-keyed refactorization fast path: the cache is pattern-only,
-/// so a service factorizing the same pattern repeatedly builds it once).
+/// Full-control entry point: [`factorize_gpu_sparse_forced`] with
+/// telemetry (one `numeric.level` span per schedule level; the end event
+/// carries the level's width, its A/B/C mode, and the binary-search probe
+/// count the level contributed), optional level-granular resume state, a
+/// per-level checkpoint hook, and an optional prebuilt [`PivotCache`] (the
+/// pattern-keyed refactorization fast path: the cache is pattern-only, so
+/// a service factorizing the same pattern repeatedly builds it once).
 ///
 /// A supplied cache also marks the run as a captured-schedule replay:
 /// levels after the host-launched kick-off are tail-launched device-side
@@ -191,7 +169,7 @@ pub fn factorize_gpu_sparse_run_cached(
     let mut engine = SparseEngine::new(force);
     run_levels(
         &mut engine,
-        gpu,
+        &DeviceFleet::from(gpu),
         pattern,
         levels,
         trace,
@@ -200,6 +178,7 @@ pub fn factorize_gpu_sparse_run_cached(
         pivot,
         rule,
     )
+    .map(|run| run.outcome)
 }
 
 #[cfg(test)]

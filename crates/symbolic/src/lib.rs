@@ -49,9 +49,7 @@ pub use dynamic::{
 };
 pub use expand::{expand_fill, ExpandOutcome};
 pub use fill2::{fill2_row, Fill2Workspace, RowMetrics};
-pub use multi::{
-    symbolic_fleet, symbolic_multi_gpu, FleetSymbolicOutcome, MultiGpuOutcome, Partition,
-};
+pub use multi::{symbolic_fleet, FleetSymbolicOutcome, Partition};
 pub use ooc::{symbolic_ooc, symbolic_ooc_run, symbolic_ooc_traced, OocOutcome};
 pub use result::SymbolicResult;
 pub use resume::{ChunkHook, ChunkProgress, SymbolicResume};

@@ -35,131 +35,7 @@ pub enum Partition {
     Strided,
 }
 
-/// Outcome of a multi-GPU symbolic run.
-#[derive(Debug, Clone)]
-pub struct MultiGpuOutcome {
-    /// The factorization pattern (identical to single-device).
-    pub result: SymbolicResult,
-    /// Per-device simulated times.
-    pub per_gpu: Vec<SimTime>,
-    /// Makespan (slowest device) plus the host gather.
-    pub time: SimTime,
-    /// Parallel efficiency vs the per-device total:
-    /// `sum(per_gpu) / (k · makespan)`.
-    pub efficiency: f64,
-}
-
-/// Runs out-of-core symbolic factorization across `gpus.len()` devices.
-pub fn symbolic_multi_gpu(
-    gpus: &[Gpu],
-    a: &Csr,
-    partition: Partition,
-) -> Result<MultiGpuOutcome, SimError> {
-    assert!(!gpus.is_empty(), "need at least one device");
-    let n = a.n_rows();
-    let k = gpus.len();
-
-    let rows_of = |d: usize| -> Vec<u32> {
-        match partition {
-            Partition::Blocked => {
-                let start = d * n / k;
-                let end = (d + 1) * n / k;
-                (start as u32..end as u32).collect()
-            }
-            Partition::Strided => (d as u32..)
-                .step_by(k)
-                .take_while(|&r| (r as usize) < n)
-                .collect(),
-        }
-    };
-
-    let fill_counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let agg = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-    let patterns: Vec<parking_lot::Mutex<Vec<Idx>>> = (0..n)
-        .map(|_| parking_lot::Mutex::new(Vec::new()))
-        .collect();
-
-    let mut per_gpu = Vec::with_capacity(k);
-    for (d, gpu) in gpus.iter().enumerate() {
-        let before = gpu.stats();
-        let my_rows = rows_of(d);
-
-        // Each device holds its own copy of the pattern (GSOFA's layout).
-        let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
-        let a_dev = gpu.mem.alloc(a_bytes)?;
-        gpu.h2d(a_bytes);
-        let chunk =
-            ((gpu.mem.free_bytes() / row_state_bytes(n)) as usize).clamp(1, my_rows.len().max(1));
-        let state_dev = gpu.mem.alloc(chunk as u64 * row_state_bytes(n))?;
-
-        let pool = WorkspacePool::new(n);
-        for store in [false, true] {
-            let stage = if store {
-                "mg_symbolic_2"
-            } else {
-                "mg_symbolic_1"
-            };
-            for batch in my_rows.chunks(chunk.max(1)) {
-                gpu.launch(stage, batch.len(), 1024, &|b: usize, ctx: &mut BlockCtx| {
-                    let src = batch[b];
-                    let mut cols: Vec<Idx> = Vec::new();
-                    let m = pool.with(|ws| {
-                        if store {
-                            fill2_row(a, src, ws, |c| cols.push(c))
-                        } else {
-                            fill2_row(a, src, ws, |_| {})
-                        }
-                    });
-                    charge_row(ctx, &m);
-                    if store {
-                        cols.sort_unstable();
-                        *patterns[src as usize].lock() = cols;
-                    } else {
-                        fill_counts[src as usize].store(m.emitted, Ordering::Relaxed);
-                        agg[0].fetch_add(m.steps, Ordering::Relaxed);
-                        agg[1].fetch_add(m.edges, Ordering::Relaxed);
-                        agg[2].fetch_add(m.frontiers, Ordering::Relaxed);
-                    }
-                })?;
-            }
-        }
-        // Ship this device's slice of the pattern to the host for the
-        // merge.
-        let my_nnz: u64 = my_rows
-            .iter()
-            .map(|&r| fill_counts[r as usize].load(Ordering::Relaxed) as u64)
-            .sum();
-        gpu.d2h(my_nnz * 4);
-        gpu.mem.free(state_dev)?;
-        gpu.mem.free(a_dev)?;
-        per_gpu.push(gpu.stats().since(&before).now);
-    }
-
-    let makespan = per_gpu.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    let total: SimTime = per_gpu.iter().copied().sum();
-    let efficiency = if makespan.as_ns() > 0.0 {
-        total.as_ns() / (k as f64 * makespan.as_ns())
-    } else {
-        1.0
-    };
-
-    let metrics = SymbolicMetrics {
-        steps: agg[0].load(Ordering::Relaxed),
-        edges: agg[1].load(Ordering::Relaxed),
-        frontiers: agg[2].load(Ordering::Relaxed),
-    };
-    let pattern_rows: Vec<Vec<Idx>> = patterns.into_iter().map(|m| m.into_inner()).collect();
-    let result = SymbolicResult::from_patterns(a, pattern_rows, metrics);
-    Ok(MultiGpuOutcome {
-        result,
-        per_gpu,
-        time: makespan,
-        efficiency,
-    })
-}
-
-/// Outcome of a fleet symbolic run (the [`DeviceFleet`]-aware variant of
-/// [`MultiGpuOutcome`], with liveness and reshard accounting).
+/// Outcome of a fleet symbolic run, with liveness and reshard accounting.
 #[derive(Debug, Clone)]
 pub struct FleetSymbolicOutcome {
     /// The factorization pattern (identical to single-device).
@@ -190,7 +66,7 @@ pub struct FleetSymbolicOutcome {
 /// merged pattern is bit-identical to the single-device engines no matter
 /// how many devices run or die.
 pub fn symbolic_fleet(
-    fleet: &DeviceFleet,
+    fleet: &DeviceFleet<'_>,
     a: &Csr,
     partition: Partition,
 ) -> Result<FleetSymbolicOutcome, SimError> {
@@ -334,6 +210,18 @@ pub fn symbolic_fleet(
         pending = shards;
     }
 
+    let elapsed = || -> Vec<SimTime> {
+        let devices = fleet.devices().iter().zip(&before);
+        devices.map(|(g, b)| g.stats().since(b).now).collect()
+    };
+    // Each working device's busy share, read before the count merge: the
+    // barrier below levels every live clock, which would make any
+    // partition look perfectly balanced.
+    let busy: SimTime = {
+        let t = elapsed();
+        fleet.alive().iter().map(|&d| t[d]).sum()
+    };
+
     // GSoFa's count merge: every live device gathers the others' per-row
     // fill counts (4 bytes per row it does not own) over the peer links,
     // then the fleet barriers before the host-side pattern merge.
@@ -351,12 +239,7 @@ pub fn symbolic_fleet(
     };
     fleet.all_gather(&counts_bytes);
 
-    let per_device: Vec<SimTime> = fleet
-        .devices()
-        .iter()
-        .zip(&before)
-        .map(|(g, b)| g.stats().since(b).now)
-        .collect();
+    let per_device = elapsed();
     let worked: Vec<SimTime> = fleet
         .alive()
         .iter()
@@ -364,9 +247,8 @@ pub fn symbolic_fleet(
         .filter(|t| t.as_ns() > 0.0)
         .collect();
     let makespan = worked.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    let total: SimTime = worked.iter().copied().sum();
     let efficiency = if makespan.as_ns() > 0.0 && !worked.is_empty() {
-        total.as_ns() / (worked.len() as f64 * makespan.as_ns())
+        busy.as_ns() / (worked.len() as f64 * makespan.as_ns())
     } else {
         1.0
     };
@@ -401,27 +283,15 @@ mod tests {
     use gplu_sim::GpuConfig;
     use gplu_sparse::gen::random::banded_dominant;
 
-    fn fleet(a: &Csr, k: usize) -> Vec<Gpu> {
-        (0..k)
-            .map(|_| Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz())))
-            .collect()
-    }
-
-    #[test]
-    fn matches_single_device_pattern() {
-        let a = banded_dominant(800, 5, 51);
-        let single = symbolic_ooc(&fleet(&a, 1)[0], &a).expect("single");
-        for partition in [Partition::Blocked, Partition::Strided] {
-            let multi = symbolic_multi_gpu(&fleet(&a, 4), &a, partition).expect("multi");
-            assert_eq!(single.result.filled, multi.result.filled, "{partition:?}");
-        }
+    fn device_fleet(a: &Csr, k: usize) -> DeviceFleet<'static> {
+        DeviceFleet::new(k, GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()))
     }
 
     #[test]
     fn more_devices_reduce_makespan() {
         let a = banded_dominant(1500, 6, 52);
-        let one = symbolic_multi_gpu(&fleet(&a, 1), &a, Partition::Strided).expect("k=1");
-        let four = symbolic_multi_gpu(&fleet(&a, 4), &a, Partition::Strided).expect("k=4");
+        let one = symbolic_fleet(&device_fleet(&a, 1), &a, Partition::Strided).expect("k=1");
+        let four = symbolic_fleet(&device_fleet(&a, 4), &a, Partition::Strided).expect("k=4");
         assert!(
             four.time.as_ns() < one.time.as_ns() / 2.0,
             "4 devices {} should at least halve 1 device {}",
@@ -435,8 +305,10 @@ mod tests {
         // Banded matrices have the Figure 3 skew: late rows are much
         // heavier, so a blocked split starves devices 0..k-1.
         let a = banded_dominant(1600, 6, 53);
-        let blocked = symbolic_multi_gpu(&fleet(&a, 4), &a, Partition::Blocked).expect("blocked");
-        let strided = symbolic_multi_gpu(&fleet(&a, 4), &a, Partition::Strided).expect("strided");
+        let blocked =
+            symbolic_fleet(&device_fleet(&a, 4), &a, Partition::Blocked).expect("blocked");
+        let strided =
+            symbolic_fleet(&device_fleet(&a, 4), &a, Partition::Strided).expect("strided");
         assert!(
             strided.time < blocked.time,
             "strided {} must beat blocked {} under skew",
@@ -449,19 +321,15 @@ mod tests {
     #[test]
     fn efficiency_is_a_fraction() {
         let a = banded_dominant(600, 4, 54);
-        let out = symbolic_multi_gpu(&fleet(&a, 3), &a, Partition::Strided).expect("runs");
+        let out = symbolic_fleet(&device_fleet(&a, 3), &a, Partition::Strided).expect("runs");
         assert!(out.efficiency > 0.0 && out.efficiency <= 1.0 + 1e-9);
-        assert_eq!(out.per_gpu.len(), 3);
-    }
-
-    fn device_fleet(a: &Csr, k: usize) -> DeviceFleet {
-        DeviceFleet::new(k, GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()))
+        assert_eq!(out.per_device.len(), 3);
     }
 
     #[test]
     fn fleet_matches_single_device_pattern_at_every_count() {
         let a = banded_dominant(800, 5, 51);
-        let single = symbolic_ooc(&fleet(&a, 1)[0], &a).expect("single");
+        let single = symbolic_ooc(device_fleet(&a, 1).device(0), &a).expect("single");
         for k in [1, 2, 4, 8] {
             for partition in [Partition::Blocked, Partition::Strided] {
                 let f = device_fleet(&a, k);
@@ -493,7 +361,7 @@ mod tests {
     #[test]
     fn dead_device_reshards_onto_survivors_bit_identically() {
         let a = banded_dominant(700, 5, 56);
-        let single = symbolic_ooc(&fleet(&a, 1)[0], &a).expect("single");
+        let single = symbolic_ooc(device_fleet(&a, 1).device(0), &a).expect("single");
         // Device 2's first launch dies persistently: it is marked dead
         // and its rows re-run on the survivors.
         let plans =

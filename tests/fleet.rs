@@ -31,7 +31,7 @@ fn gpu_for(a: &Csr) -> Gpu {
     Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()))
 }
 
-fn fleet_for(a: &Csr, devices: usize) -> DeviceFleet {
+fn fleet_for(a: &Csr, devices: usize) -> DeviceFleet<'static> {
     DeviceFleet::new(
         devices,
         GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),

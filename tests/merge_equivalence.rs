@@ -6,8 +6,8 @@
 //! located and how the traffic is priced).
 
 use gplu::numeric::{
-    factorize_gpu_blocked, factorize_gpu_blocked_traced, factorize_gpu_merge, factorize_gpu_sparse,
-    factorize_seq, BlockPlan, PivotCache, DEFAULT_BLOCK_THRESHOLD,
+    factorize_gpu_blocked, factorize_gpu_blocked_run_cached, factorize_gpu_merge,
+    factorize_gpu_sparse, factorize_seq, BlockPlan, PivotCache, PivotRule, DEFAULT_BLOCK_THRESHOLD,
 };
 use gplu::prelude::*;
 use gplu::schedule::{levelize_cpu, DepGraph};
@@ -188,12 +188,16 @@ fn zero_blocks_degenerates_to_merge_exactly() {
     let plan = BlockPlan::detect(&pattern, &cache, 1.1);
     assert_eq!(plan.n_blocks(), 0);
 
-    let blocked = factorize_gpu_blocked_traced(
+    let blocked = factorize_gpu_blocked_run_cached(
         &Gpu::new(GpuConfig::v100()),
         &pattern,
         &levels,
         &plan,
         &NOOP,
+        None,
+        None,
+        None,
+        PivotRule::Exact,
     )
     .expect("blocked engine ok");
     let merge = factorize_gpu_merge(&Gpu::new(GpuConfig::v100()), &pattern, &levels)
