@@ -39,9 +39,11 @@ pub mod section {
     pub const FINGERPRINT: u32 = 2;
     /// Pre-processing output: permuted matrix, permutations, repairs.
     pub const PREPROCESS: u32 = 3;
-    /// Partial symbolic progress: OOC chunk index, fill counts, frontier
-    /// sizes, backoff state.
-    pub const SYMBOLIC_PARTIAL: u32 = 4;
+    /// Partial symbolic progress: stage-1 chunk watermark, fill counts,
+    /// row split, overflow set, backoff state. (Id 4 was this section's
+    /// per-engine payload and is retired, so a snapshot cut with it fails
+    /// as "lacks required section" instead of being mis-decoded.)
+    pub const SYMBOLIC_PARTIAL: u32 = 11;
     /// Completed symbolic output: filled CSR pattern + metrics.
     pub const SYMBOLIC: u32 = 5;
     /// Levelization output.

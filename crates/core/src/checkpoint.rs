@@ -307,21 +307,13 @@ fn encode_symbolic_partial(engine: u8, r: &SymbolicResume) -> Vec<u8> {
     e.u64(r.chunk as u64);
     e.u64(r.oom_backoffs as u64);
     e.vec_u32(&r.fill_counts);
-    e.vec_u64(&r.frontiers);
     e.u64(r.agg_steps);
     e.u64(r.agg_edges);
     e.u64(r.agg_frontiers);
-    e.vec_u64(&r.per_iter_max_frontier);
-    match r.split {
-        Some(s) => {
-            e.u8(1);
-            e.u64(s.n1 as u64);
-            e.u64(s.frontier_cap);
-            e.u64(s.chunk1 as u64);
-            e.u64(s.chunk2 as u64);
-        }
-        None => e.u8(0),
-    }
+    e.u64(r.split.n1 as u64);
+    e.u64(r.split.frontier_cap);
+    e.u64(r.split.chunk1 as u64);
+    e.u64(r.split.chunk2 as u64);
     e.vec_u32(&r.overflow_rows);
     e.into_bytes()
 }
@@ -329,45 +321,25 @@ fn encode_symbolic_partial(engine: u8, r: &SymbolicResume) -> Vec<u8> {
 fn decode_symbolic_partial(b: &[u8]) -> Result<(u8, SymbolicResume), GpluError> {
     let mut d = Dec::new(b);
     let engine = d.u8("sym.engine").map_err(corrupt_ck)?;
-    let rows_done = d.u64("sym.rows_done").map_err(corrupt_ck)? as usize;
-    let iters_done = d.u64("sym.iters_done").map_err(corrupt_ck)? as usize;
-    let chunk = d.u64("sym.chunk").map_err(corrupt_ck)? as usize;
-    let oom_backoffs = d.u64("sym.oom_backoffs").map_err(corrupt_ck)? as usize;
-    let fill_counts = d.vec_u32("sym.fill_counts").map_err(corrupt_ck)?;
-    let frontiers = d.vec_u64("sym.frontiers").map_err(corrupt_ck)?;
-    let agg_steps = d.u64("sym.agg_steps").map_err(corrupt_ck)?;
-    let agg_edges = d.u64("sym.agg_edges").map_err(corrupt_ck)?;
-    let agg_frontiers = d.u64("sym.agg_frontiers").map_err(corrupt_ck)?;
-    let per_iter_max_frontier = d.vec_u64("sym.per_iter_max_frontier").map_err(corrupt_ck)?;
-    let split = match d.u8("sym.has_split").map_err(corrupt_ck)? {
-        0 => None,
-        1 => Some(DynamicSplit {
+    let resume = SymbolicResume {
+        rows_done: d.u64("sym.rows_done").map_err(corrupt_ck)? as usize,
+        iters_done: d.u64("sym.iters_done").map_err(corrupt_ck)? as usize,
+        chunk: d.u64("sym.chunk").map_err(corrupt_ck)? as usize,
+        oom_backoffs: d.u64("sym.oom_backoffs").map_err(corrupt_ck)? as usize,
+        fill_counts: d.vec_u32("sym.fill_counts").map_err(corrupt_ck)?,
+        agg_steps: d.u64("sym.agg_steps").map_err(corrupt_ck)?,
+        agg_edges: d.u64("sym.agg_edges").map_err(corrupt_ck)?,
+        agg_frontiers: d.u64("sym.agg_frontiers").map_err(corrupt_ck)?,
+        split: DynamicSplit {
             n1: d.u64("sym.split.n1").map_err(corrupt_ck)? as usize,
             frontier_cap: d.u64("sym.split.frontier_cap").map_err(corrupt_ck)?,
             chunk1: d.u64("sym.split.chunk1").map_err(corrupt_ck)? as usize,
             chunk2: d.u64("sym.split.chunk2").map_err(corrupt_ck)? as usize,
-        }),
-        other => return Err(corrupt(format!("bad split flag {other}"))),
-    };
-    let overflow_rows = d.vec_u32("sym.overflow_rows").map_err(corrupt_ck)?;
-    expect_drained(&d, "SYMBOLIC_PARTIAL")?;
-    Ok((
-        engine,
-        SymbolicResume {
-            rows_done,
-            iters_done,
-            chunk,
-            oom_backoffs,
-            fill_counts,
-            frontiers,
-            agg_steps,
-            agg_edges,
-            agg_frontiers,
-            per_iter_max_frontier,
-            split,
-            overflow_rows,
         },
-    ))
+        overflow_rows: d.vec_u32("sym.overflow_rows").map_err(corrupt_ck)?,
+    };
+    expect_drained(&d, "SYMBOLIC_PARTIAL")?;
+    Ok((engine, resume))
 }
 
 /// Durable symbolic output plus the report facts a resumed run can no
@@ -1041,42 +1013,57 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_partial_round_trip_with_and_without_split() {
+    fn symbolic_partial_round_trip() {
         let r = SymbolicResume {
             rows_done: 2,
             iters_done: 1,
             chunk: 2,
             oom_backoffs: 1,
             fill_counts: vec![3, 2, 0],
-            frontiers: vec![1, 2, 0],
             agg_steps: 9,
             agg_edges: 12,
-            agg_frontiers: 0,
-            per_iter_max_frontier: vec![2],
-            split: None,
-            overflow_rows: vec![],
-        };
-        let (tag, q) = decode_symbolic_partial(&encode_symbolic_partial(0, &r)).unwrap();
-        assert_eq!(tag, 0);
-        assert_eq!(q.fill_counts, r.fill_counts);
-        assert_eq!(q.frontiers, r.frontiers);
-        assert_eq!(q.chunk, 2);
-
-        let with_split = SymbolicResume {
-            split: Some(DynamicSplit {
+            agg_frontiers: 5,
+            split: DynamicSplit {
                 n1: 2,
                 frontier_cap: 4,
                 chunk1: 8,
                 chunk2: 2,
-            }),
+            },
             overflow_rows: vec![1],
-            frontiers: vec![],
-            ..r
         };
-        let (tag, q) = decode_symbolic_partial(&encode_symbolic_partial(1, &with_split)).unwrap();
+        let (tag, q) = decode_symbolic_partial(&encode_symbolic_partial(1, &r)).unwrap();
         assert_eq!(tag, 1);
-        assert_eq!(q.split, with_split.split);
+        assert_eq!(q.fill_counts, r.fill_counts);
+        assert_eq!((q.rows_done, q.iters_done, q.chunk), (2, 1, 2));
+        assert_eq!(
+            (q.agg_steps, q.agg_edges, q.agg_frontiers, q.oom_backoffs),
+            (9, 12, 5, 1)
+        );
+        assert_eq!(q.split, r.split);
         assert_eq!(q.overflow_rows, vec![1]);
+    }
+
+    #[test]
+    fn a_partial_snapshot_in_the_retired_payload_is_a_typed_error() {
+        // Section id 4 carried the per-engine union payload (per-row
+        // frontiers, an optional split). It must be refused, not decoded
+        // field-shifted into the one-driver layout.
+        let pre = PreState {
+            matrix: small(),
+            p_row: Permutation::identity(3),
+            p_col: Permutation::identity(3),
+            repaired: 0,
+            time_ns: 0.0,
+        };
+        let mut snap = Snapshot::new();
+        snap.add_section(section::META, encode_meta(PhaseMark::SymbolicPartial, 1.0));
+        snap.add_section(section::PREPROCESS, encode_preprocess(&pre));
+        snap.add_section(4, vec![0; 64]);
+        let e = decode_resume(7, &snap).unwrap_err();
+        assert!(
+            matches!(&e, GpluError::CheckpointCorrupt(m) if m.contains("SYMBOLIC_PARTIAL")),
+            "got {e:?}"
+        );
     }
 
     #[test]

@@ -1438,7 +1438,7 @@ impl LuFactorization {
     }
 
     /// [`LuFactorization::solve_on_gpu`] with telemetry (`trisolve` drift
-    /// samples for the cost-model profiler).
+    /// samples for the cost-model profiler). A batch of one.
     pub fn solve_on_gpu_traced(
         &self,
         gpu: &Gpu,
@@ -1446,19 +1446,8 @@ impl LuFactorization {
         b: &[Val],
         trace: &dyn TraceSink,
     ) -> Result<(Vec<Val>, gplu_sim::SimTime), GpluError> {
-        if b.len() != self.preprocessed.n_rows() {
-            return Err(GpluError::Input(format!(
-                "rhs length {} != n {}",
-                b.len(),
-                self.preprocessed.n_rows()
-            )));
-        }
-        let out =
-            gplu_numeric::solve_gpu_traced(gpu, &self.lu, plan, &self.p_row.permute_vec(b), trace)?;
-        let x = (0..out.x.len())
-            .map(|i| out.x[self.p_col.apply(i)])
-            .collect();
-        Ok((x, out.time))
+        let (mut xs, time) = self.solve_many_on_gpu_traced(gpu, plan, &[b.to_vec()], trace)?;
+        Ok((xs.pop().expect("one rhs in, one solution out"), time))
     }
 
     /// Solves `A X = B` for many right-hand sides with one batched
@@ -1486,24 +1475,12 @@ impl LuFactorization {
         bs: &[Vec<Val>],
         trace: &dyn TraceSink,
     ) -> Result<(Vec<Vec<Val>>, gplu_sim::SimTime), GpluError> {
-        let n = self.preprocessed.n_rows();
-        for b in bs {
-            if b.len() != n {
-                return Err(GpluError::Input(format!(
-                    "rhs length {} != n {}",
-                    b.len(),
-                    n
-                )));
-            }
-        }
-        let permuted: Vec<Vec<Val>> = bs.iter().map(|b| self.p_row.permute_vec(b)).collect();
-        let out = gplu_numeric::solve_gpu_batch_traced(gpu, &self.lu, plan, &permuted, trace)?;
-        let xs = out
-            .xs
+        let permuted = bs
             .iter()
-            .map(|y| (0..y.len()).map(|i| y[self.p_col.apply(i)]).collect())
-            .collect();
-        Ok((xs, out.time))
+            .map(|b| self.checked_rhs(b))
+            .collect::<Result<Vec<_>, _>>()?;
+        let out = gplu_numeric::solve_gpu_batch_traced(gpu, &self.lu, plan, &permuted, trace)?;
+        Ok((out.xs.iter().map(|y| self.unpermute(y)).collect(), out.time))
     }
 
     /// Solves `A x = b` with `steps` rounds of iterative refinement:
@@ -1543,6 +1520,13 @@ impl LuFactorization {
     /// Solves `A x = b` through the factors (for the repaired matrix when
     /// diagonal repair was needed — see [`PhaseReport::repaired_diagonals`]).
     pub fn solve(&self, b: &[Val]) -> Result<Vec<Val>, GpluError> {
+        // P_row A P_colᵀ = LU  ⇒  A x = b  ⇔  (LU)(P_col x) = P_row b.
+        let y = solve_lu(&self.lu, &self.checked_rhs(b)?)?;
+        Ok(self.unpermute(&y))
+    }
+
+    /// `P_row · b`, after checking `b` against the matrix dimension.
+    fn checked_rhs(&self, b: &[Val]) -> Result<Vec<Val>, GpluError> {
         if b.len() != self.preprocessed.n_rows() {
             return Err(GpluError::Input(format!(
                 "rhs length {} != n {}",
@@ -1550,11 +1534,13 @@ impl LuFactorization {
                 self.preprocessed.n_rows()
             )));
         }
-        // P_row A P_colᵀ = LU  ⇒  A x = b  ⇔  (LU)(P_col x) = P_row b.
-        let y = solve_lu(&self.lu, &self.p_row.permute_vec(b))?;
-        // x = P_colᵀ y, i.e. x[i] = y[p_col(i)].
-        let x = (0..y.len()).map(|i| y[self.p_col.apply(i)]).collect();
-        Ok(x)
+        Ok(self.permute_rhs(b))
+    }
+
+    /// `x = P_colᵀ y`, i.e. `x[i] = y[p_col(i)]`: a factor-ordering
+    /// solution back in the caller's column order.
+    fn unpermute(&self, y: &[Val]) -> Vec<Val> {
+        (0..y.len()).map(|i| y[self.p_col.apply(i)]).collect()
     }
 }
 

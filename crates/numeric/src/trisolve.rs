@@ -8,10 +8,19 @@
 //! factorization: unknown `x_j` of `L y = b` is final only after every
 //! `y_t` with `L(j, t) ≠ 0` has been applied. We reuse the workspace's
 //! level machinery (Kahn wavefronts over the factor's own pattern) and run
-//! one thread block per column per level, with CAS-accumulated right-hand-
-//! side updates — the level-scheduled GPU solve of the sparse-triangular
-//! literature the paper cites (Liu et al. \[28\] pursue the
-//! synchronisation-free variant of the same schedule).
+//! one thread block per column per level, each scattering its column's
+//! updates into the right-hand side — the level-scheduled GPU solve of the
+//! sparse-triangular literature the paper cites (Liu et al. \[28\] pursue
+//! the synchronisation-free variant of the same schedule).
+//!
+//! Blocks of one level may update the same row, and floating-point
+//! addition does not commute to the bit, so the host replays every launch
+//! in block order ([`Exec::Seq`]; pricing is identical either way): a row
+//! receives its updates in (level, block) order on every run and `x` is
+//! bit-reproducible, across repeats and between a single solve and the
+//! same right-hand side inside a batch. It is still computed through the
+//! level schedule — a wrong schedule yields a wrong answer — and therefore
+//! equals the host `solve_lu` (column order) to rounding, not to the bit.
 //!
 //! Everything pattern-only lives in [`TriSolvePlan`]: the two wavefront
 //! schedules *and* the per-column diagonal/`L`-segment positions the
@@ -20,12 +29,14 @@
 //! circuit-simulation pattern: one plan, many right-hand sides). For the
 //! many-rhs case itself, [`solve_gpu_batch`] runs one kernel launch per
 //! level across *all* right-hand sides, amortizing the fixed launch
-//! latency that dominates the deep, narrow levels of triangular factors.
+//! latency that dominates the deep, narrow levels of triangular factors;
+//! [`solve_gpu`] is a batch of one.
 
 use crate::error::NumericError;
+use crate::outcome::PivotCache;
 use crate::values::ValueStore;
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, Gpu, GpuStatsSnapshot, SimTime};
+use gplu_sim::{BlockCtx, Exec, Gpu, GpuStatsSnapshot, LaunchKind, SimTime};
 use gplu_sparse::{Csc, SparseError, Val};
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,13 +61,8 @@ pub struct TriSolvePlan {
     pub l_levels: Levels,
     /// Wavefronts of the backward (U) solve.
     pub u_levels: Levels,
-    /// Position of the diagonal entry `(j, j)` in column `j`, or
-    /// `usize::MAX` when structurally absent (reported as
-    /// [`SparseError::ZeroDiagonal`] at solve time).
-    diag_pos: Vec<usize>,
-    /// `lower_bound_after(j, j)`: first position in column `j` whose row
-    /// exceeds `j` (start of the `L` segment).
-    lower_start: Vec<usize>,
+    /// Diagonal position and `L`-segment start of every column.
+    pivot: PivotCache,
 }
 
 impl TriSolvePlan {
@@ -65,25 +71,16 @@ impl TriSolvePlan {
     pub fn new(lu: &Csc) -> TriSolvePlan {
         PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         let n = lu.n_cols();
-        // One structural pass: the diagonal position and L-segment start
-        // of every column, shared by both schedule constructions below and
-        // by every subsequent solve.
-        let mut diag_pos = vec![usize::MAX; n];
-        let mut lower_start = vec![0usize; n];
-        for j in 0..n {
-            let lb = lu.lower_bound_after(j, j);
-            lower_start[j] = lb;
-            if lb > lu.col_ptr[j] && lu.row_idx[lb - 1] as usize == j {
-                diag_pos[j] = lb - 1;
-            }
-        }
+        // One structural pass, shared by both schedule constructions below
+        // and by every subsequent solve.
+        let pivot = PivotCache::build(lu);
         // Forward solve: column j's updates touch rows > j where L has
         // entries, so x_j depends on every t < j with L(j, t) != 0 — the
         // longest-path recurrence over the L pattern (edges ascend).
         let mut l_level = vec![0u32; n];
         let mut u_level = vec![0u32; n];
         for t in 0..n {
-            for k in lower_start[t]..lu.col_ptr[t + 1] {
+            for k in pivot.lower_start(t)..lu.col_ptr[t + 1] {
                 let j = lu.row_idx[k] as usize;
                 l_level[j] = l_level[j].max(l_level[t] + 1);
             }
@@ -92,7 +89,7 @@ impl TriSolvePlan {
         // column terms, column j of U updates rows i < j, so the
         // dependency points downward; sweep columns descending.
         for t in (0..n).rev() {
-            for k in lu.col_ptr[t]..lower_start[t] {
+            for k in lu.col_ptr[t]..pivot.lower_start(t) {
                 let i = lu.row_idx[k] as usize;
                 if i < t {
                     u_level[i] = u_level[i].max(u_level[t] + 1);
@@ -102,29 +99,28 @@ impl TriSolvePlan {
         TriSolvePlan {
             l_levels: Levels::from_level_of(l_level),
             u_levels: Levels::from_level_of(u_level),
-            diag_pos,
-            lower_start,
+            pivot,
         }
     }
 
     /// Position of the diagonal entry of column `j`, if structurally
-    /// present.
+    /// present (absent is reported as [`SparseError::ZeroDiagonal`] at
+    /// solve time).
     #[inline]
     pub fn diag(&self, j: usize) -> Option<usize> {
-        let p = self.diag_pos[j];
-        (p != usize::MAX).then_some(p)
+        self.pivot.diag(j)
     }
 
     /// First position in column `j` whose row index exceeds `j` (the
     /// start of the `L` segment).
     #[inline]
     pub fn lower_start(&self, j: usize) -> usize {
-        self.lower_start[j]
+        self.pivot.lower_start(j)
     }
 
     /// Number of columns covered by the plan.
     pub fn n_cols(&self) -> usize {
-        self.diag_pos.len()
+        self.pivot.len()
     }
 
     /// Estimated host-memory footprint of the plan (the quantity a factor
@@ -133,7 +129,7 @@ impl TriSolvePlan {
         let levels = |l: &Levels| {
             (l.level_of.len() * 4 + l.groups.iter().map(Vec::len).sum::<usize>() * 4) as u64
         };
-        levels(&self.l_levels) + levels(&self.u_levels) + (self.diag_pos.len() as u64) * 16
+        levels(&self.l_levels) + levels(&self.u_levels) + (self.pivot.len() as u64) * 16
     }
 
     /// Total [`TriSolvePlan`] constructions since process start (a
@@ -151,7 +147,7 @@ pub struct TriSolveOutcome {
     pub x: Vec<Val>,
     /// Simulated time of both sweeps.
     pub time: SimTime,
-    /// Levels of the forward and backward sweeps.
+    /// Levels of the forward sweep.
     pub l_levels: usize,
     /// Levels of the backward sweep.
     pub u_levels: usize,
@@ -185,7 +181,8 @@ pub fn solve_gpu(
 
 /// [`solve_gpu`] with telemetry: one `trisolve` drift sample covering the
 /// whole solve (transfers + both sweeps) for the cost-model drift
-/// profiler.
+/// profiler. A batch of one: the same allocation, transfers and launch
+/// grids, so the same clock.
 pub fn solve_gpu_traced(
     gpu: &Gpu,
     lu: &Csc,
@@ -193,72 +190,13 @@ pub fn solve_gpu_traced(
     b: &[Val],
     trace: &dyn TraceSink,
 ) -> Result<TriSolveOutcome, NumericError> {
-    let n = lu.n_cols();
-    if b.len() != n {
-        return Err(NumericError::Input(format!(
-            "rhs length {} does not match matrix dimension {n}",
-            b.len()
-        )));
-    }
-    if plan.n_cols() != n {
-        return Err(NumericError::Input(format!(
-            "plan covers {} columns, matrix has {n}",
-            plan.n_cols()
-        )));
-    }
-    let before = gpu.stats();
-    let clk0 = trace.enabled().then(|| gpu.clocks());
-
-    // The factor is assumed device-resident (it just came out of numeric
-    // factorization); the rhs crosses the bus.
-    let x_dev = gpu.mem.alloc(n as u64 * 8)?;
-    gpu.h2d(n as u64 * 8);
-
-    let y = ValueStore::new(b);
-    // Forward sweep: per level, block per column j: y_j is final; apply
-    // y_i -= L(i,j) * y_j to the rows below.
-    for cols in &plan.l_levels.groups {
-        gpu.launch_device(
-            "trisolve_l",
-            cols.len(),
-            256,
-            &|blk: usize, ctx: &mut BlockCtx| {
-                let j = cols[blk] as usize;
-                forward_column(lu, plan, &y, j, ctx);
-            },
-        )?;
-    }
-
-    // Backward sweep: per level, block per column j: divide by the pivot,
-    // then push x_j's contribution up through U's column.
-    let error = parking_lot::Mutex::new(None::<SparseError>);
-    for cols in &plan.u_levels.groups {
-        gpu.launch_device(
-            "trisolve_u",
-            cols.len(),
-            256,
-            &|blk: usize, ctx: &mut BlockCtx| {
-                let j = cols[blk] as usize;
-                if let Err(e) = backward_column(lu, plan, &y, j, ctx) {
-                    error.lock().get_or_insert(e);
-                }
-            },
-        )?;
-        if let Some(e) = error.lock().take() {
-            return Err(NumericError::from_sparse_at_level(e, usize::MAX));
-        }
-    }
-
-    gpu.d2h(n as u64 * 8);
-    gpu.mem.free(x_dev)?;
-    emit_trisolve_drift(gpu, trace, clk0);
-    let stats = gpu.stats().since(&before);
+    let mut out = solve_gpu_batch_traced(gpu, lu, plan, &[b.to_vec()], trace)?;
     Ok(TriSolveOutcome {
-        x: y.into_vec(),
-        time: stats.now,
+        x: out.xs.pop().expect("one rhs in, one solution out"),
+        time: out.time,
         l_levels: plan.l_levels.n_levels(),
         u_levels: plan.u_levels.n_levels(),
-        stats,
+        stats: out.stats,
     })
 }
 
@@ -304,57 +242,67 @@ pub fn solve_gpu_batch_traced(
             plan.n_cols()
         )));
     }
-    let nrhs = bs.len();
     let before = gpu.stats();
     let clk0 = trace.enabled().then(|| gpu.clocks());
 
-    let x_dev = gpu.mem.alloc((nrhs * n) as u64 * 8)?;
-    gpu.h2d((nrhs * n) as u64 * 8);
+    // The factor is assumed device-resident (it just came out of numeric
+    // factorization); the right-hand sides cross the bus.
+    let x_dev = gpu.mem.alloc((bs.len() * n) as u64 * 8)?;
+    gpu.h2d((bs.len() * n) as u64 * 8);
 
     let ys: Vec<ValueStore> = bs.iter().map(|b| ValueStore::new(b)).collect();
-    let mut launches = 0u64;
-    for cols in &plan.l_levels.groups {
-        gpu.launch_device(
-            "trisolve_l",
-            cols.len() * nrhs,
-            256,
-            &|blk: usize, ctx: &mut BlockCtx| {
-                let j = cols[blk / nrhs] as usize;
-                forward_column(lu, plan, &ys[blk % nrhs], j, ctx);
-            },
-        )?;
-        launches += 1;
-    }
+    // Forward: y_j is final; apply y_i -= L(i,j)·y_j to the rows below.
+    sweep(gpu, "trisolve_l", &plan.l_levels, &ys, |y, j, ctx| {
+        forward_column(lu, plan, y, j, ctx);
+        Ok(())
+    })?;
+    // Backward: divide by the pivot, then push x_j up through U's column.
+    sweep(gpu, "trisolve_u", &plan.u_levels, &ys, |y, j, ctx| {
+        backward_column(lu, plan, y, j, ctx)
+    })?;
 
-    let error = parking_lot::Mutex::new(None::<SparseError>);
-    for cols in &plan.u_levels.groups {
-        gpu.launch_device(
-            "trisolve_u",
-            cols.len() * nrhs,
-            256,
-            &|blk: usize, ctx: &mut BlockCtx| {
-                let j = cols[blk / nrhs] as usize;
-                if let Err(e) = backward_column(lu, plan, &ys[blk % nrhs], j, ctx) {
-                    error.lock().get_or_insert(e);
-                }
-            },
-        )?;
-        launches += 1;
-        if let Some(e) = error.lock().take() {
-            return Err(NumericError::from_sparse_at_level(e, usize::MAX));
-        }
-    }
-
-    gpu.d2h((nrhs * n) as u64 * 8);
+    gpu.d2h((bs.len() * n) as u64 * 8);
     gpu.mem.free(x_dev)?;
     emit_trisolve_drift(gpu, trace, clk0);
     let stats = gpu.stats().since(&before);
     Ok(BatchSolveOutcome {
         xs: ys.into_iter().map(ValueStore::into_vec).collect(),
         time: stats.now,
-        launches,
+        launches: (plan.l_levels.n_levels() + plan.u_levels.n_levels()) as u64,
         stats,
     })
+}
+
+/// One sweep: per level, one device launch whose block `c·nrhs + r`
+/// applies column `cols[c]` to right-hand side `r`, replayed in block
+/// order so every row receives its updates in the same order on every run.
+fn sweep(
+    gpu: &Gpu,
+    name: &str,
+    levels: &Levels,
+    ys: &[ValueStore],
+    column: impl Fn(&ValueStore, usize, &mut BlockCtx) -> Result<(), SparseError> + Sync,
+) -> Result<(), NumericError> {
+    let nrhs = ys.len();
+    let error = parking_lot::Mutex::new(None::<SparseError>);
+    for cols in &levels.groups {
+        gpu.launch_with(
+            name,
+            cols.len() * nrhs,
+            256,
+            LaunchKind::Device,
+            Exec::Seq,
+            &|blk: usize, ctx: &mut BlockCtx| {
+                if let Err(e) = column(&ys[blk % nrhs], cols[blk / nrhs] as usize, ctx) {
+                    error.lock().get_or_insert(e);
+                }
+            },
+        )?;
+        if let Some(e) = error.lock().take() {
+            return Err(NumericError::from_sparse_at_level(e, usize::MAX));
+        }
+    }
+    Ok(())
 }
 
 /// Emits the solve's predicted-vs-observed drift sample when the sink is
@@ -383,20 +331,20 @@ fn emit_trisolve_drift(gpu: &Gpu, trace: &dyn TraceSink, clk0: Option<(f64, f64)
 #[inline]
 fn forward_column(lu: &Csc, plan: &TriSolvePlan, y: &ValueStore, j: usize, ctx: &mut BlockCtx) {
     let yj = y.get(j);
-    let start = plan.lower_start[j];
+    let start = plan.lower_start(j);
     let end = lu.col_ptr[j + 1];
     ctx.bulk_flops(1, (end - start) as u64);
     ctx.mem((end - start) as u64 * 12);
     if yj != 0.0 {
         for k in start..end {
-            y.fetch_add(lu.row_idx[k] as usize, -lu.vals[k] * yj);
+            let i = lu.row_idx[k] as usize;
+            y.set(i, y.get(i) - lu.vals[k] * yj);
         }
     }
 }
 
 /// One backward-sweep column: divide by the pivot (position read from
-/// the plan — the binary search of the pre-plan implementation is gone),
-/// then push `x_j`'s contribution up through `U`'s column.
+/// the plan), then push `x_j`'s contribution up through `U`'s column.
 #[inline]
 fn backward_column(
     lu: &Csc,
@@ -419,7 +367,8 @@ fn backward_column(
     ctx.mem(ups as u64 * 12);
     if xj != 0.0 {
         for k in lu.col_ptr[j]..diag_pos {
-            y.fetch_add(lu.row_idx[k] as usize, -lu.vals[k] * xj);
+            let i = lu.row_idx[k] as usize;
+            y.set(i, y.get(i) - lu.vals[k] * xj);
         }
     }
     Ok(())

@@ -44,22 +44,6 @@ impl ValueStore {
         self.bits[k].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Atomically adds `delta` to entry `k` (CAS loop) — used where
-    /// *different* blocks accumulate into shared entries, e.g. the
-    /// level-parallel triangular solve's right-hand-side updates.
-    #[inline]
-    pub fn fetch_add(&self, k: usize, delta: f64) {
-        let cell = &self.bits[k];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Extracts the final values.
     pub fn into_vec(self) -> Vec<f64> {
         self.bits

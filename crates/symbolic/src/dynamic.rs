@@ -1,20 +1,41 @@
-//! Out-of-core symbolic factorization with **dynamic parallelism
-//! assignment** — the paper's Algorithm 4.
+//! The two-stage out-of-core symbolic driver, and the **dynamic
+//! parallelism assignment** that feeds it — the paper's Algorithms 3 and 4.
 //!
-//! The naive Algorithm 3 sizes every chunk for the worst case (`c·n` words
-//! per row). But the per-row frontier count grows with the source-row id
-//! (Theorem 1 admits more intermediates for larger ids — the paper's
-//! Figure 3), so early rows waste most of their reservation. Algorithm 4
-//! splits the rows at `n1`, the first row whose frontier count reaches 50 %
-//! of the maximum, and uses a *larger* chunk for the first part (its
-//! frontier queues can be allocated small) and the conservative chunk for
-//! the rest.
+//! The intermediate traversal state costs `c·n` words per in-flight source
+//! row (`c = 6`), so all `n` rows at once would need `O(n²)` device memory.
+//! Algorithm 3 therefore processes the rows in chunks, twice:
 //!
-//! The split point is estimated from a cheap sampled prepass on the GPU
-//! (the paper derives it from the same profile its Figure 3 plots). Rows
-//! whose frontier overflows the shrunken part-1 queues are detected and
-//! re-run with full-size state, so the optimization is safe regardless of
-//! the estimate's quality.
+//! 1. **Stage 1** (`symbolic_1`): per chunk, one thread block per source
+//!    row runs the fill2 traversal and records only the *count* of
+//!    nonzeros of its filled row into `fill_count`.
+//! 2. A device **prefix sum** over `fill_count` yields the CSR row offsets
+//!    and the total, sizing the factorized pattern.
+//! 3. **Stage 2** (`symbolic_2`): the traversal runs again, now *storing*
+//!    the column positions. The pattern stays device-resident for the
+//!    numeric phase when it fits (the paper's design); when it does not,
+//!    each batch's rows stream back to the host so the device only ever
+//!    holds one batch of output — the out-of-core completion of the same
+//!    design, changing no counts.
+//!
+//! Algorithm 3 sizes every chunk for the worst case. But the per-row
+//! frontier count grows with the source-row id (Theorem 1 admits more
+//! intermediates for larger ids — the paper's Figure 3), so early rows
+//! waste most of their reservation. Algorithm 4 is the same procedure
+//! over two row ranges: it splits the rows at `n1`, the first row whose
+//! frontier count reaches 50 % of the maximum, and uses a *larger* chunk
+//! for the first part (its frontier queues can be allocated small) and
+//! the conservative chunk for the rest.
+//!
+//! So there is one driver here, [`two_stage`], and two *split rules*:
+//! [`plan_split`] estimates `n1` from a cheap sampled prepass (the paper
+//! derives it from the same profile its Figure 3 plots), and
+//! [`crate::ooc::fixed_split`] is Algorithm 3 — a split at row 0 with one
+//! conservative chunk. Rows whose frontier overflows the shrunken part-1
+//! queues are detected and re-run with full-size state, so the
+//! optimization is safe regardless of the estimate's quality.
+//!
+//! Everything observable — chunk sizes, iteration counts, launch count,
+//! transfer bytes — comes out of the simulated GPU's accounting.
 
 use crate::fill2::fill2_row;
 use crate::ooc::{charge_row, row_state_bytes, with_oom_backoff, WorkspacePool};
@@ -27,8 +48,8 @@ use gplu_trace::{AttrValue, TraceSink, NOOP};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// The two-part split chosen by the prepass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The two-part row split a run works under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DynamicSplit {
     /// Rows `0..n1` form the low-frontier part.
     pub n1: usize,
@@ -141,7 +162,7 @@ pub fn symbolic_ooc_dynamic(gpu: &Gpu, a: &Csr) -> Result<DynamicOutcome, SimErr
 }
 
 /// [`symbolic_ooc_dynamic`] with telemetry: a `symbolic.split` instant for
-/// the prepass decision, one `symbolic.chunk` span per counting-stage
+/// the split decision, one `symbolic.chunk` span per counting-stage
 /// iteration (attrs: iteration, rows, part), and one `symbolic.batch` span
 /// per storing-stage or retry batch.
 pub fn symbolic_ooc_dynamic_traced(
@@ -160,29 +181,56 @@ pub fn symbolic_ooc_dynamic_run(
     a: &Csr,
     trace: &dyn TraceSink,
     resume: Option<&SymbolicResume>,
-    mut hook: Option<&mut ChunkHook<'_>>,
+    hook: Option<&mut ChunkHook<'_>>,
 ) -> Result<DynamicOutcome, SimError> {
+    two_stage(gpu, a, trace, plan_split, resume, hook).map(|run| run.outcome)
+}
+
+/// How a fresh run learns its row split — the one decision that separates
+/// the two out-of-core engines: [`plan_split`] (Algorithm 4) or
+/// [`crate::ooc::fixed_split`] (Algorithm 3).
+pub(crate) type SplitRule = fn(&Gpu, &Csr, &WorkspacePool) -> Result<DynamicSplit, SimError>;
+
+/// What [`two_stage`] reports: the public outcome plus the two numbers
+/// Algorithm 3's outcome states in its own convention.
+pub(crate) struct TwoStageRun {
+    /// The run; its `num_iterations` counts every batch of both stages.
+    pub outcome: DynamicOutcome,
+    /// Stage-1 chunks alone.
+    pub stage1_chunks: usize,
+    /// Effective stage-1 chunk size last in force (after OOM backoff).
+    pub chunk: usize,
+}
+
+/// The two-stage out-of-core procedure (Algorithm 3) over the two row
+/// ranges of a [`DynamicSplit`] — the one chunk loop behind
+/// [`symbolic_ooc_dynamic`] and [`crate::ooc::symbolic_ooc`].
+pub(crate) fn two_stage(
+    gpu: &Gpu,
+    a: &Csr,
+    trace: &dyn TraceSink,
+    split_rule: SplitRule,
+    resume: Option<&SymbolicResume>,
+    mut hook: Option<&mut ChunkHook<'_>>,
+) -> Result<TwoStageRun, SimError> {
     let n = a.n_rows();
     let before = gpu.stats();
 
     if let Some(r) = resume {
-        r.check(n, false).map_err(SimError::BadLaunch)?;
-        if r.rows_done > 0 && r.split.is_none() {
-            return Err(SimError::BadLaunch(
-                "resume state lacks the prepass split its watermark depends on".into(),
-            ));
-        }
+        r.check(n).map_err(SimError::BadLaunch)?;
     }
 
+    // The matrix pattern lives on the device for the whole phase
+    // (row_ptr + col_idx; symbolic needs no values).
     let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
     let a_dev = gpu.mem.alloc(a_bytes)?;
     gpu.h2d(a_bytes);
     let counts_dev = gpu.mem.alloc(n as u64 * 4)?;
 
     let pool = WorkspacePool::new(n);
-    let split = match resume.and_then(|r| r.split) {
-        Some(s) => s,
-        None => plan_split(gpu, a, &pool)?,
+    let split = match resume {
+        Some(r) => r.split,
+        None => split_rule(gpu, a, &pool)?,
     };
     trace.instant(
         "symbolic.split",
@@ -196,6 +244,7 @@ pub fn symbolic_ooc_dynamic_run(
         ],
     );
     if split.chunk2 == 0 {
+        // Not even one full-state row fits: nothing further is allocated.
         return Err(SimError::OutOfMemory {
             requested: row_state_bytes(n),
             free: gpu.mem.free_bytes(),
@@ -219,28 +268,31 @@ pub fn symbolic_ooc_dynamic_run(
     let collected: SegQueue<(u32, Vec<Idx>)> = SegQueue::new();
     let mut patterns: Vec<Vec<Idx>> = vec![Vec::new(); n];
     let count_watermark = resume.map_or(0, |r| r.rows_done);
-    let mut num_iterations = resume.map_or(0, |r| r.iters_done);
+    let mut stage1_chunks = resume.map_or(0, |r| r.iters_done);
+    let mut chunk_in_force = resume.map_or(0, |r| r.chunk);
+    // Storing-stage and retry batches, counted on top of the chunks.
+    let mut batches = 0usize;
     let mut overflow_rows = 0usize;
     let mut oom_backoffs = resume.map_or(0, |r| r.oom_backoffs);
     let mut streamed_output = false;
+    let count_of = |row: usize| fill_counts[row].load(Ordering::Relaxed) as u64;
 
     // Two stages (count, then store); within each, part 1 with its large
     // chunk and shrunken queues, then part 2 with the conservative chunk.
     for store in [false, true] {
-        let stage = if store { "symbolic_2" } else { "symbolic_1" };
         // Resident output when the factorized pattern fits on the device
-        // (Algorithm 3 line 8); otherwise stream per batch.
+        // (Algorithm 3 line 8, left there for the numeric phase);
+        // otherwise each batch's positions stream back to the host,
+        // sharing the free bytes with that batch's traversal state.
         let resident_out = if store {
-            let total_fill: u64 = fill_counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed) as u64)
-                .sum();
+            let total_fill: u64 = (0..n).map(count_of).sum();
             let out = gpu.mem.alloc(total_fill * 4).ok();
             streamed_output = out.is_none();
             out
         } else {
             None
         };
+        let streaming = store && resident_out.is_none();
 
         // Shared kernel body for both parts and the retry pass.
         let body = |src: u32, capped: bool, ctx: &mut BlockCtx| {
@@ -260,6 +312,7 @@ pub fn symbolic_ooc_dynamic_run(
                 return;
             }
             if store {
+                // In-block bitonic-style ordering of the emitted row.
                 let e = m.emitted as u64;
                 if e > 1 {
                     ctx.step(e * (64 - e.leading_zeros() as u64));
@@ -274,10 +327,36 @@ pub fn symbolic_ooc_dynamic_run(
             }
         };
 
-        for (range, chunk, capped) in [
-            (0..split.n1, split.chunk1, true),
-            (split.n1..n, split.chunk2, false),
+        // Traversal state for `want` rows plus, when streaming, their
+        // output positions. Sizing against free bytes is only a hint —
+        // the allocation decides, backing off geometrically when it fails.
+        let alloc_batch = |want: usize, row_bytes: u64, nnz_of: &dyn Fn(usize) -> u64| {
+            with_oom_backoff(want, |rows| {
+                let nnz = nnz_of(rows);
+                let state = gpu.mem.alloc(rows as u64 * row_bytes)?;
+                if !streaming {
+                    return Ok((state, None, nnz));
+                }
+                match gpu.mem.alloc(nnz * 4) {
+                    Ok(out) => Ok((state, Some(out), nnz)),
+                    Err(e) => {
+                        let _ = gpu.mem.free(state);
+                        Err(e)
+                    }
+                }
+            })
+        };
+
+        for (part, range, chunk, row_bytes) in [
+            (
+                1u64,
+                0..split.n1,
+                split.chunk1,
+                part1_row_bytes(n, split.frontier_cap),
+            ),
+            (2u64, split.n1..n, split.chunk2, row_state_bytes(n)),
         ] {
+            let capped = part == 1;
             // Counting resumes past the watermark; storing always re-runs
             // in full (it is recomputed from the durable counts).
             let range = if store {
@@ -288,23 +367,16 @@ pub fn symbolic_ooc_dynamic_run(
             if range.is_empty() {
                 continue;
             }
-            let row_bytes = if capped {
-                part1_row_bytes(n, split.frontier_cap)
-            } else {
-                row_state_bytes(n)
-            };
             if !store {
-                // Counting stage: fixed chunks, state only. The chunk the
-                // split planned for is only a hint — back off geometrically
-                // when the state allocation fails.
+                // Counting stage: fixed chunks, state only; the chunk the
+                // split planned is what the backoff starts from.
                 let (state_dev, eff_chunk, backoffs) =
                     with_oom_backoff(chunk.min(range.len()), |rows| {
                         gpu.mem.alloc(rows as u64 * row_bytes)
                     })?;
                 oom_backoffs += backoffs;
-                let iters = range.len().div_ceil(eff_chunk);
-                for iter in 0..iters {
-                    let start = range.start + iter * eff_chunk;
+                chunk_in_force = eff_chunk;
+                for (iter, start) in range.clone().step_by(eff_chunk).enumerate() {
                     let rows = eff_chunk.min(range.end - start);
                     trace.span_begin(
                         "symbolic.chunk",
@@ -313,11 +385,11 @@ pub fn symbolic_ooc_dynamic_run(
                         &[
                             ("iter", iter.into()),
                             ("rows", rows.into()),
-                            ("part", if capped { 1u64.into() } else { 2u64.into() }),
+                            ("part", part.into()),
                         ],
                     );
                     let clk0 = trace.enabled().then(|| gpu.clocks());
-                    gpu.launch(stage, rows, 1024, &|b: usize, ctx: &mut BlockCtx| {
+                    gpu.launch("symbolic_1", rows, 1024, &|b: usize, ctx: &mut BlockCtx| {
                         body((start + b) as u32, capped, ctx);
                     })?;
                     trace.span_end("symbolic.chunk", "chunk", gpu.now().as_ns(), &[]);
@@ -336,44 +408,38 @@ pub fn symbolic_ooc_dynamic_run(
                             );
                         }
                     }
-                    num_iterations += 1;
+                    stage1_chunks += 1;
                     if let Some(h) = hook.as_mut() {
                         h(&ChunkProgress {
                             rows_done: start + rows,
                             n_rows: n,
-                            iters_done: num_iterations,
+                            iters_done: stage1_chunks,
                             chunk: eff_chunk,
                             oom_backoffs,
                             fill_counts: fill_counts
                                 .iter()
                                 .map(|c| c.load(Ordering::Relaxed))
                                 .collect(),
-                            frontiers: Vec::new(),
                             agg_steps: agg[0].load(Ordering::Relaxed),
                             agg_edges: agg[1].load(Ordering::Relaxed),
                             agg_frontiers: agg[2].load(Ordering::Relaxed),
-                            per_iter_max_frontier: Vec::new(),
-                            split: Some(split),
+                            split,
                             overflow_rows: overflowed.lock().clone(),
                         })?;
                     }
                 }
                 gpu.mem.free(state_dev)?;
             } else {
-                // Storing stage: per batch, traversal state and the output
-                // positions share the free device memory.
+                // Storing stage: per batch, as many rows (up to the
+                // planned chunk) as the free bytes hold.
                 let mut start = range.start;
                 while start < range.end {
                     let free = gpu.mem.free_bytes();
                     let mut batch = 0usize;
                     let mut planned_nnz = 0u64;
                     while start + batch < range.end && batch < chunk {
-                        let c = fill_counts[start + batch].load(Ordering::Relaxed) as u64;
-                        let out_need = if resident_out.is_some() {
-                            0
-                        } else {
-                            (planned_nnz + c) * 4
-                        };
+                        let c = count_of(start + batch);
+                        let out_need = if streaming { (planned_nnz + c) * 4 } else { 0 };
                         let need = (batch as u64 + 1) * row_bytes + out_need;
                         if batch > 0 && need > free {
                             break;
@@ -381,26 +447,12 @@ pub fn symbolic_ooc_dynamic_run(
                         planned_nnz += c;
                         batch += 1;
                     }
-                    // The sizing above is a hint; the allocation decides.
                     let ((state_dev, out_dev, batch_nnz), rows, backoffs) =
-                        with_oom_backoff(batch, |r| {
-                            let nnz: u64 = (start..start + r)
-                                .map(|i| fill_counts[i].load(Ordering::Relaxed) as u64)
-                                .sum();
-                            let state = gpu.mem.alloc(r as u64 * row_bytes)?;
-                            if resident_out.is_some() {
-                                return Ok((state, None, nnz));
-                            }
-                            match gpu.mem.alloc(nnz * 4) {
-                                Ok(out) => Ok((state, Some(out), nnz)),
-                                Err(e) => {
-                                    let _ = gpu.mem.free(state);
-                                    Err(e)
-                                }
-                            }
+                        alloc_batch(batch, row_bytes, &|r| {
+                            (start..start + r).map(count_of).sum()
                         })?;
                     oom_backoffs += backoffs;
-                    num_iterations += 1;
+                    batches += 1;
                     trace.span_begin(
                         "symbolic.batch",
                         "chunk",
@@ -412,7 +464,7 @@ pub fn symbolic_ooc_dynamic_run(
                             ("streamed", streamed_output.into()),
                         ],
                     );
-                    gpu.launch(stage, rows, 1024, &|b: usize, ctx: &mut BlockCtx| {
+                    gpu.launch("symbolic_2", rows, 1024, &|b: usize, ctx: &mut BlockCtx| {
                         body((start + b) as u32, capped, ctx);
                     })?;
                     trace.span_end("symbolic.batch", "chunk", gpu.now().as_ns(), &[]);
@@ -432,59 +484,45 @@ pub fn symbolic_ooc_dynamic_run(
         if !store {
             overflow_rows += retry.len();
         }
-        if !retry.is_empty() {
-            let row_bytes = row_state_bytes(n);
-            let mut idx = 0usize;
-            while idx < retry.len() {
-                let want = (retry.len() - idx).min(split.chunk2);
-                let ((state_dev, out_dev), rows, backoffs) = with_oom_backoff(want, |r| {
-                    let state = gpu.mem.alloc(r as u64 * row_bytes)?;
-                    if store && resident_out.is_none() {
-                        let nnz: u64 = retry[idx..idx + r]
-                            .iter()
-                            .map(|&row| fill_counts[row as usize].load(Ordering::Relaxed) as u64)
-                            .sum();
-                        match gpu.mem.alloc(nnz * 4) {
-                            Ok(out) => Ok((state, Some((out, nnz)))),
-                            Err(e) => {
-                                let _ = gpu.mem.free(state);
-                                Err(e)
-                            }
-                        }
-                    } else {
-                        Ok((state, None))
-                    }
+        let mut idx = 0usize;
+        while idx < retry.len() {
+            let want = (retry.len() - idx).min(split.chunk2);
+            let ((state_dev, out_dev, nnz), rows, backoffs) =
+                alloc_batch(want, row_state_bytes(n), &|r| {
+                    retry[idx..idx + r]
+                        .iter()
+                        .map(|&row| count_of(row as usize))
+                        .sum()
                 })?;
-                oom_backoffs += backoffs;
-                let batch = &retry[idx..idx + rows];
-                num_iterations += 1;
-                trace.span_begin(
-                    "symbolic.retry",
-                    "chunk",
-                    gpu.now().as_ns(),
-                    &[("rows", batch.len().into())],
-                );
-                gpu.launch(
-                    "symbolic_retry",
-                    batch.len(),
-                    1024,
-                    &|b: usize, ctx: &mut BlockCtx| {
-                        body(batch[b], false, ctx);
-                    },
-                )?;
-                trace.span_end("symbolic.retry", "chunk", gpu.now().as_ns(), &[]);
-                if let Some((dev, nnz)) = out_dev {
-                    gpu.d2h(nnz * 4);
-                    gpu.mem.free(dev)?;
-                }
-                gpu.mem.free(state_dev)?;
-                idx += rows;
+            oom_backoffs += backoffs;
+            let batch = &retry[idx..idx + rows];
+            batches += 1;
+            trace.span_begin(
+                "symbolic.retry",
+                "chunk",
+                gpu.now().as_ns(),
+                &[("rows", batch.len().into())],
+            );
+            gpu.launch(
+                "symbolic_retry",
+                batch.len(),
+                1024,
+                &|b: usize, ctx: &mut BlockCtx| {
+                    body(batch[b], false, ctx);
+                },
+            )?;
+            trace.span_end("symbolic.retry", "chunk", gpu.now().as_ns(), &[]);
+            if let Some(dev) = out_dev {
+                gpu.d2h(nnz * 4);
+                gpu.mem.free(dev)?;
             }
+            gpu.mem.free(state_dev)?;
+            idx += rows;
         }
 
         if !store {
-            // Prefix sum + offsets readback between the stages (as in
-            // Algorithm 3).
+            // Device prefix sum over fill_count, and the row offsets read
+            // back for host-side assembly (Algorithm 3 line 7).
             gpu.launch(
                 "prefix_sum",
                 n.div_ceil(1024).max(1),
@@ -512,6 +550,8 @@ pub fn symbolic_ooc_dynamic_run(
     gpu.mem.free(counts_dev)?;
     gpu.mem.free(a_dev)?;
 
+    // Both stages traverse; the metrics are the single-traversal costs
+    // (the clock already charged both).
     let metrics = SymbolicMetrics {
         steps: agg[0].load(Ordering::Relaxed),
         edges: agg[1].load(Ordering::Relaxed),
@@ -519,15 +559,19 @@ pub fn symbolic_ooc_dynamic_run(
     };
     let result = SymbolicResult::from_patterns(a, patterns, metrics);
     let stats = gpu.stats().since(&before);
-    Ok(DynamicOutcome {
-        result,
-        split,
-        overflows: overflow_rows,
-        num_iterations,
-        oom_backoffs,
-        streamed_output,
-        time: stats.now,
-        stats,
+    Ok(TwoStageRun {
+        outcome: DynamicOutcome {
+            result,
+            split,
+            overflows: overflow_rows,
+            num_iterations: stage1_chunks + batches,
+            oom_backoffs,
+            streamed_output,
+            time: stats.now,
+            stats,
+        },
+        stage1_chunks,
+        chunk: chunk_in_force,
     })
 }
 
@@ -618,6 +662,181 @@ mod tests {
         assert!(faulted.num_iterations > plain.num_iterations);
         assert_eq!(faulted.result.filled, plain.result.filled);
         assert_eq!(gpu.mem.used_bytes(), 0);
+    }
+
+    /// Clock and counters of both engines, pinned as literals at the
+    /// commit that still had a second Algorithm 3 body: the merged driver
+    /// must reproduce each engine's simulated time to the bit.
+    #[test]
+    fn golden_clock_and_counters_of_both_split_rules() {
+        use gplu_sim::{CostModel, FaultPlan};
+        let random = random_dominant(1024, 3.0, 5);
+        let banded = banded_dominant(1500, 6, 8);
+        let profile = |a: &Csr| GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+        // Matrix, counts and two rows of state: the pattern cannot stay
+        // resident, so stage 2 streams.
+        let small = |a: &Csr| {
+            let n = a.n_rows() as u64;
+            let a_bytes = (n + 1 + a.nnz() as u64) * 4;
+            GpuConfig::v100().with_memory(a_bytes + n * 4 + 2 * row_state_bytes(a.n_rows()))
+        };
+        // Fails the first stage-1 state allocation twice (matrix, counts,
+        // state): the chunk halves twice.
+        let backoff = || FaultPlan::new().oom_on_alloc(3).oom_on_alloc(4);
+        let cases = [
+            ("random", &random, profile(&random), FaultPlan::new()),
+            ("banded", &banded, profile(&banded), FaultPlan::new()),
+            ("small device", &banded, small(&banded), FaultPlan::new()),
+            ("backoff", &random, profile(&random), backoff()),
+        ];
+        // (case, engine, time bits, iterations, chunk(s), host kernels,
+        //  d2h bytes, backoffs, streamed)
+        type Row = (
+            &'static str,
+            &'static str,
+            u64,
+            usize,
+            (usize, usize),
+            u64,
+            u64,
+            usize,
+            bool,
+        );
+        #[rustfmt::skip]
+        let golden: [Row; 8] = [
+            ("random", "ooc", 0x4111218a55555556, 8, (130, 130), 18, 4096, 0, false),
+            ("random", "dynamic", 0x410cc074aaaaaaaa, 9, (562, 130), 10, 4096, 0, false),
+            ("banded", "ooc", 0x4119a5cb55555555, 8, (188, 188), 18, 6000, 0, false),
+            ("banded", "dynamic", 0x4116658355555555, 11, (1040, 188), 12, 6000, 0, false),
+            ("small device", "ooc", 0x418603c2acaaaabe, 750, (2, 2), 2251, 80520, 0, true),
+            ("small device", "dynamic", 0x417c9f5c11555523, 1269, (11, 2), 1270, 80520, 0, true),
+            // The one row that moved with the merge, on purpose. After a
+            // stage-1 backoff Algorithm 3's own body capped stage-2
+            // batches at the *halved* chunk (32 rows: 32 launches, time
+            // bits 0x41297a192aaaaaaa, 65 kernels); the one driver caps
+            // them at the *planned* chunk as Algorithm 4 always has (130
+            // rows: the fault-free run's 9 launches). Stage 1 is
+            // untouched: 32 chunks of 32.
+            ("backoff", "ooc", 0x41214c4caaaaaaaa, 32, (32, 32), 42, 4096, 2, false),
+            ("backoff", "dynamic", 0x411027f855555556, 13, (562, 130), 14, 4096, 2, false),
+        ];
+        let mut got: Vec<Row> = Vec::new();
+        for (case, a, cfg, plan) in cases {
+            let gpu = Gpu::with_fault_plan(cfg.clone(), CostModel::default(), plan.clone());
+            let o = symbolic_ooc(&gpu, a).expect("ooc runs");
+            got.push((
+                case,
+                "ooc",
+                o.time.as_ns().to_bits(),
+                o.num_iterations,
+                (o.chunk_size, o.chunk_size),
+                o.stats.kernels_host,
+                o.stats.d2h_bytes,
+                o.oom_backoffs,
+                o.streamed_output,
+            ));
+            let gpu = Gpu::with_fault_plan(cfg, CostModel::default(), plan);
+            let o = symbolic_ooc_dynamic(&gpu, a).expect("dynamic runs");
+            got.push((
+                case,
+                "dynamic",
+                o.time.as_ns().to_bits(),
+                o.num_iterations,
+                (o.split.chunk1, o.split.chunk2),
+                o.stats.kernels_host,
+                o.stats.d2h_bytes,
+                o.oom_backoffs,
+                o.streamed_output,
+            ));
+        }
+        for (g, want) in got.iter().zip(&golden) {
+            assert_eq!(g, want, "{} / {}", want.0, want.1);
+        }
+    }
+
+    /// Cuts a run after each stage-1 chunk in turn (the hook aborts it the
+    /// way an injected crash does) and resumes from the hook's snapshot.
+    fn cut_at_every_chunk_and_resume<S: PartialEq + std::fmt::Debug>(
+        engine: &str,
+        run: impl Fn(Option<&SymbolicResume>, Option<&mut ChunkHook<'_>>) -> Result<S, SimError>,
+    ) {
+        let mut chunks = 0u64;
+        let whole = run(
+            None,
+            Some(&mut |_: &ChunkProgress| {
+                chunks += 1;
+                Ok(())
+            }),
+        )
+        .expect("uninterrupted run");
+        assert!(chunks >= 3, "{engine}: want a mid-stage cut, got {chunks}");
+        for k in 1..=chunks {
+            let (mut seen, mut cut) = (0, None);
+            run(
+                None,
+                Some(&mut |p: &ChunkProgress| {
+                    seen += 1;
+                    if seen < k {
+                        return Ok(());
+                    }
+                    cut = Some(p.to_resume());
+                    Err(SimError::Crashed { ordinal: k })
+                }),
+            )
+            .expect_err("the hook aborts the run");
+            let resumed = run(cut.as_ref(), None).expect("resumes");
+            assert_eq!(resumed, whole, "{engine}: cut after chunk {k} of {chunks}");
+        }
+    }
+
+    #[test]
+    fn a_run_cut_at_any_chunk_resumes_to_the_same_outcome_under_both_split_rules() {
+        // Nineteen part-1 rows of this matrix overflow the sampled cap, so
+        // the overflow set is carried across the cut with the watermark.
+        let a = random_dominant(900, 3.0, 2);
+        cut_at_every_chunk_and_resume("ooc", |resume, hook| {
+            let o = crate::ooc::symbolic_ooc_run(&gpu_for(&a), &a, &NOOP, resume, hook)?;
+            let r = o.result;
+            Ok((r.filled, r.fill_count, r.metrics, o.num_iterations))
+        });
+        cut_at_every_chunk_and_resume("dynamic", |resume, hook| {
+            let o = symbolic_ooc_dynamic_run(&gpu_for(&a), &a, &NOOP, resume, hook)?;
+            assert!(o.overflows > 0, "the case must exercise the overflow set");
+            let r = o.result;
+            Ok((
+                r.filled,
+                r.fill_count,
+                r.metrics,
+                o.num_iterations,
+                o.overflows,
+            ))
+        });
+    }
+
+    #[test]
+    fn resume_state_that_does_not_fit_the_matrix_is_a_typed_error() {
+        let a = random_dominant(50, 3.0, 1);
+        let fits = SymbolicResume {
+            fill_counts: vec![0; 50],
+            split: DynamicSplit {
+                n1: 10,
+                frontier_cap: 16,
+                chunk1: 8,
+                chunk2: 4,
+            },
+            ..Default::default()
+        };
+        let _ = symbolic_ooc_dynamic_run(&gpu_for(&a), &a, &NOOP, Some(&fits), None).expect("fits");
+        let mut short_counts = fits.clone();
+        short_counts.fill_counts.pop();
+        let mut split_past_the_end = fits.clone();
+        split_past_the_end.split.n1 = 51;
+        let mut empty_part1_chunk = fits.clone();
+        empty_part1_chunk.split.chunk1 = 0;
+        for bad in [short_counts, split_past_the_end, empty_part1_chunk] {
+            let err = symbolic_ooc_dynamic_run(&gpu_for(&a), &a, &NOOP, Some(&bad), None);
+            assert!(matches!(err, Err(SimError::BadLaunch(_))), "{bad:?}");
+        }
     }
 
     #[test]

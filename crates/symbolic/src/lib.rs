@@ -18,9 +18,11 @@
 //! * `reference` — two independent oracles (direct Theorem-1 reachability
 //!   and classical row-merge symbolic elimination) used only in tests,
 //! * [`cpu`] — the "modified GLU 3.0" parallel CPU baseline of Figure 4,
-//! * [`ooc`] — the out-of-core two-stage GPU implementation (Algorithm 3),
-//! * [`dynamic`] — the dynamic-parallelism-assignment variant
-//!   (Algorithm 4) with the 50 %-of-max-frontier split,
+//! * [`dynamic`] — the out-of-core two-stage GPU driver, and the
+//!   dynamic-parallelism-assignment split rule (Algorithm 4) with the
+//!   50 %-of-max-frontier split,
+//! * [`ooc`] — Algorithm 3: the same driver under a split at row 0, plus
+//!   the chunk arithmetic the out-of-core engines share,
 //! * [`um`] — unified-memory GPU implementations with and without
 //!   prefetching (the baselines of Figures 5/6 and Table 3),
 //! * [`frontier`] — the frontier-size profiler behind Figure 3,

@@ -1,34 +1,25 @@
-//! Out-of-core GPU symbolic factorization — the paper's Algorithm 3.
+//! Out-of-core GPU symbolic factorization — the paper's Algorithm 3 — and
+//! the chunk arithmetic every out-of-core engine shares.
 //!
-//! The intermediate traversal state costs `c·n` words per in-flight source
-//! row (`c = 6`), so all `n` rows at once would need `O(n²)` device memory.
-//! Instead the rows are processed in chunks of
-//! `chunk_size = L_free / (c·4·n)`:
+//! Algorithm 3 is the two-stage driver of [`crate::dynamic`] under the
+//! degenerate row split: no low-frontier part (`n1 = 0`) and every chunk
+//! sized for the worst case, `chunk_size = L_free / (c·4·n)`
+//! ([`fixed_split`]). [`symbolic_ooc`] and its variants are that driver's
+//! constructors for this split; they state its outcome in Algorithm 3's
+//! terms (one chunk size, iterations per stage).
 //!
-//! 1. **Stage 1** (`symbolic_1`): per chunk, one thread block per source
-//!    row runs the fill2 traversal and records only the *count* of
-//!    nonzeros of its filled row into `fill_count`.
-//! 2. A device **prefix sum** over `fill_count` yields the CSR row offsets
-//!    and the total, sizing the factorized pattern.
-//! 3. **Stage 2** (`symbolic_2`): the traversal runs again, now *storing*
-//!    the column positions into the allocated pattern; each chunk's rows
-//!    are streamed back to the host so the device only ever holds one
-//!    chunk of output (the paper keeps the whole factorized matrix
-//!    resident for the numeric phase; streaming is the out-of-core
-//!    completion of the same design and changes no counts).
-//!
-//! Everything observable — chunk size, iteration count, launch count,
-//! transfer bytes, per-iteration frontier profile (Figure 3) — comes out
-//! of the simulated GPU's accounting.
+//! The rest of the module is what the driver and the other engines build
+//! on: the per-row state size, the traversal-workspace pool, the per-row
+//! cost charge and the geometric OOM backoff.
 
-use crate::fill2::{fill2_row, Fill2Workspace, RowMetrics};
-use crate::result::{SymbolicMetrics, SymbolicResult};
-use crate::resume::{ChunkHook, ChunkProgress, SymbolicResume};
+use crate::dynamic::{two_stage, DynamicSplit};
+use crate::fill2::{Fill2Workspace, RowMetrics};
+use crate::result::SymbolicResult;
+use crate::resume::{ChunkHook, SymbolicResume};
 use crossbeam::queue::SegQueue;
 use gplu_sim::{BlockCtx, Gpu, GpuConfig, GpuStatsSnapshot, SimError, SimTime};
-use gplu_sparse::{Csr, Idx};
-use gplu_trace::{AttrValue, TraceSink, NOOP};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use gplu_sparse::Csr;
+use gplu_trace::{TraceSink, NOOP};
 
 /// Outcome of an out-of-core symbolic run.
 #[derive(Debug, Clone)]
@@ -36,12 +27,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 pub struct OocOutcome {
     /// The factorization pattern (identical across all implementations).
     pub result: SymbolicResult,
-    /// Rows per chunk used by stage 1/2.
+    /// Rows per stage-1 chunk, after any OOM backoff.
     pub chunk_size: usize,
-    /// Out-of-core iterations per stage.
+    /// Out-of-core iterations of stage 1.
     pub num_iterations: usize,
-    /// Per-iteration maximum per-row frontier count (Figure 3's series).
-    pub per_iter_max_frontier: Vec<u64>,
     /// Chunk halvings taken after failed allocations (OOM backoff).
     pub oom_backoffs: usize,
     /// True when the factorized pattern could not stay device-resident and
@@ -134,15 +123,31 @@ pub(crate) fn with_oom_backoff<T>(
     }
 }
 
+/// Algorithm 3's split rule: no low-frontier part, and one conservative
+/// chunk sized from the bytes free right now. A chunk of zero — not even
+/// one row's state fits — is the driver's allocate-nothing early-out.
+pub(crate) fn fixed_split(
+    gpu: &Gpu,
+    a: &Csr,
+    _pool: &WorkspacePool,
+) -> Result<DynamicSplit, SimError> {
+    let n = a.n_rows();
+    let chunk = chunk_size_for(gpu, n).min(n);
+    Ok(DynamicSplit {
+        n1: 0,
+        frontier_cap: 0,
+        chunk1: chunk,
+        chunk2: chunk,
+    })
+}
+
 /// Runs out-of-core GPU symbolic factorization (Algorithm 3).
 pub fn symbolic_ooc(gpu: &Gpu, a: &Csr) -> Result<OocOutcome, SimError> {
     symbolic_ooc_traced(gpu, a, &NOOP)
 }
 
-/// [`symbolic_ooc`] with telemetry: one `symbolic.chunk` span per stage-1
-/// out-of-core iteration (carrying the iteration index, row count, and the
-/// iteration's max per-row frontier), and one `symbolic.batch` span per
-/// stage-2 output batch.
+/// [`symbolic_ooc`] with telemetry: the spans of
+/// [`crate::dynamic::symbolic_ooc_dynamic_traced`], every row in part 2.
 pub fn symbolic_ooc_traced(
     gpu: &Gpu,
     a: &Csr,
@@ -158,266 +163,17 @@ pub fn symbolic_ooc_run(
     a: &Csr,
     trace: &dyn TraceSink,
     resume: Option<&SymbolicResume>,
-    mut hook: Option<&mut ChunkHook<'_>>,
+    hook: Option<&mut ChunkHook<'_>>,
 ) -> Result<OocOutcome, SimError> {
-    let n = a.n_rows();
-    let before = gpu.stats();
-
-    if let Some(r) = resume {
-        r.check(n, true).map_err(SimError::BadLaunch)?;
-    }
-
-    // The matrix pattern lives on the device for the whole phase
-    // (row_ptr + col_idx; symbolic needs no values).
-    let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
-    let a_dev = gpu.mem.alloc(a_bytes)?;
-    gpu.h2d(a_bytes);
-    let counts_dev = gpu.mem.alloc(n as u64 * 4)?;
-
-    let chunk_hint = match resume.filter(|r| r.chunk > 0) {
-        Some(r) => r.chunk.min(n),
-        None => chunk_size_for(gpu, n).min(n),
-    };
-    if chunk_hint == 0 {
-        return Err(SimError::OutOfMemory {
-            requested: row_state_bytes(n),
-            free: gpu.mem.free_bytes(),
-            capacity: gpu.mem.capacity(),
-        });
-    }
-    let mut oom_backoffs = resume.map_or(0, |r| r.oom_backoffs);
-    let (state_alloc, chunk, backoffs) = with_oom_backoff(chunk_hint, |rows| {
-        gpu.mem.alloc(rows as u64 * row_state_bytes(n))
-    })?;
-    oom_backoffs += backoffs;
-    let mut state_dev = Some(state_alloc);
-
-    let pool = WorkspacePool::new(n);
-    let fill_counts: Vec<AtomicU32> = match resume {
-        Some(r) => r.fill_counts.iter().map(|&c| AtomicU32::new(c)).collect(),
-        None => (0..n).map(|_| AtomicU32::new(0)).collect(),
-    };
-    let frontiers: Vec<AtomicU64> = match resume {
-        Some(r) => r.frontiers.iter().map(|&f| AtomicU64::new(f)).collect(),
-        None => (0..n).map(|_| AtomicU64::new(0)).collect(),
-    };
-    let agg_steps = AtomicU64::new(resume.map_or(0, |r| r.agg_steps));
-    let agg_edges = AtomicU64::new(resume.map_or(0, |r| r.agg_edges));
-
-    // ---- Stage 1: count nonzeros per filled row (kernel symbolic_1). ----
-    let mut per_iter_max_frontier: Vec<u64> =
-        resume.map_or_else(Vec::new, |r| r.per_iter_max_frontier.clone());
-    let mut iters = resume.map_or(0, |r| r.iters_done);
-    let mut row_start = resume.map_or(0, |r| r.rows_done);
-    while row_start < n {
-        let start = row_start;
-        let rows = chunk.min(n - start);
-        trace.span_begin(
-            "symbolic.chunk",
-            "chunk",
-            gpu.now().as_ns(),
-            &[("iter", iters.into()), ("rows", rows.into())],
-        );
-        let clk0 = trace.enabled().then(|| gpu.clocks());
-        gpu.launch("symbolic_1", rows, 1024, &|b: usize, ctx: &mut BlockCtx| {
-            let src = (start + b) as u32;
-            let m = pool.with(|ws| fill2_row(a, src, ws, |_| {}));
-            fill_counts[src as usize].store(m.emitted, Ordering::Relaxed);
-            frontiers[src as usize].store(m.frontiers, Ordering::Relaxed);
-            agg_steps.fetch_add(m.steps, Ordering::Relaxed);
-            agg_edges.fetch_add(m.edges, Ordering::Relaxed);
-            charge_row(ctx, &m);
-        })?;
-        let max_frontier = (start..start + rows)
-            .map(|r| frontiers[r].load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        per_iter_max_frontier.push(max_frontier);
-        trace.span_end(
-            "symbolic.chunk",
-            "chunk",
-            gpu.now().as_ns(),
-            &[
-                ("iter", iters.into()),
-                ("rows", rows.into()),
-                ("max_frontier", max_frontier.into()),
-            ],
-        );
-        if let Some((obs0, pred0)) = clk0 {
-            let (obs1, pred1) = gpu.clocks();
-            if obs1 > obs0 {
-                trace.instant(
-                    "drift.sample",
-                    "drift",
-                    obs1,
-                    &[
-                        ("kind", "symbolic_chunk".into()),
-                        ("predicted_ns", AttrValue::F64(pred1 - pred0)),
-                        ("observed_ns", AttrValue::F64(obs1 - obs0)),
-                    ],
-                );
-            }
-        }
-        iters += 1;
-        row_start += rows;
-        if let Some(h) = hook.as_mut() {
-            h(&ChunkProgress {
-                rows_done: row_start,
-                n_rows: n,
-                iters_done: iters,
-                chunk,
-                oom_backoffs,
-                fill_counts: fill_counts
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect(),
-                frontiers: frontiers
-                    .iter()
-                    .map(|f| f.load(Ordering::Relaxed))
-                    .collect(),
-                agg_steps: agg_steps.load(Ordering::Relaxed),
-                agg_edges: agg_edges.load(Ordering::Relaxed),
-                agg_frontiers: 0,
-                per_iter_max_frontier: per_iter_max_frontier.clone(),
-                split: None,
-                overflow_rows: Vec::new(),
-            })?;
-        }
-    }
-    let num_iter = iters;
-
-    // ---- Device prefix sum over fill_count (line 7). ----
-    gpu.launch(
-        "prefix_sum",
-        n.div_ceil(1024).max(1),
-        1024,
-        &|_b: usize, ctx: &mut BlockCtx| {
-            ctx.step(1024);
-            ctx.mem(1024 * 4);
-        },
-    )?;
-    gpu.d2h(n as u64 * 4); // row offsets for host-side assembly
-
-    let counts: Vec<u32> = fill_counts
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
-        .collect();
-    let total_fill: u64 = counts.iter().map(|&c| c as u64).sum();
-
-    // ---- Stage 2: store positions (kernel symbolic_2). ----
-    //
-    // The paper allocates the whole factorized pattern on the device
-    // (Algorithm 3 line 8) and leaves it there for the numeric phase; we
-    // do the same when it fits ("resident mode"). When it does not — the
-    // truly out-of-core tail case — each batch's positions are streamed
-    // back to the host, re-budgeting the freed stage-1 state reservation
-    // between traversal state and output per batch.
-    if let Some(dev) = state_dev.take() {
-        gpu.mem.free(dev)?;
-    }
-    let resident_out = gpu.mem.alloc(total_fill * 4).ok();
-    let streamed_output = resident_out.is_none();
-    let collected: SegQueue<(u32, Vec<Idx>)> = SegQueue::new();
-    let mut patterns: Vec<Vec<Idx>> = vec![Vec::new(); n];
-    let mut start = 0usize;
-    while start < n {
-        let free = gpu.mem.free_bytes();
-        let row_bytes = row_state_bytes(n);
-        let mut batch = 0usize;
-        let mut batch_nnz: u64 = 0;
-        while start + batch < n && batch < chunk {
-            let b = counts[start + batch] as u64;
-            let out_need = if resident_out.is_some() {
-                0
-            } else {
-                (batch_nnz + b) * 4
-            };
-            let need = (batch as u64 + 1) * row_bytes + out_need;
-            if batch > 0 && need > free {
-                break;
-            }
-            batch_nnz += b;
-            batch += 1;
-        }
-        // The batch is sized against free bytes, but only the allocation
-        // itself is authoritative: back off geometrically when it fails.
-        let ((state2_dev, out_dev, chunk_nnz), rows, backoffs) = with_oom_backoff(batch, |r| {
-            let nnz: u64 = counts[start..start + r].iter().map(|&c| c as u64).sum();
-            let state = gpu.mem.alloc(r as u64 * row_bytes)?;
-            if resident_out.is_some() {
-                return Ok((state, None, nnz));
-            }
-            match gpu.mem.alloc(nnz * 4) {
-                Ok(out) => Ok((state, Some(out), nnz)),
-                Err(e) => {
-                    let _ = gpu.mem.free(state);
-                    Err(e)
-                }
-            }
-        })?;
-        oom_backoffs += backoffs;
-        trace.span_begin(
-            "symbolic.batch",
-            "chunk",
-            gpu.now().as_ns(),
-            &[
-                ("start", start.into()),
-                ("rows", rows.into()),
-                ("nnz", chunk_nnz.into()),
-                ("streamed", streamed_output.into()),
-            ],
-        );
-        gpu.launch("symbolic_2", rows, 1024, &|b: usize, ctx: &mut BlockCtx| {
-            let src = (start + b) as u32;
-            let mut cols = Vec::with_capacity(counts[src as usize] as usize);
-            let m = pool.with(|ws| fill2_row(a, src, ws, |c| cols.push(c)));
-            charge_row(ctx, &m);
-            // In-block bitonic-style ordering of the emitted row.
-            let e = m.emitted as u64;
-            if e > 1 {
-                ctx.step(e * (64 - e.leading_zeros() as u64));
-            }
-            cols.sort_unstable();
-            collected.push((src, cols));
-        })?;
-        if let Some(dev) = out_dev {
-            gpu.d2h(chunk_nnz * 4);
-            gpu.mem.free(dev)?;
-        }
-        gpu.mem.free(state2_dev)?;
-        trace.span_end("symbolic.batch", "chunk", gpu.now().as_ns(), &[]);
-        while let Some((src, cols)) = collected.pop() {
-            patterns[src as usize] = cols;
-        }
-        start += rows;
-    }
-
-    if let Some(dev) = resident_out {
-        // Handed to the numeric phase in place (as in the paper); released
-        // here because our pipeline re-allocates per phase.
-        gpu.mem.free(dev)?;
-    }
-    gpu.mem.free(counts_dev)?;
-    gpu.mem.free(a_dev)?;
-
-    let metrics = SymbolicMetrics {
-        // Both stages traverse; report single-traversal metrics (they are
-        // the per-stage costs; the clock already charged both).
-        steps: agg_steps.load(Ordering::Relaxed),
-        edges: agg_edges.load(Ordering::Relaxed),
-        frontiers: frontiers.iter().map(|f| f.load(Ordering::Relaxed)).sum(),
-    };
-    let result = SymbolicResult::from_patterns(a, patterns, metrics);
-    let stats = gpu.stats().since(&before);
+    let run = two_stage(gpu, a, trace, fixed_split, resume, hook)?;
     Ok(OocOutcome {
-        result,
-        chunk_size: chunk,
-        num_iterations: num_iter,
-        per_iter_max_frontier,
-        oom_backoffs,
-        streamed_output,
-        time: stats.now,
-        stats,
+        result: run.outcome.result,
+        chunk_size: run.chunk,
+        num_iterations: run.stage1_chunks,
+        oom_backoffs: run.outcome.oom_backoffs,
+        streamed_output: run.outcome.streamed_output,
+        time: run.outcome.time,
+        stats: run.outcome.stats,
     })
 }
 
@@ -452,7 +208,6 @@ mod tests {
             "profile must force out-of-core chunking"
         );
         assert_eq!(ooc.num_iterations, 1024usize.div_ceil(ooc.chunk_size));
-        assert_eq!(ooc.per_iter_max_frontier.len(), ooc.num_iterations);
     }
 
     #[test]
@@ -544,28 +299,5 @@ mod tests {
             symbolic_ooc(&gpu, &a),
             Err(SimError::OutOfMemory { .. })
         ));
-    }
-
-    #[test]
-    fn frontier_profile_rises_for_banded_matrix() {
-        // For a banded matrix the reach (and thus the frontier count)
-        // grows with the row id; the Figure 3 shape must emerge.
-        let a = gplu_sparse::gen::random::banded_dominant(1500, 6, 11);
-        let gpu = gpu_for(&a);
-        let ooc = symbolic_ooc(&gpu, &a).expect("runs");
-        let first = ooc
-            .per_iter_max_frontier
-            .first()
-            .copied()
-            .expect("non-empty");
-        let last = ooc
-            .per_iter_max_frontier
-            .last()
-            .copied()
-            .expect("non-empty");
-        assert!(
-            last >= first,
-            "frontier profile should not shrink: {first} -> {last}"
-        );
     }
 }

@@ -1,15 +1,18 @@
-//! Chunk-granular resume support for the out-of-core symbolic engines.
+//! Chunk-granular resume support for the out-of-core symbolic driver.
 //!
-//! Stage 1 of Algorithm 3/4 is a loop of independent per-row traversals
-//! grouped into chunks; each chunk boundary is a natural durability point
-//! because the counting state (`fill_count`, frontier profile, aggregate
-//! traversal counters) after `k` chunks is a pure function of the matrix
-//! — the traversal of one row never reads another row's results. A
-//! checkpoint cut there and replayed with [`SymbolicResume`] therefore
-//! reproduces the identical fill pattern; stage 2 (position storing) is
-//! recomputed from the counts and needs no partial state of its own.
+//! Stage 1 of the two-stage procedure is a loop of independent per-row
+//! traversals grouped into chunks; each chunk boundary is a natural
+//! durability point because the counting state (`fill_count`, aggregate
+//! traversal counters, the overflow set) after `k` chunks is a pure
+//! function of the matrix and the row split — the traversal of one row
+//! never reads another row's results. A checkpoint cut there and replayed
+//! with [`SymbolicResume`] therefore reproduces the identical fill
+//! pattern; stage 2 (position storing) is recomputed from the counts and
+//! needs no partial state of its own.
 //!
-//! Both OOC engines ([`crate::ooc`], [`crate::dynamic`]) accept an
+//! There is one driver ([`crate::dynamic`]) behind both out-of-core
+//! engines, so there is one resume state: Algorithm 3 and Algorithm 4
+//! differ only in the [`DynamicSplit`] it carries. The driver accepts an
 //! optional [`SymbolicResume`] plus an optional [`ChunkHook`] invoked
 //! after every completed stage-1 chunk. The hook is where the pipeline
 //! cuts snapshots; it returns a [`SimError`] to abort the run — in
@@ -24,33 +27,29 @@ use gplu_sim::SimError;
 pub struct SymbolicResume {
     /// Source rows `0..rows_done` have final counts in [`Self::fill_counts`].
     pub rows_done: usize,
-    /// Out-of-core iterations already executed (for iteration accounting).
+    /// Stage-1 chunks already executed (for iteration accounting).
     pub iters_done: usize,
-    /// Effective stage-1 chunk size after any OOM backoff
-    /// ([`crate::ooc`] engine; the dynamic engine re-derives chunks from
-    /// [`Self::split`]).
+    /// Effective stage-1 chunk size in force at the cut, after any OOM
+    /// backoff. Report fidelity only: a resumed run sizes its chunks from
+    /// [`Self::split`] and backs off again if it must.
     pub chunk: usize,
     /// OOM backoff halvings already taken.
     pub oom_backoffs: usize,
     /// Per-row filled-nonzero counts (length `n`; rows past the watermark
     /// are zero).
     pub fill_counts: Vec<u32>,
-    /// Per-row frontier counts ([`crate::ooc`] engine; empty for the
-    /// dynamic engine, which only aggregates).
-    pub frontiers: Vec<u64>,
     /// Aggregate traversal steps over the completed rows.
     pub agg_steps: u64,
     /// Aggregate scanned edges over the completed rows.
     pub agg_edges: u64,
-    /// Aggregate frontier inserts (dynamic engine; the naive engine
-    /// recomputes this from [`Self::frontiers`]).
+    /// Aggregate frontier inserts over the completed rows.
     pub agg_frontiers: u64,
-    /// Figure 3 series for the completed iterations ([`crate::ooc`]).
-    pub per_iter_max_frontier: Vec<u64>,
-    /// The prepass split (dynamic engine; `None` for the naive engine).
-    pub split: Option<DynamicSplit>,
-    /// Part-1 rows whose shrunken queues overflowed in completed chunks
-    /// (dynamic engine; they are re-run after the counting stage).
+    /// The row split the run works under. The watermark and the overflow
+    /// set are relative to it, so a resumed run replays it instead of
+    /// planning afresh.
+    pub split: DynamicSplit,
+    /// Part-1 rows whose shrunken queues overflowed in completed chunks;
+    /// they are re-run after the counting stage.
     pub overflow_rows: Vec<u32>,
 }
 
@@ -64,7 +63,7 @@ pub struct ChunkProgress {
     pub rows_done: usize,
     /// Matrix dimension.
     pub n_rows: usize,
-    /// Iterations executed so far.
+    /// Stage-1 chunks executed so far.
     pub iters_done: usize,
     /// Effective chunk size in force.
     pub chunk: usize,
@@ -72,19 +71,15 @@ pub struct ChunkProgress {
     pub oom_backoffs: usize,
     /// Snapshot of the per-row fill counts (length `n`).
     pub fill_counts: Vec<u32>,
-    /// Snapshot of the per-row frontier counts (naive engine; else empty).
-    pub frontiers: Vec<u64>,
     /// Aggregate traversal steps so far.
     pub agg_steps: u64,
     /// Aggregate scanned edges so far.
     pub agg_edges: u64,
-    /// Aggregate frontier inserts so far (dynamic engine).
+    /// Aggregate frontier inserts so far.
     pub agg_frontiers: u64,
-    /// Figure 3 series so far (naive engine; else empty).
-    pub per_iter_max_frontier: Vec<u64>,
-    /// The prepass split (dynamic engine).
-    pub split: Option<DynamicSplit>,
-    /// Overflowed part-1 rows so far (dynamic engine).
+    /// The row split in force.
+    pub split: DynamicSplit,
+    /// Overflowed part-1 rows so far.
     pub overflow_rows: Vec<u32>,
 }
 
@@ -102,11 +97,9 @@ impl ChunkProgress {
             chunk: self.chunk,
             oom_backoffs: self.oom_backoffs,
             fill_counts: self.fill_counts.clone(),
-            frontiers: self.frontiers.clone(),
             agg_steps: self.agg_steps,
             agg_edges: self.agg_edges,
             agg_frontiers: self.agg_frontiers,
-            per_iter_max_frontier: self.per_iter_max_frontier.clone(),
             split: self.split,
             overflow_rows: self.overflow_rows.clone(),
         }
@@ -114,9 +107,8 @@ impl ChunkProgress {
 }
 
 impl SymbolicResume {
-    /// Validates the restart state against an `n × n` matrix; `per_row`
-    /// demands the per-row frontier profile (naive OOC engine).
-    pub fn check(&self, n: usize, per_row_frontiers: bool) -> Result<(), String> {
+    /// Validates the restart state against an `n × n` matrix.
+    pub fn check(&self, n: usize) -> Result<(), String> {
         if self.fill_counts.len() != n {
             return Err(format!(
                 "resume state counts {} rows, matrix has {n}",
@@ -129,14 +121,11 @@ impl SymbolicResume {
                 self.rows_done
             ));
         }
-        if per_row_frontiers && self.frontiers.len() != n {
+        if self.split.n1 > n || (self.split.n1 > 0 && self.split.chunk1 == 0) {
             return Err(format!(
-                "resume state has {} frontier entries, matrix has {n} rows",
-                self.frontiers.len()
+                "resume split {:?} does not fit a matrix of {n} rows",
+                self.split
             ));
-        }
-        if self.rows_done > 0 && self.chunk == 0 && self.split.is_none() {
-            return Err("resume state carries neither a chunk size nor a split".into());
         }
         Ok(())
     }

@@ -69,21 +69,27 @@ fn engines_agree_on_paper_analogs() {
 
 #[test]
 fn determinism_across_runs() {
-    // Five repeats in one process: the pool hands blocks to threads in a
-    // different order every time, and neither the factors nor either
-    // simulated time may notice.
+    // Twenty repeats in one process: the pool hands blocks to threads in a
+    // different order every time, and neither the factors, the solution
+    // nor either simulated time may notice.
     let a = random_dominant(400, 4.0, 316);
     let b: Vec<f64> = (0..a.n_rows()).map(|i| 1.0 + (i % 7) as f64).collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let run = || {
         let gpu = gpu_for(&a);
         let f = LuFactorization::compute(&gpu, &a, &LuOptions::default()).expect("compute");
-        let (x, solve_time) = f
-            .solve_on_gpu(&gpu, &f.solve_plan(), &b)
-            .expect("solve_on_gpu");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let plan = f.solve_plan();
+        let (x, solve_time) = f.solve_on_gpu(&gpu, &plan, &b).expect("solve_on_gpu");
+        // The same right-hand side inside a batch is the same solve.
+        let twice: Vec<f64> = b.iter().map(|v| 2.0 * v).collect();
+        let (xs, _) = f
+            .solve_many_on_gpu(&gpu, &plan, &[b.clone(), twice, vec![1.0; a.n_rows()]])
+            .expect("solve_many_on_gpu");
+        assert_eq!(bits(&xs[0]), bits(&x), "batched rhs 0 vs single solve");
         (
             bits(&f.lu.vals),
             bits(&x),
+            xs.iter().map(|x| bits(x)).collect::<Vec<_>>(),
             f.report.fill_nnz,
             f.report.n_levels,
             // Simulated times are part of the contract too, to the bit.
@@ -92,7 +98,7 @@ fn determinism_across_runs() {
         )
     };
     let first = run();
-    for repeat in 1..5 {
+    for repeat in 1..20 {
         assert_eq!(run(), first, "repeat {repeat} differs from the first run");
     }
 }

@@ -79,13 +79,24 @@ const FORMATS: [(NumericFormat, &str); 5] = [
 ];
 
 /// The tentpole invariant: crash at every ordinal, resume, compare bits —
-/// for each of the five numeric formats.
+/// for each of the five numeric formats, and for both out-of-core
+/// symbolic engines.
 #[test]
 fn crash_at_every_ordinal_then_resume_is_bit_identical() {
     let a = random_dominant(120, 4.0, 7 + seed_base());
-    for (format, tag) in FORMATS {
+    // Every format under the default symbolic engine (Algorithm 4), and
+    // the first once more under Algorithm 3: the same driver on its other
+    // split rule, so its symbolic-partial cut must resume too.
+    let default_engine = LuOptions::default().symbolic;
+    let ooc_once = [(FORMATS[0].0, "dense-ooc", SymbolicEngine::Ooc)];
+    let runs = FORMATS
+        .iter()
+        .map(|&(format, tag)| (format, tag, default_engine))
+        .chain(ooc_once);
+    for (format, tag, symbolic) in runs {
         let opts = LuOptions {
             format,
+            symbolic,
             ..Default::default()
         };
 
