@@ -1,9 +1,10 @@
 //! Wall-clock benches of the per-column kernel core itself: the three
 //! access disciplines of `process_column` over one filled pattern, plus
-//! the cost of building the `PivotCache` they share. This isolates the
-//! location work (binary search vs the dense accumulator the merge and
-//! dense disciplines share) from the engine/simulator machinery the
-//! `numeric` bench includes.
+//! the cost of building the `PivotCache` they share. All three run the
+//! same dense-accumulator arithmetic, so this isolates what pricing a
+//! location counter costs (the probe-depth descent and sum, the
+//! merge-step `partition_point`s, or nothing) from the engine/simulator
+//! machinery the `numeric` bench includes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gplu_bench::Prepared;

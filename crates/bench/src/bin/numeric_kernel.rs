@@ -1,13 +1,17 @@
 //! Head-to-head of the two sorted-CSC numeric kernels: binary-search
 //! access (the paper's Algorithm 6) vs merge-join access (the `O(nnz)`
-//! streaming refinement). Measures **both** clocks on the Table 4 analog
-//! suite:
+//! streaming refinement), on the Table 4 analog suite. The discipline's
+//! cost is on the simulated clock and in the located-work counters, and
+//! those are what this bench pins:
 //!
-//! * *wall-clock* of the engine call — the host actually performs every
-//!   probe / cursor advance, so this is a real measurement of the access
-//!   discipline's location work,
 //! * *simulated* device time — the cost model's verdict, where binary
-//!   search pays `probe_flop_items` and merge does not.
+//!   search pays `probe_flop_items` and merge does not,
+//! * `probes` and `merge_steps` — what the device kernel's location work
+//!   would be, reported by the kernel core in closed form,
+//! * *wall-clock* of the engine call — both engines run the same host
+//!   arithmetic (one dense-accumulator core), so the wall columns time
+//!   the pricing of a counter, not the location work: the host performs
+//!   no probe and no cursor advance.
 //!
 //! Writes `BENCH_numeric_kernel.json` next to the working directory and
 //! prints a table. Both engines must agree bitwise on every matrix, or

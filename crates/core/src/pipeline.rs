@@ -1288,9 +1288,7 @@ impl<'a> Pass<'a> {
                     NumericFormat::SparseBlocked => Box::new(BlockedEngine::new(
                         block_plan.expect("blocked rung carries a plan"),
                     )),
-                    NumericFormat::Auto | NumericFormat::SparseMerge => {
-                        Box::new(MergeEngine::default())
-                    }
+                    NumericFormat::Auto | NumericFormat::SparseMerge => Box::new(MergeEngine),
                 };
                 let run = run_levels(
                     &mut *engine,

@@ -20,24 +20,25 @@
 //! exactly like the merge engine — a plan with zero blocks degenerates to
 //! the merge engine bit-for-bit *and* cost-for-cost.
 //!
-//! Correctness is inherited, not re-proven: every column still runs the
-//! shared kernel core ([`crate::outcome::process_column`], merge
-//! discipline) under the unchanged level schedule, so the arithmetic
-//! order — and therefore every bit of the factor — is identical to the
-//! merge/sequential engines. Blocking changes only what the simulator
-//! charges for it.
+//! Correctness is inherited, not re-proven: the engine is a price list
+//! over the one kernel body in [`crate::engine`] (merge discipline), so
+//! every column runs the shared kernel core under the unchanged level
+//! schedule and the arithmetic order — and therefore every bit of the
+//! factor — is identical to the merge/sequential engines. Blocking
+//! changes only what the simulator charges for it, and adds the tile
+//! count and the block attributes of each level's span.
 
-use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+use crate::engine::{EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
+use crate::fleet::run_on;
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError};
+use gplu_sim::{BlockCtx, Gpu};
 use gplu_sparse::Csc;
 use gplu_trace::{AttrValue, TraceSink, NOOP};
-use std::cmp::Ordering as CmpOrdering;
+use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Side of the square dense update tile (and the width cap of a supernode
 /// block): a `TILE_WIDTH × TILE_WIDTH` tile per thread block, the shape of
@@ -169,9 +170,9 @@ fn pair_similarity(pattern: &Csc, cache: &PivotCache, j: usize, k: usize) -> f64
     let (mut ia, mut ib, mut inter) = (0usize, 0usize, 0usize);
     while ia < a.len() && ib < b.len() {
         match a[ia].cmp(&b[ib]) {
-            CmpOrdering::Less => ia += 1,
-            CmpOrdering::Greater => ib += 1,
-            CmpOrdering::Equal => {
+            Ordering::Less => ia += 1,
+            Ordering::Greater => ib += 1,
+            Ordering::Equal => {
                 inter += 1;
                 ia += 1;
                 ib += 1;
@@ -182,28 +183,16 @@ fn pair_similarity(pattern: &Csc, cache: &PivotCache, j: usize, k: usize) -> f64
     inter as f64 / union as f64
 }
 
-/// Number of `TILE_WIDTH × TILE_WIDTH` tiles a block-member column's
-/// `items` update stream occupies (at least one).
-fn gemm_tiles_of(items: u64) -> u64 {
-    items.div_ceil((TILE_WIDTH * TILE_WIDTH) as u64).max(1)
-}
-
 /// The blocked numeric engine: merge-join arithmetic, BLAS-3 pricing for
 /// supernode-member columns.
 pub struct BlockedEngine<'p> {
     plan: &'p BlockPlan,
-    steps: AtomicU64,
-    tiles: AtomicU64,
 }
 
 impl<'p> BlockedEngine<'p> {
     /// The engine over a precomputed blocking `plan`.
     pub fn new(plan: &'p BlockPlan) -> BlockedEngine<'p> {
-        BlockedEngine {
-            plan,
-            steps: AtomicU64::new(0),
-            tiles: AtomicU64::new(0),
-        }
+        BlockedEngine { plan }
     }
 }
 
@@ -212,58 +201,34 @@ impl NumericEngine for BlockedEngine<'_> {
         "numeric_blocked"
     }
 
-    fn seed(&mut self, resume: &NumericResume) {
-        self.steps.store(resume.merge_steps, Ordering::Relaxed);
-        self.tiles.store(resume.gemm_tiles, Ordering::Relaxed);
+    fn discipline(&self) -> AccessDiscipline {
+        AccessDiscipline::Merge
     }
 
-    fn run_level(&self, run: &LevelRun<'_>) -> Result<(), SimError> {
-        let stripes = run.stripes;
-        let kernel = |b: usize, ctx: &mut BlockCtx| {
-            let col = run.cols[b / stripes] as usize;
-            let stripe = b % stripes;
-            let items = run.items_of[b / stripes];
-            let width = self.plan.width_of(col) as u64;
-            if width >= 2 {
-                // Supernode member: the update is a tiled dense block
-                // update. Flops run at the pipelined GEMM rate, and the
-                // source tile is fetched once per block rather than once
-                // per column, so the column's share of the traffic is the
-                // stream divided by the block width.
-                ctx.bulk_gemm(3, items / stripes as u64);
-                ctx.mem(run.gpu.cost().tiled_mem_bytes(items, width) / stripes as u64);
-            } else {
-                // Singleton: exactly the merge engine's streaming price.
-                ctx.bulk_flops(3, items / stripes as u64);
-                ctx.mem(items * 8 / stripes as u64);
-            }
-            if stripe == 0 {
-                if width >= 2 {
-                    self.tiles
-                        .fetch_add(gemm_tiles_of(items), Ordering::Relaxed);
-                }
-                match run.process_column(col, AccessDiscipline::Merge) {
-                    Ok((c, perturb)) => {
-                        self.steps.fetch_add(c.merge_steps, Ordering::Relaxed);
-                        if let Some(delta) = perturb {
-                            run.perturbs.lock().push((col, delta));
-                        }
-                    }
-                    Err(e) => {
-                        run.error.lock().get_or_insert(e);
-                    }
-                }
-            }
-        };
-        run.launch(self.kernel_name(), &kernel)
-    }
-
-    fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            merge_steps: self.steps.load(Ordering::Relaxed),
-            gemm_tiles: self.tiles.load(Ordering::Relaxed),
-            ..EngineCounters::default()
+    fn price(&self, run: &LevelRun<'_>, col: usize, items: u64, ctx: &mut BlockCtx<'_>) {
+        let (width, stripes) = (self.plan.width_of(col) as u64, run.stripes as u64);
+        if width >= 2 {
+            // Supernode member: the update is a tiled dense block update.
+            // Flops run at the pipelined GEMM rate, and the source tile is
+            // fetched once per block rather than once per column, so the
+            // column's share of the traffic is the stream divided by the
+            // block width.
+            ctx.bulk_gemm(3, items / stripes);
+            ctx.mem(run.gpu.cost().tiled_mem_bytes(items, width) / stripes);
+        } else {
+            // Singleton: exactly the merge engine's streaming price.
+            ctx.bulk_flops(3, items / stripes);
+            ctx.mem(items * 8 / stripes);
         }
+    }
+
+    // Number of `TILE_WIDTH × TILE_WIDTH` tiles a block-member column's
+    // `items` update stream occupies (at least one).
+    fn gemm_tiles(&self, col: usize, items: u64) -> u64 {
+        if self.plan.width_of(col) < 2 {
+            return 0;
+        }
+        items.div_ceil((TILE_WIDTH * TILE_WIDTH) as u64).max(1)
     }
 
     fn level_attrs(
@@ -283,7 +248,6 @@ impl NumericEngine for BlockedEngine<'_> {
             .map(|&j| self.plan.width_of(j as usize) as f64)
             .sum::<f64>()
             / run.cols.len().max(1) as f64;
-        attrs.push(("merge_steps", delta.merge_steps.into()));
         attrs.push(("blocks", ids.len().into()));
         attrs.push(("mean_block_width", mean.into()));
         attrs.push(("gemm_tiles", delta.gemm_tiles.into()));
@@ -334,10 +298,9 @@ pub fn factorize_gpu_blocked_run_cached(
     pivot: Option<&PivotCache>,
     rule: PivotRule,
 ) -> Result<NumericOutcome, NumericError> {
-    let mut engine = BlockedEngine::new(plan);
-    run_levels(
-        &mut engine,
-        &DeviceFleet::from(gpu),
+    run_on(
+        BlockedEngine::new(plan),
+        &gpu.into(),
         pattern,
         levels,
         trace,

@@ -11,19 +11,19 @@
 //! below `TB_max` and the device runs block-starved — the deficiency the
 //! binary-search CSC format removes.
 //!
-//! The level-loop scaffolding lives in [`crate::engine::run_levels`]; this
-//! module contributes only the [`DenseEngine`] kernel and its M-capped
-//! batching.
+//! The level loop, the kernel body and the counters live in
+//! [`crate::engine`]; this module states only what the format costs: the
+//! per-stripe price of a column and the M-capped batched launch.
 
-use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+use crate::engine::{ColumnKernel, LevelRun, NumericEngine};
 use crate::error::NumericError;
+use crate::fleet::run_on;
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError};
+use gplu_sim::{BlockCtx, Gpu, SimError};
 use gplu_sparse::Csc;
-use gplu_trace::{AttrValue, TraceSink, NOOP};
-use std::sync::atomic::{AtomicU64, Ordering};
+use gplu_trace::{TraceSink, NOOP};
 
 /// The dense-column numeric engine: direct row indexing into `O(n)`
 /// scatter buffers, with concurrency capped at the paper's `M`.
@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct DenseEngine {
     m_limit: usize,
     col_bytes: u64,
-    batches: AtomicU64,
 }
 
 impl NumericEngine for DenseEngine {
@@ -39,8 +38,8 @@ impl NumericEngine for DenseEngine {
         "numeric_dense"
     }
 
-    fn seed(&mut self, resume: &NumericResume) {
-        self.batches.store(resume.batches, Ordering::Relaxed);
+    fn discipline(&self) -> AccessDiscipline {
+        AccessDiscipline::Dense
     }
 
     // Every M-capped batch allocates and frees its dense column buffers —
@@ -65,13 +64,30 @@ impl NumericEngine for DenseEngine {
         Ok(())
     }
 
-    fn run_level(&self, run: &LevelRun<'_>) -> Result<(), SimError> {
-        let n = run.pattern.n_cols();
-        let stripes = run.stripes;
-        let m = self.m_limit.max(1);
-        // Level split into batches of at most M concurrent dense buffers.
+    // Each column's work (updates + scatter/gather + the O(n) dense-buffer
+    // traffic the paper charges per column) is split across its
+    // cooperating stripes. Right-looking execution has no per-target
+    // dependency chain, so a column costs a few block-wide steps plus its
+    // share of the (structured, flop-rate) update stream.
+    fn price(&self, run: &LevelRun<'_>, col: usize, items: u64, ctx: &mut BlockCtx<'_>) {
+        let (n, stripes) = (run.pattern.n_cols() as u64, run.stripes as u64);
+        let nnz_col = (run.pattern.col_ptr[col + 1] - run.pattern.col_ptr[col]) as u64;
+        // Structured update stream at the flop rate…
+        ctx.bulk_flops(3, (items + 2 * nnz_col) / stripes);
+        // …plus the O(n) dense-buffer traffic (clear + scatter + gather of
+        // an `n`-length vector): uncoalesced read-modify-write, charged at
+        // the irregular rate — the per-column tax the sparse format avoids
+        // entirely.
+        ctx.work(4 * n / stripes);
+        ctx.mem((items * 8 + 4 * n) / stripes);
+    }
+
+    // The share split into batches of at most M concurrent dense buffers,
+    // each its own capped launch between a buffer allocation and its free.
+    fn launch(&self, run: &LevelRun<'_>, body: &ColumnKernel<'_>) -> Result<(), SimError> {
+        let (m, stripes) = (self.m_limit.max(1), run.stripes);
         for (chunk, batch) in run.cols.chunks(m).enumerate() {
-            self.batches.fetch_add(1, Ordering::Relaxed);
+            run.count_batch();
             let base = chunk * m;
             let buffers = run.gpu.mem.alloc(batch.len() as u64 * self.col_bytes)?;
             run.gpu.launch_capped(
@@ -79,59 +95,11 @@ impl NumericEngine for DenseEngine {
                 batch.len() * stripes,
                 run.threads,
                 self.m_limit,
-                &|b: usize, ctx: &mut BlockCtx| {
-                    let col = batch[b / stripes] as usize;
-                    let stripe = b % stripes;
-                    // Each column's work (updates + scatter/gather + the O(n)
-                    // dense-buffer traffic the paper charges per column) is
-                    // split across its cooperating stripes; stripe 0 performs
-                    // the functional arithmetic, co-stripes charge their share
-                    // of the cost from the structure alone. Right-looking
-                    // execution has no per-target dependency chain, so a
-                    // column costs a few block-wide steps plus its share of
-                    // the (structured, flop-rate) update stream.
-                    let items = run.items_of[base + b / stripes];
-                    let nnz_col = (run.pattern.col_ptr[col + 1] - run.pattern.col_ptr[col]) as u64;
-                    // Structured update stream at the flop rate…
-                    ctx.bulk_flops(3, (items + 2 * nnz_col) / stripes as u64);
-                    // …plus the O(n) dense-buffer traffic (clear + scatter +
-                    // gather of an `n`-length vector): uncoalesced
-                    // read-modify-write, charged at the irregular rate — the
-                    // per-column tax the sparse format avoids entirely.
-                    ctx.work(4 * n as u64 / stripes as u64);
-                    ctx.mem((items * 8 + 4 * n as u64) / stripes as u64);
-                    if stripe == 0 {
-                        match run.process_column(col, AccessDiscipline::Dense) {
-                            Ok((_, Some(delta))) => {
-                                run.perturbs.lock().push((col, delta));
-                            }
-                            Ok(_) => {}
-                            Err(e) => {
-                                run.error.lock().get_or_insert(e);
-                            }
-                        }
-                    }
-                },
+                &|b: usize, ctx: &mut BlockCtx<'_>| body(base + b / stripes, b % stripes, ctx),
             )?;
             run.gpu.mem.free(buffers)?;
         }
         Ok(())
-    }
-
-    fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            batches: self.batches.load(Ordering::Relaxed),
-            ..EngineCounters::default()
-        }
-    }
-
-    fn level_attrs(
-        &self,
-        _run: &LevelRun<'_>,
-        delta: &EngineCounters,
-        attrs: &mut Vec<(&'static str, AttrValue)>,
-    ) {
-        attrs.push(("batches", delta.batches.into()));
     }
 
     fn finish(&self, out: &mut NumericOutcome) {
@@ -185,10 +153,9 @@ pub fn factorize_gpu_dense_run_cached(
     pivot: Option<&PivotCache>,
     rule: PivotRule,
 ) -> Result<NumericOutcome, NumericError> {
-    let mut engine = DenseEngine::default();
-    run_levels(
-        &mut engine,
-        &DeviceFleet::from(gpu),
+    run_on(
+        DenseEngine::default(),
+        &gpu.into(),
         pattern,
         levels,
         trace,

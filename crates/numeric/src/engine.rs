@@ -1,17 +1,32 @@
-//! The unified [`NumericEngine`] trait and the one level loop.
+//! The [`NumericEngine`] trait, the one kernel body and the one level loop.
 //!
-//! Every numeric run — one device or many, cold, resumed or replayed —
-//! goes through [`run_levels`] on a [`DeviceFleet`]; a single `Gpu` is a
-//! borrowed fleet of one. The loop stages the CSC structure and level
-//! numbers on every live device, seeds the value store (optionally from a
-//! resume cut), walks the level schedule classifying each level into a
-//! GLU 3.0 kernel mode, launches one kernel per device per level
-//! (host-launched cold, tail-launched on captured-schedule replays),
-//! wraps each level in a `numeric.level` trace span with the engine's
-//! per-level attributes and a drift sample, feeds the checkpoint hook
-//! after every level barrier, and assembles the outcome. Each engine
-//! implements only what actually differs — its kernel body, its counters,
-//! and its per-level telemetry attributes.
+//! **What an engine states.** The four GPU formats run the same arithmetic
+//! ([`crate::outcome::process_column_with`]); they differ in how the
+//! device kernel *locates* an update target and what must stay resident —
+//! that is, in price. A [`NumericEngine`] is that price list: the kernel
+//! name launches and fault plans key off, the [`AccessDiscipline`] whose
+//! location counter its runs report, a per-stripe [`price`] that charges
+//! one block's share of a column to the cost model, and the few hooks
+//! exactly one engine overrides (dense: sizing `M`, M-capped batched
+//! launches, no device-side replay, stamping `M` on the outcome;
+//! binary search: the forced-mode classification; blocked: its tile
+//! count and block attributes).
+//!
+//! **What the driver owns.** Everything else, written once in
+//! [`run_levels`], which every numeric run — one device or many, cold,
+//! resumed or replayed — goes through on a [`DeviceFleet`] (a single `Gpu`
+//! is a borrowed fleet of one). It stages the CSC structure and level
+//! numbers on every live device, seeds the value store and the run's one
+//! counter set (optionally from a resume cut), walks the level schedule
+//! classifying each level into a GLU 3.0 kernel mode, and launches the one
+//! kernel body per device per level (host-launched cold, tail-launched on
+//! captured-schedule replays): every block prices its stripe through the
+//! engine; stripe 0 also checks an accumulator out of the factorization's
+//! pool, runs the kernel core on its column, folds the column's costs into
+//! the counters and records a perturbation or the level's first error.
+//! The driver wraps each level in a `numeric.level` trace span carrying
+//! the level's counter deltas and a drift sample, feeds the checkpoint
+//! hook after every level barrier, and assembles the outcome.
 //!
 //! **Sharding.** Within one schedule level every column depends only on
 //! columns of *earlier* levels, so a level's columns can be computed
@@ -26,38 +41,48 @@
 //! nothing is exchanged and the barrier advances nothing: a fleet of one
 //! is priced exactly as the device alone.
 //!
-//! **Device loss.** A device that fails (injected OOM or launch fault)
-//! while another is still alive is marked dead and its chunk reshards
-//! onto the survivors; column recomputation is idempotent, so the retry
-//! is safe. The *last* live device is never declared dead: its error is
+//! **Device loss and the reshard rule.** A device that fails (injected
+//! OOM or launch fault) while another is still alive is marked dead and
+//! its whole share reshards onto the survivors, which pay for every column
+//! of it: nothing the dead device computed reached the barrier. Paying is
+//! not recomputing, though. The kernel core is *not* idempotent — a
+//! finished column's stored values are its factors, and eliminating them
+//! again is a wrong answer — and a share can die with some columns
+//! finished (the dense engine's second or later batch failing its buffer
+//! allocation). So the body runs the core **at most once per column per
+//! run**: a resharded column whose core already completed is priced and
+//! skipped. The *last* live device is never declared dead: its error is
 //! returned to the caller's format ladder, exactly what a lone `Gpu`
 //! does. Injected crashes stay terminal, as everywhere in the pipeline.
 //!
 //! The sequential reference ([`crate::seq`]) is the host-side
 //! instantiation of the same interface: it runs the identical kernel
-//! core ([`crate::outcome::process_column`]) column by column with no
-//! device, which is why all engines agree bit-for-bit.
+//! core column by column with no device, which is why all engines agree
+//! bit-for-bit.
+//!
+//! [`price`]: NumericEngine::price
 
 use crate::error::NumericError;
 use crate::fleet::FleetNumericOutcome;
 use crate::modes::{classify_level_cached, launch_shape, LevelType, ModeMix};
 use crate::outcome::{
-    column_cost_estimate_cached, process_column_with, AccessDiscipline, ColCosts, NumericOutcome,
-    PivotCache, PivotRule,
+    column_cost_estimate_cached, process_column_with, AccessDiscipline, NumericOutcome, PivotCache,
+    PivotRule,
 };
 use crate::resume::{LevelHook, LevelProgress, NumericResume};
 use crate::scratch::ScratchPool;
 use crate::values::ValueStore;
 use gplu_schedule::Levels;
-use gplu_sim::{split_even, DeviceAlloc, DeviceFleet, Gpu, Kernel, SimError, SimTime};
+use gplu_sim::{split_even, BlockCtx, DeviceAlloc, DeviceFleet, Gpu, SimError, SimTime};
 use gplu_sparse::{Csc, Idx, SparseError};
 use gplu_trace::{AttrValue, TraceSink};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Counter totals an engine accumulates over a run. Each engine drives a
-/// subset and leaves the rest at zero; the driver threads the whole set
-/// through hooks, spans and the outcome so checkpoint/resume and
-/// telemetry never special-case an engine.
+/// The run's one counter set: the kernel body and the dense launch hook
+/// add to it under a lock, the checkpoint hook, the level spans and the
+/// outcome read it. Each engine drives a subset and the rest stay at
+/// zero, so checkpoint/resume and telemetry never special-case one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Binary-search probes (the binary-search engine).
@@ -82,95 +107,52 @@ impl EngineCounters {
     }
 }
 
-/// Everything one level's execution needs, handed to
-/// [`NumericEngine::run_level`] by the driver.
+/// The one kernel body as a launch sees it: called with
+/// `(index into the share's columns, stripe, block context)`.
+pub type ColumnKernel<'a> = dyn Fn(usize, usize, &mut BlockCtx<'_>) + Sync + 'a;
+
+/// One device's share of one level, as an engine's pricing and launch
+/// hooks see it.
 pub struct LevelRun<'a> {
     /// The device running this share of the level.
     pub gpu: &'a Gpu,
     /// The filled pattern (sorted CSC).
     pub pattern: &'a Csc,
-    /// Pivot/segment positions for every column.
-    pub cache: &'a PivotCache,
-    /// The shared value store.
-    pub vals: &'a ValueStore,
-    /// The factorization's dense accumulators, one checked out per
-    /// kernel-core call.
-    pub(crate) scratch: &'a ScratchPool,
-    /// First kernel-core error raised by any column of this level.
-    pub error: &'a Mutex<Option<SparseError>>,
-    /// Index of the level in the schedule.
-    pub level: usize,
     /// This device's columns of the level (all of them on one device).
-    pub cols: &'a [gplu_sparse::Idx],
-    /// The level's GLU 3.0 kernel mode.
-    pub mode: LevelType,
-    /// Threads per block for this mode.
+    pub cols: &'a [Idx],
+    /// Threads per block for the level's kernel mode.
     pub threads: usize,
     /// Blocks cooperating per column (type C row-striping).
     pub stripes: usize,
-    /// Hoisted per-column structural item counts (index parallel to
-    /// `cols`), shared by all of a column's cooperating stripes.
-    pub items_of: &'a [u64],
-    /// Engine-level pivot rule ([`PivotRule::Exact`] or static
-    /// perturbation), applied by the kernel core at division time.
-    pub rule: PivotRule,
-    /// Static-perturbation deltas recorded by this run's kernel cores as
-    /// `(col, delta)`; the driver sorts them into the outcome.
-    pub perturbs: &'a Mutex<Vec<(usize, f64)>>,
     /// True when this level is tail-launched device-side (captured-
     /// schedule replay, Algorithm 5).
     pub(crate) tail_launch: bool,
+    pub(crate) counters: &'a Mutex<EngineCounters>,
 }
 
 impl LevelRun<'_> {
-    /// Grid size of this level's launch.
-    pub fn grid(&self) -> usize {
-        self.cols.len() * self.stripes
-    }
-
-    /// Runs the kernel core on column `col` of this level against the
-    /// shared value store, with an accumulator from the factorization's
-    /// pool and the run's pivot rule.
-    pub fn process_column(
-        &self,
-        col: usize,
-        discipline: AccessDiscipline,
-    ) -> Result<(ColCosts, Option<f64>), SparseError> {
-        self.scratch.with(|ws| {
-            process_column_with(
-                self.pattern,
-                self.vals,
-                col,
-                discipline,
-                self.cache,
-                self.rule,
-                ws,
-            )
-        })
-    }
-
-    /// Launches the level's kernel: host-launched normally, tail-launched
-    /// from the device on a captured-schedule replay.
-    pub fn launch<K: Kernel>(&self, name: &str, kernel: &K) -> Result<(), SimError> {
-        if self.tail_launch {
-            self.gpu
-                .launch_device(name, self.grid(), self.threads, kernel)?;
-        } else {
-            self.gpu.launch(name, self.grid(), self.threads, kernel)?;
-        }
-        Ok(())
+    /// Counts one M-capped kernel batch (the dense engine's launch hook).
+    pub fn count_batch(&self) {
+        self.counters.lock().batches += 1;
     }
 }
 
-/// One GPU numeric engine: the per-level kernel and its counters. The
-/// level iteration, launch accounting, fault surface, resume cuts and
-/// trace spans are owned by [`run_levels`].
+/// One GPU numeric format, as a price list over the shared kernel body.
+/// The level iteration, the body itself, the counters, the fault surface,
+/// resume cuts and trace spans are owned by [`run_levels`].
 pub trait NumericEngine: Sync {
     /// Kernel name — launch accounting and fault plans key off this.
     fn kernel_name(&self) -> &'static str;
 
-    /// Seeds the engine's counters from a resume cut.
-    fn seed(&mut self, _resume: &NumericResume) {}
+    /// The access discipline this engine prices: which location counter
+    /// the kernel core reports for its columns.
+    fn discipline(&self) -> AccessDiscipline;
+
+    /// Charges one block's share of column `col` to `ctx`: the column's
+    /// `items` structural multiply–adds (and whatever the format adds to
+    /// them), split `run.stripes` ways. Every stripe of every column calls
+    /// this, whether or not it also runs the arithmetic.
+    fn price(&self, run: &LevelRun<'_>, col: usize, items: u64, ctx: &mut BlockCtx<'_>);
 
     /// Whether a captured-schedule replay may tail-launch this engine's
     /// levels device-side. The dense engine says no: its per-batch buffer
@@ -188,24 +170,42 @@ pub trait NumericEngine: Sync {
 
     /// Classifies one level into a kernel mode. The binary-search
     /// engine's forced-mode ablation overrides this.
-    fn classify(&self, pattern: &Csc, cache: &PivotCache, cols: &[gplu_sparse::Idx]) -> LevelType {
+    fn classify(&self, pattern: &Csc, cache: &PivotCache, cols: &[Idx]) -> LevelType {
         classify_level_cached(pattern, cache, cols)
     }
 
-    /// Executes one level (prices and launches its kernel).
-    fn run_level(&self, run: &LevelRun<'_>) -> Result<(), SimError>;
+    /// Launches the kernel `body` over one device's share of a level: one
+    /// kernel, a block per column stripe, host-launched normally and
+    /// tail-launched from the device on a captured-schedule replay. The
+    /// dense engine overrides this with its M-capped batches.
+    fn launch(&self, run: &LevelRun<'_>, body: &ColumnKernel<'_>) -> Result<(), SimError> {
+        let name = self.kernel_name();
+        let grid = run.cols.len() * run.stripes;
+        let kernel = |b: usize, ctx: &mut BlockCtx<'_>| body(b / run.stripes, b % run.stripes, ctx);
+        if run.tail_launch {
+            run.gpu.launch_device(name, grid, run.threads, &kernel)?;
+        } else {
+            run.gpu.launch(name, grid, run.threads, &kernel)?;
+        }
+        Ok(())
+    }
 
-    /// Counter totals accumulated so far.
-    fn counters(&self) -> EngineCounters;
+    /// BLAS-3 update tiles column `col`'s `items` occupy (the blocked
+    /// engine's supernode members; zero everywhere else).
+    fn gemm_tiles(&self, _col: usize, _items: u64) -> u64 {
+        0
+    }
 
-    /// Appends engine-specific attributes to the level's span-end event;
-    /// `delta` is this level's counter contribution.
+    /// Appends engine-specific attributes to the level's span-end event,
+    /// after the discipline's own counter; `delta` is this level's
+    /// counter contribution.
     fn level_attrs(
         &self,
-        run: &LevelRun<'_>,
-        delta: &EngineCounters,
-        attrs: &mut Vec<(&'static str, AttrValue)>,
-    );
+        _run: &LevelRun<'_>,
+        _delta: &EngineCounters,
+        _attrs: &mut Vec<(&'static str, AttrValue)>,
+    ) {
+    }
 
     /// Stamps engine-specific outcome fields (the dense engine's `M`).
     fn finish(&self, _out: &mut NumericOutcome) {}
@@ -274,9 +274,17 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     if let Some(r) = resume {
         r.check(pattern.nnz(), levels.groups.len())
             .map_err(NumericError::Input)?;
-        engine.seed(r);
     }
+    let counters = Mutex::new(
+        resume.map_or_else(EngineCounters::default, |r| EngineCounters {
+            probes: r.probes,
+            merge_steps: r.merge_steps,
+            batches: r.batches,
+            gemm_tiles: r.gemm_tiles,
+        }),
+    );
     engine.begin(fleet.device(lead), pattern)?;
+    let discipline = engine.discipline();
 
     let start_level = resume.map_or(0, |r| r.start_level);
     let vals = match resume {
@@ -295,6 +303,10 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     let error: Mutex<Option<SparseError>> = Mutex::new(None);
     let perturbs: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
     let scratch = ScratchPool::default();
+    // Columns whose kernel core has completed in this run — the reshard
+    // rule's memory (module docs). Written by the one block that ran the
+    // column, read by blocks of a later launch: Release pairs with Acquire.
+    let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let replay = pivot.is_some() && engine.device_replay();
     let mut kicked_off = false;
     // Value bytes each device produced in the current level — what the
@@ -313,7 +325,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             LevelType::C => mix.c += 1,
         }
         let (threads, stripes) = launch_shape(t);
-        let counters_before = engine.counters();
+        let counters_before = *counters.lock();
         trace.span_begin(
             "numeric.level",
             "level",
@@ -331,23 +343,15 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             .map(|&j| column_cost_estimate_cached(pattern, cache, j as usize).1)
             .collect();
         // The whole level as the lead device would run it; every device's
-        // share is this with its own `gpu`, `cols` and `items_of`.
+        // share is this with its own `gpu` and `cols`.
         let level = LevelRun {
             gpu: fleet.device(owners[0]),
             pattern,
-            cache,
-            vals: &vals,
-            scratch: &scratch,
-            error: &error,
-            level: li,
             cols,
-            mode: t,
             threads,
             stripes,
-            items_of: &items_of,
-            rule,
-            perturbs: &perturbs,
             tail_launch: replay && kicked_off,
+            counters: &counters,
         };
         let clk0 = trace.enabled().then(|| level.gpu.clocks());
         let exchange = owners.len() > 1;
@@ -356,10 +360,11 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         }
 
         // Runs one device's share. A failing device is marked dead and
-        // its columns queued for the survivors (recomputation is
-        // idempotent) only while a survivor exists: the last live
-        // device's error goes to the caller's ladder, exactly as a lone
-        // `Gpu`'s does. Injected crashes are terminal everywhere.
+        // its columns queued for the survivors (which pay for all of them
+        // and compute the unfinished ones) only while a survivor exists:
+        // the last live device's error goes to the caller's ladder,
+        // exactly as a lone `Gpu`'s does. Injected crashes are terminal
+        // everywhere.
         let mut run_share = |d: usize,
                              cols: &[Idx],
                              items: &[u64],
@@ -371,10 +376,38 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             let share = LevelRun {
                 gpu: fleet.device(d),
                 cols,
-                items_of: items,
                 ..level
             };
-            match engine.run_level(&share) {
+            // The one kernel body: every stripe prices its share of the
+            // column; stripe 0 also performs the functional arithmetic —
+            // once per column per run.
+            let body = |i: usize, stripe: usize, ctx: &mut BlockCtx<'_>| {
+                let col = cols[i] as usize;
+                engine.price(&share, col, items[i], ctx);
+                if stripe != 0 || done[col].load(Ordering::Acquire) {
+                    return;
+                }
+                let core = scratch.with(|ws| {
+                    process_column_with(pattern, &vals, col, discipline, cache, rule, ws)
+                });
+                match core {
+                    Ok((costs, perturb)) => {
+                        done[col].store(true, Ordering::Release);
+                        if let Some(delta) = perturb {
+                            perturbs.lock().push((col, delta));
+                        }
+                        let tiles = engine.gemm_tiles(col, items[i]);
+                        let mut total = counters.lock();
+                        total.probes += costs.probes;
+                        total.merge_steps += costs.merge_steps;
+                        total.gemm_tiles += tiles;
+                    }
+                    Err(e) => {
+                        error.lock().get_or_insert(e);
+                    }
+                }
+            };
+            match engine.launch(&share, &body) {
                 Ok(()) if exchange => {
                     let col_ptr = &pattern.col_ptr;
                     gather_bytes[d] += cols
@@ -423,12 +456,17 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             fleet.all_gather(&gather_bytes);
         }
         if trace.enabled() {
-            let delta = engine.counters().delta(&counters_before);
+            let delta = counters.lock().delta(&counters_before);
             let mut attrs: Vec<(&'static str, AttrValue)> = vec![
                 ("level", li.into()),
                 ("width", cols.len().into()),
                 ("mode", t.letter().into()),
                 ("devices", owners.len().into()),
+                match discipline {
+                    AccessDiscipline::Dense => ("batches", delta.batches.into()),
+                    AccessDiscipline::BinarySearch => ("probes", delta.probes.into()),
+                    AccessDiscipline::Merge => ("merge_steps", delta.merge_steps.into()),
+                },
             ];
             engine.level_attrs(&level, &delta, &mut attrs);
             trace.span_end("numeric.level", "level", fleet.makespan().as_ns(), &attrs);
@@ -462,7 +500,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             return Err(NumericError::from_sparse_at_level(e, li));
         }
         if let Some(h) = hook.as_mut() {
-            let c = engine.counters();
+            let c = *counters.lock();
             h(&LevelProgress {
                 level: li,
                 n_levels: levels.groups.len(),
@@ -506,15 +544,12 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         .map(|&d| per_device[d])
         .fold(SimTime::ZERO, SimTime::max);
     let stats = fleet.device(ship).stats().since(&before[ship]);
-    let c = engine.counters();
+    let c = counters.into_inner();
     // Deterministic artifact: levels run in order, but within a level the
-    // recording order is the launch's block order — sort by column. A
-    // share that partially ran before its device died records its
-    // perturbations again when a survivor re-runs it; the recomputed
-    // deltas are identical, so dedup by column.
+    // recording order is the launch's block order — sort by column (each
+    // column's core ran once, so each records at most once).
     let mut perturbations = perturbs.into_inner();
     perturbations.sort_unstable_by_key(|&(col, _)| col);
-    perturbations.dedup_by_key(|&mut (col, _)| col);
     let mut out = NumericOutcome {
         lu,
         time: makespan,

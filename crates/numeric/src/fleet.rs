@@ -1,17 +1,16 @@
-//! The fleet-taking numeric entry points: thin constructors that pair one
-//! engine with [`run_levels`] on a caller-built [`DeviceFleet`], plus the
-//! fleet accounting every run reports ([`FleetNumericOutcome`]). The
-//! `Gpu`-taking `factorize_gpu_*` entry points are the same constructors
-//! over a borrowed fleet of one; the level loop, its sharding and its
-//! device-loss discipline live in [`crate::engine`].
+//! The fleet-taking numeric entry points and the fleet accounting every
+//! run reports ([`FleetNumericOutcome`]). Every entry point of the crate,
+//! `Gpu`-taking (a borrowed fleet of one) or fleet-taking, ends in one
+//! expression: an engine handed to `run_on`. The level loop, its
+//! sharding and its device-loss discipline live in [`crate::engine`].
 
 use crate::blocked::{BlockPlan, BlockedEngine};
 use crate::dense::DenseEngine;
-use crate::engine::run_levels;
+use crate::engine::{run_levels, NumericEngine};
 use crate::error::NumericError;
 use crate::merge::MergeEngine;
-use crate::outcome::{NumericOutcome, PivotRule};
-use crate::sparse::SparseEngine;
+use crate::outcome::{NumericOutcome, PivotCache, PivotRule};
+use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
 use gplu_sim::{DeviceFleet, SimTime};
 use gplu_sparse::Csc;
@@ -32,6 +31,33 @@ pub struct FleetNumericOutcome {
     pub resharded_cols: usize,
 }
 
+/// [`run_levels`] on an engine taken by value — what lets every entry
+/// point construct its engine in the call.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_on<E: NumericEngine>(
+    mut engine: E,
+    fleet: &DeviceFleet<'_>,
+    pattern: &Csc,
+    levels: &Levels,
+    trace: &dyn TraceSink,
+    resume: Option<&NumericResume>,
+    hook: Option<&mut LevelHook<'_>>,
+    pivot: Option<&PivotCache>,
+    rule: PivotRule,
+) -> Result<FleetNumericOutcome, NumericError> {
+    run_levels(
+        &mut engine,
+        fleet,
+        pattern,
+        levels,
+        trace,
+        resume,
+        hook,
+        pivot,
+        rule,
+    )
+}
+
 /// Merge-join engine across a fleet (the production numeric path).
 pub fn factorize_fleet_merge(
     fleet: &DeviceFleet<'_>,
@@ -40,31 +66,8 @@ pub fn factorize_fleet_merge(
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = MergeEngine::default();
-    run_levels(
-        &mut engine,
-        fleet,
-        pattern,
-        levels,
-        trace,
-        None,
-        None,
-        None,
-        rule,
-    )
-}
-
-/// Binary-search engine across a fleet.
-pub fn factorize_fleet_sparse(
-    fleet: &DeviceFleet<'_>,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    rule: PivotRule,
-) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = SparseEngine::new(None);
-    run_levels(
-        &mut engine,
+    run_on(
+        MergeEngine,
         fleet,
         pattern,
         levels,
@@ -84,9 +87,8 @@ pub fn factorize_fleet_dense(
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = DenseEngine::default();
-    run_levels(
-        &mut engine,
+    run_on(
+        DenseEngine::default(),
         fleet,
         pattern,
         levels,
@@ -107,9 +109,8 @@ pub fn factorize_fleet_blocked(
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = BlockedEngine::new(plan);
-    run_levels(
-        &mut engine,
+    run_on(
+        BlockedEngine::new(plan),
         fleet,
         pattern,
         levels,
@@ -124,16 +125,16 @@ pub fn factorize_fleet_blocked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::PivotCache;
-    use crate::resume::{LevelHook, LevelProgress, NumericResume};
+    use crate::resume::LevelProgress;
+    use crate::sparse::SparseEngine;
     use crate::{
         factorize_gpu_blocked_run_cached, factorize_gpu_dense_run_cached, factorize_gpu_merge,
-        factorize_gpu_merge_run_cached, factorize_gpu_sparse_run_cached,
+        factorize_gpu_merge_run_cached, factorize_gpu_sparse,
     };
     use gplu_schedule::{levelize_cpu, DepGraph};
-    use gplu_sim::{CostModel, Gpu, GpuConfig, SimError};
+    use gplu_sim::{CostModel, FaultPlan, Gpu, GpuConfig, SimError};
     use gplu_sparse::convert::csr_to_csc;
-    use gplu_sparse::gen::random::banded_dominant;
+    use gplu_sparse::gen::random::{banded_dominant, random_dominant};
     use gplu_symbolic::symbolic_cpu;
     use gplu_trace::NOOP;
 
@@ -155,8 +156,11 @@ mod tests {
     }
 
     fn setup(blocks: usize, m: usize, band: usize, seed: u64) -> (Csc, Levels) {
-        let a = block_banded(blocks, m, band, seed);
-        let sym = symbolic_cpu(&a, &CostModel::default());
+        filled_with_levels(&block_banded(blocks, m, band, seed))
+    }
+
+    fn filled_with_levels(a: &gplu_sparse::Csr) -> (Csc, Levels) {
+        let sym = symbolic_cpu(a, &CostModel::default());
         let g = DepGraph::build(&sym.result.filled);
         let levels = levelize_cpu(&g, &CostModel::default()).levels;
         (csr_to_csc(&sym.result.filled), levels)
@@ -174,7 +178,7 @@ mod tests {
         let gpu = || Gpu::new(GpuConfig::v100());
         let singles = [
             factorize_gpu_merge_run_cached(&gpu(), p, l, &NOOP, None, None, None, x),
-            factorize_gpu_sparse_run_cached(&gpu(), p, l, None, &NOOP, None, None, None, x),
+            factorize_gpu_sparse(&gpu(), p, l),
             factorize_gpu_dense_run_cached(&gpu(), p, l, &NOOP, None, None, None, x),
             factorize_gpu_blocked_run_cached(&gpu(), p, l, &plan, &NOOP, None, None, None, x),
         ]
@@ -182,7 +186,20 @@ mod tests {
         for k in [1, 2, 4, 8] {
             let runs = [
                 ("merge", factorize_fleet_merge(&fleet(k), p, l, &NOOP, x)),
-                ("sparse", factorize_fleet_sparse(&fleet(k), p, l, &NOOP, x)),
+                (
+                    "sparse",
+                    run_on(
+                        SparseEngine::new(None),
+                        &fleet(k),
+                        p,
+                        l,
+                        &NOOP,
+                        None,
+                        None,
+                        None,
+                        x,
+                    ),
+                ),
                 ("dense", factorize_fleet_dense(&fleet(k), p, l, &NOOP, x)),
                 (
                     "blocked",
@@ -210,15 +227,92 @@ mod tests {
         }
     }
 
+    /// Pins the simulated clock and every engine counter as literals, so
+    /// a refactor of the driver or the kernel body that moves a charge,
+    /// a launch or a count by one bit fails here rather than in a bench
+    /// diff. Rows: (matrix, engine, devices, `time` bits, probes,
+    /// merge steps, batches, GEMM tiles, M, host launches on the lead).
+    #[test]
+    fn pricing_and_counters_are_pinned_for_every_engine_and_count() {
+        type Row = (
+            &'static str,
+            &'static str,
+            usize,
+            u64,
+            u64,
+            u64,
+            u64,
+            u64,
+            Option<usize>,
+            u64,
+        );
+        #[rustfmt::skip]
+        const GOLDEN: [Row; 16] = [
+            ("random", "dense", 1, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235),
+            ("random", "sparse", 1, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235),
+            ("random", "merge", 1, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235),
+            ("random", "blocked", 1, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235),
+            ("random", "dense", 2, 0x413cb70e46d3a06f, 0, 0, 264, 0, Some(10737252), 235),
+            ("random", "sparse", 2, 0x413ae47be2fc962e, 7156451, 0, 0, 0, None, 235),
+            ("random", "merge", 2, 0x413aae25a06d3a0a, 0, 1713573, 0, 0, None, 235),
+            ("random", "blocked", 2, 0x413a8d8ead3a06d2, 0, 1713573, 0, 1147, None, 235),
+            ("banded", "dense", 1, 0x41175d9bfffffffa, 0, 0, 50, 0, Some(8589916), 50),
+            ("banded", "sparse", 1, 0x41113eeffffffffd, 16182, 0, 0, 0, None, 50),
+            ("banded", "merge", 1, 0x41113b0c00000000, 0, 6691, 0, 0, None, 50),
+            ("banded", "blocked", 1, 0x4111353c00000000, 0, 6691, 0, 499, None, 50),
+            ("banded", "dense", 2, 0x411d79d451eb851c, 0, 0, 100, 0, Some(8589916), 50),
+            ("banded", "sparse", 2, 0x41175b2851eb8522, 16182, 0, 0, 0, None, 50),
+            ("banded", "merge", 2, 0x4117574451eb8521, 0, 6691, 0, 0, None, 50),
+            ("banded", "blocked", 2, 0x41175174da740da8, 0, 6691, 0, 499, None, 50),
+        ];
+        let random = filled_with_levels(&random_dominant(400, 4.0, 21));
+        let banded = setup(10, 50, 4, 71);
+        for (matrix, engine, k, time_bits, probes, steps, batches, tiles, m, launches) in GOLDEN {
+            let (pattern, levels) = if matrix == "random" { &random } else { &banded };
+            let plan = BlockPlan::detect(pattern, &PivotCache::build(pattern), 0.5);
+            let mut boxed: Box<dyn crate::NumericEngine + '_> = match engine {
+                "dense" => Box::<DenseEngine>::default(),
+                "sparse" => Box::new(SparseEngine::new(None)),
+                "merge" => Box::<MergeEngine>::default(),
+                _ => Box::new(BlockedEngine::new(&plan)),
+            };
+            let out = run_levels(
+                &mut *boxed,
+                &fleet(k),
+                pattern,
+                levels,
+                &NOOP,
+                None,
+                None,
+                None,
+                PivotRule::Exact,
+            )
+            .expect("runs")
+            .outcome;
+            assert_eq!(
+                (
+                    out.time.as_ns().to_bits(),
+                    out.probes,
+                    out.merge_steps,
+                    out.batches,
+                    out.gemm_tiles,
+                    out.m_limit,
+                    out.stats.kernels_host
+                ),
+                (time_bits, probes, steps, batches, tiles, m, launches),
+                "{matrix} / {engine} / {k} devices"
+            );
+        }
+    }
+
     #[test]
     fn a_run_cut_at_a_level_resumes_bit_identically_at_every_count() {
         let (pattern, levels) = setup(6, 40, 4, 74);
         let cut_after = levels.groups.len() / 2;
         for k in [1, 2] {
             let run = |resume: Option<&NumericResume>, hook: Option<&mut LevelHook<'_>>| {
-                let mut engine = MergeEngine::default();
                 run_levels(
-                    &mut engine,
+                    &mut MergeEngine,
                     &fleet(k),
                     &pattern,
                     &levels,
@@ -301,5 +395,39 @@ mod tests {
         assert!(out.resharded_cols > 0);
         assert_eq!(f.n_alive(), 3);
         assert_eq!(single.lu.vals, out.outcome.lu.vals, "bit-identical");
+    }
+
+    #[test]
+    fn a_device_lost_between_dense_batches_never_factors_a_column_twice() {
+        // The kernel core is not idempotent, and M-capped batches let a
+        // share die with some of its columns finished. Two devices with
+        // room for M = 3 buffers take 8 columns of every level each, in
+        // batches of 3 + 3 + 2; device 1's K-th allocation fails — in
+        // staging, on a level's first buffer (nothing ran yet) or on a
+        // later one (earlier batches already hold factors). Device 0 must
+        // pay for the whole share and factor only what is unfinished.
+        let (pattern, levels) = setup(16, 30, 4, 73);
+        let single = factorize_gpu_merge(&Gpu::new(GpuConfig::v100()), &pattern, &levels)
+            .expect("single device");
+        let n = pattern.n_cols() as u64;
+        let staged = (n + 1 + 2 * pattern.nnz() as u64) * 4 + n * 4;
+        let cfg = GpuConfig::v100().with_memory(staged + 3 * n * 4 + 64);
+        for k in 1..=40 {
+            let plans = FaultPlan::parse_fleet(&format!("dev=1:oom:alloc={k}"), 2).expect("plans");
+            let f = DeviceFleet::with_fault_plans(2, cfg.clone(), CostModel::default(), &plans);
+            let out = factorize_fleet_dense(&f, &pattern, &levels, &NOOP, PivotRule::Exact)
+                .expect("device 0 survives");
+            assert_eq!(out.outcome.m_limit, Some(3));
+            assert_eq!(
+                out.died,
+                vec![1],
+                "alloc={k}: every fault lands in this phase"
+            );
+            let (want, got) = (&single.lu.vals, &out.outcome.lu.vals);
+            let differ = (0..want.len()).filter(|&i| want[i].to_bits() != got[i].to_bits());
+            assert_eq!(differ.count(), 0, "alloc={k}: values off the merge factors");
+            // Staging allocates twice; a share lost later is paid for whole.
+            assert_eq!(out.resharded_cols, if k > 2 { 8 } else { 0 }, "alloc={k}");
+        }
     }
 }

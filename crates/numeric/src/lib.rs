@@ -25,7 +25,7 @@
 //!   concurrency below `TB_max` for huge matrices (Table 4),
 //! * **sparse format** ([`sparse`]): no buffers; every row access is the
 //!   binary search of Algorithm 6 (our [`gplu_sparse::Csc::find_in_col`])
-//!   with its `log(col_nnz)` probe cost, but all `TB_max` blocks run,
+//!   priced at its `log(col_nnz)` probe cost, but all `TB_max` blocks run,
 //! * **merge format** ([`merge`]): sorted CSC like [`sparse`], but update
 //!   targets are located by a two-pointer merge-join of the (sorted)
 //!   source segment and destination column — `O(nnz)` total instead of
@@ -35,21 +35,30 @@
 //!   near-identical filled patterns into irregular supernode blocks whose
 //!   updates are priced as tiled BLAS-3 traffic.
 //!
-//! All access patterns share one kernel core,
-//! [`outcome::process_column`], parameterized by
-//! [`outcome::AccessDiscipline`]: the dense and merge disciplines
-//! eliminate in a pooled `O(n)` accumulator ([`scratch`]) by direct row
-//! indexing, binary search runs Algorithm 6's probing loop.
-//! Per-factorization pivot/segment positions are precomputed once in an
-//! [`outcome::PivotCache`].
+//! What distinguishes the formats is where an update target is *located*
+//! and what must stay resident on the device — never the arithmetic. So
+//! there is one arithmetic: the kernel core [`outcome::process_column`]
+//! eliminates every column, for every engine, in a pooled `O(n)`
+//! accumulator ([`scratch`]) by direct row indexing, and is failure-atomic
+//! (an `Err` leaves the value store untouched). Its
+//! [`outcome::AccessDiscipline`] parameter is a price list: it selects
+//! which location counter — binary-search `probes`, merge-cursor
+//! `merge_steps`, or none — the core reports, in closed form from
+//! positions alone. Per-factorization pivot/segment positions are
+//! precomputed once in an [`outcome::PivotCache`].
 //!
-//! The engines themselves implement one interface: the
-//! [`engine::NumericEngine`] trait owns only the per-level kernel and its
-//! counters, while [`engine::run_levels`] owns the level-loop scaffolding
-//! they all share (device staging, level classification, launch/tail-launch
-//! accounting, trace spans, resume cuts, checkpoint hooks). The sequential
-//! reference ([`seq`]) is the host-side instantiation of the same kernel
-//! core, which is why all five agree bit-for-bit.
+//! An engine is likewise a price list: an [`engine::NumericEngine`] states
+//! its kernel name, the discipline it prices, what one block's share of a
+//! column costs the simulator, and the few hooks one format needs (the
+//! dense engine's `M`-capped batched launches, the forced-mode ablation,
+//! the blocked engine's tile count). [`engine::run_levels`] owns
+//! everything else, once: device staging, level classification, the one
+//! kernel body every launch runs, the one counter set, launch/tail-launch
+//! accounting, sharding across a fleet, device loss — a dead device's
+//! share is paid for again by the survivors, but no column's core ever
+//! runs twice — trace spans, resume cuts and checkpoint hooks. The
+//! sequential reference ([`seq`]) is the host-side instantiation of the
+//! same kernel core, which is why all five agree bit-for-bit.
 //!
 //! GLU 3.0's three level types (Section 2.2) are classified in [`modes`]
 //! and map to block/thread shapes per level.
@@ -79,11 +88,10 @@ pub use blocked::{
     DEFAULT_BLOCK_THRESHOLD, TILE_WIDTH,
 };
 pub use dense::{factorize_gpu_dense, factorize_gpu_dense_run_cached, DenseEngine};
-pub use engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+pub use engine::{run_levels, ColumnKernel, EngineCounters, LevelRun, NumericEngine};
 pub use error::NumericError;
 pub use fleet::{
-    factorize_fleet_blocked, factorize_fleet_dense, factorize_fleet_merge, factorize_fleet_sparse,
-    FleetNumericOutcome,
+    factorize_fleet_blocked, factorize_fleet_dense, factorize_fleet_merge, FleetNumericOutcome,
 };
 pub use merge::{factorize_gpu_merge, factorize_gpu_merge_run_cached, MergeEngine};
 pub use modes::{classify_level, classify_level_cached, classify_schedule, LevelType, ModeMix};
@@ -92,10 +100,7 @@ pub use pivoting::{discover_pivots, PivotDiscovery, PivotPolicy, DEFAULT_PIVOT_T
 pub use resume::{LevelHook, LevelProgress, NumericResume};
 pub use scratch::ColumnScratch;
 pub use seq::{factorize_seq, factorize_seq_rule};
-pub use sparse::{
-    factorize_gpu_sparse, factorize_gpu_sparse_forced, factorize_gpu_sparse_run_cached,
-    SparseEngine,
-};
+pub use sparse::{factorize_gpu_sparse, factorize_gpu_sparse_forced, SparseEngine};
 pub use trisolve::{
     solve_gpu, solve_gpu_batch, solve_gpu_batch_traced, solve_gpu_traced, BatchSolveOutcome,
     TriSolveOutcome, TriSolvePlan,

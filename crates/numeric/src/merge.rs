@@ -21,79 +21,41 @@
 //! accumulator and reports the walk's cursor advances (`merge_steps`) in
 //! closed form — see [`crate::outcome::AccessDiscipline::Merge`].
 //!
-//! The level-loop scaffolding lives in [`crate::engine::run_levels`]; this
-//! module contributes only the [`MergeEngine`] kernel.
+//! The level loop, the kernel body and the counters live in
+//! [`crate::engine`]; this module states only the streaming price.
 
-use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+use crate::engine::{LevelRun, NumericEngine};
 use crate::error::NumericError;
+use crate::fleet::run_on;
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError};
+use gplu_sim::{BlockCtx, Gpu};
 use gplu_sparse::Csc;
-use gplu_trace::{AttrValue, TraceSink, NOOP};
-use std::sync::atomic::{AtomicU64, Ordering};
+use gplu_trace::{TraceSink, NOOP};
 
 /// The merge-join numeric engine: streaming two-pointer update location,
 /// priced as the pure item stream.
 #[derive(Default)]
-pub struct MergeEngine {
-    steps: AtomicU64,
-}
+pub struct MergeEngine;
 
 impl NumericEngine for MergeEngine {
     fn kernel_name(&self) -> &'static str {
         "numeric_merge"
     }
 
-    fn seed(&mut self, resume: &NumericResume) {
-        self.steps.store(resume.merge_steps, Ordering::Relaxed);
+    fn discipline(&self) -> AccessDiscipline {
+        AccessDiscipline::Merge
     }
 
-    fn run_level(&self, run: &LevelRun<'_>) -> Result<(), SimError> {
-        let stripes = run.stripes;
-        let kernel = |b: usize, ctx: &mut BlockCtx| {
-            let col = run.cols[b / stripes] as usize;
-            let stripe = b % stripes;
-            let items = run.items_of[b / stripes];
-            // Streaming traffic only: the merge cursors advance once per
-            // touched entry, so the whole update is the item stream at the
-            // structured flop rate — no probe surcharge, and the same
-            // value-stream bytes as the binary-search engine (the index
-            // bytes the cursor walk touches ride the same cache lines).
-            ctx.bulk_flops(3, items / stripes as u64);
-            ctx.mem(items * 8 / stripes as u64);
-            if stripe == 0 {
-                match run.process_column(col, AccessDiscipline::Merge) {
-                    Ok((c, perturb)) => {
-                        self.steps.fetch_add(c.merge_steps, Ordering::Relaxed);
-                        if let Some(delta) = perturb {
-                            run.perturbs.lock().push((col, delta));
-                        }
-                    }
-                    Err(e) => {
-                        run.error.lock().get_or_insert(e);
-                    }
-                }
-            }
-        };
-        run.launch(self.kernel_name(), &kernel)
-    }
-
-    fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            merge_steps: self.steps.load(Ordering::Relaxed),
-            ..EngineCounters::default()
-        }
-    }
-
-    fn level_attrs(
-        &self,
-        _run: &LevelRun<'_>,
-        delta: &EngineCounters,
-        attrs: &mut Vec<(&'static str, AttrValue)>,
-    ) {
-        attrs.push(("merge_steps", delta.merge_steps.into()));
+    // Streaming traffic only: the merge cursors advance once per touched
+    // entry, so the whole update is the item stream at the structured flop
+    // rate — no probe surcharge, and the same value-stream bytes as the
+    // binary-search engine (the index bytes the cursor walk touches ride
+    // the same cache lines).
+    fn price(&self, run: &LevelRun<'_>, _col: usize, items: u64, ctx: &mut BlockCtx<'_>) {
+        ctx.bulk_flops(3, items / run.stripes as u64);
+        ctx.mem(items * 8 / run.stripes as u64);
     }
 }
 
@@ -142,10 +104,9 @@ pub fn factorize_gpu_merge_run_cached(
     pivot: Option<&PivotCache>,
     rule: PivotRule,
 ) -> Result<NumericOutcome, NumericError> {
-    let mut engine = MergeEngine::default();
-    run_levels(
-        &mut engine,
-        &DeviceFleet::from(gpu),
+    run_on(
+        MergeEngine,
+        &gpu.into(),
         pattern,
         levels,
         trace,

@@ -1,6 +1,7 @@
-//! Shared outcome type, the per-column functional kernel core (a dense
-//! accumulator for the dense and merge disciplines, Algorithm 6's probing
-//! loop for binary search), and the per-factorization pivot-position cache.
+//! Shared outcome type, the per-column functional kernel core (one dense
+//! accumulator behind all three access disciplines, which differ only in
+//! the location counter they report), and the per-factorization
+//! pivot-position cache.
 
 use crate::modes::ModeMix;
 use crate::scratch::ColumnScratch;
@@ -42,16 +43,16 @@ pub struct NumericOutcome {
     pub perturbations: Vec<(usize, f64)>,
 }
 
-/// How a numeric kernel locates the update targets inside a destination
-/// column.
+/// How the *device* kernel being modelled locates the update targets
+/// inside a destination column — a price list, not an algorithm.
 ///
-/// [`Dense`](AccessDiscipline::Dense) and
-/// [`Merge`](AccessDiscipline::Merge) execute on one core — scatter the
-/// column into an `O(n)` accumulator, update by direct row indexing,
-/// gather back — and differ only in what they count. Each target position
-/// receives its subtractions in ascending dependency order and then the
-/// division, whichever way it is located, so all three disciplines
-/// produce the same bits.
+/// All three execute on one host core — scatter the column into an `O(n)`
+/// accumulator, update by direct row indexing, gather back — so each
+/// target position receives its subtractions in ascending dependency
+/// order and then the division, the factor bits are the same, and a
+/// failing column leaves the store untouched whichever discipline ran.
+/// The discipline selects which location counter of [`ColCosts`] the
+/// core fills in, in closed form from positions alone; nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessDiscipline {
     /// Dense per-column buffers (GLU 3.0): each target row indexes an
@@ -59,18 +60,18 @@ pub enum AccessDiscipline {
     /// executes it. No location counter.
     Dense,
     /// Sorted CSC with per-element binary search — the paper's
-    /// Algorithm 6. Every located target pays `log2(nnz_col)` probes, and
-    /// the probing loop really runs: [`ColCosts::probes`] prices
-    /// Figure 8 / Table 4.
+    /// Algorithm 6. [`ColCosts::probes`] (which prices Figure 8 /
+    /// Table 4) is, per located target, the number of iterations that
+    /// search takes to reach it: the depth of its position in the
+    /// column's search tree, `≈ log2(nnz_col)`.
     BinarySearch,
     /// Sorted CSC with a two-pointer merge-join of the source segment and
     /// the destination column. Both sides are sorted by row, so one
     /// forward walk locates every target: `O(nnz_t + nnz_j)` per update
     /// instead of `O(nnz_t · log nnz_j)`, and no probe surcharge. The
-    /// arithmetic is [`Dense`](AccessDiscipline::Dense)'s; the walk's
-    /// cursor advances are reported in closed form as
-    /// [`ColCosts::merge_steps`] — per dependency, the distance in column
-    /// `j` from `u_tj` to the segment's last row.
+    /// walk's cursor advances are [`ColCosts::merge_steps`] — per
+    /// dependency, the distance in column `j` from `u_tj` to the
+    /// segment's last row.
     Merge,
 }
 
@@ -81,9 +82,9 @@ pub enum AccessDiscipline {
 ///
 /// Built once per factorization in `O(nnz)`; afterwards the per-column
 /// pivot lookup and the per-dependency source-segment start are `O(1)`
-/// array reads instead of binary searches. (The binary-search *update*
-/// probes of Algorithm 6 are unaffected — those locate fill positions in
-/// the destination column, which this cache cannot know.)
+/// array reads instead of binary searches. (The *update* probes
+/// Algorithm 6 is priced for are unaffected — those locate fill positions
+/// in the destination column, which this cache cannot know.)
 #[derive(Debug, Clone)]
 pub struct PivotCache {
     /// Position of `(j, j)` in column `j`'s index range, or `usize::MAX`
@@ -208,13 +209,7 @@ pub struct ColCosts {
 /// Factorizes column `j` against finished columns of the shared
 /// [`ValueStore`] (`pattern` supplies the immutable structure, `cache`
 /// the pre-computed pivot/segment positions, `scratch` the block's dense
-/// accumulator).
-///
-/// `discipline` selects the access pattern being modelled — see
-/// [`AccessDiscipline`]. All three apply bit-identical arithmetic in the
-/// same order; they differ only in how target positions are located and
-/// which counters ([`ColCosts::probes`] / [`ColCosts::merge_steps`]) they
-/// accumulate.
+/// accumulator) — [`process_column_with`] under [`PivotRule::Exact`].
 ///
 /// Only the block owning column `j` calls this for `j`, so the writes are
 /// data-race-free; reads target columns finished in earlier levels.
@@ -238,102 +233,39 @@ pub fn process_column(
     .map(|(c, _)| c)
 }
 
-/// [`process_column`] with an explicit [`PivotRule`]. Returns the column's
-/// costs plus the static-perturbation delta applied to the pivot, if any;
-/// the perturbed pivot is written back into the value store so the factor
-/// is self-consistent (it exactly factors the input with `a_jj` bumped by
-/// the delta).
+/// The dense-accumulator core behind every engine and every discipline:
+/// scatter column `j` into `x[row]`, eliminate against each dependency by
+/// direct indexing, apply `rule` to the pivot, and gather back — one load
+/// and one store per entry of the shared store, plain `f64` arithmetic in
+/// between. Returns the column's costs plus the static-perturbation delta
+/// applied to the pivot, if any; the perturbed pivot is written back so
+/// the factor is self-consistent (it exactly factors the input with
+/// `a_jj` bumped by the delta).
 ///
-/// The dense and merge disciplines are failure-atomic: every check runs
-/// on the accumulator, and the store is written only once they have all
-/// passed, so an `Err` leaves `vals` exactly as it was.
+/// Per target position the subtractions arrive in ascending dependency
+/// order, then the division — the order a sorted-CSC walk applies them
+/// in — so the factor bits are the walk's. `discipline` prices that walk
+/// without taking it (see [`AccessDiscipline`]): for merge, per
+/// dependency with a non-empty segment the destination cursor advanced
+/// from just past `u_tj` to just past the segment's last row; for binary
+/// search, every located target cost its depth in the column's search
+/// tree.
+///
+/// **Failure-atomic:** every check runs on the accumulator and the store
+/// is written only once they have all passed, so an `Err` leaves `vals`
+/// exactly as it was. A column that returned `Ok` must not be run again:
+/// its stored values are now its factors, and a second pass would
+/// eliminate them a second time.
+///
+/// Kept out of line: the level driver's kernel body is a closure
+/// instantiated per engine type per downstream crate, and one shared copy
+/// of the hot loop beats a copy in each.
+#[inline(never)]
 pub fn process_column_with(
     pattern: &Csc,
     vals: &ValueStore,
     j: usize,
     discipline: AccessDiscipline,
-    cache: &PivotCache,
-    rule: PivotRule,
-    scratch: &mut ColumnScratch,
-) -> Result<(ColCosts, Option<f64>), SparseError> {
-    if discipline != AccessDiscipline::BinarySearch {
-        return accumulate_column(
-            pattern,
-            vals,
-            j,
-            discipline == AccessDiscipline::Merge,
-            cache,
-            rule,
-            scratch,
-        );
-    }
-    let mut costs = ColCosts::default();
-    let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
-    costs.nnz = (end - start) as u64;
-
-    for k in start..end {
-        let t = pattern.row_idx[k] as usize;
-        if t >= j {
-            break;
-        }
-        costs.deps += 1;
-        let u_tj = vals.get(k);
-        if u_tj == 0.0 {
-            continue;
-        }
-        let t_lower = cache.lower_start(t);
-        let t_end = pattern.col_ptr[t + 1];
-        for src in t_lower..t_end {
-            let i = pattern.row_idx[src] as usize;
-            let (pos, probes) = pattern.find_in_col(i, j);
-            costs.probes += probes as u64;
-            costs.items += 1;
-            let pos = pos.ok_or(SparseError::MissingFill { row: i, col: j })?;
-            vals.set(pos, vals.get(pos) - vals.get(src) * u_tj);
-        }
-    }
-
-    // Division by the pivot — position served by the cache, not a search.
-    // The pivot value is final here (the level barrier ordered every
-    // update before this call), so the static-perturbation rule applies
-    // deterministically regardless of engine or access discipline.
-    let diag_pos = cache.diag(j).ok_or(SparseError::ZeroDiagonal { row: j })?;
-    let (pivot, perturbed) = rule.apply(vals.get(diag_pos));
-    if pivot == 0.0 || !pivot.is_finite() {
-        return Err(SparseError::ZeroPivot { col: j });
-    }
-    if perturbed.is_some() {
-        vals.set(diag_pos, pivot);
-    }
-    for k in (diag_pos + 1)..end {
-        costs.items += 1;
-        vals.set(k, vals.get(k) / pivot);
-    }
-    Ok((costs, perturbed))
-}
-
-/// The dense-accumulator core behind the dense and merge disciplines:
-/// scatter column `j` into `x[row]`, eliminate against each dependency by
-/// direct indexing, apply the pivot rule, and gather back — one load and
-/// one store per entry of the shared store, plain `f64` arithmetic in
-/// between.
-///
-/// Per target position the subtractions arrive in ascending dependency
-/// order, then the division — the order the sorted-CSC walk applied them
-/// in — so the factor bits are the walk's. `count_steps` prices that walk
-/// without taking it: per dependency with a non-empty segment its
-/// destination cursor advanced from just past `u_tj` to just past the
-/// segment's last row.
-///
-/// Kept out of line: the engines' kernels are closures inside the generic
-/// level drivers, instantiated once per engine per downstream crate, and
-/// one shared copy of the hot loop beats a copy in each.
-#[inline(never)]
-fn accumulate_column(
-    pattern: &Csc,
-    vals: &ValueStore,
-    j: usize,
-    count_steps: bool,
     cache: &PivotCache,
     rule: PivotRule,
     scratch: &mut ColumnScratch,
@@ -344,10 +276,15 @@ fn accumulate_column(
         nnz: rows.len() as u64,
         ..ColCosts::default()
     };
-    let (stamp, x, mark) = scratch.begin(pattern.n_rows());
+    let count_probes = discipline == AccessDiscipline::BinarySearch;
+    let count_steps = discipline == AccessDiscipline::Merge;
+    let (stamp, x, mark, depth) = scratch.begin(pattern.n_rows(), count_probes);
     for (k, &r) in rows.iter().enumerate() {
         x[r as usize] = vals.get(start + k);
         mark[r as usize] = stamp;
+    }
+    if count_probes {
+        probe_depths(rows, 1, depth);
     }
 
     for (k, &t) in rows.iter().enumerate() {
@@ -370,6 +307,11 @@ fn accumulate_column(
             x[r] -= vals.get(t_lower + s) * u_tj;
         }
         costs.items += seg.len() as u64;
+        if count_probes {
+            // Every row of `seg` was just found marked, so its depth is
+            // this column's.
+            costs.probes += seg.iter().map(|&r| depth[r as usize] as u64).sum::<u64>();
+        }
         if let (true, Some(&last)) = (count_steps, seg.last()) {
             // `last` was just found in the column, past position `k`.
             costs.merge_steps += 1 + rows[k + 1..].partition_point(|&r| r < last) as u64;
@@ -396,30 +338,28 @@ fn accumulate_column(
     Ok((costs, perturbed))
 }
 
-/// Structural cost estimate of a column's factorization: `(deps, items)`
-/// where `items` counts the multiply–adds plus the division entries. Used
-/// by cost-only co-stripes (type-C cooperative blocks) without touching
-/// values; exact up to deps whose current value happens to be 0.0.
-pub fn column_cost_estimate(pattern: &Csc, j: usize) -> (u64, u64) {
-    let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
-    let mut deps = 0u64;
-    let mut items = 0u64;
-    for k in start..end {
-        let t = pattern.row_idx[k] as usize;
-        if t >= j {
-            break;
-        }
-        deps += 1;
-        items += (pattern.col_ptr[t + 1] - pattern.lower_bound_after(t, t)) as u64;
+/// Records in `depth[row]`, for every row of the sorted column `rows`,
+/// how many probes Algorithm 6's search takes to find it: `level` for the
+/// midpoint the search tries first, one more for each halving below it.
+/// The split is that of [`Csc`]'s own column search (`mid = (fs + fe) / 2`
+/// over a closed range; a column's offset in `row_idx` is added to both
+/// ends and drops out), and a search tree is at most 32 levels deep.
+fn probe_depths(rows: &[gplu_sparse::Idx], level: u8, depth: &mut [u8]) {
+    if let Some(last) = rows.len().checked_sub(1) {
+        let mid = last / 2;
+        depth[rows[mid] as usize] = level;
+        probe_depths(&rows[..mid], level + 1, depth);
+        probe_depths(&rows[mid + 1..], level + 1, depth);
     }
-    items += (end - pattern.lower_bound_after(j, j)) as u64;
-    (deps, items)
 }
 
-/// As [`column_cost_estimate`], but with every `lower_bound_after` served
-/// by the [`PivotCache`] — `O(nnz_j)` with no binary searches. The engines
-/// call this once per column per level (hoisted out of the per-stripe
-/// closures) and hand the result to every stripe.
+/// Structural cost estimate of a column's factorization: `(deps, items)`
+/// where `items` counts the multiply–adds plus the division entries —
+/// what cost-only co-stripes (type-C cooperative blocks) charge without
+/// touching values; exact up to deps whose current value happens to be
+/// 0.0. Every `lower_bound_after` is served by the [`PivotCache`], so it
+/// is `O(nnz_j)` with no binary searches. The level driver calls this
+/// once per column per level and hands the result to every stripe.
 pub fn column_cost_estimate_cached(pattern: &Csc, cache: &PivotCache, j: usize) -> (u64, u64) {
     let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
     let mut deps = 0u64;
@@ -479,12 +419,13 @@ mod tests {
         AccessDiscipline::BinarySearch,
         AccessDiscipline::Merge,
     ];
-    const ACCUMULATED: [AccessDiscipline; 2] = [AccessDiscipline::Dense, AccessDiscipline::Merge];
 
-    /// The sorted-CSC walk the dense and merge disciplines ran before the
-    /// accumulator core: for every dependency a compare-and-advance cursor
-    /// over column `j`, updates applied in place. Reference for values,
-    /// costs (`merge_steps` is the cursor's advance count) and errors.
+    /// The sorted-CSC walks the engines ran before the accumulator core,
+    /// updates applied in place: for every dependency a compare-and-advance
+    /// cursor over column `j` (dense, merge), or Algorithm 6's probing loop
+    /// — one `find_in_col` per target (binary search). Reference for
+    /// values, costs (`merge_steps` is the cursor's advance count, `probes`
+    /// the search's iterations) and errors.
     fn process_column_walk(
         pattern: &Csc,
         vals: &ValueStore,
@@ -493,7 +434,6 @@ mod tests {
         cache: &PivotCache,
         rule: PivotRule,
     ) -> Result<(ColCosts, Option<f64>), SparseError> {
-        assert_ne!(discipline, AccessDiscipline::BinarySearch);
         let count_steps = discipline == AccessDiscipline::Merge;
         let mut costs = ColCosts::default();
         let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
@@ -512,6 +452,17 @@ mod tests {
             let mut dst = k + 1;
             for src in cache.lower_start(t)..pattern.col_ptr[t + 1] {
                 let i = pattern.row_idx[src];
+                if discipline == AccessDiscipline::BinarySearch {
+                    let (pos, probes) = pattern.find_in_col(i as usize, j);
+                    costs.probes += probes as u64;
+                    costs.items += 1;
+                    let pos = pos.ok_or(SparseError::MissingFill {
+                        row: i as usize,
+                        col: j,
+                    })?;
+                    vals.set(pos, vals.get(pos) - vals.get(src) * u_tj);
+                    continue;
+                }
                 while dst < end && pattern.row_idx[dst] < i {
                     dst += 1;
                     costs.merge_steps += count_steps as u64;
@@ -545,10 +496,10 @@ mod tests {
     }
 
     /// Runs every column in level order through both kernels on separate
-    /// stores, up to the first failing column, and asserts identical
-    /// results (costs, perturbation deltas or the error) per column and
-    /// identical value bits at the end. Returns how many columns skipped
-    /// a dependency on an exact-zero `u_tj`.
+    /// stores, under every discipline, up to the first failing column, and
+    /// asserts identical results (costs, perturbation deltas or the error)
+    /// per column and identical value bits at the end. Returns how many
+    /// columns skipped a dependency on an exact-zero `u_tj`.
     fn assert_accumulator_equals_walk(
         pattern: &Csc,
         levels: &Levels,
@@ -556,7 +507,7 @@ mod tests {
     ) -> Result<usize, TestCaseError> {
         let cache = PivotCache::build(pattern);
         let mut skipped = 0;
-        for d in ACCUMULATED {
+        for d in ALL {
             // 1e-8 is the pipeline's static-pivoting floor; 1e-2 makes the
             // clamp fire dozens of times on the hard families.
             for rule in [
@@ -784,12 +735,12 @@ mod tests {
         panic!("the fill of a random matrix has a sub-diagonal fill-in");
     }
 
-    /// Runs columns `0..=col` through both kernels and asserts that the
-    /// accumulator's failing column raises the walk's error and leaves
-    /// the store exactly as it found it.
+    /// Runs columns `0..=col` through both kernels and asserts that, under
+    /// every discipline, the accumulator's failing column raises the
+    /// walk's error and leaves the store exactly as it found it.
     fn assert_failure_is_atomic(pattern: &Csc, col: usize, want_err: SparseError) {
         let cache = PivotCache::build(pattern);
-        for d in ACCUMULATED {
+        for d in ALL {
             let got = ValueStore::new(&pattern.vals);
             let want = ValueStore::new(&pattern.vals);
             let mut scratch = ColumnScratch::default();
@@ -972,20 +923,6 @@ mod tests {
                 cache.lower_start(j),
                 pattern.lower_bound_after(j, j),
                 "lower {j}"
-            );
-        }
-    }
-
-    #[test]
-    fn cached_cost_estimate_matches_uncached() {
-        let a = random_dominant(45, 4.0, 66);
-        let pattern = filled(&a);
-        let cache = PivotCache::build(&pattern);
-        for j in 0..45 {
-            assert_eq!(
-                column_cost_estimate_cached(&pattern, &cache, j),
-                column_cost_estimate(&pattern, j),
-                "col {j}"
             );
         }
     }

@@ -9,20 +9,25 @@
 //! the probe count is charged by the cost model at a reduced per-probe
 //! weight (the upper levels of the search tree stay cache-resident).
 //!
-//! The level-loop scaffolding lives in [`crate::engine::run_levels`]; this
-//! module contributes only the [`SparseEngine`] kernel and the forced-mode
-//! ablation knob.
+//! That is the *device* kernel being modelled and priced. The host
+//! executes the same per-position arithmetic in the kernel core's dense
+//! accumulator, as every engine does, and reports the search's iteration
+//! count (`probes`) in closed form — see
+//! [`crate::outcome::AccessDiscipline::BinarySearch`].
+//!
+//! The level loop, the kernel body and the counters live in
+//! [`crate::engine`]; this module states only the probe surcharge and the
+//! forced-mode ablation knob.
 
-use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+use crate::engine::{LevelRun, NumericEngine};
 use crate::error::NumericError;
+use crate::fleet::run_on;
 use crate::modes::{classify_level_cached, LevelType};
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
-use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError};
-use gplu_sparse::Csc;
-use gplu_trace::{AttrValue, TraceSink, NOOP};
-use std::sync::atomic::{AtomicU64, Ordering};
+use gplu_sim::{BlockCtx, Gpu};
+use gplu_sparse::{Csc, Idx};
+use gplu_trace::NOOP;
 
 /// Fraction of a full work-item each binary-search probe costs (probes hit
 /// mostly cache-resident tree levels; the leaf access is already counted
@@ -35,17 +40,13 @@ pub const PROBE_WEIGHT: f64 = 0.12;
 /// forced-mode ablation knob.
 pub struct SparseEngine {
     force: Option<LevelType>,
-    probes: AtomicU64,
 }
 
 impl SparseEngine {
     /// The engine, with every level's mode classification overridden to
     /// `force` when given.
     pub fn new(force: Option<LevelType>) -> SparseEngine {
-        SparseEngine {
-            force,
-            probes: AtomicU64::new(0),
-        }
+        SparseEngine { force }
     }
 }
 
@@ -54,60 +55,24 @@ impl NumericEngine for SparseEngine {
         "numeric_sparse"
     }
 
-    fn seed(&mut self, resume: &NumericResume) {
-        self.probes.store(resume.probes, Ordering::Relaxed);
+    fn discipline(&self) -> AccessDiscipline {
+        AccessDiscipline::BinarySearch
     }
 
-    fn classify(&self, pattern: &Csc, cache: &PivotCache, cols: &[gplu_sparse::Idx]) -> LevelType {
+    fn classify(&self, pattern: &Csc, cache: &PivotCache, cols: &[Idx]) -> LevelType {
         self.force
             .unwrap_or_else(|| classify_level_cached(pattern, cache, cols))
     }
 
-    fn run_level(&self, run: &LevelRun<'_>) -> Result<(), SimError> {
-        let stripes = run.stripes;
-        let kernel = |b: usize, ctx: &mut BlockCtx| {
-            let col = run.cols[b / stripes] as usize;
-            let stripe = b % stripes;
-            let items = run.items_of[b / stripes];
-            // Each located access pays log2(col_nnz) probes at the reduced
-            // probe weight, on top of the item itself (all at the
-            // structured flop rate; the chain-free right-looking charge,
-            // as in the dense engine).
-            let nnz_col = (run.pattern.col_ptr[col + 1] - run.pattern.col_ptr[col]).max(1) as u64;
-            let probe_items = run.gpu.cost().probe_flop_items(items, nnz_col);
-            ctx.bulk_flops(3, (items + probe_items) / stripes as u64);
-            ctx.mem(items * 8 / stripes as u64);
-            if stripe == 0 {
-                match run.process_column(col, AccessDiscipline::BinarySearch) {
-                    Ok((c, perturb)) => {
-                        self.probes.fetch_add(c.probes, Ordering::Relaxed);
-                        if let Some(delta) = perturb {
-                            run.perturbs.lock().push((col, delta));
-                        }
-                    }
-                    Err(e) => {
-                        run.error.lock().get_or_insert(e);
-                    }
-                }
-            }
-        };
-        run.launch(self.kernel_name(), &kernel)
-    }
-
-    fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            probes: self.probes.load(Ordering::Relaxed),
-            ..EngineCounters::default()
-        }
-    }
-
-    fn level_attrs(
-        &self,
-        _run: &LevelRun<'_>,
-        delta: &EngineCounters,
-        attrs: &mut Vec<(&'static str, AttrValue)>,
-    ) {
-        attrs.push(("probes", delta.probes.into()));
+    // Each located access pays log2(col_nnz) probes at the reduced probe
+    // weight, on top of the item itself (all at the structured flop rate;
+    // the chain-free right-looking charge, as in the dense engine).
+    fn price(&self, run: &LevelRun<'_>, col: usize, items: u64, ctx: &mut BlockCtx<'_>) {
+        let stripes = run.stripes as u64;
+        let nnz_col = (run.pattern.col_ptr[col + 1] - run.pattern.col_ptr[col]).max(1) as u64;
+        let probe_items = run.gpu.cost().probe_flop_items(items, nnz_col);
+        ctx.bulk_flops(3, (items + probe_items) / stripes);
+        ctx.mem(items * 8 / stripes);
     }
 }
 
@@ -129,54 +94,16 @@ pub fn factorize_gpu_sparse_forced(
     levels: &Levels,
     force: Option<LevelType>,
 ) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_sparse_run_cached(
-        gpu,
+    run_on(
+        SparseEngine::new(force),
+        &gpu.into(),
         pattern,
         levels,
-        force,
         &NOOP,
         None,
         None,
         None,
         PivotRule::Exact,
-    )
-}
-
-/// Full-control entry point: [`factorize_gpu_sparse_forced`] with
-/// telemetry (one `numeric.level` span per schedule level; the end event
-/// carries the level's width, its A/B/C mode, and the binary-search probe
-/// count the level contributed), optional level-granular resume state, a
-/// per-level checkpoint hook, and an optional prebuilt [`PivotCache`] (the
-/// pattern-keyed refactorization fast path: the cache is pattern-only, so
-/// a service factorizing the same pattern repeatedly builds it once).
-///
-/// A supplied cache also marks the run as a captured-schedule replay:
-/// levels after the host-launched kick-off are tail-launched device-side
-/// (Algorithm 5), exactly as in
-/// [`crate::merge::factorize_gpu_merge_run_cached`].
-#[allow(clippy::too_many_arguments)]
-pub fn factorize_gpu_sparse_run_cached(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    force: Option<LevelType>,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-    pivot: Option<&PivotCache>,
-    rule: PivotRule,
-) -> Result<NumericOutcome, NumericError> {
-    let mut engine = SparseEngine::new(force);
-    run_levels(
-        &mut engine,
-        &DeviceFleet::from(gpu),
-        pattern,
-        levels,
-        trace,
-        resume,
-        hook,
-        pivot,
-        rule,
     )
     .map(|run| run.outcome)
 }

@@ -24,6 +24,7 @@ use gplu::prelude::*;
 use gplu::server::ExecTier;
 use gplu::sparse::gen::circuit::{circuit, CircuitParams};
 use gplu::sparse::gen::random::{banded_dominant, random_dominant};
+use gplu::sparse::ordering::OrderingKind;
 use gplu::sparse::Coo;
 use proptest::prelude::*;
 
@@ -173,6 +174,45 @@ fn dead_device_reshards_onto_survivors_bit_identically() {
             .any(|&(device, resharded)| device == 1 && resharded > 0),
         "recovery log must carry the DeviceLost entry, got {lost:?}"
     );
+}
+
+#[test]
+fn device_lost_between_dense_batches_reshards_bit_identically() {
+    // 40 020-byte devices hold the staged factor plus M = 3 dense column
+    // buffers, so each of the two devices runs its 8 columns of every
+    // level in batches of 3 + 3 + 2. Device 1's K-th allocation fails:
+    // wherever that lands — symbolic, staging, a level's first buffer, or
+    // a later one with earlier batches already finished — device 0 takes
+    // over and the factors are the single-device run's. A finished column
+    // factored a second time is a silent wrong answer with the gate off
+    // and a typed rejection of a healthy run with it on.
+    let a = block_banded(16, 30, 4, 73);
+    let cfg = GpuConfig::v100().with_memory(40_020);
+    for gate_on in [false, true] {
+        let mut opts = LuOptions {
+            format: NumericFormat::Dense,
+            ..LuOptions::default().with_ordering(OrderingKind::Natural)
+        };
+        opts.gate.enabled = gate_on;
+        let single = LuFactorization::compute(&Gpu::new(cfg.clone()), &a, &opts).expect("single");
+        assert_eq!(single.report.m_limit, Some(3));
+        for k in 1..=400 {
+            let label = format!("gate {gate_on}, alloc={k}");
+            let plans = FaultPlan::parse_fleet(&format!("dev=1:oom:alloc={k}"), 2).expect("plans");
+            let fleet = DeviceFleet::with_fault_plans(2, cfg.clone(), CostModel::default(), &plans);
+            let f = LuFactorization::compute_fleet(&fleet, &a, &opts)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_bit_identical(&single, &f, &label);
+            let dead = &f.report.fleet.as_ref().expect("fleet report").dead;
+            let logged = f
+                .report
+                .recovery
+                .events()
+                .iter()
+                .any(|e| matches!(e.action, RecoveryAction::DeviceLost { device: 1, .. }));
+            assert_eq!(logged, !dead.is_empty(), "{label}: DeviceLost entry");
+        }
+    }
 }
 
 #[test]
