@@ -137,14 +137,29 @@ fn check_report(doc: &JsonValue) -> Result<String, String> {
         if devices == 0 {
             return Err("/fleet/devices: zero devices".into());
         }
-        let per = section_at(fleet, "/per_device_ns")
-            .map_err(|e| format!("/fleet{e}"))?
-            .as_arr()
-            .ok_or("/fleet/per_device_ns: not an array")?;
-        if per.len() as u64 != devices {
+        let per_device = |key: &str| -> Result<Vec<f64>, String> {
+            let arr = section_at(fleet, &format!("/{key}"))
+                .map_err(|e| format!("/fleet{e}"))?
+                .as_arr()
+                .ok_or(format!("/fleet/{key}: not an array"))?;
+            if arr.len() as u64 != devices {
+                return Err(format!(
+                    "/fleet/{key}: {} entries for {devices} devices",
+                    arr.len()
+                ));
+            }
+            let ns = arr.iter().map(JsonValue::as_f64).collect::<Option<_>>();
+            ns.ok_or(format!("/fleet/{key}: not all numbers"))
+        };
+        // Busy time is the clock advance less barrier waits: never more.
+        let (elapsed, busy) = (
+            per_device("per_device_ns")?,
+            per_device("per_device_busy_ns")?,
+        );
+        if let Some(d) = (0..elapsed.len()).find(|&d| !(0.0..=elapsed[d]).contains(&busy[d])) {
             return Err(format!(
-                "/fleet/per_device_ns: {} entries for {devices} devices",
-                per.len()
+                "/fleet/per_device_busy_ns/{d}: {} outside 0..={} (the clock advance)",
+                busy[d], elapsed[d]
             ));
         }
         let dead = section_at(fleet, "/dead")

@@ -1116,8 +1116,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let x_true = vec![1.0; a.n_rows()];
             let b = a.spmv(&x_true);
             let x = if opts.gpu_solve {
-                // On a fleet the triangular solve runs on device 0 — the
-                // factors are replicated after the level-barrier exchanges.
+                // On a fleet the triangular solve runs on device 0: the
+                // host holds the factors whichever device shipped them.
                 let plan = f.solve_plan();
                 let (x, t) = f.solve_on_gpu(fleet.device(0), &plan, &b)?;
                 writeln!(out, "gpu solve: {t}")?;

@@ -7,21 +7,23 @@
 //! chooses is the symbolic engine — fill counting sharded by source-row
 //! range (`symbolic_fleet`, priced as `FleetOoc`) instead of the
 //! `opts.symbolic` ladder — and that [`crate::PhaseReport::fleet`] is
-//! filled (per-device busy times, deaths, interconnect traffic), at every
-//! device count including one.
+//! filled (per-device clock advance and busy time, deaths, interconnect
+//! traffic), at every device count including one.
 //!
 //! Sharding never touches values — the symbolic phase splits by source
-//! row and the numeric phase splits each schedule level by column range,
-//! but both compute on host-deterministic state, so the factors are
-//! **bit-identical** to `compute` for every engine and device count (the
-//! `fleet` integration suite proves it). What the fleet changes is
-//! *pricing*: each device's clock advances only for its own shard, and
-//! every level barrier / fill-count merge is charged on the NVLink
-//! interconnect terms of the cost model.
+//! row, and the numeric phase splits a schedule level by column range
+//! when the cost model quotes the split below running it whole on the
+//! home device — but both compute on host-deterministic state, so the
+//! factors are **bit-identical** to `compute` for every engine and device
+//! count (the `fleet` integration suite proves it). What the fleet
+//! changes is *pricing*: each device's clock advances only for its own
+//! shard, and every fill-count merge and every leg a split level ships is
+//! charged on the NVLink interconnect terms of the cost model.
 //!
 //! A device that fails (injected OOM or launch fault) while another is
-//! still alive is marked dead, its work reshards onto the survivors, and
-//! the loss lands in the recovery log as [`RecoveryAction::DeviceLost`].
+//! still alive is marked dead, a survivor pays for what it alone held,
+//! and the loss lands in the recovery log as
+//! [`RecoveryAction::DeviceLost`].
 //! The numeric phase hands the *last* live device's failure to the format
 //! ladder instead, exactly as a lone `Gpu`'s; only an injected crash or a
 //! whole-fleet death in the symbolic phase is terminal.
@@ -39,7 +41,7 @@ impl LuFactorization {
     /// [`LuFactorization::compute`] on one device with the same options.
     ///
     /// [`crate::PhaseReport::fleet`] carries the per-device accounting
-    /// (busy times, deaths, interconnect traffic).
+    /// (clock advance, busy time, deaths, interconnect traffic).
     pub fn compute_fleet(
         fleet: &DeviceFleet<'_>,
         a: &gplu_sparse::Csr,
@@ -50,7 +52,9 @@ impl LuFactorization {
 
     /// [`LuFactorization::compute_fleet`] with telemetry: the spans of
     /// [`LuFactorization::compute_traced`], with the live device count in
-    /// the `devices` attribute of the phase and per-level numeric spans.
+    /// the `devices` attribute of the phase spans; a `numeric.level` span's
+    /// `devices` is how many devices that level ran on, and its end event
+    /// carries the two quotes that decided it.
     pub fn compute_fleet_traced(
         fleet: &DeviceFleet<'_>,
         a: &gplu_sparse::Csr,
@@ -87,9 +91,15 @@ mod tests {
         let fr = f.report.fleet.as_ref().expect("fleet report");
         assert_eq!(fr.devices, 4);
         assert!(fr.dead.is_empty());
-        assert!(fr.exchanges > 0, "level barriers price the exchange");
+        assert!(fr.exchanges > 0, "the fill-count merge prices its legs");
         assert_eq!(fr.per_device_ns.len(), 4);
         assert!(fr.per_device_ns.iter().all(|&ns| ns > 0.0));
+        // Barriers level the clocks; busy time is what tells devices apart.
+        // The levelize phase runs on device 0 while the others wait.
+        let busy = &fr.per_device_busy_ns;
+        assert_eq!(busy.len(), 4);
+        assert!(busy.iter().zip(&fr.per_device_ns).all(|(b, t)| b <= t));
+        assert!(busy[0] > busy[1], "device 0 led: {busy:?}");
         // A single-device run has no fleet section at all.
         assert!(single.report.fleet.is_none());
     }
@@ -110,6 +120,29 @@ mod tests {
             has_attr("numeric.level", "devices"),
             "fleet spans must carry the device-count attribute"
         );
+        // Why a level was or was not split is in the trace: both quotes,
+        // and the interconnect's part of the split one.
+        for attr in ["quote_home_ns", "quote_split_ns", "legs_ns"] {
+            assert!(has_attr("numeric.level", attr), "level spans lack {attr}");
+        }
+        let attr_of = |e: &gplu_trace::TraceEvent, key: &str| {
+            let found = e.attrs.iter().find(|(k, _)| *k == key);
+            found.and_then(|(_, v)| v.as_f64())
+        };
+        let quoted = events
+            .iter()
+            .filter(|e| e.name == "numeric.level")
+            .filter_map(|e| {
+                let quotes = (attr_of(e, "quote_home_ns")?, attr_of(e, "quote_split_ns")?);
+                Some((attr_of(e, "devices")?, quotes))
+            });
+        for (ran_on, (home, split)) in quoted {
+            assert_eq!(
+                ran_on > 1.0,
+                split < home,
+                "a level leaves home exactly when the split quote is lower"
+            );
+        }
         // The level loop is the single-device one: per-level engine
         // attributes and drift samples at every fleet size.
         assert!(
@@ -123,12 +156,10 @@ mod tests {
         let json = RunReport::new(a.n_rows(), a.nnz(), f.report.clone(), &events).to_json();
         let fl = json.get("fleet").expect("fleet section in the run report");
         assert_eq!(fl.get("devices").and_then(JsonValue::as_u64), Some(2));
-        assert_eq!(
-            fl.get("per_device_ns")
-                .and_then(JsonValue::as_arr)
-                .map(<[JsonValue]>::len),
-            Some(2)
-        );
+        for key in ["per_device_ns", "per_device_busy_ns"] {
+            let len = fl.get(key).and_then(JsonValue::as_arr).map(<[_]>::len);
+            assert_eq!(len, Some(2), "{key}");
+        }
     }
 
     #[test]

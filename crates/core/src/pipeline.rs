@@ -777,12 +777,11 @@ impl<'a> Pass<'a> {
         if let (Some(before), Some(fr)) = (&self.fleet_before, &mut self.report.fleet) {
             let after = self.fleet.stats();
             fr.dead.sort_unstable();
-            fr.per_device_ns = after
-                .devices
-                .iter()
-                .zip(&before.devices)
-                .map(|(now, then)| now.stats.since(&then.stats).now.as_ns())
-                .collect();
+            let run = after.devices.iter().zip(&before.devices);
+            (fr.per_device_ns, fr.per_device_busy_ns) = run
+                .map(|(now, then)| now.elapsed_and_busy_since(then))
+                .map(|(elapsed, busy)| (elapsed.as_ns(), busy.as_ns()))
+                .unzip();
             fr.exchanges = after.interconnect.exchanges - before.interconnect.exchanges;
             fr.exchange_bytes = after.interconnect.bytes - before.interconnect.bytes;
             fr.exchange_ns = (after.interconnect.time - before.interconnect.time).as_ns();
@@ -1196,9 +1195,9 @@ impl<'a> Pass<'a> {
     }
 
     /// Phase 4, the numeric phase, cold or warm: the format ladder (degrading on
-    /// device failure), each level's columns sharded across the live
-    /// devices with the boundary-column all-gather priced at every level
-    /// barrier, one late singular-pivot repair, and the mirroring of
+    /// device failure), each level placed by quote — whole on the home
+    /// device, or split across the live devices when that prices lower,
+    /// legs included — one late singular-pivot repair, and the mirroring of
     /// engine-level perturbations into `matrix`. A partial snapshot
     /// replays the completed-level watermark and value store on the format
     /// that cut it. Fills the report's numeric fields and returns the

@@ -30,9 +30,13 @@ pub struct FleetReport {
     /// Devices that died during the run (injected faults); their shards
     /// were re-run on the survivors.
     pub dead: Vec<usize>,
-    /// Per-device busy time across the whole run, nanoseconds, indexed by
-    /// device ordinal.
+    /// Per-device clock advance across the whole run, nanoseconds, indexed
+    /// by device ordinal. Barriers level the live clocks, so live devices
+    /// read alike; `per_device_busy_ns` says who did the work.
     pub per_device_ns: Vec<f64>,
+    /// `per_device_ns` less the time the device waited at barriers for a
+    /// slower one: its busy time.
+    pub per_device_busy_ns: Vec<f64>,
     /// Symbolic source rows re-run on survivors after device deaths.
     pub resharded_rows: usize,
     /// Numeric columns re-run on survivors after device deaths.

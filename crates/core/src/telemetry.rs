@@ -31,7 +31,8 @@
 //!                 "mean_block_width": f64?, "gemm_tiles": u64? }, ... ],
 //!   "recovery": [ { "phase": str, "action": str }, ... ],
 //!   "fleet":   { "devices": u64, "dead": [u64...],
-//!                "per_device_ns": [f64...], "resharded_rows": u64,
+//!                "per_device_ns": [f64...],
+//!                "per_device_busy_ns": [f64...], "resharded_rows": u64,
 //!                "resharded_cols": u64, "exchanges": u64,
 //!                "exchange_bytes": u64, "exchange_ns": f64 }?   // fleet runs only
 //! }
@@ -220,18 +221,17 @@ impl RunReport {
             .set("levels", levels)
             .set("recovery", recovery);
         if let Some(fl) = &r.fleet {
-            let per_device: Vec<JsonValue> = fl
-                .per_device_ns
-                .iter()
-                .map(|&ns| JsonValue::from(ns))
-                .collect();
+            let ns_array = |ns: &[f64]| -> Vec<JsonValue> {
+                ns.iter().map(|&ns| JsonValue::from(ns)).collect()
+            };
             let dead: Vec<JsonValue> = fl.dead.iter().map(|&d| JsonValue::from(d)).collect();
             out = out.set(
                 "fleet",
                 JsonValue::obj()
                     .set("devices", fl.devices)
                     .set("dead", dead)
-                    .set("per_device_ns", per_device)
+                    .set("per_device_ns", ns_array(&fl.per_device_ns))
+                    .set("per_device_busy_ns", ns_array(&fl.per_device_busy_ns))
                     .set("resharded_rows", fl.resharded_rows)
                     .set("resharded_cols", fl.resharded_cols)
                     .set("exchanges", fl.exchanges)

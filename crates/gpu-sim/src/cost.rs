@@ -138,7 +138,7 @@ impl CostModel {
 
     /// Time for a peer-to-peer NVLink exchange of `bytes` between two
     /// devices of a fleet. Every cross-device exchange (symbolic shard
-    /// merges, numeric boundary-column all-gathers) is charged through
+    /// merges, the legs a split numeric level ships) is charged through
     /// this helper so the fleet's scaling curves price communication,
     /// not just compute.
     pub fn nvlink_transfer_ns(&self, bytes: u64) -> f64 {

@@ -7,10 +7,12 @@
 //! single [`Gpu`] cannot model:
 //!
 //! * **cross-device exchange** priced through the NVLink terms of
-//!   [`CostModel`](crate::CostModel) ([`DeviceFleet::exchange`],
-//!   [`DeviceFleet::all_gather`]),
+//!   [`CostModel`](crate::CostModel): one receive primitive
+//!   ([`DeviceFleet::receive`]) and the all-gather built from it
+//!   ([`DeviceFleet::all_gather`]),
 //! * **barriers** that advance every live clock to the fleet-wide maximum
-//!   (a sharded phase cannot finish before its slowest shard),
+//!   (a sharded phase cannot finish before its slowest shard) and record
+//!   how long each device waited there,
 //! * **liveness tracking** ([`DeviceFleet::mark_dead`]) so chaos suites
 //!   can kill one device and callers can reshard onto the survivors.
 //!
@@ -31,7 +33,7 @@ use parking_lot::Mutex;
 /// Interconnect accounting accumulated across the fleet's lifetime.
 #[derive(Debug, Default, Clone)]
 pub struct InterconnectStats {
-    /// Number of priced cross-device exchanges (point-to-point legs; an
+    /// Number of priced cross-device exchanges (one leg per receive; an
     /// all-gather over `k` devices counts `k` legs).
     pub exchanges: u64,
     /// Total bytes moved across the interconnect.
@@ -50,12 +52,25 @@ pub struct FleetDeviceStats {
     pub dead: bool,
     /// The device's own counters.
     pub stats: GpuStatsSnapshot,
+    /// Clock advance spent waiting at barriers for a slower device — the
+    /// part of `stats.now` that is not busy time.
+    pub barrier_wait: SimTime,
     /// Arena bytes currently allocated.
     pub mem_used: u64,
     /// Arena high-water mark.
     pub mem_peak: u64,
     /// Arena capacity.
     pub mem_capacity: u64,
+}
+
+impl FleetDeviceStats {
+    /// The device's clock advance since the earlier reading `then`, and
+    /// the part of it not spent waiting at barriers: its busy time.
+    pub fn elapsed_and_busy_since(&self, then: &FleetDeviceStats) -> (SimTime, SimTime) {
+        let elapsed = self.stats.since(&then.stats).now;
+        let waited = self.barrier_wait - then.barrier_wait;
+        (elapsed, elapsed.saturating_sub(waited))
+    }
 }
 
 /// A consistent reading of the whole fleet.
@@ -93,6 +108,7 @@ impl FleetStats {
 pub struct DeviceFleet<'a> {
     devices: Devices<'a>,
     dead: Mutex<Vec<bool>>,
+    barrier_wait: Mutex<Vec<SimTime>>,
     interconnect: Mutex<InterconnectStats>,
 }
 
@@ -168,6 +184,7 @@ impl<'a> DeviceFleet<'a> {
         DeviceFleet {
             devices,
             dead: Mutex::new(vec![false; n]),
+            barrier_wait: Mutex::new(vec![SimTime::ZERO; n]),
             interconnect: Mutex::new(InterconnectStats::default()),
         }
     }
@@ -226,28 +243,23 @@ impl<'a> DeviceFleet<'a> {
         self.dead.lock().iter().any(|&d| d)
     }
 
-    /// Prices one point-to-point exchange of `bytes` from device `from`
-    /// to device `to` over the peer link. Both endpoints' clocks advance
-    /// by the transfer time (the DMA occupies source and destination
-    /// engines alike). A self-exchange is free — the data never leaves
-    /// the arena.
-    pub fn exchange(&self, from: usize, to: usize, bytes: u64) -> SimTime {
-        if from == to {
-            return SimTime::ZERO;
-        }
-        let t = SimTime::from_ns(self.devices[from].cost().nvlink_transfer_ns(bytes));
-        self.devices[from].advance(t);
-        self.devices[to].advance(t);
+    /// Prices device `d` receiving `bytes` over the peer link in one leg:
+    /// its clock advances by the transfer time (the sender's DMA engine
+    /// runs beside its kernels and is not charged). The one exchange
+    /// primitive; callers coalesce what a device needs into one call.
+    pub fn receive(&self, d: usize, bytes: u64) -> SimTime {
+        let t = SimTime::from_ns(self.devices[d].cost().nvlink_transfer_ns(bytes));
+        self.devices[d].advance(t);
         let mut ic = self.interconnect.lock();
         ic.exchanges += 1;
         ic.bytes += bytes;
-        ic.time = ic.time + t + t;
+        ic.time += t;
         t
     }
 
-    /// Prices an **all-gather at a level barrier**: every live device `d`
+    /// Prices an **all-gather at a barrier**: every live device `d`
     /// contributed `bytes[d]` and must receive everyone else's
-    /// contribution, so it pays one exchange of `total − bytes[d]`; the
+    /// contribution, so it pays one receive of `total − bytes[d]`; the
     /// fleet then barriers. With one live device (or one total
     /// contributor) nothing moves. Returns the post-barrier makespan.
     pub fn all_gather(&self, bytes: &[u64]) -> SimTime {
@@ -257,22 +269,27 @@ impl<'a> DeviceFleet<'a> {
             .map(|&d| bytes.get(d).copied().unwrap_or(0))
             .sum();
         if alive.len() > 1 && total > 0 {
-            let mut ic = self.interconnect.lock();
             for &d in &alive {
-                let recv = total - bytes.get(d).copied().unwrap_or(0);
-                let t = SimTime::from_ns(self.devices[d].cost().nvlink_transfer_ns(recv));
-                self.devices[d].advance(t);
-                ic.exchanges += 1;
-                ic.bytes += recv;
-                ic.time += t;
+                self.receive(d, total - bytes.get(d).copied().unwrap_or(0));
             }
         }
         self.barrier()
     }
 
+    /// Idles device `d` until `t` — a no-op when its clock is already
+    /// there — and counts the advance as barrier wait, not work.
+    pub fn wait_until(&self, d: usize, t: SimTime) {
+        let now = self.devices[d].now();
+        if now < t {
+            let gap = SimTime::from_ns(t.as_ns() - now.as_ns());
+            self.devices[d].advance(gap);
+            self.barrier_wait.lock()[d] += gap;
+        }
+    }
+
     /// Advances every live device's clock to the fleet-wide maximum (a
-    /// synchronization point: no shard proceeds before the slowest).
-    /// Returns the barrier time.
+    /// synchronization point: no shard proceeds before the slowest); the
+    /// laggards' advance is barrier wait. Returns the barrier time.
     pub fn barrier(&self) -> SimTime {
         let alive = self.alive();
         let max = alive
@@ -280,10 +297,7 @@ impl<'a> DeviceFleet<'a> {
             .map(|&d| self.devices[d].now())
             .fold(SimTime::ZERO, SimTime::max);
         for &d in &alive {
-            let now = self.devices[d].now();
-            if now < max {
-                self.devices[d].advance(SimTime::from_ns(max.as_ns() - now.as_ns()));
-            }
+            self.wait_until(d, max);
         }
         max
     }
@@ -307,6 +321,7 @@ impl<'a> DeviceFleet<'a> {
     /// A consistent snapshot of every device plus the interconnect.
     pub fn stats(&self) -> FleetStats {
         let dead = self.dead.lock().clone();
+        let wait = self.barrier_wait.lock();
         let devices = self
             .devices
             .iter()
@@ -315,6 +330,7 @@ impl<'a> DeviceFleet<'a> {
                 device: d,
                 dead: dead[d],
                 stats: gpu.stats(),
+                barrier_wait: wait[d],
                 mem_used: gpu.mem.used_bytes(),
                 mem_peak: gpu.mem.peak_bytes(),
                 mem_capacity: gpu.mem.capacity(),
@@ -361,23 +377,15 @@ mod tests {
     }
 
     #[test]
-    fn exchange_charges_both_endpoints() {
+    fn receive_charges_one_leg_to_the_receiver_only() {
         let f = fleet(2);
-        let t = f.exchange(0, 1, 1 << 20);
-        let expect = f.device(0).cost().nvlink_transfer_ns(1 << 20);
+        let t = f.receive(1, 1 << 20);
+        let expect = f.device(1).cost().nvlink_transfer_ns(1 << 20);
         assert!((t.as_ns() - expect).abs() < 1e-9);
-        assert_eq!(f.device(0).now(), t);
+        assert_eq!(f.device(0).now(), SimTime::ZERO);
         assert_eq!(f.device(1).now(), t);
         let ic = f.stats().interconnect;
-        assert_eq!(ic.exchanges, 1);
-        assert_eq!(ic.bytes, 1 << 20);
-    }
-
-    #[test]
-    fn self_exchange_is_free() {
-        let f = fleet(2);
-        assert_eq!(f.exchange(1, 1, 1 << 30), SimTime::ZERO);
-        assert_eq!(f.stats().interconnect.exchanges, 0);
+        assert_eq!((ic.exchanges, ic.bytes, ic.time), (1, 1 << 20, t));
     }
 
     #[test]
@@ -389,6 +397,9 @@ mod tests {
         for d in 0..3 {
             assert_eq!(f.device(d).now(), m);
         }
+        // The laggards' advance is wait, not work; the slowest waited none.
+        let waits: Vec<_> = f.stats().devices.iter().map(|d| d.barrier_wait).collect();
+        assert_eq!(waits, vec![m, m, SimTime::ZERO]);
     }
 
     #[test]

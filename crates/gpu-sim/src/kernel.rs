@@ -26,6 +26,21 @@ where
     }
 }
 
+/// One block's accounting as its kernel body reported it to a
+/// [`BlockCtx`] — the only thing the cost model prices a launch from
+/// ([`crate::Gpu::quote`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BlockCost {
+    /// In-block compute time (ns).
+    pub compute_ns: f64,
+    /// Device memory traffic (bytes).
+    pub mem_bytes: u64,
+    /// Unified-memory fault service time attributed to the block (ns).
+    pub fault_ns: f64,
+    /// Unified-memory fault groups the block raised.
+    pub fault_groups: u64,
+}
+
 /// Per-block cost accumulator handed to kernel bodies.
 ///
 /// The pricing model (constants in [`CostModel`]):
@@ -187,6 +202,16 @@ impl<'a> BlockCtx<'a> {
     /// Compute time accumulated so far (ns) — exposed for tests.
     pub fn compute_ns(&self) -> f64 {
         self.compute_ns
+    }
+
+    /// Everything the launch machinery prices this block from.
+    pub fn cost(&self) -> BlockCost {
+        BlockCost {
+            compute_ns: self.compute_ns,
+            mem_bytes: self.mem_bytes,
+            fault_ns: self.fault_ns,
+            fault_groups: self.fault_groups,
+        }
     }
 }
 

@@ -5,7 +5,7 @@ use crate::config::GpuConfig;
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::kernel::{BlockCtx, Kernel};
+use crate::kernel::{BlockCost, BlockCtx, Kernel};
 use crate::memory::DeviceMemory;
 use crate::stats::GpuStatsSnapshot;
 use crate::unified::UmSpace;
@@ -52,6 +52,29 @@ pub struct KernelReport {
     pub grid: usize,
     /// Simulated end-to-end kernel time (incl. launch overhead).
     pub time: SimTime,
+    /// Wave-scheduled compute makespan.
+    pub compute: SimTime,
+    /// HBM bandwidth bound over the kernel's total traffic.
+    pub bandwidth: SimTime,
+    /// Serialized unified-memory fault service time.
+    pub fault: SimTime,
+    /// Unified-memory fault groups raised.
+    pub fault_groups: u64,
+    /// Concurrency the wave scheduler used.
+    pub concurrency: usize,
+}
+
+/// What the cost model charges for one launch, worked out from its blocks'
+/// accounting alone ([`Gpu::quote`]): nothing runs and no clock moves.
+/// Every launch charges exactly its quote, so a caller weighing two
+/// placements of the same work compares the numbers the clocks would show.
+#[derive(Debug, Clone, Copy)]
+pub struct LaunchQuote {
+    /// End-to-end kernel time (incl. launch overhead) — the scheduled
+    /// clock's advance.
+    pub time: SimTime,
+    /// The roofline bound the analytic clock advances by.
+    pub analytic: SimTime,
     /// Wave-scheduled compute makespan.
     pub compute: SimTime,
     /// HBM bandwidth bound over the kernel's total traffic.
@@ -321,91 +344,87 @@ impl Gpu {
                 return Err(err);
             }
         }
-        let launch_ns = match kind {
-            LaunchKind::Host => self.cost.host_launch_ns,
-            LaunchKind::Device => self.cost.device_launch_ns,
-        };
-        if grid == 0 {
-            // Empty launch still pays the overhead (matches CUDA).
-            let t = SimTime::from_ns(launch_ns);
-            let mut s = self.state.lock();
-            match kind {
-                LaunchKind::Host => s.kernels_host += 1,
-                LaunchKind::Device => s.kernels_device += 1,
-            }
-            s.now_ns += launch_ns;
-            s.analytic_ns += launch_ns;
-            s.kernel_time_ns += launch_ns;
-            return Ok(KernelReport {
-                name: name.into(),
-                grid: 0,
-                time: t,
-                compute: SimTime::ZERO,
-                bandwidth: SimTime::ZERO,
-                fault: SimTime::ZERO,
-                fault_groups: 0,
-                concurrency: 0,
-            });
-        }
-
         // Functional execution with per-block accounting.
         let run_one = |b: usize| {
             let mut ctx = BlockCtx::new(&self.cost, Some(&self.um), threads_per_block);
             kernel.run_block(b, &mut ctx);
-            (
-                ctx.compute_ns,
-                ctx.mem_bytes,
-                ctx.fault_ns,
-                ctx.fault_groups,
-            )
+            ctx.cost()
         };
-        let per_block: Vec<(f64, u64, f64, u64)> = match exec {
+        let per_block: Vec<BlockCost> = match exec {
             Exec::Par => (0..grid).into_par_iter().map(run_one).collect(),
             Exec::Seq => (0..grid).map(run_one).collect(),
         };
 
-        let concurrency = grid
-            .min(self.cfg.tb_max)
-            .min(cap.unwrap_or(usize::MAX))
-            .max(1);
-        let compute_ns = makespan(per_block.iter().map(|p| p.0), concurrency);
-        let total_bytes: u64 = per_block.iter().map(|p| p.1).sum();
-        let bw_ns = total_bytes as f64 * self.cost.hbm_ns_per_byte;
-        let fault_ns: f64 = per_block.iter().map(|p| p.2).sum();
-        let fault_groups: u64 = per_block.iter().map(|p| p.3).sum();
-
-        let total_ns = launch_ns + compute_ns.max(bw_ns) + fault_ns;
-        // The analytic clock charges the roofline bound the cost model
-        // predicts without running the list scheduler: perfect packing of
-        // the per-block times onto `concurrency` slots (the critical
-        // block or the work/width bound, whichever dominates), under the
-        // same launch + bandwidth + fault terms. Divergence between this
-        // and `total_ns` is scheduling/quantization drift.
-        let max_block_ns = per_block.iter().map(|p| p.0).fold(0.0, f64::max);
-        let sum_block_ns: f64 = per_block.iter().map(|p| p.0).sum();
-        let ideal_ns = max_block_ns.max(sum_block_ns / concurrency as f64);
-        let analytic_ns = launch_ns + ideal_ns.max(bw_ns) + fault_ns;
+        let q = self.quote(kind, cap, &per_block);
         let mut s = self.state.lock();
         match kind {
             LaunchKind::Host => s.kernels_host += 1,
             LaunchKind::Device => s.kernels_device += 1,
         }
-        s.now_ns += total_ns;
-        s.analytic_ns += analytic_ns;
-        s.kernel_time_ns += total_ns;
-        s.fault_time_ns += fault_ns;
-        s.fault_groups += fault_groups;
+        s.now_ns += q.time.as_ns();
+        s.analytic_ns += q.analytic.as_ns();
+        s.kernel_time_ns += q.time.as_ns();
+        s.fault_time_ns += q.fault.as_ns();
+        s.fault_groups += q.fault_groups;
 
         Ok(KernelReport {
             name: name.into(),
             grid,
-            time: SimTime::from_ns(total_ns),
+            time: q.time,
+            compute: q.compute,
+            bandwidth: q.bandwidth,
+            fault: q.fault,
+            fault_groups: q.fault_groups,
+            concurrency: q.concurrency,
+        })
+    }
+
+    /// A block context outside any launch: pricing code reports to it as
+    /// it would inside a kernel, and [`BlockCtx::cost`] hands the result to
+    /// [`Gpu::quote`]. It has no unified-memory space — a UM touch moves
+    /// pages, which a quote must not.
+    pub fn scratch_block(&self, threads_per_block: usize) -> BlockCtx<'_> {
+        BlockCtx::new(&self.cost, None, threads_per_block)
+    }
+
+    /// Prices a launch of `kind` over `blocks` (in block-id order), its
+    /// concurrency additionally capped at `cap` — the whole pricing rule
+    /// of [`Gpu::launch_with`], and the one place it is written: launches
+    /// charge what this returns. An empty grid still pays the launch
+    /// overhead (matches CUDA).
+    pub fn quote(&self, kind: LaunchKind, cap: Option<usize>, blocks: &[BlockCost]) -> LaunchQuote {
+        let launch_ns = match kind {
+            LaunchKind::Host => self.cost.host_launch_ns,
+            LaunchKind::Device => self.cost.device_launch_ns,
+        };
+        let slots = blocks
+            .len()
+            .min(self.cfg.tb_max)
+            .min(cap.unwrap_or(usize::MAX))
+            .max(1);
+        let compute_ns = makespan(blocks.iter().map(|b| b.compute_ns), slots);
+        let total_bytes: u64 = blocks.iter().map(|b| b.mem_bytes).sum();
+        let bw_ns = total_bytes as f64 * self.cost.hbm_ns_per_byte;
+        let fault_ns: f64 = blocks.iter().map(|b| b.fault_ns).sum();
+
+        // The analytic clock charges the roofline bound the cost model
+        // predicts without running the list scheduler: perfect packing of
+        // the per-block times onto `slots` (the critical block or the
+        // work/width bound, whichever dominates), under the same launch +
+        // bandwidth + fault terms. Divergence between this and the
+        // scheduled time is scheduling/quantization drift.
+        let max_block_ns = blocks.iter().map(|b| b.compute_ns).fold(0.0, f64::max);
+        let sum_block_ns: f64 = blocks.iter().map(|b| b.compute_ns).sum();
+        let ideal_ns = max_block_ns.max(sum_block_ns / slots as f64);
+        LaunchQuote {
+            time: SimTime::from_ns(launch_ns + compute_ns.max(bw_ns) + fault_ns),
+            analytic: SimTime::from_ns(launch_ns + ideal_ns.max(bw_ns) + fault_ns),
             compute: SimTime::from_ns(compute_ns),
             bandwidth: SimTime::from_ns(bw_ns),
             fault: SimTime::from_ns(fault_ns),
-            fault_groups,
-            concurrency,
-        })
+            fault_groups: blocks.iter().map(|b| b.fault_groups).sum(),
+            concurrency: slots,
+        }
     }
 
     /// Passes a *crash point*: a numbered site where an injected
@@ -613,10 +632,58 @@ mod tests {
 
     mod props {
         use super::super::{list_schedule, makespan};
+        use super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A quote is the clock advance of the launch it describes, to
+            /// the bit: host, device and M-capped launches, grids under and
+            /// over `TB_max`, compute- and bandwidth-bound blocks, the
+            /// empty grid included.
+            #[test]
+            fn prop_quote_equals_the_launch_clock_advance(
+                items in proptest::collection::vec(0u64..200_000, 0..400),
+                bytes in 0u64..4_000_000,
+                threads_idx in 0usize..3,
+                cap in 1usize..200,
+                kind_idx in 0usize..3,
+            ) {
+                let threads = [32, 256, 1024][threads_idx];
+                let price = |b: usize, ctx: &mut BlockCtx| {
+                    ctx.bulk_flops(3, items[b]);
+                    ctx.mem(bytes * (b as u64 % 3));
+                };
+                let g = gpu();
+                let blocks: Vec<BlockCost> = (0..items.len())
+                    .map(|b| {
+                        let mut ctx = g.scratch_block(threads);
+                        price(b, &mut ctx);
+                        ctx.cost()
+                    })
+                    .collect();
+                let (quote, report) = match kind_idx {
+                    0 => (
+                        g.quote(LaunchKind::Host, None, &blocks),
+                        g.launch("k", items.len(), threads, &price),
+                    ),
+                    1 => (
+                        g.quote(LaunchKind::Device, None, &blocks),
+                        g.launch_device("k", items.len(), threads, &price),
+                    ),
+                    _ => (
+                        g.quote(LaunchKind::Host, Some(cap), &blocks),
+                        g.launch_capped("k", items.len(), threads, cap, &price),
+                    ),
+                };
+                let report = report.expect("launch ok");
+                prop_assert_eq!(quote.time.as_ns().to_bits(), report.time.as_ns().to_bits());
+                let (now, analytic) = g.clocks();
+                prop_assert_eq!(quote.time.as_ns().to_bits(), now.to_bits());
+                prop_assert_eq!(quote.analytic.as_ns().to_bits(), analytic.to_bits());
+                prop_assert_eq!(quote.concurrency, report.concurrency);
+            }
 
             /// With a slot per block the shortcut prices exactly what the
             /// list scheduler would, to the bit.

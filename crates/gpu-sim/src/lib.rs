@@ -25,6 +25,8 @@
 //!   concurrency limit, plus launch overhead,
 //! * [`Gpu::launch_device`] — the same with the (much smaller)
 //!   device-side launch overhead of dynamic parallelism,
+//! * [`Gpu::quote`] — that pricing rule on its own, from per-block costs
+//!   with nothing run: what a launch *would* charge, to the bit,
 //! * [`UmSpace`] — a unified-memory page manager with residency tracking,
 //!   LRU eviction, fault-group accounting and bulk prefetch,
 //! * [`CostModel`] — the frozen constants, each documented with its
@@ -56,8 +58,8 @@ pub use fault::{
     FAULT_PLAN_ENV,
 };
 pub use fleet::{split_even, DeviceFleet, FleetDeviceStats, FleetStats, InterconnectStats};
-pub use kernel::{BlockCtx, Kernel};
-pub use launch::{Exec, Gpu, KernelReport, LaunchKind};
+pub use kernel::{BlockCost, BlockCtx, Kernel};
+pub use launch::{Exec, Gpu, KernelReport, LaunchKind, LaunchQuote};
 pub use memory::{DeviceAlloc, DeviceMemory};
 pub use stats::GpuStatsSnapshot;
 pub use unified::{UmAlloc, UmSpace, UmStatsSnapshot};

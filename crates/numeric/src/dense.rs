@@ -21,7 +21,7 @@ use crate::fleet::run_on;
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCtx, Gpu, SimError};
+use gplu_sim::{BlockCost, BlockCtx, Gpu, LaunchKind, SimError, SimTime};
 use gplu_sparse::Csc;
 use gplu_trace::{TraceSink, NOOP};
 
@@ -100,6 +100,16 @@ impl NumericEngine for DenseEngine {
             run.gpu.mem.free(buffers)?;
         }
         Ok(())
+    }
+
+    // The same batches, quoted: each chunk of M columns is its own
+    // host launch capped at M (the buffer allocations cost no time).
+    fn quote(&self, run: &LevelRun<'_>, blocks: &[BlockCost]) -> SimTime {
+        let batch = |b| run.gpu.quote(LaunchKind::Host, Some(self.m_limit), b).time;
+        blocks
+            .chunks(self.m_limit.max(1) * run.stripes)
+            .map(batch)
+            .sum()
     }
 
     fn finish(&self, out: &mut NumericOutcome) {

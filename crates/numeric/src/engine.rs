@@ -19,38 +19,55 @@
 //! numbers on every live device, seeds the value store and the run's one
 //! counter set (optionally from a resume cut), walks the level schedule
 //! classifying each level into a GLU 3.0 kernel mode, and launches the one
-//! kernel body per device per level (host-launched cold, tail-launched on
-//! captured-schedule replays): every block prices its stripe through the
+//! kernel body per placed share per level (host-launched cold, tail-launched
+//! on captured-schedule replays): every block prices its stripe through the
 //! engine; stripe 0 also checks an accumulator out of the factorization's
 //! pool, runs the kernel core on its column, folds the column's costs into
 //! the counters and records a perturbation or the level's first error.
 //! The driver wraps each level in a `numeric.level` trace span carrying
-//! the level's counter deltas and a drift sample, feeds the checkpoint
-//! hook after every level barrier, and assembles the outcome.
+//! the level's counter deltas, the placement's quotes and a drift sample,
+//! feeds the checkpoint hook after every level, and assembles the outcome.
 //!
-//! **Sharding.** Within one schedule level every column depends only on
-//! columns of *earlier* levels, so a level's columns can be computed
-//! anywhere — the split changes which device pays for which column, never
-//! the values. Each level is cut into contiguous per-device chunks
-//! ([`split_even`]); the level barrier then prices the **boundary-column
-//! all-gather** (every device must see the level's updated column values
-//! before the next level starts) on the fleet's NVLink interconnect.
-//! Values live in one shared host-side [`ValueStore`] — the simulator
-//! separates functional execution from pricing — which is what makes the
-//! factors bit-identical at every device count. With one live device
-//! nothing is exchanged and the barrier advances nothing: a fleet of one
-//! is priced exactly as the device alone.
+//! **Sharding: placement by quote.** Within one schedule level every
+//! column depends only on columns of *earlier* levels, so a level's
+//! columns can be computed anywhere — placement changes which device pays
+//! for which column, never the values. One device is **home**: the lowest
+//! live ordinal. It holds every finished column at every level boundary
+//! and ships the factors. Per level the driver prices two placements with
+//! the cost model's own launch pricing ([`gplu_sim::Gpu::quote`], fed by
+//! the engine's [`price`] on scratch blocks — the number the clock would
+//! advance by, to the bit): the whole level on the home device, and the
+//! level cut [`split_even`] across the live devices, where a non-home
+//! share first receives, in one leg, the dependency columns it does not
+//! hold (rows `t < j` of its columns' patterns; a per-device residency
+//! bitset remembers what each device computed or received) and the other
+//! shares' columns come home afterwards in one coalesced leg. The level
+//! is split only when the slowest share with its inbound leg, plus that
+//! return leg, quotes *below* the home device alone; otherwise nothing
+//! leaves home, no leg is paid and no barrier is crossed. So per level a
+//! fleet costs at most what one device does, a chain never leaves its
+//! device, and a fleet of one — which quotes nothing — is priced exactly
+//! as the device alone. Values live in one shared host-side
+//! [`ValueStore`] — the simulator separates functional execution from
+//! pricing — which is what makes the factors bit-identical at every
+//! device count.
 //!
 //! **Device loss and the reshard rule.** A device that fails (injected
-//! OOM or launch fault) while another is still alive is marked dead and
-//! its whole share reshards onto the survivors, which pay for every column
-//! of it: nothing the dead device computed reached the barrier. Paying is
-//! not recomputing, though. The kernel core is *not* idempotent — a
-//! finished column's stored values are its factors, and eliminating them
-//! again is a wrong answer — and a share can die with some columns
-//! finished (the dense engine's second or later batch failing its buffer
-//! allocation). So the body runs the core **at most once per column per
-//! run**: a resharded column whose core already completed is priced and
+//! OOM or launch fault) while another is still alive is marked dead, and
+//! what it held dies with it. Each level ends with a settlement that makes
+//! the home device whole: columns some live device holds come home over
+//! the interconnect; columns no live device holds are paid for again on
+//! the home device. For a lost non-home share that is the share, whole:
+//! nothing it computed had come home. When the home device itself is lost
+//! the next live ordinal becomes home — no earlier than the moment of the
+//! failure — and pays again, level by level from the start of the run,
+//! for every finished column only the dead device held. Paying is not
+//! recomputing, though. The kernel core is *not* idempotent — a finished
+//! column's stored values are its factors, and eliminating them again is
+//! a wrong answer — and a share can die with some columns finished (the
+//! dense engine's second or later batch failing its buffer allocation).
+//! So the body runs the core **at most once per column per run**: a
+//! column paid for again whose core already completed is priced and
 //! skipped. The *last* live device is never declared dead: its error is
 //! returned to the caller's format ladder, exactly what a lone `Gpu`
 //! does. Injected crashes stay terminal, as everywhere in the pipeline.
@@ -73,7 +90,9 @@ use crate::resume::{LevelHook, LevelProgress, NumericResume};
 use crate::scratch::ScratchPool;
 use crate::values::ValueStore;
 use gplu_schedule::Levels;
-use gplu_sim::{split_even, BlockCtx, DeviceAlloc, DeviceFleet, Gpu, SimError, SimTime};
+use gplu_sim::{
+    split_even, BlockCost, BlockCtx, DeviceAlloc, DeviceFleet, Gpu, LaunchKind, SimError, SimTime,
+};
 use gplu_sparse::{Csc, Idx, SparseError};
 use gplu_trace::{AttrValue, TraceSink};
 use parking_lot::Mutex;
@@ -190,6 +209,20 @@ pub trait NumericEngine: Sync {
         Ok(())
     }
 
+    /// What [`launch`](NumericEngine::launch) would advance the share's
+    /// device clock by, given the share's per-block costs in block-id
+    /// order (`run.stripes` per column) — without launching. The placement
+    /// rule compares these; an engine that overrides `launch` overrides
+    /// this to match it.
+    fn quote(&self, run: &LevelRun<'_>, blocks: &[BlockCost]) -> SimTime {
+        let kind = if run.tail_launch {
+            LaunchKind::Device
+        } else {
+            LaunchKind::Host
+        };
+        run.gpu.quote(kind, None, blocks).time
+    }
+
     /// BLAS-3 update tiles column `col`'s `items` occupy (the blocked
     /// engine's supernode members; zero everywhere else).
     fn gemm_tiles(&self, _col: usize, _items: u64) -> u64 {
@@ -211,10 +244,9 @@ pub trait NumericEngine: Sync {
     fn finish(&self, _out: &mut NumericOutcome) {}
 }
 
-/// Runs `engine` over the level schedule, each level's columns sharded
-/// across the live devices of `fleet` — the scaffolding every numeric
-/// entry point shares. See the module docs for the partitioning, exchange
-/// and device-loss discipline.
+/// Runs `engine` over the level schedule on the live devices of `fleet` —
+/// the scaffolding every numeric entry point shares. See the module docs
+/// for the placement, exchange and device-loss discipline.
 ///
 /// A supplied `pivot` cache marks the run as a **captured-schedule
 /// replay** (the pattern-keyed refactorization fast path): the host kicks
@@ -236,7 +268,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
     let n = pattern.n_cols();
-    let before: Vec<_> = fleet.devices().iter().map(Gpu::stats).collect();
+    let before = fleet.stats();
     let mut died: Vec<usize> = Vec::new();
     let mut resharded_cols = 0usize;
 
@@ -264,8 +296,10 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             }
         }
     }
-    let mut owners = fleet.alive();
-    let Some(&lead) = owners.first() else {
+    // The home device: the lowest live ordinal. It runs every level that
+    // is not split, holds every finished column at every level boundary,
+    // and ships the factors.
+    let Some(mut home) = fleet.alive().first().copied() else {
         return Err(NumericError::Sim(SimError::BadLaunch(
             "no live devices in fleet".into(),
         )));
@@ -283,7 +317,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             gemm_tiles: r.gemm_tiles,
         }),
     );
-    engine.begin(fleet.device(lead), pattern)?;
+    engine.begin(fleet.device(home), pattern)?;
     let discipline = engine.discipline();
 
     let start_level = resume.map_or(0, |r| r.start_level);
@@ -309,10 +343,18 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let replay = pivot.is_some() && engine.device_replay();
     let mut kicked_off = false;
-    // Value bytes each device produced in the current level — what the
-    // others must receive at the barrier. Untouched while one device is
-    // live: nothing moves then.
-    let mut gather_bytes = vec![0u64; fleet.len()];
+    // Which finished columns each device holds. Staging shipped the value
+    // store as it stood, so a resumed run's earlier levels are everywhere.
+    let mut holds = Residency::new(fleet.len(), n);
+    for d in fleet.alive() {
+        for resumed in &levels.groups[..start_level] {
+            holds.extend(d, resumed);
+        }
+    }
+    let items_of = |cols: &[Idx]| -> Vec<u64> {
+        let items = |&j: &Idx| column_cost_estimate_cached(pattern, cache, j as usize).1;
+        cols.iter().map(items).collect()
+    };
 
     for (li, cols) in levels.groups.iter().enumerate() {
         if li < start_level {
@@ -326,26 +368,13 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         }
         let (threads, stripes) = launch_shape(t);
         let counters_before = *counters.lock();
-        trace.span_begin(
-            "numeric.level",
-            "level",
-            fleet.makespan().as_ns(),
-            &[
-                ("level", li.into()),
-                ("width", cols.len().into()),
-                ("devices", owners.len().into()),
-            ],
-        );
         // Hoisted: one structural cost estimate per column, shared by all
         // of its cooperating stripes (type C runs 64 per column).
-        let items_of: Vec<u64> = cols
-            .iter()
-            .map(|&j| column_cost_estimate_cached(pattern, cache, j as usize).1)
-            .collect();
-        // The whole level as the lead device would run it; every device's
+        let items = items_of(cols);
+        // The whole level as the home device would run it; every device's
         // share is this with its own `gpu` and `cols`.
         let level = LevelRun {
-            gpu: fleet.device(owners[0]),
+            gpu: fleet.device(home),
             pattern,
             cols,
             threads,
@@ -353,30 +382,44 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             tail_launch: replay && kicked_off,
             counters: &counters,
         };
+        // Placement by quote (module docs). A fleet of one quotes nothing.
+        let owners = fleet.alive();
+        let placement = (owners.len() > 1)
+            .then(|| Placement::quote(engine, fleet, &owners, &level, &items, &holds));
+        let split = placement.as_ref().filter(|p| p.split_ns < p.home_ns);
+        let ran_on = split.map_or(1, |p| {
+            p.shares.iter().filter(|s| !s.range.is_empty()).count()
+        });
+        trace.span_begin(
+            "numeric.level",
+            "level",
+            fleet.makespan().as_ns(),
+            &[
+                ("level", li.into()),
+                ("width", cols.len().into()),
+                ("devices", ran_on.into()),
+            ],
+        );
         let clk0 = trace.enabled().then(|| level.gpu.clocks());
-        let exchange = owners.len() > 1;
-        if exchange {
-            gather_bytes.fill(0);
-        }
 
-        // Runs one device's share. A failing device is marked dead and
-        // its columns queued for the survivors (which pay for all of them
-        // and compute the unfinished ones) only while a survivor exists:
-        // the last live device's error goes to the caller's ladder,
-        // exactly as a lone `Gpu`'s does. Injected crashes are terminal
-        // everywhere.
+        // Runs `cols` of a level shaped like `shape` on device `d`; true
+        // when they ran. A failing device is marked dead — and false
+        // returned, its columns left for the level's settlement below —
+        // only while a survivor exists: the last live device's error goes
+        // to the caller's ladder, exactly as a lone `Gpu`'s does. Injected
+        // crashes are terminal everywhere.
         let mut run_share = |d: usize,
+                             shape: &LevelRun<'_>,
                              cols: &[Idx],
-                             items: &[u64],
-                             failed: &mut Vec<(Idx, u64)>|
-         -> Result<(), SimError> {
+                             items: &[u64]|
+         -> Result<bool, SimError> {
             if cols.is_empty() {
-                return Ok(());
+                return Ok(true);
             }
             let share = LevelRun {
                 gpu: fleet.device(d),
                 cols,
-                ..level
+                ..*shape
             };
             // The one kernel body: every stripe prices its share of the
             // column; stripe 0 also performs the functional arithmetic —
@@ -408,15 +451,8 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 }
             };
             match engine.launch(&share, &body) {
-                Ok(()) if exchange => {
-                    let col_ptr = &pattern.col_ptr;
-                    gather_bytes[d] += cols
-                        .iter()
-                        .map(|&j| (col_ptr[j as usize + 1] - col_ptr[j as usize]) as u64 * 8)
-                        .sum::<u64>();
-                }
-                Ok(()) => {}
-                Err(e) if is_fatal(&e) || fleet.n_alive() == 1 => return Err(e),
+                Ok(()) => Ok(true),
+                Err(e) if is_fatal(&e) || fleet.n_alive() == 1 => Err(e),
                 Err(_) => {
                     if let Some((csc_dev, lvl_dev)) = arenas[d].take() {
                         let _ = share.gpu.mem.free(lvl_dev);
@@ -424,57 +460,123 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                     }
                     fleet.mark_dead(d);
                     died.push(d);
-                    failed.extend(cols.iter().copied().zip(items.iter().copied()));
+                    Ok(false)
                 }
             }
-            Ok(())
         };
-        // Contiguous per-device chunks borrowed straight out of the level;
-        // only a reshard builds owned lists, dealt round-robin.
-        let mut failed: Vec<(Idx, u64)> = Vec::new();
-        for (&d, r) in owners.iter().zip(split_even(cols.len(), owners.len())) {
-            run_share(d, &cols[r.clone()], &items_of[r], &mut failed)?;
-        }
-        while !failed.is_empty() {
-            owners = fleet.alive();
-            resharded_cols += failed.len();
-            let mut shards: Vec<(Vec<Idx>, Vec<u64>)> = vec![Default::default(); owners.len()];
-            for (i, (col, items)) in failed.drain(..).enumerate() {
-                let shard = &mut shards[i % owners.len()];
-                shard.0.push(col);
-                shard.1.push(items);
+
+        match split {
+            None => {
+                if run_share(home, &level, cols, &items)? {
+                    holds.extend(home, cols);
+                }
             }
-            for (&d, (cols, items)) in owners.iter().zip(&shards) {
-                run_share(d, cols, items, &mut failed)?;
+            // Every share starts when the home device reaches the level;
+            // a non-home share first receives, in one leg, the dependency
+            // columns it does not hold.
+            Some(p) => {
+                fleet.barrier();
+                for (&d, share) in owners.iter().zip(&p.shares) {
+                    if share.need_bytes > 0 {
+                        fleet.receive(d, share.need_bytes);
+                        holds.extend(d, &share.need);
+                    }
+                }
+                for (&d, share) in owners.iter().zip(&p.shares) {
+                    let r = share.range.clone();
+                    if run_share(d, &level, &cols[r.clone()], &items[r.clone()])? {
+                        holds.extend(d, &cols[r]);
+                    }
+                }
             }
         }
         kicked_off = true;
 
-        // Level barrier: all-gather the level's updated columns so every
-        // device enters the next level with the full value state.
-        if exchange {
-            fleet.all_gather(&gather_bytes);
+        // Settlement: the level ends with the home device holding every
+        // column finished so far. Columns a live device holds come home in
+        // one coalesced leg once the slowest share is in — a split level's
+        // return leg. Columns no live device holds are paid for again on
+        // the home device, level by level (price-and-skip where `done`):
+        // a dead share's columns and, when the home device itself was
+        // lost, everything it alone held since the run began.
+        loop {
+            let alive = fleet.alive();
+            let mut since = li;
+            if alive[0] != home {
+                // A survivor takes over no earlier than the old home
+                // failed, and owes the whole run's columns, not the level's.
+                fleet.wait_until(alive[0], fleet.device(home).now());
+                (home, since) = (alive[0], start_level);
+            }
+            let mut inbound = 0u64;
+            let mut lost_home = false;
+            for (l, lcols) in levels.groups.iter().enumerate().take(li + 1).skip(since) {
+                let mut orphans: Vec<Idx> = Vec::new();
+                for &j in lcols.iter().filter(|&&j| !holds.has(home, j)) {
+                    if alive.iter().any(|&d| holds.has(d, j)) {
+                        inbound += col_bytes(pattern, j);
+                    } else {
+                        orphans.push(j);
+                    }
+                }
+                if orphans.is_empty() {
+                    continue;
+                }
+                resharded_cols += orphans.len();
+                let (threads, stripes) = if l == li {
+                    (threads, stripes)
+                } else {
+                    launch_shape(engine.classify(pattern, cache, lcols))
+                };
+                let shape = LevelRun {
+                    threads,
+                    stripes,
+                    ..level
+                };
+                if !run_share(home, &shape, &orphans, &items_of(&orphans))? {
+                    lost_home = true;
+                    break;
+                }
+                holds.extend(home, &orphans);
+            }
+            if lost_home {
+                continue;
+            }
+            if inbound > 0 {
+                fleet.barrier();
+                fleet.receive(home, inbound);
+                for lcols in &levels.groups[since..=li] {
+                    holds.extend(home, lcols);
+                }
+            }
+            break;
         }
+
         if trace.enabled() {
             let delta = counters.lock().delta(&counters_before);
             let mut attrs: Vec<(&'static str, AttrValue)> = vec![
                 ("level", li.into()),
                 ("width", cols.len().into()),
                 ("mode", t.letter().into()),
-                ("devices", owners.len().into()),
+                ("devices", ran_on.into()),
                 match discipline {
                     AccessDiscipline::Dense => ("batches", delta.batches.into()),
                     AccessDiscipline::BinarySearch => ("probes", delta.probes.into()),
                     AccessDiscipline::Merge => ("merge_steps", delta.merge_steps.into()),
                 },
             ];
+            if let Some(p) = &placement {
+                attrs.push(("quote_home_ns", AttrValue::F64(p.home_ns)));
+                attrs.push(("quote_split_ns", AttrValue::F64(p.split_ns)));
+                attrs.push(("legs_ns", AttrValue::F64(p.legs_ns)));
+            }
             engine.level_attrs(&level, &delta, &mut attrs);
             trace.span_end("numeric.level", "level", fleet.makespan().as_ns(), &attrs);
             // Predicted-vs-observed sample for the drift profiler, read on
-            // the level's lead device: levels that executed BLAS-3 tiles
-            // are priced by the GEMM terms of the cost model, everything
-            // else by the scalar kernel terms — distinct pricing paths, so
-            // they drift independently.
+            // the device that was home when the level began: levels that
+            // executed BLAS-3 tiles are priced by the GEMM terms of the
+            // cost model, everything else by the scalar kernel terms —
+            // distinct pricing paths, so they drift independently.
             if let Some((obs0, pred0)) = clk0 {
                 let (obs1, pred1) = level.gpu.clocks();
                 if obs1 > obs0 {
@@ -514,16 +616,15 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         }
     }
 
-    // Tear down the arenas; one device ships the (identical) factored
-    // values back to the host.
+    // Tear down the arenas; the home device ships the factored values
+    // back to the host.
     for (gpu, arena) in fleet.devices().iter().zip(&mut arenas) {
         if let Some((csc_dev, lvl_dev)) = arena.take() {
             gpu.mem.free(lvl_dev)?;
             gpu.mem.free(csc_dev)?;
         }
     }
-    let ship = owners[0];
-    fleet.device(ship).d2h(pattern.nnz() as u64 * 4);
+    fleet.device(home).d2h(pattern.nnz() as u64 * 4);
     fleet.barrier();
 
     let lu = Csc::from_parts_unchecked(
@@ -533,17 +634,17 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         pattern.row_idx.clone(),
         vals.into_vec(),
     );
-    let per_device: Vec<SimTime> = fleet
-        .devices()
-        .iter()
-        .zip(&before)
-        .map(|(g, b)| g.stats().since(b).now)
-        .collect();
-    let makespan = owners
+    let after = fleet.stats();
+    let phase = after.devices.iter().zip(&before.devices);
+    let (per_device, per_device_busy): (Vec<SimTime>, Vec<SimTime>) = phase
+        .map(|(now, then)| now.elapsed_and_busy_since(then))
+        .unzip();
+    let makespan = fleet
+        .alive()
         .iter()
         .map(|&d| per_device[d])
         .fold(SimTime::ZERO, SimTime::max);
-    let stats = fleet.device(ship).stats().since(&before[ship]);
+    let stats = after.devices[home].stats.since(&before.devices[home].stats);
     let c = counters.into_inner();
     // Deterministic artifact: levels run in order, but within a level the
     // recording order is the launch's block order — sort by column (each
@@ -566,9 +667,143 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     Ok(FleetNumericOutcome {
         outcome: out,
         per_device,
+        per_device_busy,
         died,
         resharded_cols,
     })
+}
+
+/// What a finished column weighs on the interconnect: its values.
+fn col_bytes(pattern: &Csc, j: Idx) -> u64 {
+    pattern.col_rows(j as usize).len() as u64 * 8
+}
+
+/// Which finished columns each device holds: `devices × n` bits.
+struct Residency {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Residency {
+    fn new(devices: usize, n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Residency {
+            words,
+            bits: vec![0; devices * words],
+        }
+    }
+
+    fn has(&self, d: usize, col: Idx) -> bool {
+        (self.bits[d * self.words + col as usize / 64] >> (col % 64)) & 1 == 1
+    }
+
+    fn extend(&mut self, d: usize, cols: &[Idx]) {
+        for &j in cols {
+            self.bits[d * self.words + j as usize / 64] |= 1 << (j % 64);
+        }
+    }
+}
+
+/// One device's `split_even` share of a level, as the placement rule
+/// priced it.
+struct Share {
+    /// The share's columns, as a range of the level.
+    range: std::ops::Range<usize>,
+    /// Dependency columns (rows `t < j` of the share's patterns) the
+    /// device does not hold, and their bytes: its one inbound leg.
+    need: Vec<Idx>,
+    need_bytes: u64,
+}
+
+/// Both ways to run one level, priced: whole on the home device, or cut
+/// `split_even` across the live devices. The level is split only when
+/// `split_ns < home_ns`.
+struct Placement {
+    /// The whole level launched on the home device.
+    home_ns: f64,
+    /// The slowest share with its inbound leg, plus the one coalesced
+    /// return leg that brings the other shares' columns home.
+    split_ns: f64,
+    /// The interconnect's part of `split_ns`: the slowest share's inbound
+    /// leg and the return leg.
+    legs_ns: f64,
+    /// Per live device, in ordinal order (the home device first).
+    shares: Vec<Share>,
+}
+
+impl Placement {
+    fn quote<E: NumericEngine + ?Sized>(
+        engine: &E,
+        fleet: &DeviceFleet<'_>,
+        owners: &[usize],
+        level: &LevelRun<'_>,
+        items: &[u64],
+        holds: &Residency,
+    ) -> Placement {
+        let (pattern, cols) = (level.pattern, level.cols);
+        // What `launch` would advance the share's device clock by: every
+        // column priced once on a scratch block, as each of its stripes
+        // would price it.
+        let kernel_ns = |d: usize, r: &std::ops::Range<usize>| -> f64 {
+            if r.is_empty() {
+                return 0.0;
+            }
+            let share = LevelRun {
+                gpu: fleet.device(d),
+                cols: &cols[r.clone()],
+                ..*level
+            };
+            let mut blocks: Vec<BlockCost> = Vec::with_capacity(r.len() * share.stripes);
+            for (&j, &it) in share.cols.iter().zip(&items[r.clone()]) {
+                let mut ctx = share.gpu.scratch_block(share.threads);
+                engine.price(&share, j as usize, it, &mut ctx);
+                blocks.extend(std::iter::repeat_n(ctx.cost(), share.stripes));
+            }
+            engine.quote(&share, &blocks).as_ns()
+        };
+        let home = owners[0];
+        let home_ns = kernel_ns(home, &(0..cols.len()));
+        let link_ns = |d: usize, bytes: u64| match bytes {
+            0 => 0.0,
+            _ => fleet.device(d).cost().nvlink_transfer_ns(bytes),
+        };
+        let mut slowest = (0.0f64, 0.0f64); // (inbound leg + kernel, inbound leg)
+        let mut return_bytes = 0u64;
+        let shares: Vec<Share> = owners
+            .iter()
+            .zip(split_even(cols.len(), owners.len()))
+            .map(|(&d, range)| {
+                let mut need: Vec<Idx> = Vec::new();
+                if d != home {
+                    for &j in &cols[range.clone()] {
+                        let deps = pattern.col_rows(j as usize).iter().take_while(|&&t| t < j);
+                        need.extend(deps.filter(|&&t| !holds.has(d, t)));
+                        return_bytes += col_bytes(pattern, j);
+                    }
+                    need.sort_unstable();
+                    need.dedup();
+                }
+                let need_bytes = need.iter().map(|&t| col_bytes(pattern, t)).sum();
+                let leg = link_ns(d, need_bytes);
+                let total = leg + kernel_ns(d, &range);
+                if total > slowest.0 {
+                    slowest = (total, leg);
+                }
+                Share {
+                    range,
+                    need,
+                    need_bytes,
+                }
+            })
+            .collect();
+        let return_ns = link_ns(home, return_bytes);
+        Placement {
+            home_ns,
+            split_ns: slowest.0 + return_ns,
+            legs_ns: slowest.1 + return_ns,
+            shares,
+        }
+    }
 }
 
 /// Injected crashes must abort the whole pipeline: no device-loss or

@@ -22,12 +22,16 @@ use gplu_trace::TraceSink;
 pub struct FleetNumericOutcome {
     /// The factors and counters, as the single-device driver reports them.
     pub outcome: NumericOutcome,
-    /// Per-device simulated time spent in this phase, indexed by device
-    /// ordinal.
+    /// Per-device simulated clock advance over this phase, indexed by
+    /// device ordinal. Barriers level the live clocks, so these are equal
+    /// by construction; see `per_device_busy` for who did the work.
     pub per_device: Vec<SimTime>,
-    /// Devices that died during this phase (their chunks were resharded).
+    /// `per_device` less the time each device spent waiting at barriers:
+    /// its launches, transfers and exchange legs.
+    pub per_device_busy: Vec<SimTime>,
+    /// Devices that died during this phase (their columns were re-run).
     pub died: Vec<usize>,
-    /// Columns re-run on survivors after device deaths.
+    /// Columns paid for again on the home device after device deaths.
     pub resharded_cols: usize,
 }
 
@@ -170,57 +174,81 @@ mod tests {
         DeviceFleet::new(k, GpuConfig::v100())
     }
 
+    const ENGINES: [&str; 4] = ["merge", "sparse", "dense", "blocked"];
+
+    /// `run_levels` on the engine called `name`, cold, no hooks.
+    fn run_engine(
+        name: &str,
+        fleet: &DeviceFleet<'_>,
+        pattern: &Csc,
+        levels: &Levels,
+        plan: &BlockPlan,
+    ) -> Result<FleetNumericOutcome, NumericError> {
+        let mut boxed: Box<dyn NumericEngine + '_> = match name {
+            "dense" => Box::<DenseEngine>::default(),
+            "sparse" => Box::new(SparseEngine::new(None)),
+            "merge" => Box::<MergeEngine>::default(),
+            _ => Box::new(BlockedEngine::new(plan)),
+        };
+        run_levels(
+            &mut *boxed,
+            fleet,
+            pattern,
+            levels,
+            &NOOP,
+            None,
+            None,
+            None,
+            PivotRule::Exact,
+        )
+    }
+
     #[test]
     fn fleet_matches_single_device_bits_for_every_engine_and_count() {
-        let (pattern, levels) = setup(10, 50, 4, 71);
-        let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
-        let (p, l, x) = (&pattern, &levels, PivotRule::Exact);
-        let gpu = || Gpu::new(GpuConfig::v100());
-        let singles = [
-            factorize_gpu_merge_run_cached(&gpu(), p, l, &NOOP, None, None, None, x),
-            factorize_gpu_sparse(&gpu(), p, l),
-            factorize_gpu_dense_run_cached(&gpu(), p, l, &NOOP, None, None, None, x),
-            factorize_gpu_blocked_run_cached(&gpu(), p, l, &plan, &NOOP, None, None, None, x),
-        ]
-        .map(|run| run.expect("single device"));
-        for k in [1, 2, 4, 8] {
-            let runs = [
-                ("merge", factorize_fleet_merge(&fleet(k), p, l, &NOOP, x)),
-                (
-                    "sparse",
-                    run_on(
-                        SparseEngine::new(None),
-                        &fleet(k),
-                        p,
-                        l,
-                        &NOOP,
-                        None,
-                        None,
-                        None,
-                        x,
-                    ),
-                ),
-                ("dense", factorize_fleet_dense(&fleet(k), p, l, &NOOP, x)),
-                (
-                    "blocked",
-                    factorize_fleet_blocked(&fleet(k), p, l, &plan, &NOOP, x),
-                ),
-            ];
-            for ((name, run), single) in runs.into_iter().zip(&singles) {
-                let out = run.expect(name);
-                assert_eq!(
-                    singles[0].lu.vals, out.outcome.lu.vals,
-                    "{name} k={k} must be bit-identical"
-                );
-                assert!(out.died.is_empty());
-                if k == 1 {
-                    // A fleet of one is the single-device run, to the clock.
-                    let (f, g) = (&out.outcome, single);
-                    assert_eq!(f.time, g.time, "{name}: simulated time");
+        // Ten chains side by side (levels ten wide) and one pure chain
+        // (every level one column: nothing to split, so nothing may move).
+        let wide = setup(10, 50, 4, 71);
+        let chain = filled_with_levels(&banded_dominant(300, 4, 75));
+        for (pattern, levels) in [&wide, &chain] {
+            let plan = BlockPlan::detect(pattern, &PivotCache::build(pattern), 0.5);
+            let (p, l, x) = (pattern, levels, PivotRule::Exact);
+            let gpu = || Gpu::new(GpuConfig::v100());
+            let singles = [
+                factorize_gpu_merge_run_cached(&gpu(), p, l, &NOOP, None, None, None, x),
+                factorize_gpu_sparse(&gpu(), p, l),
+                factorize_gpu_dense_run_cached(&gpu(), p, l, &NOOP, None, None, None, x),
+                factorize_gpu_blocked_run_cached(&gpu(), p, l, &plan, &NOOP, None, None, None, x),
+            ]
+            .map(|run| run.expect("single device"));
+            let is_chain = levels.groups.iter().all(|g| g.len() == 1);
+            for k in [1, 2, 4, 8] {
+                for (name, single) in ENGINES.into_iter().zip(&singles) {
+                    let f = fleet(k);
+                    let out = run_engine(name, &f, p, l, &plan).expect(name);
                     assert_eq!(
-                        (f.probes, f.merge_steps, f.batches, f.gemm_tiles),
-                        (g.probes, g.merge_steps, g.batches, g.gemm_tiles),
-                        "{name}: counters"
+                        singles[0].lu.vals, out.outcome.lu.vals,
+                        "{name} k={k} must be bit-identical"
+                    );
+                    assert!(out.died.is_empty());
+                    let (got, one) = (&out.outcome, single);
+                    // A level leaves the home device only when the quote
+                    // says that is cheaper: more devices never cost time.
+                    assert!(
+                        got.time <= one.time,
+                        "{name} k={k}: {} > {}",
+                        got.time,
+                        one.time
+                    );
+                    if k == 1 || is_chain {
+                        // A fleet of one — or one with nothing to split —
+                        // is the single-device run, to the clock.
+                        assert_eq!(got.time, one.time, "{name} k={k}: simulated time");
+                        assert_eq!(f.stats().interconnect.exchanges, 0, "{name} k={k}");
+                    }
+                    assert_eq!(
+                        (got.probes, got.merge_steps, got.gemm_tiles),
+                        (one.probes, one.merge_steps, one.gemm_tiles),
+                        "{name} k={k}: counters"
                     );
                 }
             }
@@ -231,7 +259,11 @@ mod tests {
     /// a refactor of the driver or the kernel body that moves a charge,
     /// a launch or a count by one bit fails here rather than in a bench
     /// diff. Rows: (matrix, engine, devices, `time` bits, probes,
-    /// merge steps, batches, GEMM tiles, M, host launches on the lead).
+    /// merge steps, batches, GEMM tiles, M, host launches on the home
+    /// device, exchange legs, exchange bytes). At these sizes and default
+    /// latencies only the dense engine on the wide matrix ever quotes a
+    /// split below the home device, so every other 2-device row is its
+    /// 1-device row with zero legs.
     #[test]
     fn pricing_and_counters_are_pinned_for_every_engine_and_count() {
         type Row = (
@@ -245,50 +277,60 @@ mod tests {
             u64,
             Option<usize>,
             u64,
+            u64,
+            u64,
         );
         #[rustfmt::skip]
-        const GOLDEN: [Row; 16] = [
-            ("random", "dense", 1, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235),
-            ("random", "sparse", 1, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235),
-            ("random", "merge", 1, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235),
-            ("random", "blocked", 1, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235),
-            ("random", "dense", 2, 0x413cb70e46d3a06f, 0, 0, 264, 0, Some(10737252), 235),
-            ("random", "sparse", 2, 0x413ae47be2fc962e, 7156451, 0, 0, 0, None, 235),
-            ("random", "merge", 2, 0x413aae25a06d3a0a, 0, 1713573, 0, 0, None, 235),
-            ("random", "blocked", 2, 0x413a8d8ead3a06d2, 0, 1713573, 0, 1147, None, 235),
-            ("banded", "dense", 1, 0x41175d9bfffffffa, 0, 0, 50, 0, Some(8589916), 50),
-            ("banded", "sparse", 1, 0x41113eeffffffffd, 16182, 0, 0, 0, None, 50),
-            ("banded", "merge", 1, 0x41113b0c00000000, 0, 6691, 0, 0, None, 50),
-            ("banded", "blocked", 1, 0x4111353c00000000, 0, 6691, 0, 499, None, 50),
-            ("banded", "dense", 2, 0x411d79d451eb851c, 0, 0, 100, 0, Some(8589916), 50),
-            ("banded", "sparse", 2, 0x41175b2851eb8522, 16182, 0, 0, 0, None, 50),
-            ("banded", "merge", 2, 0x4117574451eb8521, 0, 6691, 0, 0, None, 50),
-            ("banded", "blocked", 2, 0x41175174da740da8, 0, 6691, 0, 499, None, 50),
+        const GOLDEN: [Row; 19] = [
+            ("random", "dense", 1, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235, 0, 0),
+            ("random", "sparse", 1, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235, 0, 0),
+            ("random", "merge", 1, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235, 0, 0),
+            ("random", "blocked", 1, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235, 0, 0),
+            ("random", "dense", 2, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235, 0, 0),
+            ("random", "sparse", 2, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235, 0, 0),
+            ("random", "merge", 2, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235, 0, 0),
+            ("random", "blocked", 2, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235, 0, 0),
+            ("banded", "dense", 1, 0x41175d9bfffffffa, 0, 0, 50, 0, Some(8589916), 50, 0, 0),
+            ("banded", "sparse", 1, 0x41113eeffffffffd, 16182, 0, 0, 0, None, 50, 0, 0),
+            ("banded", "merge", 1, 0x41113b0c00000000, 0, 6691, 0, 0, None, 50, 0, 0),
+            ("banded", "blocked", 1, 0x4111353c00000000, 0, 6691, 0, 499, None, 50, 0, 0),
+            ("banded", "dense", 2, 0x41175d9bfffffffa, 0, 0, 50, 0, Some(8589916), 50, 0, 0),
+            ("banded", "sparse", 2, 0x41113eeffffffffd, 16182, 0, 0, 0, None, 50, 0, 0),
+            ("banded", "merge", 2, 0x41113b0c00000000, 0, 6691, 0, 0, None, 50, 0, 0),
+            ("banded", "blocked", 2, 0x4111353c00000000, 0, 6691, 0, 499, None, 50, 0, 0),
+            ("wide", "dense", 1, 0x4129191644444444, 0, 0, 12, 0, Some(894764), 12, 0, 0),
+            ("wide", "dense", 2, 0x4122f3e90a3d70a3, 0, 0, 24, 0, Some(894764), 12, 15, 174688),
+            ("wide", "dense", 4, 0x4117df97f258bf24, 0, 0, 48, 0, Some(894764), 12, 21, 263336),
         ];
         let random = filled_with_levels(&random_dominant(400, 4.0, 21));
         let banded = setup(10, 50, 4, 71);
-        for (matrix, engine, k, time_bits, probes, steps, batches, tiles, m, launches) in GOLDEN {
-            let (pattern, levels) = if matrix == "random" { &random } else { &banded };
-            let plan = BlockPlan::detect(pattern, &PivotCache::build(pattern), 0.5);
-            let mut boxed: Box<dyn crate::NumericEngine + '_> = match engine {
-                "dense" => Box::<DenseEngine>::default(),
-                "sparse" => Box::new(SparseEngine::new(None)),
-                "merge" => Box::<MergeEngine>::default(),
-                _ => Box::new(BlockedEngine::new(&plan)),
+        let wide = setup(400, 12, 6, 76);
+        for (
+            matrix,
+            engine,
+            k,
+            time_bits,
+            probes,
+            steps,
+            batches,
+            tiles,
+            m,
+            launches,
+            legs,
+            bytes,
+        ) in GOLDEN
+        {
+            let (pattern, levels) = match matrix {
+                "random" => &random,
+                "banded" => &banded,
+                _ => &wide,
             };
-            let out = run_levels(
-                &mut *boxed,
-                &fleet(k),
-                pattern,
-                levels,
-                &NOOP,
-                None,
-                None,
-                None,
-                PivotRule::Exact,
-            )
-            .expect("runs")
-            .outcome;
+            let plan = BlockPlan::detect(pattern, &PivotCache::build(pattern), 0.5);
+            let f = fleet(k);
+            let out = run_engine(engine, &f, pattern, levels, &plan)
+                .expect("runs")
+                .outcome;
+            let ic = f.stats().interconnect;
             assert_eq!(
                 (
                     out.time.as_ns().to_bits(),
@@ -297,9 +339,11 @@ mod tests {
                     out.batches,
                     out.gemm_tiles,
                     out.m_limit,
-                    out.stats.kernels_host
+                    out.stats.kernels_host,
+                    ic.exchanges,
+                    ic.bytes
                 ),
-                (time_bits, probes, steps, batches, tiles, m, launches),
+                (time_bits, probes, steps, batches, tiles, m, launches, legs, bytes),
                 "{matrix} / {engine} / {k} devices"
             );
         }
@@ -358,76 +402,175 @@ mod tests {
         // Wide levels (2048 chains) so a single device is wave-limited, and
         // scaled launch/interconnect latencies so per-level compute — the
         // part the fleet actually divides — dominates the fixed overheads,
-        // as it does at production matrix sizes.
+        // as it does at production matrix sizes: a shape where the quote
+        // says the split pays, for every engine.
         let (pattern, levels) = setup(2048, 10, 6, 72);
+        let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
         let cost = CostModel::default().scaled_latencies(10);
-        let f1 = DeviceFleet::with_cost(1, GpuConfig::v100(), cost.clone());
-        let one =
-            factorize_fleet_merge(&f1, &pattern, &levels, &NOOP, PivotRule::Exact).expect("k=1");
-        let f4 = DeviceFleet::with_cost(4, GpuConfig::v100(), cost);
-        let four =
-            factorize_fleet_merge(&f4, &pattern, &levels, &NOOP, PivotRule::Exact).expect("k=4");
-        assert!(
-            four.outcome.time.as_ns() < one.outcome.time.as_ns(),
-            "4 devices {} must beat 1 device {}",
-            four.outcome.time,
-            one.outcome.time
-        );
-        assert_eq!(f1.stats().interconnect.exchanges, 0);
-        let ic = f4.stats().interconnect;
-        assert!(ic.exchanges > 0, "level barriers must price the exchange");
-        assert!(ic.bytes > 0);
+        for name in ENGINES {
+            let f1 = DeviceFleet::with_cost(1, GpuConfig::v100(), cost.clone());
+            let one = run_engine(name, &f1, &pattern, &levels, &plan).expect("k=1");
+            let f4 = DeviceFleet::with_cost(4, GpuConfig::v100(), cost.clone());
+            let four = run_engine(name, &f4, &pattern, &levels, &plan).expect("k=4");
+            assert!(
+                four.outcome.time.as_ns() < one.outcome.time.as_ns(),
+                "{name}: 4 devices {} must beat 1 device {}",
+                four.outcome.time,
+                one.outcome.time
+            );
+            assert_eq!(f1.stats().interconnect.exchanges, 0);
+            let ic = f4.stats().interconnect;
+            assert!(
+                ic.exchanges > 0,
+                "{name}: split levels must price their legs"
+            );
+            assert!(ic.bytes > 0);
+            // Every device worked, and the busy times say who waited.
+            assert!(four.per_device_busy.iter().all(|t| t.as_ns() > 0.0));
+            assert!(four.per_device_busy[1] < four.per_device[1], "{name}");
+        }
+    }
+
+    /// Device `dev`'s `nth` launch of `name`'s kernel — and every later
+    /// one — fails, on a `k`-device fleet.
+    fn fleet_losing(
+        k: usize,
+        cost: &CostModel,
+        dev: usize,
+        name: &str,
+        nth: usize,
+    ) -> DeviceFleet<'static> {
+        let spec = format!("dev={dev}:badlaunch:numeric_{name}={nth}:persistent");
+        let plans = FaultPlan::parse_fleet(&spec, k).expect("plans");
+        DeviceFleet::with_fault_plans(k, GpuConfig::v100(), cost.clone(), &plans)
     }
 
     #[test]
-    fn dead_device_reshards_mid_phase_bit_identically() {
+    fn a_lost_home_is_rebuilt_on_a_survivor_bit_identically_and_priced() {
+        // Eight chains at default latencies: no level leaves the home
+        // device, so device 0 alone holds everything when its 4th launch
+        // fails. Device 1 takes over and pays again for the three
+        // finished levels it never saw before it can run the fourth.
         let (pattern, levels) = setup(8, 50, 4, 73);
-        let single_gpu = Gpu::new(GpuConfig::v100());
-        let single = factorize_gpu_merge(&single_gpu, &pattern, &levels).expect("single");
-        // Device 1 loses its launch path after 3 successful level chunks.
-        let plans =
-            gplu_sim::FaultPlan::parse_fleet("dev=1:badlaunch:numeric_merge=4:persistent", 4)
-                .expect("plans");
-        let f = DeviceFleet::with_fault_plans(4, GpuConfig::v100(), CostModel::default(), &plans);
-        let out = factorize_fleet_merge(&f, &pattern, &levels, &NOOP, PivotRule::Exact)
-            .expect("fleet survives");
-        assert_eq!(out.died, vec![1]);
-        assert!(out.resharded_cols > 0);
-        assert_eq!(f.n_alive(), 3);
-        assert_eq!(single.lu.vals, out.outcome.lu.vals, "bit-identical");
+        let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
+        let cost = CostModel::default();
+        let single = factorize_gpu_merge(&Gpu::new(GpuConfig::v100()), &pattern, &levels)
+            .expect("single device");
+        for name in ENGINES {
+            let clean = run_engine(name, &fleet(4), &pattern, &levels, &plan).expect("clean");
+            let f = fleet_losing(4, &cost, 0, name, 4);
+            let out = run_engine(name, &f, &pattern, &levels, &plan).expect("fleet survives");
+            assert_eq!(out.died, vec![0], "{name}");
+            assert_eq!(f.alive(), vec![1, 2, 3], "{name}");
+            assert_eq!(out.resharded_cols, 4 * 8, "{name}: levels 0..=3 paid again");
+            assert_eq!(single.lu.vals, out.outcome.lu.vals, "{name}: bit-identical");
+            assert_eq!(clean.outcome.merge_steps, out.outcome.merge_steps, "{name}");
+            // The sole-holder rule is priced, not assumed.
+            assert!(
+                out.outcome.time > clean.outcome.time,
+                "{name}: losing home cost nothing ({} vs {})",
+                out.outcome.time,
+                clean.outcome.time
+            );
+        }
+    }
+
+    #[test]
+    fn a_device_lost_on_a_split_level_reshards_bit_identically() {
+        // 2048 chains at scaled latencies: every level is split four ways.
+        // Each device's 2nd launch is its share of level 1.
+        let (pattern, levels) = setup(2048, 10, 6, 72);
+        let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
+        let cost = CostModel::default().scaled_latencies(10);
+        let single = factorize_gpu_merge(&Gpu::new(GpuConfig::v100()), &pattern, &levels)
+            .expect("single device");
+        let share = |level: usize, dev| {
+            let mut shares = gplu_sim::split_even(levels.groups[level].len(), 4);
+            shares.nth(dev).expect("four shares").len()
+        };
+        for name in ENGINES {
+            let clean_fleet = DeviceFleet::with_cost(4, GpuConfig::v100(), cost.clone());
+            let clean = run_engine(name, &clean_fleet, &pattern, &levels, &plan).expect("clean");
+            // A non-home share dies: the home device pays for it whole.
+            let f = fleet_losing(4, &cost, 2, name, 2);
+            let out = run_engine(name, &f, &pattern, &levels, &plan).expect("home survives");
+            assert_eq!(
+                (out.died.as_slice(), out.resharded_cols),
+                (&[2][..], share(1, 2)),
+                "{name}"
+            );
+            assert_eq!(single.lu.vals, out.outcome.lu.vals, "{name}: bit-identical");
+            // The home device dies in its own share: device 1 fetches what
+            // the survivors hold and pays again for what only home held —
+            // its shares of levels 0 and 1, less five level-0 columns that
+            // level-1 shares elsewhere had received as dependencies.
+            let f = fleet_losing(4, &cost, 0, name, 2);
+            let out = run_engine(name, &f, &pattern, &levels, &plan).expect("a survivor adopts");
+            assert_eq!(
+                (out.died.as_slice(), out.resharded_cols),
+                (&[0][..], share(0, 0) + share(1, 0) - 5),
+                "{name}"
+            );
+            assert_eq!(single.lu.vals, out.outcome.lu.vals, "{name}: bit-identical");
+            assert!(
+                out.outcome.time > clean.outcome.time,
+                "{name}: home loss is priced"
+            );
+        }
     }
 
     #[test]
     fn a_device_lost_between_dense_batches_never_factors_a_column_twice() {
         // The kernel core is not idempotent, and M-capped batches let a
         // share die with some of its columns finished. Two devices with
-        // room for M = 3 buffers take 8 columns of every level each, in
-        // batches of 3 + 3 + 2; device 1's K-th allocation fails — in
-        // staging, on a level's first buffer (nothing ran yet) or on a
-        // later one (earlier batches already hold factors). Device 0 must
-        // pay for the whole share and factor only what is unfinished.
+        // room for M = 3 buffers: one device would need six batches a
+        // level, so every level is split, 8 columns each in batches of
+        // 3 + 3 + 2. One device's K-th allocation fails — in staging, on a
+        // level's first buffer (nothing ran yet) or on a later one (earlier
+        // batches already hold factors). The survivor must pay for the
+        // whole share and factor only what is unfinished; when the lost
+        // device was home, it pays for home's share of every earlier
+        // level too, and the run is dearer for it.
         let (pattern, levels) = setup(16, 30, 4, 73);
         let single = factorize_gpu_merge(&Gpu::new(GpuConfig::v100()), &pattern, &levels)
             .expect("single device");
         let n = pattern.n_cols() as u64;
         let staged = (n + 1 + 2 * pattern.nnz() as u64) * 4 + n * 4;
         let cfg = GpuConfig::v100().with_memory(staged + 3 * n * 4 + 64);
-        for k in 1..=40 {
-            let plans = FaultPlan::parse_fleet(&format!("dev=1:oom:alloc={k}"), 2).expect("plans");
+        let run = |spec: &str| {
+            let plans = FaultPlan::parse_fleet(spec, 2).expect("plans");
             let f = DeviceFleet::with_fault_plans(2, cfg.clone(), CostModel::default(), &plans);
-            let out = factorize_fleet_dense(&f, &pattern, &levels, &NOOP, PivotRule::Exact)
-                .expect("device 0 survives");
-            assert_eq!(out.outcome.m_limit, Some(3));
-            assert_eq!(
-                out.died,
-                vec![1],
-                "alloc={k}: every fault lands in this phase"
-            );
-            let (want, got) = (&single.lu.vals, &out.outcome.lu.vals);
-            let differ = (0..want.len()).filter(|&i| want[i].to_bits() != got[i].to_bits());
-            assert_eq!(differ.count(), 0, "alloc={k}: values off the merge factors");
-            // Staging allocates twice; a share lost later is paid for whole.
-            assert_eq!(out.resharded_cols, if k > 2 { 8 } else { 0 }, "alloc={k}");
+            factorize_fleet_dense(&f, &pattern, &levels, &NOOP, PivotRule::Exact)
+                .expect("the other device survives")
+        };
+        let clean = run("");
+        assert!(clean.died.is_empty());
+        for dev in [0, 1] {
+            for k in 1..=40 {
+                let out = run(&format!("dev={dev}:oom:alloc={k}"));
+                let label = format!("dev={dev} alloc={k}");
+                assert_eq!(out.outcome.m_limit, Some(3));
+                assert_eq!(
+                    out.died,
+                    vec![dev],
+                    "{label}: every fault lands in this phase"
+                );
+                let (want, got) = (&single.lu.vals, &out.outcome.lu.vals);
+                let differ = (0..want.len()).filter(|&i| want[i].to_bits() != got[i].to_bits());
+                assert_eq!(differ.count(), 0, "{label}: values off the merge factors");
+                // Staging allocates twice, then every level three times.
+                // A lost share is paid for whole; a lost home, once per
+                // level it had finished or begun.
+                let levels_owed = if dev == 0 { (k.max(3) - 3) / 3 + 1 } else { 1 };
+                let owed = if k > 2 { 8 * levels_owed } else { 0 };
+                assert_eq!(out.resharded_cols, owed, "{label}");
+                if dev == 0 && k > 2 {
+                    assert!(
+                        out.outcome.time > clean.outcome.time,
+                        "{label}: home loss is priced"
+                    );
+                }
+            }
         }
     }
 }

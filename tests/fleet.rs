@@ -4,12 +4,13 @@
 //! The contract:
 //!
 //! 1. **bit-identity** — a `--devices N` run shards symbolic fill
-//!    counting by source-row range and the numeric phase by column range
-//!    per level, but the factor it produces (pattern, permutations, and
+//!    counting by source-row range and splits a numeric level by column
+//!    range when that quotes cheaper than running it on the home device,
+//!    but the factor it produces (pattern, permutations, and
 //!    every value bit) is identical to the single-device pipeline for
 //!    every symbolic engine, numeric format, and fleet size;
 //! 2. **fault isolation** — a `dev=K:` fault plan kills exactly that
-//!    device; its shards reshard onto the survivors, the run completes
+//!    device; a survivor pays for what it held, the run completes
 //!    bit-identically, and the recovery log records the
 //!    [`RecoveryAction::DeviceLost`];
 //! 3. **locality scheduling** — the service routes a hot pattern back to
@@ -113,8 +114,8 @@ proptest! {
         let fr = sharded.report.fleet.as_ref().expect("fleet report");
         prop_assert_eq!(fr.devices, devices);
         prop_assert!(fr.dead.is_empty());
-        // A real fleet must price the level-barrier exchange; one device
-        // must not.
+        // A real fleet must price the fill-count merge's exchange; one
+        // device must not.
         prop_assert_eq!(fr.exchanges > 0, devices > 1);
     }
 }
@@ -179,13 +180,15 @@ fn dead_device_reshards_onto_survivors_bit_identically() {
 #[test]
 fn device_lost_between_dense_batches_reshards_bit_identically() {
     // 40 020-byte devices hold the staged factor plus M = 3 dense column
-    // buffers, so each of the two devices runs its 8 columns of every
-    // level in batches of 3 + 3 + 2. Device 1's K-th allocation fails:
-    // wherever that lands — symbolic, staging, a level's first buffer, or
-    // a later one with earlier batches already finished — device 0 takes
-    // over and the factors are the single-device run's. A finished column
-    // factored a second time is a silent wrong answer with the gate off
-    // and a typed rejection of a healthy run with it on.
+    // buffers: one device would need six batches a level, so every level
+    // is split and each of the two devices runs its 8 columns in batches
+    // of 3 + 3 + 2. Device 1's K-th allocation fails — in symbolic,
+    // staging, a level's first buffer, or a later one with earlier
+    // batches already finished — or device 0, the home device, loses a
+    // batch launch; either way the survivor takes over and the factors
+    // are the single-device run's. A finished column factored a second
+    // time is a silent wrong answer with the gate off and a typed
+    // rejection of a healthy run with it on.
     let a = block_banded(16, 30, 4, 73);
     let cfg = GpuConfig::v100().with_memory(40_020);
     for gate_on in [false, true] {
@@ -196,22 +199,31 @@ fn device_lost_between_dense_batches_reshards_bit_identically() {
         opts.gate.enabled = gate_on;
         let single = LuFactorization::compute(&Gpu::new(cfg.clone()), &a, &opts).expect("single");
         assert_eq!(single.report.m_limit, Some(3));
-        for k in 1..=400 {
-            let label = format!("gate {gate_on}, alloc={k}");
-            let plans = FaultPlan::parse_fleet(&format!("dev=1:oom:alloc={k}"), 2).expect("plans");
+        // Device 0 is also the pipeline's lead, whose symbolic and levelize
+        // allocations are not this suite's subject: it loses the K-th
+        // launch of the numeric kernel instead — one launch per batch.
+        let faults = (1..=400)
+            .map(|k| (1, format!("dev=1:oom:alloc={k}")))
+            .chain((1..=100).map(|k| (0, format!("dev=0:badlaunch:numeric_dense={k}"))));
+        let mut fired = [0usize; 2];
+        for (dev, spec) in faults {
+            let label = format!("gate {gate_on}, {spec}");
+            let plans = FaultPlan::parse_fleet(&spec, 2).expect("plans");
             let fleet = DeviceFleet::with_fault_plans(2, cfg.clone(), CostModel::default(), &plans);
             let f = LuFactorization::compute_fleet(&fleet, &a, &opts)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_bit_identical(&single, &f, &label);
             let dead = &f.report.fleet.as_ref().expect("fleet report").dead;
-            let logged = f
-                .report
-                .recovery
-                .events()
-                .iter()
-                .any(|e| matches!(e.action, RecoveryAction::DeviceLost { device: 1, .. }));
+            let logged = f.report.recovery.events().iter().any(
+                |e| matches!(e.action, RecoveryAction::DeviceLost { device, .. } if device == dev),
+            );
             assert_eq!(logged, !dead.is_empty(), "{label}: DeviceLost entry");
+            fired[dev] += usize::from(logged);
         }
+        assert!(
+            fired[0] >= 30 && fired[1] >= 30,
+            "faults must land: {fired:?}"
+        );
     }
 }
 
