@@ -69,6 +69,19 @@ fn section_at<'a>(doc: &'a JsonValue, ptr: &str) -> Result<&'a JsonValue, String
     lookup(doc, ptr).ok_or_else(|| format!("{ptr}: section missing"))
 }
 
+/// Where a numeric level was launched from, on the arguments of a trace's
+/// `numeric.level` end: `launch` is `host` or `device`, and exactly the
+/// host launches say why the host was there.
+fn check_launch(level: &JsonValue, at: &str) -> Result<(), String> {
+    let field = |key: &str| level.get(key).and_then(JsonValue::as_str);
+    const REASONS: [&str; 5] = ["kickoff", "hook", "split", "reentry", "reshard"];
+    match (field("launch"), field("host_reason")) {
+        (Some("device"), None) => Ok(()),
+        (Some("host"), Some(why)) if REASONS.contains(&why) => Ok(()),
+        (launch, why) => Err(format!("{at}: launch {launch:?} with host_reason {why:?}")),
+    }
+}
+
 fn check_report(doc: &JsonValue) -> Result<String, String> {
     let version = num_at(doc, "/schema_version")? as u64;
     if !(1..=2).contains(&version) {
@@ -239,6 +252,10 @@ fn check_trace(doc: &JsonValue) -> Result<String, String> {
                     .ok_or_else(|| format!("/traceEvents/{i}/ph: unmatched E for '{name}'"))?;
                 open.remove(j);
                 spans += 1;
+                // A synthetic end closing an aborted span has no arguments.
+                if let ("numeric.level", Some(args)) = (name, e.get("args")) {
+                    check_launch(args, &format!("/traceEvents/{i}/args"))?;
+                }
             }
             Some(_) => {}
             None => return Err(format!("/traceEvents/{i}/ph: missing")),

@@ -1082,6 +1082,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "levels: {} (widest {}), modes A/B/C: {:?}",
                 f.report.n_levels, f.report.max_level_width, f.report.mode_mix
             )?;
+            let launches = &f.report.phase_stats.numeric;
+            writeln!(
+                out,
+                "numeric launches: {} from the host, {} from the device",
+                launches.kernels_host, launches.kernels_device
+            )?;
             if let Some(m) = f.report.m_limit {
                 writeln!(out, "dense format, M = {m} parallel columns")?;
             } else if f.report.probes > 0 {

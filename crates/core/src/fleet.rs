@@ -134,14 +134,17 @@ mod tests {
             .filter(|e| e.name == "numeric.level")
             .filter_map(|e| {
                 let quotes = (attr_of(e, "quote_home_ns")?, attr_of(e, "quote_split_ns")?);
-                Some((attr_of(e, "devices")?, quotes))
+                let launch = e.attr("launch").and_then(|v| v.as_str());
+                Some((attr_of(e, "devices")?, quotes, launch))
             });
-        for (ran_on, (home, split)) in quoted {
+        for (ran_on, (home, split), launch) in quoted {
             assert_eq!(
                 ran_on > 1.0,
                 split < home,
                 "a level leaves home exactly when the split quote is lower"
             );
+            // Each share of a split level is a host launch on its device.
+            assert!(ran_on == 1.0 || launch == Some("host"), "{launch:?}");
         }
         // The level loop is the single-device one: per-level engine
         // attributes and drift samples at every fleet size.

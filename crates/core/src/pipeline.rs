@@ -590,7 +590,7 @@ pub(crate) struct NumericPhase<'p> {
     /// Present whenever `ladder` contains [`NumericFormat::SparseBlocked`].
     pub(crate) block_plan: Option<&'p BlockPlan>,
     /// A captured pivot cache marks the run as a warm replay
-    /// (tail-launched levels, `refactorize` span attribute).
+    /// (no cache rebuild, `refactorize` span attribute).
     pub(crate) pivot: Option<&'p PivotCache>,
     /// The pass's pivoting policy. Static perturbation acts inside the
     /// engines at division time; every other policy factorizes exactly

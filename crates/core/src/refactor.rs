@@ -11,12 +11,13 @@
 //! scatter plus the numeric kernels. [`RefactorPlan::refactorize`] is
 //! bit-identical to a cold [`LuFactorization::compute`] of the same
 //! `(pattern, values)` pair — every engine applies the same arithmetic in
-//! the same order — but it is *not* priced like one: the warm path runs
-//! the merge engine directly on the plan's sorted-CSC artifacts and
-//! tail-launches the captured level schedule device-side (the paper's
-//! Algorithm 5), the specialization real refactorization engines
-//! (cuSOLVER/cuDSS) apply after analysis. Late singular-pivot repair is
-//! replayed exactly as on the cold path.
+//! the same order — but it is *not* priced like one: the warm path skips
+//! the symbolic and levelize phases and runs the merge engine directly on
+//! the plan's sorted-CSC artifacts (no per-column `O(n)` dense-buffer
+//! tax), the specialization real refactorization engines (cuSOLVER/cuDSS)
+//! apply after analysis. Its levels are tail-launched device-side (the
+//! paper's Algorithm 5) exactly as a cold run's are. Late singular-pivot
+//! repair is replayed exactly as on the cold path.
 
 use crate::checkpoint::pattern_fingerprint;
 use crate::error::GpluError;
@@ -211,9 +212,8 @@ impl RefactorPlan {
         // path does NOT replay the cold pipeline's format heuristic: the
         // plan already holds the merge engine's entire working set (the
         // sorted filled CSC pattern plus the pivot index), so it runs the
-        // merge engine directly and tail-launches the captured level
-        // schedule device-side (Algorithm 5) — the same specialization
-        // real refactorization engines apply (cuSOLVER/cuDSS refactor
+        // merge engine directly — the same specialization real
+        // refactorization engines apply (cuSOLVER/cuDSS refactor
         // through a fixed path captured at analysis time, skipping the
         // cold path's per-column dense buffers). All engines apply
         // bit-identical arithmetic — the formats differ only in access

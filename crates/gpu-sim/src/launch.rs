@@ -271,23 +271,25 @@ impl Gpu {
         )
     }
 
-    /// Launches a kernel whose concurrency is additionally capped at `cap`
-    /// blocks — the dense-format numeric kernel's `M = L/(n·sizeof)` limit
-    /// from the paper's Section 3.4 (each concurrent block owns an `O(n)`
-    /// dense column buffer, so fewer than `TB_max` blocks can be resident).
+    /// Launches a kernel of `kind` whose concurrency is additionally capped
+    /// at `cap` blocks — the dense-format numeric kernel's
+    /// `M = L/(n·sizeof)` limit from the paper's Section 3.4 (each
+    /// concurrent block owns an `O(n)` dense column buffer, so fewer than
+    /// `TB_max` blocks can be resident).
     pub fn launch_capped<K: Kernel>(
         &self,
         name: &str,
         grid: usize,
         threads_per_block: usize,
         cap: usize,
+        kind: LaunchKind,
         kernel: &K,
     ) -> Result<KernelReport, SimError> {
         self.launch_inner(
             name,
             grid,
             threads_per_block,
-            LaunchKind::Host,
+            kind,
             Exec::Par,
             Some(cap),
             kernel,
@@ -648,7 +650,7 @@ mod tests {
                 bytes in 0u64..4_000_000,
                 threads_idx in 0usize..3,
                 cap in 1usize..200,
-                kind_idx in 0usize..3,
+                kind_idx in 0usize..4,
             ) {
                 let threads = [32, 256, 1024][threads_idx];
                 let price = |b: usize, ctx: &mut BlockCtx| {
@@ -672,10 +674,14 @@ mod tests {
                         g.quote(LaunchKind::Device, None, &blocks),
                         g.launch_device("k", items.len(), threads, &price),
                     ),
-                    _ => (
-                        g.quote(LaunchKind::Host, Some(cap), &blocks),
-                        g.launch_capped("k", items.len(), threads, cap, &price),
-                    ),
+                    // M-capped batches, host- and tail-launched.
+                    k => {
+                        let kind = [LaunchKind::Host, LaunchKind::Device][k - 2];
+                        (
+                            g.quote(kind, Some(cap), &blocks),
+                            g.launch_capped("k", items.len(), threads, cap, kind, &price),
+                        )
+                    }
                 };
                 let report = report.expect("launch ok");
                 prop_assert_eq!(quote.time.as_ns().to_bits(), report.time.as_ns().to_bits());

@@ -282,9 +282,7 @@ pub fn factorize_gpu_blocked(
 /// level's width, mode, merge steps, distinct blocks touched, mean block
 /// width, and BLAS-3 tiles executed), optional level-granular resume
 /// state, a per-level checkpoint hook, and an optional prebuilt
-/// [`PivotCache`]. As with the other sorted-CSC engines, a supplied cache marks the run as
-/// a captured-schedule replay: levels after the kick-off are tail-launched
-/// device-side (Algorithm 5). The [`BlockPlan`] is pattern-only, so warm
+/// [`PivotCache`]. The [`BlockPlan`] is pattern-only, so warm
 /// refactorizations replay both artifacts without re-scanning.
 #[allow(clippy::too_many_arguments)]
 pub fn factorize_gpu_blocked_run_cached(

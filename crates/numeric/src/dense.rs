@@ -3,9 +3,11 @@
 //!
 //! Every concurrently active column owns an `O(n)` dense buffer on the
 //! device, giving direct row indexing — but only
-//! `M = L_free / (n · sizeof(dtype))` buffers fit. When a level is wider
-//! than `M`, it is processed in `⌈width/M⌉` sequential batches, each a
-//! separate kernel launch whose concurrency is capped at `M`; every column
+//! `M = L_free / (n · sizeof(dtype))` buffers fit. The engine takes one
+//! pool of `min(M, widest level)` buffers for the whole run, so nothing
+//! is allocated between two launches. When a level is wider than `M`, it
+//! is processed in `⌈width/M⌉` sequential batches, each a separate kernel
+//! launch whose concurrency is capped at `M`; every column
 //! additionally pays the buffer traffic (clear + scatter + gather) that
 //! the sparse format avoids. For the huge matrices of Table 4, `M` drops
 //! below `TB_max` and the device runs block-starved — the deficiency the
@@ -30,7 +32,6 @@ use gplu_trace::{TraceSink, NOOP};
 #[derive(Default)]
 pub struct DenseEngine {
     m_limit: usize,
-    col_bytes: u64,
 }
 
 impl NumericEngine for DenseEngine {
@@ -42,26 +43,20 @@ impl NumericEngine for DenseEngine {
         AccessDiscipline::Dense
     }
 
-    // Every M-capped batch allocates and frees its dense column buffers —
-    // host work between launches — so even warm runs keep host launches.
-    // (This is one reason the refactorization path prefers sorted CSC.)
-    fn device_replay(&self) -> bool {
-        false
-    }
-
-    fn begin(&mut self, gpu: &Gpu, pattern: &Csc) -> Result<(), NumericError> {
+    fn begin(&mut self, gpu: &Gpu, pattern: &Csc, widest: usize) -> Result<u64, NumericError> {
         // The paper's M: how many O(n) dense buffers fit in what remains
-        // after the CSC structure and level numbers are resident.
-        self.col_bytes = pattern.n_cols() as u64 * gpu.config().data_bytes;
-        self.m_limit = (gpu.mem.free_bytes() / self.col_bytes) as usize;
+        // after the CSC structure and level numbers are resident. The pool
+        // holds as many as one batch can use.
+        let col_bytes = pattern.n_cols() as u64 * gpu.config().data_bytes;
+        self.m_limit = (gpu.mem.free_bytes() / col_bytes) as usize;
         if self.m_limit == 0 {
             return Err(NumericError::Sim(SimError::OutOfMemory {
-                requested: self.col_bytes,
+                requested: col_bytes,
                 free: gpu.mem.free_bytes(),
                 capacity: gpu.mem.capacity(),
             }));
         }
-        Ok(())
+        Ok(self.m_limit.min(widest) as u64 * col_bytes)
     }
 
     // Each column's work (updates + scatter/gather + the O(n) dense-buffer
@@ -82,38 +77,50 @@ impl NumericEngine for DenseEngine {
         ctx.mem((items * 8 + 4 * n) / stripes);
     }
 
-    // The share split into batches of at most M concurrent dense buffers,
-    // each its own capped launch between a buffer allocation and its free.
+    // The share split into batches of at most M concurrent dense buffers
+    // from the pool, each its own capped launch. Nothing happens on the
+    // host between two batches, so whoever launches the share launches
+    // its first batch and every later one is its child.
     fn launch(&self, run: &LevelRun<'_>, body: &ColumnKernel<'_>) -> Result<(), SimError> {
         let (m, stripes) = (self.m_limit.max(1), run.stripes);
         for (chunk, batch) in run.cols.chunks(m).enumerate() {
             run.count_batch();
             let base = chunk * m;
-            let buffers = run.gpu.mem.alloc(batch.len() as u64 * self.col_bytes)?;
             run.gpu.launch_capped(
                 self.kernel_name(),
                 batch.len() * stripes,
                 run.threads,
                 self.m_limit,
+                batch_kind(run, chunk),
                 &|b: usize, ctx: &mut BlockCtx<'_>| body(base + b / stripes, b % stripes, ctx),
             )?;
-            run.gpu.mem.free(buffers)?;
         }
         Ok(())
     }
 
-    // The same batches, quoted: each chunk of M columns is its own
-    // host launch capped at M (the buffer allocations cost no time).
+    // The same batches, quoted.
     fn quote(&self, run: &LevelRun<'_>, blocks: &[BlockCost]) -> SimTime {
-        let batch = |b| run.gpu.quote(LaunchKind::Host, Some(self.m_limit), b).time;
+        let batch = |(chunk, b)| {
+            let kind = batch_kind(run, chunk);
+            run.gpu.quote(kind, Some(self.m_limit), b).time
+        };
         blocks
             .chunks(self.m_limit.max(1) * run.stripes)
+            .enumerate()
             .map(batch)
             .sum()
     }
 
     fn finish(&self, out: &mut NumericOutcome) {
         out.m_limit = Some(self.m_limit);
+    }
+}
+
+/// Where batch `chunk` of a share is launched from.
+fn batch_kind(run: &LevelRun<'_>, chunk: usize) -> LaunchKind {
+    match chunk {
+        0 => run.kind,
+        _ => LaunchKind::Device,
     }
 }
 
@@ -146,12 +153,6 @@ pub fn factorize_gpu_dense(
 /// per-level checkpoint hook, and an optional prebuilt [`PivotCache`] (the
 /// pattern-keyed refactorization fast path: the cache is pattern-only, so
 /// a service factorizing the same pattern repeatedly builds it once).
-///
-/// Unlike the sorted-CSC engines, the dense format cannot replay a
-/// captured schedule device-side: every M-capped batch allocates and frees
-/// its dense column buffers, which is host work between launches — so even
-/// warm runs keep host launches here. (This is one reason the
-/// refactorization path prefers the merge format.)
 #[allow(clippy::too_many_arguments)]
 pub fn factorize_gpu_dense_run_cached(
     gpu: &Gpu,
@@ -226,6 +227,59 @@ mod tests {
             out.batches as usize > levels.n_levels(),
             "narrow M must split wide levels into batches"
         );
+    }
+
+    #[test]
+    fn a_level_of_several_batches_advances_the_clock_by_its_quote() {
+        // Eight buffers for the widest level of a random matrix: several
+        // batches. Host- or tail-launched, the share's quote is its clock
+        // advance to the bit, and only a hosted share's first batch is a
+        // host launch.
+        let a = random_dominant(256, 3.0, 72);
+        let (pattern, levels) = setup(&a);
+        let cols = levels
+            .groups
+            .iter()
+            .max_by_key(|g| g.len())
+            .expect("levels");
+        let counters = parking_lot::Mutex::default();
+        for kind in [LaunchKind::Host, LaunchKind::Device] {
+            let gpu = Gpu::new(GpuConfig::v100().with_memory(8 * 256 * 4 + 512));
+            let mut engine = DenseEngine::default();
+            let pool = engine.begin(&gpu, &pattern, cols.len()).expect("sized");
+            assert_eq!((engine.m_limit, pool), (8, 8 * 256 * 4));
+            let batches = cols.len().div_ceil(8) as u64;
+            assert!(batches > 2, "{} columns", cols.len());
+            let run = LevelRun {
+                gpu: &gpu,
+                pattern: &pattern,
+                cols,
+                threads: 256,
+                stripes: 1,
+                kind,
+                counters: &counters,
+            };
+            let price = |i: usize, ctx: &mut BlockCtx<'_>| {
+                engine.price(&run, cols[i] as usize, 100 * i as u64, ctx)
+            };
+            let blocks: Vec<BlockCost> = (0..cols.len())
+                .map(|i| {
+                    let mut ctx = gpu.scratch_block(run.threads);
+                    price(i, &mut ctx);
+                    ctx.cost()
+                })
+                .collect();
+            let quote = engine.quote(&run, &blocks);
+            let body = |i: usize, _stripe: usize, ctx: &mut BlockCtx<'_>| price(i, ctx);
+            engine.launch(&run, &body).expect("launches");
+            assert_eq!(gpu.now().as_ns().to_bits(), quote.as_ns().to_bits());
+            let hosted = u64::from(kind == LaunchKind::Host);
+            let s = gpu.stats();
+            assert_eq!(
+                (s.kernels_host, s.kernels_device),
+                (hosted, batches - hosted)
+            );
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! name launches and fault plans key off, the [`AccessDiscipline`] whose
 //! location counter its runs report, a per-stripe [`price`] that charges
 //! one block's share of a column to the cost model, and the few hooks
-//! exactly one engine overrides (dense: sizing `M`, M-capped batched
-//! launches, no device-side replay, stamping `M` on the outcome;
-//! binary search: the forced-mode classification; blocked: its tile
-//! count and block attributes).
+//! exactly one engine overrides (dense: sizing `M` and its buffer pool,
+//! M-capped batched launches, stamping `M` on the outcome; binary search:
+//! the forced-mode classification; blocked: its tile count and block
+//! attributes).
 //!
 //! **What the driver owns.** Everything else, written once in
 //! [`run_levels`], which every numeric run — one device or many, cold,
@@ -19,14 +19,26 @@
 //! numbers on every live device, seeds the value store and the run's one
 //! counter set (optionally from a resume cut), walks the level schedule
 //! classifying each level into a GLU 3.0 kernel mode, and launches the one
-//! kernel body per placed share per level (host-launched cold, tail-launched
-//! on captured-schedule replays): every block prices its stripe through the
-//! engine; stripe 0 also checks an accumulator out of the factorization's
-//! pool, runs the kernel core on its column, folds the column's costs into
-//! the counters and records a perturbation or the level's first error.
+//! kernel body per placed share per level: every block prices its stripe
+//! through the engine; stripe 0 also checks an accumulator out of the
+//! factorization's pool, runs the kernel core on its column, folds the
+//! column's costs into the counters and records a perturbation or the
+//! level's first error.
 //! The driver wraps each level in a `numeric.level` trace span carrying
 //! the level's counter deltas, the placement's quotes and a drift sample,
 //! feeds the checkpoint hook after every level, and assembles the outcome.
+//!
+//! **The launch rule.** The level numbers are device-resident and nothing
+//! is allocated between two levels, so a level is a child launch of the
+//! one before it ([`LaunchKind::Device`], the paper's Algorithm 5
+//! discipline) — cold, resumed and replayed runs alike — unless the host
+//! has work at its boundary: it is the first executed level (the
+//! kick-off, also after a resume), a [`LevelHook`] is installed (the hook
+//! reads the value store on the host after every level), the level is
+//! split across devices (each share is a host launch on its device), or
+//! the level before it was split, settled columns or re-paid orphans (the
+//! host re-enters). A level's span end says which (`launch`,
+//! `host_reason`).
 //!
 //! **Sharding: placement by quote.** Within one schedule level every
 //! column depends only on columns of *earlier* levels, so a level's
@@ -43,11 +55,12 @@
 //! bitset remembers what each device computed or received) and the other
 //! shares' columns come home afterwards in one coalesced leg. The level
 //! is split only when the slowest share with its inbound leg, plus that
-//! return leg, quotes *below* the home device alone; otherwise nothing
-//! leaves home, no leg is paid and no barrier is crossed. So per level a
-//! fleet costs at most what one device does, a chain never leaves its
-//! device, and a fleet of one — which quotes nothing — is priced exactly
-//! as the device alone. Values live in one shared host-side
+//! return leg, plus the child launch the split costs the next level,
+//! quotes *below* the home device alone; otherwise nothing leaves home, no
+//! leg is paid and no barrier is crossed. So per level a fleet costs at
+//! most what one device does, a chain never leaves its device, and a
+//! fleet of one — which quotes nothing — is priced exactly as the device
+//! alone. Values live in one shared host-side
 //! [`ValueStore`] — the simulator separates functional execution from
 //! pricing — which is what makes the factors bit-identical at every
 //! device count.
@@ -65,7 +78,7 @@
 //! recomputing, though. The kernel core is *not* idempotent — a finished
 //! column's stored values are its factors, and eliminating them again is
 //! a wrong answer — and a share can die with some columns finished (the
-//! dense engine's second or later batch failing its buffer allocation).
+//! dense engine's second or later batch failing to launch).
 //! So the body runs the core **at most once per column per run**: a
 //! column paid for again whose core already completed is priced and
 //! skipped. The *last* live device is never declared dead: its error is
@@ -91,7 +104,8 @@ use crate::scratch::ScratchPool;
 use crate::values::ValueStore;
 use gplu_schedule::Levels;
 use gplu_sim::{
-    split_even, BlockCost, BlockCtx, DeviceAlloc, DeviceFleet, Gpu, LaunchKind, SimError, SimTime,
+    split_even, BlockCost, BlockCtx, DeviceAlloc, DeviceFleet, Exec, Gpu, LaunchKind, SimError,
+    SimTime,
 };
 use gplu_sparse::{Csc, Idx, SparseError};
 use gplu_trace::{AttrValue, TraceSink};
@@ -143,9 +157,10 @@ pub struct LevelRun<'a> {
     pub threads: usize,
     /// Blocks cooperating per column (type C row-striping).
     pub stripes: usize,
-    /// True when this level is tail-launched device-side (captured-
-    /// schedule replay, Algorithm 5).
-    pub(crate) tail_launch: bool,
+    /// Where this share's first launch comes from: the device (a child of
+    /// the level before, Algorithm 5) or, when the host has work at the
+    /// level's boundary, the host.
+    pub kind: LaunchKind,
     pub(crate) counters: &'a Mutex<EngineCounters>,
 }
 
@@ -173,18 +188,13 @@ pub trait NumericEngine: Sync {
     /// this, whether or not it also runs the arithmetic.
     fn price(&self, run: &LevelRun<'_>, col: usize, items: u64, ctx: &mut BlockCtx<'_>);
 
-    /// Whether a captured-schedule replay may tail-launch this engine's
-    /// levels device-side. The dense engine says no: its per-batch buffer
-    /// alloc/free is host work between launches.
-    fn device_replay(&self) -> bool {
-        true
-    }
-
     /// One-time setup after the CSC structure and level numbers are
-    /// resident on the device (the dense engine sizes its `M` from the
-    /// remaining free memory here).
-    fn begin(&mut self, _gpu: &Gpu, _pattern: &Csc) -> Result<(), NumericError> {
-        Ok(())
+    /// resident on the device. Returns the bytes the engine keeps
+    /// allocated for the whole run on every device that runs its levels,
+    /// given the widest level: the dense engine sizes its `M` from the
+    /// remaining free memory here and asks for its buffer pool.
+    fn begin(&mut self, _gpu: &Gpu, _pattern: &Csc, _widest: usize) -> Result<u64, NumericError> {
+        Ok(0)
     }
 
     /// Classifies one level into a kernel mode. The binary-search
@@ -194,18 +204,14 @@ pub trait NumericEngine: Sync {
     }
 
     /// Launches the kernel `body` over one device's share of a level: one
-    /// kernel, a block per column stripe, host-launched normally and
-    /// tail-launched from the device on a captured-schedule replay. The
-    /// dense engine overrides this with its M-capped batches.
+    /// kernel of `run.kind`, a block per column stripe. The dense engine
+    /// overrides this with its M-capped batches.
     fn launch(&self, run: &LevelRun<'_>, body: &ColumnKernel<'_>) -> Result<(), SimError> {
-        let name = self.kernel_name();
         let grid = run.cols.len() * run.stripes;
         let kernel = |b: usize, ctx: &mut BlockCtx<'_>| body(b / run.stripes, b % run.stripes, ctx);
-        if run.tail_launch {
-            run.gpu.launch_device(name, grid, run.threads, &kernel)?;
-        } else {
-            run.gpu.launch(name, grid, run.threads, &kernel)?;
-        }
+        let name = self.kernel_name();
+        run.gpu
+            .launch_with(name, grid, run.threads, run.kind, Exec::Par, &kernel)?;
         Ok(())
     }
 
@@ -215,12 +221,7 @@ pub trait NumericEngine: Sync {
     /// rule compares these; an engine that overrides `launch` overrides
     /// this to match it.
     fn quote(&self, run: &LevelRun<'_>, blocks: &[BlockCost]) -> SimTime {
-        let kind = if run.tail_launch {
-            LaunchKind::Device
-        } else {
-            LaunchKind::Host
-        };
-        run.gpu.quote(kind, None, blocks).time
+        run.gpu.quote(run.kind, None, blocks).time
     }
 
     /// BLAS-3 update tiles column `col`'s `items` occupy (the blocked
@@ -248,13 +249,9 @@ pub trait NumericEngine: Sync {
 /// the scaffolding every numeric entry point shares. See the module docs
 /// for the placement, exchange and device-loss discipline.
 ///
-/// A supplied `pivot` cache marks the run as a **captured-schedule
-/// replay** (the pattern-keyed refactorization fast path): the host kicks
-/// off the first executed level, and — when the engine permits
-/// ([`NumericEngine::device_replay`]) — every later level is tail-launched
-/// from the device (the paper's Algorithm 5 dynamic-parallelism
-/// discipline), paying [`gplu_sim::CostModel::device_launch_ns`] instead
-/// of [`gplu_sim::CostModel::host_launch_ns`].
+/// A supplied `pivot` cache (the pattern-keyed refactorization fast path)
+/// saves building one; it does not change how the run is launched or
+/// priced.
 #[allow(clippy::too_many_arguments)]
 pub fn run_levels<E: NumericEngine + ?Sized>(
     engine: &mut E,
@@ -277,29 +274,34 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     // (float) + level numbers. A device that cannot stage is lost to the
     // survivors; the last live device's failure is the caller's to handle.
     let csc_bytes = ((n + 1) as u64 + 2 * pattern.nnz() as u64) * 4;
-    let mut arenas: Vec<Option<(DeviceAlloc, DeviceAlloc)>> = vec![None; fleet.len()];
+    let mut arenas: Vec<Vec<DeviceAlloc>> = vec![Vec::new(); fleet.len()];
+    // Takes device `d` out of the run — only while a survivor exists: the
+    // last live device's error goes to the caller's ladder, exactly as a
+    // lone `Gpu`'s does, and injected crashes are terminal everywhere.
+    let lose = |d: usize, e: SimError, arena: &mut Vec<DeviceAlloc>, died: &mut Vec<usize>| {
+        for alloc in arena.drain(..).rev() {
+            let _ = fleet.device(d).mem.free(alloc);
+        }
+        if is_fatal(&e) || fleet.n_alive() == 1 {
+            return Err(e);
+        }
+        fleet.mark_dead(d);
+        died.push(d);
+        Ok(())
+    };
     for d in fleet.alive() {
         let gpu = fleet.device(d);
         let staged = gpu.mem.alloc(csc_bytes).and_then(|csc_dev| {
+            arenas[d].push(csc_dev);
             gpu.h2d(csc_bytes);
-            let lvl_dev = gpu.mem.alloc(n as u64 * 4).inspect_err(|_| {
-                let _ = gpu.mem.free(csc_dev);
-            })?;
-            Ok((csc_dev, lvl_dev))
+            gpu.mem.alloc(n as u64 * 4)
         });
         match staged {
-            Ok(pair) => arenas[d] = Some(pair),
-            Err(e) if is_fatal(&e) || fleet.n_alive() == 1 => return Err(e.into()),
-            Err(_) => {
-                fleet.mark_dead(d);
-                died.push(d);
-            }
+            Ok(lvl_dev) => arenas[d].push(lvl_dev),
+            Err(e) => lose(d, e, &mut arenas[d], &mut died)?,
         }
     }
-    // The home device: the lowest live ordinal. It runs every level that
-    // is not split, holds every finished column at every level boundary,
-    // and ships the factors.
-    let Some(mut home) = fleet.alive().first().copied() else {
+    let Some(&first_staged) = fleet.alive().first() else {
         return Err(NumericError::Sim(SimError::BadLaunch(
             "no live devices in fleet".into(),
         )));
@@ -317,7 +319,21 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             gemm_tiles: r.gemm_tiles,
         }),
     );
-    engine.begin(fleet.device(home), pattern)?;
+    // What the engine keeps for the whole run (the dense buffer pool), on
+    // every device: no allocation is left between two levels.
+    let pool_bytes = engine.begin(fleet.device(first_staged), pattern, levels.max_width())?;
+    if pool_bytes > 0 {
+        for d in fleet.alive() {
+            match fleet.device(d).mem.alloc(pool_bytes) {
+                Ok(pool) => arenas[d].push(pool),
+                Err(e) => lose(d, e, &mut arenas[d], &mut died)?,
+            }
+        }
+    }
+    // The home device: the lowest live ordinal. It runs every level that
+    // is not split, holds every finished column at every level boundary,
+    // and ships the factors. (`lose` never takes the last one.)
+    let mut home = fleet.alive()[0];
     let discipline = engine.discipline();
 
     let start_level = resume.map_or(0, |r| r.start_level);
@@ -341,8 +357,10 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     // rule's memory (module docs). Written by the one block that ran the
     // column, read by blocks of a later launch: Release pairs with Acquire.
     let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let replay = pivot.is_some() && engine.device_replay();
-    let mut kicked_off = false;
+    // True when the host touched the run at the last level boundary — it
+    // split the level, brought columns home or re-paid orphans — so the
+    // next level has no device-side parent to be launched from.
+    let mut reentry = false;
     // Which finished columns each device holds. Staging shipped the value
     // store as it stood, so a resumed run's earlier levels are everywhere.
     let mut holds = Residency::new(fleet.len(), n);
@@ -371,22 +389,45 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         // Hoisted: one structural cost estimate per column, shared by all
         // of its cooperating stripes (type C runs 64 per column).
         let items = items_of(cols);
+        // The launch rule (module docs): a level is a device-side child of
+        // the one before unless the host has work at its boundary.
+        let hosted = if li == start_level {
+            Some("kickoff")
+        } else if hook.is_some() {
+            Some("hook")
+        } else {
+            reentry.then_some("reentry")
+        };
         // The whole level as the home device would run it; every device's
-        // share is this with its own `gpu` and `cols`.
+        // share of a split is this with its own `gpu` and `cols`, launched
+        // from the host.
         let level = LevelRun {
             gpu: fleet.device(home),
             pattern,
             cols,
             threads,
             stripes,
-            tail_launch: replay && kicked_off,
+            kind: hosted.map_or(LaunchKind::Device, |_| LaunchKind::Host),
             counters: &counters,
         };
         // Placement by quote (module docs). A fleet of one quotes nothing.
+        // A split hands the next level back to the host: where that level
+        // would otherwise be a child launch, the split is charged for it.
         let owners = fleet.alive();
-        let placement = (owners.len() > 1)
-            .then(|| Placement::quote(engine, fleet, &owners, &level, &items, &holds));
+        let next_is_child = hook.is_none() && li + 1 < levels.groups.len();
+        let placement = (owners.len() > 1).then(|| {
+            Placement::quote(
+                engine,
+                fleet,
+                &owners,
+                &level,
+                &items,
+                &holds,
+                next_is_child,
+            )
+        });
         let split = placement.as_ref().filter(|p| p.split_ns < p.home_ns);
+        let mut host_reason = hosted.or(split.map(|_| "split"));
         let ran_on = split.map_or(1, |p| {
             p.shares.iter().filter(|s| !s.range.is_empty()).count()
         });
@@ -403,11 +444,8 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         let clk0 = trace.enabled().then(|| level.gpu.clocks());
 
         // Runs `cols` of a level shaped like `shape` on device `d`; true
-        // when they ran. A failing device is marked dead — and false
-        // returned, its columns left for the level's settlement below —
-        // only while a survivor exists: the last live device's error goes
-        // to the caller's ladder, exactly as a lone `Gpu`'s does. Injected
-        // crashes are terminal everywhere.
+        // when they ran. A failing device is lost (`lose`) and false
+        // returned, its columns left for the level's settlement below.
         let mut run_share = |d: usize,
                              shape: &LevelRun<'_>,
                              cols: &[Idx],
@@ -452,17 +490,14 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             };
             match engine.launch(&share, &body) {
                 Ok(()) => Ok(true),
-                Err(e) if is_fatal(&e) || fleet.n_alive() == 1 => Err(e),
-                Err(_) => {
-                    if let Some((csc_dev, lvl_dev)) = arenas[d].take() {
-                        let _ = share.gpu.mem.free(lvl_dev);
-                        let _ = share.gpu.mem.free(csc_dev);
-                    }
-                    fleet.mark_dead(d);
-                    died.push(d);
-                    Ok(false)
-                }
+                Err(e) => lose(d, e, &mut arenas[d], &mut died).map(|()| false),
             }
+        };
+        // What the host launches itself: the shares of a split level and
+        // the columns a settlement pays for again.
+        let hosted_shape = LevelRun {
+            kind: LaunchKind::Host,
+            ..level
         };
 
         match split {
@@ -484,13 +519,13 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 }
                 for (&d, share) in owners.iter().zip(&p.shares) {
                     let r = share.range.clone();
-                    if run_share(d, &level, &cols[r.clone()], &items[r.clone()])? {
+                    if run_share(d, &hosted_shape, &cols[r.clone()], &items[r.clone()])? {
                         holds.extend(d, &cols[r]);
                     }
                 }
             }
         }
-        kicked_off = true;
+        reentry = split.is_some();
 
         // Settlement: the level ends with the home device holding every
         // column finished so far. Columns a live device holds come home in
@@ -523,6 +558,8 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                     continue;
                 }
                 resharded_cols += orphans.len();
+                reentry = true;
+                host_reason.get_or_insert("reshard");
                 let (threads, stripes) = if l == li {
                     (threads, stripes)
                 } else {
@@ -531,7 +568,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 let shape = LevelRun {
                     threads,
                     stripes,
-                    ..level
+                    ..hosted_shape
                 };
                 if !run_share(home, &shape, &orphans, &items_of(&orphans))? {
                     lost_home = true;
@@ -543,6 +580,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 continue;
             }
             if inbound > 0 {
+                reentry = true;
                 fleet.barrier();
                 fleet.receive(home, inbound);
                 for lcols in &levels.groups[since..=li] {
@@ -559,12 +597,16 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 ("width", cols.len().into()),
                 ("mode", t.letter().into()),
                 ("devices", ran_on.into()),
+                ("launch", host_reason.map_or("device", |_| "host").into()),
                 match discipline {
                     AccessDiscipline::Dense => ("batches", delta.batches.into()),
                     AccessDiscipline::BinarySearch => ("probes", delta.probes.into()),
                     AccessDiscipline::Merge => ("merge_steps", delta.merge_steps.into()),
                 },
             ];
+            if let Some(reason) = host_reason {
+                attrs.push(("host_reason", reason.into()));
+            }
             if let Some(p) = &placement {
                 attrs.push(("quote_home_ns", AttrValue::F64(p.home_ns)));
                 attrs.push(("quote_split_ns", AttrValue::F64(p.split_ns)));
@@ -619,9 +661,8 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     // Tear down the arenas; the home device ships the factored values
     // back to the host.
     for (gpu, arena) in fleet.devices().iter().zip(&mut arenas) {
-        if let Some((csc_dev, lvl_dev)) = arena.take() {
-            gpu.mem.free(lvl_dev)?;
-            gpu.mem.free(csc_dev)?;
+        for alloc in arena.drain(..).rev() {
+            gpu.mem.free(alloc)?;
         }
     }
     fleet.device(home).d2h(pattern.nnz() as u64 * 4);
@@ -721,8 +762,9 @@ struct Share {
 struct Placement {
     /// The whole level launched on the home device.
     home_ns: f64,
-    /// The slowest share with its inbound leg, plus the one coalesced
-    /// return leg that brings the other shares' columns home.
+    /// The slowest share (a host launch on its device) with its inbound
+    /// leg, plus the one coalesced return leg that brings the other
+    /// shares' columns home, plus the child launch the next level loses.
     split_ns: f64,
     /// The interconnect's part of `split_ns`: the slowest share's inbound
     /// leg and the return leg.
@@ -739,18 +781,20 @@ impl Placement {
         level: &LevelRun<'_>,
         items: &[u64],
         holds: &Residency,
+        next_is_child: bool,
     ) -> Placement {
         let (pattern, cols) = (level.pattern, level.cols);
         // What `launch` would advance the share's device clock by: every
         // column priced once on a scratch block, as each of its stripes
         // would price it.
-        let kernel_ns = |d: usize, r: &std::ops::Range<usize>| -> f64 {
+        let kernel_ns = |d: usize, r: &std::ops::Range<usize>, kind: LaunchKind| -> f64 {
             if r.is_empty() {
                 return 0.0;
             }
             let share = LevelRun {
                 gpu: fleet.device(d),
                 cols: &cols[r.clone()],
+                kind,
                 ..*level
             };
             let mut blocks: Vec<BlockCost> = Vec::with_capacity(r.len() * share.stripes);
@@ -762,7 +806,7 @@ impl Placement {
             engine.quote(&share, &blocks).as_ns()
         };
         let home = owners[0];
-        let home_ns = kernel_ns(home, &(0..cols.len()));
+        let home_ns = kernel_ns(home, &(0..cols.len()), level.kind);
         let link_ns = |d: usize, bytes: u64| match bytes {
             0 => 0.0,
             _ => fleet.device(d).cost().nvlink_transfer_ns(bytes),
@@ -785,7 +829,7 @@ impl Placement {
                 }
                 let need_bytes = need.iter().map(|&t| col_bytes(pattern, t)).sum();
                 let leg = link_ns(d, need_bytes);
-                let total = leg + kernel_ns(d, &range);
+                let total = leg + kernel_ns(d, &range, LaunchKind::Host);
                 if total > slowest.0 {
                     slowest = (total, leg);
                 }
@@ -797,9 +841,17 @@ impl Placement {
             })
             .collect();
         let return_ns = link_ns(home, return_bytes);
+        // The host launches the level after a split; a child launch there
+        // is what the split gives up.
+        let cost = fleet.device(home).cost();
+        let reentry_ns = if next_is_child {
+            cost.host_launch_ns - cost.device_launch_ns
+        } else {
+            0.0
+        };
         Placement {
             home_ns,
-            split_ns: slowest.0 + return_ns,
+            split_ns: slowest.0 + return_ns + reentry_ns,
             legs_ns: slowest.1 + return_ns,
             shares,
         }

@@ -132,8 +132,8 @@ mod tests {
     use crate::resume::LevelProgress;
     use crate::sparse::SparseEngine;
     use crate::{
-        factorize_gpu_blocked_run_cached, factorize_gpu_dense_run_cached, factorize_gpu_merge,
-        factorize_gpu_merge_run_cached, factorize_gpu_sparse,
+        factorize_gpu_blocked_run_cached, factorize_gpu_dense, factorize_gpu_dense_run_cached,
+        factorize_gpu_merge, factorize_gpu_merge_run_cached, factorize_gpu_sparse,
     };
     use gplu_schedule::{levelize_cpu, DepGraph};
     use gplu_sim::{CostModel, FaultPlan, Gpu, GpuConfig, SimError};
@@ -184,6 +184,18 @@ mod tests {
         levels: &Levels,
         plan: &BlockPlan,
     ) -> Result<FleetNumericOutcome, NumericError> {
+        run_engine_hooked(name, fleet, pattern, levels, plan, None)
+    }
+
+    /// [`run_engine`] with an optional per-level hook installed.
+    fn run_engine_hooked(
+        name: &str,
+        fleet: &DeviceFleet<'_>,
+        pattern: &Csc,
+        levels: &Levels,
+        plan: &BlockPlan,
+        hook: Option<&mut LevelHook<'_>>,
+    ) -> Result<FleetNumericOutcome, NumericError> {
         let mut boxed: Box<dyn NumericEngine + '_> = match name {
             "dense" => Box::<DenseEngine>::default(),
             "sparse" => Box::new(SparseEngine::new(None)),
@@ -197,7 +209,7 @@ mod tests {
             levels,
             &NOOP,
             None,
-            None,
+            hook,
             None,
             PivotRule::Exact,
         )
@@ -253,23 +265,52 @@ mod tests {
                 }
             }
         }
+        // Room for M = 3 dense buffers: one device runs a ten-wide level in
+        // four batches, one host launch and three children. A split halves
+        // the batches but makes each share, and the next level, a host
+        // launch — the quote must charge it all of that.
+        let (pattern, levels) = &wide;
+        let n = pattern.n_cols() as u64;
+        let staged = (n + 1 + 2 * pattern.nnz() as u64) * 4 + n * 4;
+        let cfg = GpuConfig::v100().with_memory(staged + 3 * n * 4 + 64);
+        let one = factorize_gpu_dense(&Gpu::new(cfg.clone()), pattern, levels).expect("one device");
+        assert_eq!(one.m_limit, Some(3));
+        assert_eq!(one.stats.kernels_host, 1);
+        for k in [2, 4, 8] {
+            let f = DeviceFleet::new(k, cfg.clone());
+            let got = factorize_fleet_dense(&f, pattern, levels, &NOOP, PivotRule::Exact)
+                .expect("fleet")
+                .outcome;
+            assert_eq!(one.lu.vals, got.lu.vals, "M = 3, k={k}: bit-identical");
+            assert!(
+                got.time <= one.time,
+                "M = 3, k={k}: {} > {}",
+                got.time,
+                one.time
+            );
+        }
     }
 
     /// Pins the simulated clock and every engine counter as literals, so
     /// a refactor of the driver or the kernel body that moves a charge,
     /// a launch or a count by one bit fails here rather than in a bench
-    /// diff. Rows: (matrix, engine, devices, `time` bits, probes,
+    /// diff. Rows: (matrix, engine, devices, hooked, `time` bits, probes,
     /// merge steps, batches, GEMM tiles, M, host launches on the home
-    /// device, exchange legs, exchange bytes). At these sizes and default
+    /// device, exchange legs, exchange bytes). An unsplit run is one host
+    /// launch and a chain of children. At these sizes and default
     /// latencies only the dense engine on the wide matrix ever quotes a
     /// split below the home device, so every other 2-device row is its
-    /// 1-device row with zero legs.
+    /// 1-device row with zero legs. A hooked row runs with a no-op
+    /// [`LevelHook`] installed: the host has work at every level boundary,
+    /// every level is a host launch, and the row is, to the bit, what the
+    /// run cost when every cold level was host-launched (PR 23's literals).
     #[test]
     fn pricing_and_counters_are_pinned_for_every_engine_and_count() {
         type Row = (
             &'static str,
             &'static str,
             usize,
+            bool,
             u64,
             u64,
             u64,
@@ -281,26 +322,33 @@ mod tests {
             u64,
         );
         #[rustfmt::skip]
-        const GOLDEN: [Row; 19] = [
-            ("random", "dense", 1, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235, 0, 0),
-            ("random", "sparse", 1, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235, 0, 0),
-            ("random", "merge", 1, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235, 0, 0),
-            ("random", "blocked", 1, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235, 0, 0),
-            ("random", "dense", 2, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235, 0, 0),
-            ("random", "sparse", 2, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235, 0, 0),
-            ("random", "merge", 2, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235, 0, 0),
-            ("random", "blocked", 2, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235, 0, 0),
-            ("banded", "dense", 1, 0x41175d9bfffffffa, 0, 0, 50, 0, Some(8589916), 50, 0, 0),
-            ("banded", "sparse", 1, 0x41113eeffffffffd, 16182, 0, 0, 0, None, 50, 0, 0),
-            ("banded", "merge", 1, 0x41113b0c00000000, 0, 6691, 0, 0, None, 50, 0, 0),
-            ("banded", "blocked", 1, 0x4111353c00000000, 0, 6691, 0, 499, None, 50, 0, 0),
-            ("banded", "dense", 2, 0x41175d9bfffffffa, 0, 0, 50, 0, Some(8589916), 50, 0, 0),
-            ("banded", "sparse", 2, 0x41113eeffffffffd, 16182, 0, 0, 0, None, 50, 0, 0),
-            ("banded", "merge", 2, 0x41113b0c00000000, 0, 6691, 0, 0, None, 50, 0, 0),
-            ("banded", "blocked", 2, 0x4111353c00000000, 0, 6691, 0, 499, None, 50, 0, 0),
-            ("wide", "dense", 1, 0x4129191644444444, 0, 0, 12, 0, Some(894764), 12, 0, 0),
-            ("wide", "dense", 2, 0x4122f3e90a3d70a3, 0, 0, 24, 0, Some(894764), 12, 15, 174688),
-            ("wide", "dense", 4, 0x4117df97f258bf24, 0, 0, 48, 0, Some(894764), 12, 21, 263336),
+        const GOLDEN: [Row; 26] = [
+            ("random", "dense", 1, false, 0x411753cdaaaaaaa9, 0, 0, 235, 0, Some(10737252), 1, 0, 0),
+            ("random", "sparse", 1, false, 0x41100984aaaaaaac, 7156451, 0, 0, 0, None, 1, 0, 0),
+            ("random", "merge", 1, false, 0x410e605022222223, 0, 1713573, 0, 0, None, 1, 0, 0),
+            ("random", "blocked", 1, false, 0x410d5b5422222222, 0, 1713573, 0, 1147, None, 1, 0, 0),
+            ("random", "dense", 2, false, 0x411753cdaaaaaaa9, 0, 0, 235, 0, Some(10737252), 1, 0, 0),
+            ("random", "sparse", 2, false, 0x41100984aaaaaaac, 7156451, 0, 0, 0, None, 1, 0, 0),
+            ("random", "merge", 2, false, 0x410e605022222223, 0, 1713573, 0, 0, None, 1, 0, 0),
+            ("random", "blocked", 2, false, 0x410d5b5422222222, 0, 1713573, 0, 1147, None, 1, 0, 0),
+            ("banded", "dense", 1, false, 0x410469b800000002, 0, 0, 50, 0, Some(8589916), 1, 0, 0),
+            ("banded", "sparse", 1, false, 0x40f058c000000005, 16182, 0, 0, 0, None, 1, 0, 0),
+            ("banded", "merge", 1, false, 0x40f0493000000000, 0, 6691, 0, 0, None, 1, 0, 0),
+            ("banded", "blocked", 1, false, 0x40f031f000000000, 0, 6691, 0, 499, None, 1, 0, 0),
+            ("banded", "dense", 2, false, 0x410469b800000002, 0, 0, 50, 0, Some(8589916), 1, 0, 0),
+            ("banded", "sparse", 2, false, 0x40f058c000000005, 16182, 0, 0, 0, None, 1, 0, 0),
+            ("banded", "merge", 2, false, 0x40f0493000000000, 0, 6691, 0, 0, None, 1, 0, 0),
+            ("banded", "blocked", 2, false, 0x40f031f000000000, 0, 6691, 0, 499, None, 1, 0, 0),
+            ("wide", "dense", 1, false, 0x41279ef644444444, 0, 0, 12, 0, Some(894764), 1, 0, 0),
+            ("wide", "dense", 2, false, 0x4122f3e90a3d70a3, 0, 0, 24, 0, Some(894764), 12, 15, 174688),
+            ("wide", "dense", 4, false, 0x4117df97f258bf24, 0, 0, 48, 0, Some(894764), 12, 21, 263336),
+            ("random", "dense", 1, true, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235, 0, 0),
+            ("random", "sparse", 1, true, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235, 0, 0),
+            ("random", "merge", 1, true, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235, 0, 0),
+            ("random", "blocked", 1, true, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235, 0, 0),
+            ("wide", "dense", 1, true, 0x4129191644444444, 0, 0, 12, 0, Some(894764), 12, 0, 0),
+            ("wide", "dense", 2, true, 0x4122f3e90a3d70a3, 0, 0, 24, 0, Some(894764), 12, 15, 174688),
+            ("wide", "dense", 4, true, 0x4117df97f258bf24, 0, 0, 48, 0, Some(894764), 12, 21, 263336),
         ];
         let random = filled_with_levels(&random_dominant(400, 4.0, 21));
         let banded = setup(10, 50, 4, 71);
@@ -309,6 +357,7 @@ mod tests {
             matrix,
             engine,
             k,
+            hooked,
             time_bits,
             probes,
             steps,
@@ -327,7 +376,9 @@ mod tests {
             };
             let plan = BlockPlan::detect(pattern, &PivotCache::build(pattern), 0.5);
             let f = fleet(k);
-            let out = run_engine(engine, &f, pattern, levels, &plan)
+            let mut noop = |_: &LevelProgress<'_>| -> Result<(), SimError> { Ok(()) };
+            let hook: Option<&mut LevelHook<'_>> = if hooked { Some(&mut noop) } else { None };
+            let out = run_engine_hooked(engine, &f, pattern, levels, &plan, hook)
                 .expect("runs")
                 .outcome;
             let ic = f.stats().interconnect;
@@ -344,7 +395,7 @@ mod tests {
                     ic.bytes
                 ),
                 (time_bits, probes, steps, batches, tiles, m, launches, legs, bytes),
-                "{matrix} / {engine} / {k} devices"
+                "{matrix} / {engine} / {k} devices / hooked {hooked}"
             );
         }
     }
@@ -477,11 +528,12 @@ mod tests {
 
     #[test]
     fn a_device_lost_on_a_split_level_reshards_bit_identically() {
-        // 2048 chains at scaled latencies: every level is split four ways.
+        // 2048 chains at latencies scaled until a split pays for the child
+        // launch it costs the next level: every level is split four ways.
         // Each device's 2nd launch is its share of level 1.
         let (pattern, levels) = setup(2048, 10, 6, 72);
         let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
-        let cost = CostModel::default().scaled_latencies(10);
+        let cost = CostModel::default().scaled_latencies(40);
         let single = factorize_gpu_merge(&Gpu::new(GpuConfig::v100()), &pattern, &levels)
             .expect("single device");
         let share = |level: usize, dev| {
@@ -525,11 +577,12 @@ mod tests {
         // share die with some of its columns finished. Two devices with
         // room for M = 3 buffers: one device would need six batches a
         // level, so every level is split, 8 columns each in batches of
-        // 3 + 3 + 2. One device's K-th allocation fails — in staging, on a
-        // level's first buffer (nothing ran yet) or on a later one (earlier
-        // batches already hold factors). The survivor must pay for the
-        // whole share and factor only what is unfinished; when the lost
-        // device was home, it pays for home's share of every earlier
+        // 3 + 3 + 2. One device fails its K-th allocation — staging's two
+        // or the buffer pool, before anything ran — or its K-th batch
+        // launch: a level's first (nothing of the share ran yet) or a later
+        // one (earlier batches already hold factors). The survivor must pay
+        // for the whole share and factor only what is unfinished; when the
+        // lost device was home, it pays for home's share of every earlier
         // level too, and the run is dearer for it.
         let (pattern, levels) = setup(16, 30, 4, 73);
         let single = factorize_gpu_merge(&Gpu::new(GpuConfig::v100()), &pattern, &levels)
@@ -545,10 +598,18 @@ mod tests {
         };
         let clean = run("");
         assert!(clean.died.is_empty());
+        assert_eq!(clean.outcome.batches as usize, 2 * 3 * levels.n_levels());
         for dev in [0, 1] {
-            for k in 1..=40 {
-                let out = run(&format!("dev={dev}:oom:alloc={k}"));
-                let label = format!("dev={dev} alloc={k}");
+            let allocs = (1..=3).map(|k| (format!("dev={dev}:oom:alloc={k}"), 0));
+            let launches = (1..=3 * levels.n_levels()).map(|k| {
+                // A lost share is paid for whole; a lost home, once per
+                // level it had finished or begun.
+                let levels_owed = if dev == 0 { (k - 1) / 3 + 1 } else { 1 };
+                let spec = format!("dev={dev}:badlaunch:numeric_dense={k}:persistent");
+                (spec, 8 * levels_owed)
+            });
+            for (label, owed) in allocs.chain(launches) {
+                let out = run(&label);
                 assert_eq!(out.outcome.m_limit, Some(3));
                 assert_eq!(
                     out.died,
@@ -558,13 +619,8 @@ mod tests {
                 let (want, got) = (&single.lu.vals, &out.outcome.lu.vals);
                 let differ = (0..want.len()).filter(|&i| want[i].to_bits() != got[i].to_bits());
                 assert_eq!(differ.count(), 0, "{label}: values off the merge factors");
-                // Staging allocates twice, then every level three times.
-                // A lost share is paid for whole; a lost home, once per
-                // level it had finished or begun.
-                let levels_owed = if dev == 0 { (k.max(3) - 3) / 3 + 1 } else { 1 };
-                let owed = if k > 2 { 8 * levels_owed } else { 0 };
                 assert_eq!(out.resharded_cols, owed, "{label}");
-                if dev == 0 && k > 2 {
+                if dev == 0 && owed > 0 {
                     assert!(
                         out.outcome.time > clean.outcome.time,
                         "{label}: home loss is priced"

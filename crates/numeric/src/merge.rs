@@ -85,14 +85,14 @@ pub fn factorize_gpu_merge(
 /// pattern-keyed refactorization fast path: the cache is pattern-only, so
 /// a service factorizing the same pattern repeatedly builds it once).
 ///
-/// A supplied cache also marks the run as a **captured-schedule replay**:
-/// the level sequence was already executed once, so the host does not need
-/// to orchestrate it level by level. The first executed level is
-/// host-launched as the kick-off; every later level is tail-launched from
-/// the device (the paper's Algorithm 5 dynamic-parallelism discipline),
-/// paying [`gplu_sim::CostModel::device_launch_ns`] instead of
-/// [`gplu_sim::CostModel::host_launch_ns`] — on deep, narrow schedules the
-/// host launch overhead *is* the numeric phase, and this removes it.
+/// Every run — cold, resumed or warm — follows the launch rule of
+/// [`crate::engine`]: the host launches the first executed level and
+/// every later one is tail-launched from the device (the paper's
+/// Algorithm 5 dynamic-parallelism discipline, paying
+/// [`gplu_sim::CostModel::device_launch_ns`] instead of
+/// [`gplu_sim::CostModel::host_launch_ns`]) unless a `hook` is installed —
+/// on deep, narrow schedules the host launch overhead *is* the numeric
+/// phase, and this removes it.
 #[allow(clippy::too_many_arguments)]
 pub fn factorize_gpu_merge_run_cached(
     gpu: &Gpu,

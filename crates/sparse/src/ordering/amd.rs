@@ -1,8 +1,8 @@
 //! Approximate minimum degree (AMD) ordering.
 //!
 //! The practical fill-reducing ordering for circuit-style matrices (the
-//! exact greedy in [`super::mindeg`] is quadratic-ish and only suitable as
-//! a small-case oracle). This is a simplified Amestoy–Davis–Duff scheme on
+//! exact greedy in `mindeg` is quadratic-ish and only suitable as the
+//! small-case oracle of the tests below). This is a simplified Amestoy–Davis–Duff scheme on
 //! the quotient graph:
 //!
 //! * eliminated pivots become **elements** whose member list stands for

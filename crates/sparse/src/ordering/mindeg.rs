@@ -3,9 +3,8 @@
 //! A quotient-graph-free implementation of the classical minimum-degree
 //! heuristic: repeatedly eliminate a vertex of minimal current degree and
 //! connect its remaining neighbours into a clique. This is the textbook
-//! algorithm (the ancestor of AMD); it is O(fill) in the worst case, which
-//! is fine at this workspace's matrix scales and is only used in the
-//! pre-processing step the paper inherits from prior work.
+//! algorithm (the ancestor of AMD); it is O(fill) in the worst case, so it
+//! is compiled only as the small-case oracle of [`super::amd`]'s tests.
 
 use super::symmetrized_adjacency;
 use crate::{Csr, Idx};

@@ -7,20 +7,21 @@
 //!
 //! * [`rcm`] — reverse Cuthill–McKee, a bandwidth-reducing BFS ordering that
 //!   works well for the mesh/FEM matrices in Table 2, and
-//! * [`mindeg`] — a minimum-degree ordering on the symmetrized pattern
-//!   `A + Aᵀ`, the classical fill-reduction heuristic used for the
-//!   circuit-style matrices.
+//! * [`amd`] — an approximate minimum-degree ordering on the symmetrized
+//!   pattern `A + Aᵀ`, the classical fill-reduction heuristic used for the
+//!   circuit-style matrices (its tests compare it against the exact
+//!   greedy in `mindeg`, which is compiled for them alone).
 //!
 //! Both return an *ordering* (old indices in new sequence) that callers turn
 //! into a [`crate::Permutation`] via [`crate::Permutation::from_order`] and
 //! apply symmetrically to rows and columns so the diagonal stays intact.
 
 pub mod amd;
-pub mod mindeg;
+#[cfg(test)]
+mod mindeg;
 pub mod rcm;
 
 pub use amd::amd_order;
-pub use mindeg::min_degree_order;
 pub use rcm::rcm_order;
 
 use crate::{Csr, Idx};

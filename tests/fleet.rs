@@ -183,10 +183,10 @@ fn device_lost_between_dense_batches_reshards_bit_identically() {
     // buffers: one device would need six batches a level, so every level
     // is split and each of the two devices runs its 8 columns in batches
     // of 3 + 3 + 2. Device 1's K-th allocation fails — in symbolic,
-    // staging, a level's first buffer, or a later one with earlier
-    // batches already finished — or device 0, the home device, loses a
-    // batch launch; either way the survivor takes over and the factors
-    // are the single-device run's. A finished column factored a second
+    // staging or the buffer pool — or either device loses its K-th batch
+    // launch, a level's first or a later one with earlier batches already
+    // finished; either way the survivor takes over and the factors are
+    // the single-device run's. A finished column factored a second
     // time is a silent wrong answer with the gate off and a typed
     // rejection of a healthy run with it on.
     let a = block_banded(16, 30, 4, 73);
@@ -199,12 +199,18 @@ fn device_lost_between_dense_batches_reshards_bit_identically() {
         opts.gate.enabled = gate_on;
         let single = LuFactorization::compute(&Gpu::new(cfg.clone()), &a, &opts).expect("single");
         assert_eq!(single.report.m_limit, Some(3));
-        // Device 0 is also the pipeline's lead, whose symbolic and levelize
-        // allocations are not this suite's subject: it loses the K-th
-        // launch of the numeric kernel instead — one launch per batch.
-        let faults = (1..=400)
+        // The numeric phase allocates once per device (the pool), so dying
+        // between batches means losing the K-th launch of the numeric
+        // kernel — one launch per batch. Device 0 is also the pipeline's
+        // lead, whose symbolic and levelize allocations are not this
+        // suite's subject.
+        let batch_lost = |dev: usize| {
+            (1..=100).map(move |k| (dev, format!("dev={dev}:badlaunch:numeric_dense={k}")))
+        };
+        let faults = (1..=40)
             .map(|k| (1, format!("dev=1:oom:alloc={k}")))
-            .chain((1..=100).map(|k| (0, format!("dev=0:badlaunch:numeric_dense={k}"))));
+            .chain(batch_lost(0))
+            .chain(batch_lost(1));
         let mut fired = [0usize; 2];
         for (dev, spec) in faults {
             let label = format!("gate {gate_on}, {spec}");

@@ -64,6 +64,23 @@ fn check_artifacts(f: &LuFactorization, events: &[TraceEvent], label: &str) {
         f.report.n_levels,
         "{label}: one record per schedule level"
     );
+    // Why a level paid a host launch is on its span end: here only the
+    // kick-off does, and it is the numeric phase's one host launch.
+    let launches: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "numeric.level")
+        .filter_map(|e| e.attr("launch")?.as_str())
+        .collect();
+    let reasons: Vec<_> = events
+        .iter()
+        .filter_map(|e| e.attr("host_reason")?.as_str())
+        .collect();
+    assert_eq!(launches.len(), f.report.n_levels, "{label}");
+    assert_eq!(
+        (launches[0], reasons.as_slice()),
+        ("host", &["kickoff"][..])
+    );
+    assert_eq!(f.report.phase_stats.numeric.kernels_host, 1, "{label}");
 
     // --- Chrome trace: ordered and balanced.
     let trace = chrome_trace(events);
