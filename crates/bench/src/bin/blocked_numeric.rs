@@ -12,10 +12,10 @@
 //!
 //! Both engines are measured on the **captured-schedule replay** path
 //! (a prebuilt pivot cache) — the configuration the end-to-end loop
-//! actually runs on every factorization after the first. Levels
-//! tail-launch device-side per the paper's Algorithm 5, as on every run
-//! without a checkpoint hook, so the 5 µs host launch is paid once and
-//! the comparison measures the access discipline.
+//! actually runs on every factorization after the first. As on every run
+//! without a checkpoint hook, the levels run as one kernel — one 5 µs host
+//! launch, then an in-kernel dependency wait per level — so the comparison
+//! measures the access discipline.
 //!
 //! Also reports the blocking plan's shape (block count, blocked-column
 //! share, mean width), the BLAS-3 vs streaming byte split of the blocked

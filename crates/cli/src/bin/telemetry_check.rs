@@ -69,14 +69,15 @@ fn section_at<'a>(doc: &'a JsonValue, ptr: &str) -> Result<&'a JsonValue, String
     lookup(doc, ptr).ok_or_else(|| format!("{ptr}: section missing"))
 }
 
-/// Where a numeric level was launched from, on the arguments of a trace's
-/// `numeric.level` end: `launch` is `host` or `device`, and exactly the
-/// host launches say why the host was there.
+/// How a numeric level started, on the arguments of a trace's
+/// `numeric.level` end: `launch` is `host` or `continue` (an in-kernel
+/// dependency wait — a numeric level is never a child launch), and
+/// exactly the host launches say why the host was there.
 fn check_launch(level: &JsonValue, at: &str) -> Result<(), String> {
     let field = |key: &str| level.get(key).and_then(JsonValue::as_str);
     const REASONS: [&str; 5] = ["kickoff", "hook", "split", "reentry", "reshard"];
     match (field("launch"), field("host_reason")) {
-        (Some("device"), None) => Ok(()),
+        (Some("continue"), None) => Ok(()),
         (Some("host"), Some(why)) if REASONS.contains(&why) => Ok(()),
         (launch, why) => Err(format!("{at}: launch {launch:?} with host_reason {why:?}")),
     }

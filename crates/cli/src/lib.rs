@@ -1085,8 +1085,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let launches = &f.report.phase_stats.numeric;
             writeln!(
                 out,
-                "numeric launches: {} from the host, {} from the device",
-                launches.kernels_host, launches.kernels_device
+                "numeric: {} host launches, {} child launches, {} in-kernel level waits",
+                launches.kernels_host, launches.kernels_device, launches.dependency_waits
             )?;
             if let Some(m) = f.report.m_limit {
                 writeln!(out, "dense format, M = {m} parallel columns")?;

@@ -15,9 +15,10 @@
 //! the symbolic and levelize phases and runs the merge engine directly on
 //! the plan's sorted-CSC artifacts (no per-column `O(n)` dense-buffer
 //! tax), the specialization real refactorization engines (cuSOLVER/cuDSS)
-//! apply after analysis. Its levels are tail-launched device-side (the
-//! paper's Algorithm 5) exactly as a cold run's are. Late singular-pivot
-//! repair is replayed exactly as on the cold path.
+//! apply after analysis. Its levels follow the numeric launch rule exactly
+//! as a cold run's do: one host launch, then every level continues that
+//! kernel behind an in-kernel dependency wait. Late singular-pivot repair
+//! is replayed exactly as on the cold path.
 
 use crate::checkpoint::pattern_fingerprint;
 use crate::error::GpluError;

@@ -21,6 +21,7 @@
 //!   "fill":     { "nnz": u64, "new_fill_ins": u64,
 //!                 "repaired_diagonals": u64 },
 //!   "gpu": { "<phase>": { "kernels_host": u64, "kernels_device": u64,
+//!                         "dependency_waits": u64,
 //!                         "kernel_time_ns": f64, "fault_time_ns": f64,
 //!                         "fault_groups": u64, "h2d_bytes": u64,
 //!                         "d2h_bytes": u64, "xfer_time_ns": f64,
@@ -252,6 +253,7 @@ fn snapshot_json(s: &GpuStatsSnapshot) -> JsonValue {
     JsonValue::obj()
         .set("kernels_host", s.kernels_host)
         .set("kernels_device", s.kernels_device)
+        .set("dependency_waits", s.dependency_waits)
         .set("kernel_time_ns", s.kernel_time.as_ns())
         .set("fault_time_ns", s.fault_time.as_ns())
         .set("fault_groups", s.fault_groups)

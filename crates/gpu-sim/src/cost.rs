@@ -5,6 +5,8 @@
 //! calibration policy (tune once so relative results land in the paper's
 //! bands, then never touch again per-experiment).
 
+use crate::launch::LaunchKind;
+
 /// Cost constants for pricing simulated execution.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -121,6 +123,19 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// What a launch of `kind` pays before its blocks run — the one place
+    /// the kind is priced. A [`LaunchKind::Continue`] is no launch: its
+    /// blocks wait on a dependency flag the level before set, one
+    /// global-memory round trip plus a block barrier, which is the cost
+    /// class `block_step_ns` prices.
+    pub fn launch_ns(&self, kind: LaunchKind) -> f64 {
+        match kind {
+            LaunchKind::Host => self.host_launch_ns,
+            LaunchKind::Device => self.device_launch_ns,
+            LaunchKind::Continue => self.block_step_ns,
+        }
+    }
+
     /// Effective CPU parallel throughput divisor: `threads × efficiency`.
     pub fn cpu_parallel_speedup(&self) -> f64 {
         self.cpu_threads as f64 * self.cpu_efficiency

@@ -15,16 +15,37 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Where a launch originates: from the host (CUDA runtime API) or from
-/// device code via *dynamic parallelism* (the paper's Algorithm 5). The
-/// only difference is the launch overhead — exactly the saving the paper
-/// claims for its GPU topological sort.
+/// Where a launch originates: from the host (CUDA runtime API), from
+/// device code via *dynamic parallelism* (the paper's Algorithm 5), or
+/// from nowhere — the next level of a kernel that is already running. The
+/// only difference is the overhead ([`CostModel::launch_ns`]) — exactly
+/// the saving the paper claims for its GPU topological sort, and the one
+/// a synchronization-free level loop (Liu et al., the paper's ref. \[28\])
+/// claims over it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchKind {
     /// Host-side launch (runtime-API latency).
     Host,
     /// Device-side child launch (dynamic parallelism).
     Device,
+    /// Not a launch: the next level of an already running kernel, whose
+    /// blocks wait on in-kernel dependency flags for the level before.
+    /// Functionally, and to the fault injector, it is a launch like any
+    /// other.
+    Continue,
+}
+
+impl LaunchKind {
+    /// The kind of one level of a run of levels fused into one kernel:
+    /// the level that opens the run is launched as `opener`, every later
+    /// one continues the running kernel.
+    pub fn level(opens_run: bool, opener: LaunchKind) -> LaunchKind {
+        if opens_run {
+            opener
+        } else {
+            LaunchKind::Continue
+        }
+    }
 }
 
 /// How to *functionally* execute the blocks of a kernel.
@@ -100,6 +121,7 @@ struct GpuState {
     analytic_ns: f64,
     kernels_host: u64,
     kernels_device: u64,
+    dependency_waits: u64,
     kernel_time_ns: f64,
     fault_time_ns: f64,
     fault_groups: u64,
@@ -362,6 +384,7 @@ impl Gpu {
         match kind {
             LaunchKind::Host => s.kernels_host += 1,
             LaunchKind::Device => s.kernels_device += 1,
+            LaunchKind::Continue => s.dependency_waits += 1,
         }
         s.now_ns += q.time.as_ns();
         s.analytic_ns += q.analytic.as_ns();
@@ -395,10 +418,7 @@ impl Gpu {
     /// charge what this returns. An empty grid still pays the launch
     /// overhead (matches CUDA).
     pub fn quote(&self, kind: LaunchKind, cap: Option<usize>, blocks: &[BlockCost]) -> LaunchQuote {
-        let launch_ns = match kind {
-            LaunchKind::Host => self.cost.host_launch_ns,
-            LaunchKind::Device => self.cost.device_launch_ns,
-        };
+        let launch_ns = self.cost.launch_ns(kind);
         let slots = blocks
             .len()
             .min(self.cfg.tb_max)
@@ -466,6 +486,7 @@ impl Gpu {
             now: SimTime::from_ns(s.now_ns),
             kernels_host: s.kernels_host,
             kernels_device: s.kernels_device,
+            dependency_waits: s.dependency_waits,
             kernel_time: SimTime::from_ns(s.kernel_time_ns),
             fault_time: SimTime::from_ns(s.fault_time_ns),
             fault_groups: s.fault_groups,
@@ -564,6 +585,34 @@ mod tests {
     }
 
     #[test]
+    fn a_continued_level_pays_a_block_step_and_is_not_a_launch() {
+        // Three levels of one kernel: a child launch, then two levels that
+        // wait on dependency flags. Each wait is priced as one block step,
+        // counted apart from the launches, and still runs its blocks.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let g = gpu();
+        let ran = AtomicUsize::new(0);
+        let k = |_b: usize, ctx: &mut BlockCtx| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            ctx.step(1);
+        };
+        let mut reports = Vec::new();
+        for level in 0..3 {
+            let kind = LaunchKind::level(level == 0, LaunchKind::Device);
+            reports.push(g.launch_with("k", 4, 32, kind, Exec::Seq, &k).expect("ok"));
+        }
+        let overhead = |r: &KernelReport| r.time.as_ns() - r.compute.as_ns();
+        assert_eq!(overhead(&reports[0]), g.cost().device_launch_ns);
+        assert_eq!(overhead(&reports[1]), g.cost().block_step_ns);
+        assert_eq!(ran.load(Ordering::Relaxed), 12);
+        let s = g.stats();
+        assert_eq!(
+            (s.kernels_host, s.kernels_device, s.dependency_waits),
+            (0, 1, 2)
+        );
+    }
+
+    #[test]
     fn empty_launch_still_costs_overhead() {
         let g = gpu();
         let rep = g
@@ -641,16 +690,16 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// A quote is the clock advance of the launch it describes, to
-            /// the bit: host, device and M-capped launches, grids under and
-            /// over `TB_max`, compute- and bandwidth-bound blocks, the
-            /// empty grid included.
+            /// the bit: host, device, continued and M-capped launches, grids
+            /// under and over `TB_max`, compute- and bandwidth-bound
+            /// blocks, the empty grid included.
             #[test]
             fn prop_quote_equals_the_launch_clock_advance(
                 items in proptest::collection::vec(0u64..200_000, 0..400),
                 bytes in 0u64..4_000_000,
                 threads_idx in 0usize..3,
                 cap in 1usize..200,
-                kind_idx in 0usize..4,
+                kind_idx in 0usize..6,
             ) {
                 let threads = [32, 256, 1024][threads_idx];
                 let price = |b: usize, ctx: &mut BlockCtx| {
@@ -674,9 +723,18 @@ mod tests {
                         g.quote(LaunchKind::Device, None, &blocks),
                         g.launch_device("k", items.len(), threads, &price),
                     ),
-                    // M-capped batches, host- and tail-launched.
+                    2 => {
+                        let kind = LaunchKind::Continue;
+                        (
+                            g.quote(kind, None, &blocks),
+                            g.launch_with("k", items.len(), threads, kind, Exec::Par, &price),
+                        )
+                    }
+                    // M-capped batches: host-launched, tail-launched and
+                    // continued.
                     k => {
-                        let kind = [LaunchKind::Host, LaunchKind::Device][k - 2];
+                        use LaunchKind::*;
+                        let kind = [Host, Device, Continue][k - 3];
                         (
                             g.quote(kind, Some(cap), &blocks),
                             g.launch_capped("k", items.len(), threads, cap, kind, &price),

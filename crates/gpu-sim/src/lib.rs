@@ -24,7 +24,9 @@
 //!   is the wave-scheduled makespan of the per-block costs under the
 //!   concurrency limit, plus launch overhead,
 //! * [`Gpu::launch_device`] — the same with the (much smaller)
-//!   device-side launch overhead of dynamic parallelism,
+//!   device-side launch overhead of dynamic parallelism; a
+//!   [`LaunchKind::Continue`] level of an already running kernel pays
+//!   only an in-kernel dependency wait ([`CostModel::launch_ns`]),
 //! * [`Gpu::quote`] — that pricing rule on its own, from per-block costs
 //!   with nothing run: what a launch *would* charge, to the bit,
 //! * [`UmSpace`] — a unified-memory page manager with residency tracking,

@@ -12,6 +12,10 @@ pub struct GpuStatsSnapshot {
     pub kernels_host: u64,
     /// Device-side (dynamic parallelism) kernel launches.
     pub kernels_device: u64,
+    /// Levels that continued an already running kernel behind an
+    /// in-kernel dependency wait ([`crate::LaunchKind::Continue`]) — not
+    /// launches, so counted in neither field above.
+    pub dependency_waits: u64,
     /// Total time inside kernels.
     pub kernel_time: SimTime,
     /// Of which: serialized unified-memory fault service.
@@ -51,6 +55,9 @@ impl GpuStatsSnapshot {
             now: self.now.saturating_sub(earlier.now),
             kernels_host: self.kernels_host.saturating_sub(earlier.kernels_host),
             kernels_device: self.kernels_device.saturating_sub(earlier.kernels_device),
+            dependency_waits: self
+                .dependency_waits
+                .saturating_sub(earlier.dependency_waits),
             kernel_time: self.kernel_time.saturating_sub(earlier.kernel_time),
             fault_time: self.fault_time.saturating_sub(earlier.fault_time),
             fault_groups: self.fault_groups.saturating_sub(earlier.fault_groups),

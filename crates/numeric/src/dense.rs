@@ -5,9 +5,10 @@
 //! device, giving direct row indexing — but only
 //! `M = L_free / (n · sizeof(dtype))` buffers fit. The engine takes one
 //! pool of `min(M, widest level)` buffers for the whole run, so nothing
-//! is allocated between two launches. When a level is wider than `M`, it
-//! is processed in `⌈width/M⌉` sequential batches, each a separate kernel
-//! launch whose concurrency is capped at `M`; every column
+//! is allocated between two batches. When a level is wider than `M`, it
+//! is processed in `⌈width/M⌉` sequential batches whose concurrency is
+//! capped at `M`, every batch after the first waiting in-kernel on the one
+//! before; every column
 //! additionally pays the buffer traffic (clear + scatter + gather) that
 //! the sparse format avoids. For the huge matrices of Table 4, `M` drops
 //! below `TB_max` and the device runs block-starved — the deficiency the
@@ -78,9 +79,9 @@ impl NumericEngine for DenseEngine {
     }
 
     // The share split into batches of at most M concurrent dense buffers
-    // from the pool, each its own capped launch. Nothing happens on the
-    // host between two batches, so whoever launches the share launches
-    // its first batch and every later one is its child.
+    // from the pool, each capped at M. Nothing happens on the host between
+    // two batches, so the share's first batch starts as the share does and
+    // every later one continues that kernel behind a dependency wait.
     fn launch(&self, run: &LevelRun<'_>, body: &ColumnKernel<'_>) -> Result<(), SimError> {
         let (m, stripes) = (self.m_limit.max(1), run.stripes);
         for (chunk, batch) in run.cols.chunks(m).enumerate() {
@@ -116,12 +117,9 @@ impl NumericEngine for DenseEngine {
     }
 }
 
-/// Where batch `chunk` of a share is launched from.
+/// How batch `chunk` of a share starts.
 fn batch_kind(run: &LevelRun<'_>, chunk: usize) -> LaunchKind {
-    match chunk {
-        0 => run.kind,
-        _ => LaunchKind::Device,
-    }
+    LaunchKind::level(chunk == 0, run.kind)
 }
 
 /// Factorizes the filled matrix in the dense-column format.
@@ -232,9 +230,9 @@ mod tests {
     #[test]
     fn a_level_of_several_batches_advances_the_clock_by_its_quote() {
         // Eight buffers for the widest level of a random matrix: several
-        // batches. Host- or tail-launched, the share's quote is its clock
-        // advance to the bit, and only a hosted share's first batch is a
-        // host launch.
+        // batches. Host-launched or continued, the share's quote is its
+        // clock advance to the bit, only a hosted share's first batch is a
+        // launch, and every other batch is a dependency wait.
         let a = random_dominant(256, 3.0, 72);
         let (pattern, levels) = setup(&a);
         let cols = levels
@@ -243,7 +241,7 @@ mod tests {
             .max_by_key(|g| g.len())
             .expect("levels");
         let counters = parking_lot::Mutex::default();
-        for kind in [LaunchKind::Host, LaunchKind::Device] {
+        for kind in [LaunchKind::Host, LaunchKind::Continue] {
             let gpu = Gpu::new(GpuConfig::v100().with_memory(8 * 256 * 4 + 512));
             let mut engine = DenseEngine::default();
             let pool = engine.begin(&gpu, &pattern, cols.len()).expect("sized");
@@ -276,8 +274,8 @@ mod tests {
             let hosted = u64::from(kind == LaunchKind::Host);
             let s = gpu.stats();
             assert_eq!(
-                (s.kernels_host, s.kernels_device),
-                (hosted, batches - hosted)
+                (s.kernels_host, s.kernels_device, s.dependency_waits),
+                (hosted, 0, batches - hosted)
             );
         }
     }

@@ -29,16 +29,21 @@
 //! feeds the checkpoint hook after every level, and assembles the outcome.
 //!
 //! **The launch rule.** The level numbers are device-resident and nothing
-//! is allocated between two levels, so a level is a child launch of the
-//! one before it ([`LaunchKind::Device`], the paper's Algorithm 5
-//! discipline) — cold, resumed and replayed runs alike — unless the host
-//! has work at its boundary: it is the first executed level (the
-//! kick-off, also after a resume), a [`LevelHook`] is installed (the hook
-//! reads the value store on the host after every level), the level is
-//! split across devices (each share is a host launch on its device), or
-//! the level before it was split, settled columns or re-paid orphans (the
-//! host re-enters). A level's span end says which (`launch`,
-//! `host_reason`).
+//! is allocated between two levels, so a run of consecutive levels with
+//! no host boundary is one kernel: the host launches the run's first
+//! level and every later level continues it ([`LaunchKind::Continue`]),
+//! its blocks waiting on an in-kernel dependency flag for the level
+//! before instead of a launch (the synchronization-free discipline of Liu
+//! et al., the paper's ref. \[28\], and GLU 3.0's one-kernel mode-C tail)
+//! — cold, resumed and replayed runs alike. The host has work at a
+//! level's boundary when it is the first executed level (the kick-off,
+//! also after a resume), a [`LevelHook`] is installed (the hook reads the
+//! value store on the host after every level), the level is split across
+//! devices (each share is a host launch on its device), or the level
+//! before it was split, settled columns or re-paid orphans (the host
+//! re-enters). A level's span end says which (`launch` = `host` |
+//! `continue`, `host_reason`). Functional execution keeps `(level,
+//! block)` order and every level still passes the fault injector.
 //!
 //! **Sharding: placement by quote.** Within one schedule level every
 //! column depends only on columns of *earlier* levels, so a level's
@@ -55,12 +60,13 @@
 //! bitset remembers what each device computed or received) and the other
 //! shares' columns come home afterwards in one coalesced leg. The level
 //! is split only when the slowest share with its inbound leg, plus that
-//! return leg, plus the child launch the split costs the next level,
-//! quotes *below* the home device alone; otherwise nothing leaves home, no
-//! leg is paid and no barrier is crossed. So per level a fleet costs at
-//! most what one device does, a chain never leaves its device, and a
-//! fleet of one — which quotes nothing — is priced exactly as the device
-//! alone. Values live in one shared host-side
+//! return leg, plus the host launch the split costs the next level in
+//! place of a dependency wait, quotes *below* the home device alone;
+//! otherwise nothing leaves home, no leg is paid and no barrier is
+//! crossed. So per level a fleet costs at most what one device does, a
+//! chain never leaves its device, and a fleet of one — which quotes
+//! nothing — is priced exactly as the device alone. Values live in one
+//! shared host-side
 //! [`ValueStore`] — the simulator separates functional execution from
 //! pricing — which is what makes the factors bit-identical at every
 //! device count.
@@ -157,9 +163,9 @@ pub struct LevelRun<'a> {
     pub threads: usize,
     /// Blocks cooperating per column (type C row-striping).
     pub stripes: usize,
-    /// Where this share's first launch comes from: the device (a child of
-    /// the level before, Algorithm 5) or, when the host has work at the
-    /// level's boundary, the host.
+    /// How this share's first kernel starts: as the next level of the
+    /// kernel the level before runs in ([`LaunchKind::Continue`]) or, when
+    /// the host has work at the level's boundary, as a host launch.
     pub kind: LaunchKind,
     pub(crate) counters: &'a Mutex<EngineCounters>,
 }
@@ -389,8 +395,8 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         // Hoisted: one structural cost estimate per column, shared by all
         // of its cooperating stripes (type C runs 64 per column).
         let items = items_of(cols);
-        // The launch rule (module docs): a level is a device-side child of
-        // the one before unless the host has work at its boundary.
+        // The launch rule (module docs): a level continues the kernel the
+        // level before runs in unless the host has work at its boundary.
         let hosted = if li == start_level {
             Some("kickoff")
         } else if hook.is_some() {
@@ -407,14 +413,15 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             cols,
             threads,
             stripes,
-            kind: hosted.map_or(LaunchKind::Device, |_| LaunchKind::Host),
+            kind: LaunchKind::level(hosted.is_some(), LaunchKind::Host),
             counters: &counters,
         };
         // Placement by quote (module docs). A fleet of one quotes nothing.
         // A split hands the next level back to the host: where that level
-        // would otherwise be a child launch, the split is charged for it.
+        // would otherwise continue the running kernel, the split is charged
+        // for it.
         let owners = fleet.alive();
-        let next_is_child = hook.is_none() && li + 1 < levels.groups.len();
+        let next_continues = hook.is_none() && li + 1 < levels.groups.len();
         let placement = (owners.len() > 1).then(|| {
             Placement::quote(
                 engine,
@@ -423,7 +430,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 &level,
                 &items,
                 &holds,
-                next_is_child,
+                next_continues,
             )
         });
         let split = placement.as_ref().filter(|p| p.split_ns < p.home_ns);
@@ -597,7 +604,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 ("width", cols.len().into()),
                 ("mode", t.letter().into()),
                 ("devices", ran_on.into()),
-                ("launch", host_reason.map_or("device", |_| "host").into()),
+                ("launch", host_reason.map_or("continue", |_| "host").into()),
                 match discipline {
                     AccessDiscipline::Dense => ("batches", delta.batches.into()),
                     AccessDiscipline::BinarySearch => ("probes", delta.probes.into()),
@@ -764,7 +771,8 @@ struct Placement {
     home_ns: f64,
     /// The slowest share (a host launch on its device) with its inbound
     /// leg, plus the one coalesced return leg that brings the other
-    /// shares' columns home, plus the child launch the next level loses.
+    /// shares' columns home, plus the host launch the next level pays
+    /// instead of continuing the running kernel.
     split_ns: f64,
     /// The interconnect's part of `split_ns`: the slowest share's inbound
     /// leg and the return leg.
@@ -781,7 +789,7 @@ impl Placement {
         level: &LevelRun<'_>,
         items: &[u64],
         holds: &Residency,
-        next_is_child: bool,
+        next_continues: bool,
     ) -> Placement {
         let (pattern, cols) = (level.pattern, level.cols);
         // What `launch` would advance the share's device clock by: every
@@ -841,11 +849,11 @@ impl Placement {
             })
             .collect();
         let return_ns = link_ns(home, return_bytes);
-        // The host launches the level after a split; a child launch there
-        // is what the split gives up.
+        // The host launches the level after a split; continuing the
+        // running kernel there is what the split gives up.
         let cost = fleet.device(home).cost();
-        let reentry_ns = if next_is_child {
-            cost.host_launch_ns - cost.device_launch_ns
+        let reentry_ns = if next_continues {
+            cost.launch_ns(LaunchKind::Host) - cost.launch_ns(LaunchKind::Continue)
         } else {
             0.0
         };

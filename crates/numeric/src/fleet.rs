@@ -140,7 +140,7 @@ mod tests {
     use gplu_sparse::convert::csr_to_csc;
     use gplu_sparse::gen::random::{banded_dominant, random_dominant};
     use gplu_symbolic::symbolic_cpu;
-    use gplu_trace::NOOP;
+    use gplu_trace::{EventKind, Recorder, TraceEvent, NOOP};
 
     /// `blocks` independent banded chains: every schedule level is
     /// `blocks` wide, so a fleet actually has columns to split.
@@ -184,17 +184,18 @@ mod tests {
         levels: &Levels,
         plan: &BlockPlan,
     ) -> Result<FleetNumericOutcome, NumericError> {
-        run_engine_hooked(name, fleet, pattern, levels, plan, None)
+        run_engine_with(name, fleet, pattern, levels, plan, None, &NOOP)
     }
 
-    /// [`run_engine`] with an optional per-level hook installed.
-    fn run_engine_hooked(
+    /// [`run_engine`] with an optional per-level hook installed, traced.
+    fn run_engine_with(
         name: &str,
         fleet: &DeviceFleet<'_>,
         pattern: &Csc,
         levels: &Levels,
         plan: &BlockPlan,
         hook: Option<&mut LevelHook<'_>>,
+        trace: &dyn TraceSink,
     ) -> Result<FleetNumericOutcome, NumericError> {
         let mut boxed: Box<dyn NumericEngine + '_> = match name {
             "dense" => Box::<DenseEngine>::default(),
@@ -207,7 +208,7 @@ mod tests {
             fleet,
             pattern,
             levels,
-            &NOOP,
+            trace,
             None,
             hook,
             None,
@@ -266,9 +267,9 @@ mod tests {
             }
         }
         // Room for M = 3 dense buffers: one device runs a ten-wide level in
-        // four batches, one host launch and three children. A split halves
-        // the batches but makes each share, and the next level, a host
-        // launch — the quote must charge it all of that.
+        // four batches of the one running kernel. A split halves the
+        // batches but makes each share, and the next level, a host launch
+        // — the quote must charge it all of that.
         let (pattern, levels) = &wide;
         let n = pattern.n_cols() as u64;
         let staged = (n + 1 + 2 * pattern.nnz() as u64) * 4 + n * 4;
@@ -295,15 +296,17 @@ mod tests {
     /// a refactor of the driver or the kernel body that moves a charge,
     /// a launch or a count by one bit fails here rather than in a bench
     /// diff. Rows: (matrix, engine, devices, hooked, `time` bits, probes,
-    /// merge steps, batches, GEMM tiles, M, host launches on the home
-    /// device, exchange legs, exchange bytes). An unsplit run is one host
-    /// launch and a chain of children. At these sizes and default
+    /// merge steps, batches, GEMM tiles, M, host launches and in-kernel
+    /// dependency waits on the home device, exchange legs, exchange
+    /// bytes). An unsplit run is one kernel: one host launch, then a wait
+    /// per later level or dense batch. At these sizes and default
     /// latencies only the dense engine on the wide matrix ever quotes a
     /// split below the home device, so every other 2-device row is its
     /// 1-device row with zero legs. A hooked row runs with a no-op
     /// [`LevelHook`] installed: the host has work at every level boundary,
     /// every level is a host launch, and the row is, to the bit, what the
-    /// run cost when every cold level was host-launched (PR 23's literals).
+    /// run cost when every cold level was host-launched (PR 23's literals,
+    /// unchanged by PRs 24 and 26). No numeric level is a child launch.
     #[test]
     fn pricing_and_counters_are_pinned_for_every_engine_and_count() {
         type Row = (
@@ -320,35 +323,36 @@ mod tests {
             u64,
             u64,
             u64,
+            u64,
         );
         #[rustfmt::skip]
         const GOLDEN: [Row; 26] = [
-            ("random", "dense", 1, false, 0x411753cdaaaaaaa9, 0, 0, 235, 0, Some(10737252), 1, 0, 0),
-            ("random", "sparse", 1, false, 0x41100984aaaaaaac, 7156451, 0, 0, 0, None, 1, 0, 0),
-            ("random", "merge", 1, false, 0x410e605022222223, 0, 1713573, 0, 0, None, 1, 0, 0),
-            ("random", "blocked", 1, false, 0x410d5b5422222222, 0, 1713573, 0, 1147, None, 1, 0, 0),
-            ("random", "dense", 2, false, 0x411753cdaaaaaaa9, 0, 0, 235, 0, Some(10737252), 1, 0, 0),
-            ("random", "sparse", 2, false, 0x41100984aaaaaaac, 7156451, 0, 0, 0, None, 1, 0, 0),
-            ("random", "merge", 2, false, 0x410e605022222223, 0, 1713573, 0, 0, None, 1, 0, 0),
-            ("random", "blocked", 2, false, 0x410d5b5422222222, 0, 1713573, 0, 1147, None, 1, 0, 0),
-            ("banded", "dense", 1, false, 0x410469b800000002, 0, 0, 50, 0, Some(8589916), 1, 0, 0),
-            ("banded", "sparse", 1, false, 0x40f058c000000005, 16182, 0, 0, 0, None, 1, 0, 0),
-            ("banded", "merge", 1, false, 0x40f0493000000000, 0, 6691, 0, 0, None, 1, 0, 0),
-            ("banded", "blocked", 1, false, 0x40f031f000000000, 0, 6691, 0, 499, None, 1, 0, 0),
-            ("banded", "dense", 2, false, 0x410469b800000002, 0, 0, 50, 0, Some(8589916), 1, 0, 0),
-            ("banded", "sparse", 2, false, 0x40f058c000000005, 16182, 0, 0, 0, None, 1, 0, 0),
-            ("banded", "merge", 2, false, 0x40f0493000000000, 0, 6691, 0, 0, None, 1, 0, 0),
-            ("banded", "blocked", 2, false, 0x40f031f000000000, 0, 6691, 0, 499, None, 1, 0, 0),
-            ("wide", "dense", 1, false, 0x41279ef644444444, 0, 0, 12, 0, Some(894764), 1, 0, 0),
-            ("wide", "dense", 2, false, 0x4122f3e90a3d70a3, 0, 0, 24, 0, Some(894764), 12, 15, 174688),
-            ("wide", "dense", 4, false, 0x4117df97f258bf24, 0, 0, 48, 0, Some(894764), 12, 21, 263336),
-            ("random", "dense", 1, true, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235, 0, 0),
-            ("random", "sparse", 1, true, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235, 0, 0),
-            ("random", "merge", 1, true, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235, 0, 0),
-            ("random", "blocked", 1, true, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235, 0, 0),
-            ("wide", "dense", 1, true, 0x4129191644444444, 0, 0, 12, 0, Some(894764), 12, 0, 0),
-            ("wide", "dense", 2, true, 0x4122f3e90a3d70a3, 0, 0, 24, 0, Some(894764), 12, 15, 174688),
-            ("wide", "dense", 4, true, 0x4117df97f258bf24, 0, 0, 48, 0, Some(894764), 12, 21, 263336),
+            ("random", "dense", 1, false, 0x410ef1bb55555550, 0, 0, 235, 0, Some(10737252), 1, 234, 0, 0),
+            ("random", "sparse", 1, false, 0x41005d2955555554, 7156451, 0, 0, 0, None, 1, 234, 0, 0),
+            ("random", "merge", 1, false, 0x40fd54e044444446, 0, 1713573, 0, 0, None, 1, 234, 0, 0),
+            ("random", "blocked", 1, false, 0x40fb4ae844444442, 0, 1713573, 0, 1147, None, 1, 234, 0, 0),
+            ("random", "dense", 2, false, 0x410ef1bb55555550, 0, 0, 235, 0, Some(10737252), 1, 234, 0, 0),
+            ("random", "sparse", 2, false, 0x41005d2955555554, 7156451, 0, 0, 0, None, 1, 234, 0, 0),
+            ("random", "merge", 2, false, 0x40fd54e044444446, 0, 1713573, 0, 0, None, 1, 234, 0, 0),
+            ("random", "blocked", 2, false, 0x40fb4ae844444442, 0, 1713573, 0, 1147, None, 1, 234, 0, 0),
+            ("banded", "dense", 1, false, 0x41011f8800000004, 0, 0, 50, 0, Some(8589916), 1, 49, 0, 0),
+            ("banded", "sparse", 1, false, 0x40e388c000000008, 16182, 0, 0, 0, None, 1, 49, 0, 0),
+            ("banded", "merge", 1, false, 0x40e369a000000000, 0, 6691, 0, 0, None, 1, 49, 0, 0),
+            ("banded", "blocked", 1, false, 0x40e33b2000000000, 0, 6691, 0, 499, None, 1, 49, 0, 0),
+            ("banded", "dense", 2, false, 0x41011f8800000004, 0, 0, 50, 0, Some(8589916), 1, 49, 0, 0),
+            ("banded", "sparse", 2, false, 0x40e388c000000008, 16182, 0, 0, 0, None, 1, 49, 0, 0),
+            ("banded", "merge", 2, false, 0x40e369a000000000, 0, 6691, 0, 0, None, 1, 49, 0, 0),
+            ("banded", "blocked", 2, false, 0x40e33b2000000000, 0, 6691, 0, 499, None, 1, 49, 0, 0),
+            ("wide", "dense", 1, false, 0x41276fb244444444, 0, 0, 12, 0, Some(894764), 1, 11, 0, 0),
+            ("wide", "dense", 2, false, 0x4122f3e90a3d70a3, 0, 0, 24, 0, Some(894764), 12, 0, 15, 174688),
+            ("wide", "dense", 4, false, 0x4117df97f258bf24, 0, 0, 48, 0, Some(894764), 12, 0, 21, 263336),
+            ("random", "dense", 1, true, 0x41358ad36aaaaaab, 0, 0, 235, 0, Some(10737252), 235, 0, 0, 0),
+            ("random", "sparse", 1, true, 0x4133b8412aaaaaaa, 7156451, 0, 0, 0, None, 235, 0, 0, 0),
+            ("random", "merge", 1, true, 0x413381ea04444445, 0, 1713573, 0, 0, None, 235, 0, 0, 0),
+            ("random", "blocked", 1, true, 0x4133614a84444443, 0, 1713573, 0, 1147, None, 235, 0, 0, 0),
+            ("wide", "dense", 1, true, 0x4129191644444444, 0, 0, 12, 0, Some(894764), 12, 0, 0, 0),
+            ("wide", "dense", 2, true, 0x4122f3e90a3d70a3, 0, 0, 24, 0, Some(894764), 12, 0, 15, 174688),
+            ("wide", "dense", 4, true, 0x4117df97f258bf24, 0, 0, 48, 0, Some(894764), 12, 0, 21, 263336),
         ];
         let random = filled_with_levels(&random_dominant(400, 4.0, 21));
         let banded = setup(10, 50, 4, 71);
@@ -365,6 +369,7 @@ mod tests {
             tiles,
             m,
             launches,
+            waits,
             legs,
             bytes,
         ) in GOLDEN
@@ -378,7 +383,7 @@ mod tests {
             let f = fleet(k);
             let mut noop = |_: &LevelProgress<'_>| -> Result<(), SimError> { Ok(()) };
             let hook: Option<&mut LevelHook<'_>> = if hooked { Some(&mut noop) } else { None };
-            let out = run_engine_hooked(engine, &f, pattern, levels, &plan, hook)
+            let out = run_engine_with(engine, &f, pattern, levels, &plan, hook, &NOOP)
                 .expect("runs")
                 .outcome;
             let ic = f.stats().interconnect;
@@ -391,11 +396,63 @@ mod tests {
                     out.gemm_tiles,
                     out.m_limit,
                     out.stats.kernels_host,
+                    out.stats.dependency_waits,
                     ic.exchanges,
                     ic.bytes
                 ),
-                (time_bits, probes, steps, batches, tiles, m, launches, legs, bytes),
+                (time_bits, probes, steps, batches, tiles, m, launches, waits, legs, bytes),
                 "{matrix} / {engine} / {k} devices / hooked {hooked}"
+            );
+            assert_eq!(
+                out.stats.kernels_device, 0,
+                "a numeric level is never a child"
+            );
+        }
+    }
+
+    #[test]
+    fn a_continued_run_advances_the_home_clock_by_its_quotes() {
+        // Placement compares quotes, so on a run whose levels continue one
+        // kernel the quotes must be what the clock shows: every level that
+        // stays home — the kick-off host launch and every later level, a
+        // dependency wait — advances the home device's clock by its
+        // `quote_home_ns`, for every engine, dense at M = 3 (four batches a
+        // ten-wide level) included.
+        let (pattern, levels) = setup(10, 50, 4, 71);
+        let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
+        let n = pattern.n_cols() as u64;
+        let staged = (n + 1 + 2 * pattern.nnz() as u64) * 4 + n * 4;
+        let cfg = GpuConfig::v100().with_memory(staged + 3 * n * 4 + 64);
+        for name in ENGINES {
+            let trace = Recorder::new();
+            let f = DeviceFleet::new(2, cfg.clone());
+            run_engine_with(name, &f, &pattern, &levels, &plan, None, &trace).expect("runs");
+            let events = trace.into_events();
+            let num = |e: &TraceEvent, key: &str| e.attr(key).and_then(|v| v.as_f64());
+            let (mut continued, mut batched) = (0, 0);
+            for (end, sample) in events.iter().zip(&events[1..]) {
+                let level_end = end.name == "numeric.level" && end.kind == EventKind::End;
+                if !level_end || num(end, "devices") != Some(1.0) {
+                    continue;
+                }
+                let (quote, observed) = (num(end, "quote_home_ns"), num(sample, "observed_ns"));
+                let (quote, observed) = (quote.expect("quoted"), observed.expect("sampled"));
+                assert!(
+                    (quote - observed).abs() < 1e-6,
+                    "{name}: {quote} vs {observed}"
+                );
+                continued +=
+                    usize::from(end.attr("launch").and_then(|v| v.as_str()) == Some("continue"));
+                batched += usize::from(num(end, "batches").is_some_and(|b| b > 1.0));
+            }
+            assert!(
+                continued + 1 >= levels.n_levels(),
+                "{name}: {continued} continued"
+            );
+            assert_eq!(
+                batched > 0,
+                name == "dense",
+                "{name}: {batched} batched levels"
             );
         }
     }
@@ -575,30 +632,37 @@ mod tests {
     fn a_device_lost_between_dense_batches_never_factors_a_column_twice() {
         // The kernel core is not idempotent, and M-capped batches let a
         // share die with some of its columns finished. Two devices with
-        // room for M = 3 buffers: one device would need six batches a
-        // level, so every level is split, 8 columns each in batches of
-        // 3 + 3 + 2. One device fails its K-th allocation — staging's two
-        // or the buffer pool, before anything ran — or its K-th batch
-        // launch: a level's first (nothing of the share ran yet) or a later
-        // one (earlier batches already hold factors). The survivor must pay
-        // for the whole share and factor only what is unfinished; when the
-        // lost device was home, it pays for home's share of every earlier
-        // level too, and the run is dearer for it.
+        // room for M = 3 buffers, at latencies scaled until a split pays
+        // for the host launch it costs the next level: one device would
+        // need six batches a level, so every level is split, 8 columns
+        // each in batches of 3 + 3 + 2. One device fails its K-th
+        // allocation — staging's two or the buffer pool, before anything
+        // ran — or its K-th batch launch: a level's first (nothing of the
+        // share ran yet) or a later one (earlier batches already hold
+        // factors). The survivor must pay for the whole share and factor
+        // only what is unfinished; when the lost device was home, it pays
+        // for home's share of every earlier level too, and the run is
+        // dearer for it.
         let (pattern, levels) = setup(16, 30, 4, 73);
         let single = factorize_gpu_merge(&Gpu::new(GpuConfig::v100()), &pattern, &levels)
             .expect("single device");
         let n = pattern.n_cols() as u64;
         let staged = (n + 1 + 2 * pattern.nnz() as u64) * 4 + n * 4;
         let cfg = GpuConfig::v100().with_memory(staged + 3 * n * 4 + 64);
+        let cost = CostModel::default().scaled_latencies(10);
         let run = |spec: &str| {
             let plans = FaultPlan::parse_fleet(spec, 2).expect("plans");
-            let f = DeviceFleet::with_fault_plans(2, cfg.clone(), CostModel::default(), &plans);
+            let f = DeviceFleet::with_fault_plans(2, cfg.clone(), cost.clone(), &plans);
             factorize_fleet_dense(&f, &pattern, &levels, &NOOP, PivotRule::Exact)
                 .expect("the other device survives")
         };
         let clean = run("");
         assert!(clean.died.is_empty());
         assert_eq!(clean.outcome.batches as usize, 2 * 3 * levels.n_levels());
+        // Home's share of every level is a host launch: every level split.
+        let home = &clean.outcome.stats;
+        assert_eq!(home.kernels_host as usize, levels.n_levels());
+        assert_eq!(home.dependency_waits as usize, 2 * levels.n_levels());
         for dev in [0, 1] {
             let allocs = (1..=3).map(|k| (format!("dev={dev}:oom:alloc={k}"), 0));
             let launches = (1..=3 * levels.n_levels()).map(|k| {

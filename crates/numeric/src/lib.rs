@@ -53,8 +53,8 @@
 //! dense engine's `M`-capped batched launches, the forced-mode ablation,
 //! the blocked engine's tile count). [`engine::run_levels`] owns
 //! everything else, once: device staging, level classification, the one
-//! kernel body every launch runs, the one counter set, launch/tail-launch
-//! accounting, sharding across a fleet, device loss — a dead device's
+//! kernel body every level runs, the one counter set, the launch rule
+//! (host launch or in-kernel dependency wait), sharding across a fleet, device loss — a dead device's
 //! share is paid for again by the survivors, but no column's core ever
 //! runs twice — trace spans, resume cuts and checkpoint hooks. The
 //! sequential reference ([`seq`]) is the host-side instantiation of the

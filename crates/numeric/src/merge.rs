@@ -86,13 +86,11 @@ pub fn factorize_gpu_merge(
 /// a service factorizing the same pattern repeatedly builds it once).
 ///
 /// Every run — cold, resumed or warm — follows the launch rule of
-/// [`crate::engine`]: the host launches the first executed level and
-/// every later one is tail-launched from the device (the paper's
-/// Algorithm 5 dynamic-parallelism discipline, paying
-/// [`gplu_sim::CostModel::device_launch_ns`] instead of
-/// [`gplu_sim::CostModel::host_launch_ns`]) unless a `hook` is installed —
-/// on deep, narrow schedules the host launch overhead *is* the numeric
-/// phase, and this removes it.
+/// [`crate::engine`]: without a `hook`, the host launches the first
+/// executed level and every later one continues that kernel behind an
+/// in-kernel dependency wait, priced by
+/// [`gplu_sim::CostModel::launch_ns`]; with one, every level is a host
+/// launch.
 #[allow(clippy::too_many_arguments)]
 pub fn factorize_gpu_merge_run_cached(
     gpu: &Gpu,

@@ -10,11 +10,19 @@
 //! level machinery (Kahn wavefronts over the factor's own pattern) and run
 //! one thread block per column per level, each scattering its column's
 //! updates into the right-hand side — the level-scheduled GPU solve of the
-//! sparse-triangular literature the paper cites (Liu et al. \[28\] pursue
-//! the synchronisation-free variant of the same schedule).
+//! sparse-triangular literature the paper cites.
+//!
+//! Nothing happens on the host between two levels, or between the two
+//! sweeps, so a whole solve is **one kernel**: its first level is a
+//! device-side launch and every later level continues it
+//! ([`LaunchKind::Continue`]), its blocks waiting on an in-kernel
+//! dependency flag for the level before — the synchronization-free
+//! discipline of Liu et al. \[28\], priced as one block step per level
+//! boundary instead of a launch. Every level still passes the fault
+//! injector under its sweep's kernel name.
 //!
 //! Blocks of one level may update the same row, and floating-point
-//! addition does not commute to the bit, so the host replays every launch
+//! addition does not commute to the bit, so the host replays every level
 //! in block order ([`Exec::Seq`]; pricing is identical either way): a row
 //! receives its updates in (level, block) order on every run and `x` is
 //! bit-reproducible, across repeats and between a single solve and the
@@ -27,10 +35,10 @@
 //! sweeps consult on every solve. Building the plan costs one pass over
 //! the factor; each subsequent solve is search-free (the
 //! circuit-simulation pattern: one plan, many right-hand sides). For the
-//! many-rhs case itself, [`solve_gpu_batch`] runs one kernel launch per
-//! level across *all* right-hand sides, amortizing the fixed launch
-//! latency that dominates the deep, narrow levels of triangular factors;
-//! [`solve_gpu`] is a batch of one.
+//! many-rhs case itself, [`solve_gpu_batch`] runs each level once across
+//! *all* right-hand sides, so the per-level price of the deep, narrow
+//! levels of triangular factors is paid once per level rather than once
+//! per level per rhs; [`solve_gpu`] is a batch of one.
 
 use crate::error::NumericError;
 use crate::outcome::PivotCache;
@@ -162,7 +170,8 @@ pub struct BatchSolveOutcome {
     pub xs: Vec<Vec<Val>>,
     /// Simulated time of the whole batch.
     pub time: SimTime,
-    /// Kernel launches issued (one per level per sweep — *not* per rhs).
+    /// Kernel launches issued: one for the whole batch, both sweeps — not
+    /// one per level and not one per rhs.
     pub launches: u64,
     /// GPU statistics delta.
     pub stats: GpuStatsSnapshot,
@@ -200,12 +209,11 @@ pub fn solve_gpu_traced(
     })
 }
 
-/// Solves `(L·U) X = B` for a whole batch of right-hand sides with one
-/// kernel launch per level per sweep: block `(c, r)` of the launch grid
-/// applies column `cols[c]` to right-hand side `r`. The per-level fixed
-/// launch latency — the dominant cost of the deep, narrow wavefronts of
-/// triangular factors — is paid once per level instead of once per level
-/// *per rhs*.
+/// Solves `(L·U) X = B` for a whole batch of right-hand sides in one
+/// kernel: at every level of either sweep, block `(c, r)` applies column
+/// `cols[c]` to right-hand side `r`. The per-level fixed price — the
+/// dominant cost of the deep, narrow wavefronts of triangular factors — is
+/// paid once per level instead of once per level *per rhs*.
 pub fn solve_gpu_batch(
     gpu: &Gpu,
     lu: &Csc,
@@ -247,50 +255,64 @@ pub fn solve_gpu_batch_traced(
 
     // The factor is assumed device-resident (it just came out of numeric
     // factorization); the right-hand sides cross the bus.
-    let x_dev = gpu.mem.alloc((bs.len() * n) as u64 * 8)?;
-    gpu.h2d((bs.len() * n) as u64 * 8);
+    let bytes = (bs.len() * n) as u64 * 8;
+    let x_dev = gpu.mem.alloc(bytes)?;
+    gpu.h2d(bytes);
 
     let ys: Vec<ValueStore> = bs.iter().map(|b| ValueStore::new(b)).collect();
     // Forward: y_j is final; apply y_i -= L(i,j)·y_j to the rows below.
-    sweep(gpu, "trisolve_l", &plan.l_levels, &ys, |y, j, ctx| {
+    let solved = sweep(gpu, "trisolve_l", true, &plan.l_levels, &ys, |y, j, ctx| {
         forward_column(lu, plan, y, j, ctx);
         Ok(())
-    })?;
-    // Backward: divide by the pivot, then push x_j up through U's column.
-    sweep(gpu, "trisolve_u", &plan.u_levels, &ys, |y, j, ctx| {
-        backward_column(lu, plan, y, j, ctx)
-    })?;
-
-    gpu.d2h((bs.len() * n) as u64 * 8);
+    })
+    // Backward, in the same kernel: divide by the pivot, then push x_j up
+    // through U's column.
+    .and_then(|()| {
+        sweep(
+            gpu,
+            "trisolve_u",
+            false,
+            &plan.u_levels,
+            &ys,
+            |y, j, ctx| backward_column(lu, plan, y, j, ctx),
+        )
+    })
+    .map(|()| gpu.d2h(bytes));
+    // Freed on every exit: a failed solve must not leak its rhs buffer on
+    // a long-lived device.
     gpu.mem.free(x_dev)?;
+    solved?;
     emit_trisolve_drift(gpu, trace, clk0);
     let stats = gpu.stats().since(&before);
     Ok(BatchSolveOutcome {
         xs: ys.into_iter().map(ValueStore::into_vec).collect(),
         time: stats.now,
-        launches: (plan.l_levels.n_levels() + plan.u_levels.n_levels()) as u64,
+        launches: stats.kernels_host + stats.kernels_device,
         stats,
     })
 }
 
-/// One sweep: per level, one device launch whose block `c·nrhs + r`
-/// applies column `cols[c]` to right-hand side `r`, replayed in block
-/// order so every row receives its updates in the same order on every run.
+/// One sweep: per level, one level of the solve's kernel whose block
+/// `c·nrhs + r` applies column `cols[c]` to right-hand side `r`, replayed
+/// in block order so every row receives its updates in the same order on
+/// every run. Only the sweep that `opens` the kernel launches its first
+/// level (from the device); every other level continues the kernel.
 fn sweep(
     gpu: &Gpu,
     name: &str,
+    opens: bool,
     levels: &Levels,
     ys: &[ValueStore],
     column: impl Fn(&ValueStore, usize, &mut BlockCtx) -> Result<(), SparseError> + Sync,
 ) -> Result<(), NumericError> {
     let nrhs = ys.len();
     let error = parking_lot::Mutex::new(None::<SparseError>);
-    for cols in &levels.groups {
+    for (li, cols) in levels.groups.iter().enumerate() {
         gpu.launch_with(
             name,
             cols.len() * nrhs,
             256,
-            LaunchKind::Device,
+            LaunchKind::level(opens && li == 0, LaunchKind::Device),
             Exec::Seq,
             &|blk: usize, ctx: &mut BlockCtx| {
                 if let Err(e) = column(&ys[blk % nrhs], cols[blk / nrhs] as usize, ctx) {
@@ -521,10 +543,12 @@ mod tests {
             nrhs,
             serial
         );
+        // One kernel for the batch: every level after the first, across
+        // both sweeps, is an in-kernel dependency wait.
+        assert_eq!(batch.launches, 1, "one launch per batch");
         assert_eq!(
-            batch.launches as usize,
-            plan.l_levels.n_levels() + plan.u_levels.n_levels(),
-            "one launch per level per sweep"
+            batch.stats.dependency_waits as usize,
+            plan.l_levels.n_levels() + plan.u_levels.n_levels() - 1
         );
     }
 
@@ -583,5 +607,19 @@ mod tests {
                 level: usize::MAX
             }
         );
+        assert_eq!(gpu.mem.used_bytes(), 0, "a failed solve frees its rhs");
+        // A launch fault at any level of the backward sweep — each still a
+        // fault-plan ordinal although it continues the kernel — fails the
+        // solve and frees the rhs too.
+        let lu = factor(&a);
+        let plan = TriSolvePlan::new(&lu);
+        for k in 1..=plan.u_levels.n_levels() {
+            let spec = format!("badlaunch:trisolve_u={k}");
+            let faults = gplu_sim::FaultPlan::parse(&spec).expect("plan");
+            let gpu = Gpu::with_fault_plan(GpuConfig::v100(), CostModel::default(), faults);
+            let err = solve_gpu(&gpu, &lu, &plan, &[1.0; 40]).unwrap_err();
+            assert!(matches!(err, NumericError::Sim(_)), "trisolve_u={k}: {err}");
+            assert_eq!(gpu.mem.used_bytes(), 0, "trisolve_u={k}");
+        }
     }
 }

@@ -180,17 +180,21 @@ fn dead_device_reshards_onto_survivors_bit_identically() {
 #[test]
 fn device_lost_between_dense_batches_reshards_bit_identically() {
     // 40 020-byte devices hold the staged factor plus M = 3 dense column
-    // buffers: one device would need six batches a level, so every level
-    // is split and each of the two devices runs its 8 columns in batches
-    // of 3 + 3 + 2. Device 1's K-th allocation fails — in symbolic,
-    // staging or the buffer pool — or either device loses its K-th batch
-    // launch, a level's first or a later one with earlier batches already
-    // finished; either way the survivor takes over and the factors are
-    // the single-device run's. A finished column factored a second
-    // time is a silent wrong answer with the gate off and a typed
-    // rejection of a healthy run with it on.
+    // buffers: one device would need six batches a level, so at latencies
+    // scaled until a split pays for the host launch it costs the next
+    // level, every level is split and each of the two devices runs its 8
+    // columns in batches of 3 + 3 + 2. (At default latencies a split no
+    // longer beats the next level's 50 ns in-kernel wait, nothing splits
+    // and device 1 lands only 5 faults.) Device 1's K-th allocation fails
+    // — in symbolic, staging or the buffer pool — or either device loses
+    // its K-th batch launch, a level's first or a later one with earlier
+    // batches already finished; either way the survivor takes over and
+    // the factors are the single-device run's. A finished column factored
+    // a second time is a silent wrong answer with the gate off and a
+    // typed rejection of a healthy run with it on.
     let a = block_banded(16, 30, 4, 73);
     let cfg = GpuConfig::v100().with_memory(40_020);
+    let cost = CostModel::default().scaled_latencies(10);
     for gate_on in [false, true] {
         let mut opts = LuOptions {
             format: NumericFormat::Dense,
@@ -215,7 +219,7 @@ fn device_lost_between_dense_batches_reshards_bit_identically() {
         for (dev, spec) in faults {
             let label = format!("gate {gate_on}, {spec}");
             let plans = FaultPlan::parse_fleet(&spec, 2).expect("plans");
-            let fleet = DeviceFleet::with_fault_plans(2, cfg.clone(), CostModel::default(), &plans);
+            let fleet = DeviceFleet::with_fault_plans(2, cfg.clone(), cost.clone(), &plans);
             let f = LuFactorization::compute_fleet(&fleet, &a, &opts)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_bit_identical(&single, &f, &label);

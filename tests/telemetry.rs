@@ -65,7 +65,8 @@ fn check_artifacts(f: &LuFactorization, events: &[TraceEvent], label: &str) {
         "{label}: one record per schedule level"
     );
     // Why a level paid a host launch is on its span end: here only the
-    // kick-off does, and it is the numeric phase's one host launch.
+    // kick-off does, it is the numeric phase's one launch, and every later
+    // level continues its kernel behind an in-kernel dependency wait.
     let launches: Vec<_> = events
         .iter()
         .filter(|e| e.name == "numeric.level")
@@ -80,7 +81,17 @@ fn check_artifacts(f: &LuFactorization, events: &[TraceEvent], label: &str) {
         (launches[0], reasons.as_slice()),
         ("host", &["kickoff"][..])
     );
-    assert_eq!(f.report.phase_stats.numeric.kernels_host, 1, "{label}");
+    assert!(launches[1..].iter().all(|&l| l == "continue"), "{label}");
+    let numeric = &f.report.phase_stats.numeric;
+    assert_eq!(
+        (numeric.kernels_host, numeric.kernels_device),
+        (1, 0),
+        "{label}"
+    );
+    assert!(
+        numeric.dependency_waits as usize >= f.report.n_levels - 1,
+        "{label}"
+    );
 
     // --- Chrome trace: ordered and balanced.
     let trace = chrome_trace(events);
