@@ -1082,6 +1082,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "levels: {} (widest {}), modes A/B/C: {:?}",
                 f.report.n_levels, f.report.max_level_width, f.report.mode_mix
             )?;
+            let launches = &f.report.phase_stats.levelize;
+            writeln!(
+                out,
+                "levelize: {} host launches, {} child launches, {} in-kernel waits",
+                launches.kernels_host, launches.kernels_device, launches.dependency_waits
+            )?;
             let launches = &f.report.phase_stats.numeric;
             writeln!(
                 out,

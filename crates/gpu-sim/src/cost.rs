@@ -127,12 +127,15 @@ impl CostModel {
     /// the kind is priced. A [`LaunchKind::Continue`] is no launch: its
     /// blocks wait on a dependency flag the level before set, one
     /// global-memory round trip plus a block barrier, which is the cost
-    /// class `block_step_ns` prices.
+    /// class `block_step_ns` prices. A wait is never dearer than the child
+    /// launch it replaces: [`CostModel::scaled_latencies`] scales launches
+    /// but not `block_step_ns`, so past a scale of 12 the launch is the
+    /// price.
     pub fn launch_ns(&self, kind: LaunchKind) -> f64 {
         match kind {
             LaunchKind::Host => self.host_launch_ns,
             LaunchKind::Device => self.device_launch_ns,
-            LaunchKind::Continue => self.block_step_ns,
+            LaunchKind::Continue => self.block_step_ns.min(self.device_launch_ns),
         }
     }
 
@@ -284,6 +287,23 @@ mod tests {
         assert!(c.nvlink_ns_per_byte < c.pcie_ns_per_byte / 5.0);
         assert!(c.nvlink_latency_ns < c.pcie_latency_ns / 2.0);
         assert!(c.nvlink_latency_ns > c.device_launch_ns);
+    }
+
+    #[test]
+    fn a_wait_is_never_dearer_than_a_child_launch() {
+        use LaunchKind::*;
+        // Default and ×10 latencies: the wait is a block step.
+        for s in [1, 10] {
+            let c = CostModel::default().scaled_latencies(s);
+            assert_eq!(c.launch_ns(Continue), c.block_step_ns, "scale {s}");
+            assert!(c.launch_ns(Continue) < c.launch_ns(Device), "scale {s}");
+        }
+        // Past a scale of 12 the scaled child launch is the cheaper price.
+        for s in [13, 128, 1024] {
+            let c = CostModel::default().scaled_latencies(s);
+            assert_eq!(c.launch_ns(Continue), c.launch_ns(Device), "scale {s}");
+            assert!(c.launch_ns(Continue) < c.block_step_ns, "scale {s}");
+        }
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //!   used (the baseline),
 //! * [`levelize_gpu`] — the paper's contribution: Kahn's algorithm run
 //!   entirely on the GPU with *dynamic parallelism* (Algorithm 5): a
-//!   parent `Topo` kernel launches `cons_queue`/`update` child kernels per
-//!   level, paying device-launch (not host-launch) overhead.
+//!   parent `Topo` kernel opens one child kernel with the paper's
+//!   dynamic-parallelism launch, paying device-launch (not host-launch)
+//!   overhead. Beyond Algorithm 5 as written, each wavefront's `update`
+//!   and `cons_queue` then run as phases of that child kernel behind
+//!   in-kernel dependency waits instead of two child launches apiece.
 
 pub mod cpu;
 pub mod depgraph;

@@ -117,6 +117,46 @@ impl Dense {
         Ok(a)
     }
 
+    /// LU factorization with partial (row) pivoting, `P·A = L·U`: at each
+    /// column the largest-magnitude entry on or below the diagonal becomes
+    /// the pivot. The independent correctness oracle for small systems —
+    /// it shares no ordering, pattern or arithmetic with the sparse
+    /// engines, so it cannot be wrong together with them.
+    pub fn lu_partial_pivot(&self) -> Result<DenseLu, SparseError> {
+        if self.n_rows != self.n_cols {
+            return Err(SparseError::NotSquare {
+                n_rows: self.n_rows,
+                n_cols: self.n_cols,
+            });
+        }
+        let n = self.n_rows;
+        let mut a = self.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        for j in 0..n {
+            let p = (j..n)
+                .max_by(|&x, &y| a[(x, j)].abs().total_cmp(&a[(y, j)].abs()))
+                .expect("j < n");
+            let pivot = a[(p, j)];
+            if pivot == 0.0 || !pivot.is_finite() {
+                return Err(SparseError::ZeroPivot { col: j });
+            }
+            if p != j {
+                for k in 0..n {
+                    a.data.swap(j * n + k, p * n + k);
+                }
+                perm.swap(j, p);
+            }
+            for i in (j + 1)..n {
+                let lij = a[(i, j)] / pivot;
+                a[(i, j)] = lij;
+                for k in (j + 1)..n {
+                    a[(i, k)] -= lij * a[(j, k)];
+                }
+            }
+        }
+        Ok(DenseLu { lu: a, perm })
+    }
+
     /// Splits an in-place LU result into explicit `(L, U)` factors with
     /// `L` unit-diagonal.
     pub fn split_lu(&self) -> (Dense, Dense) {
@@ -144,6 +184,34 @@ impl Dense {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// The factors of [`Dense::lu_partial_pivot`]: `P·A = L·U`.
+#[derive(Debug, Clone)]
+pub struct DenseLu {
+    /// `L` strictly below the diagonal (unit diagonal implied), `U` on and
+    /// above it.
+    pub lu: Dense,
+    /// Row `k` of `L·U` is row `perm[k]` of `A`.
+    pub perm: Vec<usize>,
+}
+
+impl DenseLu {
+    /// Solves `A x = b` by forward and backward substitution.
+    pub fn solve(&self, b: &[Val]) -> Vec<Val> {
+        let n = self.perm.len();
+        assert_eq!(b.len(), n, "rhs length mismatch");
+        let mut x: Vec<Val> = self.perm.iter().map(|&r| b[r]).collect();
+        for i in 0..n {
+            let row = self.lu.row(i);
+            x[i] -= (0..i).map(|k| row[k] * x[k]).sum::<Val>();
+        }
+        for i in (0..n).rev() {
+            let row = self.lu.row(i);
+            x[i] = (x[i] - ((i + 1)..n).map(|k| row[k] * x[k]).sum::<Val>()) / row[i];
+        }
+        x
     }
 }
 
@@ -199,6 +267,25 @@ mod tests {
         assert!(matches!(
             a.lu_no_pivot(),
             Err(SparseError::NotSquare { .. })
+        ));
+    }
+
+    #[test]
+    fn partial_pivoting_solves_what_no_pivot_rejects() {
+        // A zero leading entry: row exchange recovers it.
+        let a = Dense::from_row_major(3, 3, vec![0.0, 2.0, 1.0, 4.0, 1.0, 0.0, 1.0, 1.0, 3.0]);
+        assert!(a.lu_no_pivot().is_err());
+        let f = a.lu_partial_pivot().expect("nonsingular");
+        assert_eq!(f.perm[0], 1, "largest entry of column 0 pivots");
+        let x = [1.0, -2.0, 0.5];
+        let got = f.solve(&a.matvec(&x));
+        for (g, w) in got.iter().zip(x) {
+            assert!((g - w).abs() < 1e-14, "{got:?}");
+        }
+        let singular = Dense::from_row_major(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
+        assert!(matches!(
+            singular.lu_partial_pivot(),
+            Err(SparseError::ZeroPivot { col: 1 })
         ));
     }
 

@@ -43,7 +43,7 @@ pub mod verify;
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
-pub use dense::Dense;
+pub use dense::{Dense, DenseLu};
 pub use error::SparseError;
 pub use perm::Permutation;
 

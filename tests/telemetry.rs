@@ -92,6 +92,19 @@ fn check_artifacts(f: &LuFactorization, events: &[TraceEvent], label: &str) {
         numeric.dependency_waits as usize >= f.report.n_levels - 1,
         "{label}"
     );
+    // Levelize is three host launches (`cons_graph`, `cnt_indegree`,
+    // `Topo`), Topo's one child launch, and two in-kernel waits per Kahn
+    // wavefront — one wavefront per level.
+    let levelize = &f.report.phase_stats.levelize;
+    assert_eq!(
+        (
+            levelize.kernels_host,
+            levelize.kernels_device,
+            levelize.dependency_waits
+        ),
+        (3, 1, 2 * f.report.n_levels as u64),
+        "{label}"
+    );
 
     // --- Chrome trace: ordered and balanced.
     let trace = chrome_trace(events);
