@@ -17,6 +17,14 @@
 //!    holds one batch of output — the out-of-core completion of the same
 //!    design, changing no counts.
 //!
+//! The simulated device traverses every row in both stages, and the clock
+//! charges both. The host does not repeat the work: the first kernel over a
+//! row runs fill2 and keeps its sorted columns and metrics (`Traversals` in
+//! [`crate::ooc`]), and the storing stage and the overflow re-runs are
+//! charged from those, block by block in the same order. The one exception
+//! is a resumed run: rows below its watermark were counted before the cut,
+//! so the host traverses them in their first kernel after it.
+//!
 //! Algorithm 3 sizes every chunk for the worst case. But the per-row
 //! frontier count grows with the source-row id (Theorem 1 admits more
 //! intermediates for larger ids — the paper's Figure 3), so early rows
@@ -38,12 +46,13 @@
 //! transfer bytes — comes out of the simulated GPU's accounting.
 
 use crate::fill2::fill2_row;
-use crate::ooc::{charge_row, row_state_bytes, with_oom_backoff, WorkspacePool};
+use crate::ooc::{
+    charge_row, row_state_bytes, with_oom_backoff, DeviceBuffers, Traversals, WorkspacePool,
+};
 use crate::result::{SymbolicMetrics, SymbolicResult};
 use crate::resume::{ChunkHook, ChunkProgress, SymbolicResume};
-use crossbeam::queue::SegQueue;
 use gplu_sim::{BlockCtx, Gpu, GpuStatsSnapshot, SimError, SimTime};
-use gplu_sparse::{Csr, Idx};
+use gplu_sparse::Csr;
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -200,6 +209,9 @@ pub(crate) struct TwoStageRun {
     pub stage1_chunks: usize,
     /// Effective stage-1 chunk size last in force (after OOM backoff).
     pub chunk: usize,
+    /// fill2 traversals the host ran, the split rule's prepass included.
+    #[cfg(test)]
+    pub host_traversals: u64,
 }
 
 /// The two-stage out-of-core procedure (Algorithm 3) over the two row
@@ -220,17 +232,20 @@ pub(crate) fn two_stage(
         r.check(n).map_err(SimError::BadLaunch)?;
     }
 
+    // Every buffer is freed on every exit: a failed launch, an aborting
+    // hook and the early-out below included.
+    let bufs = DeviceBuffers::new(gpu);
     // The matrix pattern lives on the device for the whole phase
     // (row_ptr + col_idx; symbolic needs no values).
     let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
-    let a_dev = gpu.mem.alloc(a_bytes)?;
+    let a_dev = bufs.alloc(a_bytes)?;
     gpu.h2d(a_bytes);
-    let counts_dev = gpu.mem.alloc(n as u64 * 4)?;
+    let counts_dev = bufs.alloc(n as u64 * 4)?;
 
-    let pool = WorkspacePool::new(n);
+    let traversals = Traversals::new(a);
     let split = match resume {
         Some(r) => r.split,
-        None => split_rule(gpu, a, &pool)?,
+        None => split_rule(gpu, a, traversals.pool())?,
     };
     trace.instant(
         "symbolic.split",
@@ -265,8 +280,6 @@ pub(crate) fn two_stage(
     // snapshot the overflow set without draining it.
     let overflowed: Mutex<Vec<u32>> =
         Mutex::new(resume.map_or_else(Vec::new, |r| r.overflow_rows.clone()));
-    let collected: SegQueue<(u32, Vec<Idx>)> = SegQueue::new();
-    let mut patterns: Vec<Vec<Idx>> = vec![Vec::new(); n];
     let count_watermark = resume.map_or(0, |r| r.rows_done);
     let mut stage1_chunks = resume.map_or(0, |r| r.iters_done);
     let mut chunk_in_force = resume.map_or(0, |r| r.chunk);
@@ -286,7 +299,7 @@ pub(crate) fn two_stage(
         // sharing the free bytes with that batch's traversal state.
         let resident_out = if store {
             let total_fill: u64 = (0..n).map(count_of).sum();
-            let out = gpu.mem.alloc(total_fill * 4).ok();
+            let out = bufs.alloc(total_fill * 4).ok();
             streamed_output = out.is_none();
             out
         } else {
@@ -294,16 +307,12 @@ pub(crate) fn two_stage(
         };
         let streaming = store && resident_out.is_none();
 
-        // Shared kernel body for both parts and the retry pass.
+        // Shared kernel body for both parts and the retry pass. Every
+        // kernel is charged a full traversal of its row; the host runs
+        // fill2 only in the first one (or, below a resume watermark, in
+        // the first one after the cut).
         let body = |src: u32, capped: bool, ctx: &mut BlockCtx| {
-            let mut cols: Vec<Idx> = Vec::new();
-            let m = pool.with(|ws| {
-                if store {
-                    fill2_row(a, src, ws, |c| cols.push(c))
-                } else {
-                    fill2_row(a, src, ws, |_| {})
-                }
-            });
+            let m = traversals.row(src);
             charge_row(ctx, &m);
             if capped && m.max_queue > split.frontier_cap {
                 // Shrunken queues overflowed: discard and re-run this
@@ -317,8 +326,6 @@ pub(crate) fn two_stage(
                 if e > 1 {
                     ctx.step(e * (64 - e.leading_zeros() as u64));
                 }
-                cols.sort_unstable();
-                collected.push((src, cols));
             } else {
                 fill_counts[src as usize].store(m.emitted, Ordering::Relaxed);
                 agg[0].fetch_add(m.steps, Ordering::Relaxed);
@@ -333,14 +340,14 @@ pub(crate) fn two_stage(
         let alloc_batch = |want: usize, row_bytes: u64, nnz_of: &dyn Fn(usize) -> u64| {
             with_oom_backoff(want, |rows| {
                 let nnz = nnz_of(rows);
-                let state = gpu.mem.alloc(rows as u64 * row_bytes)?;
+                let state = bufs.alloc(rows as u64 * row_bytes)?;
                 if !streaming {
                     return Ok((state, None, nnz));
                 }
-                match gpu.mem.alloc(nnz * 4) {
+                match bufs.alloc(nnz * 4) {
                     Ok(out) => Ok((state, Some(out), nnz)),
                     Err(e) => {
-                        let _ = gpu.mem.free(state);
+                        bufs.free(state)?;
                         Err(e)
                     }
                 }
@@ -372,7 +379,7 @@ pub(crate) fn two_stage(
                 // split planned is what the backoff starts from.
                 let (state_dev, eff_chunk, backoffs) =
                     with_oom_backoff(chunk.min(range.len()), |rows| {
-                        gpu.mem.alloc(rows as u64 * row_bytes)
+                        bufs.alloc(rows as u64 * row_bytes)
                     })?;
                 oom_backoffs += backoffs;
                 chunk_in_force = eff_chunk;
@@ -428,7 +435,7 @@ pub(crate) fn two_stage(
                         })?;
                     }
                 }
-                gpu.mem.free(state_dev)?;
+                bufs.free(state_dev)?;
             } else {
                 // Storing stage: per batch, as many rows (up to the
                 // planned chunk) as the free bytes hold.
@@ -470,9 +477,9 @@ pub(crate) fn two_stage(
                     trace.span_end("symbolic.batch", "chunk", gpu.now().as_ns(), &[]);
                     if let Some(dev) = out_dev {
                         gpu.d2h(batch_nnz * 4);
-                        gpu.mem.free(dev)?;
+                        bufs.free(dev)?;
                     }
-                    gpu.mem.free(state_dev)?;
+                    bufs.free(state_dev)?;
                     start += rows;
                 }
             }
@@ -514,9 +521,9 @@ pub(crate) fn two_stage(
             trace.span_end("symbolic.retry", "chunk", gpu.now().as_ns(), &[]);
             if let Some(dev) = out_dev {
                 gpu.d2h(nnz * 4);
-                gpu.mem.free(dev)?;
+                bufs.free(dev)?;
             }
-            gpu.mem.free(state_dev)?;
+            bufs.free(state_dev)?;
             idx += rows;
         }
 
@@ -533,31 +540,29 @@ pub(crate) fn two_stage(
                 },
             )?;
             gpu.d2h(n as u64 * 4);
-        } else {
-            while let Some((src, cols)) = collected.pop() {
-                patterns[src as usize] = cols;
-            }
         }
         if let Some(dev) = resident_out {
             // Handed to the numeric phase in place (paper behaviour);
             // released because our pipeline re-allocates per phase.
-            gpu.mem.free(dev)?;
+            bufs.free(dev)?;
         }
     }
 
     // The overflow list is drained per stage; anything left means a bug.
     debug_assert!(overflowed.lock().is_empty());
-    gpu.mem.free(counts_dev)?;
-    gpu.mem.free(a_dev)?;
+    bufs.free(counts_dev)?;
+    bufs.free(a_dev)?;
 
-    // Both stages traverse; the metrics are the single-traversal costs
-    // (the clock already charged both).
+    // Both stages traverse on the device; the metrics are the
+    // single-traversal costs (the clock already charged both).
     let metrics = SymbolicMetrics {
         steps: agg[0].load(Ordering::Relaxed),
         edges: agg[1].load(Ordering::Relaxed),
         frontiers: agg[2].load(Ordering::Relaxed),
     };
-    let result = SymbolicResult::from_patterns(a, patterns, metrics);
+    #[cfg(test)]
+    let host_traversals = traversals.pool().traversals();
+    let result = traversals.into_result(metrics);
     let stats = gpu.stats().since(&before);
     Ok(TwoStageRun {
         outcome: DynamicOutcome {
@@ -572,6 +577,8 @@ pub(crate) fn two_stage(
         },
         stage1_chunks,
         chunk: chunk_in_force,
+        #[cfg(test)]
+        host_traversals,
     })
 }
 
@@ -673,20 +680,16 @@ mod tests {
         let random = random_dominant(1024, 3.0, 5);
         let banded = banded_dominant(1500, 6, 8);
         let profile = |a: &Csr| GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
-        // Matrix, counts and two rows of state: the pattern cannot stay
-        // resident, so stage 2 streams.
-        let small = |a: &Csr| {
-            let n = a.n_rows() as u64;
-            let a_bytes = (n + 1 + a.nnz() as u64) * 4;
-            GpuConfig::v100().with_memory(a_bytes + n * 4 + 2 * row_state_bytes(a.n_rows()))
-        };
+        // Two rows of state: the pattern cannot stay resident, so stage 2
+        // streams.
+        let small = device_for_rows(&banded, 2);
         // Fails the first stage-1 state allocation twice (matrix, counts,
         // state): the chunk halves twice.
         let backoff = || FaultPlan::new().oom_on_alloc(3).oom_on_alloc(4);
         let cases = [
             ("random", &random, profile(&random), FaultPlan::new()),
             ("banded", &banded, profile(&banded), FaultPlan::new()),
-            ("small device", &banded, small(&banded), FaultPlan::new()),
+            ("small device", &banded, small, FaultPlan::new()),
             ("backoff", &random, profile(&random), backoff()),
         ];
         // (case, engine, time bits, iterations, chunk(s), host kernels,
@@ -756,12 +759,17 @@ mod tests {
 
     /// Cuts a run after each stage-1 chunk in turn (the hook aborts it the
     /// way an injected crash does) and resumes from the hook's snapshot.
+    /// Every resumed run must reach the uncut run's outcome; returns each
+    /// resumed run's simulated time bits, cut by cut.
     fn cut_at_every_chunk_and_resume<S: PartialEq + std::fmt::Debug>(
         engine: &str,
-        run: impl Fn(Option<&SymbolicResume>, Option<&mut ChunkHook<'_>>) -> Result<S, SimError>,
-    ) {
+        run: impl Fn(
+            Option<&SymbolicResume>,
+            Option<&mut ChunkHook<'_>>,
+        ) -> Result<(S, SimTime), SimError>,
+    ) -> Vec<u64> {
         let mut chunks = 0u64;
-        let whole = run(
+        let (whole, _) = run(
             None,
             Some(&mut |_: &ChunkProgress| {
                 chunks += 1;
@@ -770,6 +778,7 @@ mod tests {
         )
         .expect("uninterrupted run");
         assert!(chunks >= 3, "{engine}: want a mid-stage cut, got {chunks}");
+        let mut times = Vec::new();
         for k in 1..=chunks {
             let (mut seen, mut cut) = (0, None);
             run(
@@ -784,9 +793,11 @@ mod tests {
                 }),
             )
             .expect_err("the hook aborts the run");
-            let resumed = run(cut.as_ref(), None).expect("resumes");
+            let (resumed, time) = run(cut.as_ref(), None).expect("resumes");
             assert_eq!(resumed, whole, "{engine}: cut after chunk {k} of {chunks}");
+            times.push(time.as_ns().to_bits());
         }
+        times
     }
 
     #[test]
@@ -797,20 +808,201 @@ mod tests {
         cut_at_every_chunk_and_resume("ooc", |resume, hook| {
             let o = crate::ooc::symbolic_ooc_run(&gpu_for(&a), &a, &NOOP, resume, hook)?;
             let r = o.result;
-            Ok((r.filled, r.fill_count, r.metrics, o.num_iterations))
+            Ok((
+                (r.filled, r.fill_count, r.metrics, o.num_iterations),
+                o.time,
+            ))
         });
         cut_at_every_chunk_and_resume("dynamic", |resume, hook| {
             let o = symbolic_ooc_dynamic_run(&gpu_for(&a), &a, &NOOP, resume, hook)?;
             assert!(o.overflows > 0, "the case must exercise the overflow set");
             let r = o.result;
-            Ok((
+            let outcome = (
                 r.filled,
                 r.fill_count,
                 r.metrics,
                 o.num_iterations,
                 o.overflows,
-            ))
+            );
+            Ok((outcome, o.time))
         });
+    }
+
+    /// Matrix, counts and `rows` rows of full traversal state.
+    fn device_for_rows(a: &Csr, rows: u64) -> GpuConfig {
+        let n = a.n_rows() as u64;
+        let a_bytes = (n + 1 + a.nnz() as u64) * 4;
+        GpuConfig::v100().with_memory(a_bytes + n * 4 + rows * row_state_bytes(a.n_rows()))
+    }
+
+    /// The streaming variant: the pattern cannot stay resident, so the
+    /// storing stage sends each batch back. A resumed run meets the rows
+    /// below its watermark for the first time in the storing stage, where
+    /// the host traverses them; the clock must charge them as it always
+    /// has. The time bits are pinned from the commit at which both stages
+    /// still ran fill2 on the host.
+    #[test]
+    fn a_streaming_run_cut_at_any_chunk_resumes_to_the_same_outcome_and_clock() {
+        let a = random_dominant(64, 12.0, 1);
+        // Eight rows of state hold a little less than the pattern.
+        let cfg = device_for_rows(&a, 8);
+        let ooc = cut_at_every_chunk_and_resume("ooc", |resume, hook| {
+            let gpu = Gpu::new(cfg.clone());
+            let o = crate::ooc::symbolic_ooc_run(&gpu, &a, &NOOP, resume, hook)?;
+            assert!(o.streamed_output);
+            let r = o.result;
+            Ok(((r.filled, r.metrics, o.num_iterations), o.time))
+        });
+        let dynamic = cut_at_every_chunk_and_resume("dynamic", |resume, hook| {
+            let gpu = Gpu::new(cfg.clone());
+            let o = symbolic_ooc_dynamic_run(&gpu, &a, &NOOP, resume, hook)?;
+            assert!(o.streamed_output);
+            let r = o.result;
+            Ok(((r.filled, r.metrics, o.num_iterations), o.time))
+        });
+        #[rustfmt::skip]
+        let want_ooc = [
+            0x410df191fffffffe, 0x410d3ddffffffffe, 0x410c8035ffffffff, 0x410bb521ffffffff,
+            0x410adb5000000000, 0x4109f2b400000000, 0x4109004200000000, 0x4108006200000001,
+        ];
+        #[rustfmt::skip]
+        let want_dynamic = [
+            0x4106880400000001, 0x4105bcf000000001, 0x4104e31e00000000, 0x4103fa8200000000,
+            0x4103081000000000, 0x4102083000000001,
+        ];
+        assert_eq!(ooc, want_ooc);
+        assert_eq!(dynamic, want_dynamic);
+    }
+
+    /// The host runs fill2 once per row — the Algorithm 4 prepass aside —
+    /// while the clock keeps charging both stages and every overflow
+    /// re-run (the golden table above pins that).
+    #[test]
+    fn each_row_is_traversed_once_on_the_host() {
+        use crate::ooc::fixed_split;
+        // Part-1 rows of this matrix overflow the sampled cap: both stages
+        // re-run them.
+        let a = random_dominant(900, 3.0, 2);
+        let n = a.n_rows() as u64;
+        let streams = device_for_rows(&a, 4);
+        for cfg in [
+            GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
+            streams,
+        ] {
+            let run = |rule: SplitRule, resume: Option<&SymbolicResume>| {
+                two_stage(&Gpu::new(cfg.clone()), &a, &NOOP, rule, resume, None).expect("runs")
+            };
+            let ooc = run(fixed_split, None);
+            assert_eq!(ooc.host_traversals, n);
+            let dynamic = run(plan_split, None);
+            assert!(dynamic.outcome.overflows > 0);
+            assert_eq!(dynamic.host_traversals, n + PREPASS_SAMPLES as u64);
+
+            // A run resumed past its third chunk plans no split and meets
+            // the rows below the watermark after the cut: still once each.
+            for rule in [fixed_split as SplitRule, plan_split] {
+                let mut cut = None;
+                let mut hook = |p: &ChunkProgress| {
+                    if p.iters_done < 3 {
+                        return Ok(());
+                    }
+                    cut = Some(p.to_resume());
+                    Err(SimError::Crashed { ordinal: 3 })
+                };
+                let gpu = Gpu::new(cfg.clone());
+                let cut_run = two_stage(&gpu, &a, &NOOP, rule, None, Some(&mut hook));
+                assert!(cut_run.is_err());
+                assert_eq!(run(rule, cut.as_ref()).host_traversals, n);
+            }
+        }
+    }
+
+    /// A failed run leaves nothing on the device: each launch fault of every
+    /// kernel the driver issues, a hook that aborts after any chunk, and
+    /// allocations that do not fit.
+    #[test]
+    fn a_failed_run_frees_every_device_buffer() {
+        use crate::ooc::fixed_split;
+        use gplu_sim::{CostModel, FaultPlan};
+        let resident = random_dominant(900, 3.0, 2);
+        let streamed = random_dominant(64, 12.0, 1);
+        let cases = [
+            (
+                &resident,
+                GpuConfig::v100_symbolic_profile(900, resident.nnz()),
+            ),
+            (&streamed, device_for_rows(&streamed, 8)),
+        ];
+        let rules = [("ooc", fixed_split as SplitRule), ("dynamic", plan_split)];
+        let kernels = ["symbolic_1", "symbolic_2", "symbolic_retry", "prefix_sum"];
+        for (a, cfg) in &cases {
+            let n = a.n_rows();
+            let run = |rule: SplitRule, plan: FaultPlan, hook: Option<&mut ChunkHook<'_>>| {
+                let gpu = Gpu::with_fault_plan(cfg.clone(), CostModel::default(), plan);
+                let r = two_stage(&gpu, a, &NOOP, rule, None, hook).map(drop);
+                (r, gpu.mem.used_bytes())
+            };
+            for (engine, rule) in rules {
+                for kernel in kernels {
+                    let mut landed = 0;
+                    for k in 1.. {
+                        match run(rule, FaultPlan::new().bad_launch(kernel, k), None) {
+                            (Ok(()), _) => break,
+                            (Err(e), used) => {
+                                assert!(matches!(e, SimError::BadLaunch(_)), "{kernel} {k}: {e}");
+                                assert_eq!(used, 0, "{engine} n={n}: {kernel} {k} leaked");
+                                landed += 1;
+                            }
+                        }
+                    }
+                    // Algorithm 3 has no part 1 and the small matrix no
+                    // overflowing row: nothing to re-run.
+                    let retries = kernel == "symbolic_retry";
+                    if !(retries && (engine == "ooc" || n == 64)) {
+                        assert!(landed > 0, "{engine} n={n}: no {kernel} launch");
+                    }
+                }
+                // The hook aborts after chunk k, for every k.
+                for k in 1.. {
+                    let mut seen = 0;
+                    let mut hook = |_: &ChunkProgress| {
+                        seen += 1;
+                        if seen == k {
+                            return Err(SimError::Crashed { ordinal: k });
+                        }
+                        Ok(())
+                    };
+                    match run(rule, FaultPlan::new(), Some(&mut hook)) {
+                        (Ok(()), _) => break,
+                        (Err(e), used) => {
+                            assert!(matches!(e, SimError::Crashed { .. }), "hook {k}: {e}");
+                            assert_eq!(used, 0, "{engine} n={n}: hook {k} leaked");
+                        }
+                    }
+                }
+                // The counts buffer, then every state allocation, fail.
+                for plan in [
+                    FaultPlan::new().oom_on_alloc(2),
+                    FaultPlan::new().persistent_oom_from(3),
+                ] {
+                    let (r, used) = run(rule, plan, None);
+                    assert!(matches!(r, Err(SimError::OutOfMemory { .. })), "{r:?}");
+                    assert_eq!(used, 0, "{engine} n={n}: OOM leaked");
+                }
+            }
+        }
+        // Not one row of state fits: Algorithm 3 plans a zero chunk and
+        // stops before allocating state, Algorithm 4 backs off to one row
+        // and gives up.
+        let a = &resident;
+        let bare = device_for_rows(a, 0);
+        let tight = bare.clone().with_memory(bare.device_memory + 1024);
+        for rule in [fixed_split as SplitRule, plan_split] {
+            let gpu = Gpu::new(tight.clone());
+            let r = two_stage(&gpu, a, &NOOP, rule, None, None).map(drop);
+            assert!(matches!(r, Err(SimError::OutOfMemory { .. })), "{r:?}");
+            assert_eq!(gpu.mem.used_bytes(), 0);
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! This single function is the kernel body shared by the CPU baseline, the
 //! out-of-core GPU stages (`symbolic_1` counting / `symbolic_2` storing)
 //! and the unified-memory variants — they differ only in memory management
-//! and cost accounting, exactly as in the paper.
+//! and cost accounting, exactly as in the paper. The out-of-core stages
+//! share one host traversal per row: the simulated clock charges both.
 
 use gplu_sparse::{Csr, Idx};
 
@@ -24,8 +25,10 @@ pub struct Fill2Workspace {
     /// current traversal. Stamps are unique per *call* — not per row — so
     /// the array never needs clearing between rows (the `fill(:) = 0` of
     /// Algorithm 1 happens once, at construction), and a pooled workspace
-    /// may safely revisit a row it already traversed (the two-stage
-    /// count/store kernels and the dynamic engine's overflow re-runs do).
+    /// may safely revisit a row it already traversed (the Algorithm 4
+    /// prepass samples rows the driver traverses again; the driver itself
+    /// traverses each row once and replays its metrics for every later
+    /// kernel).
     fill: Vec<u32>,
     /// Stamp of the most recent traversal; bumped on every call.
     epoch: u32,
@@ -66,6 +69,12 @@ impl Fill2Workspace {
     pub fn n(&self) -> usize {
         self.fill.len()
     }
+
+    /// Traversals this workspace has run: one stamp each.
+    #[cfg(test)]
+    pub(crate) fn traversals(&self) -> u64 {
+        u64::from(self.epoch)
+    }
 }
 
 /// Traversal metrics for one source row — these drive both the simulator's
@@ -90,9 +99,10 @@ pub struct RowMetrics {
 /// Runs the fill2 traversal for row `src`.
 ///
 /// Every column of the filled row `As(src, :)` is passed to `emit`
-/// (unsorted; the diagonal and original entries included). Pass a counting
-/// closure for stage 1 (`symbolic_1`) and a collecting closure for stage 2
-/// (`symbolic_2`).
+/// (unsorted; the diagonal and original entries included). The out-of-core
+/// driver collects them once, in the first kernel over the row; the
+/// device's counting and storing stages are both charged from the
+/// returned metrics.
 pub fn fill2_row(
     a: &Csr,
     src: u32,
@@ -235,10 +245,10 @@ mod tests {
 
     #[test]
     fn revisiting_a_row_with_fill_keeps_its_fill_ins() {
-        // The two-stage kernels (count, then store) can hand the *same*
-        // row to the *same* pooled workspace twice. Row 2 has a genuine
-        // fill-in (2,3); a per-row stamp would see stage 1's marks and
-        // drop it in stage 2.
+        // The split prepass and the driver can hand the *same* row to the
+        // *same* pooled workspace twice. Row 2 has a genuine fill-in
+        // (2,3); a per-row stamp would see the first pass's marks and drop
+        // it in the second.
         let a = example();
         let mut ws = Fill2Workspace::new(4);
         let (first, _) = fill2_row_sorted(&a, 2, &mut ws);

@@ -19,12 +19,10 @@
 //! * [`Partition::Strided`] — round-robin rows (interleaves the skew, the
 //!   static load-balancing GSOFA-style deployments use).
 
-use crate::fill2::fill2_row;
-use crate::ooc::{charge_row, row_state_bytes, WorkspacePool};
-use crate::result::{SymbolicMetrics, SymbolicResult};
+use crate::ooc::{charge_row, row_state_bytes, DeviceBuffers, Traversals};
+use crate::result::SymbolicResult;
 use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError, SimTime};
-use gplu_sparse::{Csr, Idx};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use gplu_sparse::Csr;
 
 /// How source rows are assigned to devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,78 +71,41 @@ pub fn symbolic_fleet(
     let n = a.n_rows();
     let before: Vec<_> = fleet.devices().iter().map(|g| g.stats()).collect();
 
-    let fill_counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    // Per-row metric slots (stores, not adds) so re-running a dead
-    // device's rows on a survivor cannot double-count.
-    let row_metrics: Vec<[AtomicU64; 3]> = (0..n).map(|_| Default::default()).collect();
-    let patterns: Vec<parking_lot::Mutex<Vec<Idx>>> = (0..n)
-        .map(|_| parking_lot::Mutex::new(Vec::new()))
-        .collect();
+    // Each row's one host traversal. Set once, so re-running a dead
+    // device's rows on a survivor charges them again but cannot
+    // double-count them.
+    let traversals = Traversals::new(a);
 
     // Runs both stages over `rows` on one device; idempotent, so a dead
-    // device's slice can simply be re-run elsewhere.
+    // device's slice can simply be re-run elsewhere. Both stages charge a
+    // full traversal per row; the host runs fill2 in the first kernel over
+    // a row only.
     let run_rows = |gpu: &Gpu, rows: &[u32]| -> Result<(), SimError> {
         if rows.is_empty() {
             return Ok(());
         }
+        // Freed even on failure so a later reshard pass (or the numeric
+        // phase) sees a clean device.
+        let bufs = DeviceBuffers::new(gpu);
         let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
-        let a_dev = gpu.mem.alloc(a_bytes)?;
+        let a_dev = bufs.alloc(a_bytes)?;
         gpu.h2d(a_bytes);
         let chunk =
             ((gpu.mem.free_bytes() / row_state_bytes(n)) as usize).clamp(1, rows.len().max(1));
-        let state_dev = gpu.mem.alloc(chunk as u64 * row_state_bytes(n))?;
-        let pool = WorkspacePool::new(n);
-        let mut outcome = Ok(());
-        'stages: for store in [false, true] {
-            let stage = if store {
-                "fleet_symbolic_2"
-            } else {
-                "fleet_symbolic_1"
-            };
+        let state_dev = bufs.alloc(chunk as u64 * row_state_bytes(n))?;
+        for stage in ["fleet_symbolic_1", "fleet_symbolic_2"] {
             for batch in rows.chunks(chunk.max(1)) {
-                let launched =
-                    gpu.launch(stage, batch.len(), 1024, &|b: usize, ctx: &mut BlockCtx| {
-                        let src = batch[b];
-                        let mut cols: Vec<Idx> = Vec::new();
-                        let m = pool.with(|ws| {
-                            if store {
-                                fill2_row(a, src, ws, |c| cols.push(c))
-                            } else {
-                                fill2_row(a, src, ws, |_| {})
-                            }
-                        });
-                        charge_row(ctx, &m);
-                        if store {
-                            cols.sort_unstable();
-                            *patterns[src as usize].lock() = cols;
-                        } else {
-                            fill_counts[src as usize].store(m.emitted, Ordering::Relaxed);
-                            row_metrics[src as usize][0].store(m.steps, Ordering::Relaxed);
-                            row_metrics[src as usize][1].store(m.edges, Ordering::Relaxed);
-                            row_metrics[src as usize][2].store(m.frontiers, Ordering::Relaxed);
-                        }
-                    });
-                if let Err(e) = launched {
-                    outcome = Err(e);
-                    break 'stages;
-                }
+                gpu.launch(stage, batch.len(), 1024, &|b: usize, ctx: &mut BlockCtx| {
+                    charge_row(ctx, &traversals.row(batch[b]));
+                })?;
             }
         }
-        // Free the arena even on failure so a later reshard pass (or the
-        // numeric phase) sees a clean device.
-        let my_nnz: u64 = if outcome.is_ok() {
-            rows.iter()
-                .map(|&r| fill_counts[r as usize].load(Ordering::Relaxed) as u64)
-                .sum()
-        } else {
-            0
-        };
+        let my_nnz: u64 = rows.iter().map(|&r| traversals.row(r).emitted as u64).sum();
         if my_nnz > 0 {
             gpu.d2h(my_nnz * 4);
         }
-        gpu.mem.free(state_dev)?;
-        gpu.mem.free(a_dev)?;
-        outcome
+        bufs.free(state_dev)?;
+        bufs.free(a_dev)
     };
 
     let assign_rows = |owners: &[usize]| -> Vec<(usize, Vec<u32>)> {
@@ -253,19 +214,8 @@ pub fn symbolic_fleet(
         1.0
     };
 
-    let sum_metric = |i: usize| -> u64 {
-        row_metrics
-            .iter()
-            .map(|m| m[i].load(Ordering::Relaxed))
-            .sum()
-    };
-    let metrics = SymbolicMetrics {
-        steps: sum_metric(0),
-        edges: sum_metric(1),
-        frontiers: sum_metric(2),
-    };
-    let pattern_rows: Vec<Vec<Idx>> = patterns.into_iter().map(|m| m.into_inner()).collect();
-    let result = SymbolicResult::from_patterns(a, pattern_rows, metrics);
+    let metrics = traversals.metrics();
+    let result = traversals.into_result(metrics);
     Ok(FleetSymbolicOutcome {
         result,
         per_device,

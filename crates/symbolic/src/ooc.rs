@@ -10,16 +10,19 @@
 //!
 //! The rest of the module is what the driver and the other engines build
 //! on: the per-row state size, the traversal-workspace pool, the per-row
-//! cost charge and the geometric OOM backoff.
+//! traversal memo and cost charge, the device-buffer guard and the
+//! geometric OOM backoff.
 
 use crate::dynamic::{two_stage, DynamicSplit};
-use crate::fill2::{Fill2Workspace, RowMetrics};
-use crate::result::SymbolicResult;
+use crate::fill2::{fill2_row, Fill2Workspace, RowMetrics};
+use crate::result::{SymbolicMetrics, SymbolicResult};
 use crate::resume::{ChunkHook, SymbolicResume};
 use crossbeam::queue::SegQueue;
-use gplu_sim::{BlockCtx, Gpu, GpuConfig, GpuStatsSnapshot, SimError, SimTime};
-use gplu_sparse::Csr;
+use gplu_sim::{BlockCtx, DeviceAlloc, Gpu, GpuConfig, GpuStatsSnapshot, SimError, SimTime};
+use gplu_sparse::{Csr, Idx};
 use gplu_trace::{TraceSink, NOOP};
+use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Outcome of an out-of-core symbolic run.
 #[derive(Debug, Clone)]
@@ -68,6 +71,88 @@ impl WorkspacePool {
         self.pool.push(ws);
         r
     }
+
+    /// Traversals the pooled workspaces have run so far.
+    #[cfg(test)]
+    pub(crate) fn traversals(&self) -> u64 {
+        let all: Vec<Fill2Workspace> = std::iter::from_fn(|| self.pool.pop()).collect();
+        let sum = all.iter().map(Fill2Workspace::traversals).sum();
+        all.into_iter().for_each(|ws| self.pool.push(ws));
+        sum
+    }
+}
+
+/// One source row's host traversal: its sorted filled columns and the
+/// metrics every kernel over the row is charged from.
+struct RowTraversal {
+    cols: Vec<Idx>,
+    metrics: RowMetrics,
+}
+
+/// Every source row's fill2 traversal, run on the host at most once.
+///
+/// The device runs Algorithm 3's traversal once per stage — counting, then
+/// storing — and once more for a part-1 row whose shrunken queues
+/// overflowed, and every one of those kernels is charged in full from the
+/// row's metrics. The host needs the traversal once: the first kernel over
+/// a row runs fill2 and keeps the sorted columns, every later one reads the
+/// metrics back. It is the split between functional execution and pricing
+/// that the numeric phase's value store makes.
+pub(crate) struct Traversals<'a> {
+    a: &'a Csr,
+    pool: WorkspacePool,
+    rows: Vec<OnceLock<RowTraversal>>,
+}
+
+impl<'a> Traversals<'a> {
+    /// No row of `a` traversed yet.
+    pub(crate) fn new(a: &'a Csr) -> Self {
+        Traversals {
+            a,
+            pool: WorkspacePool::new(a.n_rows()),
+            rows: (0..a.n_rows()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The workspaces the traversals run in, for passes outside the memo
+    /// (the split rule's prepass).
+    pub(crate) fn pool(&self) -> &WorkspacePool {
+        &self.pool
+    }
+
+    /// Row `src`'s traversal metrics; fill2 runs on the host the first
+    /// time a row is asked for.
+    pub(crate) fn row(&self, src: u32) -> RowMetrics {
+        let row = self.rows[src as usize].get_or_init(|| {
+            let mut cols = Vec::new();
+            let metrics = self
+                .pool
+                .with(|ws| fill2_row(self.a, src, ws, |c| cols.push(c)));
+            cols.sort_unstable();
+            RowTraversal { cols, metrics }
+        });
+        row.metrics
+    }
+
+    /// The aggregate metrics of every row traversed so far.
+    pub(crate) fn metrics(&self) -> SymbolicMetrics {
+        let rows = self.rows.iter().filter_map(OnceLock::get);
+        rows.fold(SymbolicMetrics::default(), |s, r| SymbolicMetrics {
+            steps: s.steps + r.metrics.steps,
+            edges: s.edges + r.metrics.edges,
+            frontiers: s.frontiers + r.metrics.frontiers,
+        })
+    }
+
+    /// The filled pattern, one sorted row per source row. Every row must
+    /// have been traversed.
+    pub(crate) fn into_result(self, metrics: SymbolicMetrics) -> SymbolicResult {
+        let patterns = self.rows.into_iter().map(|row| {
+            let row = row.into_inner();
+            row.expect("every kernel pass covers every row").cols
+        });
+        SymbolicResult::from_patterns(self.a, patterns.collect(), metrics)
+    }
 }
 
 /// Charges one fill2 row traversal to a block context: the seed scan plus
@@ -76,6 +161,48 @@ pub(crate) fn charge_row(ctx: &mut BlockCtx<'_>, m: &RowMetrics) {
     let items = m.edges + m.emitted as u64;
     ctx.bulk_steps(m.steps + 1, items);
     ctx.mem(items * 4);
+}
+
+/// The device buffers a driver holds, freed when it returns — by an early
+/// `?` too (a failed launch, an aborting hook, an allocation that does not
+/// fit), so a device that outlives the phase keeps none of a dead run's
+/// buffers. A driver still frees each buffer where it stops needing it:
+/// what later batches can allocate depends on it.
+pub(crate) struct DeviceBuffers<'g> {
+    gpu: &'g Gpu,
+    live: RefCell<Vec<DeviceAlloc>>,
+}
+
+impl<'g> DeviceBuffers<'g> {
+    /// No buffer held yet.
+    pub(crate) fn new(gpu: &'g Gpu) -> Self {
+        DeviceBuffers {
+            gpu,
+            live: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// Allocates `bytes` on the device and holds the buffer.
+    pub(crate) fn alloc(&self, bytes: u64) -> Result<DeviceAlloc, SimError> {
+        let buf = self.gpu.mem.alloc(bytes)?;
+        self.live.borrow_mut().push(buf);
+        Ok(buf)
+    }
+
+    /// Frees a held buffer now.
+    pub(crate) fn free(&self, buf: DeviceAlloc) -> Result<(), SimError> {
+        self.live.borrow_mut().retain(|&b| b != buf);
+        self.gpu.mem.free(buf)
+    }
+}
+
+impl Drop for DeviceBuffers<'_> {
+    fn drop(&mut self) {
+        for buf in self.live.get_mut().drain(..) {
+            // Held means live: the free cannot fail.
+            let _ = self.gpu.mem.free(buf);
+        }
+    }
 }
 
 /// Per-source-row device bytes of traversal state (`c` words of 4 bytes).
