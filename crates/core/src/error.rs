@@ -265,7 +265,7 @@ mod tests {
     fn conversions_and_display() {
         let e: GpluError = SparseError::ZeroPivot { col: 2 }.into();
         assert!(e.to_string().contains("column 2"));
-        let e: GpluError = SimError::InvalidHandle(7).into();
+        let e: GpluError = SimError::BadLaunch("grid of 7".into()).into();
         assert!(e.to_string().contains("7"));
         let e = GpluError::Input("empty matrix".into());
         assert!(e.to_string().contains("empty matrix"));
@@ -275,7 +275,7 @@ mod tests {
     fn numeric_errors_map_onto_the_unified_surface() {
         let e: GpluError = NumericError::SingularPivot { col: 4, level: 1 }.into();
         assert_eq!(e, GpluError::SingularPivot { col: 4, level: 1 });
-        let e: GpluError = NumericError::Sim(SimError::InvalidHandle(3)).into();
+        let e: GpluError = NumericError::Sim(SimError::BadLaunch("grid".into())).into();
         assert!(matches!(e, GpluError::Sim(_)));
         let e: GpluError = NumericError::Input("bad rhs".into()).into();
         assert!(matches!(e, GpluError::Input(_)));

@@ -912,9 +912,6 @@ impl<'a> Pass<'a> {
         let mut used_engine = requested;
         for (i, &engine) in engine_ladder.iter().enumerate() {
             if i > 0 {
-                // The failed attempt left its allocations behind; clear
-                // the device before the fallback engine runs.
-                gpu.mem.reset();
                 self.recover(
                     Phase::Symbolic,
                     RecoveryAction::EngineDegraded {
@@ -1238,9 +1235,6 @@ impl<'a> Pass<'a> {
             let mut attempts = 0usize;
             for (i, &format) in ladder.iter().enumerate() {
                 if i > 0 {
-                    for d in fleet.alive() {
-                        fleet.device(d).mem.reset();
-                    }
                     self.recover(
                         Phase::Numeric,
                         RecoveryAction::FormatDegraded {
@@ -1334,9 +1328,6 @@ impl<'a> Pass<'a> {
                             return Err(GpluError::SingularPivot { col, level });
                         };
                         repair_attempted = true;
-                        for d in fleet.alive() {
-                            fleet.device(d).mem.reset();
-                        }
                         self.recover(
                             Phase::Numeric,
                             RecoveryAction::PivotRepaired {

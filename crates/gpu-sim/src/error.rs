@@ -16,8 +16,6 @@ pub enum SimError {
         /// Total device capacity.
         capacity: u64,
     },
-    /// A freed or otherwise invalid allocation handle was used.
-    InvalidHandle(u64),
     /// An access fell outside its allocation.
     AccessOutOfBounds {
         /// Handle of the allocation.
@@ -50,7 +48,6 @@ impl fmt::Display for SimError {
                 f,
                 "device out of memory: requested {requested} B, free {free} B of {capacity} B"
             ),
-            SimError::InvalidHandle(h) => write!(f, "invalid device allocation handle {h}"),
             SimError::AccessOutOfBounds {
                 handle,
                 offset,

@@ -172,18 +172,18 @@ impl<'a> BlockCtx<'a> {
 
     /// Touches `len` bytes of a unified-memory allocation for reading.
     /// Panics if the kernel was launched without a UM space.
-    pub fn um_read(&mut self, alloc: &UmAlloc, offset: u64, len: u64) {
+    pub fn um_read(&mut self, alloc: &UmAlloc<'_>, offset: u64, len: u64) {
         self.um_touch(alloc, offset, len);
         self.mem(len);
     }
 
     /// Touches `len` bytes of a unified-memory allocation for writing.
-    pub fn um_write(&mut self, alloc: &UmAlloc, offset: u64, len: u64) {
+    pub fn um_write(&mut self, alloc: &UmAlloc<'_>, offset: u64, len: u64) {
         self.um_touch(alloc, offset, len);
         self.mem(len);
     }
 
-    fn um_touch(&mut self, alloc: &UmAlloc, offset: u64, len: u64) {
+    fn um_touch(&mut self, alloc: &UmAlloc<'_>, offset: u64, len: u64) {
         let um = self
             .um
             .expect("kernel touched unified memory but was launched without a UM space");

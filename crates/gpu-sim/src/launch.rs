@@ -8,7 +8,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::kernel::{BlockCost, BlockCtx, Kernel};
 use crate::memory::DeviceMemory;
 use crate::stats::GpuStatsSnapshot;
-use crate::unified::UmSpace;
+use crate::unified::{UmAlloc, UmSpace};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::cmp::Reverse;
@@ -243,7 +243,7 @@ impl Gpu {
     /// penalty) — `cudaMemPrefetchAsync`. Host-backed and materialised
     /// pages are charged at PCIe rate; populating fresh device scratch is
     /// free.
-    pub fn um_prefetch(&self, alloc: &crate::unified::UmAlloc, offset: u64, len: u64) -> SimTime {
+    pub fn um_prefetch(&self, alloc: &UmAlloc<'_>, offset: u64, len: u64) -> SimTime {
         let bytes = self.um.prefetch(alloc, offset, len);
         let t = if bytes == 0 {
             SimTime::ZERO
@@ -667,7 +667,8 @@ mod tests {
         assert!(rep.fault_groups > 0);
         assert!(rep.fault.as_ns() > 0.0);
         assert_eq!(g.stats().fault_groups, rep.fault_groups);
-        g.um.free(a);
+        drop(a);
+        assert_eq!(g.um.resident_pages(), 0);
     }
 
     #[test]

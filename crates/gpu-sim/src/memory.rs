@@ -6,28 +6,37 @@
 //! usage against the configured capacity and **fails allocations that do
 //! not fit**, which is the signal the out-of-core drivers react to. It
 //! also records the high-water mark so experiments can report peak usage.
+//!
+//! An allocation is a [`DeviceAlloc`] guard that gives its bytes back when
+//! it is dropped. A driver's buffers therefore live exactly as long as the
+//! driver holds them, and an early `?` — a failed launch, an aborting
+//! checkpoint hook, an allocation that does not fit — cannot leave them
+//! charged against a device that outlives the run.
 
 use crate::error::SimError;
 use crate::fault::FaultInjector;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Handle to a live device allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DeviceAlloc {
+/// A live device allocation, freed when dropped.
+#[derive(Debug)]
+#[must_use = "an allocation is freed as soon as it is dropped"]
+pub struct DeviceAlloc<'m> {
+    mem: &'m DeviceMemory,
     id: u64,
     bytes: u64,
 }
 
-impl DeviceAlloc {
+impl DeviceAlloc<'_> {
     /// Size of this allocation in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
+}
 
-    /// Opaque id (for diagnostics).
-    pub fn id(&self) -> u64 {
-        self.id
+impl Drop for DeviceAlloc<'_> {
+    fn drop(&mut self) {
+        self.mem.release(self.id);
     }
 }
 
@@ -93,7 +102,7 @@ impl DeviceMemory {
 
     /// Allocates `bytes`, failing with [`SimError::OutOfMemory`] when the
     /// request does not fit — the trigger for out-of-core fallback.
-    pub fn alloc(&self, bytes: u64) -> Result<DeviceAlloc, SimError> {
+    pub fn alloc(&self, bytes: u64) -> Result<DeviceAlloc<'_>, SimError> {
         let mut s = self.state.lock();
         if let Some(inj) = &self.faults {
             let verdict = inj.on_alloc();
@@ -122,22 +131,28 @@ impl DeviceMemory {
         let id = s.next_id;
         s.next_id += 1;
         s.live.insert(id, bytes);
-        Ok(DeviceAlloc { id, bytes })
+        Ok(DeviceAlloc {
+            mem: self,
+            id,
+            bytes,
+        })
     }
 
-    /// Frees an allocation. Double frees return [`SimError::InvalidHandle`].
-    pub fn free(&self, alloc: DeviceAlloc) -> Result<(), SimError> {
+    /// Gives a dropped allocation's bytes back. An id [`reset`] already
+    /// cleared is not live any more, and releasing it changes nothing.
+    ///
+    /// [`reset`]: DeviceMemory::reset
+    fn release(&self, id: u64) {
         let mut s = self.state.lock();
-        match s.live.remove(&alloc.id) {
-            Some(bytes) => {
-                s.in_use -= bytes;
-                Ok(())
-            }
-            None => Err(SimError::InvalidHandle(alloc.id)),
+        if let Some(bytes) = s.live.remove(&id) {
+            s.in_use -= bytes;
         }
     }
 
-    /// Frees every live allocation (end-of-phase cleanup).
+    /// Frees every live allocation at once; their guards' later drops are
+    /// no-ops. Every driver in the workspace owns its buffers instead: the
+    /// benchmark's layered replay (`benchmark/src/replay.rs`) is the last
+    /// caller, and ROADMAP item 1(b) deletes it.
     pub fn reset(&self) {
         let mut s = self.state.lock();
         s.live.clear();
@@ -156,19 +171,11 @@ mod tests {
         let b = m.alloc(600).expect("fits exactly");
         assert_eq!(m.free_bytes(), 0);
         assert!(matches!(m.alloc(1), Err(SimError::OutOfMemory { .. })));
-        m.free(a).expect("live");
+        drop(a);
         assert_eq!(m.free_bytes(), 400);
-        m.free(b).expect("live");
+        drop(b);
         assert_eq!(m.used_bytes(), 0);
         assert_eq!(m.peak_bytes(), 1000);
-    }
-
-    #[test]
-    fn double_free_rejected() {
-        let m = DeviceMemory::new(100);
-        let a = m.alloc(10).expect("fits");
-        m.free(a).expect("first free ok");
-        assert!(matches!(m.free(a), Err(SimError::InvalidHandle(_))));
     }
 
     #[test]
@@ -184,16 +191,20 @@ mod tests {
                 assert_eq!((requested, free, capacity), (20, 10, 100));
             }
             other => panic!("expected OOM, got {other:?}"),
-        }
+        };
     }
 
     #[test]
     fn reset_clears_everything() {
         let m = DeviceMemory::new(100);
-        let _ = m.alloc(50).expect("fits");
+        let a = m.alloc(50).expect("fits");
         m.reset();
         assert_eq!(m.used_bytes(), 0);
-        assert!(m.alloc(100).is_ok());
+        let b = m.alloc(100).expect("the whole device is free again");
+        drop(a);
+        assert_eq!(m.used_bytes(), 100, "a reset allocation's drop is a no-op");
+        drop(b);
+        assert_eq!(m.used_bytes(), 0);
     }
 
     mod injection {
@@ -229,7 +240,7 @@ mod tests {
             assert!(matches!(m.alloc(200), Err(SimError::OutOfMemory { .. })));
             assert_eq!(m.capacity(), 700);
             assert_eq!(m.free_bytes(), 0);
-            m.free(a).expect("live");
+            drop(a);
             assert!(m.alloc(700).is_ok(), "squeezed capacity is reusable");
         }
 

@@ -28,15 +28,18 @@ use crate::cost::CostModel;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 
-/// Handle to a unified-memory allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct UmAlloc {
+/// A unified-memory allocation. Dropping it frees it, with its resident
+/// pages and materialisation records.
+#[derive(Debug)]
+#[must_use = "an allocation is freed as soon as it is dropped"]
+pub struct UmAlloc<'u> {
+    space: &'u UmSpace,
     id: u64,
     bytes: u64,
     scratch: bool,
 }
 
-impl UmAlloc {
+impl UmAlloc<'_> {
     /// Allocation size in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -45,6 +48,12 @@ impl UmAlloc {
     /// True for device-scratch allocations.
     pub fn is_scratch(&self) -> bool {
         self.scratch
+    }
+}
+
+impl Drop for UmAlloc<'_> {
+    fn drop(&mut self) {
+        self.space.release(self.id);
     }
 }
 
@@ -120,36 +129,41 @@ impl UmSpace {
 
     /// Allocates host-backed managed memory. Oversubscription is allowed —
     /// that is the feature's purpose.
-    pub fn alloc(&self, bytes: u64) -> UmAlloc {
+    pub fn alloc(&self, bytes: u64) -> UmAlloc<'_> {
         self.alloc_inner(bytes, false)
     }
 
     /// Allocates device-created scratch (first touch populates on the
     /// GPU; no PCIe migration until a page has been evicted).
-    pub fn alloc_scratch(&self, bytes: u64) -> UmAlloc {
+    pub fn alloc_scratch(&self, bytes: u64) -> UmAlloc<'_> {
         self.alloc_inner(bytes, true)
     }
 
-    fn alloc_inner(&self, bytes: u64, scratch: bool) -> UmAlloc {
+    fn alloc_inner(&self, bytes: u64, scratch: bool) -> UmAlloc<'_> {
         let mut s = self.state.lock();
         let id = s.next_id;
         s.next_id += 1;
         s.allocs.insert(id, bytes);
-        UmAlloc { id, bytes, scratch }
+        UmAlloc {
+            space: self,
+            id,
+            bytes,
+            scratch,
+        }
     }
 
-    /// Frees a managed allocation and drops its resident pages and
-    /// materialisation records.
-    pub fn free(&self, alloc: UmAlloc) {
+    /// Frees a dropped allocation: its resident pages and materialisation
+    /// records go with it.
+    fn release(&self, id: u64) {
         let mut s = self.state.lock();
-        s.allocs.remove(&alloc.id);
-        s.resident.retain(|&(aid, _), _| aid != alloc.id);
-        s.materialized.retain(|&(aid, _)| aid != alloc.id);
+        s.allocs.remove(&id);
+        s.resident.retain(|&(aid, _), _| aid != id);
+        s.materialized.retain(|&(aid, _)| aid != id);
     }
 
     /// Touches `[offset, offset+len)` of `alloc` from device code. Returns
     /// what faulted; the caller (a [`crate::BlockCtx`]) prices it.
-    pub fn touch(&self, alloc: &UmAlloc, offset: u64, len: u64) -> TouchOutcome {
+    pub fn touch(&self, alloc: &UmAlloc<'_>, offset: u64, len: u64) -> TouchOutcome {
         if len == 0 {
             return TouchOutcome::default();
         }
@@ -191,7 +205,7 @@ impl UmSpace {
     /// `cudaMemPrefetchAsync` analog). Returns the bytes the caller must
     /// charge at PCIe rate: host-backed and materialised pages move real
     /// data; untouched scratch pages are populated for free.
-    pub fn prefetch(&self, alloc: &UmAlloc, offset: u64, len: u64) -> u64 {
+    pub fn prefetch(&self, alloc: &UmAlloc<'_>, offset: u64, len: u64) -> u64 {
         if len == 0 {
             return 0;
         }
@@ -359,11 +373,12 @@ mod tests {
     }
 
     #[test]
-    fn free_drops_residency_and_materialisation() {
+    fn drop_frees_residency_and_materialisation() {
         let um = space(2);
         let a = um.alloc_scratch(4 * 1024);
         um.touch(&a, 0, 4 * 1024); // forces evictions -> materialised pages
-        um.free(a);
+        drop(a);
+        assert_eq!(um.resident_pages(), 0);
         let b = um.alloc_scratch(4 * 1024);
         // Fresh allocation must not inherit materialisation.
         let t = um.touch(&b, 0, 1024);

@@ -280,14 +280,12 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     // (float) + level numbers. A device that cannot stage is lost to the
     // survivors; the last live device's failure is the caller's to handle.
     let csc_bytes = ((n + 1) as u64 + 2 * pattern.nnz() as u64) * 4;
-    let mut arenas: Vec<Vec<DeviceAlloc>> = vec![Vec::new(); fleet.len()];
+    let mut arenas: Vec<Vec<DeviceAlloc>> = (0..fleet.len()).map(|_| Vec::new()).collect();
     // Takes device `d` out of the run — only while a survivor exists: the
     // last live device's error goes to the caller's ladder, exactly as a
     // lone `Gpu`'s does, and injected crashes are terminal everywhere.
     let lose = |d: usize, e: SimError, arena: &mut Vec<DeviceAlloc>, died: &mut Vec<usize>| {
-        for alloc in arena.drain(..).rev() {
-            let _ = fleet.device(d).mem.free(alloc);
-        }
+        arena.clear();
         if is_fatal(&e) || fleet.n_alive() == 1 {
             return Err(e);
         }
@@ -667,11 +665,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
 
     // Tear down the arenas; the home device ships the factored values
     // back to the host.
-    for (gpu, arena) in fleet.devices().iter().zip(&mut arenas) {
-        for alloc in arena.drain(..).rev() {
-            gpu.mem.free(alloc)?;
-        }
-    }
+    drop(arenas);
     fleet.device(home).d2h(pattern.nnz() as u64 * 4);
     fleet.barrier();
 

@@ -256,32 +256,26 @@ pub fn solve_gpu_batch_traced(
     // The factor is assumed device-resident (it just came out of numeric
     // factorization); the right-hand sides cross the bus.
     let bytes = (bs.len() * n) as u64 * 8;
-    let x_dev = gpu.mem.alloc(bytes)?;
+    let _x_dev = gpu.mem.alloc(bytes)?;
     gpu.h2d(bytes);
 
     let ys: Vec<ValueStore> = bs.iter().map(|b| ValueStore::new(b)).collect();
     // Forward: y_j is final; apply y_i -= L(i,j)·y_j to the rows below.
-    let solved = sweep(gpu, "trisolve_l", true, &plan.l_levels, &ys, |y, j, ctx| {
+    sweep(gpu, "trisolve_l", true, &plan.l_levels, &ys, |y, j, ctx| {
         forward_column(lu, plan, y, j, ctx);
         Ok(())
-    })
+    })?;
     // Backward, in the same kernel: divide by the pivot, then push x_j up
     // through U's column.
-    .and_then(|()| {
-        sweep(
-            gpu,
-            "trisolve_u",
-            false,
-            &plan.u_levels,
-            &ys,
-            |y, j, ctx| backward_column(lu, plan, y, j, ctx),
-        )
-    })
-    .map(|()| gpu.d2h(bytes));
-    // Freed on every exit: a failed solve must not leak its rhs buffer on
-    // a long-lived device.
-    gpu.mem.free(x_dev)?;
-    solved?;
+    sweep(
+        gpu,
+        "trisolve_u",
+        false,
+        &plan.u_levels,
+        &ys,
+        |y, j, ctx| backward_column(lu, plan, y, j, ctx),
+    )?;
+    gpu.d2h(bytes);
     emit_trisolve_drift(gpu, trace, clk0);
     let stats = gpu.stats().since(&before);
     Ok(BatchSolveOutcome {

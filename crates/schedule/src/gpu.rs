@@ -67,19 +67,12 @@ pub fn levelize_gpu_traced(
     let before = gpu.stats();
 
     // Device storage: adjacency (ptr + adj), in-degrees, level numbers and
-    // the two queues. Freed on every exit, a failed launch or allocation
-    // included: a long-lived device must not keep a dead levelize's
-    // buffers.
+    // the two queues.
     let graph_bytes = ((n + 1) as u64 + g.n_edges() as u64) * 4;
-    let graph_dev = gpu.mem.alloc(graph_bytes)?;
+    let _graph_dev = gpu.mem.alloc(graph_bytes)?;
     gpu.h2d(graph_bytes);
-    let level_of = gpu.mem.alloc(4 * 4 * n as u64).and_then(|work_dev| {
-        let level_of = topo_sort(gpu, g, trace);
-        gpu.mem.free(work_dev)?;
-        level_of
-    });
-    gpu.mem.free(graph_dev)?;
-    let level_of = level_of?;
+    let _work_dev = gpu.mem.alloc(4 * 4 * n as u64)?;
+    let level_of = topo_sort(gpu, g, trace)?;
 
     let stats = gpu.stats().since(&before);
     Ok(GpuLevelizeOutcome {

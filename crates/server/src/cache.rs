@@ -16,17 +16,14 @@
 //!       └─────promote──────────┴────────promote─────────────┘
 //! ```
 //!
-//! * **Device** — the hot set. Memory accounting rides the simulator's
-//!   own arena: the cache owns a [`DeviceMemory`] of the configured
-//!   budget and backs every resident entry with a real allocation in it.
-//!   Insertion evicts least-recently-used entries until the allocation
-//!   fits; an entry larger than the whole budget is simply not cached.
-//! * **Host** — a separately budgeted in-memory tier. Plans evicted from
-//!   the device arena *demote* here instead of dropping; its accounting
-//!   is a plain byte counter, never the device arena (demoted bytes must
-//!   not stay charged against device capacity — the arena is freed
-//!   before the host charge is taken, so the two budgets never
-//!   double-count one entry).
+//! * **Device** — the hot set, accounted by a byte counter against the
+//!   configured device budget. Insertion evicts least-recently-used
+//!   entries until the entry fits; an entry larger than the whole budget
+//!   is simply not cached.
+//! * **Host** — a separately budgeted in-memory tier with a counter of its
+//!   own. Plans evicted from the device tier *demote* here instead of
+//!   dropping; the device charge is released before the host charge is
+//!   taken, so the two budgets never double-count one entry.
 //! * **Disk** — a persistent [`PlanStore`] of
 //!   [`gplu_core::encode_plan`] snapshots (sectioned, checksummed,
 //!   written atomically). Population is *write-behind*: workers enqueue
@@ -50,7 +47,6 @@ use gplu_core::{
     decode_plan, encode_plan, LuFactorization, Phase, RecoveryAction, RecoveryLog, RefactorPlan,
 };
 use gplu_numeric::TriSolvePlan;
-use gplu_sim::{DeviceAlloc, DeviceMemory};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -107,7 +103,7 @@ impl CachedFactor {
 /// Which tier a lookup was served from (hit provenance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheTier {
-    /// Resident in the device arena.
+    /// Resident in the device tier.
     Device,
     /// Found in the host tier and promoted.
     Host,
@@ -118,7 +114,7 @@ pub enum CacheTier {
 #[derive(Debug)]
 struct Slot {
     entry: Arc<CachedFactor>,
-    alloc: DeviceAlloc,
+    bytes: u64,
     stamp: u64,
 }
 
@@ -133,6 +129,7 @@ struct HostSlot {
 struct Inner {
     map: HashMap<u64, Slot>,
     host: HashMap<u64, HostSlot>,
+    used: u64,
     host_used: u64,
     tick: u64,
 }
@@ -150,7 +147,7 @@ pub struct CacheCounters {
     pub misses: u64,
     /// Entries inserted (== plans built *and* device-cached).
     pub insertions: u64,
-    /// Entries whose device allocation was released (demoted or removed).
+    /// Entries whose device charge was released (demoted or removed).
     pub evictions: u64,
     /// Device evictions that landed in the host tier instead of dropping.
     pub demotions: u64,
@@ -258,7 +255,7 @@ fn flusher_loop(store: &PlanStore, stats: &DiskStats, rx: &mpsc::Receiver<FlushM
 #[derive(Debug)]
 pub struct FactorCache {
     inner: Mutex<Inner>,
-    mem: DeviceMemory,
+    device_budget: u64,
     host_budget: u64,
     disk: Option<DiskTier>,
     /// Audit trail of rejected persisted entries (satellite of the "no
@@ -285,7 +282,7 @@ impl FactorCache {
         Self::with_tiers(budget_bytes, 0, None)
     }
 
-    /// A tiered cache: device arena of `device_budget_bytes`, host tier
+    /// A tiered cache: device tier of `device_budget_bytes`, host tier
     /// of `host_budget_bytes` (0 disables demotion), and an optional
     /// persistent store. When a store is given, a write-behind flusher
     /// thread is started; it is joined on drop.
@@ -314,10 +311,11 @@ impl FactorCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 host: HashMap::new(),
+                used: 0,
                 host_used: 0,
                 tick: 0,
             }),
-            mem: DeviceMemory::new(device_budget_bytes),
+            device_budget: device_budget_bytes,
             host_budget: host_budget_bytes,
             disk,
             rejects: Mutex::new(RecoveryLog::default()),
@@ -424,8 +422,8 @@ impl FactorCache {
     }
 
     /// Device-tier insertion under the lock: evicts (demotes) the LRU
-    /// until the arena allocation fits. Returns false when the entry is
-    /// bigger than the whole device budget.
+    /// until the entry fits. Returns false when the entry is bigger than
+    /// the whole device budget.
     fn insert_locked(
         &self,
         inner: &mut Inner,
@@ -433,49 +431,44 @@ impl FactorCache {
         entry: Arc<CachedFactor>,
         bytes: u64,
     ) -> bool {
-        loop {
-            match self.mem.alloc(bytes) {
-                Ok(alloc) => {
-                    inner.tick += 1;
-                    let stamp = inner.tick;
-                    inner.map.insert(
-                        pattern_fp,
-                        Slot {
-                            entry,
-                            alloc,
-                            stamp,
-                        },
-                    );
-                    return true;
-                }
-                Err(_) => {
-                    let lru = inner
-                        .map
-                        .iter()
-                        .min_by_key(|(_, s)| s.stamp)
-                        .map(|(fp, _)| *fp);
-                    match lru {
-                        Some(fp) => self.demote_locked(inner, fp),
-                        None => {
-                            self.oversize_skipped.fetch_add(1, Ordering::Relaxed);
-                            return false;
-                        }
-                    }
+        while inner.used + bytes > self.device_budget {
+            let lru = inner
+                .map
+                .iter()
+                .min_by_key(|(_, s)| s.stamp)
+                .map(|(fp, _)| *fp);
+            match lru {
+                Some(fp) => self.demote_locked(inner, fp),
+                None => {
+                    self.oversize_skipped.fetch_add(1, Ordering::Relaxed);
+                    return false;
                 }
             }
         }
+        inner.used += bytes;
+        inner.tick += 1;
+        let stamp = inner.tick;
+        inner.map.insert(
+            pattern_fp,
+            Slot {
+                entry,
+                bytes,
+                stamp,
+            },
+        );
+        true
     }
 
-    /// Moves one entry device → host. The arena allocation is freed
+    /// Moves one entry device → host. The device charge is released
     /// *before* the host byte charge is taken, so an entry is only ever
     /// accounted against one tier's budget at a time. With no host
     /// budget the entry simply drops (any in-flight `Arc` holders keep
     /// it alive; the disk tier may still hold its plan).
     fn demote_locked(&self, inner: &mut Inner, victim_fp: u64) {
         let slot = inner.map.remove(&victim_fp).expect("lru key present");
-        self.mem.free(slot.alloc).expect("cache alloc valid");
+        let bytes = slot.bytes;
+        inner.used -= bytes;
         self.evictions.fetch_add(1, Ordering::Relaxed);
-        let bytes = slot.entry.approx_bytes().max(1);
         if bytes > self.host_budget {
             return;
         }
@@ -560,7 +553,7 @@ impl FactorCache {
     /// Repopulates the host tier from the persistent store (boot-time
     /// warm restart). Plans are decoded and validated exactly as on a
     /// lookup — rejects fall out with the same audit trail — and land in
-    /// the host tier (not the device arena: first use promotes them, so
+    /// the host tier (not the device tier: first use promotes them, so
     /// the device LRU still reflects live traffic). Returns how many
     /// plans were rewarmed.
     pub fn rewarm(&self) -> usize {
@@ -634,7 +627,7 @@ impl FactorCache {
         let mut inner = self.inner.lock().unwrap();
         let mut present = false;
         if let Some(slot) = inner.map.remove(&pattern_fp) {
-            self.mem.free(slot.alloc).expect("cache alloc valid");
+            inner.used -= slot.bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
             present = true;
         }
@@ -688,11 +681,11 @@ impl FactorCache {
         self.inner.lock().unwrap().host.len()
     }
 
-    /// Device budget bytes currently charged (arena accounting; covers
-    /// only device-resident entries — demoted entries are charged to
+    /// Device budget bytes currently charged (covers only device-resident
+    /// entries — demoted entries are charged to
     /// [`FactorCache::host_used_bytes`] instead, never both).
     pub fn used_bytes(&self) -> u64 {
-        self.mem.used_bytes()
+        self.inner.lock().unwrap().used
     }
 
     /// Host-tier bytes currently charged.
@@ -702,7 +695,7 @@ impl FactorCache {
 
     /// Configured device budget.
     pub fn capacity(&self) -> u64 {
-        self.mem.capacity()
+        self.device_budget
     }
 
     /// Configured host-tier budget.
@@ -897,13 +890,13 @@ mod tests {
         assert!(c.demotions >= 2, "demotions: {}", c.demotions);
         assert_eq!(cache.len(), 1, "device holds exactly one");
         assert_eq!(cache.host_len(), 2, "the demoted two live in host");
-        // The double-count regression: arena bytes cover only the
+        // The double-count regression: device bytes cover only the
         // device-resident entry; the demoted entries are charged to the
         // host counter instead — never both.
         assert!(cache.used_bytes() <= cache.capacity());
         assert!(
             cache.used_bytes() < one * 2,
-            "arena must not keep demoted bytes"
+            "the device tier must not keep demoted bytes"
         );
         assert!(cache.host_used_bytes() <= cache.host_capacity());
         assert_eq!(

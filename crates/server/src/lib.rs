@@ -27,8 +27,8 @@
 //! | [`ExecTier::WarmDisk`] | disk hit | miss | decode + validate + numeric |
 //! | [`ExecTier::Cold`] | miss | — | full pipeline + plan build |
 //!
-//! The cache is **tiered**: the hot set is budgeted against a
-//! [`gplu_sim::DeviceMemory`] arena and evicts least-recently-used
+//! The cache is **tiered**: the hot set is budgeted against a device
+//! byte budget and evicts least-recently-used
 //! patterns into a separately budgeted host-memory tier; newly built
 //! plans are also persisted write-behind into a crash-consistent
 //! on-disk [`gplu_checkpoint::PlanStore`], so a restarted service

@@ -46,9 +46,7 @@
 //! transfer bytes — comes out of the simulated GPU's accounting.
 
 use crate::fill2::fill2_row;
-use crate::ooc::{
-    charge_row, row_state_bytes, with_oom_backoff, DeviceBuffers, Traversals, WorkspacePool,
-};
+use crate::ooc::{charge_row, row_state_bytes, with_oom_backoff, Traversals, WorkspacePool};
 use crate::result::{SymbolicMetrics, SymbolicResult};
 use crate::resume::{ChunkHook, ChunkProgress, SymbolicResume};
 use gplu_sim::{BlockCtx, Gpu, GpuStatsSnapshot, SimError, SimTime};
@@ -232,15 +230,12 @@ pub(crate) fn two_stage(
         r.check(n).map_err(SimError::BadLaunch)?;
     }
 
-    // Every buffer is freed on every exit: a failed launch, an aborting
-    // hook and the early-out below included.
-    let bufs = DeviceBuffers::new(gpu);
     // The matrix pattern lives on the device for the whole phase
     // (row_ptr + col_idx; symbolic needs no values).
     let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
-    let a_dev = bufs.alloc(a_bytes)?;
+    let _a_dev = gpu.mem.alloc(a_bytes)?;
     gpu.h2d(a_bytes);
-    let counts_dev = bufs.alloc(n as u64 * 4)?;
+    let _counts_dev = gpu.mem.alloc(n as u64 * 4)?;
 
     let traversals = Traversals::new(a);
     let split = match resume {
@@ -294,12 +289,13 @@ pub(crate) fn two_stage(
     // chunk and shrunken queues, then part 2 with the conservative chunk.
     for store in [false, true] {
         // Resident output when the factorized pattern fits on the device
-        // (Algorithm 3 line 8, left there for the numeric phase);
+        // (Algorithm 3 line 8, left there for the numeric phase; it drops
+        // with the stage, because our pipeline re-allocates per phase);
         // otherwise each batch's positions stream back to the host,
         // sharing the free bytes with that batch's traversal state.
         let resident_out = if store {
             let total_fill: u64 = (0..n).map(count_of).sum();
-            let out = bufs.alloc(total_fill * 4).ok();
+            let out = gpu.mem.alloc(total_fill * 4).ok();
             streamed_output = out.is_none();
             out
         } else {
@@ -340,17 +336,9 @@ pub(crate) fn two_stage(
         let alloc_batch = |want: usize, row_bytes: u64, nnz_of: &dyn Fn(usize) -> u64| {
             with_oom_backoff(want, |rows| {
                 let nnz = nnz_of(rows);
-                let state = bufs.alloc(rows as u64 * row_bytes)?;
-                if !streaming {
-                    return Ok((state, None, nnz));
-                }
-                match bufs.alloc(nnz * 4) {
-                    Ok(out) => Ok((state, Some(out), nnz)),
-                    Err(e) => {
-                        bufs.free(state)?;
-                        Err(e)
-                    }
-                }
+                let state = gpu.mem.alloc(rows as u64 * row_bytes)?;
+                let out = streaming.then(|| gpu.mem.alloc(nnz * 4)).transpose()?;
+                Ok((state, out, nnz))
             })
         };
 
@@ -377,9 +365,9 @@ pub(crate) fn two_stage(
             if !store {
                 // Counting stage: fixed chunks, state only; the chunk the
                 // split planned is what the backoff starts from.
-                let (state_dev, eff_chunk, backoffs) =
+                let (_state_dev, eff_chunk, backoffs) =
                     with_oom_backoff(chunk.min(range.len()), |rows| {
-                        bufs.alloc(rows as u64 * row_bytes)
+                        gpu.mem.alloc(rows as u64 * row_bytes)
                     })?;
                 oom_backoffs += backoffs;
                 chunk_in_force = eff_chunk;
@@ -435,7 +423,6 @@ pub(crate) fn two_stage(
                         })?;
                     }
                 }
-                bufs.free(state_dev)?;
             } else {
                 // Storing stage: per batch, as many rows (up to the
                 // planned chunk) as the free bytes hold.
@@ -454,7 +441,7 @@ pub(crate) fn two_stage(
                         planned_nnz += c;
                         batch += 1;
                     }
-                    let ((state_dev, out_dev, batch_nnz), rows, backoffs) =
+                    let ((_state_dev, out_dev, batch_nnz), rows, backoffs) =
                         alloc_batch(batch, row_bytes, &|r| {
                             (start..start + r).map(count_of).sum()
                         })?;
@@ -475,11 +462,9 @@ pub(crate) fn two_stage(
                         body((start + b) as u32, capped, ctx);
                     })?;
                     trace.span_end("symbolic.batch", "chunk", gpu.now().as_ns(), &[]);
-                    if let Some(dev) = out_dev {
+                    if out_dev.is_some() {
                         gpu.d2h(batch_nnz * 4);
-                        bufs.free(dev)?;
                     }
-                    bufs.free(state_dev)?;
                     start += rows;
                 }
             }
@@ -494,7 +479,7 @@ pub(crate) fn two_stage(
         let mut idx = 0usize;
         while idx < retry.len() {
             let want = (retry.len() - idx).min(split.chunk2);
-            let ((state_dev, out_dev, nnz), rows, backoffs) =
+            let ((_state_dev, out_dev, nnz), rows, backoffs) =
                 alloc_batch(want, row_state_bytes(n), &|r| {
                     retry[idx..idx + r]
                         .iter()
@@ -519,11 +504,9 @@ pub(crate) fn two_stage(
                 },
             )?;
             trace.span_end("symbolic.retry", "chunk", gpu.now().as_ns(), &[]);
-            if let Some(dev) = out_dev {
+            if out_dev.is_some() {
                 gpu.d2h(nnz * 4);
-                bufs.free(dev)?;
             }
-            bufs.free(state_dev)?;
             idx += rows;
         }
 
@@ -541,17 +524,10 @@ pub(crate) fn two_stage(
             )?;
             gpu.d2h(n as u64 * 4);
         }
-        if let Some(dev) = resident_out {
-            // Handed to the numeric phase in place (paper behaviour);
-            // released because our pipeline re-allocates per phase.
-            bufs.free(dev)?;
-        }
     }
 
     // The overflow list is drained per stage; anything left means a bug.
     debug_assert!(overflowed.lock().is_empty());
-    bufs.free(counts_dev)?;
-    bufs.free(a_dev)?;
 
     // Both stages traverse on the device; the metrics are the
     // single-traversal costs (the clock already charged both).

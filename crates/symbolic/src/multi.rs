@@ -19,7 +19,7 @@
 //! * [`Partition::Strided`] — round-robin rows (interleaves the skew, the
 //!   static load-balancing GSOFA-style deployments use).
 
-use crate::ooc::{charge_row, row_state_bytes, DeviceBuffers, Traversals};
+use crate::ooc::{charge_row, row_state_bytes, Traversals};
 use crate::result::SymbolicResult;
 use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError, SimTime};
 use gplu_sparse::Csr;
@@ -84,15 +84,12 @@ pub fn symbolic_fleet(
         if rows.is_empty() {
             return Ok(());
         }
-        // Freed even on failure so a later reshard pass (or the numeric
-        // phase) sees a clean device.
-        let bufs = DeviceBuffers::new(gpu);
         let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
-        let a_dev = bufs.alloc(a_bytes)?;
+        let _a_dev = gpu.mem.alloc(a_bytes)?;
         gpu.h2d(a_bytes);
         let chunk =
             ((gpu.mem.free_bytes() / row_state_bytes(n)) as usize).clamp(1, rows.len().max(1));
-        let state_dev = bufs.alloc(chunk as u64 * row_state_bytes(n))?;
+        let _state_dev = gpu.mem.alloc(chunk as u64 * row_state_bytes(n))?;
         for stage in ["fleet_symbolic_1", "fleet_symbolic_2"] {
             for batch in rows.chunks(chunk.max(1)) {
                 gpu.launch(stage, batch.len(), 1024, &|b: usize, ctx: &mut BlockCtx| {
@@ -104,8 +101,7 @@ pub fn symbolic_fleet(
         if my_nnz > 0 {
             gpu.d2h(my_nnz * 4);
         }
-        bufs.free(state_dev)?;
-        bufs.free(a_dev)
+        Ok(())
     };
 
     let assign_rows = |owners: &[usize]| -> Vec<(usize, Vec<u32>)> {

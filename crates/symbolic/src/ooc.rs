@@ -10,18 +10,16 @@
 //!
 //! The rest of the module is what the driver and the other engines build
 //! on: the per-row state size, the traversal-workspace pool, the per-row
-//! traversal memo and cost charge, the device-buffer guard and the
-//! geometric OOM backoff.
+//! traversal memo and cost charge, and the geometric OOM backoff.
 
 use crate::dynamic::{two_stage, DynamicSplit};
 use crate::fill2::{fill2_row, Fill2Workspace, RowMetrics};
 use crate::result::{SymbolicMetrics, SymbolicResult};
 use crate::resume::{ChunkHook, SymbolicResume};
 use crossbeam::queue::SegQueue;
-use gplu_sim::{BlockCtx, DeviceAlloc, Gpu, GpuConfig, GpuStatsSnapshot, SimError, SimTime};
+use gplu_sim::{BlockCtx, Gpu, GpuConfig, GpuStatsSnapshot, SimError, SimTime};
 use gplu_sparse::{Csr, Idx};
 use gplu_trace::{TraceSink, NOOP};
-use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Outcome of an out-of-core symbolic run.
@@ -161,48 +159,6 @@ pub(crate) fn charge_row(ctx: &mut BlockCtx<'_>, m: &RowMetrics) {
     let items = m.edges + m.emitted as u64;
     ctx.bulk_steps(m.steps + 1, items);
     ctx.mem(items * 4);
-}
-
-/// The device buffers a driver holds, freed when it returns — by an early
-/// `?` too (a failed launch, an aborting hook, an allocation that does not
-/// fit), so a device that outlives the phase keeps none of a dead run's
-/// buffers. A driver still frees each buffer where it stops needing it:
-/// what later batches can allocate depends on it.
-pub(crate) struct DeviceBuffers<'g> {
-    gpu: &'g Gpu,
-    live: RefCell<Vec<DeviceAlloc>>,
-}
-
-impl<'g> DeviceBuffers<'g> {
-    /// No buffer held yet.
-    pub(crate) fn new(gpu: &'g Gpu) -> Self {
-        DeviceBuffers {
-            gpu,
-            live: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Allocates `bytes` on the device and holds the buffer.
-    pub(crate) fn alloc(&self, bytes: u64) -> Result<DeviceAlloc, SimError> {
-        let buf = self.gpu.mem.alloc(bytes)?;
-        self.live.borrow_mut().push(buf);
-        Ok(buf)
-    }
-
-    /// Frees a held buffer now.
-    pub(crate) fn free(&self, buf: DeviceAlloc) -> Result<(), SimError> {
-        self.live.borrow_mut().retain(|&b| b != buf);
-        self.gpu.mem.free(buf)
-    }
-}
-
-impl Drop for DeviceBuffers<'_> {
-    fn drop(&mut self) {
-        for buf in self.live.get_mut().drain(..) {
-            // Held means live: the free cannot fail.
-            let _ = self.gpu.mem.free(buf);
-        }
-    }
 }
 
 /// Per-source-row device bytes of traversal state (`c` words of 4 bytes).

@@ -178,7 +178,6 @@ pub fn symbolic_um_traced(
             );
             start += rows;
         }
-        gpu.um.free(state_um);
         if !store {
             // Prefix sum over the managed counts, as in the explicit
             // version.
@@ -193,9 +192,6 @@ pub fn symbolic_um_traced(
             )?;
         }
     }
-
-    gpu.um.free(a_um);
-    gpu.um.free(counts_um);
 
     let metrics = *agg.lock();
     let result = SymbolicResult::from_patterns(a, patterns.into_inner(), metrics);
