@@ -8,6 +8,7 @@ use gplu_sparse::ordering::{order, OrderingKind};
 use gplu_sparse::perm::permute_csr;
 use gplu_sparse::pivot::{max_transversal, repair_diagonal};
 use gplu_sparse::{Csr, Permutation};
+use std::borrow::Cow;
 
 /// Pre-processing configuration.
 #[derive(Debug, Clone)]
@@ -80,16 +81,12 @@ pub fn preprocess(
     // Optional static pivoting: a row permutation completing the
     // structural diagonal (falls back to diagonal repair when the matrix
     // is structurally singular).
-    let (matched, p_static) = if opts.static_pivot {
-        match max_transversal(a) {
-            Ok(p) => {
-                let m = permute_csr(a, &p, &Permutation::identity(n));
-                (m, Some(p))
-            }
-            Err(_) => (a.clone(), None),
+    let (matched, p_static) = match opts.static_pivot.then(|| max_transversal(a)) {
+        Some(Ok(p)) => {
+            let m = permute_csr(a, &p, &Permutation::identity(n));
+            (Cow::Owned(m), Some(p))
         }
-    } else {
-        (a.clone(), None)
+        _ => (Cow::Borrowed(a), None),
     };
 
     // Symmetric fill-reducing ordering.
@@ -99,7 +96,11 @@ pub fn preprocess(
 
     // Diagonal completion: structural repair + replacement of numerically
     // zero diagonals, both with the paper's constant.
-    let (mut fixed, inserted) = repair_diagonal(&permuted, opts.repair_value);
+    let (mut fixed, inserted) = if permuted.has_full_diagonal() {
+        (permuted, 0)
+    } else {
+        repair_diagonal(&permuted, opts.repair_value)
+    };
     let replaced = gplu_sparse::pivot::replace_zero_diagonal(&mut fixed, opts.repair_value);
 
     // Host cost: the orderings and matching are a small number of passes

@@ -1,5 +1,6 @@
 //! Column dependency graph of the filled matrix.
 
+use gplu_sparse::convert::{transpose_pattern, union_ascending};
 use gplu_sparse::{Csr, Idx};
 
 /// The dependency DAG: an edge `t → j` (with `t < j` always) means column
@@ -22,34 +23,25 @@ impl DepGraph {
     /// (`U(r,c) ≠ 0` ⇒ column `c` after column `r`), `c < r` is the
     /// L-side ordering GLU 3.0's relaxed detection adds. Duplicates (a
     /// symmetric pair) are merged.
+    ///
+    /// Out-list of `t` = row `t` above the diagonal ∪ column `t` below it.
+    /// Both ascend (the second from one counting transpose of the strict
+    /// lower part), so each list is a merge, with no sort of the pairs.
     pub fn build(filled: &Csr) -> DepGraph {
         let n = filled.n_rows();
-        let mut pairs: Vec<(Idx, Idx)> = Vec::with_capacity(filled.nnz());
-        for r in 0..n {
-            for &c in filled.row_cols(r) {
-                let c = c as usize;
-                if c != r {
-                    let (lo, hi) = if r < c { (r, c) } else { (c, r) };
-                    pairs.push((lo as Idx, hi as Idx));
-                }
-            }
+        let (lptr, lrows) = transpose_pattern(filled, |r, c| c < r);
+        let mut ptr = Vec::with_capacity(n + 1);
+        ptr.push(0);
+        let mut adj = Vec::with_capacity(filled.nnz());
+        for t in 0..n {
+            let row = filled.row_cols(t);
+            let above = &row[row.partition_point(|&c| c as usize <= t)..];
+            union_ascending(above, &lrows[lptr[t]..lptr[t + 1]], &mut adj);
+            ptr.push(adj.len());
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        let mut ptr = vec![0usize; n + 1];
-        for &(t, _) in &pairs {
-            ptr[t as usize + 1] += 1;
-        }
-        for i in 0..n {
-            ptr[i + 1] += ptr[i];
-        }
-        let mut adj = vec![0 as Idx; pairs.len()];
-        let mut cursor = ptr.clone();
+        adj.shrink_to_fit();
         let mut indegree = vec![0u32; n];
-        for (t, j) in pairs {
-            adj[cursor[t as usize]] = j;
-            cursor[t as usize] += 1;
+        for &j in &adj {
             indegree[j as usize] += 1;
         }
         DepGraph { ptr, adj, indegree }
@@ -119,6 +111,52 @@ mod tests {
         for t in 0..50 {
             for &j in g.out(t) {
                 assert!(j as usize > t, "edge {t} -> {j} must ascend");
+            }
+        }
+    }
+
+    /// Edges `min(r, c) → max(r, c)` over the off-diagonal entries, from an
+    /// ordered set, on every generator family at two sizes.
+    #[test]
+    fn build_matches_its_definition() {
+        use gplu_sparse::gen::{circuit, hard::HardKind, planar, random};
+        use std::collections::BTreeSet;
+        for n in [300usize, 2000] {
+            let seed = n as u64;
+            let mut mats = vec![
+                circuit::circuit(&circuit::CircuitParams {
+                    n,
+                    nnz_per_row: 7.0,
+                    seed,
+                    ..Default::default()
+                }),
+                planar::planar(&planar::PlanarParams::for_target(n, 5.0, seed)),
+                random::banded_dominant(n, 3, seed),
+                random::random_dominant(n, 5.0, seed),
+            ];
+            mats.extend(HardKind::ALL.iter().map(|k| k.generate(n, seed)));
+            for (m, a) in mats.iter().enumerate() {
+                let n = a.n_rows();
+                let mut out = vec![BTreeSet::new(); n];
+                for r in 0..n {
+                    for &c in a.row_cols(r) {
+                        let c = c as usize;
+                        if c != r {
+                            out[r.min(c)].insert(r.max(c) as Idx);
+                        }
+                    }
+                }
+                let mut ptr = vec![0usize];
+                let mut indegree = vec![0u32; n];
+                for s in &out {
+                    ptr.push(ptr.last().expect("starts at 0") + s.len());
+                    for &j in s {
+                        indegree[j as usize] += 1;
+                    }
+                }
+                let adj: Vec<Idx> = out.iter().flatten().copied().collect();
+                let want = DepGraph { ptr, adj, indegree };
+                assert_eq!(DepGraph::build(a), want, "matrix {m} at n = {n}");
             }
         }
     }

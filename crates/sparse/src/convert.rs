@@ -52,6 +52,49 @@ pub fn csr_to_csc(a: &Csr) -> Csc {
     Csc::from_parts_unchecked(n_rows, n_cols, col_ptr, row_idx, vals)
 }
 
+/// The pattern of `Aᵀ` restricted to the entries `(r, c)` of `A` that
+/// `keep(r, c)` accepts: `ptr[c]..ptr[c + 1]` indexes the rows of column
+/// `c` in `rows`, ascending. A counting transpose like [`csr_to_csc`],
+/// without values.
+pub fn transpose_pattern(a: &Csr, keep: impl Fn(usize, usize) -> bool) -> (Vec<usize>, Vec<Idx>) {
+    let mut ptr = vec![0usize; a.n_cols() + 1];
+    for r in 0..a.n_rows() {
+        for &c in a.row_cols(r) {
+            if keep(r, c as usize) {
+                ptr[c as usize + 1] += 1;
+            }
+        }
+    }
+    for c in 0..a.n_cols() {
+        ptr[c + 1] += ptr[c];
+    }
+    let mut cursor = ptr.clone();
+    let mut rows = vec![0 as Idx; ptr[a.n_cols()]];
+    for r in 0..a.n_rows() {
+        for &c in a.row_cols(r) {
+            if keep(r, c as usize) {
+                rows[cursor[c as usize]] = r as Idx;
+                cursor[c as usize] += 1;
+            }
+        }
+    }
+    (ptr, rows)
+}
+
+/// Appends the union of two strictly ascending index lists to `out`,
+/// ascending and without duplicates.
+pub fn union_ascending(a: &[Idx], b: &[Idx], out: &mut Vec<Idx>) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 /// CSC → CSR, the mirror of [`csr_to_csc`].
 pub fn csc_to_csr(a: &Csc) -> Csr {
     let (n_rows, n_cols, nnz) = (a.n_rows(), a.n_cols(), a.nnz());

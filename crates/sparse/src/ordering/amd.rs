@@ -11,15 +11,106 @@
 //!   `|A(v)| + Σ_{e ∈ E(v)} (|L_e| − 1)` (an upper bound; overlaps
 //!   between elements are not subtracted),
 //! * elements adjacent to the pivot are **absorbed** into the new element,
-//!   and original edges covered by the new element are pruned,
+//!   and original edges covered by the new element are pruned.
 //!
-//! which keeps every list shrinking and the whole ordering near
-//! `O(nnz · α)` in practice.
+//! The next pivot is the live variable with the least `(degree, index)`,
+//! kept in an indexed binary min-heap: a degree update moves the
+//! variable's one entry, so the heap never holds stale entries. Each
+//! variable's element-degree sum is kept incrementally as elements join
+//! and are absorbed. A pivot `p` then costs `O(|A(p)| + Σ_{e∈E(p)} |L_e|)`
+//! to build `L_p`, plus, for each member `v` of `L_p`, one pass over its
+//! (pruned) lists `A(v)` and `E(v)` and an `O(log n)` heap move.
 
 use super::symmetrized_adjacency;
 use crate::{Csr, Idx};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+/// Binary min-heap over the live variables keyed `(degree << 32) | v`,
+/// with each variable's heap slot indexed so [`DegreeHeap::set`] moves it
+/// in place. Keys are unique, so the popped variable is the least
+/// `(degree, v)` whatever the heap's shape.
+struct DegreeHeap {
+    keys: Vec<u64>,
+    /// Heap slot of each variable (meaningless once popped).
+    slot: Vec<usize>,
+}
+
+impl DegreeHeap {
+    fn key(v: usize, degree: usize) -> u64 {
+        ((degree as u64) << 32) | v as u64
+    }
+
+    fn new(degree: &[usize]) -> Self {
+        let mut h = DegreeHeap {
+            keys: (0..degree.len()).map(|v| Self::key(v, degree[v])).collect(),
+            slot: (0..degree.len()).collect(),
+        };
+        for i in (0..h.keys.len() / 2).rev() {
+            h.sift_down(i);
+        }
+        h
+    }
+
+    /// Removes and returns the variable with the least `(degree, v)`.
+    fn pop(&mut self) -> Option<usize> {
+        let top = *self.keys.first()?;
+        let last = self.keys.pop().expect("heap is non-empty");
+        if !self.keys.is_empty() {
+            self.place(0, last);
+            self.sift_down(0);
+        }
+        Some((top & u64::from(u32::MAX)) as usize)
+    }
+
+    /// Re-keys live variable `v` with its new degree.
+    fn set(&mut self, v: usize, degree: usize) {
+        let i = self.slot[v];
+        let (old, new) = (self.keys[i], Self::key(v, degree));
+        self.keys[i] = new;
+        if new < old {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    fn place(&mut self, i: usize, key: u64) {
+        self.keys[i] = key;
+        self.slot[(key & u64::from(u32::MAX)) as usize] = i;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.keys[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.keys[parent] <= key {
+                break;
+            }
+            self.place(i, self.keys[parent]);
+            i = parent;
+        }
+        self.place(i, key);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let key = self.keys[i];
+        let len = self.keys.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.keys[child + 1] < self.keys[child] {
+                child += 1;
+            }
+            if key <= self.keys[child] {
+                break;
+            }
+            self.place(i, self.keys[child]);
+            i = child;
+        }
+        self.place(i, key);
+    }
+}
 
 /// Computes an approximate-minimum-degree ordering of `A + Aᵀ`.
 ///
@@ -30,18 +121,18 @@ pub fn amd_order(a: &Csr) -> Vec<Idx> {
 
     // Variable adjacency (original edges, pruned as elements cover them).
     let mut avar: Vec<Vec<Idx>> = (0..n).map(|u| adj[ptr[u]..ptr[u + 1]].to_vec()).collect();
-    // Elements adjacent to each variable (element id = its pivot's id).
+    // Elements adjacent to each variable (element id = its pivot's id),
+    // and the sum of `|L_e| − 1` over them.
     let mut evar: Vec<Vec<Idx>> = vec![Vec::new(); n];
+    let mut esum: Vec<usize> = vec![0; n];
     // Element member lists and sizes (only for eliminated pivots).
     let mut elem: Vec<Vec<Idx>> = vec![Vec::new(); n];
     let mut esize: Vec<u32> = vec![0; n];
 
     let mut dead = vec![false; n]; // variable eliminated
     let mut absorbed = vec![false; n]; // element swallowed by a newer one
-    let mut degree: Vec<usize> = (0..n).map(|u| ptr[u + 1] - ptr[u]).collect();
-
-    let mut heap: BinaryHeap<Reverse<(usize, Idx)>> =
-        (0..n).map(|u| Reverse((degree[u], u as Idx))).collect();
+    let degree: Vec<usize> = (0..n).map(|u| ptr[u + 1] - ptr[u]).collect();
+    let mut heap = DegreeHeap::new(&degree);
 
     // Stamp array for set building/pruning.
     let mut mark = vec![0u32; n];
@@ -50,11 +141,8 @@ pub fn amd_order(a: &Csr) -> Vec<Idx> {
     let mut order: Vec<Idx> = Vec::with_capacity(n);
     let mut lp: Vec<Idx> = Vec::new();
 
-    while let Some(Reverse((d, p))) = heap.pop() {
-        let pu = p as usize;
-        if dead[pu] || d != degree[pu] {
-            continue; // stale heap entry
-        }
+    while let Some(pu) = heap.pop() {
+        let p = pu as Idx;
         dead[pu] = true;
         order.push(p);
 
@@ -89,6 +177,7 @@ pub fn amd_order(a: &Csr) -> Vec<Idx> {
         // Register the new element.
         elem[pu] = lp.clone();
         esize[pu] = lp.len() as u32;
+        let weight = |e: Idx| esize[e as usize].saturating_sub(1) as usize;
 
         // Update every member: prune covered original edges and dead
         // elements, attach the new element, refresh the degree bound.
@@ -98,16 +187,18 @@ pub fn amd_order(a: &Csr) -> Vec<Idx> {
                 let uu = u as usize;
                 !dead[uu] && mark[uu] != stamp
             });
-            evar[vu].retain(|&e| !absorbed[e as usize]);
+            let sum = &mut esum[vu];
+            evar[vu].retain(|&e| {
+                let keep = !absorbed[e as usize];
+                if !keep {
+                    *sum -= weight(e);
+                }
+                keep
+            });
             evar[vu].push(p);
-            let dnew = avar[vu].len()
-                + evar[vu]
-                    .iter()
-                    .map(|&e| esize[e as usize].saturating_sub(1) as usize)
-                    .sum::<usize>();
-            let dnew = dnew.min(n - order.len()); // cannot exceed live vars
-            degree[vu] = dnew;
-            heap.push(Reverse((dnew, v)));
+            *sum += weight(p);
+            let dnew = (avar[vu].len() + *sum).min(n - order.len()); // cannot exceed live vars
+            heap.set(vu, dnew);
         }
     }
     order

@@ -6,7 +6,7 @@
 //! `(p_row, p_col)` to `A` produces `B[p_row[i], p_col[j]] = A[i, j]`, i.e.
 //! `B = P A Qᵀ` in matrix terms.
 
-use crate::{convert, error::SparseError, Coo, Csr, Idx, Val};
+use crate::{error::SparseError, Csr, Idx, Val};
 
 /// A permutation of `0..n`, stored as the forward map old → new.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,23 +125,33 @@ impl Permutation {
 
 /// Applies row and column permutations to a CSR matrix:
 /// `B[p_row[i], p_col[j]] = A[i, j]`.
+///
+/// Row `r` of `B` is row `p_row⁻¹[r]` of `A` with its columns mapped and
+/// sorted. Columns of a valid [`Csr`] are unique, so no entries collide.
 pub fn permute_csr(a: &Csr, p_row: &Permutation, p_col: &Permutation) -> Csr {
     assert_eq!(p_row.len(), a.n_rows(), "row permutation size mismatch");
     assert_eq!(p_col.len(), a.n_cols(), "column permutation size mismatch");
-    let mut coo = Coo::with_capacity(a.n_rows(), a.n_cols(), a.nnz());
-    for i in 0..a.n_rows() {
-        let pi = p_row.apply(i);
-        for (j, v) in a.row_iter(i) {
-            coo.push(pi, p_col.apply(j), v);
-        }
+    let mut row_ptr = Vec::with_capacity(a.n_rows() + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(a.nnz());
+    let mut vals = Vec::with_capacity(a.nnz());
+    let mut row: Vec<(Idx, Val)> = Vec::new();
+    for &i in p_row.inverse().as_slice() {
+        row.clear();
+        row.extend(a.row_iter(i as usize).map(|(j, v)| (p_col.forward[j], v)));
+        row.sort_unstable_by_key(|&(c, _)| c);
+        col_idx.extend(row.iter().map(|&(c, _)| c));
+        vals.extend(row.iter().map(|&(_, v)| v));
+        row_ptr.push(col_idx.len());
     }
-    convert::coo_to_csr(&coo)
+    Csr::from_parts_unchecked(a.n_rows(), a.n_cols(), row_ptr, col_idx, vals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convert::{coo_to_csr, csr_to_dense};
+    use crate::Coo;
 
     #[test]
     fn from_forward_validates() {
@@ -208,6 +218,51 @@ mod tests {
                 let via_compose = p.then(&q).permute_vec(&v);
                 let via_steps = q.permute_vec(&p.permute_vec(&v));
                 prop_assert_eq!(via_compose, via_steps);
+            }
+        }
+    }
+
+    /// `B[p_row[i], p_col[j]] = A[i, j]` from an ordered map, under a
+    /// symmetric ordering and under two independent shuffles.
+    #[test]
+    fn permute_csr_matches_its_definition() {
+        use std::collections::BTreeMap;
+        let shuffle = |n: usize, seed: u64| {
+            let mut x = seed;
+            let mut fwd: Vec<Idx> = (0..n as Idx).collect();
+            for i in (1..n).rev() {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                fwd.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            Permutation::from_forward(fwd).expect("shuffle is a bijection")
+        };
+        for (k, (name, a)) in crate::gen::tests::families().into_iter().enumerate() {
+            let n = a.n_rows();
+            let amd = Permutation::from_order(&crate::ordering::amd_order(&a)).expect("valid");
+            let shuffles = (shuffle(n, 2 * k as u64), shuffle(n, 2 * k as u64 + 1));
+            for (p, q) in [(&amd, &amd), (&shuffles.0, &shuffles.1)] {
+                let mut want = BTreeMap::new();
+                for i in 0..n {
+                    for (j, v) in a.row_iter(i) {
+                        want.insert((p.apply(i), q.apply(j)), v.to_bits());
+                    }
+                }
+                let b = permute_csr(&a, p, q);
+                let mut want_ptr = vec![0usize; n + 1];
+                for &(r, _) in want.keys() {
+                    want_ptr[r + 1] += 1;
+                }
+                for r in 0..n {
+                    want_ptr[r + 1] += want_ptr[r];
+                }
+                let want_cols: Vec<Idx> = want.keys().map(|&(_, c)| c as Idx).collect();
+                let want_vals: Vec<u64> = want.values().copied().collect();
+                let vals: Vec<u64> = b.vals.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(b.row_ptr, want_ptr, "{name}: ptr");
+                assert_eq!(b.col_idx, want_cols, "{name}: columns");
+                assert_eq!(vals, want_vals, "{name}: values");
             }
         }
     }

@@ -12,7 +12,7 @@
 //!   their 0 diagonal elements with a non-zero number (1000) to make them
 //!   factorizable".
 
-use crate::{convert, Coo, Csr, Idx, Permutation, SparseError, Val};
+use crate::{Csr, Idx, Permutation, SparseError, Val};
 
 /// Finds a row permutation placing a structural nonzero on every diagonal.
 ///
@@ -90,25 +90,29 @@ pub fn max_transversal(a: &Csr) -> Result<Permutation, SparseError> {
 /// which "happen not to be LU-factorizable", with `value = 1000`.
 pub fn repair_diagonal(a: &Csr, value: Val) -> (Csr, usize) {
     let n = a.n_rows().min(a.n_cols());
-    let mut missing = Vec::new();
-    for i in 0..n {
-        if a.get(i, i).is_none() {
-            missing.push(i);
-        }
-    }
-    if missing.is_empty() {
+    let missing = (0..n).filter(|&i| a.get(i, i).is_none()).count();
+    if missing == 0 {
         return (a.clone(), 0);
     }
-    let mut coo = Coo::with_capacity(a.n_rows(), a.n_cols(), a.nnz() + missing.len());
+    let mut row_ptr = Vec::with_capacity(a.n_rows() + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(a.nnz() + missing);
+    let mut vals = Vec::with_capacity(a.nnz() + missing);
     for i in 0..a.n_rows() {
-        for (j, v) in a.row_iter(i) {
-            coo.push(i, j, v);
+        let (cols, row_vals) = (a.row_cols(i), a.row_vals(i));
+        let k = cols.partition_point(|&c| (c as usize) < i);
+        col_idx.extend_from_slice(&cols[..k]);
+        vals.extend_from_slice(&row_vals[..k]);
+        if i < n && cols.get(k) != Some(&(i as Idx)) {
+            col_idx.push(i as Idx);
+            vals.push(value);
         }
+        col_idx.extend_from_slice(&cols[k..]);
+        vals.extend_from_slice(&row_vals[k..]);
+        row_ptr.push(col_idx.len());
     }
-    for &i in &missing {
-        coo.push(i, i, value);
-    }
-    (convert::coo_to_csr(&coo), missing.len())
+    let repaired = Csr::from_parts_unchecked(a.n_rows(), a.n_cols(), row_ptr, col_idx, vals);
+    (repaired, missing)
 }
 
 /// Replaces numerically zero (but structurally present) diagonal entries
@@ -133,6 +137,7 @@ mod tests {
     use super::*;
     use crate::convert::coo_to_csr;
     use crate::perm::permute_csr;
+    use crate::Coo;
 
     #[test]
     fn transversal_fixes_permuted_identity() {
@@ -192,6 +197,30 @@ mod tests {
         assert_eq!(b.get(1, 1), Some(1000.0));
         assert_eq!(b.get(2, 2), Some(1000.0));
         assert_eq!(b.get(0, 0), Some(1.0));
+    }
+
+    /// The input's entries plus `(i, value)` at each missing diagonal,
+    /// from an ordered map.
+    #[test]
+    fn repair_diagonal_matches_its_definition() {
+        use std::collections::BTreeMap;
+        for (name, a) in crate::gen::tests::families() {
+            let mut want = BTreeMap::new();
+            for i in 0..a.n_rows() {
+                want.insert((i, i), 1000f64.to_bits());
+                for (j, v) in a.row_iter(i) {
+                    want.insert((i, j), v.to_bits());
+                }
+            }
+            let (b, inserted) = repair_diagonal(&a, 1000.0);
+            assert_eq!(inserted, b.nnz() - a.nnz(), "{name}: count");
+            let got: BTreeMap<_, _> = (0..b.n_rows())
+                .flat_map(|i| b.row_iter(i).map(move |(j, v)| ((i, j), v.to_bits())))
+                .collect();
+            assert_eq!(got, want, "{name}");
+            Csr::new(b.n_rows(), b.n_cols(), b.row_ptr, b.col_idx, b.vals)
+                .unwrap_or_else(|e| panic!("{name}: repaired matrix is not a valid CSR: {e}"));
+        }
     }
 
     #[test]
