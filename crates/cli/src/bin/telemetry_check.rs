@@ -15,30 +15,30 @@
 //! size and whole-file hash, every snapshot passes its own structural
 //! checks, and the latest-valid-wins load succeeds. With `--service`,
 //! validates a `gplu serve --stress --service-report` file: schema
-//! version, all sections present, job totals consistent, hit rate in
-//! range, percentiles ordered — plus, for schema v2, that the
+//! version, all sections present (tiered cache, fleet scheduler), job
+//! totals consistent, hit rates in range, percentiles ordered, and the
 //! observability sections (metrics registry, SLO verdict, drift table)
-//! are structurally sound when present. `--slo` is the CI gate: all the
+//! structurally sound when present. `--slo` is the CI gate: all the
 //! `--service` checks, and additionally the report MUST carry the
 //! observability sections, the SLO verdict must be `pass`, and no
-//! cost-model span kind may be drift-flagged. Schema v3 adds the tiered
-//! cache sections (`/cache/host`, `/cache/disk`) and the `warm_host` /
-//! `warm_disk` / `load_shed` job counters; `--min-disk-hit-rate X`
+//! cost-model span kind may be drift-flagged; `--min-disk-hit-rate X`
 //! additionally gates the restart rescue rate — the fraction of
 //! pattern-building jobs served from the host/disk tiers instead of a
 //! cold symbolic pass — which a rewarmed same-workload rerun should
-//! drive close to 1.0. Schema v4 adds the `fleet` section (per-device
-//! job/queue/hit-rate accounting from the multi-device scheduler),
-//! validated for ordinal coverage and hit-rate sanity; run reports from
-//! `--devices` runs carry an analogous optional `fleet` object whose
-//! per-device timings and death list are checked against the device
-//! count.
+//! drive close to 1.0. Run reports from `--devices` runs carry an
+//! optional `fleet` object whose per-device timings and death list are
+//! checked against the device count.
+//!
+//! Each validator accepts exactly the schema version its writer emits
+//! (`gplu_core::SCHEMA_VERSION`, `gplu_server::SERVICE_SCHEMA_VERSION`).
 //!
 //! Every failure message names the first failing location as a JSON
 //! pointer (`/latency/sim_p95_ns`), and the caller prefixes the file
 //! path — so CI logs point straight at the offending field.
 
 use gplu_checkpoint::{xxh64, CheckpointStore, Snapshot};
+use gplu_core::SCHEMA_VERSION;
+use gplu_server::SERVICE_SCHEMA_VERSION;
 use gplu_trace::{json, JsonValue, MetricsRegistry};
 use std::process::ExitCode;
 
@@ -85,8 +85,10 @@ fn check_launch(level: &JsonValue, at: &str) -> Result<(), String> {
 
 fn check_report(doc: &JsonValue) -> Result<String, String> {
     let version = num_at(doc, "/schema_version")? as u64;
-    if !(1..=2).contains(&version) {
-        return Err(format!("/schema_version: unknown version {version}"));
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "/schema_version: version {version}, expected {SCHEMA_VERSION}"
+        ));
     }
 
     let total = num_at(doc, "/phases/total_ns")?;
@@ -114,8 +116,8 @@ fn check_report(doc: &JsonValue) -> Result<String, String> {
                 return Err(format!("/levels/{i}/{key}: missing or not a number"));
             }
         }
-        // Schema v2 blocked-engine counters are optional per level, but when
-        // present they must be coherent: a level reporting blocks must carry
+        // Blocked-engine counters are optional per level, but when present
+        // they must be coherent: a level reporting blocks must carry
         // a mean width of at least one column.
         if let Some(blocks) = l.get("blocks").and_then(JsonValue::as_f64) {
             let mean = l.get("mean_block_width").and_then(JsonValue::as_f64);
@@ -130,13 +132,11 @@ fn check_report(doc: &JsonValue) -> Result<String, String> {
             .and_then(JsonValue::as_f64)
             .unwrap_or(0.0);
     }
-    if version >= 2 {
-        let total_tiles = num_at(doc, "/numeric/gemm_tiles")?;
-        if gemm_tile_sum > total_tiles {
-            return Err(format!(
-                "/numeric/gemm_tiles: per-level sum {gemm_tile_sum} exceeds total {total_tiles}"
-            ));
-        }
+    let total_tiles = num_at(doc, "/numeric/gemm_tiles")?;
+    if gemm_tile_sum > total_tiles {
+        return Err(format!(
+            "/numeric/gemm_tiles: per-level sum {gemm_tile_sum} exceeds total {total_tiles}"
+        ));
     }
 
     for section in ["matrix", "symbolic", "schedule", "numeric", "fill", "gpu"] {
@@ -275,7 +275,7 @@ fn check_trace(doc: &JsonValue) -> Result<String, String> {
     Ok(format!("trace ok: {} events, {spans} spans", events.len()))
 }
 
-/// Structural checks on the v2 observability sections, applied to
+/// Structural checks on the observability sections, applied to
 /// whichever of them are present.
 fn check_observability_sections(doc: &JsonValue) -> Result<(), String> {
     if let Some(metrics) = doc.get("metrics") {
@@ -325,7 +325,7 @@ fn check_observability_sections(doc: &JsonValue) -> Result<(), String> {
 }
 
 /// The fraction of pattern-building jobs rescued by the host/disk cache
-/// tiers instead of paying a cold symbolic pass. Schema v3 only.
+/// tiers instead of paying a cold symbolic pass.
 fn disk_rescue_rate(doc: &JsonValue) -> Result<f64, String> {
     let cold = num_at(doc, "/jobs/cold")?;
     let host = num_at(doc, "/jobs/warm_host")?;
@@ -335,9 +335,9 @@ fn disk_rescue_rate(doc: &JsonValue) -> Result<f64, String> {
 
 fn check_service(doc: &JsonValue) -> Result<String, String> {
     let version = num_at(doc, "/service_schema_version")? as u64;
-    if !(1..=4).contains(&version) {
+    if version != SERVICE_SCHEMA_VERSION {
         return Err(format!(
-            "/service_schema_version: unknown version {version}"
+            "/service_schema_version: version {version}, expected {SERVICE_SCHEMA_VERSION}"
         ));
     }
 
@@ -356,14 +356,12 @@ fn check_service(doc: &JsonValue) -> Result<String, String> {
             "/jobs/submitted: {resolved} jobs resolved but only {submitted} submitted"
         ));
     }
-    // v3 splits the warm tier by rescue provenance; older reports have
-    // no host/disk tiers, so those counters default to zero.
-    let mut by_tier = num_at(doc, "/jobs/cold")?
+    // The warm tier is split by rescue provenance (device, host, disk).
+    let by_tier = num_at(doc, "/jobs/cold")?
         + num_at(doc, "/jobs/warm")?
-        + num_at(doc, "/jobs/cached_solve")?;
-    if version >= 3 {
-        by_tier += num_at(doc, "/jobs/warm_host")? + num_at(doc, "/jobs/warm_disk")?;
-    }
+        + num_at(doc, "/jobs/cached_solve")?
+        + num_at(doc, "/jobs/warm_host")?
+        + num_at(doc, "/jobs/warm_disk")?;
     if (by_tier - completed).abs() > 1e-9 {
         return Err(format!(
             "/jobs/completed: tier counts sum to {by_tier}, not the {completed} completed jobs"
@@ -381,29 +379,27 @@ fn check_service(doc: &JsonValue) -> Result<String, String> {
             "/cache/used_bytes: {used} exceeds budget_bytes {budget}"
         ));
     }
-    if version >= 3 {
-        for section in ["cache/host", "cache/disk"] {
-            section_at(doc, &format!("/{section}"))?;
-        }
-        let host_used = num_at(doc, "/cache/host/used_bytes")?;
-        let host_budget = num_at(doc, "/cache/host/budget_bytes")?;
-        if host_used > host_budget {
-            return Err(format!(
-                "/cache/host/used_bytes: {host_used} exceeds budget_bytes {host_budget}"
-            ));
-        }
-        // A report claiming disk rescues must have the disk tier enabled.
-        let disk_hits = num_at(doc, "/cache/disk/hits")?;
-        let enabled = lookup(doc, "/cache/disk/enabled")
-            .and_then(JsonValue::as_bool)
-            .ok_or("/cache/disk/enabled: missing or not a bool")?;
-        if disk_hits > 0.0 && !enabled {
-            return Err(format!(
-                "/cache/disk/hits: {disk_hits} hits reported with the disk tier disabled"
-            ));
-        }
-        num_at(doc, "/jobs/load_shed")?;
+    for section in ["cache/host", "cache/disk"] {
+        section_at(doc, &format!("/{section}"))?;
     }
+    let host_used = num_at(doc, "/cache/host/used_bytes")?;
+    let host_budget = num_at(doc, "/cache/host/budget_bytes")?;
+    if host_used > host_budget {
+        return Err(format!(
+            "/cache/host/used_bytes: {host_used} exceeds budget_bytes {host_budget}"
+        ));
+    }
+    // A report claiming disk rescues must have the disk tier enabled.
+    let disk_hits = num_at(doc, "/cache/disk/hits")?;
+    let enabled = lookup(doc, "/cache/disk/enabled")
+        .and_then(JsonValue::as_bool)
+        .ok_or("/cache/disk/enabled: missing or not a bool")?;
+    if disk_hits > 0.0 && !enabled {
+        return Err(format!(
+            "/cache/disk/hits: {disk_hits} hits reported with the disk tier disabled"
+        ));
+    }
+    num_at(doc, "/jobs/load_shed")?;
 
     for (p50, p95) in [
         ("/latency/sim_p50_ns", "/latency/sim_p95_ns"),
@@ -438,68 +434,66 @@ fn check_service(doc: &JsonValue) -> Result<String, String> {
         ));
     }
 
-    // v4 adds the fleet scheduler section: per-device placement and hit
-    // accounting that must cover every worker-processed job exactly once.
-    if version >= 4 {
-        let fleet = section_at(doc, "/fleet")?;
-        let devices = num_at(fleet, "/devices").map_err(|e| format!("/fleet{e}"))?;
-        if devices < 1.0 {
-            return Err("/fleet/devices: zero devices".into());
+    // The fleet scheduler section: per-device placement and hit accounting
+    // that must cover every worker-processed job exactly once.
+    let fleet = section_at(doc, "/fleet")?;
+    let devices = num_at(fleet, "/devices").map_err(|e| format!("/fleet{e}"))?;
+    if devices < 1.0 {
+        return Err("/fleet/devices: zero devices".into());
+    }
+    if lookup(fleet, "/degraded")
+        .and_then(JsonValue::as_bool)
+        .is_none()
+    {
+        return Err("/fleet/degraded: missing or not a bool".into());
+    }
+    let per = section_at(fleet, "/per_device")
+        .map_err(|e| format!("/fleet{e}"))?
+        .as_arr()
+        .ok_or("/fleet/per_device: not an array")?;
+    if per.len() as f64 != devices {
+        return Err(format!(
+            "/fleet/per_device: {} entries for {devices} devices",
+            per.len()
+        ));
+    }
+    let mut placed = 0.0f64;
+    for (i, row) in per.iter().enumerate() {
+        for key in [
+            "device",
+            "jobs",
+            "queued",
+            "hot_jobs",
+            "hot_hits",
+            "plan_bytes",
+        ] {
+            num_at(row, &format!("/{key}")).map_err(|e| format!("/fleet/per_device/{i}{e}"))?;
         }
-        if lookup(fleet, "/degraded")
-            .and_then(JsonValue::as_bool)
-            .is_none()
-        {
-            return Err("/fleet/degraded: missing or not a bool".into());
-        }
-        let per = section_at(fleet, "/per_device")
-            .map_err(|e| format!("/fleet{e}"))?
-            .as_arr()
-            .ok_or("/fleet/per_device: not an array")?;
-        if per.len() as f64 != devices {
+        let device_rate =
+            num_at(row, "/hot_hit_rate").map_err(|e| format!("/fleet/per_device/{i}{e}"))?;
+        if !(0.0..=1.0).contains(&device_rate) {
             return Err(format!(
-                "/fleet/per_device: {} entries for {devices} devices",
-                per.len()
+                "/fleet/per_device/{i}/hot_hit_rate: {device_rate} outside 0..1"
             ));
         }
-        let mut placed = 0.0f64;
-        for (i, row) in per.iter().enumerate() {
-            for key in [
-                "device",
-                "jobs",
-                "queued",
-                "hot_jobs",
-                "hot_hits",
-                "plan_bytes",
-            ] {
-                num_at(row, &format!("/{key}")).map_err(|e| format!("/fleet/per_device/{i}{e}"))?;
-            }
-            let device_rate =
-                num_at(row, "/hot_hit_rate").map_err(|e| format!("/fleet/per_device/{i}{e}"))?;
-            if !(0.0..=1.0).contains(&device_rate) {
-                return Err(format!(
-                    "/fleet/per_device/{i}/hot_hit_rate: {device_rate} outside 0..1"
-                ));
-            }
-            let hits = num_at(row, "/hot_hits")?;
-            let hot_jobs = num_at(row, "/hot_jobs")?;
-            if hits > hot_jobs {
-                return Err(format!(
-                    "/fleet/per_device/{i}/hot_hits: {hits} exceeds hot_jobs {hot_jobs}"
-                ));
-            }
-            if row.get("dead").and_then(JsonValue::as_bool).is_none() {
-                return Err(format!("/fleet/per_device/{i}/dead: missing or not a bool"));
-            }
-            placed += num_at(row, "/jobs")?;
-        }
-        // A device can only finish jobs that were actually submitted.
-        if placed > submitted {
+        let hits = num_at(row, "/hot_hits")?;
+        let hot_jobs = num_at(row, "/hot_jobs")?;
+        if hits > hot_jobs {
             return Err(format!(
-                "/fleet/per_device: devices finished {placed} jobs but only \
-                 {submitted} were submitted"
+                "/fleet/per_device/{i}/hot_hits: {hits} exceeds hot_jobs {hot_jobs}"
             ));
         }
+        if row.get("dead").and_then(JsonValue::as_bool).is_none() {
+            return Err(format!("/fleet/per_device/{i}/dead: missing or not a bool"));
+        }
+        placed += num_at(row, "/jobs")?;
+    }
+    // A device can only finish jobs that were actually submitted.
+    if placed > submitted {
+        return Err(format!(
+            "/fleet/per_device: devices finished {placed} jobs but only \
+             {submitted} were submitted"
+        ));
     }
 
     check_observability_sections(doc)?;
@@ -512,16 +506,10 @@ fn check_service(doc: &JsonValue) -> Result<String, String> {
 
 /// The SLO/drift CI gate: all `--service` checks, plus the observability
 /// sections are mandatory, the SLO verdict must pass, and no span kind
-/// may be drift-flagged. With `min_disk_hit_rate`, the v3 tiered-cache
+/// may be drift-flagged. With `min_disk_hit_rate`, the tiered-cache
 /// rescue rate is gated too (the persistence CI job's warm-restart floor).
 fn check_slo(doc: &JsonValue, min_disk_hit_rate: Option<f64>) -> Result<String, String> {
     let base = check_service(doc)?;
-    let version = num_at(doc, "/service_schema_version")? as u64;
-    if version < 2 {
-        return Err(format!(
-            "/service_schema_version: --slo needs schema v2 observability sections, got v{version}"
-        ));
-    }
     for section in ["metrics", "tenants", "slo", "drift"] {
         section_at(doc, &format!("/{section}"))?;
     }
@@ -549,13 +537,6 @@ fn check_slo(doc: &JsonValue, min_disk_hit_rate: Option<f64>) -> Result<String, 
     }
     let mut rescue_note = String::new();
     if let Some(floor) = min_disk_hit_rate {
-        let version = num_at(doc, "/service_schema_version")? as u64;
-        if version < 3 {
-            return Err(format!(
-                "/service_schema_version: --min-disk-hit-rate needs schema v3 cache tiers, \
-                 got v{version}"
-            ));
-        }
         let rescue = disk_rescue_rate(doc)?;
         if rescue < floor {
             return Err(format!(

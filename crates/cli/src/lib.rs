@@ -9,7 +9,7 @@ use gplu_server::{
     generate_workload, JobHandle, ServiceConfig, ServiceReport, SloSpec, SolverService,
     WorkloadParams,
 };
-use gplu_sim::{CostModel, DeviceFleet, FaultPlan, GpuConfig};
+use gplu_sim::{CostModel, DeviceFleet, FaultPlan, GpuConfig, FAULT_PLAN_ENV};
 use gplu_sparse::convert::coo_to_csr;
 use gplu_sparse::gen::hard::HardKind;
 use gplu_sparse::gen::{circuit, mesh, planar};
@@ -21,154 +21,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
-
-/// Usage text shared by `--help` and usage errors.
-pub const USAGE: &str = "\
-gplu — end-to-end sparse LU factorization on a simulated GPU
-
-commands:
-  info <matrix.mtx>
-  factorize <matrix.mtx> [options]
-  solve <matrix.mtx> [options] [--gpu-solve]
-  gen <family> <n> <nnz_per_row> <out.mtx> [seed]
-      families: circuit, mesh, planar (dominant); near-singular, graded,
-      zero-diag, sign-alternating (adversarial; nnz_per_row ignored)
-  serve --stress [serve options]
-
-options:
-  --ordering amd|rcm|natural    fill-reducing ordering (default amd)
-  --engine ooc|dynamic|um|um-prefetch
-                                symbolic engine (default dynamic)
-  --format auto|dense|sparse|merge|blocked
-                                numeric format (default auto: dense until the
-                                paper's switch criterion fires, then merge-join
-                                CSC — or supernode-blocked CSC when the fill
-                                density crosses the BLAS-3 crossover; 'sparse'
-                                forces binary-search CSC, 'blocked' forces the
-                                supernode-blocked kernel)
-  --block-threshold <sim>       minimum adjacent-column pattern similarity
-                                (Jaccard, 0..1) for the supernode blocking
-                                pass to chain two columns (default 0.6; used
-                                by --format blocked and the auto crossover)
-  --mem <MiB>                   device memory (default: out-of-core profile)
-  --devices <N>                 shard the heavy phases across a fleet of N
-                                simulated devices (default 1). Results are
-                                bit-identical to a single device; only the
-                                simulated makespan changes. Fault plans may
-                                target one device with a dev=K: prefix.
-                                Incompatible with --checkpoint-dir (fleet
-                                runs are cold-run only)
-  --pivot none|static|threshold pivoting policy (default none): 'static'
-                                perturbs tiny pivots up to a floor at
-                                division time, 'threshold' runs the host
-                                discovery pre-pass and swaps rows whose
-                                pivot falls below tau times the column max
-  --pivot-tau <F>               threshold-pivoting relative tolerance in
-                                0..1 (default 0.1; implies --pivot
-                                threshold when that flag is unset)
-  --static-floor <F>            static-perturbation pivot floor (default
-                                1e-8; requires --pivot static)
-  --gate-threshold <F>          residual acceptance gate: reject factors
-                                whose relative residual exceeds F
-                                (default 1e-6)
-  --no-gate                     skip the residual gate entirely (accept
-                                whatever the numeric phase produced)
-  --escalate                    on gate failure, retry under progressively
-                                stronger pivoting (threshold -> partial ->
-                                static floor) before rejecting
-  --repair-singular             patch pivots that cancel to zero with the
-                                repair value and retry the numeric phase once
-  --fault-plan <spec>           inject deterministic device faults; spec is a
-                                comma list of oom:alloc=N[:persistent],
-                                squeeze:alloc=N:KEEP%, badlaunch:KERNEL=N
-                                [:persistent], crash:at=N (kill the process at
-                                its Nth crash point — checkpoint write
-                                boundaries), or seed:S (random plan).
-                                Also read from GPLU_FAULT_PLAN when unset.
-  --checkpoint-dir <dir>        cut crash-consistent snapshots into <dir>: one
-                                at every phase boundary plus periodic partial
-                                snapshots inside the symbolic/numeric phases
-  --checkpoint-every <N>        partial-snapshot cadence in completed symbolic
-                                iterations / numeric levels (default 8;
-                                requires --checkpoint-dir, must be >= 1)
-  --resume                      resume from the latest valid snapshot in
-                                --checkpoint-dir (which must belong to the
-                                same matrix) instead of starting over
-  --trace-out <path>            write a Chrome trace-event JSON file of the
-                                run (open in Perfetto / chrome://tracing)
-  --report-json <path>          write the versioned machine-readable run
-                                report (phase timings, per-level records,
-                                GPU counters, recovery log)
-  --metrics                     print span histograms and counters to stdout
-
-serve options (the solver service is in-process; `--stress` replays a
-seeded synthetic workload against it and reports what happened):
-  --jobs <N>                    workload size (default 500)
-  --workers <N>                 worker threads (default 4)
-  --seed <S>                    workload seed; the whole job mix is a pure
-                                function of it (default 1)
-  --queue-cap <N>               bounded admission-queue capacity; overflow
-                                is typed backpressure (default 64)
-  --cache-budget <MiB>          pattern-keyed factor-cache device-tier
-                                budget (default 64)
-  --host-cache-budget <MiB>     host memory tier: plans evicted from the
-                                device tier demote here instead of
-                                dropping (default 64; 0 disables)
-  --cache-dir <dir>             persistent disk cache tier: newly built
-                                plans are persisted write-behind into
-                                <dir> (crash-consistent, checksummed)
-                                and misses consult it before going cold
-  --rewarm                      repopulate the host tier from --cache-dir
-                                before accepting jobs (warm restart;
-                                previously cached patterns skip all
-                                symbolic work)
-  --disk-fault-plan <spec>      inject deterministic disk-tier faults:
-                                comma list of diskfault:read=N
-                                [:persistent], diskfault:write=N
-                                [:persistent] (degraded-mode chaos)
-  --hot-patterns <N>            distinct hot patterns in the mix (default 3)
-  --hot-n <N> / --cold-n <N>    matrix dimensions of the hot / cold
-                                segments (defaults 300 / 200)
-  --fault-every <N>             give every Nth job a seeded fault plan
-                                (default 0 = no chaos)
-  --fault-plan <spec>           use this plan (same grammar as factorize)
-                                for the faulted jobs instead of seeded
-                                ones; implies --fault-every 7 when unset
-  --hard-fraction <F>           fraction of jobs drawn from the adversarial
-                                hard corpus (ill-conditioned patterns
-                                resubmitted with drifting values; 0..1,
-                                default 0 = none)
-  --quarantine-strikes <N>      numeric rejections on one pattern before
-                                the service fast-rejects it (default 2,
-                                0 disables quarantine)
-  --devices <N>                 schedule jobs across a fleet of N simulated
-                                devices (default 1): patterns route back to
-                                the device holding their cached plan, the
-                                rest go least-loaded, and the report gains
-                                per-device hit rates
-  --format auto|dense|sparse|merge|blocked
-                                numeric format forced onto every generated
-                                job (default auto)
-  --block-threshold <sim>       blocking-pass similarity threshold applied
-                                to every generated job (0..1, default 0.6)
-  --service-report <path>       write the versioned service-report JSON
-                                (validated by telemetry_check --service)
-  --trace-out <path>            write the wall-clock Chrome trace of the
-                                service run (queue depth, per-job spans)
-  --min-hot-hit-rate <F>        exit nonzero unless the hot-segment cache
-                                hit rate reaches F (0..1)
-  --metrics-out <path>          write the live metrics-registry text
-                                exposition (per-tenant/per-tier latency
-                                histograms, gauges, counters)
-  --slo <spec>                  evaluate the sliding-window SLO and exit
-                                nonzero on violation; spec is key=value
-                                pairs: sim_p50_ns / sim_p95_ns /
-                                sim_p99_ns / wall_p95_ns ceilings,
-                                hit_rate floor, window size — e.g.
-                                --slo sim_p95_ns=2.5e9,hit_rate=0.8
-  --tenants <N>                 tenants the workload spreads jobs across
-                                (default 4)
-";
 
 /// CLI error type.
 #[derive(Debug)]
@@ -216,17 +68,18 @@ impl From<std::io::Error> for CliError {
 }
 
 /// Parsed factorize/solve options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Pipeline options assembled from the flags.
     pub lu: LuOptions,
     /// Device memory override (bytes).
     pub mem: Option<u64>,
-    /// Solve on the simulated GPU.
+    /// Solve on the simulated GPU (`solve --gpu-solve`).
     pub gpu_solve: bool,
-    /// Deterministic fault-injection plan (`--fault-plan` or
-    /// `GPLU_FAULT_PLAN`).
-    pub fault_plan: Option<FaultPlan>,
+    /// One deterministic fault-injection plan per device, expanded from
+    /// the `dev=K:` grammar of `--fault-plan` or `GPLU_FAULT_PLAN`; empty
+    /// when neither is set.
+    pub fault_plans: Vec<FaultPlan>,
     /// Write a Chrome trace-event file here (`--trace-out`).
     pub trace_out: Option<String>,
     /// Write the machine-readable run report here (`--report-json`).
@@ -236,12 +89,8 @@ pub struct RunOptions {
     /// Crash-consistent checkpointing (`--checkpoint-dir`,
     /// `--checkpoint-every`, `--resume`), validated as a unit.
     pub checkpoint: Option<CheckpointOptions>,
-    /// Fleet size (`--devices`); 1 runs the classic single-device path.
+    /// Fleet size (`--devices`); [`parse_options`] defaults it to 1.
     pub devices: usize,
-    /// Per-device fault plans for a fleet run, expanded from the
-    /// `dev=K:`-prefixed `--fault-plan` grammar (only with `--devices`
-    /// above 1).
-    pub fleet_fault_plans: Option<Vec<FaultPlan>>,
 }
 
 impl RunOptions {
@@ -252,287 +101,9 @@ impl RunOptions {
     }
 }
 
-fn parse_block_threshold(v: String) -> Result<f64, CliError> {
-    let sim: f64 = v
-        .parse()
-        .map_err(|_| CliError::Usage("--block-threshold takes a number in 0..1".into()))?;
-    if !(0.0..=1.0).contains(&sim) {
-        return Err(CliError::Usage(
-            "--block-threshold takes a number in 0..1".into(),
-        ));
-    }
-    Ok(sim)
-}
-
-/// Parses the option flags shared by `factorize` and `solve`.
-pub fn parse_options(args: &[String]) -> Result<RunOptions, CliError> {
-    let mut opts = RunOptions {
-        lu: LuOptions {
-            symbolic: SymbolicEngine::OocDynamic,
-            ..Default::default()
-        },
-        mem: None,
-        gpu_solve: false,
-        fault_plan: None,
-        trace_out: None,
-        report_json: None,
-        metrics: false,
-        checkpoint: None,
-        devices: 1,
-        fleet_fault_plans: None,
-    };
-    let mut fault_spec: Option<String> = None;
-    let mut ckpt_dir: Option<String> = None;
-    let mut ckpt_every: Option<usize> = None;
-    let mut resume = false;
-    let mut pivot_kind: Option<String> = None;
-    let mut pivot_tau: Option<f64> = None;
-    let mut static_floor: Option<f64> = None;
-    let mut no_gate = false;
-    let mut escalate = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match a.as_str() {
-            "--ordering" => {
-                opts.lu.preprocess.ordering = match value("--ordering")?.as_str() {
-                    "amd" => OrderingKind::MinDegree,
-                    "rcm" => OrderingKind::Rcm,
-                    "natural" => OrderingKind::Natural,
-                    other => return Err(CliError::Usage(format!("unknown ordering '{other}'"))),
-                };
-            }
-            "--engine" => {
-                opts.lu.symbolic = match value("--engine")?.as_str() {
-                    "ooc" => SymbolicEngine::Ooc,
-                    "dynamic" => SymbolicEngine::OocDynamic,
-                    "um" => SymbolicEngine::UmNoPrefetch,
-                    "um-prefetch" => SymbolicEngine::UmPrefetch,
-                    other => return Err(CliError::Usage(format!("unknown engine '{other}'"))),
-                };
-            }
-            "--format" => {
-                opts.lu.format = match value("--format")?.as_str() {
-                    "auto" => NumericFormat::Auto,
-                    "dense" => NumericFormat::Dense,
-                    "sparse" => NumericFormat::Sparse,
-                    "merge" => NumericFormat::SparseMerge,
-                    "blocked" => NumericFormat::SparseBlocked,
-                    other => return Err(CliError::Usage(format!("unknown format '{other}'"))),
-                };
-            }
-            "--block-threshold" => {
-                opts.lu.block_threshold = parse_block_threshold(value("--block-threshold")?)?;
-            }
-            "--mem" => {
-                let mib: u64 = value("--mem")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--mem takes MiB as an integer".into()))?;
-                opts.mem = Some(mib << 20);
-            }
-            "--gpu-solve" => opts.gpu_solve = true,
-            "--devices" => {
-                let n: usize = value("--devices")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--devices takes a positive integer".into()))?;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "--devices must be at least 1 (who would run the kernels?)".into(),
-                    ));
-                }
-                opts.devices = n;
-            }
-            "--pivot" => {
-                let kind = value("--pivot")?;
-                match kind.as_str() {
-                    "none" | "static" | "threshold" => pivot_kind = Some(kind),
-                    other => {
-                        return Err(CliError::Usage(format!("unknown pivot policy '{other}'")))
-                    }
-                }
-            }
-            "--pivot-tau" => {
-                let tau: f64 = value("--pivot-tau")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--pivot-tau takes a number in 0..1".into()))?;
-                if !(tau > 0.0 && tau <= 1.0) {
-                    return Err(CliError::Usage("--pivot-tau takes a number in 0..1".into()));
-                }
-                pivot_tau = Some(tau);
-            }
-            "--static-floor" => {
-                let floor: f64 = value("--static-floor")?.parse().map_err(|_| {
-                    CliError::Usage("--static-floor takes a positive number".into())
-                })?;
-                if !(floor > 0.0 && floor.is_finite()) {
-                    return Err(CliError::Usage(
-                        "--static-floor takes a positive number".into(),
-                    ));
-                }
-                static_floor = Some(floor);
-            }
-            "--gate-threshold" => {
-                let t: f64 = value("--gate-threshold")?.parse().map_err(|_| {
-                    CliError::Usage("--gate-threshold takes a positive number".into())
-                })?;
-                if !(t > 0.0 && t.is_finite()) {
-                    return Err(CliError::Usage(
-                        "--gate-threshold takes a positive number".into(),
-                    ));
-                }
-                opts.lu.gate.threshold = t;
-            }
-            "--no-gate" => no_gate = true,
-            "--escalate" => escalate = true,
-            "--checkpoint-dir" => ckpt_dir = Some(value("--checkpoint-dir")?),
-            "--checkpoint-every" => {
-                let n: usize = value("--checkpoint-every")?.parse().map_err(|_| {
-                    CliError::Usage("--checkpoint-every takes a positive integer".into())
-                })?;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "--checkpoint-every must be at least 1 (0 would never cut a snapshot)"
-                            .into(),
-                    ));
-                }
-                ckpt_every = Some(n);
-            }
-            "--resume" => resume = true,
-            "--repair-singular" => opts.lu.preprocess.repair_singular = true,
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
-            "--report-json" => opts.report_json = Some(value("--report-json")?),
-            "--metrics" => opts.metrics = true,
-            // Parsed after the loop: the fleet grammar (`dev=K:` device
-            // selectors) is only legal once `--devices` is known, and the
-            // flags may come in either order.
-            "--fault-plan" => fault_spec = Some(value("--fault-plan")?),
-            other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
-        }
-    }
-    // Pivoting flags are validated as a unit so conflicting combinations
-    // are typed usage errors, never silently dropped knobs.
-    opts.lu.pivot = match pivot_kind.as_deref() {
-        Some("none") => {
-            if pivot_tau.is_some() || static_floor.is_some() {
-                return Err(CliError::Usage(
-                    "--pivot none conflicts with --pivot-tau / --static-floor".into(),
-                ));
-            }
-            PivotPolicy::NoPivot
-        }
-        Some("static") => {
-            if pivot_tau.is_some() {
-                return Err(CliError::Usage(
-                    "--pivot-tau belongs to --pivot threshold, not static".into(),
-                ));
-            }
-            PivotPolicy::Static {
-                threshold: static_floor.unwrap_or(1e-8),
-            }
-        }
-        Some("threshold") => {
-            if static_floor.is_some() {
-                return Err(CliError::Usage(
-                    "--static-floor belongs to --pivot static, not threshold".into(),
-                ));
-            }
-            PivotPolicy::Threshold {
-                tau: pivot_tau.unwrap_or(DEFAULT_PIVOT_TAU),
-            }
-        }
-        Some(_) => unreachable!("parser rejected unknown policies"),
-        // Bare --pivot-tau implies threshold pivoting; a bare
-        // --static-floor has nothing to attach to.
-        None => match (pivot_tau, static_floor) {
-            (Some(tau), None) => PivotPolicy::Threshold { tau },
-            (None, Some(_)) => {
-                return Err(CliError::Usage(
-                    "--static-floor requires --pivot static".into(),
-                ));
-            }
-            (Some(_), Some(_)) => {
-                return Err(CliError::Usage(
-                    "--pivot-tau conflicts with --static-floor (pick one policy)".into(),
-                ));
-            }
-            (None, None) => opts.lu.pivot,
-        },
-    };
-    if no_gate && escalate {
-        return Err(CliError::Usage(
-            "--escalate needs the residual gate; drop --no-gate".into(),
-        ));
-    }
-    opts.lu.gate.enabled = !no_gate;
-    opts.lu.gate.escalate = escalate;
-    // Fault plans resolve once the fleet size is known: a fleet run
-    // expands the `dev=K:` grammar into per-device plans, a single-device
-    // run keeps the classic single-plan parse (where `dev=` is an error).
-    match fault_spec {
-        Some(spec) if opts.devices > 1 => {
-            opts.fleet_fault_plans = Some(
-                FaultPlan::parse_fleet(&spec, opts.devices)
-                    .map_err(|e| CliError::Usage(format!("--fault-plan: {e}")))?,
-            );
-        }
-        Some(spec) => {
-            opts.fault_plan = Some(
-                FaultPlan::parse(&spec)
-                    .map_err(|e| CliError::Usage(format!("--fault-plan: {e}")))?,
-            );
-        }
-        None if opts.devices > 1 => {
-            if let Ok(spec) = std::env::var(gplu_sim::FAULT_PLAN_ENV) {
-                if !spec.trim().is_empty() {
-                    opts.fleet_fault_plans =
-                        Some(FaultPlan::parse_fleet(&spec, opts.devices).map_err(|e| {
-                            CliError::Usage(format!("{}: {e}", gplu_sim::FAULT_PLAN_ENV))
-                        })?);
-                }
-            }
-        }
-        None => {
-            opts.fault_plan = FaultPlan::from_env()
-                .map_err(|e| CliError::Usage(format!("{}: {e}", gplu_sim::FAULT_PLAN_ENV)))?;
-        }
-    }
-    opts.checkpoint = match ckpt_dir {
-        Some(dir) => {
-            let mut ckpt = CheckpointOptions::new(dir).resume(resume);
-            if let Some(n) = ckpt_every {
-                ckpt = ckpt.every(n);
-            }
-            Some(ckpt)
-        }
-        None if resume => {
-            return Err(CliError::Usage(
-                "--resume requires --checkpoint-dir (where should the snapshot come from?)".into(),
-            ));
-        }
-        None if ckpt_every.is_some() => {
-            return Err(CliError::Usage(
-                "--checkpoint-every requires --checkpoint-dir".into(),
-            ));
-        }
-        None => None,
-    };
-    if opts.devices > 1 && opts.checkpoint.is_some() {
-        return Err(CliError::Usage(
-            "--devices above 1 is incompatible with --checkpoint-dir: fleet runs \
-             are cold-run only (no checkpoint/resume yet)"
-                .into(),
-        ));
-    }
-    Ok(opts)
-}
-
 /// Parsed `serve` options: the workload shape, the service knobs, and the
 /// stress driver's output/check settings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// `--stress` given (required; bare `serve` is a usage error because
     /// the service is in-process — there is no listener to run).
@@ -561,149 +132,559 @@ pub struct ServeOptions {
     pub slo: Option<SloSpec>,
 }
 
+/// One row of a flag table: `--help` prints it and the parser matches it.
+struct Flag<O> {
+    /// The flag, then its value placeholder unless it is a switch.
+    usage: &'static str,
+    help: &'static str,
+    /// Stores the value (`""` for a switch). The error says what the flag
+    /// takes; the parser prefixes the flag's name.
+    set: fn(&mut O, &str) -> Result<(), String>,
+}
+
+impl<O> Flag<O> {
+    fn name(&self) -> &'static str {
+        self.usage
+            .split_once(' ')
+            .map_or(self.usage, |(name, _)| name)
+    }
+}
+
+/// A cross-flag rule, checked once after every flag is read: parsing
+/// fails with the message when the predicate holds.
+type Rule<O> = (fn(&O) -> bool, &'static str);
+
+/// Reads `args` against the rows of `tables`, then checks `rules`.
+/// Returns the names of the flags given, in order.
+fn parse_flags<O>(
+    tables: &[&[Flag<O>]],
+    rules: &[Rule<O>],
+    args: &[String],
+    o: &mut O,
+) -> Result<Vec<&'static str>, CliError> {
+    let mut given = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = tables
+            .iter()
+            .copied()
+            .flatten()
+            .find(|f| f.name() == arg)
+            .ok_or_else(|| CliError::Usage(format!("unknown flag '{arg}'")))?;
+        let name = flag.name();
+        let value = if name == flag.usage {
+            ""
+        } else {
+            args.next()
+                .ok_or_else(|| CliError::Usage(format!("{name} needs a value")))?
+        };
+        (flag.set)(o, value).map_err(|e| CliError::Usage(format!("{name} {e}")))?;
+        given.push(name);
+    }
+    match rules.iter().find(|(broken, _)| broken(o)) {
+        Some((_, why)) => Err(CliError::Usage(why.to_string())),
+        None => Ok(given),
+    }
+}
+
+/// Stores a parsed value into its option.
+fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+fn integer<T: std::str::FromStr>(v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("takes an integer, not '{v}'"))
+}
+
+fn positive_integer(v: &str) -> Result<usize, String> {
+    match integer(v)? {
+        0 => Err("takes a positive integer, not 0".into()),
+        n => Ok(n),
+    }
+}
+
+/// A size in MiB, as bytes.
+fn mib(v: &str) -> Result<u64, String> {
+    integer::<u64>(v)?
+        .checked_mul(1 << 20)
+        .ok_or_else(|| format!("takes MiB that fit in 64-bit bytes, not {v}"))
+}
+
+fn fraction(v: &str) -> Result<f64, String> {
+    match v.parse() {
+        Ok(x) if (0.0..=1.0).contains(&x) => Ok(x),
+        _ => Err(format!("takes a number in 0..1, not '{v}'")),
+    }
+}
+
+fn positive(v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(x) if x > 0.0 && x.is_finite() => Ok(x),
+        _ => Err(format!("takes a positive number, not '{v}'")),
+    }
+}
+
+fn fault_plan(v: &str) -> Result<Option<FaultPlan>, String> {
+    FaultPlan::parse(v).map(Some)
+}
+
+/// The value `v` names in `table`.
+fn pick<T: Copy>(v: &str, table: &[(&str, T)]) -> Result<T, String> {
+    match table.iter().find(|(name, _)| *name == v) {
+        Some(&(_, value)) => Ok(value),
+        None => Err(format!("takes one of the names --help lists, not '{v}'")),
+    }
+}
+
+const ORDERINGS: &[(&str, OrderingKind)] = &[
+    ("amd", OrderingKind::MinDegree),
+    ("rcm", OrderingKind::Rcm),
+    ("natural", OrderingKind::Natural),
+];
+const ENGINES: &[(&str, SymbolicEngine)] = &[
+    ("ooc", SymbolicEngine::Ooc),
+    ("dynamic", SymbolicEngine::OocDynamic),
+    ("um", SymbolicEngine::UmNoPrefetch),
+    ("um-prefetch", SymbolicEngine::UmPrefetch),
+];
+const FORMATS: &[(&str, NumericFormat)] = &[
+    ("auto", NumericFormat::Auto),
+    ("dense", NumericFormat::Dense),
+    ("sparse", NumericFormat::Sparse),
+    ("merge", NumericFormat::SparseMerge),
+    ("blocked", NumericFormat::SparseBlocked),
+];
+/// Each policy with the defaults `--pivot-tau` / `--static-floor` refine.
+const PIVOTS: &[(&str, PivotPolicy)] = &[
+    ("none", PivotPolicy::NoPivot),
+    ("static", PivotPolicy::Static { threshold: 1e-8 }),
+    (
+        "threshold",
+        PivotPolicy::Threshold {
+            tau: DEFAULT_PIVOT_TAU,
+        },
+    ),
+];
+
+/// What the factorize/solve flags set, before [`parse_options`] resolves
+/// the pivot policy, the checkpoint options and the fault plans.
+#[derive(Default)]
+struct RunFlags {
+    opts: RunOptions,
+    pivot: Option<PivotPolicy>,
+    pivot_tau: Option<f64>,
+    static_floor: Option<f64>,
+    checkpoint_dir: Option<String>,
+    checkpoint_every: Option<usize>,
+    resume: bool,
+    /// Expanded per device once `--devices` is known.
+    fault_plan: Option<String>,
+}
+
+static RUN_FLAGS: &[Flag<RunFlags>] = &[
+    Flag {
+        usage: "--ordering amd|rcm|natural",
+        help: "fill-reducing ordering (default amd)",
+        set: |o, v| put(&mut o.opts.lu.preprocess.ordering, pick(v, ORDERINGS)),
+    },
+    Flag {
+        usage: "--engine ooc|dynamic|um|um-prefetch",
+        help: "symbolic engine (default dynamic)",
+        set: |o, v| put(&mut o.opts.lu.symbolic, pick(v, ENGINES)),
+    },
+    Flag {
+        usage: "--format auto|dense|sparse|merge|blocked",
+        help: "numeric format (default auto: dense until the paper's switch criterion \
+               fires, then merge-join CSC, or supernode-blocked CSC past the BLAS-3 \
+               density crossover; 'sparse' forces binary-search CSC, 'blocked' the \
+               supernode-blocked kernel)",
+        set: |o, v| put(&mut o.opts.lu.format, pick(v, FORMATS)),
+    },
+    Flag {
+        usage: "--block-threshold <sim>",
+        help: "minimum adjacent-column pattern similarity (Jaccard, 0..1) for the \
+               blocking pass to chain two columns (default 0.6)",
+        set: |o, v| put(&mut o.opts.lu.block_threshold, fraction(v)),
+    },
+    Flag {
+        usage: "--mem <MiB>",
+        help: "device memory (default: out-of-core profile)",
+        set: |o, v| put(&mut o.opts.mem, mib(v).map(Some)),
+    },
+    Flag {
+        usage: "--devices <N>",
+        help: "shard the heavy phases across a fleet of N simulated devices (default \
+               1); the factors are bit-identical, only the simulated makespan changes. \
+               Above 1, incompatible with --checkpoint-dir",
+        set: |o, v| put(&mut o.opts.devices, positive_integer(v)),
+    },
+    Flag {
+        usage: "--pivot none|static|threshold",
+        help: "pivoting policy (default none): 'static' perturbs tiny pivots up to a \
+               floor at division time, 'threshold' swaps rows whose pivot falls below \
+               tau times the column max",
+        set: |o, v| put(&mut o.pivot, pick(v, PIVOTS).map(Some)),
+    },
+    Flag {
+        usage: "--pivot-tau <F>",
+        help: "threshold-pivoting relative tolerance in 0..1 (default 0.1; implies \
+               --pivot threshold when that flag is unset)",
+        set: |o, v| put(&mut o.pivot_tau, positive(v).and(fraction(v)).map(Some)),
+    },
+    Flag {
+        usage: "--static-floor <F>",
+        help: "static-perturbation pivot floor (default 1e-8; requires --pivot static)",
+        set: |o, v| put(&mut o.static_floor, positive(v).map(Some)),
+    },
+    Flag {
+        usage: "--gate-threshold <F>",
+        help: "reject factors whose relative residual exceeds F (default 1e-6)",
+        set: |o, v| put(&mut o.opts.lu.gate.threshold, positive(v)),
+    },
+    Flag {
+        usage: "--no-gate",
+        help: "skip the residual gate (accept whatever the numeric phase produced)",
+        set: |o, _| put(&mut o.opts.lu.gate.enabled, Ok(false)),
+    },
+    Flag {
+        usage: "--escalate",
+        help: "on gate failure, retry under stronger pivoting (threshold -> partial -> \
+               static floor) before rejecting",
+        set: |o, _| put(&mut o.opts.lu.gate.escalate, Ok(true)),
+    },
+    Flag {
+        usage: "--repair-singular",
+        help: "patch pivots that cancel to zero and retry the numeric phase once",
+        set: |o, _| put(&mut o.opts.lu.preprocess.repair_singular, Ok(true)),
+    },
+    Flag {
+        usage: "--fault-plan <spec>",
+        help: "inject deterministic device faults: a comma list of \
+               oom:alloc=N[:persistent], squeeze:alloc=N:KEEP%, \
+               badlaunch:KERNEL=N[:persistent], crash:at=N (die at the Nth checkpoint \
+               crash point) or seed:S, each optionally prefixed dev=K: to hit one \
+               device. GPLU_FAULT_PLAN is read when unset",
+        set: |o, v| put(&mut o.fault_plan, Ok(Some(v.into()))),
+    },
+    Flag {
+        usage: "--checkpoint-dir <dir>",
+        help: "cut crash-consistent snapshots into <dir> at every phase boundary and \
+               inside the symbolic/numeric phases",
+        set: |o, v| put(&mut o.checkpoint_dir, Ok(Some(v.into()))),
+    },
+    Flag {
+        usage: "--checkpoint-every <N>",
+        help: "partial-snapshot cadence in symbolic iterations / numeric levels \
+               (default 8; requires --checkpoint-dir)",
+        set: |o, v| put(&mut o.checkpoint_every, positive_integer(v).map(Some)),
+    },
+    Flag {
+        usage: "--resume",
+        help: "resume from the latest valid snapshot of the same matrix in \
+               --checkpoint-dir",
+        set: |o, _| put(&mut o.resume, Ok(true)),
+    },
+    Flag {
+        usage: "--trace-out <path>",
+        help: "write a Chrome trace-event JSON file of the run (open in Perfetto or \
+               chrome://tracing)",
+        set: |o, v| put(&mut o.opts.trace_out, Ok(Some(v.into()))),
+    },
+    Flag {
+        usage: "--report-json <path>",
+        help: "write the versioned machine-readable run report (phase timings, \
+               per-level records, GPU counters, recovery log)",
+        set: |o, v| put(&mut o.opts.report_json, Ok(Some(v.into()))),
+    },
+    Flag {
+        usage: "--metrics",
+        help: "print span histograms and counters to stdout",
+        set: |o, _| put(&mut o.opts.metrics, Ok(true)),
+    },
+];
+
+static SOLVE_FLAGS: &[Flag<RunFlags>] = &[Flag {
+    usage: "--gpu-solve",
+    help: "run the triangular solves on the simulated GPU (device 0 of a fleet)",
+    set: |o, _| put(&mut o.opts.gpu_solve, Ok(true)),
+}];
+
+static RUN_RULES: &[Rule<RunFlags>] = &[
+    (
+        |o| o.pivot_tau.is_some() && o.pivot.is_some_and(|p| p.name() != "threshold"),
+        "--pivot-tau belongs to --pivot threshold",
+    ),
+    (
+        |o| o.static_floor.is_some() && o.pivot.is_none_or(|p| p.name() != "static"),
+        "--static-floor requires --pivot static",
+    ),
+    (
+        |o| o.opts.lu.gate.escalate && !o.opts.lu.gate.enabled,
+        "--escalate needs the residual gate; drop --no-gate",
+    ),
+    (
+        |o| o.resume && o.checkpoint_dir.is_none(),
+        "--resume requires --checkpoint-dir (where should the snapshot come from?)",
+    ),
+    (
+        |o| o.checkpoint_every.is_some() && o.checkpoint_dir.is_none(),
+        "--checkpoint-every requires --checkpoint-dir",
+    ),
+    (
+        |o| o.opts.devices > 1 && o.checkpoint_dir.is_some(),
+        "--devices above 1 is incompatible with --checkpoint-dir: fleet runs are \
+         cold-run only (no checkpoint/resume yet)",
+    ),
+];
+
+/// Parses the flags of `factorize`, or of `solve` when `solve` is set
+/// (which also takes `--gpu-solve`).
+pub fn parse_options(args: &[String], solve: bool) -> Result<RunOptions, CliError> {
+    let mut f = RunFlags::default();
+    f.opts.devices = 1;
+    let solve_flags = if solve { SOLVE_FLAGS } else { &[] };
+    parse_flags(&[RUN_FLAGS, solve_flags], RUN_RULES, args, &mut f)?;
+    let mut opts = f.opts;
+    // The rules leave one policy per combination: a tau means threshold
+    // pivoting, a floor refines `--pivot static`.
+    opts.lu.pivot = match (f.pivot, f.pivot_tau) {
+        (Some(PivotPolicy::Static { threshold }), _) => PivotPolicy::Static {
+            threshold: f.static_floor.unwrap_or(threshold),
+        },
+        (_, Some(tau)) => PivotPolicy::Threshold { tau },
+        (policy, None) => policy.unwrap_or(opts.lu.pivot),
+    };
+    opts.checkpoint = f.checkpoint_dir.map(|dir| {
+        let ckpt = CheckpointOptions::new(dir).resume(f.resume);
+        let every = f.checkpoint_every.unwrap_or(ckpt.every);
+        ckpt.every(every)
+    });
+    let (source, spec) = match f.fault_plan {
+        Some(spec) => ("--fault-plan", Some(spec)),
+        None => (FAULT_PLAN_ENV, std::env::var(FAULT_PLAN_ENV).ok()),
+    };
+    if let Some(spec) = spec {
+        opts.fault_plans = FaultPlan::parse_fleet(&spec, opts.devices)
+            .map_err(|e| CliError::Usage(format!("{source}: {e}")))?;
+    }
+    Ok(opts)
+}
+
+static SERVE_FLAGS: &[Flag<ServeOptions>] = &[
+    Flag {
+        usage: "--stress",
+        help: "required: replay a seeded workload against the in-process service \
+               (there is no listener) and report what happened",
+        set: |o, _| put(&mut o.stress, Ok(true)),
+    },
+    Flag {
+        usage: "--jobs <N>",
+        help: "workload size (default 500)",
+        set: |o, v| put(&mut o.workload.jobs, integer(v)),
+    },
+    Flag {
+        usage: "--workers <N>",
+        help: "worker threads (default 4)",
+        set: |o, v| put(&mut o.service.workers, positive_integer(v)),
+    },
+    Flag {
+        usage: "--seed <S>",
+        help: "workload seed; the whole job mix is a pure function of it (default 1)",
+        set: |o, v| put(&mut o.workload.seed, integer(v)),
+    },
+    Flag {
+        usage: "--queue-cap <N>",
+        help: "admission-queue capacity; overflow is typed backpressure (default 64)",
+        set: |o, v| put(&mut o.service.queue_cap, positive_integer(v)),
+    },
+    Flag {
+        usage: "--cache-budget <MiB>",
+        help: "pattern-keyed factor-cache device-tier budget (default 64)",
+        set: |o, v| put(&mut o.service.cache_budget_bytes, mib(v)),
+    },
+    Flag {
+        usage: "--host-cache-budget <MiB>",
+        help: "host tier that plans evicted from the device tier demote to (default \
+               64; 0 disables)",
+        set: |o, v| put(&mut o.service.host_cache_budget_bytes, mib(v)),
+    },
+    Flag {
+        usage: "--cache-dir <dir>",
+        help: "persistent disk cache tier: new plans are written behind into <dir> \
+               (crash-consistent, checksummed) and misses consult it before going cold",
+        set: |o, v| put(&mut o.service.cache_dir, Ok(Some(v.into()))),
+    },
+    Flag {
+        usage: "--rewarm",
+        help: "repopulate the host tier from --cache-dir before accepting jobs (a warm \
+               restart skips the symbolic work of every cached pattern)",
+        set: |o, _| put(&mut o.service.rewarm, Ok(true)),
+    },
+    Flag {
+        usage: "--disk-fault-plan <spec>",
+        help: "inject disk-tier faults: a comma list of diskfault:read=N[:persistent] \
+               or diskfault:write=N[:persistent] (needs --cache-dir)",
+        set: |o, v| put(&mut o.service.disk_fault_plan, fault_plan(v)),
+    },
+    Flag {
+        usage: "--hot-patterns <N>",
+        help: "distinct hot patterns in the mix (default 3)",
+        set: |o, v| put(&mut o.workload.hot_patterns, positive_integer(v)),
+    },
+    Flag {
+        usage: "--hot-n <N>",
+        help: "matrix dimension of the hot segment (default 300)",
+        set: |o, v| put(&mut o.workload.hot_n, integer(v)),
+    },
+    Flag {
+        usage: "--cold-n <N>",
+        help: "matrix dimension of the cold segment (default 200)",
+        set: |o, v| put(&mut o.workload.cold_n, integer(v)),
+    },
+    Flag {
+        usage: "--fault-every <N>",
+        help: "give every Nth job a seeded fault plan (default 0 = no chaos)",
+        set: |o, v| put(&mut o.workload.fault_every, integer(v)),
+    },
+    Flag {
+        usage: "--fault-plan <spec>",
+        help: "give the faulted jobs this plan (factorize's grammar) instead of seeded \
+               ones; implies --fault-every 7 when unset",
+        set: |o, v| put(&mut o.fault_plan, fault_plan(v)),
+    },
+    Flag {
+        usage: "--hard-fraction <F>",
+        help: "fraction of jobs (0..1, default 0) drawn from the adversarial corpus: \
+               ill-conditioned patterns resubmitted with drifting values",
+        set: |o, v| put(&mut o.workload.hard_fraction, fraction(v)),
+    },
+    Flag {
+        usage: "--quarantine-strikes <N>",
+        help: "numeric rejections before a pattern is quarantined (default 2; 0 never)",
+        set: |o, v| put(&mut o.service.quarantine_strikes, integer(v)),
+    },
+    Flag {
+        usage: "--devices <N>",
+        help: "schedule jobs across N simulated devices (default 1): a pattern goes \
+               back to the device holding its plan, the rest go least-loaded",
+        set: |o, v| put(&mut o.service.devices, positive_integer(v)),
+    },
+    Flag {
+        usage: "--format auto|dense|sparse|merge|blocked",
+        help: "numeric format forced onto every generated job (default auto)",
+        set: |o, v| put(&mut o.format, pick(v, FORMATS).map(Some)),
+    },
+    Flag {
+        usage: "--block-threshold <sim>",
+        help: "blocking-pass similarity threshold of every job (0..1, default 0.6)",
+        set: |o, v| put(&mut o.block_threshold, fraction(v).map(Some)),
+    },
+    Flag {
+        usage: "--service-report <path>",
+        help: "write the versioned service-report JSON (telemetry_check --service \
+               validates it)",
+        set: |o, v| put(&mut o.service_report, Ok(Some(v.into()))),
+    },
+    Flag {
+        usage: "--trace-out <path>",
+        help: "write the wall-clock Chrome trace of the run (queue depth, job spans)",
+        set: |o, v| put(&mut o.trace_out, Ok(Some(v.into()))),
+    },
+    Flag {
+        usage: "--min-hot-hit-rate <F>",
+        help: "exit nonzero unless the hot-segment cache hit rate reaches F (0..1)",
+        set: |o, v| put(&mut o.min_hot_hit_rate, fraction(v).map(Some)),
+    },
+    Flag {
+        usage: "--metrics-out <path>",
+        help: "write the metrics registry (per-tenant/per-tier latency histograms, \
+               gauges, counters) as text",
+        set: |o, v| put(&mut o.metrics_out, Ok(Some(v.into()))),
+    },
+    Flag {
+        usage: "--slo <spec>",
+        help: "exit nonzero when the sliding-window SLO fails; spec is key=value \
+               ceilings sim_p50_ns, sim_p95_ns, sim_p99_ns, wall_p95_ns, a hit_rate \
+               floor and window, e.g. sim_p95_ns=2.5e9,hit_rate=0.8",
+        set: |o, v| put(&mut o.slo, SloSpec::parse(v).map(Some)),
+    },
+    Flag {
+        usage: "--tenants <N>",
+        help: "tenants the workload spreads jobs across (default 4)",
+        set: |o, v| put(&mut o.workload.tenants, positive_integer(v)),
+    },
+];
+
+static SERVE_RULES: &[Rule<ServeOptions>] = &[
+    (
+        |o| !o.stress,
+        "serve needs --stress: the solver service is in-process (no network listener); \
+         the stress driver replays a seeded workload against it",
+    ),
+    (
+        |o| o.service.rewarm && o.service.cache_dir.is_none(),
+        "--rewarm needs --cache-dir: there is no persistent tier to rewarm from",
+    ),
+    (
+        |o| o.service.disk_fault_plan.is_some() && o.service.cache_dir.is_none(),
+        "--disk-fault-plan needs --cache-dir: there is no disk tier to fault",
+    ),
+];
+
 /// Parses the flags of the `serve` subcommand.
 pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
-    let mut o = ServeOptions {
-        stress: false,
-        workload: WorkloadParams::default(),
-        service: ServiceConfig::default(),
-        fault_plan: None,
-        format: None,
-        block_threshold: None,
-        service_report: None,
-        trace_out: None,
-        min_hot_hit_rate: None,
-        metrics_out: None,
-        slo: None,
-    };
-    let mut fault_every_set = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        fn int(flag: &str, v: String) -> Result<usize, CliError> {
-            v.parse()
-                .map_err(|_| CliError::Usage(format!("{flag} takes an integer")))
-        }
-        match a.as_str() {
-            "--stress" => o.stress = true,
-            "--jobs" => o.workload.jobs = int("--jobs", value("--jobs")?)?,
-            "--workers" => o.service.workers = int("--workers", value("--workers")?)?.max(1),
-            "--seed" => o.workload.seed = int("--seed", value("--seed")?)? as u64,
-            "--queue-cap" => {
-                o.service.queue_cap = int("--queue-cap", value("--queue-cap")?)?.max(1);
-            }
-            "--cache-budget" => {
-                o.service.cache_budget_bytes =
-                    (int("--cache-budget", value("--cache-budget")?)? as u64) << 20;
-            }
-            "--host-cache-budget" => {
-                o.service.host_cache_budget_bytes =
-                    (int("--host-cache-budget", value("--host-cache-budget")?)? as u64) << 20;
-            }
-            "--cache-dir" => {
-                o.service.cache_dir = Some(std::path::PathBuf::from(value("--cache-dir")?));
-            }
-            "--rewarm" => o.service.rewarm = true,
-            "--disk-fault-plan" => {
-                let spec = value("--disk-fault-plan")?;
-                o.service.disk_fault_plan = Some(
-                    FaultPlan::parse(&spec)
-                        .map_err(|e| CliError::Usage(format!("--disk-fault-plan: {e}")))?,
-                );
-            }
-            "--hot-patterns" => {
-                o.workload.hot_patterns = int("--hot-patterns", value("--hot-patterns")?)?.max(1);
-            }
-            "--hot-n" => o.workload.hot_n = int("--hot-n", value("--hot-n")?)?,
-            "--cold-n" => o.workload.cold_n = int("--cold-n", value("--cold-n")?)?,
-            "--fault-every" => {
-                o.workload.fault_every = int("--fault-every", value("--fault-every")?)?;
-                fault_every_set = true;
-            }
-            "--hard-fraction" => {
-                let f: f64 = value("--hard-fraction")?.parse().map_err(|_| {
-                    CliError::Usage("--hard-fraction takes a number in 0..1".into())
-                })?;
-                if !(0.0..=1.0).contains(&f) {
-                    return Err(CliError::Usage(
-                        "--hard-fraction takes a number in 0..1".into(),
-                    ));
-                }
-                o.workload.hard_fraction = f;
-            }
-            "--quarantine-strikes" => {
-                o.service.quarantine_strikes =
-                    int("--quarantine-strikes", value("--quarantine-strikes")?)? as u32;
-            }
-            "--devices" => {
-                o.service.devices = int("--devices", value("--devices")?)?.max(1);
-            }
-            "--fault-plan" => {
-                let spec = value("--fault-plan")?;
-                o.fault_plan = Some(
-                    FaultPlan::parse(&spec)
-                        .map_err(|e| CliError::Usage(format!("--fault-plan: {e}")))?,
-                );
-            }
-            "--format" => {
-                o.format = Some(match value("--format")?.as_str() {
-                    "auto" => NumericFormat::Auto,
-                    "dense" => NumericFormat::Dense,
-                    "sparse" => NumericFormat::Sparse,
-                    "merge" => NumericFormat::SparseMerge,
-                    "blocked" => NumericFormat::SparseBlocked,
-                    other => return Err(CliError::Usage(format!("unknown format '{other}'"))),
-                });
-            }
-            "--block-threshold" => {
-                o.block_threshold = Some(parse_block_threshold(value("--block-threshold")?)?);
-            }
-            "--service-report" => o.service_report = Some(value("--service-report")?),
-            "--trace-out" => o.trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => o.metrics_out = Some(value("--metrics-out")?),
-            "--slo" => {
-                o.slo = Some(SloSpec::parse(&value("--slo")?).map_err(CliError::Usage)?);
-            }
-            "--tenants" => o.workload.tenants = int("--tenants", value("--tenants")?)?.max(1),
-            "--min-hot-hit-rate" => {
-                let f: f64 = value("--min-hot-hit-rate")?.parse().map_err(|_| {
-                    CliError::Usage("--min-hot-hit-rate takes a number in 0..1".into())
-                })?;
-                if !(0.0..=1.0).contains(&f) {
-                    return Err(CliError::Usage(
-                        "--min-hot-hit-rate takes a number in 0..1".into(),
-                    ));
-                }
-                o.min_hot_hit_rate = Some(f);
-            }
-            other => return Err(CliError::Usage(format!("unknown serve flag '{other}'"))),
-        }
-    }
-    if !o.stress {
-        return Err(CliError::Usage(
-            "serve needs --stress: the solver service is in-process (no network \
-             listener); the stress driver replays a seeded workload against it"
-                .into(),
-        ));
-    }
-    if o.service.rewarm && o.service.cache_dir.is_none() {
-        return Err(CliError::Usage(
-            "--rewarm needs --cache-dir: there is no persistent tier to rewarm from".into(),
-        ));
-    }
-    if o.service.disk_fault_plan.is_some() && o.service.cache_dir.is_none() {
-        return Err(CliError::Usage(
-            "--disk-fault-plan needs --cache-dir: there is no disk tier to fault".into(),
-        ));
-    }
-    if o.fault_plan.is_some() && !fault_every_set {
+    let mut o = ServeOptions::default();
+    let given = parse_flags(&[SERVE_FLAGS], SERVE_RULES, args, &mut o)?;
+    if o.fault_plan.is_some() && !given.contains(&"--fault-every") {
         o.workload.fault_every = 7;
     }
     Ok(o)
+}
+
+const COMMANDS: &str = "\
+gplu — end-to-end sparse LU factorization on a simulated GPU
+
+commands:
+  info <matrix.mtx>
+  factorize <matrix.mtx> [options]
+  solve <matrix.mtx> [options] [--gpu-solve]
+  gen <family> <n> <nnz_per_row> <out.mtx> [seed]
+      families: circuit, mesh, planar (dominant); near-singular, graded,
+      zero-diag, sign-alternating (adversarial; nnz_per_row ignored)
+  serve --stress [serve options]
+";
+
+/// Column where help text starts, and the width it wraps at.
+const HELP_COLUMN: usize = 32;
+const HELP_WIDTH: usize = 78;
+
+/// Appends `title` and one wrapped entry per row of `flags`.
+fn write_flags<O>(out: &mut String, title: &str, flags: &[Flag<O>]) {
+    out.push_str(title);
+    for f in flags {
+        let mut line = format!("  {}", f.usage);
+        for (i, word) in f.help.split_whitespace().enumerate() {
+            // A head too wide for the column gets a line of its own.
+            if (i == 0 && line.len() >= HELP_COLUMN) || line.len() + word.len() >= HELP_WIDTH {
+                out.extend([line.as_str(), "\n"]);
+                line.clear();
+            }
+            line = format!("{line:<w$} {word}", w = HELP_COLUMN - 1);
+        }
+        out.extend([line.as_str(), "\n"]);
+    }
+}
+
+/// The `--help` text, printed from the flag tables the parsers match; a
+/// usage error prints it too.
+pub fn usage() -> String {
+    let mut out = String::from(COMMANDS);
+    write_flags(&mut out, "\nfactorize and solve options:\n", RUN_FLAGS);
+    write_flags(&mut out, "\nsolve options:\n", SOLVE_FLAGS);
+    write_flags(&mut out, "\nserve options:\n", SERVE_FLAGS);
+    out
 }
 
 /// Replays the seeded workload against a fresh service, printing the
@@ -904,12 +885,7 @@ fn fleet_for(a: &Csr, opts: &RunOptions) -> DeviceFleet<'static> {
         Some(bytes) => GpuConfig::v100().with_memory(bytes),
         None => GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
     };
-    let plans = match (&opts.fleet_fault_plans, &opts.fault_plan) {
-        (Some(plans), _) => plans.as_slice(),
-        (None, Some(plan)) => std::slice::from_ref(plan),
-        (None, None) => &[],
-    };
-    DeviceFleet::with_fault_plans(opts.devices, cfg, CostModel::default(), plans)
+    DeviceFleet::with_fault_plans(opts.devices, cfg, CostModel::default(), &opts.fault_plans)
 }
 
 /// Runs the pipeline, recording telemetry when any of `--trace-out`,
@@ -1066,7 +1042,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let path = args
                 .get(1)
                 .ok_or_else(|| CliError::Usage("factorize needs a path".into()))?;
-            let opts = parse_options(&args[2..])?;
+            let opts = parse_options(&args[2..], false)?;
             let a = load(path)?;
             let (_, f) = factorize_on_devices(&a, &opts, true, out)?;
             if let Some(ckpt) = &opts.checkpoint {
@@ -1122,7 +1098,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let path = args
                 .get(1)
                 .ok_or_else(|| CliError::Usage("solve needs a path".into()))?;
-            let opts = parse_options(&args[2..])?;
+            let opts = parse_options(&args[2..], true)?;
             let a = load(path)?;
             let (fleet, f) = factorize_on_devices(&a, &opts, false, out)?;
             let x_true = vec![1.0; a.n_rows()];
@@ -1167,7 +1143,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let density: f64 = density
                 .parse()
                 .map_err(|_| CliError::Usage("density must be a number".into()))?;
-            let seed: u64 = args.get(5).map(|s| s.parse().unwrap_or(42)).unwrap_or(42);
+            let seed: u64 = match args.get(5) {
+                Some(seed) => seed.parse().map_err(|_| {
+                    CliError::Usage(format!("seed must be an integer, not '{seed}'"))
+                })?,
+                None => 42,
+            };
             let a = match family.as_str() {
                 "circuit" => circuit::circuit(&circuit::CircuitParams {
                     n,
@@ -1207,7 +1188,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             run_serve(&opts, out)
         }
         Some("--help") | Some("-h") | None => {
-            writeln!(out, "{USAGE}")?;
+            writeln!(out, "{}", usage())?;
             Ok(())
         }
         Some(other) => Err(CliError::Usage(format!("unknown command '{other}'"))),
@@ -1278,6 +1259,7 @@ mod tests {
                 "--gpu-solve",
             ]
             .map(String::from),
+            true,
         )
         .expect("parses");
         assert_eq!(o.lu.symbolic, SymbolicEngine::UmPrefetch);
@@ -1288,7 +1270,7 @@ mod tests {
 
     #[test]
     fn merge_format_flag_parses_and_reports() {
-        let o = parse_options(&["--format", "merge"].map(String::from)).expect("parses");
+        let o = parse_options(&["--format", "merge"].map(String::from), false).expect("parses");
         assert_eq!(o.lu.format, NumericFormat::SparseMerge);
 
         let path = tmp("merge.mtx");
@@ -1301,7 +1283,7 @@ mod tests {
 
     #[test]
     fn blocked_format_flag_parses_and_reports() {
-        let o = parse_options(&["--format", "blocked"].map(String::from)).expect("parses");
+        let o = parse_options(&["--format", "blocked"].map(String::from), false).expect("parses");
         assert_eq!(o.lu.format, NumericFormat::SparseBlocked);
         assert_eq!(o.lu.block_threshold, 0.6);
 
@@ -1316,12 +1298,13 @@ mod tests {
 
     #[test]
     fn block_threshold_flag_parses_and_validates() {
-        let o = parse_options(&["--block-threshold", "0.45"].map(String::from)).expect("parses");
+        let o =
+            parse_options(&["--block-threshold", "0.45"].map(String::from), false).expect("parses");
         assert_eq!(o.lu.block_threshold, 0.45);
         for bad in ["1.5", "-0.1", "wat"] {
             assert!(
                 matches!(
-                    parse_options(&["--block-threshold".into(), bad.into()]),
+                    parse_options(&["--block-threshold".into(), bad.into()], false),
                     Err(CliError::Usage(_))
                 ),
                 "'{bad}' must be rejected"
@@ -1331,11 +1314,14 @@ mod tests {
 
     #[test]
     fn fault_plan_flag_parses_and_reports_recovery() {
-        let o = parse_options(&["--fault-plan", "oom:alloc=3,seed:0"].map(String::from))
-            .expect("parses");
-        assert!(o.fault_plan.is_some());
+        let o = parse_options(
+            &["--fault-plan", "oom:alloc=3,seed:0"].map(String::from),
+            false,
+        )
+        .expect("parses");
+        assert_eq!(o.fault_plans.len(), 1);
         assert!(matches!(
-            parse_options(&["--fault-plan".into(), "oom:alloc=wat".into()]),
+            parse_options(&["--fault-plan".into(), "oom:alloc=wat".into()], false),
             Err(CliError::Usage(_))
         ));
 
@@ -1359,16 +1345,19 @@ mod tests {
 
     #[test]
     fn devices_flag_parses_and_validates() {
-        let o = parse_options(&["--devices", "4"].map(String::from)).expect("parses");
+        let o = parse_options(&["--devices", "4"].map(String::from), false).expect("parses");
         assert_eq!(o.devices, 4);
-        assert!(o.fleet_fault_plans.is_none());
+        assert!(o.fault_plans.is_empty());
 
         assert!(matches!(
-            parse_options(&["--devices".into(), "0".into()]),
+            parse_options(&["--devices".into(), "0".into()], false),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_options(&["--devices", "2", "--checkpoint-dir", "/tmp/ck"].map(String::from)),
+            parse_options(
+                &["--devices", "2", "--checkpoint-dir", "/tmp/ck"].map(String::from),
+                false
+            ),
             Err(CliError::Usage(_))
         ));
     }
@@ -1380,21 +1369,27 @@ mod tests {
             ["--devices", "2", "--fault-plan", "dev=1:oom:alloc=1"],
             ["--fault-plan", "dev=1:oom:alloc=1", "--devices", "2"],
         ] {
-            let o = parse_options(&args.map(String::from)).expect("parses");
-            let plans = o.fleet_fault_plans.expect("fleet plans");
-            assert_eq!(plans.len(), 2);
-            assert!(o.fault_plan.is_none());
+            let o = parse_options(&args.map(String::from), false).expect("parses");
+            assert_eq!(o.fault_plans.len(), 2);
         }
+        // One device is a fleet of one: device 0 exists, device 1 does not.
+        let o = parse_options(
+            &["--fault-plan", "dev=0:oom:alloc=1"].map(String::from),
+            false,
+        )
+        .expect("parses");
+        assert_eq!(o.fault_plans.len(), 1);
 
-        // A device selector without a fleet is meaningless.
+        // Without `--devices`, only device 0 exists.
         assert!(matches!(
-            parse_options(&["--fault-plan".into(), "dev=1:oom:alloc=1".into()]),
+            parse_options(&["--fault-plan".into(), "dev=1:oom:alloc=1".into()], false),
             Err(CliError::Usage(_))
         ));
         // An out-of-range selector is caught at parse time.
         assert!(matches!(
             parse_options(
-                &["--devices", "2", "--fault-plan", "dev=7:oom:alloc=1"].map(String::from)
+                &["--devices", "2", "--fault-plan", "dev=7:oom:alloc=1"].map(String::from),
+                false
             ),
             Err(CliError::Usage(_))
         ));
@@ -1500,6 +1495,7 @@ mod tests {
     fn checkpoint_flags_parse_and_validate() {
         let o = parse_options(
             &["--checkpoint-dir", "/tmp/ck", "--checkpoint-every", "3"].map(String::from),
+            false,
         )
         .expect("parses");
         let ckpt = o.checkpoint.expect("checkpoint options");
@@ -1507,8 +1503,11 @@ mod tests {
         assert_eq!(ckpt.every, 3);
         assert!(!ckpt.resume);
 
-        let o = parse_options(&["--checkpoint-dir", "/tmp/ck", "--resume"].map(String::from))
-            .expect("parses");
+        let o = parse_options(
+            &["--checkpoint-dir", "/tmp/ck", "--resume"].map(String::from),
+            false,
+        )
+        .expect("parses");
         assert!(o.checkpoint.expect("checkpoint options").resume);
 
         // Satellite guardrails: every bad combination is a typed usage
@@ -1522,7 +1521,7 @@ mod tests {
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
-                matches!(parse_options(&args), Err(CliError::Usage(_))),
+                matches!(parse_options(&args, false), Err(CliError::Usage(_))),
                 "expected usage error for {bad:?}"
             );
         }
@@ -1583,19 +1582,19 @@ mod tests {
 
     #[test]
     fn repair_singular_flag_parses() {
-        let o = parse_options(&["--repair-singular".to_string()]).expect("parses");
+        let o = parse_options(&["--repair-singular".to_string()], false).expect("parses");
         assert!(o.lu.preprocess.repair_singular);
     }
 
     #[test]
     fn pivot_and_gate_flags_parse_and_validate() {
         // Defaults: no pivoting, gate on, no escalation.
-        let o = parse_options(&[]).expect("parses");
+        let o = parse_options(&[], false).expect("parses");
         assert_eq!(o.lu.pivot, PivotPolicy::NoPivot);
         assert!(o.lu.gate.enabled);
         assert!(!o.lu.gate.escalate);
 
-        let o = parse_options(&["--pivot", "threshold"].map(String::from)).expect("parses");
+        let o = parse_options(&["--pivot", "threshold"].map(String::from), false).expect("parses");
         assert_eq!(
             o.lu.pivot,
             PivotPolicy::Threshold {
@@ -1604,22 +1603,26 @@ mod tests {
         );
 
         // A bare --pivot-tau implies threshold pivoting.
-        let o = parse_options(&["--pivot-tau", "0.5"].map(String::from)).expect("parses");
+        let o = parse_options(&["--pivot-tau", "0.5"].map(String::from), false).expect("parses");
         assert_eq!(o.lu.pivot, PivotPolicy::Threshold { tau: 0.5 });
 
-        let o = parse_options(&["--pivot", "static", "--static-floor", "1e-6"].map(String::from))
-            .expect("parses");
+        let o = parse_options(
+            &["--pivot", "static", "--static-floor", "1e-6"].map(String::from),
+            false,
+        )
+        .expect("parses");
         assert_eq!(o.lu.pivot, PivotPolicy::Static { threshold: 1e-6 });
 
         let o = parse_options(
             &["--gate-threshold", "1e-9", "--escalate", "--pivot", "none"].map(String::from),
+            false,
         )
         .expect("parses");
         assert_eq!(o.lu.gate.threshold, 1e-9);
         assert!(o.lu.gate.escalate);
         assert_eq!(o.lu.pivot, PivotPolicy::NoPivot);
 
-        let o = parse_options(&["--no-gate".to_string()]).expect("parses");
+        let o = parse_options(&["--no-gate".to_string()], false).expect("parses");
         assert!(!o.lu.gate.enabled);
 
         // Every conflicting or malformed combination is a typed usage
@@ -1642,7 +1645,7 @@ mod tests {
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
-                matches!(parse_options(&args), Err(CliError::Usage(_))),
+                matches!(parse_options(&args, false), Err(CliError::Usage(_))),
                 "expected usage error for {bad:?}"
             );
         }
@@ -1711,18 +1714,167 @@ mod tests {
 
     #[test]
     fn bad_flags_are_usage_errors() {
-        assert!(matches!(
-            parse_options(&["--engine".into()]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_options(&["--format".into(), "csc".into()]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["wat".into()], &mut Vec::new()),
-            Err(CliError::Usage(_))
-        ));
+        for bad in [
+            vec!["factorize", "x.mtx", "--engine"],
+            vec!["factorize", "x.mtx", "--format", "csc"],
+            // `--gpu-solve` belongs to `solve`; factorize never solves.
+            vec!["factorize", "x.mtx", "--gpu-solve"],
+            vec!["wat"],
+        ] {
+            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            assert!(
+                matches!(run(&args, &mut Vec::new()), Err(CliError::Usage(_))),
+                "expected usage error for {bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mib_flags_reject_sizes_that_overflow_bytes() {
+        // 2^44 MiB is 2^64 bytes: one past what a u64 holds.
+        let o = parse_options(&["--mem", "17592186044415"].map(String::from), false)
+            .expect("the largest size that fits parses");
+        assert_eq!(o.mem, Some(17592186044415 << 20));
+        for bad in [
+            vec!["factorize", "x.mtx", "--mem", "17592186044416"],
+            vec!["factorize", "x.mtx", "--mem", "17592186044417"],
+            vec!["serve", "--stress", "--cache-budget", "17592186044416"],
+            vec!["serve", "--stress", "--host-cache-budget", "17592186044416"],
+        ] {
+            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            assert!(
+                matches!(run(&args, &mut Vec::new()), Err(CliError::Usage(m)) if m.contains("MiB")),
+                "expected an overflow usage error for {bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn gen_rejects_a_seed_that_is_not_an_integer() {
+        let path = tmp("bad-seed.mtx");
+        let err = run_str(&["gen", "circuit", "100", "4", &path, "wat"]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "got {err}");
+        run_str(&["gen", "circuit", "100", "4", &path, "7"]).expect("an integer seed");
+    }
+
+    /// What a command line parses to, as `flag_pins.txt` records it: the
+    /// xxh64 of the parsed options' Debug string, or "usage error".
+    fn pin(args: &[String]) -> String {
+        let parsed = match args[0].as_str() {
+            "serve" => parse_serve_options(&args[1..]).map(|o| format!("{o:?}")),
+            cmd => parse_options(&args[2..], cmd == "solve").map(|o| {
+                format!(
+                    "lu={:?} mem={:?} devices={} checkpoint={:?} fault_plans={:?} \
+                     gpu_solve={} trace_out={:?} report_json={:?} metrics={}",
+                    o.lu,
+                    o.mem,
+                    o.devices,
+                    o.checkpoint,
+                    o.fault_plans,
+                    o.gpu_solve,
+                    o.trace_out,
+                    o.report_json,
+                    o.metrics
+                )
+            }),
+        };
+        match parsed {
+            Ok(debug) => format!("{:016x}", gplu_checkpoint::xxh64(debug.as_bytes(), 0)),
+            Err(CliError::Usage(_)) => "usage error".into(),
+            Err(e) => panic!("{args:?}: {e}"),
+        }
+    }
+
+    #[test]
+    fn flag_tables_parse_every_pinned_command_line_as_before() {
+        let pins = include_str!("../tests/flag_pins.txt");
+        let mut checked = 0;
+        for line in pins.lines().filter(|l| !l.starts_with('#')) {
+            let (want, cmd) = line.split_once('\t').expect("<pin>\t<command line>");
+            let args: Vec<String> = cmd.split_whitespace().map(String::from).collect();
+            assert_eq!(pin(&args), want, "{cmd}");
+            checked += 1;
+        }
+        assert!(checked >= 100, "only {checked} pins");
+    }
+
+    #[test]
+    fn every_flag_row_is_documented_and_parsed_from_its_table() {
+        let help = usage();
+        let section = |title: &str| {
+            let rest = help.split(title).nth(1).expect("section title");
+            rest.split("\n\n").next().unwrap().to_owned()
+        };
+        let run_help = section("\nfactorize and solve options:");
+        let solve_help = section("\nsolve options:");
+        let serve_help = section("\nserve options:");
+        let parse = |cmd: &str, args: &[&str]| {
+            let mut full = vec![cmd.to_string(), "x.mtx".into()];
+            if cmd == "serve" {
+                full.truncate(1);
+            }
+            full.extend(args.iter().map(|a| a.to_string()));
+            run(&full, &mut Vec::new())
+        };
+        let tables = [
+            (
+                "factorize",
+                &run_help,
+                RUN_FLAGS.iter().map(|f| f.usage).collect::<Vec<_>>(),
+            ),
+            (
+                "solve",
+                &solve_help,
+                SOLVE_FLAGS.iter().map(|f| f.usage).collect(),
+            ),
+            (
+                "serve",
+                &serve_help,
+                SERVE_FLAGS.iter().map(|f| f.usage).collect(),
+            ),
+        ];
+        for (cmd, help, rows) in tables {
+            for usage in rows {
+                // A row starts a line; a wide one has that line to itself.
+                let row = format!("  {usage}");
+                assert!(
+                    help.lines()
+                        .any(|l| l == row || l.starts_with(&format!("{row} "))),
+                    "{usage} missing from {cmd}'s help"
+                );
+                let Some((name, _)) = usage.split_once(' ') else {
+                    continue;
+                };
+                match parse(cmd, &[name]) {
+                    Err(CliError::Usage(m)) if m.contains(name) => {}
+                    other => panic!("{cmd} {name} without a value: {other:?}"),
+                }
+            }
+            assert!(
+                matches!(parse(cmd, &["--wat"]), Err(CliError::Usage(m)) if m.contains("--wat")),
+                "{cmd} must refuse an unknown flag"
+            );
+        }
+
+        // Every `gplu-cli -- <cmd> …` example in the README parses.
+        let readme = include_str!("../../../README.md").replace("\\\n", " ");
+        let mut examples = 0;
+        for line in readme.lines() {
+            let Some((_, cmd)) = line.split_once("gplu-cli -- ") else {
+                continue;
+            };
+            let cmd = cmd.split(['#', '|', '&']).next().unwrap().replace('"', "");
+            let args: Vec<String> = cmd.split_whitespace().map(String::from).collect();
+            let parsed = match args[0].as_str() {
+                "serve" => parse_serve_options(&args[1..]).map(drop),
+                "factorize" | "solve" => parse_options(&args[2..], args[0] == "solve").map(drop),
+                "gen" | "info" => Ok(()),
+                other => panic!("README runs an unknown command '{other}'"),
+            };
+            assert!(parsed.is_ok(), "README example does not parse: {cmd}");
+            examples += 1;
+        }
+        assert!(examples >= 15, "only {examples} README examples");
     }
 
     #[test]
@@ -1870,6 +2022,12 @@ mod tests {
             vec!["serve", "--stress", "--jobs", "wat"],
             vec!["serve", "--stress", "--min-hot-hit-rate", "1.5"],
             vec!["serve", "--stress", "--listen"],
+            // Zero of a count that must be positive is refused, not clamped.
+            vec!["serve", "--stress", "--devices", "0"],
+            vec!["serve", "--stress", "--workers", "0"],
+            vec!["serve", "--stress", "--queue-cap", "0"],
+            vec!["serve", "--stress", "--hot-patterns", "0"],
+            vec!["serve", "--stress", "--tenants", "0"],
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(

@@ -1,20 +1,7 @@
 //! `gplu` — command-line driver for the end-to-end GPU sparse LU pipeline.
 //!
-//! ```text
-//! gplu info <matrix.mtx>                         inspect a Matrix Market file
-//! gplu factorize <matrix.mtx> [options]          run the pipeline, print the phase report
-//! gplu solve <matrix.mtx> [options]              factorize + solve (rhs = A·1), verify
-//! gplu gen <circuit|mesh|planar> <n> <density> <out.mtx> [seed]
-//! ```
-//!
-//! Options (factorize/solve):
-//! `--ordering amd|rcm|natural`, `--engine ooc|dynamic|um|um-prefetch`,
-//! `--format auto|dense|sparse|merge`, `--mem <MiB>` (device memory;
-//! default: the symbolic out-of-core profile for the input), `--gpu-solve`
-//! (solve on the simulated GPU instead of the host), `--trace-out <path>`
-//! (Chrome trace-event JSON — open in Perfetto), `--report-json <path>`
-//! (versioned machine-readable run report), `--metrics` (span histograms
-//! on stdout).
+//! `gplu --help` lists the commands and every flag; it is printed from the
+//! same flag tables the parser matches (`gplu_cli::usage`).
 
 use gplu_cli::{run, CliError};
 use std::process::ExitCode;
@@ -24,7 +11,7 @@ fn main() -> ExitCode {
     match run(&args, &mut std::io::stdout()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
-            eprintln!("usage error: {msg}\n\n{}", gplu_cli::USAGE);
+            eprintln!("usage error: {msg}\n\n{}", gplu_cli::usage());
             ExitCode::from(2)
         }
         Err(e) => {

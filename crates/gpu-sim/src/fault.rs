@@ -397,15 +397,6 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Reads a plan from the `GPLU_FAULT_PLAN` environment variable.
-    /// `Ok(None)` when the variable is unset or empty.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match std::env::var(FAULT_PLAN_ENV) {
-            Ok(s) if !s.trim().is_empty() => FaultPlan::parse(&s).map(Some),
-            _ => Ok(None),
-        }
-    }
-
     /// Expands `seed` into a small random fault schedule (1–3 faults) via
     /// SplitMix64. Deterministic: the same seed always yields the same
     /// plan, which is what lets a chaos suite replay failures by seed.
