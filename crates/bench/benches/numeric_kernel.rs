@@ -5,6 +5,14 @@
 //! location counter costs (the probe-depth descent and sum, the
 //! merge-step `partition_point`s, or nothing) from the engine/simulator
 //! machinery the `numeric` bench includes.
+//!
+//! The `core` rows run the core alone (dense discipline, column order)
+//! over a mesh and a circuit filled pattern shaped like the fleet
+//! workload's, and also print the host time per multiply–add.
+//!
+//! ```sh
+//! cargo bench -p gplu-bench --bench numeric_kernel
+//! ```
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gplu_bench::Prepared;
@@ -13,7 +21,46 @@ use gplu_numeric::{AccessDiscipline, ColumnScratch, PivotCache};
 use gplu_sim::CostModel;
 use gplu_sparse::convert::csr_to_csc;
 use gplu_sparse::gen::suite::large_suite;
+use gplu_sparse::gen::{circuit, mesh};
+use gplu_sparse::{Csc, Csr};
 use gplu_symbolic::symbolic_cpu;
+use std::time::Instant;
+
+/// The preprocessed (ordered, diagonal-complete) matrix's filled pattern.
+fn filled(a: &Csr) -> Csc {
+    let pre = gplu_core::preprocess(
+        a,
+        &gplu_core::PreprocessOptions::default(),
+        &CostModel::default(),
+    )
+    .expect("generator matrices preprocess cleanly");
+    csr_to_csc(
+        &symbolic_cpu(&pre.matrix, &CostModel::default())
+            .result
+            .filled,
+    )
+}
+
+/// One pass of the core over every column in order; returns the
+/// multiply–adds it applied (its `items` less the divisions).
+fn core_pass(pattern: &Csc, cache: &PivotCache, discipline: AccessDiscipline) -> u64 {
+    let vals = ValueStore::new(&pattern.vals);
+    let mut scratch = ColumnScratch::default();
+    let mut madds = 0;
+    for j in 0..pattern.n_cols() {
+        let costs = gplu_numeric::outcome::process_column(
+            pattern,
+            &vals,
+            j,
+            discipline,
+            cache,
+            &mut scratch,
+        )
+        .expect("column ok");
+        madds += costs.items - (pattern.col_ptr[j + 1] - cache.lower_start(j)) as u64;
+    }
+    madds
+}
 
 fn bench_numeric_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("numeric_kernel");
@@ -23,7 +70,6 @@ fn bench_numeric_kernel(c: &mut Criterion) {
     let (pre, _fill) = gplu_bench::fill_size_of(&prep);
     let sym = symbolic_cpu(&pre, &CostModel::default());
     let pattern = csr_to_csc(&sym.result.filled);
-    let n = pattern.n_cols();
     let cache = PivotCache::build(&pattern);
 
     group.bench_with_input(
@@ -37,23 +83,45 @@ fn bench_numeric_kernel(c: &mut Criterion) {
         ("dense", AccessDiscipline::Dense),
     ] {
         group.bench_with_input(BenchmarkId::new(name, "HT20"), &pattern, |b, p| {
-            b.iter(|| {
-                let vals = ValueStore::new(&p.vals);
-                let mut scratch = ColumnScratch::default();
-                for j in 0..n {
-                    gplu_numeric::outcome::process_column(
-                        p,
-                        &vals,
-                        j,
-                        discipline,
-                        &cache,
-                        &mut scratch,
-                    )
-                    .expect("column ok");
-                }
-                vals
-            })
+            b.iter(|| core_pass(p, &cache, discipline))
         });
+    }
+
+    let shapes = [
+        (
+            "mesh",
+            mesh::mesh(&mesh::MeshParams::for_target(1900, 37.0, 7)),
+        ),
+        (
+            "circuit",
+            circuit::circuit(&circuit::CircuitParams {
+                n: 2400,
+                nnz_per_row: 9.0,
+                seed: 7,
+                ..Default::default()
+            }),
+        ),
+    ];
+    for (name, a) in shapes {
+        let pattern = filled(&a);
+        let cache = PivotCache::build(&pattern);
+        group.bench_with_input(BenchmarkId::new("core", name), &pattern, |b, p| {
+            b.iter(|| core_pass(p, &cache, AccessDiscipline::Dense))
+        });
+        // The fastest of a few passes, per multiply–add.
+        let mut best = f64::INFINITY;
+        let mut madds = 0;
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            madds = black_box(core_pass(&pattern, &cache, AccessDiscipline::Dense));
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        println!(
+            "  numeric_kernel/core/{name}: {:.2} ns per multiply–add ({madds} per pass, n {}, fill {})",
+            best * 1e9 / madds as f64,
+            pattern.n_cols(),
+            pattern.nnz()
+        );
     }
     group.finish();
 }

@@ -109,8 +109,9 @@ impl RefactorPlan {
         let pre_nnz = self.pre.nnz() as u64;
         let lu_nnz = self.lu_pattern.nnz() as u64;
         // CSR template (ptr 8B, idx 4B, val 8B) + CSC template + levels
-        // (level_of u32 + grouped u32) + pivot cache (2 usize per column)
-        // + scatter maps (usize each).
+        // (level_of u32 + grouped u32) + pivot cache (16 B per column, an
+        // upper bound of `PivotCache::heap_bytes`) + scatter maps (usize
+        // each).
         (n + 1) * 8
             + pre_nnz * 12
             + (n + 1) * 8
@@ -650,5 +651,30 @@ mod tests {
         let bytes = plan.approx_bytes();
         assert!(bytes > (a.nnz() * 12) as u64, "must cover the structures");
         assert!(bytes < 100 * 1024 * 1024, "and stay sane: {bytes}");
+    }
+
+    #[test]
+    fn approx_bytes_bounds_the_pivot_cache() {
+        // `approx_bytes` charges the pivot cache 16 bytes per column, and
+        // the service sizes its cache tiers from that figure: the cache
+        // must stay inside it whatever it records per column.
+        for a in [
+            random_dominant(300, 5.0, 38),
+            banded_dominant(300, 4, 39),
+            circuit(&CircuitParams {
+                n: 300,
+                seed: 40,
+                ..Default::default()
+            }),
+        ] {
+            let opts = LuOptions::default();
+            let f0 = LuFactorization::compute(&gpu_for(&a), &a, &opts).expect("ok");
+            let plan = f0.refactor_plan(&a, &opts).expect("plan ok");
+            let (held, charged) = (plan.pivot.heap_bytes() as u64, 16 * plan.n() as u64);
+            assert!(
+                held <= charged,
+                "pivot cache holds {held} B, plan charges {charged} B"
+            );
+        }
     }
 }

@@ -44,8 +44,11 @@
 //! [`outcome::AccessDiscipline`] parameter is a price list: it selects
 //! which location counter — binary-search `probes`, merge-cursor
 //! `merge_steps`, or none — the core reports, in closed form from
-//! positions alone. Per-factorization pivot/segment positions are
-//! precomputed once in an [`outcome::PivotCache`].
+//! positions alone. Per-factorization pivot/segment positions and
+//! supernode chain ends are precomputed once in an
+//! [`outcome::PivotCache`]; the core applies each run of chained
+//! dependency columns to a target row in one pass (same order, same
+//! bits).
 //!
 //! An engine is likewise a price list: an [`engine::NumericEngine`] states
 //! its kernel name, the discipline it prices, what one block's share of a

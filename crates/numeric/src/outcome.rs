@@ -2,12 +2,21 @@
 //! accumulator behind all three access disciplines, which differ only in
 //! the location counter they report), and the per-factorization
 //! pivot-position cache.
+//!
+//! The core consumes a column's dependencies a supernode run at a time:
+//! consecutive dependency columns whose lower parts nest
+//! (`lower(t) = {t + 1} ∪ lower(t + 1)`, recorded by the cache as chain
+//! ends) share one row list, so each target row is loaded, updated by the
+//! whole run and stored once, instead of once per dependency. Every row
+//! still receives the same subtractions in the same order, so the factor
+//! bits, the counters and every price are those of the one-dependency-at-
+//! a-time walk.
 
 use crate::modes::ModeMix;
 use crate::scratch::ColumnScratch;
 use crate::values::ValueStore;
 use gplu_sim::{GpuStatsSnapshot, SimTime};
-use gplu_sparse::{Csc, SparseError};
+use gplu_sparse::{Csc, Idx, SparseError};
 
 /// Result of a GPU numeric factorization.
 #[derive(Debug, Clone)]
@@ -75,50 +84,65 @@ pub enum AccessDiscipline {
     Merge,
 }
 
-/// Per-factorization cache of the two structural positions every engine
-/// otherwise re-derives over and over: for each column `j`, the position
-/// of the diagonal entry `(j, j)` and the first strictly-sub-diagonal
-/// position `lower_bound_after(j, j)`.
+/// Per-factorization cache of the structure every engine otherwise
+/// re-derives over and over: for each column `j`, the first
+/// strictly-sub-diagonal position `lower_bound_after(j, j)`, whether the
+/// diagonal entry `(j, j)` is present (it then sits just before), and the
+/// end of the fundamental supernode chain `j` starts.
 ///
 /// Built once per factorization in `O(nnz)`; afterwards the per-column
-/// pivot lookup and the per-dependency source-segment start are `O(1)`
-/// array reads instead of binary searches. (The *update* probes
-/// Algorithm 6 is priced for are unaffected — those locate fill positions
-/// in the destination column, which this cache cannot know.)
+/// pivot lookup, the per-dependency source-segment start and the extent
+/// of a supernode run are `O(1)` array reads instead of searches. (The
+/// *update* probes Algorithm 6 is priced for are unaffected — those
+/// locate fill positions in the destination column, which this cache
+/// cannot know.) 13 bytes per column: what a refactorization plan's
+/// budget charges for it (16) still covers it.
 #[derive(Debug, Clone)]
 pub struct PivotCache {
-    /// Position of `(j, j)` in column `j`'s index range, or `usize::MAX`
-    /// when the diagonal is structurally absent.
-    diag_pos: Vec<usize>,
     /// `lower_bound_after(j, j)`: first position in column `j` whose row
     /// exceeds `j`.
     lower_start: Vec<usize>,
+    /// Whether `(j, j)` is structurally present, at `lower_start[j] - 1`.
+    has_diag: Vec<bool>,
+    /// Last column `e ≥ j` such that every `c` in `j..e` has
+    /// `lower(c) = {c + 1} ∪ lower(c + 1)`, where `lower(c)` is the row
+    /// set of column `c` strictly below its diagonal.
+    chain_end: Vec<Idx>,
 }
 
 impl PivotCache {
-    /// Scans the pattern once and records both positions for every column.
+    /// Scans the pattern once and records every column's positions and
+    /// chain end. A chain link compares `lower(c)` with `lower(c + 1)`
+    /// only when their lengths say it can hold, so the scan is `O(nnz)`.
     pub fn build(pattern: &Csc) -> PivotCache {
         let n = pattern.n_cols();
-        let mut diag_pos = vec![usize::MAX; n];
-        let mut lower_start = vec![0usize; n];
-        for j in 0..n {
-            let lb = pattern.lower_bound_after(j, j);
-            lower_start[j] = lb;
-            if lb > pattern.col_ptr[j] && pattern.row_idx[lb - 1] as usize == j {
-                diag_pos[j] = lb - 1;
+        let (col_ptr, row_idx) = (&pattern.col_ptr, &pattern.row_idx);
+        let lower_start: Vec<usize> = (0..n).map(|j| pattern.lower_bound_after(j, j)).collect();
+        let has_diag = (0..n)
+            .map(|j| {
+                let lb = lower_start[j];
+                lb > col_ptr[j] && row_idx[lb - 1] as usize == j
+            })
+            .collect();
+        let mut chain_end: Vec<Idx> = (0..n as Idx).collect();
+        for c in (0..n.saturating_sub(1)).rev() {
+            let lower = &row_idx[lower_start[c]..col_ptr[c + 1]];
+            let next = &row_idx[lower_start[c + 1]..col_ptr[c + 2]];
+            if lower.first() == Some(&(c as Idx + 1)) && lower[1..] == *next {
+                chain_end[c] = chain_end[c + 1];
             }
         }
         PivotCache {
-            diag_pos,
             lower_start,
+            has_diag,
+            chain_end,
         }
     }
 
     /// Position of the diagonal entry of column `j`, if present.
     #[inline]
     pub fn diag(&self, j: usize) -> Option<usize> {
-        let p = self.diag_pos[j];
-        (p != usize::MAX).then_some(p)
+        self.has_diag[j].then(|| self.lower_start[j] - 1)
     }
 
     /// First position in column `j` whose row index exceeds `j` (the start
@@ -128,14 +152,31 @@ impl PivotCache {
         self.lower_start[j]
     }
 
+    /// Last column of the fundamental supernode chain starting at `j`:
+    /// the largest `e` with `lower(c) = {c + 1} ∪ lower(c + 1)` for every
+    /// `c` in `j..e` (`j` itself when the chain is a single column). Then
+    /// `lower(j)` is the rows `j + 1..=e` followed by `lower(e)`, in that
+    /// order.
+    #[inline]
+    pub fn chain_end(&self, j: usize) -> usize {
+        self.chain_end[j] as usize
+    }
+
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> usize {
+        self.lower_start.capacity() * std::mem::size_of::<usize>()
+            + self.has_diag.capacity()
+            + self.chain_end.capacity() * std::mem::size_of::<Idx>()
+    }
+
     /// Number of columns covered.
     pub fn len(&self) -> usize {
-        self.diag_pos.len()
+        self.lower_start.len()
     }
 
     /// True when built for an empty pattern.
     pub fn is_empty(&self) -> bool {
-        self.diag_pos.is_empty()
+        self.lower_start.is_empty()
     }
 }
 
@@ -242,14 +283,26 @@ pub fn process_column(
 /// the factor is self-consistent (it exactly factors the input with
 /// `a_jj` bumped by the delta).
 ///
-/// Per target position the subtractions arrive in ascending dependency
-/// order, then the division — the order a sorted-CSC walk applies them
-/// in — so the factor bits are the walk's. `discipline` prices that walk
-/// without taking it (see [`AccessDiscipline`]): for merge, per
-/// dependency with a non-empty segment the destination cursor advanced
-/// from just past `u_tj` to just past the segment's last row; for binary
-/// search, every located target cost its depth in the column's search
-/// tree.
+/// Dependencies are consumed a *run* at a time: consecutive dependency
+/// columns `t..t+w` of column `j` that lie in one fundamental supernode
+/// chain ([`PivotCache::chain_end`]), so each `lower(t+i)` is the run's
+/// own later rows followed by the common tail `R = lower(t+w-1)`. The
+/// core walks that one row list once, two rows at a time: each row is
+/// loaded once, receives the run's non-zero dependencies in ascending
+/// order and is stored once; a tail row's mark is checked once, and a
+/// row of the run itself is then final — the next dependency's `u`. A
+/// run of width 1 is the plain left-looking update.
+///
+/// Per target position the subtractions therefore still arrive in
+/// ascending dependency order, then the division — the order a
+/// sorted-CSC walk applies them in — so the factor bits are the walk's.
+/// A dependency whose `u_tj` is exactly `0.0` is skipped, and a missing
+/// fill is the first unmarked row of the first non-skipped segment, as
+/// in the walk. `discipline` prices that walk without taking it (see
+/// [`AccessDiscipline`]): for merge, per dependency with a non-empty
+/// segment the destination cursor advanced from just past `u_tj` to just
+/// past the segment's last row; for binary search, every located target
+/// cost its depth in the column's search tree.
 ///
 /// **Failure-atomic:** every check runs on the accumulator and the store
 /// is written only once they have all passed, so an `Err` leaves `vals`
@@ -278,7 +331,8 @@ pub fn process_column_with(
     };
     let count_probes = discipline == AccessDiscipline::BinarySearch;
     let count_steps = discipline == AccessDiscipline::Merge;
-    let (stamp, x, mark, depth) = scratch.begin(pattern.n_rows(), count_probes);
+    let acc = scratch.begin(pattern.n_rows(), count_probes);
+    let (stamp, x, mark, depth, run) = (acc.stamp, acc.x, acc.mark, acc.depth, acc.run);
     for (k, &r) in rows.iter().enumerate() {
         x[r as usize] = vals.get(start + k);
         mark[r as usize] = stamp;
@@ -287,35 +341,106 @@ pub fn process_column_with(
         probe_depths(rows, 1, depth);
     }
 
-    for (k, &t) in rows.iter().enumerate() {
-        let t = t as usize;
-        if t >= j {
-            break;
+    let n_deps = rows.partition_point(|&r| (r as usize) < j);
+    let mut k = 0;
+    while k < n_deps {
+        // The run: `t`, then each next dependency that is the next column
+        // of `t`'s chain. (A row the chain needs but column `j` lacks cuts
+        // the run short; the tail sweep then finds it unmarked.)
+        let t = rows[k] as usize;
+        let reach = cache.chain_end(t);
+        let mut w = 1;
+        while t + w <= reach && k + w < n_deps && rows[k + w] as usize == t + w {
+            w += 1;
         }
-        costs.deps += 1;
-        let u_tj = x[t];
-        if u_tj == 0.0 {
-            continue;
-        }
-        let t_lower = cache.lower_start(t);
-        let seg = &pattern.row_idx[t_lower..pattern.col_ptr[t + 1]];
-        for (s, &r) in seg.iter().enumerate() {
-            let r = r as usize;
-            if mark[r] != stamp {
-                return Err(SparseError::MissingFill { row: r, col: j });
+        costs.deps += w as u64;
+        let tail_col = t + w - 1;
+        let tail = &pattern.row_idx[cache.lower_start(tail_col)..pattern.col_ptr[tail_col + 1]];
+
+        // Row `c` of the run's row list — `t + c` for `c < w`, then the
+        // tail's `s`-th row as `c = w + s` — sits at
+        // `lower_start(t + i) - i + c - 1` in column `t + i` (`c > i`), so
+        // a dependency enters the run list as `(lower_start(t + i) - i, u)`.
+        // (Each of the `i` chain columns before `t + i` holds its
+        // successor, so the subtraction cannot wrap.) Rows go two at a
+        // time (the last one pairs with itself): their subtraction chains
+        // are independent, so the floating-point pipeline overlaps them.
+        //
+        // The triangle: row `t + c` receives the listed dependencies in
+        // order and is then final — it is `u_{t+c,j}`.
+        let mut dep_offsets = 0;
+        let mut c = 0;
+        while c < w {
+            let d = (c + 1).min(w - 1);
+            let (mut a, mut b) = (x[t + c], x[t + d]);
+            for &(base, u) in run.iter() {
+                a -= vals.get(base + c - 1) * u;
+                b -= vals.get(base + d - 1) * u;
             }
-            x[r] -= vals.get(t_lower + s) * u_tj;
+            let listed = run.len();
+            for (c, mut v) in [(c, a), (c + 1, b)] {
+                if c == w {
+                    break;
+                }
+                // The second row still owes the first one's dependency.
+                for &(base, u) in &run[listed..] {
+                    v -= vals.get(base + c - 1) * u;
+                }
+                x[t + c] = v;
+                costs.items += run.len() as u64;
+                if count_probes {
+                    costs.probes += run.len() as u64 * depth[t + c] as u64;
+                }
+                if v != 0.0 {
+                    run.push((cache.lower_start(t + c) - c, v));
+                    dep_offsets += c;
+                }
+            }
+            c += 2;
         }
-        costs.items += seg.len() as u64;
+        if run.is_empty() {
+            k += w;
+            continue; // every `u` of the run was zero: the tail is untouched
+        }
+
+        // The common tail: one mark check, one load and one store per row.
+        let mut s = 0;
+        while s < tail.len() {
+            let s2 = (s + 1).min(tail.len() - 1);
+            let (r, r2) = (tail[s] as usize, tail[s2] as usize);
+            for r in [r, r2] {
+                if mark[r] != stamp {
+                    return Err(SparseError::MissingFill { row: r, col: j });
+                }
+            }
+            let (mut a, mut b) = (x[r], x[r2]);
+            for &(base, u) in run.iter() {
+                a -= vals.get(base + w + s - 1) * u;
+                b -= vals.get(base + w + s2 - 1) * u;
+            }
+            (x[r2], x[r]) = (b, a);
+            s += 2;
+        }
+        let applied = run.len() as u64;
+        costs.items += applied * tail.len() as u64;
         if count_probes {
-            // Every row of `seg` was just found marked, so its depth is
-            // this column's.
-            costs.probes += seg.iter().map(|&r| depth[r as usize] as u64).sum::<u64>();
+            // Every row of the tail was just found marked, so its depth
+            // is this column's.
+            costs.probes += applied * tail.iter().map(|&r| depth[r as usize] as u64).sum::<u64>();
         }
-        if let (true, Some(&last)) = (count_steps, seg.last()) {
-            // `last` was just found in the column, past position `k`.
-            costs.merge_steps += 1 + rows[k + 1..].partition_point(|&r| r < last) as u64;
+        if count_steps {
+            // Every segment of the run ends at the tail's last row (or, with
+            // an empty tail, at the run's last row `t + w - 1`, found at
+            // `k + w - 1`); the cursor of dependency `t + i` walks from
+            // position `k + i` to there.
+            let end_pos = match tail.last() {
+                Some(&last) => k + w + rows[k + w..].partition_point(|&r| r < last),
+                None => k + w - 1,
+            };
+            costs.merge_steps += applied * (end_pos - k) as u64 - dep_offsets as u64;
         }
+        run.clear();
+        k += w;
     }
 
     // The pivot is final here (the level barrier ordered every update
@@ -912,22 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn pivot_cache_matches_searches() {
-        let a = random_dominant(35, 4.0, 65);
-        let pattern = filled(&a);
-        let cache = PivotCache::build(&pattern);
-        assert_eq!(cache.len(), 35);
-        for j in 0..35 {
-            assert_eq!(cache.diag(j), pattern.find_in_col(j, j).0, "diag {j}");
-            assert_eq!(
-                cache.lower_start(j),
-                pattern.lower_bound_after(j, j),
-                "lower {j}"
-            );
-        }
-    }
-
-    #[test]
     fn perturb_rule_clamps_tiny_pivots_and_keeps_sign() {
         let rule = PivotRule::Perturb { threshold: 1e-3 };
         assert_eq!(rule.apply(5.0), (5.0, None));
@@ -970,6 +1079,333 @@ mod tests {
         let got = vals.into_vec();
         let diag1 = cache.diag(1).expect("diagonal present");
         assert_eq!(got[diag1], 1e-8, "clamped pivot written back");
+    }
+
+    /// `lower(c)` as a set: the rows of column `c` strictly below `c`.
+    fn lower_set(p: &Csc, c: usize) -> std::collections::BTreeSet<usize> {
+        p.col_rows(c)
+            .iter()
+            .map(|&r| r as usize)
+            .filter(|&r| r > c)
+            .collect()
+    }
+
+    /// Every family's filled pattern, and its unfilled one (whose chains
+    /// are shorter and rarer): each chain end is the last column `e` with
+    /// `lower(c) == {c + 1} ∪ lower(c + 1)` for every `c` in `j..e`, and
+    /// the diagonal and segment positions are what the searches find.
+    #[test]
+    fn chain_ends_match_their_definition() {
+        let mut linked = 0;
+        for (name, a) in gplu_sparse::gen::families() {
+            for pattern in [prepared(&a).0, csr_to_csc(&a)] {
+                let cache = PivotCache::build(&pattern);
+                let n = pattern.n_cols();
+                assert_eq!(cache.len(), n, "{name}");
+                assert!(cache.heap_bytes() <= 16 * n, "{name}: 16 bytes per column");
+                let links: Vec<bool> = (0..n)
+                    .map(|c| {
+                        let mut next = if c + 1 < n {
+                            lower_set(&pattern, c + 1)
+                        } else {
+                            Default::default()
+                        };
+                        next.insert(c + 1);
+                        c + 1 < n && lower_set(&pattern, c) == next
+                    })
+                    .collect();
+                linked += links.iter().filter(|&&l| l).count();
+                for j in 0..n {
+                    let end = (j..n).find(|&e| !links[e]).unwrap_or(n - 1);
+                    assert_eq!(cache.chain_end(j), end, "{name}: chain end of {j}");
+                    assert_eq!(
+                        cache.diag(j),
+                        pattern.find_in_col(j, j).0,
+                        "{name}: diag {j}"
+                    );
+                    let lower = pattern.lower_bound_after(j, j);
+                    assert_eq!(cache.lower_start(j), lower, "{name}: lower {j}");
+                }
+            }
+        }
+        assert!(linked > 0, "some family has supernode chains");
+    }
+
+    /// A six-column pattern, closed under fill, with the values of a
+    /// diagonally dominant matrix (symmetric structure):
+    ///
+    /// * columns 0, 1, 2 form one chain (`lower = {1,2,4,5}, {2,4,5},
+    ///   {4,5}`); column 3's `lower` is `{5}`, column 4's `{5}`;
+    /// * column 4 depends on the run 0..=2 with common tail `{4, 5}`;
+    /// * column 5 depends on that run, then on 3, then on 4, whose chain
+    ///   reaches column 5 itself.
+    ///
+    /// `drop` removes one `(row, col)` entry and `zero` sets entries to
+    /// exactly 0.0.
+    fn six(drop: Option<(usize, usize)>, zero: &[(usize, usize)]) -> Csc {
+        let cols: [&[usize]; 6] = [
+            &[0, 1, 2, 4, 5],
+            &[0, 1, 2, 4, 5],
+            &[0, 1, 2, 4, 5],
+            &[3, 5],
+            &[0, 1, 2, 4, 5],
+            &[0, 1, 2, 3, 4, 5],
+        ];
+        let mut coo = gplu_sparse::Coo::new(6, 6);
+        for (j, rows) in cols.iter().enumerate() {
+            for &i in rows.iter().filter(|&&i| Some((i, j)) != drop) {
+                let v = if i == j {
+                    8.0
+                } else {
+                    1.0 / (1 + i + 2 * j) as f64
+                };
+                coo.push(i, j, if zero.contains(&(i, j)) { 0.0 } else { v });
+            }
+        }
+        gplu_sparse::convert::coo_to_csc(&coo)
+    }
+
+    /// Factors `pattern` column by column through the core and the walk,
+    /// under every discipline, and returns the core's per-column results
+    /// after asserting they are the walk's (values to the bit, costs and
+    /// errors exactly). Stops at the first error.
+    fn core_vs_walk(pattern: &Csc) -> Vec<Result<ColCosts, SparseError>> {
+        let cache = PivotCache::build(pattern);
+        let mut first = None;
+        for d in ALL {
+            let (got, want) = (
+                ValueStore::new(&pattern.vals),
+                ValueStore::new(&pattern.vals),
+            );
+            let mut scratch = ColumnScratch::default();
+            let mut results = Vec::new();
+            for j in 0..pattern.n_cols() {
+                let g = process_column(pattern, &got, j, d, &cache, &mut scratch);
+                let w = process_column_walk(pattern, &want, j, d, &cache, PivotRule::Exact);
+                assert_eq!(g, w.map(|(c, _)| c), "{d:?} column {j}");
+                let failed = g.is_err();
+                results.push(g);
+                if failed {
+                    break;
+                }
+            }
+            if results.last().is_some_and(|r| r.is_ok()) {
+                assert_eq!(bits(&got.snapshot()), bits(&want.snapshot()), "{d:?} bits");
+            }
+            first.get_or_insert(results);
+        }
+        first.expect("three disciplines ran")
+    }
+
+    #[test]
+    fn runs_keep_the_walk_s_errors_skips_and_ends() {
+        let cache = PivotCache::build(&six(None, &[]));
+        let ends: Vec<usize> = (0..6).map(|j| cache.chain_end(j)).collect();
+        assert_eq!(ends, [2, 2, 2, 3, 5, 5]);
+
+        // The closed pattern: column 4 consumes one run of width 3, and
+        // column 5's run from 4 is cut short by column 5 itself.
+        let ok = core_vs_walk(&six(None, &[]));
+        assert!(ok.iter().all(Result::is_ok));
+        assert_eq!(ok[5].as_ref().map(|c| c.deps), Ok(5));
+
+        // A fill missing from the common tail: the first non-skipped
+        // dependency of the run finds row 5 absent from column 4.
+        let tail = core_vs_walk(&six(Some((5, 4)), &[]));
+        assert_eq!(tail[4], Err(SparseError::MissingFill { row: 5, col: 4 }));
+
+        // A fill missing from the run's own rows: row 1 is not in column
+        // 4, so the run stops at 0 and its segment finds row 1 absent.
+        let triangle = core_vs_walk(&six(Some((1, 4)), &[]));
+        assert_eq!(
+            triangle[4],
+            Err(SparseError::MissingFill { row: 1, col: 4 })
+        );
+
+        // Exact zeros: `u_04` and `u_14` are 0.0, so only dependency 2
+        // updates the tail; its structural estimate counts all three.
+        let zeros = core_vs_walk(&six(None, &[(0, 4), (1, 4)]));
+        let items = zeros[4].as_ref().expect("column 4 factorizes").items;
+        assert!(items < column_cost_estimate_cached(&six(None, &[]), &cache, 4).1);
+
+        // Every `u` of the run zero: no dependency touches the tail, so
+        // its missing row is never looked for.
+        let skipped = core_vs_walk(&six(Some((5, 4)), &[(0, 4), (1, 4), (2, 4)]));
+        assert!(skipped[4].is_ok(), "{:?}", skipped[4]);
+    }
+
+    /// FNV-1a over 64-bit words, so a pin is one literal per format.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A family matrix as the pipeline hands it to numeric: minimum-degree
+    /// ordered, every structurally absent diagonal made an explicit zero,
+    /// filled and levelized.
+    fn prepared(a: &Csr) -> (Csc, Levels) {
+        use gplu_sparse::ordering::{order, OrderingKind};
+        use gplu_sparse::perm::{permute_csr, Permutation};
+        let p = Permutation::from_order(&order(a, OrderingKind::MinDegree)).expect("permutation");
+        let b = permute_csr(a, &p, &p);
+        let n = b.n_rows();
+        let mut coo = gplu_sparse::Coo::new(n, n);
+        for i in 0..n {
+            for (j, v) in b.row_iter(i) {
+                coo.push(i, j, v);
+            }
+            if b.get(i, i).is_none() {
+                coo.push(i, i, 0.0);
+            }
+        }
+        filled_with_levels(&coo_to_csr(&coo))
+    }
+
+    /// Words of a factorization's result: the error, or the value bits
+    /// and the `(col, delta)` perturbations in column order.
+    fn result_words<T>(
+        r: &Result<T, impl std::fmt::Debug>,
+        vals: impl FnOnce(&T) -> (Vec<u64>, Vec<(usize, f64)>),
+    ) -> Vec<u64> {
+        match r {
+            Ok(v) => {
+                let (mut words, mut perturbs) = vals(v);
+                perturbs.sort_by_key(|&(c, _)| c);
+                words.extend(perturbs.iter().flat_map(|&(c, d)| [c as u64, d.to_bits()]));
+                words
+            }
+            Err(e) => format!("{e:?}").bytes().map(u64::from).collect(),
+        }
+    }
+
+    /// The five formats' hashes for one matrix under one rule: the
+    /// sequential reference (its factor, perturbations, and the core's
+    /// `deps`/`items` totals in column order), then the dense, merge,
+    /// sparse and blocked engines (factor, perturbations, the `probes`,
+    /// `merge_steps` and tile totals, simulated time).
+    fn format_hashes(pattern: &Csc, levels: &Levels, rule: PivotRule) -> [u64; 5] {
+        use crate::{run_levels, NumericEngine, NumericError};
+        use crate::{BlockPlan, BlockedEngine, DenseEngine, MergeEngine, SparseEngine};
+        use gplu_sim::{Gpu, GpuConfig};
+        use gplu_trace::NOOP;
+
+        let mut lu = pattern.clone();
+        let seq = crate::seq::factorize_seq_rule(&mut lu, rule);
+        let mut words = result_words(&seq, |p| (bits(&lu.vals), p.clone()));
+        let cache = PivotCache::build(pattern);
+        let vals = ValueStore::new(&pattern.vals);
+        let mut scratch = ColumnScratch::default();
+        let d = AccessDiscipline::Dense;
+        for j in 0..pattern.n_cols() {
+            match process_column_with(pattern, &vals, j, d, &cache, rule, &mut scratch) {
+                Ok((c, _)) => words.extend([c.deps, c.items]),
+                Err(_) => break, // the reference's error is hashed above
+            }
+        }
+        let plan = BlockPlan::detect(pattern, &cache, 0.5);
+        let engine = |r: Result<crate::FleetNumericOutcome, NumericError>| {
+            fnv(result_words(&r.map(|run| run.outcome), |o| {
+                let mut words = bits(&o.lu.vals);
+                words.extend([
+                    o.probes,
+                    o.merge_steps,
+                    o.gemm_tiles,
+                    o.time.as_ns().to_bits(),
+                ]);
+                (words, o.perturbations.clone())
+            }))
+        };
+        // One device for the four runs, in this order, as when the pins
+        // were taken.
+        let gpu = Gpu::new(GpuConfig::v100());
+        let mut engines: [Box<dyn NumericEngine + '_>; 4] = [
+            Box::<DenseEngine>::default(),
+            Box::<MergeEngine>::default(),
+            Box::new(SparseEngine::new(None)),
+            Box::new(BlockedEngine::new(&plan)),
+        ];
+        let mut hashes = [fnv(words); 5];
+        for (h, e) in hashes[1..].iter_mut().zip(&mut engines) {
+            let fleet = (&gpu).into();
+            *h = engine(run_levels(
+                &mut **e, &fleet, pattern, levels, &NOOP, None, None, None, rule,
+            ));
+        }
+        hashes
+    }
+
+    /// Every family of [`gplu_sparse::gen::families`] under
+    /// [`PivotRule::Exact`], and the adversarial kinds again under
+    /// [`PivotRule::Perturb`], hashed per format. The literals were
+    /// captured before the core consumed supernode runs in one pass, so
+    /// a changed factor bit, perturbation, counter or price names the
+    /// family, rule and format it hit. (The engine-versus-sequential
+    /// suites cannot: every format runs the same core.)
+    #[test]
+    fn factor_bits_are_pinned_per_family_and_format() {
+        #[rustfmt::skip]
+        const PINS: &[(&str, bool, [u64; 5])] = &[
+            ("circuit/300", false, [0xb3432d48701494bb, 0x8097c38399f796d9, 0xe3aac47dc687e9ec, 0x5ca216160f73f7d8, 0x4b0276357bc9d685]),
+            ("planar/300", false, [0x7cce7147eae15f67, 0xb83f67ea133e7f44, 0xb83f67ea133e7f44, 0xb83f67ea133e7f44, 0xb83f67ea133e7f44]),
+            ("banded/300", false, [0xb009fb0aa8589c28, 0x8ab8ddb0cc8f8ad4, 0x2e885d23fa6fb508, 0x322e6aea1acf24a4, 0xfdfa6cbfe948c0c3]),
+            ("random/300", false, [0x2d6ea41989249e64, 0x81fa01ab56328aa4, 0xe0ca737c08dcf8eb, 0xbf62a3183445c101, 0x7af19f4277df6b71]),
+            ("near_singular/300", false, [0x353b059990dba23b, 0xc7926a3d9161a3b3, 0xe76b22ec47546ee9, 0x0771dea7b8b6c168, 0x8160aa52e06951dd]),
+            ("near_singular/300", true, [0x59ff7b9d2cf0eb6c, 0xb52d58c671c95d7c, 0x39cf14734cb8fbb2, 0xdf50ff5b4cb6f943, 0xa82fb193fd528f16]),
+            ("graded/300", false, [0x4ea58200a2fd5922, 0x564844cdf70d7e26, 0xbb98b76ce3734aa2, 0xe994c9405ec49c76, 0x0e8666af049c90fa]),
+            ("graded/300", true, [0x4ea58200a2fd5922, 0x564844cdf70d7e26, 0xbb98b76ce3734aa2, 0xe994c9405ec49c76, 0x0e8666af049c90fa]),
+            ("zero_diag/300", false, [0x97748ca4279b9897, 0x0332b2ccd66b2759, 0x0332b2ccd66b2759, 0x0332b2ccd66b2759, 0x0332b2ccd66b2759]),
+            ("zero_diag/300", true, [0xff1249513ef5ae42, 0xaac447027221702e, 0x5155e27a832bb25d, 0x7ea0eb8f541707b4, 0x0f9fe6faeb804fef]),
+            ("sign_alternating/300", false, [0x99b239c7748acd93, 0x488a0be3d08fc0ce, 0x868e1507346b8ad1, 0xf168a434009930ce, 0x83a4b3f73532d942]),
+            ("sign_alternating/300", true, [0x99b239c7748acd93, 0x488a0be3d08fc0ce, 0x868e1507346b8ad1, 0xf168a434009930ce, 0x83a4b3f73532d942]),
+            ("circuit/2000", false, [0x35c6b5b719697147, 0x479ebb43e5170a2a, 0xcd9a38d6efd11c37, 0x755685081c89ac22, 0x6d8f65f86c5181df]),
+            ("planar/2000", false, [0xd8b32aa752659afd, 0x545aae66d03680da, 0x545aae66d03680da, 0x545aae66d03680da, 0x545aae66d03680da]),
+            ("banded/2000", false, [0x125f58a2993f0c3c, 0x5466212b4afd4733, 0x3df5c7f0913efaca, 0x3ef51fcd9f3ddc25, 0xc9d607d97d7b0385]),
+            ("random/2000", false, [0xa3544fd18c3a1f2a, 0xb18698bec7de5524, 0xd7614de94041d501, 0xe6b687458214ad4e, 0xab8b1e22be1163be]),
+            ("near_singular/2000", false, [0x9ff447ce45e5c51e, 0xbf4a887a6690c7be, 0xbf4a887a6690c7be, 0xbf4a887a6690c7be, 0xbf4a887a6690c7be]),
+            ("near_singular/2000", true, [0xde0384ecc58a9f6c, 0x1b5d6ef7cd1f0465, 0xfd448fd24d062363, 0xca048017a1927abc, 0x5149b193242037d2]),
+            ("graded/2000", false, [0xcb3ac845ea40e1ad, 0xa3fc35786d8f5a6c, 0x5772dd68dd76a179, 0xe711c06bfe09c80a, 0x415de13382f5bb81]),
+            ("graded/2000", true, [0xcb3ac845ea40e1ad, 0xa3fc35786d8f5a6c, 0x5772dd68dd76a179, 0xe711c06bfe09c80a, 0x415de13382f5bb81]),
+            ("zero_diag/2000", false, [0x03af571693b74cca, 0x66a2a99a5d03591b, 0x66a2a99a5d03591b, 0x66a2a99a5d03591b, 0x66a2a99a5d03591b]),
+            ("zero_diag/2000", true, [0x56573669e1e5a4a5, 0xef0f8026636f5fdf, 0x7e47c66e8c651063, 0x2063631a55a10fcc, 0x2fe0f5265d5345fe]),
+            ("sign_alternating/2000", false, [0xc83edf251a7c1acb, 0x1e1b0343b15552d9, 0x5188b30ffcfd24eb, 0x43516b7e4431c5a1, 0x288d732d72252465]),
+            ("sign_alternating/2000", true, [0xa58ea86e5ebf0696, 0xbc93c3d1c8f612e4, 0x5b67c1aaf8269d32, 0x58174c5045bb2400, 0x7cdf079ec3bb7090]),
+        ];
+        use rayon::prelude::*;
+        let hard: Vec<&str> = HardKind::ALL.iter().map(|k| k.name()).collect();
+        let got: Vec<(String, bool, [u64; 5])> = gplu_sparse::gen::families()
+            .into_par_iter()
+            .flat_map_iter(|(name, a)| {
+                let (pattern, levels) = prepared(&a);
+                let perturb = hard.contains(&name.split('/').next().expect("kind"));
+                let rules = [
+                    (false, PivotRule::Exact),
+                    (true, PivotRule::Perturb { threshold: 1e-2 }),
+                ];
+                let rows = rules.into_iter().take(1 + perturb as usize);
+                rows.map(|(p, rule)| (name.clone(), p, format_hashes(&pattern, &levels, rule)))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let want: Vec<(String, bool, [u64; 5])> = PINS
+            .iter()
+            .map(|&(n, p, h)| (n.to_string(), p, h))
+            .collect();
+        if got != want {
+            for (name, perturb, h) in &got {
+                println!(
+                    "            (\"{name}\", {perturb}, [{:#018x}, {:#018x}, {:#018x}, {:#018x}, {:#018x}]),",
+                    h[0], h[1], h[2], h[3], h[4]
+                );
+            }
+        }
+        assert_eq!(got.len(), want.len(), "one row per family and rule");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                g, w,
+                "factor bits drifted ([seq, dense, merge, sparse, blocked])"
+            );
+        }
     }
 
     #[test]

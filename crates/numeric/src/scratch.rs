@@ -4,7 +4,10 @@
 //! `O(n)` buffer with direct row indexing (Gilbert–Peierls; the GLU 3.0
 //! dense-column discipline). The buffer is never cleared: membership of a
 //! row in the current column is an epoch stamp in `mark`, so starting a
-//! column costs one counter bump, not an `O(n)` sweep.
+//! column costs one counter bump, not an `O(n)` sweep. Beside it sits the
+//! run list: the non-zero dependencies of one supernode run, which the
+//! core applies to each row of the run in one pass. It is kept here so a
+//! run costs no allocation once the scratch has seen the widest one.
 
 use parking_lot::Mutex;
 
@@ -14,30 +17,44 @@ use parking_lot::Mutex;
 /// binary-search discipline's price list (how many probes Algorithm 6
 /// takes to find `row` in the current column) and stays empty until a
 /// column asks for it, so the other disciplines never pay its `n` bytes.
+/// `run` holds the current supernode run's non-zero dependencies as
+/// `(where the run's row list starts in the dependency column, u_tj)`;
+/// see [`crate::outcome::process_column_with`].
 #[derive(Debug, Default)]
 pub struct ColumnScratch {
     x: Vec<f64>,
     mark: Vec<u32>,
     depth: Vec<u8>,
+    run: Vec<(usize, f64)>,
     epoch: u32,
+}
+
+/// One column's view of a [`ColumnScratch`], from [`ColumnScratch::begin`].
+pub(crate) struct Accumulator<'a> {
+    /// Distinct from every value currently in `mark`.
+    pub stamp: u32,
+    /// Working values, valid where `mark` holds `stamp` (exactly `n` long).
+    pub x: &'a mut [f64],
+    /// Membership stamps (exactly `n` long).
+    pub mark: &'a mut [u32],
+    /// Probe depths (at least `n` long when asked for, else as left).
+    pub depth: &'a mut [u8],
+    /// The run list, empty.
+    pub run: &'a mut Vec<(usize, f64)>,
 }
 
 impl ColumnScratch {
     /// Starts a column of an `n`-row pattern: returns a stamp distinct
     /// from every value currently in the mark array, plus the accumulator
-    /// and mark arrays (each exactly `n` long) and the probe-depth array
+    /// and mark arrays (each exactly `n` long), the probe-depth array
     /// (at least `n` long when `probe_depths` is set, else as it was
-    /// left). Stamps are unique per *call*, never derived from the
-    /// column index, so a scratch that has already seen column `j` — of
-    /// this pattern or another — or a pooled scratch handed to another
-    /// column cannot read a stale mark as membership; depths are read
-    /// only where the mark matches.
+    /// left) and the cleared run list. Stamps are unique per *call*,
+    /// never derived from the column index, so a scratch that has
+    /// already seen column `j` — of this pattern or another — or a pooled
+    /// scratch handed to another column cannot read a stale mark as
+    /// membership; depths are read only where the mark matches.
     /// On epoch wrap the marks are re-cleared so old stamps cannot alias.
-    pub(crate) fn begin(
-        &mut self,
-        n: usize,
-        probe_depths: bool,
-    ) -> (u32, &mut [f64], &mut [u32], &mut [u8]) {
+    pub(crate) fn begin(&mut self, n: usize, probe_depths: bool) -> Accumulator<'_> {
         if self.mark.len() < n {
             self.x.resize(n, 0.0);
             self.mark.resize(n, 0);
@@ -50,18 +67,20 @@ impl ColumnScratch {
             self.epoch = 0;
         }
         self.epoch += 1;
-        (
-            self.epoch,
-            &mut self.x[..n],
-            &mut self.mark[..n],
-            &mut self.depth,
-        )
+        self.run.clear();
+        Accumulator {
+            stamp: self.epoch,
+            x: &mut self.x[..n],
+            mark: &mut self.mark[..n],
+            depth: &mut self.depth,
+            run: &mut self.run,
+        }
     }
 }
 
 /// Pool of [`ColumnScratch`]es, one per concurrently executing block,
 /// created by the level drivers and dropped with the factorization (so
-/// the `12·n` bytes per block never outlive it).
+/// the `12·n` bytes per block, and the run list, never outlive it).
 #[derive(Debug, Default)]
 pub(crate) struct ScratchPool {
     pool: Mutex<Vec<ColumnScratch>>,
@@ -84,39 +103,50 @@ mod tests {
     #[test]
     fn stamps_are_unique_per_call_and_survive_the_wrap() {
         let mut ws = ColumnScratch::default();
-        let (s1, _, mark, _) = ws.begin(4, false);
-        mark[2] = s1;
-        let (s2, _, mark, _) = ws.begin(4, false);
-        assert_ne!(s1, s2);
-        assert_ne!(mark[2], s2, "a previous call's mark is not membership");
+        let acc = ws.begin(4, false);
+        let s1 = acc.stamp;
+        acc.mark[2] = s1;
+        let acc = ws.begin(4, false);
+        assert_ne!(s1, acc.stamp);
+        assert_ne!(
+            acc.mark[2], acc.stamp,
+            "a previous call's mark is not membership"
+        );
 
         // Park the epoch at the top: the next call stamps u32::MAX, the
         // one after wraps — and must not see the u32::MAX-era mark, nor a
         // mark left by the very first epoch, as current.
         ws.epoch = u32::MAX - 1;
-        let (top, _, mark, _) = ws.begin(4, false);
-        assert_eq!(top, u32::MAX);
-        mark[0] = top;
-        mark[1] = 1;
-        let (wrapped, _, mark, _) = ws.begin(4, false);
-        assert_eq!(wrapped, 1);
-        assert_eq!(mark, [0, 0, 0, 0], "wrap re-clears every stale stamp");
+        let acc = ws.begin(4, false);
+        assert_eq!(acc.stamp, u32::MAX);
+        acc.mark[0] = acc.stamp;
+        acc.mark[1] = 1;
+        let acc = ws.begin(4, false);
+        assert_eq!(acc.stamp, 1);
+        assert_eq!(acc.mark, [0, 0, 0, 0], "wrap re-clears every stale stamp");
     }
 
     #[test]
     fn grows_to_the_largest_pattern_seen() {
         let mut ws = ColumnScratch::default();
-        assert_eq!(ws.begin(3, false).1.len(), 3);
-        assert_eq!(ws.begin(8, false).2.len(), 8);
-        assert_eq!(ws.begin(2, false).1.len(), 2);
+        assert_eq!(ws.begin(3, false).x.len(), 3);
+        assert_eq!(ws.begin(8, false).mark.len(), 8);
+        assert_eq!(ws.begin(2, false).x.len(), 2);
+    }
+
+    #[test]
+    fn every_column_starts_with_an_empty_run_list() {
+        let mut ws = ColumnScratch::default();
+        ws.begin(4, false).run.push((3, 1.5));
+        assert!(ws.begin(4, false).run.is_empty());
     }
 
     #[test]
     fn probe_depths_are_sized_only_on_request() {
         let mut ws = ColumnScratch::default();
-        assert!(ws.begin(8, false).3.is_empty(), "no probes, no bytes");
-        assert_eq!(ws.begin(8, true).3.len(), 8);
-        assert_eq!(ws.begin(3, false).3.len(), 8, "kept, like x and mark");
+        assert!(ws.begin(8, false).depth.is_empty(), "no probes, no bytes");
+        assert_eq!(ws.begin(8, true).depth.len(), 8);
+        assert_eq!(ws.begin(3, false).depth.len(), 8, "kept, like x and mark");
     }
 
     #[test]

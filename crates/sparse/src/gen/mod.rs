@@ -78,37 +78,37 @@ pub fn draw_val<R: Rng>(rng: &mut R) -> f64 {
     }
 }
 
-#[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-
-    /// Every generator family the pipeline orders, at two sizes each:
-    /// circuit, planar with missing diagonals, banded, uniform random and
-    /// each adversarial kind.
-    pub(crate) fn families() -> Vec<(String, Csr)> {
-        use hard::HardKind;
-        let mut out = Vec::new();
-        for (k, n) in [300usize, 2000].into_iter().enumerate() {
-            let seed = 11 + k as u64;
-            let circuit = circuit::circuit(&circuit::CircuitParams {
-                n,
-                nnz_per_row: 7.0,
-                seed,
-                ..Default::default()
-            });
-            let planar = planar::planar(&planar::PlanarParams::for_target(n, 5.0, seed));
-            out.push((format!("circuit/{n}"), circuit));
-            out.push((format!("planar/{n}"), planar));
-            out.push((format!("banded/{n}"), random::banded_dominant(n, 3, seed)));
-            out.push((format!("random/{n}"), random::random_dominant(n, 5.0, seed)));
-            // The kinds share one skeleton per seed; distinct seeds keep
-            // their patterns apart.
-            for (s, kind) in (seed..).zip(HardKind::ALL) {
-                out.push((format!("{}/{n}", kind.name()), kind.generate(n, s)));
-            }
+/// Every generator family the pipeline orders, at two sizes each:
+/// circuit, planar with missing diagonals, banded, uniform random and
+/// each adversarial kind — the corpus the per-family pins (orderings,
+/// factor bits) run over.
+pub fn families() -> Vec<(String, Csr)> {
+    let mut out = Vec::new();
+    for (k, n) in [300usize, 2000].into_iter().enumerate() {
+        let seed = 11 + k as u64;
+        let circuit = circuit::circuit(&circuit::CircuitParams {
+            n,
+            nnz_per_row: 7.0,
+            seed,
+            ..Default::default()
+        });
+        let planar = planar::planar(&planar::PlanarParams::for_target(n, 5.0, seed));
+        out.push((format!("circuit/{n}"), circuit));
+        out.push((format!("planar/{n}"), planar));
+        out.push((format!("banded/{n}"), random::banded_dominant(n, 3, seed)));
+        out.push((format!("random/{n}"), random::random_dominant(n, 5.0, seed)));
+        // The kinds share one skeleton per seed; distinct seeds keep
+        // their patterns apart.
+        for (s, kind) in (seed..).zip(hard::HardKind::ALL) {
+            out.push((format!("{}/{n}", kind.name()), kind.generate(n, s)));
         }
-        out
     }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     #[test]
     fn assemble_dominant_is_dominant_and_full_diagonal() {

@@ -108,7 +108,7 @@ mod tests {
     /// Row `u` of `A + Aᵀ` without the diagonal, from ordered sets.
     #[test]
     fn symmetrized_adjacency_matches_its_definition() {
-        for (name, a) in crate::gen::tests::families() {
+        for (name, a) in crate::gen::families() {
             let n = a.n_rows();
             let mut rows = vec![BTreeSet::new(); n];
             for i in 0..n {
@@ -176,7 +176,7 @@ mod tests {
                 0x8e7223db433a06e7,
             ),
         ];
-        let got: Vec<(String, u64, u64)> = crate::gen::tests::families()
+        let got: Vec<(String, u64, u64)> = crate::gen::families()
             .into_iter()
             .map(|(name, a)| {
                 let (amd, rcm) = (amd_order(&a), rcm_order(&a));

@@ -238,7 +238,7 @@ mod tests {
             }
             Permutation::from_forward(fwd).expect("shuffle is a bijection")
         };
-        for (k, (name, a)) in crate::gen::tests::families().into_iter().enumerate() {
+        for (k, (name, a)) in crate::gen::families().into_iter().enumerate() {
             let n = a.n_rows();
             let amd = Permutation::from_order(&crate::ordering::amd_order(&a)).expect("valid");
             let shuffles = (shuffle(n, 2 * k as u64), shuffle(n, 2 * k as u64 + 1));

@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn repair_diagonal_matches_its_definition() {
         use std::collections::BTreeMap;
-        for (name, a) in crate::gen::tests::families() {
+        for (name, a) in crate::gen::families() {
             let mut want = BTreeMap::new();
             for i in 0..a.n_rows() {
                 want.insert((i, i), 1000f64.to_bits());
