@@ -26,7 +26,6 @@
 //! every failure is a typed [`GpluError`] — the caller falls back to a
 //! cold factorization, never panics, never serves a questionable plan.
 
-use crate::checkpoint::pattern_fingerprint;
 use crate::error::GpluError;
 use crate::pipeline::{NumericFormat, ResidualGate};
 use crate::refactor::RefactorPlan;
@@ -281,13 +280,6 @@ pub fn plan_matches(snap: &Snapshot, fp: u64) -> bool {
     };
     let mut d = Dec::new(meta);
     matches!(d.u32("v"), Ok(PLAN_SCHEMA_VERSION)) && matches!(d.u64("fp"), Ok(got) if got == fp)
-}
-
-/// Recomputes the pattern fingerprint of an input matrix — re-exported
-/// here so the server's disk tier can key entries without reaching into
-/// `checkpoint` internals.
-pub fn plan_key(a: &gplu_sparse::Csr) -> u64 {
-    pattern_fingerprint(a)
 }
 
 #[cfg(test)]

@@ -48,12 +48,6 @@ impl SimTime {
         self.0 / 1e6
     }
 
-    /// As seconds.
-    #[inline]
-    pub fn as_secs(self) -> f64 {
-        self.0 / 1e9
-    }
-
     /// Elementwise maximum.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {

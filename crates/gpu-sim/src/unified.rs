@@ -44,11 +44,6 @@ impl UmAlloc<'_> {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// True for device-scratch allocations.
-    pub fn is_scratch(&self) -> bool {
-        self.scratch
-    }
 }
 
 impl Drop for UmAlloc<'_> {

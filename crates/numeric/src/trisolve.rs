@@ -47,12 +47,6 @@ use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Exec, Gpu, GpuStatsSnapshot, LaunchKind, SimTime};
 use gplu_sparse::{Csc, SparseError, Val};
 use gplu_trace::{AttrValue, TraceSink, NOOP};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Global count of [`TriSolvePlan`] constructions, for regression tests
-/// that pin down plan amortization (a cached pattern must build its plan
-/// exactly once, no matter how many solves it serves).
-static PLAN_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Precomputed pattern-only solve state for a combined factor: the level
 /// schedules of both triangles plus the per-column structural positions
@@ -77,7 +71,6 @@ impl TriSolvePlan {
     /// Builds the schedules and position tables from the combined factor
     /// (unit-diagonal `L` strictly below, `U` on and above the diagonal).
     pub fn new(lu: &Csc) -> TriSolvePlan {
-        PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         let n = lu.n_cols();
         // One structural pass, shared by both schedule constructions below
         // and by every subsequent solve.
@@ -138,13 +131,6 @@ impl TriSolvePlan {
             (l.level_of.len() * 4 + l.groups.iter().map(Vec::len).sum::<usize>() * 4) as u64
         };
         levels(&self.l_levels) + levels(&self.u_levels) + (self.pivot.len() as u64) * 16
-    }
-
-    /// Total [`TriSolvePlan`] constructions since process start (a
-    /// monotone global counter; take deltas around the region under
-    /// test).
-    pub fn builds_total() -> u64 {
-        PLAN_BUILDS.load(Ordering::Relaxed)
     }
 }
 

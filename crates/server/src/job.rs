@@ -202,11 +202,6 @@ impl JobHandle {
         // with the job still queued — surface that as a cancellation.
         self.rx.recv().unwrap_or(Err(GpluError::Cancelled))
     }
-
-    /// Non-blocking poll.
-    pub fn try_wait(&self) -> Option<Result<JobResult, GpluError>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// Internal queued form: the spec plus its completion channel.

@@ -236,17 +236,6 @@ impl Csr {
             .collect()
     }
 
-    /// The pattern-only copy of the matrix: same structure, all values 1.
-    pub fn pattern_only(&self) -> Csr {
-        Csr {
-            n_rows: self.n_rows,
-            n_cols: self.n_cols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
-            vals: vec![1.0; self.nnz()],
-        }
-    }
-
     /// Frobenius norm of the stored values.
     pub fn frobenius_norm(&self) -> f64 {
         self.vals.iter().map(|v| v * v).sum::<f64>().sqrt()

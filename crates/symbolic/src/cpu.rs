@@ -2,15 +2,14 @@
 //!
 //! The paper's Figure 4 baseline runs symbolic factorization on the
 //! 28-thread host. Functionally this is the same fill2 traversal as the
-//! GPU versions, parallelised across source rows with one workspace per
-//! worker; its simulated cost comes from [`CostModel::cpu_parallel_ns`]
-//! over the edges actually scanned.
+//! GPU versions, parallelised across source rows on the host pool with one
+//! workspace per worker; its simulated cost comes from
+//! [`CostModel::cpu_parallel_ns`] over the edges actually scanned.
 
-use crate::fill2::{fill2_row, Fill2Workspace};
-use crate::result::{SymbolicMetrics, SymbolicResult};
+use crate::fill2::Traversals;
+use crate::result::SymbolicResult;
 use gplu_sim::{CostModel, SimTime};
-use gplu_sparse::{Csr, Idx};
-use rayon::prelude::*;
+use gplu_sparse::Csr;
 
 /// Outcome of the CPU baseline: the symbolic result plus its simulated
 /// wall time on the 28-thread host.
@@ -24,45 +23,13 @@ pub struct CpuOutcome {
 
 /// Runs parallel CPU symbolic factorization.
 pub fn symbolic_cpu(a: &Csr, cost: &CostModel) -> CpuOutcome {
-    let n = a.n_rows();
-    // Row-chunked parallelism: one workspace per chunk keeps the O(n)
-    // state allocation amortised over many rows, like a worker thread
-    // reusing its buffers.
-    let chunk = (n / (rayon::current_num_threads() * 4)).max(16);
-    let per_chunk: Vec<(Vec<Vec<Idx>>, SymbolicMetrics)> = (0..n)
-        .collect::<Vec<_>>()
-        .par_chunks(chunk)
-        .map(|rows| {
-            let mut ws = Fill2Workspace::new(n);
-            let mut patterns = Vec::with_capacity(rows.len());
-            let mut metrics = SymbolicMetrics::default();
-            for &src in rows {
-                let mut cols: Vec<Idx> = Vec::new();
-                let m = fill2_row(a, src as u32, &mut ws, |c| cols.push(c));
-                cols.sort_unstable();
-                patterns.push(cols);
-                metrics.steps += m.steps;
-                metrics.edges += m.edges;
-                metrics.frontiers += m.frontiers;
-            }
-            (patterns, metrics)
-        })
-        .collect();
-
-    let mut patterns = Vec::with_capacity(n);
-    let mut metrics = SymbolicMetrics::default();
-    for (pats, m) in per_chunk {
-        patterns.extend(pats);
-        metrics.steps += m.steps;
-        metrics.edges += m.edges;
-        metrics.frontiers += m.frontiers;
-    }
-
+    let traversals = Traversals::new(a);
+    traversals.traverse_all();
+    let result = traversals.into_result();
     // Simulated cost: every scanned edge plus every emitted entry is one
     // irregular memory-bound item on the host.
-    let items = metrics.edges + patterns.iter().map(|p| p.len() as u64).sum::<u64>();
+    let items = result.metrics.edges + result.fill_nnz() as u64;
     let time = SimTime::from_ns(cost.cpu_parallel_ns(items));
-    let result = SymbolicResult::from_patterns(a, patterns, metrics);
     CpuOutcome { result, time }
 }
 

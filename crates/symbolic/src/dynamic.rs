@@ -18,12 +18,12 @@
 //!    design, changing no counts.
 //!
 //! The simulated device traverses every row in both stages, and the clock
-//! charges both. The host does not repeat the work: the first kernel over a
-//! row runs fill2 and keeps its sorted columns and metrics (`Traversals` in
-//! [`crate::ooc`]), and the storing stage and the overflow re-runs are
-//! charged from those, block by block in the same order. The one exception
-//! is a resumed run: rows below its watermark were counted before the cut,
-//! so the host traverses them in their first kernel after it.
+//! charges both. The host does not repeat the work: the first request for
+//! a row — a kernel, or the Algorithm 4 prepass — runs fill2 and keeps its
+//! sorted columns and metrics (`Traversals` in `crate::fill2`), and every
+//! later kernel over the row is charged from those, block by block in the
+//! same order. A resumed run meets the rows below its watermark for the
+//! first time after the cut, and traverses them there.
 //!
 //! Algorithm 3 sizes every chunk for the worst case. But the per-row
 //! frontier count grows with the source-row id (Theorem 1 admits more
@@ -45,9 +45,10 @@
 //! Everything observable — chunk sizes, iteration counts, launch count,
 //! transfer bytes — comes out of the simulated GPU's accounting.
 
-use crate::fill2::fill2_row;
-use crate::ooc::{charge_row, row_state_bytes, with_oom_backoff, Traversals, WorkspacePool};
-use crate::result::{SymbolicMetrics, SymbolicResult};
+use crate::fill2::{RowMetrics, Traversals};
+use crate::frontier::split_point;
+use crate::ooc::{charge_row, charge_sort, chunk_size_for, row_state_bytes, with_oom_backoff};
+use crate::result::SymbolicResult;
 use crate::resume::{ChunkHook, ChunkProgress, SymbolicResume};
 use gplu_sim::{BlockCtx, Gpu, GpuStatsSnapshot, SimError, SimTime};
 use gplu_sparse::Csr;
@@ -113,8 +114,13 @@ fn part1_row_bytes(n: usize, cap: u64) -> u64 {
 /// The prepass is *not* charged to the simulated clock: the paper derives
 /// the split from the frontier profile it measures offline (its Figure 3
 /// analysis precedes the Algorithm 4 runs), so the measured phase starts
-/// with the split already known.
-pub fn plan_split(gpu: &Gpu, a: &Csr, pool: &WorkspacePool) -> Result<DynamicSplit, SimError> {
+/// with the split already known. Its samples go through the memo, so the
+/// kernels that meet those rows later do not traverse them again.
+pub(crate) fn plan_split(
+    gpu: &Gpu,
+    a: &Csr,
+    traversals: &Traversals,
+) -> Result<DynamicSplit, SimError> {
     let n = a.n_rows();
     let samples: Vec<usize> = if n <= PREPASS_SAMPLES {
         (0..n).collect()
@@ -123,19 +129,12 @@ pub fn plan_split(gpu: &Gpu, a: &Csr, pool: &WorkspacePool) -> Result<DynamicSpl
             .map(|k| k * n / PREPASS_SAMPLES)
             .collect()
     };
-    let mut profile: Vec<u64> = Vec::with_capacity(samples.len());
-    let mut queues: Vec<u64> = Vec::with_capacity(samples.len());
-    for &row in &samples {
-        let m = pool.with(|ws| fill2_row(a, row as u32, ws, |_| {}));
-        profile.push(m.frontiers);
-        queues.push(m.max_queue);
-    }
-    let max_frontier = profile.iter().copied().max().unwrap_or(0);
-    let threshold = (max_frontier as f64 * SPLIT_FRACTION) as u64;
-    let split_at = profile
+    let sampled: Vec<RowMetrics> = samples
         .iter()
-        .position(|&f| f > threshold)
-        .unwrap_or(samples.len());
+        .map(|&row| traversals.row(row as u32))
+        .collect();
+    let profile: Vec<u64> = sampled.iter().map(|m| m.frontiers).collect();
+    let split_at = split_point(&profile, SPLIT_FRACTION);
     let n1 = if split_at == 0 {
         0
     } else {
@@ -144,16 +143,16 @@ pub fn plan_split(gpu: &Gpu, a: &Csr, pool: &WorkspacePool) -> Result<DynamicSpl
 
     let cap = samples
         .iter()
-        .zip(&queues)
+        .zip(&sampled)
         .filter(|(&row, _)| row < n1)
-        .map(|(_, &q)| q)
+        .map(|(_, m)| m.max_queue)
         .max()
         .unwrap_or(16);
     let cap = ((cap as f64 * CAP_HEADROOM) as u64).max(16);
 
-    let free = gpu.mem.free_bytes();
-    let chunk2 = ((free / row_state_bytes(n)) as usize).clamp(1, n.max(1));
-    let chunk1 = ((free / part1_row_bytes(n, cap)) as usize).clamp(chunk2, n.max(1));
+    let chunk2 = chunk_size_for(gpu, n).clamp(1, n.max(1));
+    let chunk1 =
+        ((gpu.mem.free_bytes() / part1_row_bytes(n, cap)) as usize).clamp(chunk2, n.max(1));
     Ok(DynamicSplit {
         n1,
         frontier_cap: cap,
@@ -165,24 +164,16 @@ pub fn plan_split(gpu: &Gpu, a: &Csr, pool: &WorkspacePool) -> Result<DynamicSpl
 /// Runs out-of-core symbolic factorization with dynamic parallelism
 /// assignment (Algorithm 4).
 pub fn symbolic_ooc_dynamic(gpu: &Gpu, a: &Csr) -> Result<DynamicOutcome, SimError> {
-    symbolic_ooc_dynamic_traced(gpu, a, &NOOP)
+    symbolic_ooc_dynamic_run(gpu, a, &NOOP, None, None)
 }
 
-/// [`symbolic_ooc_dynamic`] with telemetry: a `symbolic.split` instant for
-/// the split decision, one `symbolic.chunk` span per counting-stage
-/// iteration (attrs: iteration, rows, part), and one `symbolic.batch` span
-/// per storing-stage or retry batch.
-pub fn symbolic_ooc_dynamic_traced(
-    gpu: &Gpu,
-    a: &Csr,
-    trace: &dyn TraceSink,
-) -> Result<DynamicOutcome, SimError> {
-    symbolic_ooc_dynamic_run(gpu, a, trace, None, None)
-}
-
-/// Full-control entry point: [`symbolic_ooc_dynamic_traced`] plus optional
-/// chunk-granular resume state and a per-chunk checkpoint hook (both apply
-/// to the counting stage; the storing stage recomputes from the counts).
+/// Full-control entry point: [`symbolic_ooc_dynamic`] with telemetry — a
+/// `symbolic.split` instant for the split decision, one `symbolic.chunk`
+/// span per counting-stage iteration (attrs: iteration, rows, part), and
+/// one `symbolic.batch` span per storing-stage or retry batch — plus
+/// optional chunk-granular resume state and a per-chunk checkpoint hook
+/// (both apply to the counting stage; the storing stage recomputes from
+/// the counts).
 pub fn symbolic_ooc_dynamic_run(
     gpu: &Gpu,
     a: &Csr,
@@ -196,7 +187,7 @@ pub fn symbolic_ooc_dynamic_run(
 /// How a fresh run learns its row split — the one decision that separates
 /// the two out-of-core engines: [`plan_split`] (Algorithm 4) or
 /// [`crate::ooc::fixed_split`] (Algorithm 3).
-pub(crate) type SplitRule = fn(&Gpu, &Csr, &WorkspacePool) -> Result<DynamicSplit, SimError>;
+pub(crate) type SplitRule = fn(&Gpu, &Csr, &Traversals) -> Result<DynamicSplit, SimError>;
 
 /// What [`two_stage`] reports: the public outcome plus the two numbers
 /// Algorithm 3's outcome states in its own convention.
@@ -207,9 +198,6 @@ pub(crate) struct TwoStageRun {
     pub stage1_chunks: usize,
     /// Effective stage-1 chunk size last in force (after OOM backoff).
     pub chunk: usize,
-    /// fill2 traversals the host ran, the split rule's prepass included.
-    #[cfg(test)]
-    pub host_traversals: u64,
 }
 
 /// The two-stage out-of-core procedure (Algorithm 3) over the two row
@@ -240,7 +228,7 @@ pub(crate) fn two_stage(
     let traversals = Traversals::new(a);
     let split = match resume {
         Some(r) => r.split,
-        None => split_rule(gpu, a, traversals.pool())?,
+        None => split_rule(gpu, a, &traversals)?,
     };
     trace.instant(
         "symbolic.split",
@@ -266,6 +254,7 @@ pub(crate) fn two_stage(
         Some(r) => r.fill_counts.iter().map(|&c| AtomicU32::new(c)).collect(),
         None => (0..n).map(|_| AtomicU32::new(0)).collect(),
     };
+    // Metrics of the rows counted so far, for the checkpoint hook.
     let agg = [
         AtomicU64::new(resume.map_or(0, |r| r.agg_steps)),
         AtomicU64::new(resume.map_or(0, |r| r.agg_edges)),
@@ -305,8 +294,7 @@ pub(crate) fn two_stage(
 
         // Shared kernel body for both parts and the retry pass. Every
         // kernel is charged a full traversal of its row; the host runs
-        // fill2 only in the first one (or, below a resume watermark, in
-        // the first one after the cut).
+        // fill2 only the first time the memo is asked for it.
         let body = |src: u32, capped: bool, ctx: &mut BlockCtx| {
             let m = traversals.row(src);
             charge_row(ctx, &m);
@@ -317,11 +305,7 @@ pub(crate) fn two_stage(
                 return;
             }
             if store {
-                // In-block bitonic-style ordering of the emitted row.
-                let e = m.emitted as u64;
-                if e > 1 {
-                    ctx.step(e * (64 - e.leading_zeros() as u64));
-                }
+                charge_sort(ctx, &m);
             } else {
                 fill_counts[src as usize].store(m.emitted, Ordering::Relaxed);
                 agg[0].fetch_add(m.steps, Ordering::Relaxed);
@@ -529,16 +513,9 @@ pub(crate) fn two_stage(
     // The overflow list is drained per stage; anything left means a bug.
     debug_assert!(overflowed.lock().is_empty());
 
-    // Both stages traverse on the device; the metrics are the
+    // Both stages traverse on the device; the result's metrics are the
     // single-traversal costs (the clock already charged both).
-    let metrics = SymbolicMetrics {
-        steps: agg[0].load(Ordering::Relaxed),
-        edges: agg[1].load(Ordering::Relaxed),
-        frontiers: agg[2].load(Ordering::Relaxed),
-    };
-    #[cfg(test)]
-    let host_traversals = traversals.pool().traversals();
-    let result = traversals.into_result(metrics);
+    let result = traversals.into_result();
     let stats = gpu.stats().since(&before);
     Ok(TwoStageRun {
         outcome: DynamicOutcome {
@@ -553,8 +530,6 @@ pub(crate) fn two_stage(
         },
         stage1_chunks,
         chunk: chunk_in_force,
-        #[cfg(test)]
-        host_traversals,
     })
 }
 
@@ -850,29 +825,32 @@ mod tests {
         assert_eq!(dynamic, want_dynamic);
     }
 
-    /// The host runs fill2 once per row — the Algorithm 4 prepass aside —
-    /// while the clock keeps charging both stages and every overflow
-    /// re-run (the golden table above pins that).
+    /// Every engine runs fill2 once per row on the host — the Algorithm 4
+    /// prepass reads the memo too — while the clock keeps charging both
+    /// stages and every overflow re-run (the golden tables pin that).
     #[test]
     fn each_row_is_traversed_once_on_the_host() {
+        use crate::fill2::last_host_traversals;
+        use crate::multi::{symbolic_fleet, Partition};
         use crate::ooc::fixed_split;
+        use crate::um::{symbolic_um, UmMode};
+        use gplu_sim::{CostModel, DeviceFleet, FaultPlan};
         // Part-1 rows of this matrix overflow the sampled cap: both stages
         // re-run them.
         let a = random_dominant(900, 3.0, 2);
         let n = a.n_rows() as u64;
+        let profile = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
         let streams = device_for_rows(&a, 4);
-        for cfg in [
-            GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
-            streams,
-        ] {
+        for cfg in [profile.clone(), streams] {
             let run = |rule: SplitRule, resume: Option<&SymbolicResume>| {
-                two_stage(&Gpu::new(cfg.clone()), &a, &NOOP, rule, resume, None).expect("runs")
+                let gpu = Gpu::new(cfg.clone());
+                let run = two_stage(&gpu, &a, &NOOP, rule, resume, None).expect("runs");
+                (run.outcome, last_host_traversals())
             };
-            let ooc = run(fixed_split, None);
-            assert_eq!(ooc.host_traversals, n);
-            let dynamic = run(plan_split, None);
-            assert!(dynamic.outcome.overflows > 0);
-            assert_eq!(dynamic.host_traversals, n + PREPASS_SAMPLES as u64);
+            assert_eq!(run(fixed_split, None).1, n, "ooc");
+            let (dynamic, traversals) = run(plan_split, None);
+            assert!(dynamic.overflows > 0);
+            assert_eq!(traversals, n, "dynamic, prepass included");
 
             // A run resumed past its third chunk plans no split and meets
             // the rows below the watermark after the cut: still once each.
@@ -888,8 +866,27 @@ mod tests {
                 let gpu = Gpu::new(cfg.clone());
                 let cut_run = two_stage(&gpu, &a, &NOOP, rule, None, Some(&mut hook));
                 assert!(cut_run.is_err());
-                assert_eq!(run(rule, cut.as_ref()).host_traversals, n);
+                assert_eq!(run(rule, cut.as_ref()).1, n, "resumed");
             }
+
+            for mode in [UmMode::NoPrefetch, UmMode::Prefetch] {
+                symbolic_um(&Gpu::new(cfg.clone()), &a, mode).expect("um runs");
+                assert_eq!(last_host_traversals(), n, "{mode:?}");
+            }
+        }
+
+        crate::cpu::symbolic_cpu(&a, &CostModel::default());
+        assert_eq!(last_host_traversals(), n, "cpu");
+
+        // Device 2 dies on its first launch: its rows re-run on the
+        // survivors, from the memo.
+        for plan in ["", "dev=2:badlaunch:*=1:persistent"] {
+            let plans = FaultPlan::parse_fleet(plan, 4).expect("plans");
+            let cost = CostModel::default();
+            let fleet = DeviceFleet::with_fault_plans(4, profile.clone(), cost, &plans);
+            let out = symbolic_fleet(&fleet, &a, Partition::Strided).expect("fleet runs");
+            assert_eq!(out.resharded_rows > 0, !plan.is_empty());
+            assert_eq!(last_host_traversals(), n, "fleet {plan:?}");
         }
     }
 

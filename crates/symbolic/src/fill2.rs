@@ -1,4 +1,5 @@
-//! The fill2 per-row traversal (the paper's Algorithm 1).
+//! The fill2 per-row traversal (the paper's Algorithm 1), and the memo
+//! through which every symbolic engine reads it.
 //!
 //! For a source row `src`, the traversal discovers every column of the
 //! filled row `As(src, :)`: the original entries of `A(src, :)` plus every
@@ -8,27 +9,30 @@
 //! (if above the threshold) or as a further frontier vertex (if below).
 //!
 //! This single function is the kernel body shared by the CPU baseline, the
-//! out-of-core GPU stages (`symbolic_1` counting / `symbolic_2` storing)
-//! and the unified-memory variants — they differ only in memory management
-//! and cost accounting, exactly as in the paper. The out-of-core stages
-//! share one host traversal per row: the simulated clock charges both.
+//! out-of-core GPU stages (`symbolic_1` counting / `symbolic_2` storing),
+//! the unified-memory variants and the fleet — they differ only in memory
+//! management and cost accounting, exactly as in the paper. Its one caller
+//! is [`Traversals`]: every engine asks the memo for a row, and the host
+//! runs fill2 at most once per row however many kernels the simulated
+//! clock charges for it.
 
+use crate::result::{SymbolicMetrics, SymbolicResult};
+use crossbeam::queue::SegQueue;
 use gplu_sparse::{Csr, Idx};
+use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// Reusable per-worker state: the `c·n` words of traversal storage the
 /// paper's chunk sizing is built around (fill stamps + two frontier
 /// queues; the remaining words of `c = 6` are the emit buffers owned by
 /// the call sites).
 #[derive(Debug)]
-pub struct Fill2Workspace {
+struct Fill2Workspace {
     /// Visit stamps: `fill[v] == epoch` means `v` was reached during the
     /// current traversal. Stamps are unique per *call* — not per row — so
     /// the array never needs clearing between rows (the `fill(:) = 0` of
-    /// Algorithm 1 happens once, at construction), and a pooled workspace
-    /// may safely revisit a row it already traversed (the Algorithm 4
-    /// prepass samples rows the driver traverses again; the driver itself
-    /// traverses each row once and replays its metrics for every later
-    /// kernel).
+    /// Algorithm 1 happens once, at construction), and a workspace may
+    /// safely revisit a row it already traversed.
     fill: Vec<u32>,
     /// Stamp of the most recent traversal; bumped on every call.
     epoch: u32,
@@ -42,7 +46,7 @@ pub struct Fill2Workspace {
 
 impl Fill2Workspace {
     /// Workspace for an `n × n` matrix.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Fill2Workspace {
             fill: vec![u32::MAX; n],
             epoch: 0,
@@ -64,23 +68,12 @@ impl Fill2Workspace {
         self.epoch += 1;
         self.epoch
     }
-
-    /// Matrix dimension this workspace serves.
-    pub fn n(&self) -> usize {
-        self.fill.len()
-    }
-
-    /// Traversals this workspace has run: one stamp each.
-    #[cfg(test)]
-    pub(crate) fn traversals(&self) -> u64 {
-        u64::from(self.epoch)
-    }
 }
 
 /// Traversal metrics for one source row — these drive both the simulator's
 /// cost accounting and the paper's Figure 3 / Algorithm 4 analyses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RowMetrics {
+pub(crate) struct RowMetrics {
     /// Frontier BFS iterations executed (each is one block-wide step).
     pub steps: u64,
     /// Adjacency entries scanned.
@@ -99,17 +92,13 @@ pub struct RowMetrics {
 /// Runs the fill2 traversal for row `src`.
 ///
 /// Every column of the filled row `As(src, :)` is passed to `emit`
-/// (unsorted; the diagonal and original entries included). The out-of-core
-/// driver collects them once, in the first kernel over the row; the
-/// device's counting and storing stages are both charged from the
-/// returned metrics.
-pub fn fill2_row(
-    a: &Csr,
-    src: u32,
-    ws: &mut Fill2Workspace,
-    mut emit: impl FnMut(Idx),
-) -> RowMetrics {
-    debug_assert_eq!(ws.n(), a.n_rows(), "workspace sized for a different matrix");
+/// (unsorted; the diagonal and original entries included).
+fn fill2_row(a: &Csr, src: u32, ws: &mut Fill2Workspace, mut emit: impl FnMut(Idx)) -> RowMetrics {
+    debug_assert_eq!(
+        ws.fill.len(),
+        a.n_rows(),
+        "workspace sized for a different matrix"
+    );
     let mut m = RowMetrics::default();
     let stamp = ws.next_stamp();
     let fill = &mut ws.fill;
@@ -178,13 +167,104 @@ pub fn fill2_row(
     m
 }
 
-/// Convenience: runs fill2 for row `src` and returns the **sorted** filled
-/// row pattern.
-pub fn fill2_row_sorted(a: &Csr, src: u32, ws: &mut Fill2Workspace) -> (Vec<Idx>, RowMetrics) {
-    let mut cols = Vec::new();
-    let metrics = fill2_row(a, src, ws, |c| cols.push(c));
-    cols.sort_unstable();
-    (cols, metrics)
+/// One source row's host traversal: its sorted filled columns and the
+/// metrics every kernel over the row is charged from.
+struct RowTraversal {
+    cols: Vec<Idx>,
+    metrics: RowMetrics,
+}
+
+/// Every source row's fill2 traversal, run on the host at most once.
+///
+/// The device runs Algorithm 3's traversal once per stage — counting, then
+/// storing — and once more for a part-1 row whose shrunken queues
+/// overflowed; the unified-memory variants run it once per stage too, and
+/// the fleet once per stage on every device a row lands on. Every one of
+/// those kernels is charged in full from the row's metrics. The host needs
+/// the traversal once: the first request for a row runs fill2 and keeps the
+/// sorted columns, every later one reads the metrics back. It is the split
+/// between functional execution and pricing that the numeric phase's value
+/// store makes.
+pub(crate) struct Traversals<'a> {
+    a: &'a Csr,
+    /// Idle workspaces, one per worker that has traversed a row.
+    workspaces: SegQueue<Fill2Workspace>,
+    rows: Vec<OnceLock<RowTraversal>>,
+}
+
+impl<'a> Traversals<'a> {
+    /// No row of `a` traversed yet.
+    pub(crate) fn new(a: &'a Csr) -> Self {
+        Traversals {
+            a,
+            workspaces: SegQueue::new(),
+            rows: (0..a.n_rows()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Row `src`'s traversal metrics; fill2 runs on the host the first
+    /// time a row is asked for.
+    pub(crate) fn row(&self, src: u32) -> RowMetrics {
+        let row = self.rows[src as usize].get_or_init(|| {
+            let mut ws = self
+                .workspaces
+                .pop()
+                .unwrap_or_else(|| Fill2Workspace::new(self.a.n_rows()));
+            let mut cols = Vec::new();
+            let metrics = fill2_row(self.a, src, &mut ws, |c| cols.push(c));
+            self.workspaces.push(ws);
+            cols.sort_unstable();
+            RowTraversal { cols, metrics }
+        });
+        row.metrics
+    }
+
+    /// Traverses every row, in parallel on the host pool.
+    pub(crate) fn traverse_all(&self) {
+        (0..self.rows.len()).into_par_iter().for_each(|src| {
+            self.row(src as u32);
+        });
+    }
+
+    /// The filled pattern, one sorted row per source row, with the
+    /// aggregate metrics of every row. Every row must have been traversed.
+    pub(crate) fn into_result(self) -> SymbolicResult {
+        #[cfg(test)]
+        LAST_HOST_TRAVERSALS.set(self.host_traversals());
+        let mut metrics = SymbolicMetrics::default();
+        let mut patterns = Vec::with_capacity(self.rows.len());
+        for row in self.rows {
+            let row = row
+                .into_inner()
+                .expect("every kernel pass covers every row");
+            metrics.steps += row.metrics.steps;
+            metrics.edges += row.metrics.edges;
+            metrics.frontiers += row.metrics.frontiers;
+            patterns.push(row.cols);
+        }
+        SymbolicResult::from_patterns(self.a, patterns, metrics)
+    }
+
+    /// fill2 calls run so far: one stamp each, over every workspace.
+    #[cfg(test)]
+    fn host_traversals(&self) -> u64 {
+        let all: Vec<Fill2Workspace> = std::iter::from_fn(|| self.workspaces.pop()).collect();
+        let sum = all.iter().map(|ws| u64::from(ws.epoch)).sum();
+        all.into_iter().for_each(|ws| self.workspaces.push(ws));
+        sum
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    static LAST_HOST_TRAVERSALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// fill2 calls behind the last symbolic result this thread assembled: the
+/// whole host cost of one engine run, whichever engine it was.
+#[cfg(test)]
+pub(crate) fn last_host_traversals() -> u64 {
+    LAST_HOST_TRAVERSALS.get()
 }
 
 #[cfg(test)]
@@ -192,6 +272,15 @@ mod tests {
     use super::*;
     use gplu_sparse::convert::coo_to_csr;
     use gplu_sparse::Coo;
+
+    /// Runs fill2 for row `src` and returns the **sorted** filled row
+    /// pattern.
+    fn fill2_row_sorted(a: &Csr, src: u32, ws: &mut Fill2Workspace) -> (Vec<Idx>, RowMetrics) {
+        let mut cols = Vec::new();
+        let metrics = fill2_row(a, src, ws, |c| cols.push(c));
+        cols.sort_unstable();
+        (cols, metrics)
+    }
 
     /// The running example of the paper's Figure 1 would need its exact
     /// matrix; we use a small crafted case with a known fill-in instead:
@@ -245,10 +334,10 @@ mod tests {
 
     #[test]
     fn revisiting_a_row_with_fill_keeps_its_fill_ins() {
-        // The split prepass and the driver can hand the *same* row to the
-        // *same* pooled workspace twice. Row 2 has a genuine fill-in
-        // (2,3); a per-row stamp would see the first pass's marks and drop
-        // it in the second.
+        // Stamps are per call, not per row: a workspace handed the *same*
+        // row twice keeps it exact. Row 2 has a genuine fill-in (2,3); a
+        // per-row stamp would see the first pass's marks and drop it in
+        // the second.
         let a = example();
         let mut ws = Fill2Workspace::new(4);
         let (first, _) = fill2_row_sorted(&a, 2, &mut ws);

@@ -1,22 +1,15 @@
 //! Frontier-size profiling — the measurement behind the paper's Figure 3
 //! and the justification for Algorithm 4's two-part split.
 
-use crate::fill2::{fill2_row, Fill2Workspace};
+use crate::fill2::Traversals;
 use gplu_sparse::Csr;
-use rayon::prelude::*;
 
 /// Per-row frontier counts for the whole matrix (exact profile).
 pub fn frontier_profile(a: &Csr) -> Vec<u64> {
-    let n = a.n_rows();
-    (0..n)
-        .collect::<Vec<_>>()
-        .par_chunks((n / (rayon::current_num_threads() * 4)).max(16))
-        .flat_map_iter(|rows| {
-            let mut ws = Fill2Workspace::new(n);
-            rows.iter()
-                .map(|&src| fill2_row(a, src as u32, &mut ws, |_| {}).frontiers)
-                .collect::<Vec<_>>()
-        })
+    let traversals = Traversals::new(a);
+    traversals.traverse_all();
+    (0..a.n_rows() as u32)
+        .map(|src| traversals.row(src).frontiers)
         .collect()
 }
 

@@ -13,8 +13,9 @@
 //! Implementations, all producing identical patterns (cross-checked by the
 //! test suites):
 //!
-//! * [`fill2`] — the per-row frontier traversal of the paper's
-//!   Algorithm 1, the kernel body shared by every GPU variant,
+//! * `fill2` — the per-row frontier traversal of the paper's Algorithm 1,
+//!   the kernel body shared by every variant, and the memo through which
+//!   each engine reads it (the host traverses each row once per run),
 //! * `reference` — two independent oracles (direct Theorem-1 reachability
 //!   and classical row-merge symbolic elimination) used only in tests,
 //! * [`cpu`] — the "modified GLU 3.0" parallel CPU baseline of Figure 4,
@@ -36,7 +37,7 @@
 pub mod cpu;
 pub mod dynamic;
 pub mod expand;
-pub mod fill2;
+mod fill2;
 pub mod frontier;
 pub mod multi;
 pub mod ooc;
@@ -46,13 +47,10 @@ pub mod resume;
 pub mod um;
 
 pub use cpu::symbolic_cpu;
-pub use dynamic::{
-    symbolic_ooc_dynamic, symbolic_ooc_dynamic_run, symbolic_ooc_dynamic_traced, DynamicSplit,
-};
+pub use dynamic::{symbolic_ooc_dynamic, symbolic_ooc_dynamic_run, DynamicSplit};
 pub use expand::{expand_fill, ExpandOutcome};
-pub use fill2::{fill2_row, Fill2Workspace, RowMetrics};
 pub use multi::{symbolic_fleet, FleetSymbolicOutcome, Partition};
-pub use ooc::{symbolic_ooc, symbolic_ooc_run, symbolic_ooc_traced, OocOutcome};
+pub use ooc::{symbolic_ooc, symbolic_ooc_run, OocOutcome};
 pub use result::SymbolicResult;
 pub use resume::{ChunkHook, ChunkProgress, SymbolicResume};
 pub use um::{symbolic_um, symbolic_um_traced, UmMode, UmOutcome};

@@ -19,7 +19,8 @@
 //! * [`Partition::Strided`] — round-robin rows (interleaves the skew, the
 //!   static load-balancing GSOFA-style deployments use).
 
-use crate::ooc::{charge_row, row_state_bytes, Traversals};
+use crate::fill2::Traversals;
+use crate::ooc::{charge_row, chunk_size_for, row_state_bytes};
 use crate::result::SymbolicResult;
 use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError, SimTime};
 use gplu_sparse::Csr;
@@ -87,8 +88,7 @@ pub fn symbolic_fleet(
         let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
         let _a_dev = gpu.mem.alloc(a_bytes)?;
         gpu.h2d(a_bytes);
-        let chunk =
-            ((gpu.mem.free_bytes() / row_state_bytes(n)) as usize).clamp(1, rows.len().max(1));
+        let chunk = chunk_size_for(gpu, n).clamp(1, rows.len().max(1));
         let _state_dev = gpu.mem.alloc(chunk as u64 * row_state_bytes(n))?;
         for stage in ["fleet_symbolic_1", "fleet_symbolic_2"] {
             for batch in rows.chunks(chunk.max(1)) {
@@ -210,8 +210,7 @@ pub fn symbolic_fleet(
         1.0
     };
 
-    let metrics = traversals.metrics();
-    let result = traversals.into_result(metrics);
+    let result = traversals.into_result();
     Ok(FleetSymbolicOutcome {
         result,
         per_device,

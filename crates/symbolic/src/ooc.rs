@@ -9,18 +9,16 @@
 //! terms (one chunk size, iterations per stage).
 //!
 //! The rest of the module is what the driver and the other engines build
-//! on: the per-row state size, the traversal-workspace pool, the per-row
-//! traversal memo and cost charge, and the geometric OOM backoff.
+//! on: the per-row state size, the per-row cost charge, and the geometric
+//! OOM backoff.
 
 use crate::dynamic::{two_stage, DynamicSplit};
-use crate::fill2::{fill2_row, Fill2Workspace, RowMetrics};
-use crate::result::{SymbolicMetrics, SymbolicResult};
+use crate::fill2::{RowMetrics, Traversals};
+use crate::result::SymbolicResult;
 use crate::resume::{ChunkHook, SymbolicResume};
-use crossbeam::queue::SegQueue;
 use gplu_sim::{BlockCtx, Gpu, GpuConfig, GpuStatsSnapshot, SimError, SimTime};
-use gplu_sparse::{Csr, Idx};
+use gplu_sparse::Csr;
 use gplu_trace::{TraceSink, NOOP};
-use std::sync::OnceLock;
 
 /// Outcome of an out-of-core symbolic run.
 #[derive(Debug, Clone)]
@@ -43,116 +41,6 @@ pub struct OocOutcome {
     pub stats: GpuStatsSnapshot,
 }
 
-/// Pool of reusable traversal workspaces for the functional execution of
-/// kernel blocks (one per concurrently executing rayon worker).
-pub struct WorkspacePool {
-    n: usize,
-    pool: SegQueue<Fill2Workspace>,
-}
-
-impl WorkspacePool {
-    /// Pool of workspaces for an `n × n` matrix.
-    pub fn new(n: usize) -> Self {
-        WorkspacePool {
-            n,
-            pool: SegQueue::new(),
-        }
-    }
-
-    /// Runs `f` with a pooled (or fresh) workspace.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Fill2Workspace) -> R) -> R {
-        let mut ws = self
-            .pool
-            .pop()
-            .unwrap_or_else(|| Fill2Workspace::new(self.n));
-        let r = f(&mut ws);
-        self.pool.push(ws);
-        r
-    }
-
-    /// Traversals the pooled workspaces have run so far.
-    #[cfg(test)]
-    pub(crate) fn traversals(&self) -> u64 {
-        let all: Vec<Fill2Workspace> = std::iter::from_fn(|| self.pool.pop()).collect();
-        let sum = all.iter().map(Fill2Workspace::traversals).sum();
-        all.into_iter().for_each(|ws| self.pool.push(ws));
-        sum
-    }
-}
-
-/// One source row's host traversal: its sorted filled columns and the
-/// metrics every kernel over the row is charged from.
-struct RowTraversal {
-    cols: Vec<Idx>,
-    metrics: RowMetrics,
-}
-
-/// Every source row's fill2 traversal, run on the host at most once.
-///
-/// The device runs Algorithm 3's traversal once per stage — counting, then
-/// storing — and once more for a part-1 row whose shrunken queues
-/// overflowed, and every one of those kernels is charged in full from the
-/// row's metrics. The host needs the traversal once: the first kernel over
-/// a row runs fill2 and keeps the sorted columns, every later one reads the
-/// metrics back. It is the split between functional execution and pricing
-/// that the numeric phase's value store makes.
-pub(crate) struct Traversals<'a> {
-    a: &'a Csr,
-    pool: WorkspacePool,
-    rows: Vec<OnceLock<RowTraversal>>,
-}
-
-impl<'a> Traversals<'a> {
-    /// No row of `a` traversed yet.
-    pub(crate) fn new(a: &'a Csr) -> Self {
-        Traversals {
-            a,
-            pool: WorkspacePool::new(a.n_rows()),
-            rows: (0..a.n_rows()).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// The workspaces the traversals run in, for passes outside the memo
-    /// (the split rule's prepass).
-    pub(crate) fn pool(&self) -> &WorkspacePool {
-        &self.pool
-    }
-
-    /// Row `src`'s traversal metrics; fill2 runs on the host the first
-    /// time a row is asked for.
-    pub(crate) fn row(&self, src: u32) -> RowMetrics {
-        let row = self.rows[src as usize].get_or_init(|| {
-            let mut cols = Vec::new();
-            let metrics = self
-                .pool
-                .with(|ws| fill2_row(self.a, src, ws, |c| cols.push(c)));
-            cols.sort_unstable();
-            RowTraversal { cols, metrics }
-        });
-        row.metrics
-    }
-
-    /// The aggregate metrics of every row traversed so far.
-    pub(crate) fn metrics(&self) -> SymbolicMetrics {
-        let rows = self.rows.iter().filter_map(OnceLock::get);
-        rows.fold(SymbolicMetrics::default(), |s, r| SymbolicMetrics {
-            steps: s.steps + r.metrics.steps,
-            edges: s.edges + r.metrics.edges,
-            frontiers: s.frontiers + r.metrics.frontiers,
-        })
-    }
-
-    /// The filled pattern, one sorted row per source row. Every row must
-    /// have been traversed.
-    pub(crate) fn into_result(self, metrics: SymbolicMetrics) -> SymbolicResult {
-        let patterns = self.rows.into_iter().map(|row| {
-            let row = row.into_inner();
-            row.expect("every kernel pass covers every row").cols
-        });
-        SymbolicResult::from_patterns(self.a, patterns.collect(), metrics)
-    }
-}
-
 /// Charges one fill2 row traversal to a block context: the seed scan plus
 /// every frontier step, the scanned edges, and the emitted entries.
 pub(crate) fn charge_row(ctx: &mut BlockCtx<'_>, m: &RowMetrics) {
@@ -161,14 +49,23 @@ pub(crate) fn charge_row(ctx: &mut BlockCtx<'_>, m: &RowMetrics) {
     ctx.mem(items * 4);
 }
 
+/// Charges the in-block bitonic-style ordering of a row's emitted entries,
+/// which the storing stages pay on top of the traversal.
+pub(crate) fn charge_sort(ctx: &mut BlockCtx<'_>, m: &RowMetrics) {
+    let e = m.emitted as u64;
+    if e > 1 {
+        ctx.step(e * (64 - e.leading_zeros() as u64));
+    }
+}
+
 /// Per-source-row device bytes of traversal state (`c` words of 4 bytes).
-pub fn row_state_bytes(n: usize) -> u64 {
+pub(crate) fn row_state_bytes(n: usize) -> u64 {
     GpuConfig::SYMBOLIC_ROW_WORDS * 4 * n as u64
 }
 
 /// Computes the chunk size from currently free device memory, the paper's
 /// `chunk_size = L / (c × n)` with `L` the free bytes.
-pub fn chunk_size_for(gpu: &Gpu, n: usize) -> usize {
+pub(crate) fn chunk_size_for(gpu: &Gpu, n: usize) -> usize {
     (gpu.mem.free_bytes() / row_state_bytes(n)) as usize
 }
 
@@ -212,7 +109,7 @@ pub(crate) fn with_oom_backoff<T>(
 pub(crate) fn fixed_split(
     gpu: &Gpu,
     a: &Csr,
-    _pool: &WorkspacePool,
+    _traversals: &Traversals,
 ) -> Result<DynamicSplit, SimError> {
     let n = a.n_rows();
     let chunk = chunk_size_for(gpu, n).min(n);
@@ -226,21 +123,13 @@ pub(crate) fn fixed_split(
 
 /// Runs out-of-core GPU symbolic factorization (Algorithm 3).
 pub fn symbolic_ooc(gpu: &Gpu, a: &Csr) -> Result<OocOutcome, SimError> {
-    symbolic_ooc_traced(gpu, a, &NOOP)
+    symbolic_ooc_run(gpu, a, &NOOP, None, None)
 }
 
-/// [`symbolic_ooc`] with telemetry: the spans of
-/// [`crate::dynamic::symbolic_ooc_dynamic_traced`], every row in part 2.
-pub fn symbolic_ooc_traced(
-    gpu: &Gpu,
-    a: &Csr,
-    trace: &dyn TraceSink,
-) -> Result<OocOutcome, SimError> {
-    symbolic_ooc_run(gpu, a, trace, None, None)
-}
-
-/// Full-control entry point: [`symbolic_ooc_traced`] plus optional
-/// chunk-granular resume state and a per-chunk checkpoint hook.
+/// Full-control entry point: [`symbolic_ooc`] with telemetry — the spans
+/// of [`crate::dynamic::symbolic_ooc_dynamic_run`], every row in part 2 —
+/// plus optional chunk-granular resume state and a per-chunk checkpoint
+/// hook.
 pub fn symbolic_ooc_run(
     gpu: &Gpu,
     a: &Csr,

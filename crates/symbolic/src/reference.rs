@@ -90,16 +90,18 @@ pub fn fill_by_elimination(a: &Csr) -> Vec<Vec<Idx>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fill2::{fill2_row_sorted, Fill2Workspace};
+    use crate::fill2::Traversals;
     use gplu_sparse::convert::coo_to_csr;
     use gplu_sparse::gen::random::random_dominant;
     use gplu_sparse::Coo;
     use proptest::prelude::*;
 
     fn fill_by_fill2(a: &Csr) -> Vec<Vec<Idx>> {
-        let mut ws = Fill2Workspace::new(a.n_rows());
+        let traversals = Traversals::new(a);
+        traversals.traverse_all();
+        let filled = traversals.into_result().filled;
         (0..a.n_rows())
-            .map(|i| fill2_row_sorted(a, i as u32, &mut ws).0)
+            .map(|i| filled.row_cols(i).to_vec())
             .collect()
     }
 

@@ -18,14 +18,17 @@
 //!   its prefetching version (roughly a third of the on-demand counts).
 //!
 //! Blocks are replayed sequentially ([`Exec::Seq`]) so the paging pattern,
-//! fault counts and Table 3 percentages are deterministic run to run.
+//! fault counts and Table 3 percentages are deterministic run to run. Both
+//! stages traverse every row on the device; the host runs fill2 once per
+//! row, in the counting stage, and charges the storing stage from the
+//! memo.
 
-use crate::fill2::{fill2_row, Fill2Workspace};
-use crate::result::{SymbolicMetrics, SymbolicResult};
+use crate::fill2::Traversals;
+use crate::ooc::{charge_row, charge_sort, row_state_bytes};
+use crate::result::SymbolicResult;
 use gplu_sim::{BlockCtx, Exec, Gpu, GpuStatsSnapshot, LaunchKind, SimError, SimTime};
-use gplu_sparse::{Csr, Idx};
+use gplu_sparse::Csr;
 use gplu_trace::{TraceSink, NOOP};
-use parking_lot::Mutex;
 
 /// Which unified-memory variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +74,7 @@ pub fn symbolic_um_traced(
 ) -> Result<UmOutcome, SimError> {
     let n = a.n_rows();
     let before = gpu.stats();
-    let row_bytes = gplu_sim::GpuConfig::SYMBOLIC_ROW_WORDS * 4 * n as u64;
+    let row_bytes = row_state_bytes(n);
 
     // Managed allocations: the matrix pattern is host-backed (it migrates
     // over PCIe); the per-row traversal state and counts are device
@@ -86,11 +89,7 @@ pub fn symbolic_um_traced(
     let cap_bytes = gpu.mem.capacity();
     let batch = (((cap_bytes / 2) / row_bytes) as usize).clamp(1, n.max(1));
 
-    // Functional workspaces (sequential execution → one suffices).
-    let ws = Mutex::new(Fill2Workspace::new(n));
-    let counts = Mutex::new(vec![0u32; n]);
-    let patterns = Mutex::new(vec![Vec::<Idx>::new(); n]);
-    let agg = Mutex::new(SymbolicMetrics::default());
+    let traversals = Traversals::new(a);
 
     for store in [false, true] {
         let stage = if store {
@@ -127,16 +126,8 @@ pub fn symbolic_um_traced(
                 Exec::Seq,
                 &|b: usize, ctx: &mut BlockCtx| {
                     let src = (start + b) as u32;
-                    let mut cols: Vec<Idx> = Vec::new();
-                    let m = {
-                        let mut ws = ws.lock();
-                        if store {
-                            fill2_row(a, src, &mut ws, |c| cols.push(c))
-                        } else {
-                            fill2_row(a, src, &mut ws, |_| {})
-                        }
-                    };
-                    crate::ooc::charge_row(ctx, &m);
+                    let m = traversals.row(src);
+                    charge_row(ctx, &m);
 
                     // Managed-memory touches: the row's fill-stamp array is
                     // written through (4·n bytes), the frontier queues grow to
@@ -152,18 +143,7 @@ pub fn symbolic_um_traced(
                     ctx.um_write(&counts_um, src as u64 * 4, 4);
 
                     if store {
-                        cols.sort_unstable();
-                        let e = m.emitted as u64;
-                        if e > 1 {
-                            ctx.step(e * (64 - e.leading_zeros() as u64));
-                        }
-                        patterns.lock()[src as usize] = cols;
-                    } else {
-                        counts.lock()[src as usize] = m.emitted;
-                        let mut g = agg.lock();
-                        g.steps += m.steps;
-                        g.edges += m.edges;
-                        g.frontiers += m.frontiers;
+                        charge_sort(ctx, &m);
                     }
                 },
             )?;
@@ -193,8 +173,7 @@ pub fn symbolic_um_traced(
         }
     }
 
-    let metrics = *agg.lock();
-    let result = SymbolicResult::from_patterns(a, patterns.into_inner(), metrics);
+    let result = traversals.into_result();
     let stats = gpu.stats().since(&before);
     Ok(UmOutcome {
         result,
@@ -281,5 +260,70 @@ mod tests {
         let r2 = symbolic_um(&gpu_for(&a), &a, UmMode::NoPrefetch).expect("runs");
         assert_eq!(r1.fault_groups, r2.fault_groups);
         assert!((r1.time.as_ns() - r2.time.as_ns()).abs() < 1e-6);
+    }
+
+    /// Each generator family's UM outcome in both modes — a hash of the
+    /// result (pattern, values, metrics), the fault groups and the clock
+    /// bits — pinned as literals at the commit whose kernels still ran
+    /// fill2 on the host in both stages.
+    #[test]
+    fn um_outcomes_are_pinned_per_family() {
+        /// (result hash, fault groups, clock bits): on-demand, prefetch.
+        type Pins = [(u64, u64, u64); 2];
+        #[rustfmt::skip]
+        const PINS: &[(&str, Pins)] = &[
+            ("circuit/300", [(0xbda02283d0be5b0c, 134, 0x410b8c4855555555), (0xbda02283d0be5b0c, 43, 0x41073a5355555555)]),
+            ("planar/300", [(0xbba273d3be271115, 126, 0x40f66fa8aaaaaaaa), (0xbba273d3be271115, 41, 0x40ecbc7555555555)]),
+            ("banded/300", [(0x69ff540387a6d193, 134, 0x40fe0b10aaaaaaaa), (0x69ff540387a6d193, 43, 0x40f56726aaaaaaaa)]),
+            ("random/300", [(0x8e4f6ffa8a73ce46, 134, 0x41059b3655555555), (0x8e4f6ffa8a73ce46, 43, 0x4101494155555555)]),
+            ("near_singular/300", [(0xcedc74dfb1ae7aff, 134, 0x410739ce55555555), (0xcedc74dfb1ae7aff, 43, 0x4102e7d955555555)]),
+            ("graded/300", [(0x26ddcd301489cef4, 134, 0x4106acda55555555), (0x26ddcd301489cef4, 43, 0x41025ae555555555)]),
+            ("zero_diag/300", [(0x1f1de41a5a5e2873, 134, 0x41074a2a55555555), (0x1f1de41a5a5e2873, 43, 0x4102f83555555555)]),
+            ("sign_alternating/300", [(0xb3aff165eb1e8f46, 134, 0x410b5bd855555555), (0xb3aff165eb1e8f46, 43, 0x410709e355555555)]),
+            ("circuit/2000", [(0x0ddea9ea5e617541, 5232, 0x414da688afffffff), (0x0ddea9ea5e617541, 1801, 0x41437286f5555556)]),
+            ("planar/2000", [(0xf5725d5f7af87fcb, 5086, 0x41414345f8d159e1), (0xf5725d5f7af87fcb, 1755, 0x412d6e3df89abcde)]),
+            ("banded/2000", [(0xbb834b0a0f9db2b9, 4976, 0x414401726fffffff), (0xbb834b0a0f9db2b9, 1723, 0x4134aa7caaaaaaab)]),
+            ("random/2000", [(0x42ae8ceca263da29, 5016, 0x41483899813579bf), (0x42ae8ceca263da29, 1737, 0x413cf11e8d159e26)]),
+            ("near_singular/2000", [(0x95739c2f55673071, 5074, 0x414bfce265555555), (0x95739c2f55673071, 1751, 0x414220e9e0000000)]),
+            ("graded/2000", [(0xfd1890ffd364f367, 5080, 0x414becc9a5555555), (0xfd1890ffd364f367, 1753, 0x41420dc3e0000000)]),
+            ("zero_diag/2000", [(0x830a20e8818d515e, 5076, 0x414c123ae5555555), (0x830a20e8818d515e, 1749, 0x4142333520000000)]),
+            ("sign_alternating/2000", [(0x4033a25fe0824c1d, 5068, 0x414cde85c5555555), (0x4033a25fe0824c1d, 1751, 0x4143072120000000)]),
+        ];
+        use rayon::prelude::*;
+        let fnv = |words: &mut dyn Iterator<Item = u64>| {
+            words.fold(0xcbf2_9ce4_8422_2325, |h: u64, w| {
+                (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let got: Vec<(String, Pins)> = gplu_sparse::gen::families()
+            .into_par_iter()
+            .map(|(name, a)| {
+                let pins = [UmMode::NoPrefetch, UmMode::Prefetch].map(|mode| {
+                    let o = symbolic_um(&gpu_for(&a), &a, mode).expect("runs");
+                    let (f, m) = (&o.result.filled, o.result.metrics);
+                    let mut words = f
+                        .row_ptr
+                        .iter()
+                        .map(|&p| p as u64)
+                        .chain(f.col_idx.iter().map(|&c| u64::from(c)))
+                        .chain(f.vals.iter().map(|v| v.to_bits()))
+                        .chain([m.steps, m.edges, m.frontiers]);
+                    (fnv(&mut words), o.fault_groups, o.time.as_ns().to_bits())
+                });
+                (name, pins)
+            })
+            .collect();
+        let want: Vec<(String, Pins)> = PINS.iter().map(|&(n, p)| (n.to_string(), p)).collect();
+        if got != want {
+            for (name, [(h0, f0, t0), (h1, f1, t1)]) in &got {
+                println!(
+                    "            (\"{name}\", [({h0:#018x}, {f0}, {t0:#018x}), ({h1:#018x}, {f1}, {t1:#018x})]),"
+                );
+            }
+        }
+        assert_eq!(got.len(), want.len(), "one row per family");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "UM outcome drifted ([on-demand, prefetch])");
+        }
     }
 }
