@@ -1,6 +1,6 @@
 //! Wall-clock benches of the symbolic-factorization engines (companion to
-//! Figures 4/6: the simulated-time comparisons live in the `fig*`
-//! binaries; these measure the real Rust implementations).
+//! Figures 4/6: the simulated-time comparisons are the `fig*`
+//! experiments of `figures`; these measure the real Rust implementations).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gplu_bench::Prepared;

@@ -1,20 +1,29 @@
 //! # gplu-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
+//! The experiment harness: one `figures` binary runs every table and
+//! figure of the paper, the ablations and the extension benches (see
 //! DESIGN.md §4 for the index), plus Criterion wall-clock benches.
 //!
 //! Shared here: suite preparation (analog generation + the scaled GPU
-//! profile per DESIGN.md §2/§6), simple fixed-width table printing, and
-//! argument handling (`--scale N`, `--quick`).
+//! profile per DESIGN.md §2/§6), the measurement helpers several
+//! experiments use, and simple fixed-width table printing. The runner
+//! (experiment table, flag table, BENCH writer) is [`runner`].
 
+use gplu_numeric::NumericOutcome;
+use gplu_schedule::{levelize_cpu, DepGraph, Levels};
 use gplu_sim::{CostModel, Gpu, GpuConfig};
+use gplu_sparse::convert::csr_to_csc;
 use gplu_sparse::gen::suite::SuiteEntry;
-use gplu_sparse::Csr;
+use gplu_sparse::{Csc, Csr};
+use gplu_symbolic::symbolic_cpu;
+use gplu_trace::JsonValue;
+use std::time::Instant;
 
-pub mod args;
+mod experiments;
+pub mod runner;
 pub mod table;
 
-pub use args::Args;
+pub use runner::Opts;
 pub use table::Table;
 
 /// A generated experiment input: the analog matrix plus the matched GPU
@@ -93,6 +102,114 @@ pub fn fill_size_of(prep: &Prepared) -> (Csr, usize) {
     .expect("suite analogs preprocess cleanly");
     let sym = gplu_symbolic::symbolic_cpu(&pre.matrix, &CostModel::default());
     (pre.matrix, sym.result.fill_nnz())
+}
+
+/// The filled pattern of a pre-processed matrix (host symbolic) as CSC,
+/// and its level schedule: the numeric experiments' shared front half.
+pub fn filled_schedule(pre: &Csr) -> (Csc, Levels) {
+    let sym = symbolic_cpu(pre, &CostModel::default());
+    let levels = levelize_cpu(&DepGraph::build(&sym.result.filled), &CostModel::default()).levels;
+    (csr_to_csc(&sym.result.filled), levels)
+}
+
+/// Runs `run` on a fresh `setup()` value `reps` times; returns the median
+/// and the minimum wall time of the runs in milliseconds (setup untimed).
+pub fn wall_ms<G>(reps: usize, setup: impl Fn() -> G, run: impl Fn(G)) -> (f64, f64) {
+    let mut walls: Vec<f64> = (0..reps)
+        .map(|_| {
+            let g = setup();
+            let start = Instant::now();
+            run(g);
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    walls.sort_by(f64::total_cmp);
+    (walls[walls.len() / 2], walls[0])
+}
+
+/// One numeric engine on one matrix: an untimed run's outcome plus the
+/// wall clock of `reps` timed runs.
+pub struct Measured {
+    /// Median wall time of the timed runs.
+    pub wall_ms_median: f64,
+    /// Fastest timed run.
+    pub wall_ms_min: f64,
+    /// The outcome of the untimed run.
+    pub outcome: NumericOutcome,
+}
+
+impl Measured {
+    /// Times `run` on a fresh `gpu_of()` device `reps` times, then keeps
+    /// the outcome of one more run.
+    pub fn new(
+        reps: usize,
+        gpu_of: impl Fn() -> Gpu,
+        run: impl Fn(&Gpu) -> NumericOutcome,
+    ) -> Measured {
+        let (wall_ms_median, wall_ms_min) = wall_ms(reps, &gpu_of, |gpu| {
+            run(&gpu);
+        });
+        Measured {
+            wall_ms_median,
+            wall_ms_min,
+            outcome: run(&gpu_of()),
+        }
+    }
+
+    /// Simulated device time of the run.
+    pub fn sim_ns(&self) -> f64 {
+        self.outcome.time.as_ns()
+    }
+
+    /// The run's BENCH entry: its `wall` times and its simulated time.
+    pub fn json(&self) -> JsonValue {
+        JsonValue::obj()
+            .set(
+                "wall",
+                JsonValue::obj()
+                    .set("wall_ms_median", self.wall_ms_median)
+                    .set("wall_ms_min", self.wall_ms_min),
+            )
+            .set("sim_time_ns", self.sim_ns())
+    }
+}
+
+/// A device sized by the symbolic profile of `a` (the serving and
+/// pivoting benches' device).
+pub fn gpu_for(a: &Csr) -> Gpu {
+    Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()))
+}
+
+/// The deterministic value drift the service workload applies: identical
+/// structure, perturbed entries.
+pub fn drift_values(base: &Csr, version: u64) -> Csr {
+    let mut m = base.clone();
+    for (k, v) in m.vals.iter_mut().enumerate() {
+        let wob = ((k as u64)
+            .wrapping_mul(0x9e37_79b9)
+            .wrapping_add(version.wrapping_mul(7919))
+            % 97) as f64;
+        *v *= 1.0 + wob / 1000.0;
+    }
+    m
+}
+
+/// Median of a non-empty slice (mean of the middle two for even lengths).
+pub fn median(xs: &[f64]) -> f64 {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    if s.len() % 2 == 1 {
+        s[s.len() / 2]
+    } else {
+        (s[s.len() / 2 - 1] + s[s.len() / 2]) / 2.0
+    }
+}
+
+/// Smallest and largest of a slice of speedups (`inf` and `0` when empty).
+pub fn min_max(xs: &[f64]) -> (f64, f64) {
+    let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = xs.iter().copied().fold(0.0f64, f64::max);
+    (min, max)
 }
 
 /// Geometric mean of a slice (used for speedup summaries).

@@ -1,4 +1,4 @@
-//! Fixed-width table printing for the experiment binaries.
+//! Fixed-width table printing for the experiments.
 
 /// A simple left-padded text table.
 #[derive(Debug, Clone)]

@@ -133,13 +133,14 @@ pub struct ServeOptions {
 }
 
 /// One row of a flag table: `--help` prints it and the parser matches it.
-struct Flag<O> {
+pub struct Flag<O> {
     /// The flag, then its value placeholder unless it is a switch.
-    usage: &'static str,
-    help: &'static str,
+    pub usage: &'static str,
+    /// One-line description, wrapped by [`write_flags`].
+    pub help: &'static str,
     /// Stores the value (`""` for a switch). The error says what the flag
     /// takes; the parser prefixes the flag's name.
-    set: fn(&mut O, &str) -> Result<(), String>,
+    pub set: fn(&mut O, &str) -> Result<(), String>,
 }
 
 impl<O> Flag<O> {
@@ -152,11 +153,11 @@ impl<O> Flag<O> {
 
 /// A cross-flag rule, checked once after every flag is read: parsing
 /// fails with the message when the predicate holds.
-type Rule<O> = (fn(&O) -> bool, &'static str);
+pub type Rule<O> = (fn(&O) -> bool, &'static str);
 
 /// Reads `args` against the rows of `tables`, then checks `rules`.
 /// Returns the names of the flags given, in order.
-fn parse_flags<O>(
+pub fn parse_flags<O>(
     tables: &[&[Flag<O>]],
     rules: &[Rule<O>],
     args: &[String],
@@ -188,7 +189,7 @@ fn parse_flags<O>(
 }
 
 /// Stores a parsed value into its option.
-fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+pub fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
     *slot = value?;
     Ok(())
 }
@@ -198,7 +199,8 @@ fn integer<T: std::str::FromStr>(v: &str) -> Result<T, String> {
         .map_err(|_| format!("takes an integer, not '{v}'"))
 }
 
-fn positive_integer(v: &str) -> Result<usize, String> {
+/// A count of at least one.
+pub fn positive_integer(v: &str) -> Result<usize, String> {
     match integer(v)? {
         0 => Err("takes a positive integer, not 0".into()),
         n => Ok(n),
@@ -661,11 +663,21 @@ const HELP_COLUMN: usize = 32;
 const HELP_WIDTH: usize = 78;
 
 /// Appends `title` and one wrapped entry per row of `flags`.
-fn write_flags<O>(out: &mut String, title: &str, flags: &[Flag<O>]) {
+pub fn write_flags<O>(out: &mut String, title: &str, flags: &[Flag<O>]) {
+    write_rows(out, title, flags.iter().map(|f| (f.usage, f.help)));
+}
+
+/// Appends `title` and one entry per `(head, help)` row: the head, then
+/// the help wrapped in a column of its own.
+pub fn write_rows<'a>(
+    out: &mut String,
+    title: &str,
+    rows: impl IntoIterator<Item = (&'a str, &'a str)>,
+) {
     out.push_str(title);
-    for f in flags {
-        let mut line = format!("  {}", f.usage);
-        for (i, word) in f.help.split_whitespace().enumerate() {
+    for (head, help) in rows {
+        let mut line = format!("  {head}");
+        for (i, word) in help.split_whitespace().enumerate() {
             // A head too wide for the column gets a line of its own.
             if (i == 0 && line.len() >= HELP_COLUMN) || line.len() + word.len() >= HELP_WIDTH {
                 out.extend([line.as_str(), "\n"]);
