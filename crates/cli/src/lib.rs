@@ -144,7 +144,8 @@ pub struct Flag<O> {
 }
 
 impl<O> Flag<O> {
-    fn name(&self) -> &'static str {
+    /// The flag itself, without its value placeholder.
+    pub fn name(&self) -> &'static str {
         self.usage
             .split_once(' ')
             .map_or(self.usage, |(name, _)| name)
@@ -214,7 +215,8 @@ fn mib(v: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("takes MiB that fit in 64-bit bytes, not {v}"))
 }
 
-fn fraction(v: &str) -> Result<f64, String> {
+/// A number in `0..=1`.
+pub fn fraction(v: &str) -> Result<f64, String> {
     match v.parse() {
         Ok(x) if (0.0..=1.0).contains(&x) => Ok(x),
         _ => Err(format!("takes a number in 0..1, not '{v}'")),

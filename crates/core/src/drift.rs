@@ -28,6 +28,7 @@
 //! [`CostModel`]: gplu_sim::CostModel
 //! [`Gpu::clocks`]: gplu_sim::Gpu::clocks
 
+use gplu_trace::json::{self, Field, Kind::*};
 use gplu_trace::{AttrValue, EventKind, JsonValue, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -167,26 +168,10 @@ impl DriftTable {
         self.rows.iter().any(|r| r.flagged)
     }
 
-    /// The table as JSON (the `drift` section of the service report).
+    /// The table as JSON (the `drift` section of the service report),
+    /// written from [`DRIFT_TABLE`].
     pub fn to_json(&self) -> JsonValue {
-        let rows: Vec<JsonValue> = self
-            .rows
-            .iter()
-            .map(|r| {
-                JsonValue::obj()
-                    .set("kind", r.kind.as_str())
-                    .set("samples", r.samples)
-                    .set("predicted_ns", r.predicted_ns)
-                    .set("observed_ns", r.observed_ns)
-                    .set("geomean_ratio", r.geomean_ratio)
-                    .set("drift", r.drift)
-                    .set("flagged", r.flagged)
-            })
-            .collect();
-        JsonValue::obj()
-            .set("schema_version", DRIFT_SCHEMA_VERSION)
-            .set("threshold", self.threshold)
-            .set("kinds", rows)
+        json::write(DRIFT_TABLE, self)
     }
 
     /// A terminal-friendly rendering for `serve --stress` summaries.
@@ -212,6 +197,26 @@ impl DriftTable {
         out
     }
 }
+
+/// The drift table's fields.
+#[rustfmt::skip]
+pub const DRIFT_TABLE: &[Field<DriftTable>] = &[
+    ("/schema_version", Version(DRIFT_SCHEMA_VERSION), |_| DRIFT_SCHEMA_VERSION.into()),
+    ("/threshold", Num, |t| t.threshold.into()),
+    ("/kinds", Array(&Object(|v| json::check(DRIFT_ROW, &[], v))), |t| t.rows.iter().map(|r| json::write(DRIFT_ROW, r)).collect()),
+];
+
+/// One entry of the drift table's `kinds`.
+#[rustfmt::skip]
+pub const DRIFT_ROW: &[Field<DriftRow>] = &[
+    ("/kind", Str, |r| r.kind.as_str().into()),
+    ("/samples", Count, |r| r.samples.into()),
+    ("/predicted_ns", Num, |r| r.predicted_ns.into()),
+    ("/observed_ns", Num, |r| r.observed_ns.into()),
+    ("/geomean_ratio", Num, |r| r.geomean_ratio.into()),
+    ("/drift", Num, |r| r.drift.into()),
+    ("/flagged", Bool, |r| r.flagged.into()),
+];
 
 #[cfg(test)]
 mod tests {

@@ -51,11 +51,11 @@ pub use checkpoint::{
 };
 pub use drift::{DriftProfiler, DriftRow, DriftTable, DRIFT_FLAG_THRESHOLD};
 pub use error::GpluError;
-pub use gplu_numeric::{PivotPolicy, DEFAULT_PIVOT_TAU};
+pub use gplu_numeric::{PivotPolicy, DEFAULT_PIVOT_TAU, HOST_REASONS};
 pub use pipeline::{LuFactorization, LuOptions, NumericFormat, ResidualGate, SymbolicEngine};
 pub use plan_codec::{decode_plan, encode_plan, plan_matches, PLAN_SCHEMA_VERSION};
 pub use preprocess::{preprocess, PreprocessOptions, PreprocessOutcome};
 pub use recovery::{Phase, RecoveryAction, RecoveryEvent, RecoveryLog};
 pub use refactor::RefactorPlan;
 pub use report::{FleetReport, PhaseReport, PhaseStats};
-pub use telemetry::{extract_levels, LevelRecord, RunReport, SCHEMA_VERSION};
+pub use telemetry::{check_run_report, extract_levels, LevelRecord, RunReport, SCHEMA_VERSION};

@@ -3,48 +3,22 @@
 //! [`RunReport`] is the versioned JSON superset of [`PhaseReport`]: phase
 //! timings, per-phase GPU statistics deltas, per-level numeric records
 //! (extracted from the `numeric.level` spans a [`gplu_trace::Recorder`]
-//! captured), and the recovery log. The schema:
-//!
-//! ```text
-//! {
-//!   "schema_version": 2,
-//!   "matrix":  { "n": u64, "nnz": u64 },
-//!   "phases":  { "preprocess_ns": f64, "symbolic_ns": f64,
-//!                "levelize_ns": f64, "numeric_ns": f64,
-//!                "total_ns": f64, "gpu_total_ns": f64 },
-//!   "symbolic": { "iterations": u64, "chunk_size": u64,
-//!                 "fault_groups": u64 },
-//!   "schedule": { "n_levels": u64, "max_level_width": u64 },
-//!   "numeric":  { "mode_a": u64, "mode_b": u64, "mode_c": u64,
-//!                 "m_limit": u64|null, "probes": u64,
-//!                 "merge_steps": u64, "gemm_tiles": u64 },
-//!   "fill":     { "nnz": u64, "new_fill_ins": u64,
-//!                 "repaired_diagonals": u64 },
-//!   "gpu": { "<phase>": { "kernels_host": u64, "kernels_device": u64,
-//!                         "dependency_waits": u64,
-//!                         "kernel_time_ns": f64, "fault_time_ns": f64,
-//!                         "fault_groups": u64, "h2d_bytes": u64,
-//!                         "d2h_bytes": u64, "xfer_time_ns": f64,
-//!                         "prefetch_time_ns": f64 }, ... },
-//!   "levels": [ { "level": u64, "width": u64, "mode": "A"|"B"|"C",
-//!                 "duration_ns": f64, "probes": u64?, "merge_steps": u64?,
-//!                 "batches": u64?, "blocks": u64?,
-//!                 "mean_block_width": f64?, "gemm_tiles": u64? }, ... ],
-//!   "recovery": [ { "phase": str, "action": str }, ... ],
-//!   "fleet":   { "devices": u64, "dead": [u64...],
-//!                "per_device_ns": [f64...],
-//!                "per_device_busy_ns": [f64...], "resharded_rows": u64,
-//!                "resharded_cols": u64, "exchanges": u64,
-//!                "exchange_bytes": u64, "exchange_ns": f64 }?   // fleet runs only
-//! }
-//! ```
+//! captured), and the recovery log. The schema is the field tables
+//! below, one per object: [`RUN_REPORT`] (with [`RUN_RULES`]),
+//! [`GPU_SNAPSHOT`] for each phase under `gpu`, [`LEVEL`] for each
+//! entry of `levels`, [`RECOVERY`] for each entry of `recovery`, and
+//! [`FLEET`] (with [`FLEET_RULES`]) for the `fleet` object that only
+//! `--devices` runs carry. [`RunReport::to_json`] writes them and
+//! [`check_run_report`] validates against them.
 //!
 //! `phases.total_ns` always equals the sum of the four phase fields (it is
 //! written from [`PhaseReport::total`]), so consumers can cross-check a
 //! report against the in-process numbers.
 
-use crate::report::PhaseReport;
+use crate::recovery::RecoveryEvent;
+use crate::report::{FleetReport, PhaseReport};
 use gplu_sim::GpuStatsSnapshot;
+use gplu_trace::json::{self, Field, Kind::*, Rule};
 use gplu_trace::{AttrValue, EventKind, JsonValue, TraceEvent};
 
 /// Version stamp written into every report; bump on breaking layout
@@ -151,96 +125,9 @@ impl RunReport {
         }
     }
 
-    /// The report as a JSON value (schema documented at module level).
+    /// The report as a JSON value, written from [`RUN_REPORT`].
     pub fn to_json(&self) -> JsonValue {
-        let r = &self.report;
-        let phases = JsonValue::obj()
-            .set("preprocess_ns", r.preprocess.as_ns())
-            .set("symbolic_ns", r.symbolic.as_ns())
-            .set("levelize_ns", r.levelize.as_ns())
-            .set("numeric_ns", r.numeric.as_ns())
-            .set("total_ns", r.total().as_ns())
-            .set("gpu_total_ns", r.gpu_total().as_ns());
-
-        let gpu = JsonValue::obj()
-            .set("preprocess", snapshot_json(&r.phase_stats.preprocess))
-            .set("symbolic", snapshot_json(&r.phase_stats.symbolic))
-            .set("levelize", snapshot_json(&r.phase_stats.levelize))
-            .set("numeric", snapshot_json(&r.phase_stats.numeric));
-
-        let levels: Vec<JsonValue> = self.levels.iter().map(level_json).collect();
-        let recovery: Vec<JsonValue> = r
-            .recovery
-            .events()
-            .iter()
-            .map(|e| {
-                JsonValue::obj()
-                    .set("phase", e.phase.to_string())
-                    .set("action", e.action.to_string())
-            })
-            .collect();
-
-        let mut out = JsonValue::obj()
-            .set("schema_version", SCHEMA_VERSION)
-            .set(
-                "matrix",
-                JsonValue::obj().set("n", self.n).set("nnz", self.nnz),
-            )
-            .set("phases", phases)
-            .set(
-                "symbolic",
-                JsonValue::obj()
-                    .set("iterations", r.symbolic_iterations)
-                    .set("chunk_size", r.chunk_size)
-                    .set("fault_groups", r.fault_groups()),
-            )
-            .set(
-                "schedule",
-                JsonValue::obj()
-                    .set("n_levels", r.n_levels)
-                    .set("max_level_width", r.max_level_width),
-            )
-            .set(
-                "numeric",
-                JsonValue::obj()
-                    .set("mode_a", r.mode_mix.0)
-                    .set("mode_b", r.mode_mix.1)
-                    .set("mode_c", r.mode_mix.2)
-                    .set("m_limit", r.m_limit)
-                    .set("probes", r.probes)
-                    .set("merge_steps", r.merge_steps)
-                    .set("gemm_tiles", r.gemm_tiles),
-            )
-            .set(
-                "fill",
-                JsonValue::obj()
-                    .set("nnz", r.fill_nnz)
-                    .set("new_fill_ins", r.new_fill_ins)
-                    .set("repaired_diagonals", r.repaired_diagonals),
-            )
-            .set("gpu", gpu)
-            .set("levels", levels)
-            .set("recovery", recovery);
-        if let Some(fl) = &r.fleet {
-            let ns_array = |ns: &[f64]| -> Vec<JsonValue> {
-                ns.iter().map(|&ns| JsonValue::from(ns)).collect()
-            };
-            let dead: Vec<JsonValue> = fl.dead.iter().map(|&d| JsonValue::from(d)).collect();
-            out = out.set(
-                "fleet",
-                JsonValue::obj()
-                    .set("devices", fl.devices)
-                    .set("dead", dead)
-                    .set("per_device_ns", ns_array(&fl.per_device_ns))
-                    .set("per_device_busy_ns", ns_array(&fl.per_device_busy_ns))
-                    .set("resharded_rows", fl.resharded_rows)
-                    .set("resharded_cols", fl.resharded_cols)
-                    .set("exchanges", fl.exchanges)
-                    .set("exchange_bytes", fl.exchange_bytes)
-                    .set("exchange_ns", fl.exchange_ns),
-            );
-        }
-        out
+        json::write(RUN_REPORT, self)
     }
 
     /// The report as pretty-printed JSON text.
@@ -249,45 +136,199 @@ impl RunReport {
     }
 }
 
-fn snapshot_json(s: &GpuStatsSnapshot) -> JsonValue {
-    JsonValue::obj()
-        .set("kernels_host", s.kernels_host)
-        .set("kernels_device", s.kernels_device)
-        .set("dependency_waits", s.dependency_waits)
-        .set("kernel_time_ns", s.kernel_time.as_ns())
-        .set("fault_time_ns", s.fault_time.as_ns())
-        .set("fault_groups", s.fault_groups)
-        .set("h2d_bytes", s.h2d_bytes)
-        .set("d2h_bytes", s.d2h_bytes)
-        .set("xfer_time_ns", s.xfer_time.as_ns())
-        .set("prefetch_time_ns", s.prefetch_time.as_ns())
+/// The run report's fields.
+#[rustfmt::skip]
+pub const RUN_REPORT: &[Field<RunReport>] = &[
+    ("/schema_version", Version(SCHEMA_VERSION), |_| SCHEMA_VERSION.into()),
+    ("/matrix/n", Count, |r| r.n.into()),
+    ("/matrix/nnz", Count, |r| r.nnz.into()),
+    ("/phases/preprocess_ns", Num, |r| r.report.preprocess.as_ns().into()),
+    ("/phases/symbolic_ns", Num, |r| r.report.symbolic.as_ns().into()),
+    ("/phases/levelize_ns", Num, |r| r.report.levelize.as_ns().into()),
+    ("/phases/numeric_ns", Num, |r| r.report.numeric.as_ns().into()),
+    ("/phases/total_ns", Num, |r| r.report.total().as_ns().into()),
+    ("/phases/gpu_total_ns", Num, |r| r.report.gpu_total().as_ns().into()),
+    ("/symbolic/iterations", Count, |r| r.report.symbolic_iterations.into()),
+    ("/symbolic/chunk_size", Count, |r| r.report.chunk_size.into()),
+    ("/symbolic/fault_groups", Count, |r| r.report.fault_groups().into()),
+    ("/schedule/n_levels", Count, |r| r.report.n_levels.into()),
+    ("/schedule/max_level_width", Count, |r| r.report.max_level_width.into()),
+    ("/numeric/mode_a", Count, |r| r.report.mode_mix.0.into()),
+    ("/numeric/mode_b", Count, |r| r.report.mode_mix.1.into()),
+    ("/numeric/mode_c", Count, |r| r.report.mode_mix.2.into()),
+    ("/numeric/m_limit", Nullable(&Count), |r| r.report.m_limit.into()),
+    ("/numeric/probes", Count, |r| r.report.probes.into()),
+    ("/numeric/merge_steps", Count, |r| r.report.merge_steps.into()),
+    ("/numeric/gemm_tiles", Count, |r| r.report.gemm_tiles.into()),
+    ("/fill/nnz", Count, |r| r.report.fill_nnz.into()),
+    ("/fill/new_fill_ins", Count, |r| r.report.new_fill_ins.into()),
+    ("/fill/repaired_diagonals", Count, |r| r.report.repaired_diagonals.into()),
+    ("/gpu/preprocess", Object(|v| json::check(GPU_SNAPSHOT, &[], v)), |r| json::write(GPU_SNAPSHOT, &r.report.phase_stats.preprocess)),
+    ("/gpu/symbolic", Object(|v| json::check(GPU_SNAPSHOT, &[], v)), |r| json::write(GPU_SNAPSHOT, &r.report.phase_stats.symbolic)),
+    ("/gpu/levelize", Object(|v| json::check(GPU_SNAPSHOT, &[], v)), |r| json::write(GPU_SNAPSHOT, &r.report.phase_stats.levelize)),
+    ("/gpu/numeric", Object(|v| json::check(GPU_SNAPSHOT, &[], v)), |r| json::write(GPU_SNAPSHOT, &r.report.phase_stats.numeric)),
+    ("/levels", Array(&Object(|v| json::check(LEVEL, LEVEL_RULES, v))), |r| r.levels.iter().map(|l| json::write(LEVEL, l)).collect()),
+    ("/recovery", Array(&Object(|v| json::check(RECOVERY, &[], v))), |r| r.report.recovery.events().iter().map(|e| json::write(RECOVERY, e)).collect()),
+    ("/fleet", Optional(&Object(|v| json::check(FLEET, FLEET_RULES, v))), |r| r.report.fleet.as_ref().map(|f| json::write(FLEET, f)).into()),
+];
+
+/// The run report's cross-field rules.
+pub const RUN_RULES: &[Rule] = &[
+    ("/phases/total_ns", |doc| {
+        let phases = ["preprocess_ns", "symbolic_ns", "levelize_ns", "numeric_ns"];
+        let sum: f64 = phases
+            .iter()
+            .map(|p| doc.number_at(&format!("/phases/{p}")))
+            .sum();
+        let diff = (doc.number_at("/phases/total_ns") - sum).abs();
+        if diff > 1e-9 {
+            return Err(format!(": off the phase sum {sum} by {diff}"));
+        }
+        Ok(())
+    }),
+    ("/levels", |doc| match doc.array_at("/levels") {
+        [] => Err(": no per-level records".into()),
+        _ => Ok(()),
+    }),
+    ("/numeric/gemm_tiles", |doc| {
+        let levels = doc.array_at("/levels").iter();
+        let per_level: f64 = levels.map(|l| l.number_at("/gemm_tiles")).sum();
+        if per_level > doc.number_at("/numeric/gemm_tiles") {
+            return Err(format!(": less than the per-level sum {per_level}"));
+        }
+        Ok(())
+    }),
+];
+
+/// A phase's GPU statistics delta, one under `gpu` per phase.
+#[rustfmt::skip]
+pub const GPU_SNAPSHOT: &[Field<GpuStatsSnapshot>] = &[
+    ("/kernels_host", Count, |s| s.kernels_host.into()),
+    ("/kernels_device", Count, |s| s.kernels_device.into()),
+    ("/dependency_waits", Count, |s| s.dependency_waits.into()),
+    ("/kernel_time_ns", Num, |s| s.kernel_time.as_ns().into()),
+    ("/fault_time_ns", Num, |s| s.fault_time.as_ns().into()),
+    ("/fault_groups", Count, |s| s.fault_groups.into()),
+    ("/h2d_bytes", Count, |s| s.h2d_bytes.into()),
+    ("/d2h_bytes", Count, |s| s.d2h_bytes.into()),
+    ("/xfer_time_ns", Num, |s| s.xfer_time.as_ns().into()),
+    ("/prefetch_time_ns", Num, |s| s.prefetch_time.as_ns().into()),
+];
+
+/// One entry of `levels`; each engine writes only its own counters.
+#[rustfmt::skip]
+pub const LEVEL: &[Field<LevelRecord>] = &[
+    ("/level", Count, |l| l.level.into()),
+    ("/width", Count, |l| l.width.into()),
+    ("/mode", Str, |l| l.mode.as_str().into()),
+    ("/duration_ns", Num, |l| l.duration_ns.into()),
+    ("/probes", Optional(&Count), |l| l.probes.into()),
+    ("/merge_steps", Optional(&Count), |l| l.merge_steps.into()),
+    ("/batches", Optional(&Count), |l| l.batches.into()),
+    ("/blocks", Optional(&Count), |l| l.blocks.into()),
+    ("/mean_block_width", Optional(&Num), |l| l.mean_block_width.into()),
+    ("/gemm_tiles", Optional(&Count), |l| l.gemm_tiles.into()),
+];
+
+/// A level reporting blocks has a mean block width of at least one column.
+const LEVEL_RULES: &[Rule] = &[("/mean_block_width", |l| {
+    let mean = l.pointer("/mean_block_width").and_then(JsonValue::as_f64);
+    if l.number_at("/blocks") > 0.0 && mean.is_none_or(|w| w < 1.0) {
+        return Err(format!(": {mean:?} for a level with blocks"));
+    }
+    Ok(())
+})];
+
+/// One entry of `recovery`.
+#[rustfmt::skip]
+pub const RECOVERY: &[Field<RecoveryEvent>] = &[
+    ("/phase", Str, |e| e.phase.to_string().into()),
+    ("/action", Str, |e| e.action.to_string().into()),
+];
+
+/// The `fleet` object of a `--devices` run.
+#[rustfmt::skip]
+pub const FLEET: &[Field<FleetReport>] = &[
+    ("/devices", Count, |f| f.devices.into()),
+    ("/dead", Array(&Count), |f| f.dead.iter().copied().collect()),
+    ("/per_device_ns", Array(&Num), |f| f.per_device_ns.iter().copied().collect()),
+    ("/per_device_busy_ns", Array(&Num), |f| f.per_device_busy_ns.iter().copied().collect()),
+    ("/resharded_rows", Count, |f| f.resharded_rows.into()),
+    ("/resharded_cols", Count, |f| f.resharded_cols.into()),
+    ("/exchanges", Count, |f| f.exchanges.into()),
+    ("/exchange_bytes", Count, |f| f.exchange_bytes.into()),
+    ("/exchange_ns", Num, |f| f.exchange_ns.into()),
+];
+
+/// The fleet object's cross-field rules.
+pub const FLEET_RULES: &[Rule] = &[
+    ("", fleet_devices),
+    ("/per_device_ns", |f| one_per_device(f, "/per_device_ns")),
+    ("/per_device_busy_ns", |f| {
+        one_per_device(f, "/per_device_busy_ns")
+    }),
+    // Busy time is the clock advance less barrier waits: never more.
+    ("/per_device_busy_ns", |f| {
+        let elapsed = f.array_at("/per_device_ns");
+        for (d, (e, b)) in elapsed
+            .iter()
+            .zip(f.array_at("/per_device_busy_ns"))
+            .enumerate()
+        {
+            let (e, b) = (e.number_at(""), b.number_at(""));
+            if !(0.0..=e).contains(&b) {
+                return Err(format!("/{d}: {b} outside 0..={e} (the clock advance)"));
+            }
+        }
+        Ok(())
+    }),
+    ("/dead", |f| {
+        if f.array_at("/dead").len() as f64 >= f.number_at("/devices") {
+            return Err(": every device dead yet the run completed".into());
+        }
+        Ok(())
+    }),
+    // Device deaths without resharded work would mean lost columns.
+    ("/resharded_cols", |f| {
+        let resharded = f.number_at("/resharded_rows") + f.number_at("/resharded_cols");
+        if resharded == 0.0 && !f.array_at("/dead").is_empty() {
+            return Err(": devices died but nothing resharded".into());
+        }
+        Ok(())
+    }),
+];
+
+/// Fleet rule: the array at `key` has one entry per device.
+pub fn one_per_device(fleet: &JsonValue, key: &str) -> Result<(), String> {
+    let entries = fleet.array_at(key).len();
+    let devices = fleet.number_at("/devices");
+    if entries as f64 != devices {
+        return Err(format!(": {entries} entries for {devices} devices"));
+    }
+    Ok(())
 }
 
-fn level_json(l: &LevelRecord) -> JsonValue {
-    let mut out = JsonValue::obj()
-        .set("level", l.level)
-        .set("width", l.width)
-        .set("mode", l.mode.clone())
-        .set("duration_ns", l.duration_ns);
-    if let Some(p) = l.probes {
-        out = out.set("probes", p);
+/// Fleet rule: at least one device, and `dead` lists distinct device
+/// ordinals below `devices`.
+pub fn fleet_devices(fleet: &JsonValue) -> Result<(), String> {
+    let (devices, dead) = (fleet.number_at("/devices"), fleet.array_at("/dead"));
+    if devices == 0.0 {
+        return Err("/devices: zero devices".into());
     }
-    if let Some(m) = l.merge_steps {
-        out = out.set("merge_steps", m);
+    match (0..dead.len())
+        .find(|&i| dead[i].number_at("") >= devices || dead[..i].contains(&dead[i]))
+    {
+        Some(i) => Err(format!(
+            "/dead/{i}: not a distinct device ordinal below {devices}"
+        )),
+        None => Ok(()),
     }
-    if let Some(b) = l.batches {
-        out = out.set("batches", b);
-    }
-    if let Some(b) = l.blocks {
-        out = out.set("blocks", b);
-    }
-    if let Some(w) = l.mean_block_width {
-        out = out.set("mean_block_width", w);
-    }
-    if let Some(g) = l.gemm_tiles {
-        out = out.set("gemm_tiles", g);
-    }
-    out
+}
+
+/// Validates a parsed run report against [`RUN_REPORT`] and
+/// [`RUN_RULES`]. The error starts with the failing field's JSON pointer.
+pub fn check_run_report(doc: &JsonValue) -> Result<(), String> {
+    json::check(RUN_REPORT, RUN_RULES, doc)
 }
 
 #[cfg(test)]

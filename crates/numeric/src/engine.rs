@@ -118,6 +118,17 @@ use gplu_trace::{AttrValue, TraceSink};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// Why the host launched a level, as its `numeric.level` span end's
+/// `host_reason` says (module docs, the launch rule): the kick-off, a
+/// level hook, a split level, re-entry after a split or settle, and a
+/// re-run of orphaned columns.
+pub const HOST_REASONS: [&str; 5] = [KICKOFF, HOOK, SPLIT, REENTRY, RESHARD];
+const KICKOFF: &str = "kickoff";
+const HOOK: &str = "hook";
+const SPLIT: &str = "split";
+const REENTRY: &str = "reentry";
+const RESHARD: &str = "reshard";
+
 /// The run's one counter set: the kernel body and the dense launch hook
 /// add to it under a lock, the checkpoint hook, the level spans and the
 /// outcome read it. Each engine drives a subset and the rest stay at
@@ -396,11 +407,11 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         // The launch rule (module docs): a level continues the kernel the
         // level before runs in unless the host has work at its boundary.
         let hosted = if li == start_level {
-            Some("kickoff")
+            Some(KICKOFF)
         } else if hook.is_some() {
-            Some("hook")
+            Some(HOOK)
         } else {
-            reentry.then_some("reentry")
+            reentry.then_some(REENTRY)
         };
         // The whole level as the home device would run it; every device's
         // share of a split is this with its own `gpu` and `cols`, launched
@@ -432,7 +443,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             )
         });
         let split = placement.as_ref().filter(|p| p.split_ns < p.home_ns);
-        let mut host_reason = hosted.or(split.map(|_| "split"));
+        let mut host_reason = hosted.or(split.map(|_| SPLIT));
         let ran_on = split.map_or(1, |p| {
             p.shares.iter().filter(|s| !s.range.is_empty()).count()
         });
@@ -564,7 +575,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 }
                 resharded_cols += orphans.len();
                 reentry = true;
-                host_reason.get_or_insert("reshard");
+                host_reason.get_or_insert(RESHARD);
                 let (threads, stripes) = if l == li {
                     (threads, stripes)
                 } else {

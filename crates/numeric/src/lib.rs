@@ -91,7 +91,7 @@ pub use blocked::{
     DEFAULT_BLOCK_THRESHOLD, TILE_WIDTH,
 };
 pub use dense::{factorize_gpu_dense, factorize_gpu_dense_run_cached, DenseEngine};
-pub use engine::{run_levels, ColumnKernel, EngineCounters, LevelRun, NumericEngine};
+pub use engine::{run_levels, ColumnKernel, EngineCounters, LevelRun, NumericEngine, HOST_REASONS};
 pub use error::NumericError;
 pub use fleet::{
     factorize_fleet_blocked, factorize_fleet_dense, factorize_fleet_merge, FleetNumericOutcome,

@@ -67,6 +67,6 @@ pub use job::{ExecTier, JobHandle, JobKind, JobResult, JobSpec};
 pub use observe::{
     JobObservation, ServiceObs, SloEval, SloSpec, DEFAULT_SLO_WINDOW, SLO_SCHEMA_VERSION,
 };
-pub use report::{percentile, ServiceReport, SERVICE_SCHEMA_VERSION};
+pub use report::{check_service_report, percentile, ServiceReport, SERVICE_SCHEMA_VERSION};
 pub use service::{ServiceConfig, SolverService, StatsSnapshot};
 pub use workload::{generate_workload, WorkloadParams};

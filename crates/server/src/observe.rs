@@ -33,7 +33,8 @@ use crate::fleet::DeviceLoadSnapshot;
 use crate::job::ExecTier;
 use crate::report::percentile;
 use gplu_core::{DriftProfiler, DriftTable, DRIFT_FLAG_THRESHOLD};
-use gplu_trace::{Counter, Gauge, Histogram, JsonValue, MetricsRegistry, TraceSink, NOOP};
+use gplu_trace::json::{self, at_most, Field, JsonValue, Kind::*, Rule};
+use gplu_trace::{Counter, Gauge, Histogram, MetricsRegistry, TraceSink, NOOP};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -115,20 +116,6 @@ impl SloSpec {
             }
         }
         Ok(spec)
-    }
-
-    /// The spec as JSON (unset thresholds are `null`).
-    pub fn to_json(&self) -> JsonValue {
-        fn opt(v: Option<f64>) -> JsonValue {
-            v.map_or(JsonValue::Null, JsonValue::Num)
-        }
-        JsonValue::obj()
-            .set("window", self.window as u64)
-            .set("sim_p50_ns", opt(self.max_sim_p50_ns))
-            .set("sim_p95_ns", opt(self.max_sim_p95_ns))
-            .set("sim_p99_ns", opt(self.max_sim_p99_ns))
-            .set("wall_p95_ns", opt(self.max_wall_p95_ns))
-            .set("hit_rate", opt(self.min_hot_hit_rate))
     }
 }
 
@@ -262,29 +249,10 @@ impl SloEval {
         self.violations.is_empty()
     }
 
-    /// The `slo` section of the service report.
+    /// The `slo` section of the service report, written from
+    /// [`SLO_EVAL`].
     pub fn to_json(&self) -> JsonValue {
-        let violations: Vec<JsonValue> = self
-            .violations
-            .iter()
-            .map(|v| JsonValue::Str(v.clone()))
-            .collect();
-        JsonValue::obj()
-            .set("schema_version", SLO_SCHEMA_VERSION)
-            .set("window", self.window as u64)
-            .set("samples", self.samples as u64)
-            .set("sim_p50_ns", self.sim_p50_ns)
-            .set("sim_p95_ns", self.sim_p95_ns)
-            .set("sim_p99_ns", self.sim_p99_ns)
-            .set("wall_p50_ns", self.wall_p50_ns)
-            .set("wall_p95_ns", self.wall_p95_ns)
-            .set("wall_p99_ns", self.wall_p99_ns)
-            .set("hot_jobs", self.hot_jobs)
-            .set("hot_hits", self.hot_hits)
-            .set("hot_hit_rate", self.hot_hit_rate)
-            .set("spec", self.spec.to_json())
-            .set("violations", violations)
-            .set("pass", self.pass())
+        json::write(SLO_EVAL, self)
     }
 
     /// A one-line human summary for `serve` output.
@@ -307,6 +275,38 @@ impl SloEval {
         )
     }
 }
+
+/// The SLO verdict's fields; the spec's unset thresholds are `null`.
+#[rustfmt::skip]
+pub const SLO_EVAL: &[Field<SloEval>] = &[
+    ("/schema_version", Version(SLO_SCHEMA_VERSION), |_| SLO_SCHEMA_VERSION.into()),
+    ("/window", Count, |e| e.window.into()),
+    ("/samples", Count, |e| e.samples.into()),
+    ("/sim_p50_ns", Num, |e| e.sim_p50_ns.into()),
+    ("/sim_p95_ns", Num, |e| e.sim_p95_ns.into()),
+    ("/sim_p99_ns", Num, |e| e.sim_p99_ns.into()),
+    ("/wall_p50_ns", Num, |e| e.wall_p50_ns.into()),
+    ("/wall_p95_ns", Num, |e| e.wall_p95_ns.into()),
+    ("/wall_p99_ns", Num, |e| e.wall_p99_ns.into()),
+    ("/hot_jobs", Count, |e| e.hot_jobs.into()),
+    ("/hot_hits", Count, |e| e.hot_hits.into()),
+    ("/hot_hit_rate", Rate, |e| e.hot_hit_rate.into()),
+    ("/spec/window", Count, |e| e.spec.window.into()),
+    ("/spec/sim_p50_ns", Nullable(&Num), |e| e.spec.max_sim_p50_ns.into()),
+    ("/spec/sim_p95_ns", Nullable(&Num), |e| e.spec.max_sim_p95_ns.into()),
+    ("/spec/sim_p99_ns", Nullable(&Num), |e| e.spec.max_sim_p99_ns.into()),
+    ("/spec/wall_p95_ns", Nullable(&Num), |e| e.spec.max_wall_p95_ns.into()),
+    ("/spec/hit_rate", Nullable(&Num), |e| e.spec.min_hot_hit_rate.into()),
+    ("/violations", Array(&Str), |e| e.violations.iter().map(String::as_str).collect()),
+    ("/pass", Bool, |e| e.pass().into()),
+];
+
+/// The SLO verdict's cross-field rules: its quantiles are ordered.
+#[rustfmt::skip]
+pub const SLO_RULES: &[Rule] = &[
+    ("/sim_p50_ns", |e| at_most(e, &["/sim_p50_ns"], &["/sim_p95_ns"])),
+    ("/sim_p95_ns", |e| at_most(e, &["/sim_p95_ns"], &["/sim_p99_ns"])),
+];
 
 /// Everything `record_job` needs about one completed job.
 #[derive(Debug)]
@@ -656,6 +656,19 @@ impl ServiceObs {
         }
         out
     }
+}
+
+/// Validates a `tenants` section: per tenant, an object of counts.
+pub(crate) fn check_tenants(doc: &JsonValue) -> Result<(), String> {
+    for (tenant, quantiles) in doc.as_obj().ok_or(": expected an object")? {
+        for (key, v) in quantiles
+            .as_obj()
+            .ok_or(format!("/{tenant}: expected an object"))?
+        {
+            Count.check(v).map_err(|e| format!("/{tenant}/{key}{e}"))?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,5 +1,10 @@
 //! The service report: the `RunReport`-style JSON summary of a service
-//! run, validated by `telemetry_check --service`.
+//! run. Its schema is the [`SERVICE_REPORT`] field table with its
+//! [`SERVICE_RULES`] (the fleet section in [`FLEET`] and [`DEVICE`], the
+//! `slo` section in [`crate::observe::SLO_EVAL`], the `drift` section in
+//! [`gplu_core::drift::DRIFT_TABLE`]): [`ServiceReport::to_json`] writes
+//! it and [`check_service_report`] validates against it, as
+//! `telemetry_check --service` does.
 //!
 //! Schema v2 adds the live-observability sections captured from
 //! [`crate::ServiceObs`] when the service runs with observability on:
@@ -22,10 +27,13 @@
 
 use crate::cache::CacheCounters;
 use crate::fleet::DeviceLoadSnapshot;
-use crate::observe::{SloEval, SloSpec};
+use crate::observe::{check_tenants, SloEval, SloSpec, SLO_EVAL, SLO_RULES};
 use crate::service::{SolverService, StatsSnapshot};
+use gplu_core::drift::DRIFT_TABLE;
+use gplu_core::telemetry::{fleet_devices, one_per_device};
 use gplu_core::DriftTable;
-use gplu_trace::json::JsonValue;
+use gplu_trace::json::{self, at_most, Field, JsonValue, Kind::*, Rule};
+use gplu_trace::MetricsRegistry;
 
 /// Version tag of the service-report JSON schema.
 pub const SERVICE_SCHEMA_VERSION: u64 = 4;
@@ -120,145 +128,9 @@ impl ServiceReport {
         }
     }
 
-    /// The JSON document (`service_schema_version` 3).
+    /// The JSON document, written from [`SERVICE_REPORT`].
     pub fn to_json(&self) -> JsonValue {
-        let s = &self.stats;
-        let completed = s.completed.max(1) as f64;
-        let mut doc = JsonValue::obj()
-            .set("service_schema_version", SERVICE_SCHEMA_VERSION)
-            .set(
-                "jobs",
-                JsonValue::obj()
-                    .set("submitted", s.submitted)
-                    .set("completed", s.completed)
-                    .set("failed", s.failed)
-                    .set("cancelled", s.cancelled)
-                    .set("deadline_dropped", s.deadline_dropped)
-                    .set("cold", s.cold)
-                    .set("warm", s.warm)
-                    .set("warm_host", s.warm_host)
-                    .set("warm_disk", s.warm_disk)
-                    .set("cached_solve", s.cached_solve)
-                    .set("load_shed", s.load_shed),
-            )
-            .set(
-                "cache",
-                JsonValue::obj()
-                    .set("budget_bytes", self.cache_budget_bytes)
-                    .set("used_bytes", self.cache_used_bytes)
-                    .set("entries", self.cache_entries)
-                    .set("hits", self.cache.hits)
-                    .set("misses", self.cache.misses)
-                    .set("insertions", self.cache.insertions)
-                    .set("evictions", self.cache.evictions)
-                    .set("oversize_skipped", self.cache.oversize_skipped)
-                    .set("plans_built", s.plans_built)
-                    .set("hot_jobs", s.hot_jobs)
-                    .set("hot_hits", s.hot_hits)
-                    .set("hot_hit_rate", s.hot_hit_rate())
-                    .set(
-                        "host",
-                        JsonValue::obj()
-                            .set("budget_bytes", self.host_budget_bytes)
-                            .set("used_bytes", self.host_used_bytes)
-                            .set("entries", self.host_entries)
-                            .set("hits", self.cache.host_hits)
-                            .set("demotions", self.cache.demotions)
-                            .set("evictions", self.cache.host_evictions)
-                            .set("promotions", self.cache.promotions),
-                    )
-                    .set(
-                        "disk",
-                        JsonValue::obj()
-                            .set("enabled", self.disk_enabled)
-                            .set("down", self.disk_down)
-                            .set("hits", self.cache.disk_hits)
-                            .set("writes", self.cache.disk_writes)
-                            .set("write_failures", self.cache.disk_write_failures)
-                            .set("read_failures", self.cache.disk_read_failures)
-                            .set("rejects", self.cache.disk_rejects)
-                            .set("rewarmed", self.cache.rewarmed),
-                    ),
-            )
-            .set(
-                "latency",
-                JsonValue::obj()
-                    .set("sim_p50_ns", percentile(&s.sim_ns, 50.0))
-                    .set("sim_p95_ns", percentile(&s.sim_ns, 95.0))
-                    .set("wall_p50_ns", percentile(&s.wall_ns, 50.0))
-                    .set("wall_p95_ns", percentile(&s.wall_ns, 95.0)),
-            )
-            .set(
-                "tiers",
-                JsonValue::obj()
-                    .set("cold_share", s.cold as f64 / completed)
-                    .set("warm_share", s.warm as f64 / completed)
-                    .set("warm_host_share", s.warm_host as f64 / completed)
-                    .set("warm_disk_share", s.warm_disk as f64 / completed)
-                    .set("cached_solve_share", s.cached_solve as f64 / completed)
-                    .set("hot_hit_rate", s.hot_hit_rate()),
-            )
-            .set(
-                "queue",
-                JsonValue::obj()
-                    .set("capacity", self.queue_cap)
-                    .set("max_depth", s.max_depth)
-                    .set("rejections", s.rejected),
-            )
-            .set(
-                "faults",
-                JsonValue::obj()
-                    .set("injected", s.injected_faults)
-                    .set("jobs_recovered", s.jobs_recovered),
-            )
-            .set(
-                "robustness",
-                JsonValue::obj()
-                    .set("gate_failures", s.gate_failures)
-                    .set("quarantine_rejected", s.quarantine_rejected)
-                    .set("quarantined_patterns", s.quarantined_patterns),
-            )
-            .set("fleet", {
-                let dead: Vec<JsonValue> = self
-                    .fleet
-                    .iter()
-                    .filter(|d| d.dead)
-                    .map(|d| JsonValue::from(d.device as u64))
-                    .collect();
-                let per_device: Vec<JsonValue> = self
-                    .fleet
-                    .iter()
-                    .map(|d| {
-                        JsonValue::obj()
-                            .set("device", d.device)
-                            .set("jobs", d.jobs)
-                            .set("queued", d.queued)
-                            .set("hot_jobs", d.hot_jobs)
-                            .set("hot_hits", d.hot_hits)
-                            .set("hot_hit_rate", d.hot_hit_rate())
-                            .set("plan_bytes", d.plan_bytes)
-                            .set("dead", d.dead)
-                    })
-                    .collect();
-                JsonValue::obj()
-                    .set("devices", self.fleet.len())
-                    .set("degraded", self.fleet.iter().any(|d| d.dead))
-                    .set("dead", dead)
-                    .set("per_device", per_device)
-            });
-        if let Some(metrics) = &self.metrics {
-            doc = doc.set("metrics", metrics.clone());
-        }
-        if let Some(tenants) = &self.tenants {
-            doc = doc.set("tenants", tenants.clone());
-        }
-        if let Some(slo) = &self.slo_eval {
-            doc = doc.set("slo", slo.to_json());
-        }
-        if let Some(drift) = &self.drift_table {
-            doc = doc.set("drift", drift.to_json());
-        }
-        doc
+        json::write(SERVICE_REPORT, self)
     }
 
     /// One-paragraph human summary (plus SLO and drift lines when the
@@ -357,6 +229,168 @@ impl ServiceReport {
     }
 }
 
+/// Share of the completed jobs that `count` makes up.
+fn share(r: &ServiceReport, count: u64) -> JsonValue {
+    (count as f64 / r.stats.completed.max(1) as f64).into()
+}
+
+/// The service report's fields.
+#[rustfmt::skip]
+pub const SERVICE_REPORT: &[Field<ServiceReport>] = &[
+    ("/service_schema_version", Version(SERVICE_SCHEMA_VERSION), |_| SERVICE_SCHEMA_VERSION.into()),
+    ("/jobs/submitted", Count, |r| r.stats.submitted.into()),
+    ("/jobs/completed", Count, |r| r.stats.completed.into()),
+    ("/jobs/failed", Count, |r| r.stats.failed.into()),
+    ("/jobs/cancelled", Count, |r| r.stats.cancelled.into()),
+    ("/jobs/deadline_dropped", Count, |r| r.stats.deadline_dropped.into()),
+    ("/jobs/cold", Count, |r| r.stats.cold.into()),
+    ("/jobs/warm", Count, |r| r.stats.warm.into()),
+    ("/jobs/warm_host", Count, |r| r.stats.warm_host.into()),
+    ("/jobs/warm_disk", Count, |r| r.stats.warm_disk.into()),
+    ("/jobs/cached_solve", Count, |r| r.stats.cached_solve.into()),
+    ("/jobs/load_shed", Count, |r| r.stats.load_shed.into()),
+    ("/cache/budget_bytes", Count, |r| r.cache_budget_bytes.into()),
+    ("/cache/used_bytes", Count, |r| r.cache_used_bytes.into()),
+    ("/cache/entries", Count, |r| r.cache_entries.into()),
+    ("/cache/hits", Count, |r| r.cache.hits.into()),
+    ("/cache/misses", Count, |r| r.cache.misses.into()),
+    ("/cache/insertions", Count, |r| r.cache.insertions.into()),
+    ("/cache/evictions", Count, |r| r.cache.evictions.into()),
+    ("/cache/oversize_skipped", Count, |r| r.cache.oversize_skipped.into()),
+    ("/cache/plans_built", Count, |r| r.stats.plans_built.into()),
+    ("/cache/hot_jobs", Count, |r| r.stats.hot_jobs.into()),
+    ("/cache/hot_hits", Count, |r| r.stats.hot_hits.into()),
+    ("/cache/hot_hit_rate", Rate, |r| r.stats.hot_hit_rate().into()),
+    ("/cache/host/budget_bytes", Count, |r| r.host_budget_bytes.into()),
+    ("/cache/host/used_bytes", Count, |r| r.host_used_bytes.into()),
+    ("/cache/host/entries", Count, |r| r.host_entries.into()),
+    ("/cache/host/hits", Count, |r| r.cache.host_hits.into()),
+    ("/cache/host/demotions", Count, |r| r.cache.demotions.into()),
+    ("/cache/host/evictions", Count, |r| r.cache.host_evictions.into()),
+    ("/cache/host/promotions", Count, |r| r.cache.promotions.into()),
+    ("/cache/disk/enabled", Bool, |r| r.disk_enabled.into()),
+    ("/cache/disk/down", Bool, |r| r.disk_down.into()),
+    ("/cache/disk/hits", Count, |r| r.cache.disk_hits.into()),
+    ("/cache/disk/writes", Count, |r| r.cache.disk_writes.into()),
+    ("/cache/disk/write_failures", Count, |r| r.cache.disk_write_failures.into()),
+    ("/cache/disk/read_failures", Count, |r| r.cache.disk_read_failures.into()),
+    ("/cache/disk/rejects", Count, |r| r.cache.disk_rejects.into()),
+    ("/cache/disk/rewarmed", Count, |r| r.cache.rewarmed.into()),
+    ("/latency/sim_p50_ns", Num, |r| percentile(&r.stats.sim_ns, 50.0).into()),
+    ("/latency/sim_p95_ns", Num, |r| percentile(&r.stats.sim_ns, 95.0).into()),
+    ("/latency/wall_p50_ns", Num, |r| percentile(&r.stats.wall_ns, 50.0).into()),
+    ("/latency/wall_p95_ns", Num, |r| percentile(&r.stats.wall_ns, 95.0).into()),
+    ("/tiers/cold_share", Rate, |r| share(r, r.stats.cold)),
+    ("/tiers/warm_share", Rate, |r| share(r, r.stats.warm)),
+    ("/tiers/warm_host_share", Rate, |r| share(r, r.stats.warm_host)),
+    ("/tiers/warm_disk_share", Rate, |r| share(r, r.stats.warm_disk)),
+    ("/tiers/cached_solve_share", Rate, |r| share(r, r.stats.cached_solve)),
+    ("/tiers/hot_hit_rate", Rate, |r| r.stats.hot_hit_rate().into()),
+    ("/queue/capacity", Count, |r| r.queue_cap.into()),
+    ("/queue/max_depth", Count, |r| r.stats.max_depth.into()),
+    ("/queue/rejections", Count, |r| r.stats.rejected.into()),
+    ("/faults/injected", Count, |r| r.stats.injected_faults.into()),
+    ("/faults/jobs_recovered", Count, |r| r.stats.jobs_recovered.into()),
+    ("/robustness/gate_failures", Count, |r| r.stats.gate_failures.into()),
+    ("/robustness/quarantine_rejected", Count, |r| r.stats.quarantine_rejected.into()),
+    ("/robustness/quarantined_patterns", Count, |r| r.stats.quarantined_patterns.into()),
+    ("/fleet", Object(|v| json::check(FLEET, FLEET_RULES, v)), |r| json::write(FLEET, &r.fleet)),
+    ("/metrics", Optional(&Object(|v| MetricsRegistry::from_json(v).map(drop).map_err(|e| format!(": {e}")))), |r| r.metrics.clone().into()),
+    ("/tenants", Optional(&Object(check_tenants)), |r| r.tenants.clone().into()),
+    ("/slo", Optional(&Object(|v| json::check(SLO_EVAL, SLO_RULES, v))), |r| r.slo_eval.as_ref().map(SloEval::to_json).into()),
+    ("/drift", Optional(&Object(|v| json::check(DRIFT_TABLE, &[], v))), |r| r.drift_table.as_ref().map(DriftTable::to_json).into()),
+];
+
+/// Completed jobs by the tier that served them; the warm tier is split
+/// by rescue provenance (device, host, disk).
+const TIERS: [&str; 5] = [
+    "/jobs/cold",
+    "/jobs/warm",
+    "/jobs/cached_solve",
+    "/jobs/warm_host",
+    "/jobs/warm_disk",
+];
+
+/// The service report's cross-field rules.
+#[rustfmt::skip]
+pub const SERVICE_RULES: &[Rule] = &[
+    ("/jobs/submitted", |d| at_most(d, &["/jobs/completed", "/jobs/failed", "/jobs/cancelled", "/jobs/deadline_dropped"], &["/jobs/submitted"])),
+    ("/jobs/completed", |d| at_most(d, &TIERS, &["/jobs/completed"]).and(at_most(d, &["/jobs/completed"], &TIERS))),
+    ("/cache/used_bytes", |d| at_most(d, &["/cache/used_bytes"], &["/cache/budget_bytes"])),
+    ("/cache/host/used_bytes", |d| at_most(d, &["/cache/host/used_bytes"], &["/cache/host/budget_bytes"])),
+    // A report claiming disk rescues must have the disk tier enabled.
+    ("/cache/disk/hits", |d| {
+        let enabled = d.pointer("/cache/disk/enabled") == Some(&JsonValue::Bool(true));
+        if d.number_at("/cache/disk/hits") > 0.0 && !enabled {
+            return Err(": hits reported with the disk tier disabled".into());
+        }
+        Ok(())
+    }),
+    ("/latency/sim_p50_ns", |d| at_most(d, &["/latency/sim_p50_ns"], &["/latency/sim_p95_ns"])),
+    ("/latency/wall_p50_ns", |d| at_most(d, &["/latency/wall_p50_ns"], &["/latency/wall_p95_ns"])),
+    ("/queue/max_depth", |d| at_most(d, &["/queue/max_depth"], &["/queue/capacity"])),
+    // Every quarantined pattern took at least one recorded strike.
+    ("/robustness/quarantined_patterns", |d| at_most(d, &["/robustness/quarantined_patterns"], &["/robustness/gate_failures"])),
+    // A device can only finish jobs that were actually submitted.
+    ("/fleet/per_device", |d| {
+        let per_device = d.array_at("/fleet/per_device").iter();
+        let placed: f64 = per_device.map(|x| x.number_at("/jobs")).sum();
+        if placed > d.number_at("/jobs/submitted") {
+            return Err(format!(": devices finished {placed} jobs, more than /jobs/submitted"));
+        }
+        Ok(())
+    }),
+];
+
+/// The fleet scheduler's section: one entry per device, in device order.
+#[rustfmt::skip]
+pub const FLEET: &[Field<Vec<DeviceLoadSnapshot>>] = &[
+    ("/devices", Count, |f| f.len().into()),
+    ("/degraded", Bool, |f| f.iter().any(|d| d.dead).into()),
+    ("/dead", Array(&Count), |f| f.iter().filter(|d| d.dead).map(|d| d.device).collect()),
+    ("/per_device", Array(&Object(|v| json::check(DEVICE, DEVICE_RULES, v))), |f| f.iter().map(|d| json::write(DEVICE, d)).collect()),
+];
+
+/// The fleet section's cross-field rules.
+pub const FLEET_RULES: &[Rule] = &[
+    ("", fleet_devices),
+    ("/per_device", |f| one_per_device(f, "/per_device")),
+    ("/per_device", |f| {
+        for (i, d) in f.array_at("/per_device").iter().enumerate() {
+            let device = d.number_at("/device");
+            if device != i as f64 {
+                return Err(format!(
+                    "/{i}/device: device {device} listed at position {i}"
+                ));
+            }
+        }
+        Ok(())
+    }),
+];
+
+/// One entry of the fleet section's `per_device`.
+#[rustfmt::skip]
+pub const DEVICE: &[Field<DeviceLoadSnapshot>] = &[
+    ("/device", Count, |d| d.device.into()),
+    ("/jobs", Count, |d| d.jobs.into()),
+    ("/queued", Count, |d| d.queued.into()),
+    ("/hot_jobs", Count, |d| d.hot_jobs.into()),
+    ("/hot_hits", Count, |d| d.hot_hits.into()),
+    ("/hot_hit_rate", Rate, |d| d.hot_hit_rate().into()),
+    ("/plan_bytes", Count, |d| d.plan_bytes.into()),
+    ("/dead", Bool, |d| d.dead.into()),
+];
+
+/// A device's hot hits are among its hot jobs.
+const DEVICE_RULES: &[Rule] = &[("/hot_hits", |d| at_most(d, &["/hot_hits"], &["/hot_jobs"]))];
+
+/// Validates a parsed service report against [`SERVICE_REPORT`] and
+/// [`SERVICE_RULES`]. The error starts with the failing field's JSON
+/// pointer.
+pub fn check_service_report(doc: &JsonValue) -> Result<(), String> {
+    json::check(SERVICE_REPORT, SERVICE_RULES, doc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,18 +441,7 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(SERVICE_SCHEMA_VERSION)
         );
-        for section in [
-            "jobs",
-            "cache",
-            "latency",
-            "tiers",
-            "queue",
-            "faults",
-            "robustness",
-            "fleet",
-        ] {
-            assert!(doc.get(section).is_some(), "missing {section}");
-        }
+        check_service_report(&doc).expect("valid service report");
         // Observability sections are absent when captured without obs.
         for section in ["metrics", "tenants", "slo", "drift"] {
             assert!(doc.get(section).is_none(), "unexpected {section}");

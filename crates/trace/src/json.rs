@@ -6,6 +6,11 @@
 //! through [`JsonValue`], and the validation tooling parses them back with
 //! [`parse`]. Numbers round-trip exactly: `f64` serialization uses Rust's
 //! shortest-round-trip `Display`, and the parser reads with `str::parse`.
+//!
+//! A versioned report object is described once, as a table of
+//! [`Field`] rows (a JSON pointer, a [`Kind`], a getter) plus the
+//! [`Rule`]s that tie its fields together: [`write()`] builds the object
+//! from the table and [`check`] validates a parsed one against it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -51,6 +56,29 @@ impl JsonValue {
         }
     }
 
+    /// Walks a JSON pointer (object keys and array indices, `/a/b/0/c`).
+    pub fn pointer(&self, ptr: &str) -> Option<&JsonValue> {
+        ptr.split('/')
+            .filter(|s| !s.is_empty())
+            .try_fold(self, |d, key| match d {
+                JsonValue::Arr(items) => key.parse::<usize>().ok().and_then(|i| items.get(i)),
+                _ => d.get(key),
+            })
+    }
+
+    /// The number at `ptr`, 0 when there is none. For [`Rule`]s, which
+    /// run once every field has its kind.
+    pub fn number_at(&self, ptr: &str) -> f64 {
+        self.pointer(ptr).and_then(JsonValue::as_f64).unwrap_or(0.0)
+    }
+
+    /// The array at `ptr`, empty when there is none. For [`Rule`]s.
+    pub fn array_at(&self, ptr: &str) -> &[JsonValue] {
+        self.pointer(ptr)
+            .and_then(JsonValue::as_arr)
+            .unwrap_or_default()
+    }
+
     /// The value as a number, when it is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -78,6 +106,14 @@ impl JsonValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value's members, when it is an object.
+    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
+        match self {
+            JsonValue::Obj(fields) => Some(fields),
             _ => None,
         }
     }
@@ -214,6 +250,169 @@ impl From<BTreeMap<String, JsonValue>> for JsonValue {
     fn from(v: BTreeMap<String, JsonValue>) -> Self {
         JsonValue::Obj(v.into_iter().collect())
     }
+}
+impl<V: Into<JsonValue>> FromIterator<V> for JsonValue {
+    fn from_iter<I: IntoIterator<Item = V>>(items: I) -> Self {
+        JsonValue::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// What a [`Field`] holds: how [`check`] validates it, and whether
+/// [`write()`] may leave it out.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// A non-negative integer.
+    Count,
+    /// Any number.
+    Num,
+    /// A number in `0..=1`.
+    Rate,
+    /// `true` or `false`.
+    Bool,
+    /// A string.
+    Str,
+    /// Exactly this schema version.
+    Version(u64),
+    /// `null`, or the inner kind.
+    Nullable(&'static Kind),
+    /// Absent, or the inner kind: [`write()`] leaves a `null` value out.
+    Optional(&'static Kind),
+    /// An array whose every item is the inner kind.
+    Array(&'static Kind),
+    /// A value its own checker validates: a nested table.
+    Object(Check),
+}
+
+/// Validates a value. An error starts with the JSON pointer of the
+/// failing part relative to the value (empty for the value itself), then
+/// `: ` and the reason.
+pub type Check = fn(&JsonValue) -> Result<(), String>;
+
+/// One field of a report object: its JSON pointer within the object, its
+/// kind, and how to read it off the Rust value.
+pub type Field<T> = (&'static str, Kind, fn(&T) -> JsonValue);
+
+/// A rule across fields, checked after every field has its kind: the
+/// pointer it blames, and a [`Check`] of the whole object whose error
+/// continues that pointer.
+pub type Rule = (&'static str, Check);
+
+impl Kind {
+    /// Checks `v` against this kind.
+    pub fn check(&self, v: &JsonValue) -> Result<(), String> {
+        let ok = match (self, v) {
+            (Kind::Count, _) => v.as_u64().is_some(),
+            (Kind::Num, JsonValue::Num(_)) | (Kind::Bool, JsonValue::Bool(_)) => true,
+            (Kind::Str, JsonValue::Str(_)) | (Kind::Nullable(_), JsonValue::Null) => true,
+            (Kind::Rate, JsonValue::Num(x)) => (0.0..=1.0).contains(x),
+            (Kind::Version(want), _) => v.as_u64() == Some(*want),
+            (Kind::Nullable(inner) | Kind::Optional(inner), _) => return inner.check(v),
+            (Kind::Object(check), _) => return check(v),
+            (Kind::Array(item), JsonValue::Arr(items)) => {
+                for (i, x) in items.iter().enumerate() {
+                    item.check(x).map_err(|e| format!("/{i}{e}"))?;
+                }
+                true
+            }
+            _ => false,
+        };
+        if !ok {
+            return Err(format!(
+                ": expected {}, found {}",
+                self.name(),
+                v.to_compact()
+            ));
+        }
+        Ok(())
+    }
+
+    fn name(&self) -> String {
+        match self {
+            Kind::Count => "a non-negative integer".into(),
+            Kind::Num => "a number".into(),
+            Kind::Rate => "a number in 0..=1".into(),
+            Kind::Bool => "a bool".into(),
+            Kind::Str => "a string".into(),
+            Kind::Version(v) => format!("version {v}"),
+            Kind::Nullable(inner) => format!("null or {}", inner.name()),
+            Kind::Optional(inner) => inner.name(),
+            Kind::Array(_) => "an array".into(),
+            Kind::Object(_) => "an object".into(),
+        }
+    }
+}
+
+/// Builds the object `table` describes from `value`, field by field in
+/// table order (a pointer's parent objects appear where it first names
+/// them).
+pub fn write<T>(table: &[Field<T>], value: &T) -> JsonValue {
+    let mut doc = JsonValue::obj();
+    for (at, kind, get) in table {
+        let v = get(value);
+        if matches!(kind, Kind::Optional(_)) && v == JsonValue::Null {
+            continue;
+        }
+        let (parents, key) = at
+            .rsplit_once('/')
+            .expect("a field pointer starts with '/'");
+        let parent = parents
+            .split('/')
+            .skip(1)
+            .fold(&mut doc, |o, name| member(o, name));
+        *member(parent, key) = v;
+    }
+    doc
+}
+
+/// A [`Rule`]'s comparison: the numbers at `lo` sum to at most those at
+/// `hi`.
+pub fn at_most(doc: &JsonValue, lo: &[&str], hi: &[&str]) -> Result<(), String> {
+    let sum = |ptrs: &[&str]| -> f64 { ptrs.iter().map(|p| doc.number_at(p)).sum() };
+    let (a, b) = (sum(lo), sum(hi));
+    if a > b {
+        return Err(format!(
+            ": {} = {a} exceeds {} = {b}",
+            lo.join(" + "),
+            hi.join(" + ")
+        ));
+    }
+    Ok(())
+}
+
+/// The member `key` of object `obj`, appended as an empty object when
+/// absent.
+fn member<'a>(obj: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+    let JsonValue::Obj(fields) = obj else {
+        panic!("a field pointer runs through a non-object at {key}")
+    };
+    let i = fields
+        .iter()
+        .position(|(k, _)| k == key)
+        .unwrap_or_else(|| {
+            fields.push((key.to_string(), JsonValue::obj()));
+            fields.len() - 1
+        });
+    &mut fields[i].1
+}
+
+/// Checks `doc` against `table`: it is an object, every field is present
+/// (unless optional) with its kind, then every rule holds. The error
+/// starts with the failing field's pointer.
+pub fn check<T>(table: &[Field<T>], rules: &[Rule], doc: &JsonValue) -> Result<(), String> {
+    if doc.as_obj().is_none() {
+        return Err(format!(": expected an object, found {}", doc.to_compact()));
+    }
+    for (at, kind, _) in table {
+        match doc.pointer(at) {
+            Some(v) => kind.check(v).map_err(|e| format!("{at}{e}"))?,
+            None if matches!(kind, Kind::Optional(_)) => {}
+            None => return Err(format!("{at}: missing")),
+        }
+    }
+    for (at, rule) in rules {
+        rule(doc).map_err(|e| format!("{at}{e}"))?;
+    }
+    Ok(())
 }
 
 /// Writes an `f64` so that integers print without a fractional part and
@@ -489,6 +688,53 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} junk").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    #[test]
+    fn a_table_writes_in_order_and_checks_with_pointers() {
+        struct Row {
+            n: u64,
+            rate: f64,
+            tag: Option<u64>,
+        }
+        const TABLE: &[Field<Row>] = &[
+            ("/v", Kind::Version(3), |_| 3u64.into()),
+            ("/a/n", Kind::Count, |r| r.n.into()),
+            ("/b", Kind::Rate, |r| r.rate.into()),
+            ("/a/tag", Kind::Optional(&Kind::Count), |r| r.tag.into()),
+        ];
+        const RULES: &[Rule] = &[("/a/n", |d| at_most(d, &["/a/n"], &["/v"]))];
+        let row = Row {
+            n: 2,
+            rate: 0.5,
+            tag: None,
+        };
+        let doc = write(TABLE, &row);
+        assert_eq!(doc.to_compact(), r#"{"v":3,"a":{"n":2},"b":0.5}"#);
+        assert_eq!(check(TABLE, RULES, &doc), Ok(()));
+        let with = |v: &str, a: &str, b: &str| {
+            let bad = parse(&format!(r#"{{"v":{v},"a":{a},"b":{b}}}"#)).expect("json");
+            check(TABLE, RULES, &bad).expect_err("rejected")
+        };
+        let n = |n: &str| format!(r#"{{"n":{n}}}"#);
+        assert_eq!(
+            with("3.5", &n("2"), "0.5"),
+            "/v: expected version 3, found 3.5"
+        );
+        assert_eq!(with("3", "{}", "0.5"), "/a/n: missing");
+        assert_eq!(
+            with("3", &n("-1"), "0.5"),
+            "/a/n: expected a non-negative integer, found -1"
+        );
+        assert_eq!(
+            with("3", &n("[1]"), "0.5"),
+            "/a/n: expected a non-negative integer, found [1]"
+        );
+        assert_eq!(
+            with("3", &n("2"), "7"),
+            "/b: expected a number in 0..=1, found 7"
+        );
+        assert_eq!(with("3", &n("4"), "0.5"), "/a/n: /a/n = 4 exceeds /v = 3");
     }
 
     #[test]

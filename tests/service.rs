@@ -16,12 +16,14 @@
 //!    pattern, and the service report's sections stay self-consistent.
 
 use gplu::prelude::*;
-use gplu::server::{generate_workload, ExecTier, JobHandle, ServiceReport, WorkloadParams};
+use gplu::server::{
+    check_service_report, generate_workload, ExecTier, JobHandle, ServiceReport, WorkloadParams,
+};
 use gplu::sparse::gen::circuit::{circuit, CircuitParams};
 use gplu::sparse::gen::random::random_dominant;
 use gplu::sparse::verify::check_solution;
 use gplu::sparse::Csr;
-use gplu::trace::JsonValue;
+use gplu::trace::{json, JsonValue};
 
 /// Deterministic value drift on a fixed pattern (the service workload's
 /// perturbation shape).
@@ -348,8 +350,8 @@ fn solve_jobs_return_checked_solutions_from_every_tier() {
     svc.shutdown();
 }
 
-#[test]
-fn stress_workload_sustains_the_hit_rate_and_a_consistent_report() {
+/// The report of a 60-job seeded stress run on one device.
+fn stress_report() -> ServiceReport {
     let specs = generate_workload(&WorkloadParams {
         jobs: 60,
         hot_patterns: 4,
@@ -371,30 +373,107 @@ fn stress_workload_sustains_the_hit_rate_and_a_consistent_report() {
     for h in handles {
         h.wait().expect("fault-free workload must complete");
     }
-
     let report = ServiceReport::capture(&svc);
+    svc.shutdown();
+    report
+}
+
+#[test]
+fn stress_workload_sustains_the_hit_rate_and_a_consistent_report() {
+    let report = stress_report();
     let stats = &report.stats;
     assert_eq!(stats.completed, 60);
-    assert_eq!(
-        stats.cold + stats.warm + stats.warm_host + stats.warm_disk + stats.cached_solve,
-        stats.completed
-    );
     assert!(
         stats.hot_hit_rate() >= 0.8,
         "hot traffic must mostly hit the cache, got {:.3}",
         stats.hot_hit_rate()
     );
+    // The exported JSON passes the report's own schema check, tier sums
+    // included.
+    let doc = json::parse(&report.to_json().to_pretty()).expect("report parses");
+    check_service_report(&doc).expect("valid service report");
+}
 
-    // The exported JSON must carry every section telemetry_check expects.
-    let doc = report.to_json();
-    for section in ["jobs", "cache", "latency", "queue", "faults"] {
-        assert!(doc.get(section).is_some(), "report must have {section}");
+/// `doc` with the field at `ptr` set to `value` (JSON text), or removed.
+fn mutated(doc: &JsonValue, ptr: &str, value: Option<&str>) -> JsonValue {
+    let mut doc = doc.clone();
+    let (parent, key) = ptr.rsplit_once('/').expect("a JSON pointer");
+    let mut at = &mut doc;
+    for step in parent.split('/').skip(1) {
+        at = match at {
+            JsonValue::Arr(items) => &mut items[step.parse::<usize>().expect(ptr)],
+            JsonValue::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).expect(ptr).1,
+            _ => panic!("{ptr}: no such parent"),
+        };
     }
-    assert_eq!(
-        doc.get("jobs")
-            .and_then(|j| j.get("completed"))
-            .and_then(JsonValue::as_u64),
-        Some(60)
-    );
-    svc.shutdown();
+    let value = value.map(|v| json::parse(v).expect("JSON text"));
+    match (at, value) {
+        (JsonValue::Arr(items), Some(v)) => items[key.parse::<usize>().expect(ptr)] = v,
+        (JsonValue::Obj(fields), v) => {
+            fields.retain(|(k, _)| k != key);
+            fields.extend(v.map(|v| (key.to_string(), v)));
+        }
+        _ => panic!("{ptr}: no such parent"),
+    }
+    doc
+}
+
+#[test]
+fn malformed_service_reports_are_rejected_at_their_pointer() {
+    let doc = json::parse(&stress_report().to_json().to_pretty()).expect("report parses");
+    check_service_report(&doc).expect("the real report is valid");
+    // (field, new JSON value or removed, the pointer the error starts with)
+    let cases = [
+        (
+            "/service_schema_version",
+            Some("4.9"),
+            "/service_schema_version",
+        ),
+        ("/tiers", None, "/tiers"),
+        ("/tiers/cold_share", Some("7"), "/tiers/cold_share"),
+        ("/jobs/failed", Some("-200"), "/jobs/failed"),
+        ("/queue/rejections", Some("-1"), "/queue/rejections"),
+        ("/cache/host/hits", Some("\"x\""), "/cache/host/hits"),
+        ("/cache/disk/down", Some("3"), "/cache/disk/down"),
+        ("/fleet/dead", Some("[5]"), "/fleet/dead"),
+        (
+            "/fleet/per_device/0/device",
+            Some("9"),
+            "/fleet/per_device/0/device",
+        ),
+        // One violation per cross-field rule.
+        ("/jobs/submitted", Some("1"), "/jobs/submitted"),
+        ("/jobs/cold", Some("1000"), "/jobs/completed"),
+        ("/cache/used_bytes", Some("1e15"), "/cache/used_bytes"),
+        (
+            "/cache/host/used_bytes",
+            Some("1e15"),
+            "/cache/host/used_bytes",
+        ),
+        ("/cache/disk/hits", Some("3"), "/cache/disk/hits"),
+        ("/latency/sim_p50_ns", Some("1e30"), "/latency/sim_p50_ns"),
+        ("/latency/wall_p50_ns", Some("1e30"), "/latency/wall_p50_ns"),
+        ("/queue/max_depth", Some("1000"), "/queue/max_depth"),
+        (
+            "/robustness/quarantined_patterns",
+            Some("5"),
+            "/robustness/quarantined_patterns",
+        ),
+        ("/fleet/per_device/0/jobs", Some("1e6"), "/fleet/per_device"),
+        ("/fleet/devices", Some("0"), "/fleet/devices"),
+        ("/fleet/devices", Some("2"), "/fleet/per_device"),
+        (
+            "/fleet/per_device/0/hot_hits",
+            Some("1e6"),
+            "/fleet/per_device/0/hot_hits",
+        ),
+        ("/slo/sim_p50_ns", Some("1e30"), "/slo/sim_p50_ns"),
+        ("/slo/sim_p99_ns", Some("0"), "/slo/sim_p95_ns"),
+    ];
+    for (ptr, value, blames) in cases {
+        match check_service_report(&mutated(&doc, ptr, value)) {
+            Ok(()) => panic!("{ptr} = {value:?}: accepted"),
+            Err(e) => assert!(e.starts_with(blames), "{ptr} = {value:?}: {e}"),
+        }
+    }
 }

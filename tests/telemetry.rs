@@ -1,11 +1,16 @@
 //! End-to-end telemetry contract: every numeric format and a
-//! fault-injected recovery run must produce (a) a JSON run report whose
-//! phase totals match the in-process [`PhaseReport`] exactly and which
-//! parses back through the hand-rolled parser, and (b) a Chrome trace
-//! with non-decreasing timestamps and balanced B/E events.
+//! fault-injected recovery run must produce (a) a JSON run report that
+//! parses back through the hand-rolled parser, passes the report's own
+//! schema check, and whose phase total matches the in-process
+//! [`PhaseReport`] exactly, and (b) a Chrome trace with non-decreasing
+//! timestamps and balanced B/E events. A malformed report is rejected
+//! with the JSON pointer of the field at fault.
 
-use gplu_core::{LuFactorization, LuOptions, NumericFormat, RunReport, SymbolicEngine};
-use gplu_sim::{CostModel, FaultPlan, Gpu, GpuConfig};
+use gplu_core::{
+    check_run_report, LuFactorization, LuOptions, NumericFormat, RunReport, SymbolicEngine,
+};
+use gplu_sim::{CostModel, DeviceFleet, FaultPlan, Gpu, GpuConfig};
+use gplu_sparse::gen::circuit::{circuit, CircuitParams};
 use gplu_sparse::gen::random::random_dominant;
 use gplu_sparse::Csr;
 use gplu_trace::{chrome_trace, json, JsonValue, Recorder, TraceEvent};
@@ -36,31 +41,15 @@ fn check_artifacts(f: &LuFactorization, events: &[TraceEvent], label: &str) {
     let text = run.to_json_string();
     let doc = json::parse(&text).unwrap_or_else(|e| panic!("{label}: report reparse: {e}"));
 
-    let phases = doc.get("phases").expect("phases section");
-    let total_json = phases
-        .get("total_ns")
-        .and_then(JsonValue::as_f64)
-        .expect("total_ns");
+    check_run_report(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let total_json = doc.number_at("/phases/total_ns");
     assert!(
         (total_json - f.report.total().as_ns()).abs() <= 1e-9,
         "{label}: report total {total_json} != PhaseReport::total() {}",
         f.report.total().as_ns()
     );
-    let sum: f64 = ["preprocess_ns", "symbolic_ns", "levelize_ns", "numeric_ns"]
-        .iter()
-        .map(|k| phases.get(k).and_then(JsonValue::as_f64).expect("phase"))
-        .sum();
-    assert!(
-        (total_json - sum).abs() <= 1e-9,
-        "{label}: phase sum {sum} != total {total_json}"
-    );
-
-    let levels = doc
-        .get("levels")
-        .and_then(JsonValue::as_arr)
-        .expect("levels array");
     assert_eq!(
-        levels.len(),
+        doc.array_at("/levels").len(),
         f.report.n_levels,
         "{label}: one record per schedule level"
     );
@@ -227,5 +216,137 @@ fn phase_spans_cover_the_whole_run() {
         "phase snapshot clocks {} must cover the report total {}",
         stats_total,
         f.report.total()
+    );
+}
+
+/// `doc` with the field at `ptr` set to `value` (JSON text), or removed.
+fn mutated(doc: &JsonValue, ptr: &str, value: Option<&str>) -> JsonValue {
+    let mut doc = doc.clone();
+    let (parent, key) = ptr.rsplit_once('/').expect("a JSON pointer");
+    let mut at = &mut doc;
+    for step in parent.split('/').skip(1) {
+        at = match at {
+            JsonValue::Arr(items) => &mut items[step.parse::<usize>().expect(ptr)],
+            JsonValue::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).expect(ptr).1,
+            _ => panic!("{ptr}: no such parent"),
+        };
+    }
+    let value = value.map(|v| json::parse(v).expect("JSON text"));
+    match (at, value) {
+        (JsonValue::Arr(items), Some(v)) => items[key.parse::<usize>().expect(ptr)] = v,
+        (JsonValue::Obj(fields), v) => {
+            fields.retain(|(k, _)| k != key);
+            fields.extend(v.map(|v| (key.to_string(), v)));
+        }
+        _ => panic!("{ptr}: no such parent"),
+    }
+    doc
+}
+
+/// The run report of `gplu factorize` on `gplu gen circuit 500 6`, on
+/// `devices` devices under `faults`.
+fn circuit_report(devices: usize, faults: &str) -> JsonValue {
+    let a = circuit(&CircuitParams {
+        n: 500,
+        nnz_per_row: 6.0,
+        seed: 42,
+        ..Default::default()
+    });
+    let plans = FaultPlan::parse_fleet(faults, devices).expect("fault plan");
+    let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+    let fleet = DeviceFleet::with_fault_plans(devices, cfg, CostModel::default(), &plans);
+    let recorder = Recorder::new();
+    let opts = LuOptions::default();
+    let f = match devices {
+        1 => LuFactorization::compute_traced(fleet.device(0), &a, &opts, &recorder),
+        _ => LuFactorization::compute_fleet_traced(&fleet, &a, &opts, &recorder),
+    }
+    .expect("pipeline ok");
+    let events = recorder.into_events();
+    let run = RunReport::new(a.n_rows(), a.nnz(), f.report, &events);
+    json::parse(&run.to_json_string()).expect("report parses")
+}
+
+/// Each malformed report is rejected, and the error starts with `blames`.
+fn assert_rejected(doc: &JsonValue, cases: &[(&str, Option<&str>, &str)]) {
+    check_run_report(doc).expect("the real report is valid");
+    for &(ptr, value, blames) in cases {
+        let bad = mutated(doc, ptr, value);
+        match check_run_report(&bad) {
+            Ok(()) => panic!("{ptr} = {value:?}: accepted"),
+            Err(e) => assert!(e.starts_with(blames), "{ptr} = {value:?}: {e}"),
+        }
+    }
+}
+
+#[test]
+fn malformed_run_reports_are_rejected_at_their_pointer() {
+    let one = circuit_report(1, "");
+    assert_rejected(
+        &one,
+        &[
+            ("/schema_version", Some("2.7"), "/schema_version"),
+            ("/matrix", Some("{}"), "/matrix"),
+            ("/matrix/n", Some("-5"), "/matrix/n"),
+            ("/gpu", Some("{}"), "/gpu"),
+            ("/symbolic/iterations", None, "/symbolic/iterations"),
+            ("/numeric/probes", Some("\"lots\""), "/numeric/probes"),
+            ("/levels/0/mode", Some("7"), "/levels/0/mode"),
+            ("/levels/0/width", Some("-3"), "/levels/0/width"),
+            ("/recovery", Some("\"none\""), "/recovery"),
+        ],
+    );
+    let four = circuit_report(4, "dev=2:oom:alloc=1");
+    assert_eq!(
+        four.pointer("/fleet/dead"),
+        Some(&json::parse("[2]").unwrap())
+    );
+    assert_rejected(
+        &four,
+        &[
+            ("/fleet/dead", Some("[-1]"), "/fleet/dead"),
+            ("/fleet/dead", Some("[2.5]"), "/fleet/dead"),
+            ("/fleet/dead", Some("[2,2,2]"), "/fleet/dead"),
+            ("/fleet/devices", Some("4.5"), "/fleet/devices"),
+        ],
+    );
+}
+
+#[test]
+fn every_run_report_rule_rejects_its_violation() {
+    let one = circuit_report(1, "");
+    assert_rejected(
+        &one,
+        &[
+            ("/phases/total_ns", Some("1"), "/phases/total_ns"),
+            ("/levels", Some("[]"), "/levels"),
+            ("/levels/0/gemm_tiles", Some("5"), "/numeric/gemm_tiles"),
+            ("/levels/0/blocks", Some("3"), "/levels/0/mean_block_width"),
+        ],
+    );
+    let four = circuit_report(4, "dev=2:oom:alloc=1");
+    assert_rejected(
+        &four,
+        &[
+            ("/fleet/devices", Some("0"), "/fleet/devices"),
+            (
+                "/fleet/per_device_ns",
+                Some("[1, 2]"),
+                "/fleet/per_device_ns",
+            ),
+            (
+                "/fleet/per_device_busy_ns",
+                Some("[0]"),
+                "/fleet/per_device_busy_ns",
+            ),
+            (
+                "/fleet/per_device_busy_ns/1",
+                Some("1e30"),
+                "/fleet/per_device_busy_ns/1",
+            ),
+            ("/fleet/dead", Some("[0, 4]"), "/fleet/dead/1"),
+            ("/fleet/dead", Some("[0, 1, 2, 3]"), "/fleet/dead"),
+            ("/fleet/resharded_rows", Some("0"), "/fleet/resharded_cols"),
+        ],
     );
 }
