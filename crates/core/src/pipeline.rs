@@ -21,9 +21,9 @@ use crate::preprocess::{preprocess, PreprocessOptions, PreprocessOutcome};
 use crate::recovery::{Phase, RecoveryAction, RecoveryLog};
 use crate::report::{FleetReport, PhaseReport};
 use gplu_numeric::{
-    discover_pivots, run_levels, BlockPlan, BlockedEngine, DenseEngine, LevelHook, LevelProgress,
-    MergeEngine, NumericEngine, NumericError, NumericResume, PivotCache, PivotPolicy, PivotRule,
-    SparseEngine, DEFAULT_BLOCK_THRESHOLD, DEFAULT_PIVOT_TAU,
+    discover_pivots_swept, run_levels, AccessDiscipline, BlockPlan, BlockedEngine, DenseEngine,
+    LevelHook, LevelProgress, MergeEngine, NumericEngine, NumericError, NumericResume, PivotCache,
+    PivotPolicy, PivotRule, SparseEngine, SweptFactors, DEFAULT_BLOCK_THRESHOLD, DEFAULT_PIVOT_TAU,
 };
 use gplu_schedule::{levelize_gpu_traced, DepGraph, Levels};
 use gplu_sim::{DeviceFleet, FleetStats, Gpu, SimError, SimTime};
@@ -229,6 +229,21 @@ pub(crate) fn format_name(format: NumericFormat) -> &'static str {
         NumericFormat::Sparse => "Sparse",
         NumericFormat::SparseMerge => "SparseMerge",
         NumericFormat::SparseBlocked => "SparseBlocked",
+    }
+}
+
+/// The access discipline `format`'s numeric ladder starts on — what
+/// threshold discovery's sweep prices its columns under, so that the
+/// ladder's first engine can store them. `sparse` is the paper's memory
+/// switch for the matrix, which sends Auto to its merge-priced rungs.
+pub(crate) fn lead_discipline(format: NumericFormat, sparse: bool) -> AccessDiscipline {
+    match format {
+        NumericFormat::Auto if !sparse => AccessDiscipline::Dense,
+        NumericFormat::Dense => AccessDiscipline::Dense,
+        NumericFormat::Sparse => AccessDiscipline::BinarySearch,
+        NumericFormat::Auto | NumericFormat::SparseMerge | NumericFormat::SparseBlocked => {
+            AccessDiscipline::Merge
+        }
     }
 }
 
@@ -597,6 +612,10 @@ pub(crate) struct NumericPhase<'p> {
     /// (threshold pivoting has already moved its swaps into the row
     /// permutation).
     pub(crate) policy: PivotPolicy,
+    /// Threshold discovery's factors of `pattern`, when its sweep kept
+    /// every diagonal: a rung whose engine prices their discipline stores
+    /// them instead of eliminating.
+    pub(crate) swept: Option<&'p SweptFactors>,
     /// Late singular-pivot repair value, when repair is enabled.
     pub(crate) repair: Option<f64>,
     pub(crate) matrix: &'p mut Csr,
@@ -700,13 +719,27 @@ impl<'a> Pass<'a> {
         let resume = resume.as_ref();
 
         let (mut matrix, mut p_row, p_col) = self.preprocess(a, opts, resume)?;
-        let mut symbolic = self.symbolic(&matrix, opts.symbolic, resume)?;
-        if let PivotPolicy::Threshold { tau } = policy {
-            self.pivot_discovery(tau, &mut matrix, &mut p_row, &mut symbolic)?;
-        }
-        self.report.fill_nnz = symbolic.fill_nnz();
-        self.report.new_fill_ins = symbolic.new_fill_ins(&matrix);
-        let levels = self.levelize(&symbolic, resume)?;
+        let symbolic = self.symbolic(&matrix, opts.symbolic, resume)?;
+        let sparse = self
+            .lead()?
+            .config()
+            .should_use_sparse_format(matrix.n_rows());
+        // Every later phase reads the filled pattern as CSC; the filled
+        // CSR is dropped once it is built (or repaired, under pivoting).
+        let (mut pattern, swept) = match policy {
+            PivotPolicy::Threshold { tau } => {
+                let discipline = lead_discipline(opts.format, sparse);
+                self.pivot_discovery(tau, discipline, &mut matrix, &mut p_row, symbolic)?
+            }
+            _ => {
+                let pattern = csr_to_csc(&symbolic.filled);
+                drop(symbolic);
+                (pattern, None)
+            }
+        };
+        self.report.fill_nnz = pattern.nnz();
+        self.report.new_fill_ins = pattern.nnz() - matrix.nnz();
+        let levels = self.levelize(&pattern, resume)?;
 
         // Numeric factorization (GPU), format per the paper's
         // criterion unless forced, with format degradation: the dense
@@ -714,7 +747,6 @@ impl<'a> Pass<'a> {
         // device failure fall back to the buffer-free merge-join CSC
         // kernel. (Forced Sparse/SparseMerge are already the conservative
         // formats and run as requested.)
-        let mut pattern = csr_to_csc(&symbolic.filled);
         // Auto follows the paper's *switch* criterion to CSC residency,
         // then the cost model's BLAS-3 crossover picks between the plain
         // merge-join kernel and the supernode-blocked variant: blocking
@@ -726,7 +758,7 @@ impl<'a> Pass<'a> {
         let mut block_plan: Option<BlockPlan> = None;
         let ladder: &[NumericFormat] = match opts.format {
             NumericFormat::Auto => {
-                if lead.config().should_use_sparse_format(matrix.n_rows()) {
+                if sparse {
                     let plan = detect_block_plan(lead, &pattern, opts.block_threshold, self.trace);
                     let fill_density = pattern.nnz() as f64 / pattern.n_cols().max(1) as f64;
                     if lead
@@ -763,6 +795,7 @@ impl<'a> Pass<'a> {
             block_plan: block_plan.as_ref(),
             pivot: None,
             policy,
+            swept: swept.as_ref(),
             repair: opts
                 .preprocess
                 .repair_singular
@@ -1033,18 +1066,23 @@ impl<'a> Pass<'a> {
     }
 
     /// Phase 2b, threshold-pivot discovery (host pre-pass): the level-scheduled
-    /// engines cannot pivot at runtime, so under the threshold policy a
-    /// sequential Gilbert–Peierls sweep picks the row permutation *before*
-    /// levelization. On dominant traffic the diagonal clears tau
-    /// everywhere, swaps == 0, and every downstream artifact is untouched
-    /// (the fast path the pivoting benchmark measures).
+    /// engines cannot pivot at runtime, so under the threshold policy the
+    /// row permutation is picked *before* levelization. Discovery first
+    /// sweeps the kernel core over the filled pattern's CSC, keeping every
+    /// diagonal that clears tau ([`discover_pivots_swept`]); when all do,
+    /// swaps == 0, every downstream artifact is untouched, and the sweep's
+    /// factors, priced under `discipline`, go to the numeric phase.
+    /// Otherwise the sequential Gilbert–Peierls discovery picks the
+    /// permutation and the filled pattern is repaired. Returns the filled
+    /// pattern's CSC and the sweep's factors, if any.
     fn pivot_discovery(
         &mut self,
         tau: f64,
+        discipline: AccessDiscipline,
         matrix: &mut Csr,
         p_row: &mut Permutation,
-        symbolic: &mut SymbolicResult,
-    ) -> Result<(), GpluError> {
+        mut symbolic: SymbolicResult,
+    ) -> Result<(Csc, Option<SweptFactors>), GpluError> {
         let cost = self.lead()?.cost();
         self.trace.span_begin(
             "phase.pivot_discovery",
@@ -1052,9 +1090,14 @@ impl<'a> Pass<'a> {
             self.now_ns(),
             &[("tau", tau.into())],
         );
-        let disc = discover_pivots(matrix, tau).map_err(GpluError::from_pivot_discovery);
-        if let Ok(d) = &disc {
-            self.advance_all(SimTime::from_ns(cost.pivot_discovery_ns(d.flops)));
+        let pattern = csr_to_csc(&symbolic.filled);
+        let cache = PivotCache::build(&pattern);
+        let disc = discover_pivots_swept(matrix, &pattern, &cache, tau, discipline)
+            .map_err(GpluError::from_pivot_discovery);
+        let mut clock = SimTime::ZERO;
+        if let Ok((d, _)) = &disc {
+            clock = SimTime::from_ns(cost.pivot_discovery_ns(d.flops));
+            self.advance_all(clock);
         }
         self.trace.span_end(
             "phase.pivot_discovery",
@@ -1063,16 +1106,18 @@ impl<'a> Pass<'a> {
             &[
                 (
                     "swaps",
-                    (disc.as_ref().map_or(0, |d| d.swaps) as u64).into(),
+                    (disc.as_ref().map_or(0, |(d, _)| d.swaps) as u64).into(),
                 ),
                 ("ok", disc.is_ok().into()),
             ],
         );
-        let disc = disc?;
+        let (disc, factors) = disc?;
         self.report.pivot_swaps = disc.swaps;
+        self.report.pivot_discovery = Some(clock);
         if disc.swaps == 0 {
-            return Ok(());
+            return Ok((pattern, factors));
         }
+        drop(pattern);
         let p_pivot = Permutation::from_forward(disc.pinv).map_err(|e| {
             GpluError::Input(format!("pivot discovery produced a non-bijective map: {e}"))
         })?;
@@ -1083,13 +1128,15 @@ impl<'a> Pass<'a> {
         // in place (bounded), or re-run symbolic from scratch when the
         // in-place closure blows its budget.
         let filled_perm = permute_csr(&symbolic.filled, &p_pivot, &id);
+        drop(symbolic.filled);
         self.trace
             .span_begin("numeric.pattern_expand", "phase", self.now_ns(), &[]);
         let budget = 4 * filled_perm.nnz() + 256;
         let expansion = expand_fill(&filled_perm, budget);
-        self.advance_all(SimTime::from_ns(
-            cost.pattern_expand_ns((filled_perm.nnz() + expansion.added) as u64),
-        ));
+        let expand =
+            SimTime::from_ns(cost.pattern_expand_ns((filled_perm.nnz() + expansion.added) as u64));
+        self.advance_all(expand);
+        self.report.pivot_discovery = Some(clock + expand);
         self.trace.span_end(
             "numeric.pattern_expand",
             "phase",
@@ -1109,8 +1156,7 @@ impl<'a> Pass<'a> {
                     rounds: expansion.rounds,
                 },
             );
-            symbolic.filled = expansion.filled;
-            return Ok(());
+            return Ok((csr_to_csc(&expansion.filled), None));
         }
         self.recover(
             Phase::Symbolic,
@@ -1119,7 +1165,7 @@ impl<'a> Pass<'a> {
             },
         );
         let prev = self.report.symbolic;
-        *symbolic = if self.fleet_before.is_some() {
+        symbolic = if self.fleet_before.is_some() {
             let re = self.run_symbolic_fleet(matrix)?;
             self.report.symbolic = re.time;
             re.result
@@ -1138,7 +1184,7 @@ impl<'a> Pass<'a> {
             )?
         };
         self.report.symbolic = prev + self.report.symbolic;
-        Ok(())
+        Ok((csr_to_csc(&symbolic.filled), None))
     }
 
     /// Phase 3, levelization (GPU, dynamic parallelism) on the lead device (the
@@ -1149,7 +1195,7 @@ impl<'a> Pass<'a> {
     /// deterministically).
     fn levelize(
         &mut self,
-        symbolic: &SymbolicResult,
+        pattern: &Csc,
         resume: Option<&ResumeState>,
     ) -> Result<Levels, GpluError> {
         if let Some(lv) = resume.and_then(|r| r.levels()) {
@@ -1161,7 +1207,7 @@ impl<'a> Pass<'a> {
         let lvl_before = lead.stats();
         self.trace
             .span_begin("phase.levelize", "phase", self.now_ns(), &[]);
-        let dep = DepGraph::build(&symbolic.filled);
+        let dep = DepGraph::build_csc(pattern);
         let lvl = levelize_gpu_traced(lead, &dep, self.trace).map_err(|e| match e {
             SimError::OutOfMemory { .. } => GpluError::DeviceOom {
                 phase: Phase::Levelize,
@@ -1206,6 +1252,7 @@ impl<'a> Pass<'a> {
             block_plan,
             pivot,
             policy,
+            mut swept,
             repair,
             matrix,
             pattern,
@@ -1293,6 +1340,7 @@ impl<'a> Pass<'a> {
                     hook,
                     pivot,
                     rule,
+                    swept,
                 );
                 // Devices lost on a failed rung stay lost for the next; the
                 // columns they shed were discarded with the rung, so only a
@@ -1337,10 +1385,12 @@ impl<'a> Pass<'a> {
                             },
                         );
                         self.report.repaired_diagonals += 1;
-                        // Any mid-level snapshot predates the repair;
-                        // restart the numeric phase fresh and make the
-                        // repaired matrix the durable one.
+                        // Any mid-level snapshot and swept factor
+                        // predates the repair; restart the numeric phase
+                        // fresh and make the repaired matrix the durable
+                        // one.
                         partial = None;
+                        swept = None;
                         if let Some(sess) = self.session.as_deref_mut() {
                             sess.set_preprocess(&PreState {
                                 matrix: matrix.clone(),

@@ -23,9 +23,9 @@
 use crate::checkpoint::pattern_fingerprint;
 use crate::error::GpluError;
 use crate::pipeline::{
-    LuFactorization, LuOptions, NumericFormat, NumericPhase, Pass, ResidualGate,
+    lead_discipline, LuFactorization, LuOptions, NumericFormat, NumericPhase, Pass, ResidualGate,
 };
-use gplu_numeric::{discover_pivots, BlockPlan, PivotCache, PivotPolicy};
+use gplu_numeric::{discover_pivots_swept, BlockPlan, PivotCache, PivotPolicy};
 use gplu_schedule::Levels;
 use gplu_sim::{DeviceFleet, Gpu, SimTime};
 use gplu_sparse::verify::residual_probe;
@@ -186,15 +186,22 @@ impl RefactorPlan {
         report.max_level_width = self.levels.max_width();
 
         // 1b. Threshold plans captured a value-dependent row order (it is
-        // baked into `p_row` and every pattern artifact). Re-run the host
-        // discovery pre-pass on the scattered matrix: if the new values
-        // still elect the same pivots the discovery returns the identity
-        // (zero swaps) and the plan replays bit-identically; if they
-        // elect different pivots the plan is stale and replaying it would
-        // silently factor with the wrong rows on the diagonal — reject
-        // with a typed error instead.
+        // baked into `p_row` and every pattern artifact). Re-run discovery
+        // on the scattered matrix: if the new values still elect the same
+        // pivots the discovery returns the identity (zero swaps), its
+        // sweep over the plan's pattern has already factored the matrix,
+        // and the plan replays bit-identically; if they elect different
+        // pivots the plan is stale and replaying it would silently factor
+        // with the wrong rows on the diagonal — reject with a typed error
+        // naming the first moved row instead. (Auto's warm ladder below is
+        // merge-priced, as under the paper's switch.)
+        let mut swept = None;
         if let PivotPolicy::Threshold { tau } = self.pivot_policy {
-            let disc = discover_pivots(&matrix, tau).map_err(GpluError::from_pivot_discovery)?;
+            let discipline = lead_discipline(self.format, true);
+            let (disc, factors) =
+                discover_pivots_swept(&matrix, &pattern, &self.pivot, tau, discipline)
+                    .map_err(GpluError::from_pivot_discovery)?;
+            swept = factors;
             let disc_time = SimTime::from_ns(gpu.cost().pivot_discovery_ns(disc.flops));
             gpu.advance(disc_time);
             report.preprocess += disc_time;
@@ -238,6 +245,7 @@ impl RefactorPlan {
             block_plan: self.block_plan.as_ref(),
             pivot: Some(&self.pivot),
             policy: self.pivot_policy,
+            swept: swept.as_ref(),
             repair: self.repair_singular.then_some(self.repair_value),
             matrix: &mut matrix,
             pattern: &mut pattern,
@@ -639,6 +647,55 @@ mod tests {
             matches!(err, GpluError::StalePivotOrder { .. }),
             "got {err}"
         );
+    }
+
+    /// A threshold plan taken with no swaps, refactorized twice: after a
+    /// drift that keeps its row order (the warm discovery's clock charge
+    /// lands in `report.preprocess`), and after one that breaks it at one
+    /// diagonal (a typed rejection naming the first row whose pivot
+    /// position moved). The literals were taken when warm discovery ran
+    /// `discover_pivots` alone.
+    #[test]
+    fn drifted_threshold_plan_replays_or_names_the_stale_column() {
+        use gplu_numeric::{PivotPolicy, DEFAULT_PIVOT_TAU};
+        let a = random_dominant(200, 4.0, 41);
+        let opts = LuOptions::default().with_pivot(PivotPolicy::Threshold {
+            tau: DEFAULT_PIVOT_TAU,
+        });
+        let cold = LuFactorization::compute(&gpu_for(&a), &a, &opts).expect("cold ok");
+        assert_eq!(cold.report.pivot_swaps, 0, "the plan keeps the diagonal");
+        let plan = cold.refactor_plan(&a, &opts).expect("plan ok");
+
+        let kept = drift(&a, 3);
+        let gpu = gpu_for(&kept);
+        let warm = plan.refactorize(&gpu, &kept).expect("the order holds");
+        let hash = warm.lu.vals.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3)
+        });
+        let got = (
+            hash,
+            warm.report.preprocess.as_ns().to_bits(),
+            gpu.now().as_ns().to_bits(),
+        );
+        assert_eq!(
+            got,
+            (0xf3fac056dd863cd7, 0x4115aed2aaaaaaab, 0x41189feb11111114),
+            "actual: {got:#x?}"
+        );
+
+        // Row 77's diagonal collapses: its column elects another row.
+        let mut stale = kept.clone();
+        let diag = (stale.row_ptr[77]..stale.row_ptr[78])
+            .find(|&k| stale.col_idx[k] == 77)
+            .expect("dominant rows hold their diagonal");
+        stale.vals[diag] *= 1e-9;
+        let gpu = gpu_for(&stale);
+        let err = plan.refactorize(&gpu, &stale).unwrap_err();
+        let GpluError::StalePivotOrder { col, .. } = err else {
+            panic!("got {err}");
+        };
+        let got = (col, gpu.now().as_ns().to_bits());
+        assert_eq!(got, (33, 0x4115aed2aaaaaaab), "actual: {got:#x?}");
     }
 
     #[test]

@@ -91,6 +91,10 @@ pub struct PhaseReport {
     /// Structural entries added by dynamic symbolic expansion after a
     /// pivot permutation.
     pub pattern_expanded: usize,
+    /// Simulated time of threshold-pivot discovery plus pattern
+    /// expansion, when the cold pass ran them. Host work that is part of
+    /// no phase: [`PhaseReport::total`] leaves it out.
+    pub pivot_discovery: Option<SimTime>,
     /// Relative residual measured by the acceptance gate, when it ran.
     pub residual: Option<f64>,
     /// Per-phase GPU statistics deltas (snapshot differences taken at the

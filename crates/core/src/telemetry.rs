@@ -8,7 +8,9 @@
 //! [`GPU_SNAPSHOT`] for each phase under `gpu`, [`LEVEL`] for each
 //! entry of `levels`, [`RECOVERY`] for each entry of `recovery`, and
 //! [`FLEET`] (with [`FLEET_RULES`]) for the `fleet` object that only
-//! `--devices` runs carry. [`RunReport::to_json`] writes them and
+//! `--devices` runs carry, and [`PIVOT`] (with [`PIVOT_RULES`]) for the
+//! `pivot` object that only passes running threshold-pivot discovery
+//! carry. [`RunReport::to_json`] writes them and
 //! [`check_run_report`] validates against them.
 //!
 //! `phases.total_ns` always equals the sum of the four phase fields (it is
@@ -17,7 +19,7 @@
 
 use crate::recovery::RecoveryEvent;
 use crate::report::{FleetReport, PhaseReport};
-use gplu_sim::GpuStatsSnapshot;
+use gplu_sim::{GpuStatsSnapshot, SimTime};
 use gplu_trace::json::{self, Field, Kind::*, Rule};
 use gplu_trace::{AttrValue, EventKind, JsonValue, TraceEvent};
 
@@ -170,6 +172,7 @@ pub const RUN_REPORT: &[Field<RunReport>] = &[
     ("/levels", Array(&Object(|v| json::check(LEVEL, LEVEL_RULES, v))), |r| r.levels.iter().map(|l| json::write(LEVEL, l)).collect()),
     ("/recovery", Array(&Object(|v| json::check(RECOVERY, &[], v))), |r| r.report.recovery.events().iter().map(|e| json::write(RECOVERY, e)).collect()),
     ("/fleet", Optional(&Object(|v| json::check(FLEET, FLEET_RULES, v))), |r| r.report.fleet.as_ref().map(|f| json::write(FLEET, f)).into()),
+    ("/pivot", Optional(&Object(|v| json::check(PIVOT, PIVOT_RULES, v))), |r| r.report.pivot_discovery.map(|_| json::write(PIVOT, &r.report)).into()),
 ];
 
 /// The run report's cross-field rules.
@@ -293,6 +296,27 @@ pub const FLEET_RULES: &[Rule] = &[
         let resharded = f.number_at("/resharded_rows") + f.number_at("/resharded_cols");
         if resharded == 0.0 && !f.array_at("/dead").is_empty() {
             return Err(": devices died but nothing resharded".into());
+        }
+        Ok(())
+    }),
+];
+
+/// The `pivot` object of a pass that ran threshold-pivot discovery.
+/// `discovery_ns` is the simulated time of discovery plus pattern
+/// expansion, which `phases.total_ns` does not include.
+#[rustfmt::skip]
+pub const PIVOT: &[Field<PhaseReport>] = &[
+    ("/swaps", Count, |r| r.pivot_swaps.into()),
+    ("/pattern_expanded", Count, |r| r.pattern_expanded.into()),
+    ("/discovery_ns", Num, |r| r.pivot_discovery.unwrap_or(SimTime::ZERO).as_ns().into()),
+];
+
+/// The pivot object's cross-field rules.
+pub const PIVOT_RULES: &[Rule] = &[
+    // The pattern is expanded only to cover swapped rows.
+    ("/pattern_expanded", |p| {
+        if p.number_at("/swaps") == 0.0 && p.number_at("/pattern_expanded") > 0.0 {
+            return Err(": entries added with no swaps".into());
         }
         Ok(())
     }),

@@ -21,7 +21,8 @@
 //! classifying each level into a GLU 3.0 kernel mode, and launches the one
 //! kernel body per placed share per level: every block prices its stripe
 //! through the engine; stripe 0 also checks an accumulator out of the
-//! factorization's pool, runs the kernel core on its column, folds the
+//! factorization's pool, runs the kernel core on its column (or stores
+//! the column's factors from threshold discovery's sweep), folds the
 //! column's costs into the counters and records a perturbation or the
 //! level's first error.
 //! The driver wraps each level in a `numeric.level` trace span carrying
@@ -105,6 +106,7 @@ use crate::outcome::{
     column_cost_estimate_cached, process_column_with, AccessDiscipline, NumericOutcome, PivotCache,
     PivotRule,
 };
+use crate::pivoting::SweptFactors;
 use crate::resume::{LevelHook, LevelProgress, NumericResume};
 use crate::scratch::ScratchPool;
 use crate::values::ValueStore;
@@ -268,7 +270,12 @@ pub trait NumericEngine: Sync {
 ///
 /// A supplied `pivot` cache (the pattern-keyed refactorization fast path)
 /// saves building one; it does not change how the run is launched or
-/// priced.
+/// priced. Supplied `swept` factors of `pattern` (threshold discovery's
+/// sweep, [`crate::pivoting::discover_pivots_swept`]) are stored column by
+/// column where the kernel core would run, with the counters the core
+/// recorded for them — when the engine prices their discipline; otherwise
+/// they are ignored. Nothing else changes: each column is still stored
+/// once, at the level that holds it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_levels<E: NumericEngine + ?Sized>(
     engine: &mut E,
@@ -280,6 +287,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     mut hook: Option<&mut LevelHook<'_>>,
     pivot: Option<&PivotCache>,
     rule: PivotRule,
+    swept: Option<&SweptFactors>,
 ) -> Result<FleetNumericOutcome, NumericError> {
     let n = pattern.n_cols();
     let before = fleet.stats();
@@ -350,6 +358,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     // and ships the factors. (`lose` never takes the last one.)
     let mut home = fleet.alive()[0];
     let discipline = engine.discipline();
+    let swept = swept.filter(|f| f.discipline == discipline);
 
     let start_level = resume.map_or(0, |r| r.start_level);
     let vals = match resume {
@@ -484,9 +493,12 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
                 if stripe != 0 || done[col].load(Ordering::Acquire) {
                     return;
                 }
-                let core = scratch.with(|ws| {
-                    process_column_with(pattern, &vals, col, discipline, cache, rule, ws)
-                });
+                let core = match swept {
+                    Some(f) => Ok((f.store_column(pattern, &vals, col), None)),
+                    None => scratch.with(|ws| {
+                        process_column_with(pattern, &vals, col, discipline, cache, rule, ws)
+                    }),
+                };
                 match core {
                     Ok((costs, perturb)) => {
                         done[col].store(true, Ordering::Release);

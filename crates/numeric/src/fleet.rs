@@ -59,6 +59,7 @@ pub(crate) fn run_on<E: NumericEngine>(
         hook,
         pivot,
         rule,
+        None,
     )
 }
 
@@ -213,6 +214,7 @@ mod tests {
             hook,
             None,
             PivotRule::Exact,
+            None,
         )
     }
 
@@ -473,6 +475,7 @@ mod tests {
                     hook,
                     None,
                     PivotRule::Exact,
+                    None,
                 )
             };
             let whole = run(None, None).expect("uninterrupted").outcome;

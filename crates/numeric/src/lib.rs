@@ -99,7 +99,10 @@ pub use fleet::{
 pub use merge::{factorize_gpu_merge, factorize_gpu_merge_run_cached, MergeEngine};
 pub use modes::{classify_level, classify_level_cached, classify_schedule, LevelType, ModeMix};
 pub use outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
-pub use pivoting::{discover_pivots, PivotDiscovery, PivotPolicy, DEFAULT_PIVOT_TAU};
+pub use pivoting::{
+    discover_pivots, discover_pivots_swept, PivotDiscovery, PivotPolicy, SweptFactors,
+    DEFAULT_PIVOT_TAU,
+};
 pub use resume::{LevelHook, LevelProgress, NumericResume};
 pub use scratch::ColumnScratch;
 pub use seq::{factorize_seq, factorize_seq_rule};

@@ -184,14 +184,15 @@ impl PivotCache {
 /// `PivotPolicy` and threaded through [`crate::engine::run_levels`] into
 /// every kernel core call.
 ///
-/// Only the *static* policy acts at this layer: a column's pivot value is
-/// final before its division step (the level barrier guarantees every
-/// update has been applied), so clamping a tiny pivot at division time is
-/// deterministic, independent of the access discipline, and identical
-/// across all five engines — the bit-identity contract survives.
-/// Threshold pivoting, by contrast, is a host-side *pre-pass*
-/// ([`crate::pivoting::discover_pivots`]) that permutes the artifacts
-/// before any engine runs; at this layer it looks like [`PivotRule::Exact`].
+/// A column's pivot value is final before its division step (the level
+/// barrier guarantees every update has been applied), so a rule applied
+/// at division time is deterministic, independent of the access
+/// discipline, and identical across all five engines — the bit-identity
+/// contract survives. The engines run [`PivotRule::Exact`] or, under the
+/// static policy, [`PivotRule::Perturb`]. [`PivotRule::Threshold`] is
+/// only the discovery sweep's ([`crate::pivoting::discover_pivots_swept`]):
+/// threshold pivoting picks its row order before any engine runs, and the
+/// engines then factorize the permuted system exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PivotRule {
     /// Reject zero/non-finite pivots with [`SparseError::ZeroPivot`]
@@ -207,15 +208,32 @@ pub enum PivotRule {
         /// The magnitude floor below which pivots are clamped.
         threshold: f64,
     },
+    /// Threshold pivoting's no-swap test: column `j` keeps its diagonal
+    /// pivot only when every value of the finished column is finite,
+    /// `x_jj ≠ 0`, the largest `|x_ij|` over rows `i ≥ j` is `> 0`, and
+    /// `|x_jj| ≥ tau · max` — the comparison
+    /// [`crate::pivoting::discover_pivots`] keeps the diagonal by. A column
+    /// that fails is [`SparseError::ZeroPivot`]: its diagonal is not the
+    /// pivot, and the sweep that runs this rule hands the matrix to
+    /// `discover_pivots`. The finiteness of the column's rows above the
+    /// diagonal is this rule's own: past a non-finite value `0 · ∞` would
+    /// make the core's arithmetic differ from the discovery's, which
+    /// skips structurally present zeros.
+    Threshold {
+        /// Relative pivot tolerance in `(0, 1]`.
+        tau: f64,
+    },
 }
 
 impl PivotRule {
     /// Applies the rule to a finished pivot value: returns the value to
     /// divide by and the delta added to it (`None` when untouched).
+    /// [`PivotRule::Threshold`] reads the whole column, in
+    /// [`process_column_with`], and never changes the pivot.
     #[inline]
     pub fn apply(self, pivot: f64) -> (f64, Option<f64>) {
         match self {
-            PivotRule::Exact => (pivot, None),
+            PivotRule::Exact | PivotRule::Threshold { .. } => (pivot, None),
             PivotRule::Perturb { threshold } => {
                 if pivot.is_finite() && pivot.abs() < threshold {
                     let clamped = if pivot == 0.0 {
@@ -245,6 +263,11 @@ pub struct ColCosts {
     pub merge_steps: u64,
     /// Entries of the column (scatter/gather volume for the dense format).
     pub nnz: u64,
+    /// Sub-diagonal values that were non-zero before the division — the
+    /// `nzL(j)` of the Gilbert–Peierls flop count. Counted under
+    /// [`PivotRule::Threshold`] only, whose test reads those values anyway;
+    /// zero under every other rule.
+    pub lower_nz: u64,
 }
 
 /// Factorizes column `j` against finished columns of the shared
@@ -447,11 +470,15 @@ pub fn process_column_with(
     // before this call), so the static-perturbation rule applies
     // deterministically regardless of engine or access discipline.
     let diag_pos = cache.diag(j).ok_or(SparseError::ZeroDiagonal { row: j })?;
+    let diag = diag_pos - start;
+    if let PivotRule::Threshold { tau } = rule {
+        costs.lower_nz =
+            keeps_diagonal(rows, x, diag, tau).ok_or(SparseError::ZeroPivot { col: j })?;
+    }
     let (pivot, perturbed) = rule.apply(x[j]);
     if pivot == 0.0 || !pivot.is_finite() {
         return Err(SparseError::ZeroPivot { col: j });
     }
-    let diag = diag_pos - start;
     for (k, &r) in rows[..diag].iter().enumerate() {
         vals.set(start + k, x[r as usize]);
     }
@@ -461,6 +488,20 @@ pub fn process_column_with(
     }
     costs.items += (rows.len() - diag - 1) as u64;
     Ok((costs, perturbed))
+}
+
+/// [`PivotRule::Threshold`]'s test over the finished column `x` (its
+/// rows `rows`, the diagonal at `rows[diag]`): `Some(nzL)`, the count of
+/// non-zero sub-diagonal values, when the diagonal is kept. (`max > 0`
+/// follows from `x_jj ≠ 0`, which the maximum covers.)
+fn keeps_diagonal(rows: &[Idx], x: &[f64], diag: usize, tau: f64) -> Option<u64> {
+    if !rows.iter().all(|&r| x[r as usize].is_finite()) {
+        return None;
+    }
+    let pivot = x[rows[diag] as usize];
+    let lower = rows[diag + 1..].iter().map(|&r| x[r as usize]);
+    let max = lower.clone().fold(pivot.abs(), |m, v| m.max(v.abs()));
+    (pivot != 0.0 && pivot.abs() >= tau * max).then(|| lower.filter(|&v| v != 0.0).count() as u64)
 }
 
 /// Records in `depth[row]`, for every row of the sorted column `rows`,
@@ -1329,7 +1370,7 @@ mod tests {
         for (h, e) in hashes[1..].iter_mut().zip(&mut engines) {
             let fleet = (&gpu).into();
             *h = engine(run_levels(
-                &mut **e, &fleet, pattern, levels, &NOOP, None, None, None, rule,
+                &mut **e, &fleet, pattern, levels, &NOOP, None, None, None, rule, None,
             ));
         }
         hashes

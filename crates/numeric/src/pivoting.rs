@@ -31,9 +31,40 @@
 //! values it inspects are the values the engines will divide by — if
 //! discovery succeeds, the engines will not trip a zero pivot on the
 //! permuted system.
+//!
+//! **Factor once when nothing swaps.** On traffic whose diagonal clears
+//! tau everywhere, `discover_pivots` would eliminate the whole matrix on
+//! the host only to return the identity, and the engines would then
+//! eliminate it again. So discovery first tries the diagonal
+//! ([`discover_pivots_swept`]): a column-order sweep of the engines' own
+//! kernel core ([`crate::outcome::process_column_with`]) over the static
+//! fill pattern symbolic has already built, under
+//! [`PivotRule::Threshold`], which checks each finished column at
+//! division time — where static perturbation acts — with
+//! `discover_pivots`' comparison. Column order is the serialization every
+//! level schedule reduces to, so the sweep's values are the engines'
+//! bits. When every column keeps its diagonal, discovery is the identity
+//! with `discover_pivots`' exact flop count (rebuilt from the factors, so
+//! the simulated clock is charged the same), and the factors and each
+//! column's location counter go to the numeric phase
+//! ([`SweptFactors`]): the level driver stores them column by column in
+//! place of eliminating, through the same launches, prices, hooks and
+//! resume cuts. At the first rejected column the sweep's state is dropped
+//! and `discover_pivots` runs as before; nothing it returns changes.
+//!
+//! The engines themselves do not check the threshold. Checking there and
+//! running discovery only after a rejection would drop discovery's clock
+//! charge ahead of levelization: levelize and numeric would start at
+//! another clock offset, and their f64 durations would differ in the
+//! last bits from a run that charges discovery first — which the
+//! benchmark's layered replay, still running `discover_pivots` and the
+//! full engine, compares to the bit.
 
+use crate::outcome::{process_column_with, AccessDiscipline, ColCosts, PivotCache, PivotRule};
+use crate::scratch::ColumnScratch;
+use crate::values::ValueStore;
 use gplu_sparse::convert::csr_to_csc;
-use gplu_sparse::{Csr, Idx, SparseError};
+use gplu_sparse::{Csc, Csr, Idx, SparseError};
 
 /// Default threshold-pivoting relative tolerance: a diagonal pivot is kept
 /// unless it is smaller than `tau` times the largest candidate in its
@@ -90,6 +121,112 @@ pub struct PivotDiscovery {
     pub swaps: usize,
     /// Elimination flops the pass performed, for host-cost pricing.
     pub flops: u64,
+}
+
+/// The factors of a discovery sweep in which every column kept its
+/// diagonal, for the numeric phase to store instead of eliminating.
+#[derive(Debug, Clone)]
+pub struct SweptFactors {
+    /// The access discipline the sweep priced its columns under. An
+    /// engine of another discipline eliminates for itself.
+    pub discipline: AccessDiscipline,
+    /// The factors, in the swept pattern's CSC order.
+    vals: Vec<f64>,
+    /// Per column, the location counter the kernel core reported: probes
+    /// under binary search, cursor steps under merge, zero under dense.
+    located: Vec<u64>,
+}
+
+impl SweptFactors {
+    /// Writes column `j`'s factors into `store` (laid out like the swept
+    /// pattern) and returns the costs the kernel core recorded for it —
+    /// what [`process_column_with`] would have done and returned.
+    pub fn store_column(&self, pattern: &Csc, store: &ValueStore, j: usize) -> ColCosts {
+        for k in pattern.col_ptr[j]..pattern.col_ptr[j + 1] {
+            store.set(k, self.vals[k]);
+        }
+        let located = self.located[j];
+        match self.discipline {
+            AccessDiscipline::BinarySearch => ColCosts {
+                probes: located,
+                ..ColCosts::default()
+            },
+            AccessDiscipline::Merge => ColCosts {
+                merge_steps: located,
+                ..ColCosts::default()
+            },
+            AccessDiscipline::Dense => ColCosts::default(),
+        }
+    }
+}
+
+/// Threshold-pivot discovery that tries the diagonal first (module docs).
+/// `pattern` is the static fill of `a` in CSC, carrying `a`'s values,
+/// `cache` its [`PivotCache`], and `discipline` the access discipline the
+/// numeric phase's first engine prices.
+///
+/// When every column keeps its diagonal, returns the identity discovery —
+/// `discover_pivots(a, tau)` to the bit: no swaps and Gilbert–Peierls'
+/// exact flop count `n + Σ_j nzL(j) + Σ_j Σ_{t<j, U(t,j)≠0} nzL(t)` — with
+/// the sweep's factors. Otherwise returns what `discover_pivots(a, tau)`
+/// returns, without factors.
+pub fn discover_pivots_swept(
+    a: &Csr,
+    pattern: &Csc,
+    cache: &PivotCache,
+    tau: f64,
+    discipline: AccessDiscipline,
+) -> Result<(PivotDiscovery, Option<SweptFactors>), SparseError> {
+    match sweep(pattern, cache, tau, discipline) {
+        Some((disc, factors)) => Ok((disc, Some(factors))),
+        None => discover_pivots(a, tau).map(|disc| (disc, None)),
+    }
+}
+
+/// The column-order sweep of [`discover_pivots_swept`]; `None` at the
+/// first column that does not keep its diagonal.
+fn sweep(
+    pattern: &Csc,
+    cache: &PivotCache,
+    tau: f64,
+    discipline: AccessDiscipline,
+) -> Option<(PivotDiscovery, SweptFactors)> {
+    let n = pattern.n_cols();
+    let store = ValueStore::new(&pattern.vals);
+    let mut scratch = ColumnScratch::default();
+    let rule = PivotRule::Threshold { tau };
+    let mut lower_nz: Vec<u64> = Vec::with_capacity(n);
+    let mut located = Vec::with_capacity(n);
+    let mut flops = n as u64;
+    for j in 0..n {
+        let (costs, _) =
+            process_column_with(pattern, &store, j, discipline, cache, rule, &mut scratch).ok()?;
+        // Dependency `t` with a non-zero `U(t, j)` applied its `nzL(t)`
+        // non-zero multipliers; the division produced `nzL(j)`.
+        let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
+        for (k, &t) in (start..end).zip(&pattern.row_idx[start..end]) {
+            if t as usize >= j {
+                break;
+            }
+            if store.get(k) != 0.0 {
+                flops += lower_nz[t as usize];
+            }
+        }
+        flops += costs.lower_nz;
+        lower_nz.push(costs.lower_nz);
+        located.push(costs.probes + costs.merge_steps);
+    }
+    let disc = PivotDiscovery {
+        pinv: (0..n as Idx).collect(),
+        swaps: 0,
+        flops,
+    };
+    let factors = SweptFactors {
+        discipline,
+        vals: store.into_vec(),
+        located,
+    };
+    Some((disc, factors))
 }
 
 /// Which rows the active column of [`discover_pivots`] occupies.
@@ -229,11 +366,14 @@ pub fn discover_pivots(a: &Csr, tau: f64) -> Result<PivotDiscovery, SparseError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::factorize_seq;
+    use gplu_sim::CostModel;
     use gplu_sparse::convert::coo_to_csr;
     use gplu_sparse::gen::hard::HardKind;
     use gplu_sparse::gen::random::{banded_dominant, random_dominant};
     use gplu_sparse::perm::permute_csr;
     use gplu_sparse::{Coo, Permutation};
+    use gplu_symbolic::symbolic_cpu;
     use proptest::prelude::*;
 
     /// Discovery with every earlier pivot position scanned per column
@@ -426,8 +566,72 @@ mod tests {
         assert_eq!(d.swaps, 0);
     }
 
+    /// The static fill of `a` as CSC, carrying `a`'s values.
+    fn filled(a: &Csr) -> Csc {
+        csr_to_csc(&symbolic_cpu(a, &CostModel::default()).result.filled)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sweep is `discover_pivots` whenever it keeps every diagonal:
+        /// the same `(pinv, swaps, flops)` or the same error, over every
+        /// family at both taus. Its factors are the sequential reference's
+        /// bits and its location counters are the exact core's; and it
+        /// keeps every diagonal whenever `discover_pivots` swaps nothing.
+        #[test]
+        fn prop_sweep_equals_discover_pivots(
+            family in 0usize..6,
+            n in 8usize..200,
+            density in 2.0f64..7.0,
+            seed in 0u64..1000,
+            full in 0usize..2,
+            disc_idx in 0usize..3,
+        ) {
+            let a = match family {
+                0 => random_dominant(n, density, seed),
+                1 => banded_dominant(n, 1 + density as usize / 2, seed),
+                k => HardKind::ALL[k - 2].generate(n, seed),
+            };
+            let tau = if full == 1 { 1.0 } else { DEFAULT_PIVOT_TAU };
+            let discipline = [
+                AccessDiscipline::Dense,
+                AccessDiscipline::BinarySearch,
+                AccessDiscipline::Merge,
+            ][disc_idx];
+            let pattern = filled(&a);
+            let cache = PivotCache::build(&pattern);
+            let got = discover_pivots_swept(&a, &pattern, &cache, tau, discipline);
+            let want = discover_pivots(&a, tau);
+            match (got, want) {
+                (Ok((got, factors)), Ok(want)) => {
+                    prop_assert_eq!(got.pinv, want.pinv);
+                    prop_assert_eq!(got.swaps, want.swaps);
+                    prop_assert_eq!(got.flops, want.flops);
+                    prop_assert_eq!(factors.is_some(), want.swaps == 0);
+                    if let Some(f) = factors {
+                        let (store, sink) = (ValueStore::new(&pattern.vals), ValueStore::new(&pattern.vals));
+                        let mut ws = ColumnScratch::default();
+                        for j in 0..n {
+                            let exact = process_column_with(
+                                &pattern, &store, j, discipline, &cache, PivotRule::Exact, &mut ws,
+                            )
+                            .expect("exact core").0;
+                            let stored = f.store_column(&pattern, &sink, j);
+                            prop_assert_eq!(
+                                (stored.probes, stored.merge_steps),
+                                (exact.probes, exact.merge_steps)
+                            );
+                        }
+                        let mut lu = pattern.clone();
+                        factorize_seq(&mut lu).expect("the sweep's factors exist");
+                        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bits(sink.into_vec()), bits(lu.vals));
+                    }
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
 
         #[test]
         fn prop_bitmap_sweep_equals_full_scan(

@@ -1,7 +1,7 @@
 //! Column dependency graph of the filled matrix.
 
 use gplu_sparse::convert::{transpose_pattern, union_ascending};
-use gplu_sparse::{Csr, Idx};
+use gplu_sparse::{Csc, Csr, Idx};
 
 /// The dependency DAG: an edge `t → j` (with `t < j` always) means column
 /// `j` must be factorized after column `t`.
@@ -28,13 +28,27 @@ impl DepGraph {
     /// Both ascend (the second from one counting transpose of the strict
     /// lower part), so each list is a merge, with no sort of the pairs.
     pub fn build(filled: &Csr) -> DepGraph {
-        let n = filled.n_rows();
-        let (lptr, lrows) = transpose_pattern(filled, |r, c| c < r);
+        Self::from_lists(&filled.row_ptr, &filled.col_idx)
+    }
+
+    /// [`DepGraph::build`] from the filled pattern's CSC. An edge joins an
+    /// entry's row and column whichever is which, so a pattern and its
+    /// transpose have one graph, and a CSC's arrays are the CSR arrays of
+    /// the transpose.
+    pub fn build_csc(filled: &Csc) -> DepGraph {
+        Self::from_lists(&filled.col_ptr, &filled.row_idx)
+    }
+
+    /// The graph of the square pattern whose rows are the compressed
+    /// lists `idx[ptr[t]..ptr[t + 1]]`.
+    fn from_lists(ptr_in: &[usize], idx: &[Idx]) -> DepGraph {
+        let n = ptr_in.len() - 1;
+        let (lptr, lrows) = transpose_pattern(n, ptr_in, idx, |r, c| c < r);
         let mut ptr = Vec::with_capacity(n + 1);
         ptr.push(0);
-        let mut adj = Vec::with_capacity(filled.nnz());
+        let mut adj = Vec::with_capacity(idx.len());
         for t in 0..n {
-            let row = filled.row_cols(t);
+            let row = &idx[ptr_in[t]..ptr_in[t + 1]];
             let above = &row[row.partition_point(|&c| c as usize <= t)..];
             union_ascending(above, &lrows[lptr[t]..lptr[t + 1]], &mut adj);
             ptr.push(adj.len());
@@ -116,7 +130,8 @@ mod tests {
     }
 
     /// Edges `min(r, c) → max(r, c)` over the off-diagonal entries, from an
-    /// ordered set, on every generator family at two sizes.
+    /// ordered set, on every generator family at two sizes, from the CSR
+    /// and from the CSC.
     #[test]
     fn build_matches_its_definition() {
         use gplu_sparse::gen::{circuit, hard::HardKind, planar, random};
@@ -157,6 +172,8 @@ mod tests {
                 let adj: Vec<Idx> = out.iter().flatten().copied().collect();
                 let want = DepGraph { ptr, adj, indegree };
                 assert_eq!(DepGraph::build(a), want, "matrix {m} at n = {n}");
+                let csc = gplu_sparse::convert::csr_to_csc(a);
+                assert_eq!(DepGraph::build_csc(&csc), want, "matrix {m} (CSC)");
             }
         }
     }

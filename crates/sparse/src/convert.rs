@@ -53,32 +53,40 @@ pub fn csr_to_csc(a: &Csr) -> Csc {
 }
 
 /// The pattern of `Aᵀ` restricted to the entries `(r, c)` of `A` that
-/// `keep(r, c)` accepts: `ptr[c]..ptr[c + 1]` indexes the rows of column
-/// `c` in `rows`, ascending. A counting transpose like [`csr_to_csc`],
-/// without values.
-pub fn transpose_pattern(a: &Csr, keep: impl Fn(usize, usize) -> bool) -> (Vec<usize>, Vec<Idx>) {
-    let mut ptr = vec![0usize; a.n_cols() + 1];
-    for r in 0..a.n_rows() {
-        for &c in a.row_cols(r) {
+/// `keep(r, c)` accepts, from `A`'s compressed lists: list `r` is
+/// `idx[ptr[r]..ptr[r + 1]]`, its entries below `n` (the rows of a CSR,
+/// the columns of a CSC). `out_ptr[c]..out_ptr[c + 1]` indexes the list
+/// `c` of the result in `rows`, ascending. A counting transpose like
+/// [`csr_to_csc`], without values.
+pub fn transpose_pattern(
+    n: usize,
+    ptr: &[usize],
+    idx: &[Idx],
+    keep: impl Fn(usize, usize) -> bool,
+) -> (Vec<usize>, Vec<Idx>) {
+    let lists = (0..ptr.len() - 1).map(|r| (r, &idx[ptr[r]..ptr[r + 1]]));
+    let mut out_ptr = vec![0usize; n + 1];
+    for (r, list) in lists.clone() {
+        for &c in list {
             if keep(r, c as usize) {
-                ptr[c as usize + 1] += 1;
+                out_ptr[c as usize + 1] += 1;
             }
         }
     }
-    for c in 0..a.n_cols() {
-        ptr[c + 1] += ptr[c];
+    for c in 0..n {
+        out_ptr[c + 1] += out_ptr[c];
     }
-    let mut cursor = ptr.clone();
-    let mut rows = vec![0 as Idx; ptr[a.n_cols()]];
-    for r in 0..a.n_rows() {
-        for &c in a.row_cols(r) {
+    let mut cursor = out_ptr.clone();
+    let mut rows = vec![0 as Idx; out_ptr[n]];
+    for (r, list) in lists {
+        for &c in list {
             if keep(r, c as usize) {
                 rows[cursor[c as usize]] = r as Idx;
                 cursor[c as usize] += 1;
             }
         }
     }
-    (ptr, rows)
+    (out_ptr, rows)
 }
 
 /// Appends the union of two strictly ascending index lists to `out`,

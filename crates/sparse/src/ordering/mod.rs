@@ -50,7 +50,7 @@ pub enum OrderingKind {
 pub fn symmetrized_adjacency(a: &Csr) -> (Vec<usize>, Vec<Idx>) {
     let n = a.n_rows();
     assert_eq!(n, a.n_cols(), "ordering requires a square matrix");
-    let (tptr, trows) = transpose_pattern(a, |r, c| r != c);
+    let (tptr, trows) = transpose_pattern(a.n_cols(), &a.row_ptr, &a.col_idx, |r, c| r != c);
     let mut ptr = Vec::with_capacity(n + 1);
     ptr.push(0);
     let mut adj = Vec::with_capacity(2 * trows.len());

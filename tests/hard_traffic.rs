@@ -254,3 +254,141 @@ fn all_five_formats_agree_bitwise_under_each_policy_on_hard_traffic() {
         }
     }
 }
+
+/// FNV-1a over 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The factors (pattern and value bits) and the row order they were
+/// taken in.
+fn factor_hash(f: &LuFactorization) -> u64 {
+    let lu = &f.lu;
+    let pattern = lu.col_ptr.iter().map(|&p| p as u64);
+    let rows = lu.row_idx.iter().map(|&r| r as u64);
+    let vals = lu.vals.iter().map(|v| v.to_bits());
+    let order = (0..lu.n_rows()).map(|i| f.p_row.apply(i) as u64);
+    fnv(pattern.chain(rows).chain(vals).chain(order))
+}
+
+/// Every [`PhaseReport`] field a run under threshold pivoting fills in,
+/// f64s by their bits.
+fn report_hash(r: &PhaseReport) -> u64 {
+    let times = [r.preprocess, r.symbolic, r.levelize, r.numeric].map(|t| t.as_ns().to_bits());
+    let counts = [
+        r.new_fill_ins,
+        r.fill_nnz,
+        r.chunk_size,
+        r.symbolic_iterations,
+        r.n_levels,
+        r.max_level_width,
+        r.mode_mix.0,
+        r.mode_mix.1,
+        r.mode_mix.2,
+        r.m_limit.map_or(usize::MAX, |m| m),
+        r.repaired_diagonals,
+        r.pivot_swaps,
+        r.pattern_expanded,
+    ]
+    .map(|c| c as u64);
+    let engine = [r.probes, r.merge_steps, r.gemm_tiles];
+    let residual = r.residual.map_or(u64::MAX, f64::to_bits);
+    // Debug prints every f64 in its shortest round-trip form.
+    let text = format!("{:?} {:?}", r.phase_stats, r.recovery);
+    fnv(times
+        .into_iter()
+        .chain(counts)
+        .chain(engine)
+        .chain([residual])
+        .chain(text.bytes().map(u64::from)))
+}
+
+/// Threshold pivoting at the default tau with escalation, pinned on one
+/// dominant matrix (no swaps: the discovery sweep's factors are the
+/// numeric phase's), on one device and on a two-device fleet, and one
+/// matrix per hard family (swaps, rejections and escalations). Per case: the factor hash, the report hash, the bits of
+/// `report.total()` and of the device clock afterwards. The literals were
+/// taken when discovery still ran `discover_pivots` alone and the numeric
+/// phase eliminated every column itself.
+#[test]
+fn threshold_pivoting_is_pinned_per_family() {
+    const PINS: [(&str, u64, u64, u64, u64); 5] = [
+        (
+            "dominant",
+            0x85545838054d20ab,
+            0x9e768b06c5e8ee38,
+            0x410ef34f11111103,
+            0x41331f35e2222220,
+        ),
+        (
+            "near_singular",
+            0xb0d9998c950b8c73,
+            0x5a5f651ed4ac57a6,
+            0x410341b71ad1ad18,
+            0x4109ec803f63f63c,
+        ),
+        (
+            "graded",
+            0x66fb0dda60407345,
+            0xb77da69563dfc050,
+            0x410384fe4e04e04f,
+            0x4109350bd41d41d5,
+        ),
+        (
+            "zero_diag",
+            0x3c3f54c499e116d6,
+            0x13e7c0cf3406bbd6,
+            0x4104214a2702702c,
+            0x410938d22702702c,
+        ),
+        (
+            "sign_alternating",
+            0x626ab5c1f6dbd6d8,
+            0xda744e766d46b4da,
+            0x41041acecccccccf,
+            0x4115a64dc7ec7ec9,
+        ),
+    ];
+    let mut cases = vec![("dominant", random_dominant(300, 4.0, 9))];
+    cases.extend(HardKind::ALL.map(|k| (k.name(), k.generate(160, 17))));
+    let mut opts = LuOptions::default().with_pivot(PivotPolicy::Threshold {
+        tau: DEFAULT_PIVOT_TAU,
+    });
+    opts.gate.escalate = true;
+    let got: Vec<(&str, u64, u64, u64, u64)> = cases
+        .iter()
+        .map(|(name, a)| {
+            let gpu = gpu_for(a);
+            let (factors, report, total) = match LuFactorization::compute(&gpu, a, &opts) {
+                Ok(f) => (
+                    factor_hash(&f),
+                    report_hash(&f.report),
+                    f.report.total().as_ns().to_bits(),
+                ),
+                Err(e) => (fnv(e.to_string().bytes().map(u64::from)), 0, 0),
+            };
+            (*name, factors, report, total, gpu.now().as_ns().to_bits())
+        })
+        .collect();
+    assert_eq!(got, PINS, "actual: {got:#x?}");
+
+    // The dominant matrix on a two-device fleet: the same factors.
+    let a = &cases[0].1;
+    let fleet = DeviceFleet::new(2, GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()));
+    let f = LuFactorization::compute_fleet(&fleet, a, &opts).expect("dominant");
+    let got = (
+        factor_hash(&f),
+        report_hash(&f.report),
+        f.report.total().as_ns().to_bits(),
+        fleet.makespan().as_ns().to_bits(),
+    );
+    let want = (
+        0x85545838054d20ab,
+        0xfa07e31f6b700389,
+        0x4111278188888882,
+        0x41338aac62222220,
+    );
+    assert_eq!(got, want, "actual: {got:#x?}");
+}

@@ -151,6 +151,59 @@ fn crash_at_every_ordinal_then_resume_is_bit_identical() {
     }
 }
 
+/// Threshold pivoting on a dominant matrix: discovery keeps the diagonal,
+/// and the numeric phase stores the discovery sweep's factors column by
+/// column instead of eliminating. A crash at every ordinal, then resume:
+/// the uninterrupted run's factors and engine counters, bit for bit, under
+/// a merge-priced and a binary-search-priced first rung.
+#[test]
+fn crash_at_every_ordinal_under_threshold_pivoting_resumes_bit_identically() {
+    let a = random_dominant(120, 4.0, 29 + seed_base());
+    for (format, tag) in [FORMATS[4], FORMATS[1]] {
+        let opts = LuOptions {
+            format,
+            ..LuOptions::default().with_pivot(PivotPolicy::Threshold { tau: 0.1 })
+        };
+        let reference = LuFactorization::compute(&gpu_for(&a), &a, &opts)
+            .unwrap_or_else(|e| panic!("[{tag}] clean run failed: {e}"));
+        assert_eq!(
+            reference.report.pivot_swaps, 0,
+            "[{tag}] dominant: no swaps"
+        );
+        let counters = |f: &LuFactorization| (f.report.probes, f.report.merge_steps);
+
+        let gpu = gpu_for(&a);
+        let ckpt = CheckpointOptions::new(ckpt_dir(&format!("threshold-{tag}"))).every(2);
+        let f = LuFactorization::compute_checkpointed(&gpu, &a, &opts, &ckpt, &gplu_trace::NOOP)
+            .unwrap_or_else(|e| panic!("[{tag}] checkpointed run failed: {e}"));
+        assert_factors_equal(&f, &reference, &format!("[{tag}] checkpointed vs plain"));
+        assert_eq!(counters(&f), counters(&reference), "[{tag}]");
+        let n_ordinals = gpu.stats().crash_points;
+        assert!(n_ordinals >= 4, "[{tag}] only {n_ordinals} crash points");
+
+        for k in 1..=n_ordinals {
+            let dir = ckpt_dir(&format!("threshold-crash-{tag}-{k}"));
+            let gpu = gpu_with_plan(&a, FaultPlan::new().crash_at(k));
+            let ckpt = CheckpointOptions::new(&dir).every(2);
+            let err =
+                LuFactorization::compute_checkpointed(&gpu, &a, &opts, &ckpt, &gplu_trace::NOOP)
+                    .expect_err("crash plan must kill the run");
+            assert_eq!(err, GpluError::Crashed { ordinal: k }, "[{tag}]");
+            let resumed = LuFactorization::compute_checkpointed(
+                &gpu_for(&a),
+                &a,
+                &opts,
+                &CheckpointOptions::new(&dir).every(2).resume(true),
+                &gplu_trace::NOOP,
+            )
+            .unwrap_or_else(|e| panic!("[{tag}] resume after crash at {k} failed: {e}"));
+            let ctx = format!("[{tag}] resume after crash at ordinal {k}");
+            assert_factors_equal(&resumed, &reference, &ctx);
+            assert_eq!(counters(&resumed), counters(&reference), "{ctx}");
+        }
+    }
+}
+
 /// Crash mid-numeric-phase, resume, and verify the factors actually solve
 /// the system — end-to-end, not just bitwise.
 #[test]

@@ -7,10 +7,12 @@
 //! with the JSON pointer of the field at fault.
 
 use gplu_core::{
-    check_run_report, LuFactorization, LuOptions, NumericFormat, RunReport, SymbolicEngine,
+    check_run_report, LuFactorization, LuOptions, NumericFormat, PivotPolicy, RunReport,
+    SymbolicEngine, DEFAULT_PIVOT_TAU,
 };
 use gplu_sim::{CostModel, DeviceFleet, FaultPlan, Gpu, GpuConfig};
 use gplu_sparse::gen::circuit::{circuit, CircuitParams};
+use gplu_sparse::gen::hard::HardKind;
 use gplu_sparse::gen::random::random_dominant;
 use gplu_sparse::Csr;
 use gplu_trace::{chrome_trace, json, JsonValue, Recorder, TraceEvent};
@@ -267,6 +269,23 @@ fn circuit_report(devices: usize, faults: &str) -> JsonValue {
     json::parse(&run.to_json_string()).expect("report parses")
 }
 
+/// The run report of a factorization under threshold pivoting that
+/// swaps rows and expands the filled pattern to cover them.
+fn swapping_report() -> JsonValue {
+    let a = HardKind::NearSingular.generate(200, 3);
+    let opts = LuOptions::default().with_pivot(PivotPolicy::Threshold {
+        tau: DEFAULT_PIVOT_TAU,
+    });
+    let recorder = Recorder::new();
+    let f = LuFactorization::compute_traced(&gpu_for(&a), &a, &opts, &recorder).expect("pivoted");
+    let events = recorder.into_events();
+    let run = RunReport::new(a.n_rows(), a.nnz(), f.report, &events);
+    let doc = json::parse(&run.to_json_string()).expect("report parses");
+    assert!(doc.number_at("/pivot/swaps") > 0.0, "the matrix must swap");
+    assert!(doc.number_at("/pivot/pattern_expanded") > 0.0, "and expand");
+    doc
+}
+
 /// Each malformed report is rejected, and the error starts with `blames`.
 fn assert_rejected(doc: &JsonValue, cases: &[(&str, Option<&str>, &str)]) {
     check_run_report(doc).expect("the real report is valid");
@@ -294,6 +313,16 @@ fn malformed_run_reports_are_rejected_at_their_pointer() {
             ("/levels/0/mode", Some("7"), "/levels/0/mode"),
             ("/levels/0/width", Some("-3"), "/levels/0/width"),
             ("/recovery", Some("\"none\""), "/recovery"),
+        ],
+    );
+    // Only a pass that ran threshold-pivot discovery carries `pivot`.
+    assert_eq!(one.pointer("/pivot"), None);
+    assert_rejected(
+        &swapping_report(),
+        &[
+            ("/pivot", Some("[]"), "/pivot"),
+            ("/pivot/swaps", Some("-1"), "/pivot/swaps"),
+            ("/pivot/discovery_ns", None, "/pivot/discovery_ns"),
         ],
     );
     let four = circuit_report(4, "dev=2:oom:alloc=1");
@@ -348,5 +377,9 @@ fn every_run_report_rule_rejects_its_violation() {
             ("/fleet/dead", Some("[0, 1, 2, 3]"), "/fleet/dead"),
             ("/fleet/resharded_rows", Some("0"), "/fleet/resharded_cols"),
         ],
+    );
+    assert_rejected(
+        &swapping_report(),
+        &[("/pivot/swaps", Some("0"), "/pivot/pattern_expanded")],
     );
 }
