@@ -13,7 +13,9 @@
 //! service report's (`gplu_server::report::SERVICE_REPORT`): every field
 //! present with its kind, the exact schema version, and every cross-field
 //! rule. A `--trace-out` file must be a balanced, time-ordered Chrome
-//! trace whose `numeric.level` ends say how each level launched. With
+//! trace whose every event checks against the writer's field table
+//! (`gplu_trace::CHROME_EVENT`, host `wall_ns` stamp included) and whose
+//! `numeric.level` ends say how each level launched. With
 //! `--manifest`, validates a `--checkpoint-dir` instead: the manifest
 //! parses, every listed snapshot exists with the advertised size and
 //! whole-file hash, every snapshot passes its own structural checks, and
@@ -35,7 +37,7 @@ use gplu_checkpoint::{xxh64, CheckpointStore, Snapshot};
 use gplu_cli::{fraction, parse_flags, put, write_flags, CliError, Flag, Rule};
 use gplu_core::{check_run_report, HOST_REASONS, SCHEMA_VERSION};
 use gplu_server::{check_service_report, SERVICE_SCHEMA_VERSION};
-use gplu_trace::{json, JsonValue};
+use gplu_trace::{json, JsonValue, CHROME_EVENT};
 use std::process::ExitCode;
 
 /// What the command line asks for.
@@ -148,10 +150,8 @@ fn check_trace(doc: &JsonValue) -> Result<String, String> {
     let mut open: Vec<&str> = Vec::new();
     let mut spans = 0usize;
     for (i, e) in events.iter().enumerate() {
-        let ts = e
-            .get("ts")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("/traceEvents/{i}/ts: missing"))?;
+        json::check(CHROME_EVENT, &[], e).map_err(|err| format!("/traceEvents/{i}{err}"))?;
+        let ts = e.number_at("/ts");
         if ts < last_ts {
             return Err(format!("/traceEvents/{i}/ts: decreases ({ts} < {last_ts})"));
         }
@@ -159,7 +159,7 @@ fn check_trace(doc: &JsonValue) -> Result<String, String> {
         let name = e
             .get("name")
             .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("/traceEvents/{i}/name: missing"))?;
+            .unwrap_or_default();
         match e.get("ph").and_then(JsonValue::as_str) {
             Some("B") => open.push(name),
             Some("E") => {
@@ -174,8 +174,7 @@ fn check_trace(doc: &JsonValue) -> Result<String, String> {
                     check_launch(args, &format!("/traceEvents/{i}/args"))?;
                 }
             }
-            Some(_) => {}
-            None => return Err(format!("/traceEvents/{i}/ph: missing")),
+            _ => {}
         }
     }
     if !open.is_empty() {

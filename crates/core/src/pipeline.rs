@@ -604,9 +604,12 @@ pub(crate) struct NumericPhase<'p> {
     pub(crate) ladder: &'p [NumericFormat],
     /// Present whenever `ladder` contains [`NumericFormat::SparseBlocked`].
     pub(crate) block_plan: Option<&'p BlockPlan>,
-    /// A captured pivot cache marks the run as a warm replay
-    /// (no cache rebuild, `refactorize` span attribute).
+    /// A pivot cache already built over `pattern` — the warm replay's
+    /// captured one, or threshold discovery's when nothing swapped — so
+    /// the engines do not build their own.
     pub(crate) pivot: Option<&'p PivotCache>,
+    /// Marks the run as a warm replay (the `refactorize` span attribute).
+    pub(crate) refactorize: bool,
     /// The pass's pivoting policy. Static perturbation acts inside the
     /// engines at division time; every other policy factorizes exactly
     /// (threshold pivoting has already moved its swaps into the row
@@ -726,7 +729,7 @@ impl<'a> Pass<'a> {
             .should_use_sparse_format(matrix.n_rows());
         // Every later phase reads the filled pattern as CSC; the filled
         // CSR is dropped once it is built (or repaired, under pivoting).
-        let (mut pattern, swept) = match policy {
+        let (mut pattern, swept, cache) = match policy {
             PivotPolicy::Threshold { tau } => {
                 let discipline = lead_discipline(opts.format, sparse);
                 self.pivot_discovery(tau, discipline, &mut matrix, &mut p_row, symbolic)?
@@ -734,7 +737,7 @@ impl<'a> Pass<'a> {
             _ => {
                 let pattern = csr_to_csc(&symbolic.filled);
                 drop(symbolic);
-                (pattern, None)
+                (pattern, None, None)
             }
         };
         self.report.fill_nnz = pattern.nnz();
@@ -758,21 +761,33 @@ impl<'a> Pass<'a> {
         let mut block_plan: Option<BlockPlan> = None;
         let ladder: &[NumericFormat] = match opts.format {
             NumericFormat::Auto => {
-                if sparse {
-                    let plan = detect_block_plan(lead, &pattern, opts.block_threshold, self.trace);
-                    let fill_density = pattern.nnz() as f64 / pattern.n_cols().max(1) as f64;
-                    if lead
-                        .cost()
-                        .blocked_crossover(fill_density, plan.mean_width())
-                    {
-                        block_plan = Some(plan);
+                let fill_density = pattern.nnz() as f64 / pattern.n_cols().max(1) as f64;
+                let plan = sparse
+                    .then(|| detect_block_plan(lead, &pattern, opts.block_threshold, self.trace));
+                let mean_width = plan.as_ref().map(BlockPlan::mean_width);
+                let ladder: &[NumericFormat] = match mean_width {
+                    None => &[NumericFormat::Dense, NumericFormat::SparseMerge],
+                    Some(w) if lead.cost().blocked_crossover(fill_density, w) => {
+                        block_plan = plan;
                         &[NumericFormat::SparseBlocked, NumericFormat::SparseMerge]
-                    } else {
-                        &[NumericFormat::SparseMerge]
                     }
-                } else {
-                    &[NumericFormat::Dense, NumericFormat::SparseMerge]
+                    Some(_) => &[NumericFormat::SparseMerge],
+                };
+                // The decision and the inputs that drove it.
+                if self.trace.enabled() {
+                    let names: Vec<&str> = ladder.iter().map(|&f| format_name(f)).collect();
+                    let mut attrs: Vec<(&'static str, AttrValue)> = vec![
+                        ("n", matrix.n_rows().into()),
+                        ("fill_density", fill_density.into()),
+                        ("ladder", names.join(">").into()),
+                    ];
+                    if let Some(w) = mean_width {
+                        attrs.push(("mean_block_width", w.into()));
+                    }
+                    self.trace
+                        .instant("numeric.format", "decision", self.now_ns(), &attrs);
                 }
+                ladder
             }
             NumericFormat::Dense => &[NumericFormat::Dense, NumericFormat::SparseMerge],
             NumericFormat::Sparse => &[NumericFormat::Sparse],
@@ -793,7 +808,8 @@ impl<'a> Pass<'a> {
             requested: opts.format,
             ladder,
             block_plan: block_plan.as_ref(),
-            pivot: None,
+            pivot: cache.as_ref(),
+            refactorize: false,
             policy,
             swept: swept.as_ref(),
             repair: opts
@@ -1074,7 +1090,9 @@ impl<'a> Pass<'a> {
     /// factors, priced under `discipline`, go to the numeric phase.
     /// Otherwise the sequential Gilbert–Peierls discovery picks the
     /// permutation and the filled pattern is repaired. Returns the filled
-    /// pattern's CSC and the sweep's factors, if any.
+    /// pattern's CSC, the sweep's factors, if any, and — when nothing
+    /// swapped, so the pattern is the one discovery walked — its pivot
+    /// cache, which the numeric phase then need not build again.
     fn pivot_discovery(
         &mut self,
         tau: f64,
@@ -1082,7 +1100,7 @@ impl<'a> Pass<'a> {
         matrix: &mut Csr,
         p_row: &mut Permutation,
         mut symbolic: SymbolicResult,
-    ) -> Result<(Csc, Option<SweptFactors>), GpluError> {
+    ) -> Result<(Csc, Option<SweptFactors>, Option<PivotCache>), GpluError> {
         let cost = self.lead()?.cost();
         self.trace.span_begin(
             "phase.pivot_discovery",
@@ -1115,9 +1133,9 @@ impl<'a> Pass<'a> {
         self.report.pivot_swaps = disc.swaps;
         self.report.pivot_discovery = Some(clock);
         if disc.swaps == 0 {
-            return Ok((pattern, factors));
+            return Ok((pattern, factors, Some(cache)));
         }
-        drop(pattern);
+        drop((pattern, cache));
         let p_pivot = Permutation::from_forward(disc.pinv).map_err(|e| {
             GpluError::Input(format!("pivot discovery produced a non-bijective map: {e}"))
         })?;
@@ -1156,7 +1174,7 @@ impl<'a> Pass<'a> {
                     rounds: expansion.rounds,
                 },
             );
-            return Ok((csr_to_csc(&expansion.filled), None));
+            return Ok((csr_to_csc(&expansion.filled), None, None));
         }
         self.recover(
             Phase::Symbolic,
@@ -1184,7 +1202,7 @@ impl<'a> Pass<'a> {
             )?
         };
         self.report.symbolic = prev + self.report.symbolic;
-        Ok((csr_to_csc(&symbolic.filled), None))
+        Ok((csr_to_csc(&symbolic.filled), None, None))
     }
 
     /// Phase 3, levelization (GPU, dynamic parallelism) on the lead device (the
@@ -1251,6 +1269,7 @@ impl<'a> Pass<'a> {
             ladder,
             block_plan,
             pivot,
+            refactorize,
             policy,
             mut swept,
             repair,
@@ -1272,7 +1291,7 @@ impl<'a> Pass<'a> {
             ("format", format_name(requested).into()),
             ("devices", fleet.n_alive().into()),
         ];
-        if pivot.is_some() {
+        if refactorize {
             begin_attrs.push(("refactorize", true.into()));
         }
         trace.span_begin("phase.numeric", "phase", self.now_ns(), &begin_attrs);

@@ -244,6 +244,7 @@ impl RefactorPlan {
             ladder,
             block_plan: self.block_plan.as_ref(),
             pivot: Some(&self.pivot),
+            refactorize: true,
             policy: self.pivot_policy,
             swept: swept.as_ref(),
             repair: self.repair_singular.then_some(self.repair_value),

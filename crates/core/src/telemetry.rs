@@ -373,6 +373,7 @@ mod tests {
                 cat: "level",
                 kind: EventKind::Begin,
                 ts_ns: begin,
+                wall_ns: 0,
                 attrs: vec![("level", level.into()), ("width", 2u64.into())],
             },
             TraceEvent {
@@ -380,6 +381,7 @@ mod tests {
                 cat: "level",
                 kind: EventKind::End,
                 ts_ns: end,
+                wall_ns: 0,
                 attrs: vec![
                     ("level", level.into()),
                     ("width", 2u64.into()),
@@ -455,6 +457,7 @@ mod tests {
             cat: "level",
             kind: EventKind::Begin,
             ts_ns: 4.0,
+            wall_ns: 0,
             attrs: vec![("level", 0u64.into())],
         }];
         assert!(extract_levels(&dangling).is_empty());

@@ -24,7 +24,7 @@ use crate::fleet::run_on;
 use crate::outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{BlockCost, BlockCtx, Gpu, LaunchKind, SimError, SimTime};
+use gplu_sim::{BlockCost, BlockCtx, Exec, Gpu, LaunchKind, SimError, SimTime};
 use gplu_sparse::Csc;
 use gplu_trace::{TraceSink, NOOP};
 
@@ -83,17 +83,19 @@ impl NumericEngine for DenseEngine {
     // two batches, so the share's first batch starts as the share does and
     // every later one continues that kernel behind a dependency wait.
     fn launch(&self, run: &LevelRun<'_>, body: &ColumnKernel<'_>) -> Result<(), SimError> {
-        let (m, stripes) = (self.m_limit.max(1), run.stripes);
+        let m = self.m_limit.max(1);
         for (chunk, batch) in run.cols.chunks(m).enumerate() {
             run.count_batch();
             let base = chunk * m;
-            run.gpu.launch_capped(
+            run.gpu.launch_striped(
                 self.kernel_name(),
-                batch.len() * stripes,
+                batch.len(),
+                run.stripes,
                 run.threads,
-                self.m_limit,
                 batch_kind(run, chunk),
-                &|b: usize, ctx: &mut BlockCtx<'_>| body(base + b / stripes, b % stripes, ctx),
+                Exec::Par,
+                Some(self.m_limit),
+                &|i: usize, ctx: &mut BlockCtx<'_>| body(base + i, ctx),
             )?;
         }
         Ok(())
@@ -225,59 +227,6 @@ mod tests {
             out.batches as usize > levels.n_levels(),
             "narrow M must split wide levels into batches"
         );
-    }
-
-    #[test]
-    fn a_level_of_several_batches_advances_the_clock_by_its_quote() {
-        // Eight buffers for the widest level of a random matrix: several
-        // batches. Host-launched or continued, the share's quote is its
-        // clock advance to the bit, only a hosted share's first batch is a
-        // launch, and every other batch is a dependency wait.
-        let a = random_dominant(256, 3.0, 72);
-        let (pattern, levels) = setup(&a);
-        let cols = levels
-            .groups
-            .iter()
-            .max_by_key(|g| g.len())
-            .expect("levels");
-        let counters = parking_lot::Mutex::default();
-        for kind in [LaunchKind::Host, LaunchKind::Continue] {
-            let gpu = Gpu::new(GpuConfig::v100().with_memory(8 * 256 * 4 + 512));
-            let mut engine = DenseEngine::default();
-            let pool = engine.begin(&gpu, &pattern, cols.len()).expect("sized");
-            assert_eq!((engine.m_limit, pool), (8, 8 * 256 * 4));
-            let batches = cols.len().div_ceil(8) as u64;
-            assert!(batches > 2, "{} columns", cols.len());
-            let run = LevelRun {
-                gpu: &gpu,
-                pattern: &pattern,
-                cols,
-                threads: 256,
-                stripes: 1,
-                kind,
-                counters: &counters,
-            };
-            let price = |i: usize, ctx: &mut BlockCtx<'_>| {
-                engine.price(&run, cols[i] as usize, 100 * i as u64, ctx)
-            };
-            let blocks: Vec<BlockCost> = (0..cols.len())
-                .map(|i| {
-                    let mut ctx = gpu.scratch_block(run.threads);
-                    price(i, &mut ctx);
-                    ctx.cost()
-                })
-                .collect();
-            let quote = engine.quote(&run, &blocks);
-            let body = |i: usize, _stripe: usize, ctx: &mut BlockCtx<'_>| price(i, ctx);
-            engine.launch(&run, &body).expect("launches");
-            assert_eq!(gpu.now().as_ns().to_bits(), quote.as_ns().to_bits());
-            let hosted = u64::from(kind == LaunchKind::Host);
-            let s = gpu.stats();
-            assert_eq!(
-                (s.kernels_host, s.kernels_device, s.dependency_waits),
-                (hosted, 0, batches - hosted)
-            );
-        }
     }
 
     #[test]

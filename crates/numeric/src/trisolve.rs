@@ -288,12 +288,14 @@ fn sweep(
     let nrhs = ys.len();
     let error = parking_lot::Mutex::new(None::<SparseError>);
     for (li, cols) in levels.groups.iter().enumerate() {
-        gpu.launch_with(
+        gpu.launch_striped(
             name,
             cols.len() * nrhs,
+            1,
             256,
             LaunchKind::level(opens && li == 0, LaunchKind::Device),
             Exec::Seq,
+            None,
             &|blk: usize, ctx: &mut BlockCtx| {
                 if let Err(e) = column(&ys[blk % nrhs], cols[blk / nrhs] as usize, ctx) {
                     error.lock().get_or_insert(e);

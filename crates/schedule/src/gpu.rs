@@ -93,7 +93,7 @@ fn phase<K: Kernel>(
     k: &K,
 ) -> Result<(), SimError> {
     let kind = LaunchKind::level(opens, LaunchKind::Device);
-    gpu.launch_with(name, grid, 1024, kind, Exec::Par, k)
+    gpu.launch_striped(name, grid, 1, 1024, kind, Exec::Par, None, k)
         .map(drop)
 }
 

@@ -118,12 +118,14 @@ pub fn symbolic_um_traced(
                 let cover = ((rows as u64 * row_bytes) as f64 * PREFETCH_COVERAGE) as u64;
                 gpu.um_prefetch(&state_um, start as u64 * row_bytes, cover.max(1));
             }
-            gpu.launch_with(
+            gpu.launch_striped(
                 stage,
                 rows,
+                1,
                 1024,
                 LaunchKind::Host,
                 Exec::Seq,
+                None,
                 &|b: usize, ctx: &mut BlockCtx| {
                     let src = (start + b) as u32;
                     let m = traversals.row(src);

@@ -4,14 +4,41 @@
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev). Timestamps
 //! are the pipeline's *simulated* nanoseconds converted to the format's
 //! microsecond unit, so a factorization renders as a flamegraph over
-//! simulated time.
+//! simulated time; each event also carries its host wall stamp
+//! ([`TraceEvent::wall_ns`]) as `wall_ns`, which the viewers ignore.
 
-use crate::event::{EventKind, TraceEvent};
-use crate::json::JsonValue;
+use crate::event::{AttrValue, EventKind, TraceEvent};
+use crate::json::{Field, JsonValue, Kind::*};
 
 /// Single process/thread ids: the simulator is a single logical timeline.
 const PID: u64 = 1;
 const TID: u64 = 1;
+
+/// One entry of `traceEvents`: the writer writes it from this table and
+/// `telemetry_check` checks it against the same table.
+#[rustfmt::skip]
+pub const CHROME_EVENT: &[Field<TraceEvent>] = &[
+    ("/name", Str, |e| e.name.into()),
+    ("/cat", Str, |e| e.cat.into()),
+    ("/ph", Str, |e| phase(e.kind).into()),
+    ("/ts", Num, |e| (e.ts_ns / 1000.0).into()),
+    ("/wall_ns", Count, |e| e.wall_ns.into()),
+    ("/pid", Count, |_| PID.into()),
+    ("/tid", Count, |_| TID.into()),
+    // Thread-scoped instant marker.
+    ("/s", Optional(&Str), |e| match e.kind {
+        EventKind::Instant => "t".into(),
+        _ => JsonValue::Null,
+    }),
+    ("/args", Optional(&Object(is_object)), args),
+];
+
+fn is_object(v: &JsonValue) -> Result<(), String> {
+    match v.as_obj() {
+        Some(_) => Ok(()),
+        None => Err(format!(": expected an object, found {}", v.to_compact())),
+    }
+}
 
 /// Renders events as Chrome trace-event JSON.
 ///
@@ -20,14 +47,16 @@ const TID: u64 = 1;
 /// nested spans opened at the same instant stay properly nested. Spans left
 /// open by an aborted code path (an engine erroring out of a chunk, a
 /// ladder rung failing mid-phase) are closed with synthetic `E` events at
-/// the final timestamp, so the output is always balanced.
+/// the final timestamp and the latest wall stamp, so the output is always
+/// balanced.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut ordered: Vec<&TraceEvent> = events.iter().collect();
     // total_cmp: a NaN timestamp from a hostile or truncated event log
     // sorts last instead of panicking the exporter.
     ordered.sort_by(|a, b| a.ts_ns.total_cmp(&b.ts_ns));
 
-    let mut trace_events: Vec<JsonValue> = ordered.iter().map(|e| chrome_event(e)).collect();
+    let write = |e: &TraceEvent| crate::json::write(CHROME_EVENT, e);
+    let mut trace_events: Vec<JsonValue> = ordered.iter().map(|e| write(e)).collect();
 
     // Close any span a failed code path left open (LIFO, so the synthetic
     // ends unwind the open stack innermost-first).
@@ -44,16 +73,15 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
         }
     }
     let last_ts = ordered.last().map_or(0.0, |e| e.ts_ns);
+    let last_wall = events.iter().map(|e| e.wall_ns).max().unwrap_or(0);
     while let Some(b) = open.pop() {
-        trace_events.push(
-            JsonValue::obj()
-                .set("name", b.name)
-                .set("cat", b.cat)
-                .set("ph", "E")
-                .set("ts", last_ts / 1000.0)
-                .set("pid", PID)
-                .set("tid", TID),
-        );
+        trace_events.push(write(&TraceEvent {
+            kind: EventKind::End,
+            ts_ns: last_ts,
+            wall_ns: last_wall,
+            attrs: Vec::new(),
+            ..*b
+        }));
     }
 
     JsonValue::obj()
@@ -62,24 +90,18 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
         .to_compact()
 }
 
-fn chrome_event(e: &TraceEvent) -> JsonValue {
-    let ph = match e.kind {
+fn phase(kind: EventKind) -> &'static str {
+    match kind {
         EventKind::Begin => "B",
         EventKind::End => "E",
         EventKind::Instant => "i",
         EventKind::Counter(_) => "C",
-    };
-    let mut out = JsonValue::obj()
-        .set("name", e.name)
-        .set("cat", e.cat)
-        .set("ph", ph)
-        .set("ts", e.ts_ns / 1000.0)
-        .set("pid", PID)
-        .set("tid", TID);
-    if matches!(e.kind, EventKind::Instant) {
-        // Thread-scoped instant marker.
-        out = out.set("s", "t");
     }
+}
+
+/// The event's attributes (and a counter's value under its name), or
+/// `null` when it has none.
+fn args(e: &TraceEvent) -> JsonValue {
     let mut args = JsonValue::obj();
     if let EventKind::Counter(v) = e.kind {
         args = args.set(e.name, v);
@@ -87,16 +109,14 @@ fn chrome_event(e: &TraceEvent) -> JsonValue {
     for (k, v) in &e.attrs {
         args = args.set(k, attr_json(v));
     }
-    if let JsonValue::Obj(fields) = &args {
-        if !fields.is_empty() {
-            out = out.set("args", args);
-        }
+    match &args {
+        JsonValue::Obj(fields) if fields.is_empty() => JsonValue::Null,
+        _ => args,
     }
-    out
 }
 
-fn attr_json(v: &crate::event::AttrValue) -> JsonValue {
-    use crate::event::AttrValue::*;
+fn attr_json(v: &AttrValue) -> JsonValue {
+    use AttrValue::*;
     match v {
         U64(x) => JsonValue::from(*x),
         I64(x) => JsonValue::from(*x),
@@ -119,6 +139,7 @@ mod tests {
             cat: "test",
             kind,
             ts_ns,
+            wall_ns: ts_ns as u64,
             attrs: vec![],
         }
     }
@@ -268,6 +289,7 @@ mod tests {
             cat: "level",
             kind: EventKind::End,
             ts_ns: 100.0,
+            wall_ns: 7,
             attrs: vec![
                 ("width", AttrValue::U64(4)),
                 ("mode", AttrValue::Sym("B")),
@@ -283,5 +305,34 @@ mod tests {
         assert_eq!(args.get("width").and_then(JsonValue::as_u64), Some(4));
         assert_eq!(args.get("mode").and_then(JsonValue::as_str), Some("B"));
         assert_eq!(args.get("frac").and_then(JsonValue::as_f64), Some(0.5));
+        assert_eq!(e.get("wall_ns").and_then(JsonValue::as_u64), Some(7));
+    }
+
+    #[test]
+    fn every_event_checks_against_the_table_it_was_written_from() {
+        let events = vec![
+            ev("outer", EventKind::Begin, 0.0),
+            ev("mark", EventKind::Instant, 3.0),
+            ev("width", EventKind::Counter(3.0), 4.0),
+            ev("inner", EventKind::Begin, 5.0),
+        ];
+        let doc = parse(&chrome_trace(&events)).expect("valid json");
+        let list = doc.array_at("/traceEvents");
+        assert_eq!(list.len(), 6, "two synthetic ends");
+        for e in list {
+            crate::json::check(CHROME_EVENT, &[], e).expect("checks");
+        }
+        // The synthetic ends carry the latest wall stamp.
+        let walls: Vec<u64> = list
+            .iter()
+            .map(|e| e.number_at("/wall_ns") as u64)
+            .collect();
+        assert_eq!(walls, [0, 3, 4, 5, 5, 5]);
+        let mut bad = list[1].clone();
+        if let JsonValue::Obj(fields) = &mut bad {
+            fields.retain(|(k, _)| k != "wall_ns");
+        }
+        let err = crate::json::check(CHROME_EVENT, &[], &bad).unwrap_err();
+        assert_eq!(err, "/wall_ns: missing");
     }
 }

@@ -127,6 +127,10 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Simulated timestamp in nanoseconds (monotone within a run).
     pub ts_ns: f64,
+    /// Host monotonic nanoseconds since the recording sink was created,
+    /// stamped by the sink when it kept the event: the wall clock beside
+    /// the simulated one.
+    pub wall_ns: u64,
     /// Key=value attributes.
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
@@ -149,6 +153,7 @@ mod tests {
             cat: "level",
             kind: EventKind::End,
             ts_ns: 12.5,
+            wall_ns: 0,
             attrs: vec![("width", 7usize.into()), ("mode", "A".into())],
         };
         assert_eq!(ev.attr("width").and_then(AttrValue::as_u64), Some(7));

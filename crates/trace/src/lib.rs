@@ -44,7 +44,7 @@ pub mod recorder;
 pub mod registry;
 pub mod sink;
 
-pub use chrome::chrome_trace;
+pub use chrome::{chrome_trace, CHROME_EVENT};
 pub use event::{AttrValue, EventKind, TraceEvent};
 pub use json::JsonValue;
 pub use metrics::metrics_text;

@@ -136,6 +136,7 @@ mod tests {
             cat: "t",
             kind,
             ts_ns,
+            wall_ns: 0,
             attrs: vec![],
         }
     }

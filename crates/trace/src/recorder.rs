@@ -3,20 +3,33 @@
 use crate::event::{AttrValue, EventKind, TraceEvent};
 use crate::sink::TraceSink;
 use std::sync::Mutex;
+use std::time::Instant;
 
-/// Records every event of one factorization, in emission order.
+/// Records every event of one factorization, in emission order, each
+/// stamped with the host monotonic time since the recorder was created
+/// ([`TraceEvent::wall_ns`]).
 ///
 /// Engines emit from their (serial) orchestration code, never from inside
 /// simulated kernel blocks, so the mutex is uncontended; it exists so the
 /// recorder can be shared as `&dyn TraceSink` across the pipeline without
 /// interior-mutability gymnastics at every call site.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Recorder {
+    origin: Instant,
     events: Mutex<Vec<TraceEvent>>,
 }
 
+impl Default for Recorder {
+    fn default() -> Recorder {
+        Recorder {
+            origin: Instant::now(),
+            events: Mutex::default(),
+        }
+    }
+}
+
 impl Recorder {
-    /// A fresh, empty recorder.
+    /// A fresh, empty recorder; its wall stamps count from now.
     pub fn new() -> Recorder {
         Recorder::default()
     }
@@ -66,6 +79,7 @@ impl TraceSink for Recorder {
         ts_ns: f64,
         attrs: &[(&'static str, AttrValue)],
     ) {
+        let wall_ns = self.origin.elapsed().as_nanos() as u64;
         self.events
             .lock()
             .expect("recorder poisoned")
@@ -74,6 +88,7 @@ impl TraceSink for Recorder {
                 cat,
                 kind,
                 ts_ns,
+                wall_ns,
                 attrs: attrs.to_vec(),
             });
     }
@@ -103,5 +118,7 @@ mod tests {
         assert_eq!(evs[1].attr("iterations").unwrap().as_u64(), Some(4));
         assert_eq!(evs[3].kind, EventKind::Counter(3.0));
         assert!(evs.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        // Wall stamps follow emission order.
+        assert!(evs.windows(2).all(|w| w[0].wall_ns <= w[1].wall_ns));
     }
 }
