@@ -8,21 +8,24 @@
 use crate::cost::CostModel;
 use crate::unified::{TouchOutcome, UmAlloc, UmSpace};
 
-/// A simulated GPU kernel: a function of the block id.
+/// A simulated GPU kernel: a function of the column it runs for.
 ///
 /// Implemented for closures, so call sites can write
-/// `gpu.launch("name", grid, threads, Exec::Par, &|b, ctx| { ... })`.
+/// `gpu.launch("name", grid, threads, &|c, ctx| { ... })`.
 pub trait Kernel: Sync {
-    /// Executes block `block_id`, reporting costs to `ctx`.
-    fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>);
+    /// Executes column `col`, reporting costs to `ctx`. In a one-stripe
+    /// launch the column is the block id; in a launch of `stripes`
+    /// blocks per column ([`crate::Gpu::launch_striped`]) the one call's
+    /// cost stands for blocks `col·stripes .. (col+1)·stripes`.
+    fn run_block(&self, col: usize, ctx: &mut BlockCtx<'_>);
 }
 
 impl<F> Kernel for F
 where
     F: Fn(usize, &mut BlockCtx<'_>) + Sync,
 {
-    fn run_block(&self, block_id: usize, ctx: &mut BlockCtx<'_>) {
-        self(block_id, ctx)
+    fn run_block(&self, col: usize, ctx: &mut BlockCtx<'_>) {
+        self(col, ctx)
     }
 }
 
