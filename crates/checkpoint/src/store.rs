@@ -1,42 +1,140 @@
-//! Crash-consistent snapshot storage.
+//! Crash-consistent keyed snapshot storage.
 //!
-//! The durability protocol is the classic one production databases use
-//! for their checkpoint files:
+//! One [`Store`] keeps snapshot files in a directory, one file per key,
+//! under the durability protocol production databases use for their
+//! checkpoint files:
 //!
-//! 1. the snapshot is written to `snap-<seq>.ckpt.tmp`,
-//! 2. the file is fsynced, then atomically renamed to `snap-<seq>.ckpt`,
+//! 1. the snapshot is written to `<file>.tmp`,
+//! 2. the file is fsynced, then atomically renamed to `<file>`,
 //! 3. the directory is fsynced so the rename itself is durable,
-//! 4. `manifest.json` — listing every snapshot with its size and whole-file
-//!    XXH64 — is rewritten through the same tmp/fsync/rename dance.
+//! 4. the manifest — listing every file with its size and whole-file
+//!    XXH64 — is rebuilt from the directory and rewritten through the
+//!    same tmp/fsync/rename dance.
 //!
 //! A crash at any point leaves either the previous state or the new state,
-//! never a torn one: a torn `.tmp` is simply ignored, a torn snapshot that
-//! somehow got renamed fails its checksums and is skipped. Loading walks
-//! the candidates newest-first and returns the first snapshot that passes
-//! all verification (**latest-valid-wins**); if candidates exist but none
-//! verifies, that is a hard [`CheckpointError::Corrupt`] — resuming from
-//! nothing when progress was supposedly saved must be an explicit,
-//! operator-visible decision, not a silent restart.
+//! never a torn one: a torn `.tmp` is ignored, and a torn file that somehow
+//! got renamed fails its checksums. A corrupt or missing manifest never
+//! hides intact files: the key listing falls back to a directory scan.
+//!
+//! The key kind fixes the file names and the manifest:
+//!
+//! * [`Seq`] — a checkpoint directory ([`CheckpointStore`]):
+//!   `snap-%08d.ckpt` files under `manifest.json`. A resume reads them
+//!   newest first and takes the first that verifies
+//!   (**latest-valid-wins**, [`Store::load_latest`]); if files exist but
+//!   none verifies, that is a hard [`CheckpointError::Corrupt`] —
+//!   resuming from nothing when progress was supposedly saved must be an
+//!   explicit, operator-visible decision, not a silent restart.
+//! * [`Fingerprint`] — the solver service's plan cache ([`PlanStore`]):
+//!   `plan-%016x.ckpt` files keyed by pattern fingerprint under
+//!   `cache-manifest.json`. Corruption is per entry: a bad entry is
+//!   [`CheckpointError::Corrupt`] for that key only, which the caller
+//!   treats as a miss.
+//!
+//! Deterministic chaos testing hooks in through [`DiskFaultHook`]: the
+//! store asks it once per operation — a write check for each save and
+//! remove, a read check for each load and key listing — and surfaces an
+//! injected fault as an ordinary [`CheckpointError::Io`]. The hook trait
+//! lives here (not in `gpu-sim`) so this crate stays dependency-free; the
+//! service adapts its seeded `FaultInjector` onto it.
 
 use crate::hash::xxh64;
 use crate::snapshot::{CheckpointError, Snapshot};
 use gplu_trace::{json, JsonValue};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// Manifest schema version.
+/// Manifest schema version (both manifests).
 pub const MANIFEST_VERSION: u64 = 1;
 
-/// Manifest file name inside a checkpoint directory.
-pub const MANIFEST_FILE: &str = "manifest.json";
+/// Deterministic disk-fault injection: the store asks once per
+/// operation; `true` means "inject a failure here". Implementations must
+/// be cheap and thread-safe — the store may be called from worker and
+/// flusher threads concurrently.
+pub trait DiskFaultHook: Send + Sync {
+    /// Should this read fail?
+    fn on_disk_read(&self) -> bool;
+    /// Should this write fail?
+    fn on_disk_write(&self) -> bool;
+}
+
+/// What a store's files are keyed by: their names and their manifest.
+pub trait KeyKind {
+    /// Manifest file name inside the directory.
+    const MANIFEST: &'static str;
+    /// Manifest field the key is written under.
+    const FIELD: &'static str;
+    /// File name of the snapshot stored under `key`.
+    fn file_name(key: u64) -> String;
+    /// The key a file name stores, `None` for any other file.
+    fn key_of(name: &str) -> Option<u64>;
+    /// `key` as its manifest JSON value.
+    fn to_json(key: u64) -> String;
+    /// The key a manifest JSON value holds.
+    fn from_json(v: &JsonValue) -> Option<u64>;
+}
+
+/// Snapshot sequence numbers: a checkpoint directory.
+#[derive(Debug)]
+pub enum Seq {}
+
+impl KeyKind for Seq {
+    const MANIFEST: &'static str = "manifest.json";
+    const FIELD: &'static str = "seq";
+    fn file_name(key: u64) -> String {
+        format!("snap-{key:08}.ckpt")
+    }
+    fn key_of(name: &str) -> Option<u64> {
+        name.strip_prefix("snap-")?
+            .strip_suffix(".ckpt")?
+            .parse()
+            .ok()
+    }
+    fn to_json(key: u64) -> String {
+        key.to_string()
+    }
+    fn from_json(v: &JsonValue) -> Option<u64> {
+        v.as_u64()
+    }
+}
+
+/// Pattern fingerprints: the plan cache's disk tier.
+#[derive(Debug)]
+pub enum Fingerprint {}
+
+impl KeyKind for Fingerprint {
+    const MANIFEST: &'static str = "cache-manifest.json";
+    const FIELD: &'static str = "key";
+    fn file_name(key: u64) -> String {
+        format!("plan-{key:016x}.ckpt")
+    }
+    fn key_of(name: &str) -> Option<u64> {
+        let hex = name.strip_prefix("plan-")?.strip_suffix(".ckpt")?;
+        (hex.len() == 16).then(|| u64::from_str_radix(hex, 16).ok())?
+    }
+    fn to_json(key: u64) -> String {
+        format!("\"{key:016x}\"")
+    }
+    fn from_json(v: &JsonValue) -> Option<u64> {
+        u64::from_str_radix(v.as_str()?, 16).ok()
+    }
+}
+
+/// A checkpoint directory: pipeline snapshots by sequence number.
+pub type CheckpointStore = Store<Seq>;
+
+/// A plan-cache directory: the disk tier of the factor cache.
+pub type PlanStore = Store<Fingerprint>;
 
 /// One manifest entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
-    /// Monotone snapshot sequence number.
-    pub seq: u64,
-    /// File name relative to the checkpoint directory.
+    /// The key the file is stored under.
+    pub key: u64,
+    /// File name relative to the directory.
     pub file: String,
     /// Snapshot size in bytes.
     pub bytes: u64,
@@ -44,26 +142,26 @@ pub struct ManifestEntry {
     pub xxh64: u64,
 }
 
-/// A checkpoint directory.
-#[derive(Debug)]
-pub struct CheckpointStore {
+/// A directory of snapshot files keyed by `K`.
+pub struct Store<K> {
     dir: PathBuf,
+    faults: Option<Arc<dyn DiskFaultHook>>,
+    kind: PhantomData<K>,
 }
 
-fn snap_file_name(seq: u64) -> String {
-    format!("snap-{seq:08}.ckpt")
-}
-
-fn seq_of_file_name(name: &str) -> Option<u64> {
-    name.strip_prefix("snap-")?
-        .strip_suffix(".ckpt")?
-        .parse()
-        .ok()
+impl<K: KeyKind> std::fmt::Debug for Store<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Store")
+            .field("dir", &self.dir)
+            .field("manifest", &K::MANIFEST)
+            .field("faults", &self.faults.is_some())
+            .finish()
+    }
 }
 
 /// Writes `data` to `path` durably: tmp file, fsync, atomic rename,
 /// directory fsync.
-pub(crate) fn write_atomic(dir: &Path, path: &Path, data: &[u8]) -> Result<(), CheckpointError> {
+fn write_atomic(dir: &Path, path: &Path, data: &[u8]) -> Result<(), CheckpointError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = OpenOptions::new()
@@ -82,162 +180,183 @@ pub(crate) fn write_atomic(dir: &Path, path: &Path, data: &[u8]) -> Result<(), C
     Ok(())
 }
 
-impl CheckpointStore {
-    /// Opens (creating if needed) a checkpoint directory.
+impl<K: KeyKind> Store<K> {
+    /// Opens (creating if needed) a store directory.
     pub fn open(dir: &Path) -> Result<Self, CheckpointError> {
         fs::create_dir_all(dir)?;
-        Ok(CheckpointStore {
+        Ok(Store {
             dir: dir.to_path_buf(),
+            faults: None,
+            kind: PhantomData,
         })
     }
 
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Attaches a disk-fault hook, asked once per operation.
+    pub fn with_faults(mut self, hook: Arc<dyn DiskFaultHook>) -> Self {
+        self.faults = Some(hook);
+        self
     }
 
-    /// Durably writes `snap` under sequence number `seq` and rewrites the
-    /// manifest. Returns the number of snapshot bytes written.
-    pub fn save(&self, seq: u64, snap: &Snapshot) -> Result<u64, CheckpointError> {
+    fn check(&self, write: bool) -> Result<(), CheckpointError> {
+        match &self.faults {
+            Some(h) if write && h.on_disk_write() => {
+                Err(CheckpointError::Io("injected disk write fault".into()))
+            }
+            Some(h) if !write && h.on_disk_read() => {
+                Err(CheckpointError::Io("injected disk read fault".into()))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Durably writes `snap` under `key` and rewrites the manifest.
+    /// Returns the number of snapshot bytes written.
+    pub fn save(&self, key: u64, snap: &Snapshot) -> Result<u64, CheckpointError> {
+        self.check(true)?;
         let bytes = snap.to_bytes();
-        let path = self.dir.join(snap_file_name(seq));
-        write_atomic(&self.dir, &path, &bytes)?;
+        write_atomic(&self.dir, &self.dir.join(K::file_name(key)), &bytes)?;
         self.rewrite_manifest()?;
         Ok(bytes.len() as u64)
     }
 
-    /// Rebuilds the manifest from the snapshot files actually on disk —
-    /// the directory is the source of truth; the manifest is its durable,
+    /// Removes the file for `key` (quarantine eviction reaches the disk
+    /// tier too). Missing files are fine — removal is idempotent.
+    pub fn remove(&self, key: u64) -> Result<(), CheckpointError> {
+        self.check(true)?;
+        match fs::remove_file(self.dir.join(K::file_name(key))) {
+            Ok(()) => self.rewrite_manifest(),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Loads and verifies the file for `key`: its size and whole-file
+    /// hash against the manifest when the manifest lists it, then the
+    /// snapshot's magic, version and per-section checksums.
+    ///
+    /// * `Ok(None)` — no file for this key (plain miss).
+    /// * `Ok(Some(snap))` — the snapshot, checksum-verified.
+    /// * `Err(Corrupt)` — a file exists but fails verification.
+    pub fn load(&self, key: u64) -> Result<Option<Snapshot>, CheckpointError> {
+        self.check(false)?;
+        let file = K::file_name(key);
+        let data = match fs::read(self.dir.join(&file)) {
+            Ok(d) => d,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let listed = self.read_manifest().ok().flatten();
+        if let Some(e) = listed.iter().flatten().find(|e| e.key == key) {
+            if data.len() as u64 != e.bytes || xxh64(&data, 0) != e.xxh64 {
+                return Err(CheckpointError::Corrupt(format!(
+                    "{file}: file hash/size disagrees with {}",
+                    K::MANIFEST
+                )));
+            }
+        }
+        Snapshot::from_bytes(&data).map(Some)
+    }
+
+    /// Every key present, ascending: from the manifest when it parses,
+    /// otherwise by directory scan (a corrupt manifest must not hide
+    /// intact files).
+    pub fn keys(&self) -> Result<Vec<u64>, CheckpointError> {
+        self.check(false)?;
+        let mut keys: Vec<u64> = match self.read_manifest() {
+            Ok(Some(entries)) => entries.into_iter().map(|e| e.key).collect(),
+            Ok(None) | Err(_) => fs::read_dir(&self.dir)
+                .into_iter()
+                .flatten()
+                .flatten()
+                .filter_map(|entry| K::key_of(&entry.file_name().to_string_lossy()))
+                .collect(),
+        };
+        keys.sort_unstable();
+        Ok(keys)
+    }
+
+    /// Parses the manifest. `Ok(None)` when none exists yet.
+    pub fn read_manifest(&self) -> Result<Option<Vec<ManifestEntry>>, CheckpointError> {
+        let text = match fs::read_to_string(self.dir.join(K::MANIFEST)) {
+            Ok(t) => t,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        json::parse(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| parse_manifest::<K>(&doc))
+            .map(Some)
+            .map_err(|e| CheckpointError::Corrupt(format!("{}: {e}", K::MANIFEST)))
+    }
+
+    /// Rebuilds the manifest from the files actually on disk — the
+    /// directory is the source of truth, the manifest its durable,
     /// checksummed index.
     fn rewrite_manifest(&self) -> Result<(), CheckpointError> {
         let mut entries = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(seq) = seq_of_file_name(&name) else {
+            let file = entry.file_name().to_string_lossy().into_owned();
+            let Some(key) = K::key_of(&file) else {
                 continue;
             };
             let data = fs::read(entry.path())?;
             entries.push(ManifestEntry {
-                seq,
-                file: name,
+                key,
+                file,
                 bytes: data.len() as u64,
                 xxh64: xxh64(&data, 0),
             });
         }
-        entries.sort_by_key(|e| e.seq);
-        let mut doc = String::new();
-        doc.push_str(&format!(
-            "{{\n  \"schema_version\": {MANIFEST_VERSION},\n  \"entries\": ["
-        ));
+        entries.sort_by_key(|e| e.key);
+        let mut doc = format!("{{\n  \"schema_version\": {MANIFEST_VERSION},\n  \"entries\": [");
         for (i, e) in entries.iter().enumerate() {
             if i > 0 {
                 doc.push(',');
             }
             doc.push_str(&format!(
-                "\n    {{\"seq\": {}, \"file\": \"{}\", \"bytes\": {}, \"xxh64\": \"{:016x}\"}}",
-                e.seq, e.file, e.bytes, e.xxh64
+                "\n    {{\"{}\": {}, \"file\": \"{}\", \"bytes\": {}, \"xxh64\": \"{:016x}\"}}",
+                K::FIELD,
+                K::to_json(e.key),
+                e.file,
+                e.bytes,
+                e.xxh64
             ));
         }
         doc.push_str("\n  ]\n}\n");
-        write_atomic(&self.dir, &self.dir.join(MANIFEST_FILE), doc.as_bytes())
+        write_atomic(&self.dir, &self.dir.join(K::MANIFEST), doc.as_bytes())
     }
+}
 
-    /// Parses the manifest. `Ok(None)` when no manifest exists yet.
-    pub fn read_manifest(&self) -> Result<Option<Vec<ManifestEntry>>, CheckpointError> {
-        let path = self.dir.join(MANIFEST_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let doc = json::parse(&text)
-            .map_err(|e| CheckpointError::Corrupt(format!("manifest.json: {e}")))?;
-        parse_manifest(&doc)
-            .map(Some)
-            .map_err(|e| CheckpointError::Corrupt(format!("manifest.json: {e}")))
-    }
-
-    /// Candidate snapshots, newest first: from the manifest when present
-    /// and parseable, otherwise by scanning the directory (a corrupt
-    /// manifest must not hide intact snapshots).
-    fn candidates(&self) -> Result<Vec<(u64, PathBuf, Option<ManifestEntry>)>, CheckpointError> {
-        let mut out: Vec<(u64, PathBuf, Option<ManifestEntry>)> = match self.read_manifest() {
-            Ok(Some(entries)) => entries
-                .into_iter()
-                .map(|e| (e.seq, self.dir.join(&e.file), Some(e)))
-                .collect(),
-            Ok(None) | Err(_) => {
-                let mut v = Vec::new();
-                if let Ok(rd) = fs::read_dir(&self.dir) {
-                    for entry in rd.flatten() {
-                        let name = entry.file_name().to_string_lossy().into_owned();
-                        if let Some(seq) = seq_of_file_name(&name) {
-                            v.push((seq, entry.path(), None));
-                        }
-                    }
-                }
-                v
-            }
-        };
-        out.sort_by_key(|(seq, _, _)| std::cmp::Reverse(*seq));
-        Ok(out)
-    }
-
-    /// Loads the newest snapshot that passes every check (whole-file hash
-    /// against the manifest, then magic/version/per-section checksums).
+impl Store<Seq> {
+    /// Loads the newest snapshot that passes every check: a reader over
+    /// [`Store::keys`], newest first.
     ///
     /// * `Ok(None)` — the directory holds no snapshots at all (fresh run).
     /// * `Ok(Some((seq, snap)))` — the latest valid snapshot.
     /// * `Err(Corrupt)` — snapshots exist but none verifies.
     pub fn load_latest(&self) -> Result<Option<(u64, Snapshot)>, CheckpointError> {
-        let candidates = self.candidates()?;
-        if candidates.is_empty() {
+        let seqs = self.keys()?;
+        if seqs.is_empty() {
             return Ok(None);
         }
         let mut failures = Vec::new();
-        for (seq, path, entry) in &candidates {
-            let data = match fs::read(path) {
-                Ok(d) => d,
-                Err(e) => {
-                    failures.push(format!("{}: {e}", path.display()));
-                    continue;
-                }
-            };
-            if let Some(e) = entry {
-                let actual = xxh64(&data, 0);
-                if actual != e.xxh64 || data.len() as u64 != e.bytes {
-                    failures.push(format!(
-                        "{}: file hash/size disagrees with manifest",
-                        path.display()
-                    ));
-                    continue;
-                }
-            }
-            match Snapshot::from_bytes(&data) {
-                Ok(snap) => return Ok(Some((*seq, snap))),
-                Err(e) => failures.push(format!("{}: {e}", path.display())),
+        for &seq in seqs.iter().rev() {
+            match self.load(seq) {
+                Ok(Some(snap)) => return Ok(Some((seq, snap))),
+                Ok(None) => failures.push(format!("{}: missing", Seq::file_name(seq))),
+                Err(e) => failures.push(format!("{}: {e}", Seq::file_name(seq))),
             }
         }
         Err(CheckpointError::Corrupt(format!(
             "no valid snapshot among {} candidate(s): {}",
-            candidates.len(),
+            seqs.len(),
             failures.join("; ")
         )))
     }
-
-    /// Highest sequence number present on disk (valid or not), so a
-    /// resumed run continues numbering instead of overwriting history.
-    pub fn max_seq(&self) -> Result<u64, CheckpointError> {
-        Ok(self
-            .candidates()?
-            .first()
-            .map(|(seq, _, _)| *seq)
-            .unwrap_or(0))
-    }
 }
 
-fn parse_manifest(doc: &JsonValue) -> Result<Vec<ManifestEntry>, String> {
+fn parse_manifest<K: KeyKind>(doc: &JsonValue) -> Result<Vec<ManifestEntry>, String> {
     let version = doc
         .get("schema_version")
         .and_then(JsonValue::as_u64)
@@ -251,29 +370,23 @@ fn parse_manifest(doc: &JsonValue) -> Result<Vec<ManifestEntry>, String> {
         .ok_or("entries missing")?;
     let mut out = Vec::with_capacity(entries.len());
     for (i, e) in entries.iter().enumerate() {
-        let seq = e
-            .get("seq")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("entries[{i}].seq missing"))?;
-        let file = e
-            .get("file")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("entries[{i}].file missing"))?;
+        let field = |name: &str| {
+            e.get(name)
+                .ok_or_else(|| format!("entries[{i}].{name} missing"))
+        };
+        let bad = |name: &str| format!("entries[{i}].{name} malformed");
+        let key = K::from_json(field(K::FIELD)?).ok_or_else(|| bad(K::FIELD))?;
+        let file = field("file")?.as_str().ok_or_else(|| bad("file"))?;
         if file.contains('/') || file.contains("..") {
             return Err(format!("entries[{i}].file escapes the directory"));
         }
-        let bytes = e
-            .get("bytes")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("entries[{i}].bytes missing"))?;
-        let hash = e
-            .get("xxh64")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("entries[{i}].xxh64 missing"))?;
-        let xxh64 = u64::from_str_radix(hash, 16)
-            .map_err(|_| format!("entries[{i}].xxh64 not a hex hash"))?;
+        let bytes = field("bytes")?.as_u64().ok_or_else(|| bad("bytes"))?;
+        let xxh64 = field("xxh64")?
+            .as_str()
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or_else(|| bad("xxh64"))?;
         out.push(ManifestEntry {
-            seq,
+            key,
             file: file.to_string(),
             bytes,
             xxh64,
@@ -286,15 +399,15 @@ fn parse_manifest(doc: &JsonValue) -> Result<Vec<ManifestEntry>, String> {
 mod tests {
     use super::*;
     use crate::snapshot::section;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct TempDir(PathBuf);
 
     impl TempDir {
         fn new() -> Self {
-            static NEXT: AtomicU32 = AtomicU32::new(0);
+            static NEXT: AtomicU64 = AtomicU64::new(0);
             let dir = std::env::temp_dir().join(format!(
-                "gplu-ckpt-store-test-{}-{}",
+                "gplu-store-test-{}-{}",
                 std::process::id(),
                 NEXT.fetch_add(1, Ordering::Relaxed)
             ));
@@ -312,7 +425,176 @@ mod tests {
     fn snap(tag: u8) -> Snapshot {
         let mut s = Snapshot::new();
         s.add_section(section::META, vec![tag; 16]);
+        s.add_section(section::PLAN_BODY, vec![tag; 64]);
         s
+    }
+
+    /// Flips the last byte of the file stored under `key`.
+    fn flip_last_byte<K: KeyKind>(dir: &Path, key: u64) {
+        let p = dir.join(K::file_name(key));
+        let mut data = fs::read(&p).unwrap();
+        let last = data.len() - 1;
+        data[last] ^= 0xFF;
+        fs::write(&p, &data).unwrap();
+    }
+
+    fn save_load_remove<K: KeyKind>(dir: &Path) {
+        let store = Store::<K>::open(dir).unwrap();
+        assert!(store.load(0xABCD).unwrap().is_none());
+        assert!(store.keys().unwrap().is_empty());
+        store.save(0xEF01, &snap(2)).unwrap();
+        store.save(0xABCD, &snap(1)).unwrap();
+        let s = store.load(0xABCD).unwrap().expect("entry");
+        assert_eq!(s.section(section::META), Some(&[1u8; 16][..]));
+        assert_eq!(store.keys().unwrap(), vec![0xABCD, 0xEF01]);
+        let entries = store.read_manifest().unwrap().expect("manifest");
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].key, 0xABCD);
+        assert_eq!(entries[1].file, K::file_name(0xEF01));
+        store.remove(0xABCD).unwrap();
+        assert!(store.load(0xABCD).unwrap().is_none());
+        assert_eq!(store.keys().unwrap(), vec![0xEF01]);
+        // Idempotent removal.
+        store.remove(0xABCD).unwrap();
+    }
+
+    #[test]
+    fn save_load_remove_round_trip() {
+        save_load_remove::<Seq>(&TempDir::new().0);
+        save_load_remove::<Fingerprint>(&TempDir::new().0);
+    }
+
+    #[test]
+    fn file_names_and_manifests_keep_their_formats() {
+        assert_eq!(Seq::file_name(2), "snap-00000002.ckpt");
+        assert_eq!(Fingerprint::file_name(0xAB), "plan-00000000000000ab.ckpt");
+        assert_eq!(Seq::key_of("snap-00000002.ckpt"), Some(2));
+        assert_eq!(
+            Fingerprint::key_of("plan-00000000000000ab.ckpt"),
+            Some(0xAB)
+        );
+        assert_eq!(
+            Fingerprint::key_of("plan-ab.ckpt"),
+            None,
+            "16 hex digits only"
+        );
+        assert_eq!(Seq::key_of("plan-00000000000000ab.ckpt"), None);
+        assert_eq!(Seq::key_of("snap-00000009.ckpt.tmp"), None);
+    }
+
+    fn corrupt_entry<K: KeyKind>(dir: &Path) {
+        let store = Store::<K>::open(dir).unwrap();
+        store.save(7, &snap(1)).unwrap();
+        store.save(8, &snap(2)).unwrap();
+        flip_last_byte::<K>(dir, 7);
+        assert!(matches!(store.load(7), Err(CheckpointError::Corrupt(_))));
+        // The sibling entry is untouched.
+        assert!(store.load(8).unwrap().is_some());
+    }
+
+    #[test]
+    fn corrupt_entry_is_a_per_key_error() {
+        corrupt_entry::<Seq>(&TempDir::new().0);
+        corrupt_entry::<Fingerprint>(&TempDir::new().0);
+    }
+
+    fn truncated_entry<K: KeyKind>(dir: &Path) {
+        let store = Store::<K>::open(dir).unwrap();
+        store.save(3, &snap(9)).unwrap();
+        let p = dir.join(K::file_name(3));
+        let data = fs::read(&p).unwrap();
+        for cut in 0..data.len() {
+            fs::write(&p, &data[..cut]).unwrap();
+            assert!(
+                matches!(store.load(3), Err(CheckpointError::Corrupt(_))),
+                "cut at {cut} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_entry_fails_checksum_at_every_cut() {
+        truncated_entry::<Seq>(&TempDir::new().0);
+        truncated_entry::<Fingerprint>(&TempDir::new().0);
+    }
+
+    fn missing_manifest<K: KeyKind>(dir: &Path) {
+        let store = Store::<K>::open(dir).unwrap();
+        store.save(42, &snap(4)).unwrap();
+        fs::remove_file(dir.join(K::MANIFEST)).unwrap();
+        assert_eq!(store.keys().unwrap(), vec![42]);
+        assert!(store.load(42).unwrap().is_some());
+    }
+
+    #[test]
+    fn missing_manifest_still_finds_entries() {
+        missing_manifest::<Seq>(&TempDir::new().0);
+        missing_manifest::<Fingerprint>(&TempDir::new().0);
+    }
+
+    fn garbage_manifest<K: KeyKind>(dir: &Path) {
+        let store = Store::<K>::open(dir).unwrap();
+        store.save(1, &snap(1)).unwrap();
+        fs::write(dir.join(K::MANIFEST), b"{not json").unwrap();
+        assert!(matches!(
+            store.read_manifest(),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        assert_eq!(store.keys().unwrap(), vec![1]);
+        assert!(store.load(1).unwrap().is_some());
+    }
+
+    #[test]
+    fn garbage_manifest_falls_back_to_directory_scan() {
+        garbage_manifest::<Seq>(&TempDir::new().0);
+        garbage_manifest::<Fingerprint>(&TempDir::new().0);
+        let t = TempDir::new();
+        let store = CheckpointStore::open(&t.0).unwrap();
+        store.save(1, &snap(1)).unwrap();
+        fs::write(t.0.join(Seq::MANIFEST), b"{not json").unwrap();
+        let (seq, _) = store.load_latest().unwrap().expect("snapshot");
+        assert_eq!(seq, 1);
+    }
+
+    fn stray_tmp<K: KeyKind>(dir: &Path) {
+        let store = Store::<K>::open(dir).unwrap();
+        store.save(1, &snap(1)).unwrap();
+        // A torn write that never got renamed.
+        fs::write(dir.join(format!("{}.tmp", K::file_name(9))), b"torn").unwrap();
+        fs::remove_file(dir.join(K::MANIFEST)).unwrap();
+        assert_eq!(store.keys().unwrap(), vec![1]);
+        store.save(2, &snap(2)).unwrap();
+        assert_eq!(
+            store.keys().unwrap(),
+            vec![1, 2],
+            "the manifest skips it too"
+        );
+    }
+
+    #[test]
+    fn stray_tmp_files_are_ignored() {
+        stray_tmp::<Seq>(&TempDir::new().0);
+        stray_tmp::<Fingerprint>(&TempDir::new().0);
+        let t = TempDir::new();
+        let store = CheckpointStore::open(&t.0).unwrap();
+        store.save(1, &snap(1)).unwrap();
+        fs::write(t.0.join("snap-00000009.ckpt.tmp"), b"torn").unwrap();
+        let (seq, _) = store.load_latest().unwrap().expect("snapshot");
+        assert_eq!(seq, 1);
+    }
+
+    #[test]
+    fn manifest_rejects_path_escapes() {
+        let doc = json::parse(
+            r#"{"schema_version": 1, "entries": [{"seq": 1, "file": "../evil.ckpt", "bytes": 1, "xxh64": "00"}]}"#,
+        )
+        .unwrap();
+        assert!(parse_manifest::<Seq>(&doc).is_err());
+        let doc = json::parse(
+            r#"{"schema_version": 1, "entries": [{"key": "0000000000000001", "file": "../evil.ckpt", "bytes": 1, "xxh64": "00"}]}"#,
+        )
+        .unwrap();
+        assert!(parse_manifest::<Fingerprint>(&doc).is_err());
     }
 
     #[test]
@@ -320,7 +602,7 @@ mod tests {
         let t = TempDir::new();
         let store = CheckpointStore::open(&t.0).unwrap();
         assert!(store.load_latest().unwrap().is_none());
-        assert_eq!(store.max_seq().unwrap(), 0);
+        assert!(store.keys().unwrap().is_empty());
     }
 
     #[test]
@@ -332,10 +614,10 @@ mod tests {
         let (seq, s) = store.load_latest().unwrap().expect("snapshot");
         assert_eq!(seq, 2);
         assert_eq!(s.section(section::META), Some(&[2u8; 16][..]));
-        assert_eq!(store.max_seq().unwrap(), 2);
+        assert_eq!(store.keys().unwrap().last(), Some(&2));
         let entries = store.read_manifest().unwrap().expect("manifest");
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].seq, 1);
+        assert_eq!(entries[0].key, 1);
         assert_eq!(entries[1].file, "snap-00000002.ckpt");
     }
 
@@ -345,13 +627,7 @@ mod tests {
         let store = CheckpointStore::open(&t.0).unwrap();
         store.save(1, &snap(1)).unwrap();
         store.save(2, &snap(2)).unwrap();
-        // Flip a payload byte in the newest snapshot.
-        let p = t.0.join(snap_file_name(2));
-        let mut data = fs::read(&p).unwrap();
-        let last = data.len() - 1;
-        data[last] ^= 0xFF;
-        fs::write(&p, &data).unwrap();
-
+        flip_last_byte::<Seq>(&t.0, 2);
         let (seq, s) = store.load_latest().unwrap().expect("older snapshot");
         assert_eq!(seq, 1);
         assert_eq!(s.section(section::META), Some(&[1u8; 16][..]));
@@ -364,7 +640,7 @@ mod tests {
         store.save(1, &snap(1)).unwrap();
         store.save(2, &snap(2)).unwrap();
         for seq in [1, 2] {
-            let p = t.0.join(snap_file_name(seq));
+            let p = t.0.join(Seq::file_name(seq));
             let mut data = fs::read(&p).unwrap();
             data.truncate(data.len() / 2);
             fs::write(&p, &data).unwrap();
@@ -380,38 +656,97 @@ mod tests {
         let t = TempDir::new();
         let store = CheckpointStore::open(&t.0).unwrap();
         store.save(3, &snap(3)).unwrap();
-        fs::remove_file(t.0.join(MANIFEST_FILE)).unwrap();
+        fs::remove_file(t.0.join(Seq::MANIFEST)).unwrap();
         let (seq, _) = store.load_latest().unwrap().expect("snapshot");
         assert_eq!(seq, 3);
     }
 
-    #[test]
-    fn garbage_manifest_falls_back_to_directory_scan() {
-        let t = TempDir::new();
-        let store = CheckpointStore::open(&t.0).unwrap();
-        store.save(1, &snap(1)).unwrap();
-        fs::write(t.0.join(MANIFEST_FILE), b"{not json").unwrap();
-        let (seq, _) = store.load_latest().unwrap().expect("snapshot");
-        assert_eq!(seq, 1);
+    /// Counts every question and fails the `fail_read`th read and the
+    /// `fail_write`th write (0: never).
+    #[derive(Default)]
+    struct Counting {
+        reads: AtomicU64,
+        writes: AtomicU64,
+        fail_read: u64,
+        fail_write: u64,
     }
 
-    #[test]
-    fn stray_tmp_files_are_ignored() {
-        let t = TempDir::new();
-        let store = CheckpointStore::open(&t.0).unwrap();
-        store.save(1, &snap(1)).unwrap();
-        // A torn write that never got renamed.
-        fs::write(t.0.join("snap-00000009.ckpt.tmp"), b"torn").unwrap();
-        let (seq, _) = store.load_latest().unwrap().expect("snapshot");
-        assert_eq!(seq, 1);
+    impl DiskFaultHook for Counting {
+        fn on_disk_read(&self) -> bool {
+            self.reads.fetch_add(1, Ordering::Relaxed) + 1 == self.fail_read
+        }
+        fn on_disk_write(&self) -> bool {
+            self.writes.fetch_add(1, Ordering::Relaxed) + 1 == self.fail_write
+        }
     }
 
-    #[test]
-    fn manifest_rejects_path_escapes() {
-        let doc = json::parse(
-            r#"{"schema_version": 1, "entries": [{"seq": 1, "file": "../evil.ckpt", "bytes": 1, "xxh64": "00"}]}"#,
+    fn counts(h: &Counting) -> (u64, u64) {
+        (
+            h.reads.load(Ordering::Relaxed),
+            h.writes.load(Ordering::Relaxed),
         )
-        .unwrap();
-        assert!(parse_manifest(&doc).is_err());
+    }
+
+    #[test]
+    fn the_disk_fault_hook_is_asked_once_per_operation() {
+        // The service's seeded `diskfault:` plans count these questions,
+        // so each operation must ask exactly once.
+        let t = TempDir::new();
+        let hook = Arc::new(Counting::default());
+        let store = PlanStore::open(&t.0).unwrap().with_faults(hook.clone());
+        store.save(5, &snap(5)).unwrap();
+        assert_eq!(counts(&hook), (0, 1), "save: one write check");
+        store.load(5).unwrap().expect("entry");
+        assert_eq!(counts(&hook), (1, 1), "load: one read check");
+        assert_eq!(store.keys().unwrap(), vec![5]);
+        assert_eq!(counts(&hook), (2, 1), "keys: one read check");
+        store.remove(5).unwrap();
+        assert_eq!(counts(&hook), (2, 2), "remove: one write check");
+        assert!(store.load(5).unwrap().is_none());
+        assert_eq!(counts(&hook), (3, 2), "a miss is one read check too");
+    }
+
+    fn fault_recovers<K: KeyKind>(dir: &Path) {
+        let hook = Arc::new(Counting {
+            fail_read: 1,
+            fail_write: 1,
+            ..Counting::default()
+        });
+        let store = Store::<K>::open(dir).unwrap().with_faults(hook);
+        assert!(matches!(
+            store.save(1, &snap(1)),
+            Err(CheckpointError::Io(_))
+        ));
+        // The injected fault was transient; the next attempt succeeds and
+        // the first failure left nothing torn behind.
+        store.save(1, &snap(1)).unwrap();
+        assert!(matches!(store.load(1), Err(CheckpointError::Io(_))));
+        assert!(store.load(1).unwrap().is_some());
+    }
+
+    #[test]
+    fn fault_hook_surfaces_as_io_error_and_store_recovers() {
+        fault_recovers::<Seq>(&TempDir::new().0);
+        fault_recovers::<Fingerprint>(&TempDir::new().0);
+    }
+
+    #[test]
+    fn a_write_fault_on_a_checkpoint_save_keeps_the_previous_latest() {
+        let t = TempDir::new();
+        let hook = Arc::new(Counting {
+            fail_write: 3,
+            ..Counting::default()
+        });
+        let store = CheckpointStore::open(&t.0).unwrap().with_faults(hook);
+        store.save(1, &snap(1)).unwrap();
+        store.save(2, &snap(2)).unwrap();
+        assert!(matches!(
+            store.save(3, &snap(3)),
+            Err(CheckpointError::Io(_))
+        ));
+        assert_eq!(store.keys().unwrap(), vec![1, 2], "nothing of seq 3 landed");
+        let (seq, s) = store.load_latest().unwrap().expect("previous latest");
+        assert_eq!(seq, 2);
+        assert_eq!(s, snap(2));
     }
 }

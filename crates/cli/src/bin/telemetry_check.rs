@@ -254,14 +254,14 @@ fn check_manifest(dir: &str) -> Result<String, String> {
     let mut last_seq = None;
     for e in &entries {
         if let Some(prev) = last_seq {
-            if e.seq <= prev {
+            if e.key <= prev {
                 return Err(format!(
                     "manifest: sequence numbers not strictly increasing ({prev} then {})",
-                    e.seq
+                    e.key
                 ));
             }
         }
-        last_seq = Some(e.seq);
+        last_seq = Some(e.key);
         let path = dir.join(&e.file);
         let data = std::fs::read(&path).map_err(|err| format!("{}: {err}", path.display()))?;
         if data.len() as u64 != e.bytes {

@@ -17,6 +17,11 @@
 //! [`section::NUMERIC`]) are attached only to the snapshot being cut, so
 //! they naturally disappear once their phase finishes.
 //!
+//! Each section is one function generic over the codec's direction
+//! (`gplu_checkpoint::Codec`) that visits its fields in byte order, so
+//! the encoder and the decoder are the same code. Enums map to their
+//! on-disk tags through one table each.
+//!
 //! # Resume invariants
 //!
 //! * The matrix fingerprint must match — resuming against a different
@@ -35,17 +40,16 @@
 
 use crate::error::GpluError;
 use crate::pipeline::{LuOptions, NumericFormat, SymbolicEngine};
-use crate::recovery::{Phase, RecoveryAction, RecoveryLog};
+use crate::recovery::{Phase, RecoveryAction, RecoveryEvent, RecoveryLog};
 use gplu_checkpoint::{
-    decode_csr, decode_perm, encode_csr, encode_perm, section, xxh64, CheckpointStore, Dec, Enc,
+    decode, encode, section, tag_of, xxh64, CheckpointError, CheckpointStore, Codec, Dec, Enc,
     Snapshot,
 };
-use gplu_numeric::{ModeMix, NumericResume};
+use gplu_numeric::NumericResume;
 use gplu_schedule::Levels;
 use gplu_sim::{Gpu, SimError, SimTime};
 use gplu_sparse::{Csr, Permutation};
-use gplu_symbolic::result::SymbolicMetrics;
-use gplu_symbolic::{DynamicSplit, SymbolicResult, SymbolicResume};
+use gplu_symbolic::{SymbolicResult, SymbolicResume};
 use gplu_trace::TraceSink;
 use std::path::PathBuf;
 
@@ -111,34 +115,24 @@ impl CheckpointOptions {
 }
 
 /// How far the run had progressed when a snapshot was cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum PhaseMark {
     /// Pre-processing done; matrix/permutations durable.
-    Preprocessed = 1,
+    #[default]
+    Preprocessed,
     /// Mid-symbolic: a stage-1 chunk watermark is attached.
-    SymbolicPartial = 2,
+    SymbolicPartial,
     /// Symbolic done; filled pattern durable.
-    Symbolic = 3,
+    Symbolic,
     /// Levelization done; level schedule durable.
-    Levelized = 4,
+    Levelized,
     /// Mid-numeric: a level watermark + value store is attached. The
     /// final snapshot of a completed run is this mark with
     /// `start_level == n_levels`.
-    NumericPartial = 5,
+    NumericPartial,
 }
 
 impl PhaseMark {
-    fn from_u8(v: u8) -> Result<PhaseMark, GpluError> {
-        Ok(match v {
-            1 => PhaseMark::Preprocessed,
-            2 => PhaseMark::SymbolicPartial,
-            3 => PhaseMark::Symbolic,
-            4 => PhaseMark::Levelized,
-            5 => PhaseMark::NumericPartial,
-            other => return Err(corrupt(format!("unknown phase mark {other}"))),
-        })
-    }
-
     /// Stable name for traces and logs.
     pub fn name(self) -> &'static str {
         match self {
@@ -151,32 +145,130 @@ impl PhaseMark {
     }
 }
 
-fn corrupt(msg: impl Into<String>) -> GpluError {
+/// A [`GpluError::CheckpointCorrupt`] carrying `msg`.
+pub(crate) fn corrupt(msg: impl Into<String>) -> GpluError {
     GpluError::CheckpointCorrupt(msg.into())
 }
 
-/// Stable tag identifying the symbolic engine that produced a partial
-/// snapshot.
+// ---------------------------------------------------------------------
+// Tag tables: each enum's variants once, beside their on-disk tag
+// ---------------------------------------------------------------------
+
+const MARKS: [(u8, PhaseMark); 5] = [
+    (1, PhaseMark::Preprocessed),
+    (2, PhaseMark::SymbolicPartial),
+    (3, PhaseMark::Symbolic),
+    (4, PhaseMark::Levelized),
+    (5, PhaseMark::NumericPartial),
+];
+
+/// The symbolic engine that cut a partial snapshot.
+const ENGINES: [(u8, SymbolicEngine); 4] = [
+    (0, SymbolicEngine::Ooc),
+    (1, SymbolicEngine::OocDynamic),
+    (2, SymbolicEngine::UmNoPrefetch),
+    (3, SymbolicEngine::UmPrefetch),
+];
+
+/// The numeric format of a partial snapshot or a plan. Ladder rungs are
+/// concrete by the time a partial snapshot is cut, so
+/// [`NumericFormat::Auto`] appears only in plans, whose warm path carries
+/// its own replay ladder for it.
+pub(crate) const FORMATS: [(u8, NumericFormat); 5] = [
+    (0, NumericFormat::Dense),
+    (1, NumericFormat::Sparse),
+    (2, NumericFormat::SparseMerge),
+    (3, NumericFormat::SparseBlocked),
+    (255, NumericFormat::Auto),
+];
+
+const PHASES: [(u8, Phase); 6] = [
+    (0, Phase::Preprocess),
+    (1, Phase::Symbolic),
+    (2, Phase::Levelize),
+    (3, Phase::Numeric),
+    (4, Phase::Solve),
+    (5, Phase::Cache),
+];
+
+/// Each action's fields follow its tag, in the order [`recovery`] walks.
+const ACTIONS: [(u8, RecoveryAction); 11] = [
+    (
+        0,
+        RecoveryAction::ChunkBackoff {
+            backoffs: 0,
+            final_chunk: 0,
+        },
+    ),
+    (1, RecoveryAction::StreamedOutput),
+    (
+        2,
+        RecoveryAction::EngineDegraded {
+            from: String::new(),
+            to: String::new(),
+        },
+    ),
+    (
+        3,
+        RecoveryAction::FormatDegraded {
+            from: String::new(),
+            to: String::new(),
+        },
+    ),
+    (
+        4,
+        RecoveryAction::PivotRepaired {
+            col: 0,
+            value: 0.0,
+            magnitude: 0.0,
+        },
+    ),
+    (
+        5,
+        RecoveryAction::PivotEscalated {
+            from: String::new(),
+            to: String::new(),
+        },
+    ),
+    (
+        6,
+        RecoveryAction::PivotPerturbed {
+            cols: 0,
+            max_delta: 0.0,
+        },
+    ),
+    (
+        7,
+        RecoveryAction::PatternExpanded {
+            added: 0,
+            rounds: 0,
+        },
+    ),
+    (8, RecoveryAction::Resymbolic { abandoned: 0 }),
+    (
+        9,
+        RecoveryAction::DiskEntryRejected {
+            key: 0,
+            reason: String::new(),
+        },
+    ),
+    (
+        10,
+        RecoveryAction::DeviceLost {
+            device: 0,
+            resharded: 0,
+        },
+    ),
+];
+
+/// Tag of the symbolic engine that cut a partial snapshot.
 pub(crate) fn engine_tag(e: SymbolicEngine) -> u8 {
-    match e {
-        SymbolicEngine::Ooc => 0,
-        SymbolicEngine::OocDynamic => 1,
-        SymbolicEngine::UmNoPrefetch => 2,
-        SymbolicEngine::UmPrefetch => 3,
-    }
+    tag_of(&ENGINES, &e)
 }
 
-/// Stable tag identifying the numeric format that produced a partial
-/// snapshot. Ladder rungs are always concrete by the time a snapshot is
-/// cut, so [`NumericFormat::Auto`] never appears on disk.
+/// Tag of the numeric format that cut a partial snapshot.
 pub(crate) fn format_tag(f: NumericFormat) -> u8 {
-    match f {
-        NumericFormat::Dense => 0,
-        NumericFormat::Sparse => 1,
-        NumericFormat::SparseMerge => 2,
-        NumericFormat::SparseBlocked => 3,
-        NumericFormat::Auto => 255,
-    }
+    tag_of(&FORMATS, &f)
 }
 
 /// Structural fingerprint of the input matrix: dimensions and sparsity
@@ -186,21 +278,21 @@ pub(crate) fn format_tag(f: NumericFormat) -> u8 {
 /// cache, where [`matrix_fingerprint`] would defeat reuse entirely.
 pub fn pattern_fingerprint(a: &Csr) -> u64 {
     let mut e = Enc::new();
-    e.u64(a.n_rows() as u64);
-    e.u64(a.n_cols() as u64);
-    e.vec_usize(&a.row_ptr);
-    e.vec_u32(&a.col_idx);
+    e.put(&(a.n_rows() as u64));
+    e.put(&(a.n_cols() as u64));
+    e.put(&a.row_ptr);
+    e.put(&a.col_idx);
     xxh64(&e.into_bytes(), PATTERN_FP_SEED)
 }
 
 /// Content fingerprint of the input matrix (structure + values).
 pub fn matrix_fingerprint(a: &Csr) -> u64 {
     let mut e = Enc::new();
-    e.u64(a.n_rows() as u64);
-    e.u64(a.n_cols() as u64);
-    e.vec_usize(&a.row_ptr);
-    e.vec_u32(&a.col_idx);
-    e.vec_f64(&a.vals);
+    e.put(&(a.n_rows() as u64));
+    e.put(&(a.n_cols() as u64));
+    e.put(&a.row_ptr);
+    e.put(&a.col_idx);
+    e.put(&a.vals);
     xxh64(&e.into_bytes(), MATRIX_FP_SEED)
 }
 
@@ -213,52 +305,40 @@ pub fn options_fingerprint(opts: &LuOptions) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Section codecs
+// Sections: one walk each, in byte order (`gplu_checkpoint::codec`)
 // ---------------------------------------------------------------------
 
-fn encode_meta(mark: PhaseMark, clock_ns: f64) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(mark as u8);
-    e.f64(clock_ns);
-    e.into_bytes()
+type Walked = Result<(), CheckpointError>;
+
+#[derive(Debug, Default)]
+struct Meta {
+    mark: PhaseMark,
+    clock_ns: f64,
 }
 
-fn decode_meta(b: &[u8]) -> Result<(PhaseMark, f64), GpluError> {
-    let mut d = Dec::new(b);
-    let mark = PhaseMark::from_u8(d.u8("meta.mark").map_err(corrupt_ck)?)?;
-    let clock_ns = d.f64("meta.clock_ns").map_err(corrupt_ck)?;
-    expect_drained(&d, "META")?;
-    Ok((mark, clock_ns))
+fn meta<C: Codec>(c: &mut C, m: &mut Meta) -> Walked {
+    c.tag(&mut m.mark, &MARKS, "meta.mark")?;
+    c.field(&mut m.clock_ns, "meta.clock_ns")
 }
 
-fn encode_fingerprint(matrix_fp: u64, opts_fp: u64, n: usize, nnz: usize) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(matrix_fp);
-    e.u64(opts_fp);
-    e.u64(n as u64);
-    e.u64(nnz as u64);
-    e.into_bytes()
-}
-
+#[derive(Debug, Default)]
 struct Fingerprint {
     matrix_fp: u64,
+    opts_fp: u64,
     n: u64,
     nnz: u64,
 }
 
-fn decode_fingerprint(b: &[u8]) -> Result<Fingerprint, GpluError> {
-    let mut d = Dec::new(b);
-    let matrix_fp = d.u64("fp.matrix").map_err(corrupt_ck)?;
-    let _opts_fp = d.u64("fp.opts").map_err(corrupt_ck)?;
-    let n = d.u64("fp.n").map_err(corrupt_ck)?;
-    let nnz = d.u64("fp.nnz").map_err(corrupt_ck)?;
-    expect_drained(&d, "FINGERPRINT")?;
-    Ok(Fingerprint { matrix_fp, n, nnz })
+fn fingerprint<C: Codec>(c: &mut C, f: &mut Fingerprint) -> Walked {
+    c.field(&mut f.matrix_fp, "fp.matrix")?;
+    c.field(&mut f.opts_fp, "fp.opts")?;
+    c.field(&mut f.n, "fp.n")?;
+    c.field(&mut f.nnz, "fp.nnz")
 }
 
 /// Durable pre-processing output: the (possibly diagonal-repaired)
 /// permuted matrix and its permutations.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PreState {
     /// The pre-processed matrix the rest of the pipeline consumes.
     pub matrix: Csr,
@@ -272,79 +352,35 @@ pub struct PreState {
     pub time_ns: f64,
 }
 
-fn encode_preprocess(p: &PreState) -> Vec<u8> {
-    let mut e = Enc::new();
-    encode_csr(&mut e, &p.matrix);
-    encode_perm(&mut e, &p.p_row);
-    encode_perm(&mut e, &p.p_col);
-    e.u64(p.repaired as u64);
-    e.f64(p.time_ns);
-    e.into_bytes()
+fn preprocess<C: Codec>(c: &mut C, p: &mut PreState) -> Walked {
+    c.field(&mut p.matrix, "pre.matrix")?;
+    c.field(&mut p.p_row, "pre.p_row")?;
+    c.field(&mut p.p_col, "pre.p_col")?;
+    c.field(&mut p.repaired, "pre.repaired")?;
+    c.field(&mut p.time_ns, "pre.time_ns")
 }
 
-fn decode_preprocess(b: &[u8]) -> Result<PreState, GpluError> {
-    let mut d = Dec::new(b);
-    let matrix = decode_csr(&mut d).map_err(corrupt_ck)?;
-    let p_row = decode_perm(&mut d).map_err(corrupt_ck)?;
-    let p_col = decode_perm(&mut d).map_err(corrupt_ck)?;
-    let repaired = d.u64("pre.repaired").map_err(corrupt_ck)? as usize;
-    let time_ns = d.f64("pre.time_ns").map_err(corrupt_ck)?;
-    expect_drained(&d, "PREPROCESS")?;
-    Ok(PreState {
-        matrix,
-        p_row,
-        p_col,
-        repaired,
-        time_ns,
-    })
-}
-
-fn encode_symbolic_partial(engine: u8, r: &SymbolicResume) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(engine);
-    e.u64(r.rows_done as u64);
-    e.u64(r.iters_done as u64);
-    e.u64(r.chunk as u64);
-    e.u64(r.oom_backoffs as u64);
-    e.vec_u32(&r.fill_counts);
-    e.u64(r.agg_steps);
-    e.u64(r.agg_edges);
-    e.u64(r.agg_frontiers);
-    e.u64(r.split.n1 as u64);
-    e.u64(r.split.frontier_cap);
-    e.u64(r.split.chunk1 as u64);
-    e.u64(r.split.chunk2 as u64);
-    e.vec_u32(&r.overflow_rows);
-    e.into_bytes()
-}
-
-fn decode_symbolic_partial(b: &[u8]) -> Result<(u8, SymbolicResume), GpluError> {
-    let mut d = Dec::new(b);
-    let engine = d.u8("sym.engine").map_err(corrupt_ck)?;
-    let resume = SymbolicResume {
-        rows_done: d.u64("sym.rows_done").map_err(corrupt_ck)? as usize,
-        iters_done: d.u64("sym.iters_done").map_err(corrupt_ck)? as usize,
-        chunk: d.u64("sym.chunk").map_err(corrupt_ck)? as usize,
-        oom_backoffs: d.u64("sym.oom_backoffs").map_err(corrupt_ck)? as usize,
-        fill_counts: d.vec_u32("sym.fill_counts").map_err(corrupt_ck)?,
-        agg_steps: d.u64("sym.agg_steps").map_err(corrupt_ck)?,
-        agg_edges: d.u64("sym.agg_edges").map_err(corrupt_ck)?,
-        agg_frontiers: d.u64("sym.agg_frontiers").map_err(corrupt_ck)?,
-        split: DynamicSplit {
-            n1: d.u64("sym.split.n1").map_err(corrupt_ck)? as usize,
-            frontier_cap: d.u64("sym.split.frontier_cap").map_err(corrupt_ck)?,
-            chunk1: d.u64("sym.split.chunk1").map_err(corrupt_ck)? as usize,
-            chunk2: d.u64("sym.split.chunk2").map_err(corrupt_ck)? as usize,
-        },
-        overflow_rows: d.vec_u32("sym.overflow_rows").map_err(corrupt_ck)?,
-    };
-    expect_drained(&d, "SYMBOLIC_PARTIAL")?;
-    Ok((engine, resume))
+/// The engine tag, then the chunk watermark it resumes from.
+fn symbolic_partial<C: Codec>(c: &mut C, (engine, r): &mut (u8, SymbolicResume)) -> Walked {
+    c.field(engine, "sym.engine")?;
+    c.field(&mut r.rows_done, "sym.rows_done")?;
+    c.field(&mut r.iters_done, "sym.iters_done")?;
+    c.field(&mut r.chunk, "sym.chunk")?;
+    c.field(&mut r.oom_backoffs, "sym.oom_backoffs")?;
+    c.field(&mut r.fill_counts, "sym.fill_counts")?;
+    c.field(&mut r.agg_steps, "sym.agg_steps")?;
+    c.field(&mut r.agg_edges, "sym.agg_edges")?;
+    c.field(&mut r.agg_frontiers, "sym.agg_frontiers")?;
+    c.field(&mut r.split.n1, "sym.split.n1")?;
+    c.field(&mut r.split.frontier_cap, "sym.split.frontier_cap")?;
+    c.field(&mut r.split.chunk1, "sym.split.chunk1")?;
+    c.field(&mut r.split.chunk2, "sym.split.chunk2")?;
+    c.field(&mut r.overflow_rows, "sym.overflow_rows")
 }
 
 /// Durable symbolic output plus the report facts a resumed run can no
 /// longer observe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SymbolicDone {
     /// The filled pattern and metrics.
     pub result: SymbolicResult,
@@ -354,265 +390,126 @@ pub struct SymbolicDone {
     pub iterations: usize,
 }
 
-fn encode_symbolic_done(result: &SymbolicResult, chunk_size: usize, iterations: usize) -> Vec<u8> {
-    let mut e = Enc::new();
-    encode_csr(&mut e, &result.filled);
-    e.vec_u32(&result.fill_count);
-    e.u64(result.metrics.steps);
-    e.u64(result.metrics.edges);
-    e.u64(result.metrics.frontiers);
-    e.u64(chunk_size as u64);
-    e.u64(iterations as u64);
-    e.into_bytes()
-}
-
-fn decode_symbolic_done(b: &[u8]) -> Result<SymbolicDone, GpluError> {
-    let mut d = Dec::new(b);
-    let filled = decode_csr(&mut d).map_err(corrupt_ck)?;
-    let fill_count = d.vec_u32("symdone.fill_count").map_err(corrupt_ck)?;
-    let steps = d.u64("symdone.steps").map_err(corrupt_ck)?;
-    let edges = d.u64("symdone.edges").map_err(corrupt_ck)?;
-    let frontiers = d.u64("symdone.frontiers").map_err(corrupt_ck)?;
-    let chunk_size = d.u64("symdone.chunk_size").map_err(corrupt_ck)? as usize;
-    let iterations = d.u64("symdone.iterations").map_err(corrupt_ck)? as usize;
-    expect_drained(&d, "SYMBOLIC")?;
-    if fill_count.len() != filled.n_rows() {
-        return Err(corrupt(format!(
+fn symbolic_done<C: Codec>(c: &mut C, s: &mut SymbolicDone) -> Walked {
+    let r = &mut s.result;
+    c.field(&mut r.filled, "symdone.filled")?;
+    c.field(&mut r.fill_count, "symdone.fill_count")?;
+    c.field(&mut r.metrics.steps, "symdone.steps")?;
+    c.field(&mut r.metrics.edges, "symdone.edges")?;
+    c.field(&mut r.metrics.frontiers, "symdone.frontiers")?;
+    c.field(&mut s.chunk_size, "symdone.chunk_size")?;
+    c.field(&mut s.iterations, "symdone.iterations")?;
+    if C::DECODES && r.fill_count.len() != r.filled.n_rows() {
+        return Err(CheckpointError::Corrupt(format!(
             "fill_count has {} entries for a {}-row pattern",
-            fill_count.len(),
-            filled.n_rows()
+            r.fill_count.len(),
+            r.filled.n_rows()
         )));
     }
-    Ok(SymbolicDone {
-        result: SymbolicResult {
-            filled,
-            fill_count,
-            metrics: SymbolicMetrics {
-                steps,
-                edges,
-                frontiers,
-            },
-        },
-        chunk_size,
-        iterations,
-    })
+    Ok(())
 }
 
-fn encode_levels(level_of: &[u32]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.vec_u32(level_of);
-    e.into_bytes()
+fn levels<C: Codec>(c: &mut C, level_of: &mut Vec<u32>) -> Walked {
+    c.field(level_of, "levels.level_of")
 }
 
-fn decode_levels(b: &[u8]) -> Result<Vec<u32>, GpluError> {
-    let mut d = Dec::new(b);
-    let level_of = d.vec_u32("levels.level_of").map_err(corrupt_ck)?;
-    expect_drained(&d, "LEVELS")?;
-    Ok(level_of)
+/// The format tag, then the level watermark it resumes from.
+fn numeric<C: Codec>(c: &mut C, (format, r): &mut (u8, NumericResume)) -> Walked {
+    c.field(format, "num.format")?;
+    c.field(&mut r.start_level, "num.start_level")?;
+    c.field(&mut r.vals, "num.vals")?;
+    c.field(&mut r.mode_mix.a, "num.mix_a")?;
+    c.field(&mut r.mode_mix.b, "num.mix_b")?;
+    c.field(&mut r.mode_mix.c, "num.mix_c")?;
+    c.field(&mut r.probes, "num.probes")?;
+    c.field(&mut r.merge_steps, "num.merge_steps")?;
+    c.field(&mut r.batches, "num.batches")?;
+    c.field(&mut r.gemm_tiles, "num.gemm_tiles")
 }
 
-fn encode_numeric(format: u8, r: &NumericResume) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(format);
-    e.u64(r.start_level as u64);
-    e.vec_f64(&r.vals);
-    e.u64(r.mode_mix.a as u64);
-    e.u64(r.mode_mix.b as u64);
-    e.u64(r.mode_mix.c as u64);
-    e.u64(r.probes);
-    e.u64(r.merge_steps);
-    e.u64(r.batches);
-    e.u64(r.gemm_tiles);
-    e.into_bytes()
-}
-
-fn decode_numeric(b: &[u8]) -> Result<(u8, NumericResume), GpluError> {
-    let mut d = Dec::new(b);
-    let format = d.u8("num.format").map_err(corrupt_ck)?;
-    let start_level = d.u64("num.start_level").map_err(corrupt_ck)? as usize;
-    let vals = d.vec_f64("num.vals").map_err(corrupt_ck)?;
-    let a = d.u64("num.mix_a").map_err(corrupt_ck)? as usize;
-    let b_ = d.u64("num.mix_b").map_err(corrupt_ck)? as usize;
-    let c = d.u64("num.mix_c").map_err(corrupt_ck)? as usize;
-    let probes = d.u64("num.probes").map_err(corrupt_ck)?;
-    let merge_steps = d.u64("num.merge_steps").map_err(corrupt_ck)?;
-    let batches = d.u64("num.batches").map_err(corrupt_ck)?;
-    let gemm_tiles = d.u64("num.gemm_tiles").map_err(corrupt_ck)?;
-    expect_drained(&d, "NUMERIC")?;
-    Ok((
-        format,
-        NumericResume {
-            start_level,
-            vals,
-            mode_mix: ModeMix { a, b: b_, c },
-            probes,
-            merge_steps,
-            batches,
-            gemm_tiles,
-        },
-    ))
-}
-
-fn phase_tag(p: Phase) -> u8 {
-    match p {
-        Phase::Preprocess => 0,
-        Phase::Symbolic => 1,
-        Phase::Levelize => 2,
-        Phase::Numeric => 3,
-        Phase::Solve => 4,
-        Phase::Cache => 5,
-    }
-}
-
-fn phase_from_tag(t: u8) -> Result<Phase, GpluError> {
-    Ok(match t {
-        0 => Phase::Preprocess,
-        1 => Phase::Symbolic,
-        2 => Phase::Levelize,
-        3 => Phase::Numeric,
-        4 => Phase::Solve,
-        5 => Phase::Cache,
-        other => return Err(corrupt(format!("unknown recovery phase tag {other}"))),
-    })
-}
-
-fn encode_recovery(log: &RecoveryLog) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(log.len() as u32);
-    for ev in log.events() {
-        e.u8(phase_tag(ev.phase));
-        match &ev.action {
+/// A `u32` count, then each event: its phase tag, its action tag and the
+/// action's fields.
+fn recovery<C: Codec>(c: &mut C, log: &mut RecoveryLog) -> Walked {
+    let mut count = log.events.len() as u32;
+    c.field(&mut count, "rec.count")?;
+    for i in 0..count as usize {
+        if C::DECODES {
+            log.events.push(RecoveryEvent {
+                phase: Phase::Preprocess,
+                action: RecoveryAction::StreamedOutput,
+            });
+        }
+        let ev = &mut log.events[i];
+        c.tag(&mut ev.phase, &PHASES, "rec.phase")?;
+        c.tag(&mut ev.action, &ACTIONS, "rec.action")?;
+        match &mut ev.action {
             RecoveryAction::ChunkBackoff {
                 backoffs,
                 final_chunk,
             } => {
-                e.u8(0);
-                e.u64(*backoffs as u64);
-                e.u64(*final_chunk as u64);
+                c.field(backoffs, "rec.backoffs")?;
+                c.field(final_chunk, "rec.final_chunk")?;
             }
-            RecoveryAction::StreamedOutput => e.u8(1),
-            RecoveryAction::EngineDegraded { from, to } => {
-                e.u8(2);
-                e.str(from);
-                e.str(to);
-            }
-            RecoveryAction::FormatDegraded { from, to } => {
-                e.u8(3);
-                e.str(from);
-                e.str(to);
+            RecoveryAction::StreamedOutput => {}
+            RecoveryAction::EngineDegraded { from, to }
+            | RecoveryAction::FormatDegraded { from, to }
+            | RecoveryAction::PivotEscalated { from, to } => {
+                c.field(from, "rec.from")?;
+                c.field(to, "rec.to")?;
             }
             RecoveryAction::PivotRepaired {
                 col,
                 value,
                 magnitude,
             } => {
-                e.u8(4);
-                e.u64(*col as u64);
-                e.f64(*value);
-                e.f64(*magnitude);
-            }
-            RecoveryAction::PivotEscalated { from, to } => {
-                e.u8(5);
-                e.str(from);
-                e.str(to);
+                c.field(col, "rec.col")?;
+                c.field(value, "rec.value")?;
+                c.field(magnitude, "rec.magnitude")?;
             }
             RecoveryAction::PivotPerturbed { cols, max_delta } => {
-                e.u8(6);
-                e.u64(*cols as u64);
-                e.f64(*max_delta);
+                c.field(cols, "rec.cols")?;
+                c.field(max_delta, "rec.max_delta")?;
             }
             RecoveryAction::PatternExpanded { added, rounds } => {
-                e.u8(7);
-                e.u64(*added as u64);
-                e.u64(*rounds as u64);
+                c.field(added, "rec.added")?;
+                c.field(rounds, "rec.rounds")?;
             }
-            RecoveryAction::Resymbolic { abandoned } => {
-                e.u8(8);
-                e.u64(*abandoned as u64);
-            }
+            RecoveryAction::Resymbolic { abandoned } => c.field(abandoned, "rec.abandoned")?,
             RecoveryAction::DiskEntryRejected { key, reason } => {
-                e.u8(9);
-                e.u64(*key);
-                e.str(reason);
+                c.field(key, "rec.key")?;
+                c.field(reason, "rec.reason")?;
             }
             RecoveryAction::DeviceLost { device, resharded } => {
-                e.u8(10);
-                e.u64(*device as u64);
-                e.u64(*resharded as u64);
+                c.field(device, "rec.device")?;
+                c.field(resharded, "rec.resharded")?;
             }
         }
-    }
-    e.into_bytes()
-}
-
-fn decode_recovery(b: &[u8]) -> Result<RecoveryLog, GpluError> {
-    let mut d = Dec::new(b);
-    let count = d.u32("rec.count").map_err(corrupt_ck)?;
-    let mut log = RecoveryLog::default();
-    for _ in 0..count {
-        let phase = phase_from_tag(d.u8("rec.phase").map_err(corrupt_ck)?)?;
-        let action = match d.u8("rec.action").map_err(corrupt_ck)? {
-            0 => RecoveryAction::ChunkBackoff {
-                backoffs: d.u64("rec.backoffs").map_err(corrupt_ck)? as usize,
-                final_chunk: d.u64("rec.final_chunk").map_err(corrupt_ck)? as usize,
-            },
-            1 => RecoveryAction::StreamedOutput,
-            2 => RecoveryAction::EngineDegraded {
-                from: d.str("rec.from").map_err(corrupt_ck)?,
-                to: d.str("rec.to").map_err(corrupt_ck)?,
-            },
-            3 => RecoveryAction::FormatDegraded {
-                from: d.str("rec.from").map_err(corrupt_ck)?,
-                to: d.str("rec.to").map_err(corrupt_ck)?,
-            },
-            4 => RecoveryAction::PivotRepaired {
-                col: d.u64("rec.col").map_err(corrupt_ck)? as usize,
-                value: d.f64("rec.value").map_err(corrupt_ck)?,
-                magnitude: d.f64("rec.magnitude").map_err(corrupt_ck)?,
-            },
-            5 => RecoveryAction::PivotEscalated {
-                from: d.str("rec.from").map_err(corrupt_ck)?,
-                to: d.str("rec.to").map_err(corrupt_ck)?,
-            },
-            6 => RecoveryAction::PivotPerturbed {
-                cols: d.u64("rec.cols").map_err(corrupt_ck)? as usize,
-                max_delta: d.f64("rec.max_delta").map_err(corrupt_ck)?,
-            },
-            7 => RecoveryAction::PatternExpanded {
-                added: d.u64("rec.added").map_err(corrupt_ck)? as usize,
-                rounds: d.u64("rec.rounds").map_err(corrupt_ck)? as usize,
-            },
-            8 => RecoveryAction::Resymbolic {
-                abandoned: d.u64("rec.abandoned").map_err(corrupt_ck)? as usize,
-            },
-            9 => RecoveryAction::DiskEntryRejected {
-                key: d.u64("rec.key").map_err(corrupt_ck)?,
-                reason: d.str("rec.reason").map_err(corrupt_ck)?,
-            },
-            10 => RecoveryAction::DeviceLost {
-                device: d.u64("rec.device").map_err(corrupt_ck)? as usize,
-                resharded: d.u64("rec.resharded").map_err(corrupt_ck)? as usize,
-            },
-            other => return Err(corrupt(format!("unknown recovery action tag {other}"))),
-        };
-        log.record(phase, action);
-    }
-    expect_drained(&d, "RECOVERY")?;
-    Ok(log)
-}
-
-fn expect_drained(d: &Dec<'_>, what: &str) -> Result<(), GpluError> {
-    if d.remaining() != 0 {
-        return Err(corrupt(format!(
-            "{what} section has {} trailing byte(s)",
-            d.remaining()
-        )));
     }
     Ok(())
 }
 
-fn corrupt_ck(e: gplu_checkpoint::CheckpointError) -> GpluError {
-    GpluError::from(e)
+/// Decodes the payload of section `name` with `walk`.
+fn decoded<'a, S: Default>(
+    bytes: &'a [u8],
+    name: &str,
+    walk: impl FnOnce(&mut Dec<'a>, &mut S) -> Walked,
+) -> Result<S, GpluError> {
+    let mut s = S::default();
+    decode(bytes, name, &mut s, walk)?;
+    Ok(s)
+}
+
+/// Decodes the section `id` of snapshot `seq` with `walk`.
+fn read<'a, S: Default>(
+    snap: &'a Snapshot,
+    seq: u64,
+    (id, name): (u32, &str),
+    walk: impl FnOnce(&mut Dec<'a>, &mut S) -> Walked,
+) -> Result<S, GpluError> {
+    let bytes = snap
+        .section(id)
+        .ok_or_else(|| corrupt(format!("snapshot #{seq} lacks required section {name}")))?;
+    decoded(bytes, name, walk)
 }
 
 // ---------------------------------------------------------------------
@@ -654,37 +551,29 @@ impl ResumeState {
 }
 
 fn decode_resume(seq: u64, snap: &Snapshot) -> Result<ResumeState, GpluError> {
-    let need = |id: u32, name: &str| {
-        snap.section(id)
-            .ok_or_else(|| corrupt(format!("snapshot #{seq} lacks required section {name}")))
-    };
-    let (mark, clock_ns) = decode_meta(need(section::META, "META")?)?;
-    let pre = decode_preprocess(need(section::PREPROCESS, "PREPROCESS")?)?;
-    let sym_partial = if mark == PhaseMark::SymbolicPartial {
-        Some(decode_symbolic_partial(need(
-            section::SYMBOLIC_PARTIAL,
-            "SYMBOLIC_PARTIAL",
-        )?)?)
-    } else {
-        None
-    };
-    let symbolic = if mark >= PhaseMark::Symbolic {
-        Some(decode_symbolic_done(need(section::SYMBOLIC, "SYMBOLIC")?)?)
-    } else {
-        None
-    };
-    let level_of = if mark >= PhaseMark::Levelized {
-        Some(decode_levels(need(section::LEVELS, "LEVELS")?)?)
-    } else {
-        None
-    };
-    let numeric = if mark == PhaseMark::NumericPartial {
-        Some(decode_numeric(need(section::NUMERIC, "NUMERIC")?)?)
-    } else {
-        None
-    };
+    let Meta { mark, clock_ns } = read(snap, seq, (section::META, "META"), meta)?;
+    let pre = read(snap, seq, (section::PREPROCESS, "PREPROCESS"), preprocess)?;
+    let sym_partial = (mark == PhaseMark::SymbolicPartial)
+        .then(|| {
+            read(
+                snap,
+                seq,
+                (section::SYMBOLIC_PARTIAL, "SYMBOLIC_PARTIAL"),
+                symbolic_partial,
+            )
+        })
+        .transpose()?;
+    let symbolic = (mark >= PhaseMark::Symbolic)
+        .then(|| read(snap, seq, (section::SYMBOLIC, "SYMBOLIC"), symbolic_done))
+        .transpose()?;
+    let level_of = (mark >= PhaseMark::Levelized)
+        .then(|| read(snap, seq, (section::LEVELS, "LEVELS"), levels))
+        .transpose()?;
+    let numeric = (mark == PhaseMark::NumericPartial)
+        .then(|| read(snap, seq, (section::NUMERIC, "NUMERIC"), numeric))
+        .transpose()?;
     let recovery = match snap.section(section::RECOVERY) {
-        Some(b) => decode_recovery(b)?,
+        Some(_) => read(snap, seq, (section::RECOVERY, "RECOVERY"), recovery)?,
         None => RecoveryLog::default(),
     };
     Ok(ResumeState {
@@ -740,10 +629,13 @@ impl CheckpointSession {
         let m_fp = matrix_fingerprint(a);
         let o_fp = options_fingerprint(lu_opts);
         let mut base = Snapshot::new();
-        base.add_section(
-            section::FINGERPRINT,
-            encode_fingerprint(m_fp, o_fp, a.n_rows(), a.nnz()),
-        );
+        let mut stamp = Fingerprint {
+            matrix_fp: m_fp,
+            opts_fp: o_fp,
+            n: a.n_rows() as u64,
+            nnz: a.nnz() as u64,
+        };
+        base.add_section(section::FINGERPRINT, encode(&mut stamp, fingerprint));
         let mut resume = None;
         if opts.resume {
             trace.span_begin("checkpoint.load", "checkpoint", gpu.now().as_ns(), &[]);
@@ -761,9 +653,11 @@ impl CheckpointSession {
                     gpu.now().as_ns(),
                     &[("seq", seq.into())],
                 );
-                let fp = decode_fingerprint(
-                    snap.section(section::FINGERPRINT)
-                        .ok_or_else(|| corrupt("snapshot lacks FINGERPRINT section"))?,
+                let fp = read(
+                    &snap,
+                    seq,
+                    (section::FINGERPRINT, "FINGERPRINT"),
+                    fingerprint,
                 )?;
                 if fp.matrix_fp != m_fp {
                     return Err(GpluError::CheckpointMismatch(format!(
@@ -801,7 +695,7 @@ impl CheckpointSession {
         }
         // Never clobber existing snapshots, resumed or not: new cuts go
         // strictly after whatever the directory already holds.
-        let next_seq = store.max_seq()? + 1;
+        let next_seq = store.keys()?.last().map_or(1, |seq| seq + 1);
         Ok(CheckpointSession {
             store,
             every: opts.every,
@@ -818,44 +712,45 @@ impl CheckpointSession {
 
     /// Installs the durable pre-processing section. Called again after a
     /// numeric-phase diagonal repair so every later snapshot carries the
-    /// matrix actually being factorized.
-    pub fn set_preprocess(&mut self, p: &PreState) {
+    /// matrix actually being factorized. (Sections are walked through
+    /// `&mut` in both directions; encoding only reads.)
+    pub fn set_preprocess(&mut self, p: &mut PreState) {
         self.base
-            .add_section(section::PREPROCESS, encode_preprocess(p));
+            .add_section(section::PREPROCESS, encode(p, preprocess));
     }
 
     /// Installs the durable symbolic section.
-    pub fn set_symbolic(&mut self, result: &SymbolicResult, chunk_size: usize, iterations: usize) {
-        self.base.add_section(
-            section::SYMBOLIC,
-            encode_symbolic_done(result, chunk_size, iterations),
-        );
+    pub fn set_symbolic(&mut self, done: &mut SymbolicDone) {
+        self.base
+            .add_section(section::SYMBOLIC, encode(done, symbolic_done));
     }
 
     /// Installs the durable level-schedule section.
-    pub fn set_levels(&mut self, level_of: &[u32]) {
+    pub fn set_levels(&mut self, level_of: &mut Vec<u32>) {
         self.base
-            .add_section(section::LEVELS, encode_levels(level_of));
+            .add_section(section::LEVELS, encode(level_of, levels));
     }
 
     /// Re-encodes the recovery log so corrective actions survive a
     /// restart.
     pub fn note_recovery(&mut self, log: &RecoveryLog) {
         self.base
-            .add_section(section::RECOVERY, encode_recovery(log));
+            .add_section(section::RECOVERY, encode(&mut log.clone(), recovery));
     }
 
     /// Builds the symbolic-partial payload for a cut.
-    pub fn symbolic_partial_payload(engine: SymbolicEngine, r: &SymbolicResume) -> (u32, Vec<u8>) {
+    pub fn symbolic_partial_payload(engine: SymbolicEngine, r: SymbolicResume) -> (u32, Vec<u8>) {
+        let mut partial = (engine_tag(engine), r);
         (
             section::SYMBOLIC_PARTIAL,
-            encode_symbolic_partial(engine_tag(engine), r),
+            encode(&mut partial, symbolic_partial),
         )
     }
 
     /// Builds the numeric-partial payload for a cut.
-    pub fn numeric_partial_payload(format: NumericFormat, r: &NumericResume) -> (u32, Vec<u8>) {
-        (section::NUMERIC, encode_numeric(format_tag(format), r))
+    pub fn numeric_partial_payload(format: NumericFormat, r: NumericResume) -> (u32, Vec<u8>) {
+        let mut partial = (format_tag(format), r);
+        (section::NUMERIC, encode(&mut partial, numeric))
     }
 
     /// Cuts a snapshot, from inside a running kernel loop. Crash points
@@ -872,7 +767,11 @@ impl CheckpointSession {
         // The process may die before the write lands...
         gpu.crash_point()?;
         let mut snap = self.base.clone();
-        snap.add_section(section::META, encode_meta(mark, gpu.now().as_ns()));
+        let mut stamp = Meta {
+            mark,
+            clock_ns: gpu.now().as_ns(),
+        };
+        snap.add_section(section::META, encode(&mut stamp, meta));
         if let Some((id, payload)) = partial {
             snap.add_section(id, payload);
         }
@@ -918,16 +817,12 @@ impl CheckpointSession {
     }
 }
 
-// Re-exported so integration code can name the section a partial payload
-// targets without depending on gplu-checkpoint directly.
-pub use gplu_checkpoint::section as section_ids;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::RecoveryEvent;
     use gplu_sim::{Gpu, GpuConfig};
     use gplu_trace::NoopSink;
+    use std::path::Path;
 
     fn small() -> Csr {
         let mut coo = gplu_sparse::Coo::new(3, 3);
@@ -985,26 +880,40 @@ mod tests {
 
     #[test]
     fn meta_and_fingerprint_round_trip() {
-        let b = encode_meta(PhaseMark::Levelized, 123.5);
-        let (mark, ns) = decode_meta(&b).unwrap();
-        assert_eq!(mark, PhaseMark::Levelized);
-        assert_eq!(ns, 123.5);
-        let f = encode_fingerprint(7, 9, 100, 500);
-        let fp = decode_fingerprint(&f).unwrap();
-        assert_eq!((fp.matrix_fp, fp.n, fp.nnz), (7, 100, 500));
+        let b = encode(
+            &mut Meta {
+                mark: PhaseMark::Levelized,
+                clock_ns: 123.5,
+            },
+            meta,
+        );
+        let m: Meta = decoded(&b, "META", meta).unwrap();
+        assert_eq!(m.mark, PhaseMark::Levelized);
+        assert_eq!(m.clock_ns, 123.5);
+        let f = encode(
+            &mut Fingerprint {
+                matrix_fp: 7,
+                opts_fp: 9,
+                n: 100,
+                nnz: 500,
+            },
+            fingerprint,
+        );
+        let fp: Fingerprint = decoded(&f, "FINGERPRINT", fingerprint).unwrap();
+        assert_eq!((fp.matrix_fp, fp.opts_fp, fp.n, fp.nnz), (7, 9, 100, 500));
     }
 
     #[test]
     fn preprocess_round_trip() {
-        let p = PreState {
+        let mut p = PreState {
             matrix: small(),
             p_row: Permutation::from_forward(vec![2, 0, 1]).unwrap(),
             p_col: Permutation::identity(3),
             repaired: 1,
             time_ns: 42.0,
         };
-        let b = encode_preprocess(&p);
-        let q = decode_preprocess(&b).unwrap();
+        let b = encode(&mut p, preprocess);
+        let q: PreState = decoded(&b, "PREPROCESS", preprocess).unwrap();
         assert_eq!(q.matrix.col_idx, p.matrix.col_idx);
         assert_eq!(q.matrix.vals, p.matrix.vals);
         assert_eq!(q.p_row.as_slice(), p.p_row.as_slice());
@@ -1023,7 +932,7 @@ mod tests {
             agg_steps: 9,
             agg_edges: 12,
             agg_frontiers: 5,
-            split: DynamicSplit {
+            split: gplu_symbolic::DynamicSplit {
                 n1: 2,
                 frontier_cap: 4,
                 chunk1: 8,
@@ -1031,7 +940,10 @@ mod tests {
             },
             overflow_rows: vec![1],
         };
-        let (tag, q) = decode_symbolic_partial(&encode_symbolic_partial(1, &r)).unwrap();
+        let (_, b) =
+            CheckpointSession::symbolic_partial_payload(SymbolicEngine::OocDynamic, r.clone());
+        let (tag, q): (u8, SymbolicResume) =
+            decoded(&b, "SYMBOLIC_PARTIAL", symbolic_partial).unwrap();
         assert_eq!(tag, 1);
         assert_eq!(q.fill_counts, r.fill_counts);
         assert_eq!((q.rows_done, q.iters_done, q.chunk), (2, 1, 2));
@@ -1048,16 +960,20 @@ mod tests {
         // Section id 4 carried the per-engine union payload (per-row
         // frontiers, an optional split). It must be refused, not decoded
         // field-shifted into the one-driver layout.
-        let pre = PreState {
+        let mut snap = Snapshot::new();
+        let mut m = Meta {
+            mark: PhaseMark::SymbolicPartial,
+            clock_ns: 1.0,
+        };
+        snap.add_section(section::META, encode(&mut m, meta));
+        let mut pre = PreState {
             matrix: small(),
             p_row: Permutation::identity(3),
             p_col: Permutation::identity(3),
             repaired: 0,
             time_ns: 0.0,
         };
-        let mut snap = Snapshot::new();
-        snap.add_section(section::META, encode_meta(PhaseMark::SymbolicPartial, 1.0));
-        snap.add_section(section::PREPROCESS, encode_preprocess(&pre));
+        snap.add_section(section::PREPROCESS, encode(&mut pre, preprocess));
         snap.add_section(4, vec![0; 64]);
         let e = decode_resume(7, &snap).unwrap_err();
         assert!(
@@ -1071,13 +987,15 @@ mod tests {
         let r = NumericResume {
             start_level: 3,
             vals: vec![1.0, -2.5, 0.0],
-            mode_mix: ModeMix { a: 1, b: 2, c: 0 },
+            mode_mix: gplu_numeric::ModeMix { a: 1, b: 2, c: 0 },
             probes: 7,
             merge_steps: 11,
             batches: 4,
             gemm_tiles: 13,
         };
-        let (tag, q) = decode_numeric(&encode_numeric(2, &r)).unwrap();
+        let (_, b) =
+            CheckpointSession::numeric_partial_payload(NumericFormat::SparseMerge, r.clone());
+        let (tag, q): (u8, NumericResume) = decoded(&b, "NUMERIC", numeric).unwrap();
         assert_eq!(tag, 2);
         assert_eq!(q.start_level, 3);
         assert_eq!(q.vals, r.vals);
@@ -1087,108 +1005,193 @@ mod tests {
             (7, 11, 4, 13)
         );
 
-        let lo = vec![0u32, 1, 0, 2];
-        assert_eq!(decode_levels(&encode_levels(&lo)).unwrap(), lo);
+        let mut lo = vec![0u32, 1, 0, 2];
+        let b = encode(&mut lo, levels);
+        assert_eq!(decoded::<Vec<u32>>(&b, "LEVELS", levels).unwrap(), lo);
+    }
+
+    /// One action of each variant, in tag order, across every phase.
+    fn every_action() -> RecoveryLog {
+        let mut log = RecoveryLog::default();
+        for (phase, action) in [
+            (
+                Phase::Symbolic,
+                RecoveryAction::ChunkBackoff {
+                    backoffs: 2,
+                    final_chunk: 64,
+                },
+            ),
+            (Phase::Preprocess, RecoveryAction::StreamedOutput),
+            (
+                Phase::Symbolic,
+                RecoveryAction::EngineDegraded {
+                    from: "ooc_dynamic".into(),
+                    to: "um_prefetch".into(),
+                },
+            ),
+            (
+                Phase::Numeric,
+                RecoveryAction::FormatDegraded {
+                    from: "dense".into(),
+                    to: "sparse_merge".into(),
+                },
+            ),
+            (
+                Phase::Numeric,
+                RecoveryAction::PivotRepaired {
+                    col: 5,
+                    value: 1e-8,
+                    magnitude: -0.0,
+                },
+            ),
+            (
+                Phase::Numeric,
+                RecoveryAction::PivotEscalated {
+                    from: "none".into(),
+                    to: "threshold(tau=0.1)".into(),
+                },
+            ),
+            (
+                Phase::Numeric,
+                RecoveryAction::PivotPerturbed {
+                    cols: 3,
+                    max_delta: 2e-7,
+                },
+            ),
+            (
+                Phase::Levelize,
+                RecoveryAction::PatternExpanded {
+                    added: 17,
+                    rounds: 2,
+                },
+            ),
+            (
+                Phase::Symbolic,
+                RecoveryAction::Resymbolic { abandoned: 400 },
+            ),
+            (
+                Phase::Cache,
+                RecoveryAction::DiskEntryRejected {
+                    key: 0xFEED_F00D_1234_5678,
+                    reason: "checksum mismatch".into(),
+                },
+            ),
+            (
+                Phase::Solve,
+                RecoveryAction::DeviceLost {
+                    device: 3,
+                    resharded: 11,
+                },
+            ),
+        ] {
+            log.record(phase, action);
+        }
+        log
+    }
+
+    /// Cuts the committed fixture directory's two snapshots into `dir`:
+    /// seq 1 at `Preprocessed`, seq 2 carrying every section.
+    fn cut_fixture_snapshots(dir: &Path) {
+        let a = small();
+        let gpu = gpu_for(&a);
+        let opts = CheckpointOptions::new(dir);
+        let mut sess =
+            CheckpointSession::open(&opts, &a, &LuOptions::default(), &gpu, &NoopSink).unwrap();
+        sess.set_preprocess(&mut PreState {
+            matrix: a.clone(),
+            p_row: Permutation::from_forward(vec![2, 0, 1]).unwrap(),
+            p_col: Permutation::identity(3),
+            repaired: 1,
+            time_ns: 42.25,
+        });
+        sess.cut(&gpu, &NoopSink, PhaseMark::Preprocessed, None)
+            .unwrap();
+        let metrics = gplu_symbolic::result::SymbolicMetrics {
+            steps: 3,
+            edges: 4,
+            frontiers: 5,
+        };
+        sess.set_symbolic(&mut SymbolicDone {
+            result: SymbolicResult::from_patterns(&a, vec![vec![0], vec![1], vec![0, 2]], metrics),
+            chunk_size: 2,
+            iterations: 7,
+        });
+        sess.set_levels(&mut vec![0, 0, 1]);
+        sess.note_recovery(&every_action());
+        let (id, payload) = CheckpointSession::symbolic_partial_payload(
+            SymbolicEngine::OocDynamic,
+            SymbolicResume {
+                rows_done: 2,
+                iters_done: 1,
+                chunk: 2,
+                oom_backoffs: 1,
+                fill_counts: vec![1, 1, 0],
+                agg_steps: 9,
+                agg_edges: 12,
+                agg_frontiers: 5,
+                split: gplu_symbolic::DynamicSplit {
+                    n1: 2,
+                    frontier_cap: 4,
+                    chunk1: 8,
+                    chunk2: 2,
+                },
+                overflow_rows: vec![1],
+            },
+        );
+        sess.base.add_section(id, payload);
+        let numeric = CheckpointSession::numeric_partial_payload(
+            NumericFormat::SparseBlocked,
+            NumericResume {
+                start_level: 1,
+                vals: vec![4.0, -0.0, 0.25, f64::INFINITY, 6.0],
+                mode_mix: gplu_numeric::ModeMix { a: 1, b: 2, c: 3 },
+                probes: 7,
+                merge_steps: 11,
+                batches: 4,
+                gemm_tiles: 13,
+            },
+        );
+        sess.cut(&gpu, &NoopSink, PhaseMark::NumericPartial, Some(numeric))
+            .unwrap();
     }
 
     #[test]
     fn recovery_log_round_trips_every_action() {
-        let mut log = RecoveryLog::default();
-        log.record(
-            Phase::Symbolic,
-            RecoveryAction::ChunkBackoff {
-                backoffs: 2,
-                final_chunk: 64,
-            },
-        );
-        log.record(Phase::Symbolic, RecoveryAction::StreamedOutput);
-        log.record(
-            Phase::Symbolic,
-            RecoveryAction::EngineDegraded {
-                from: "ooc_dynamic".into(),
-                to: "ooc".into(),
-            },
-        );
-        log.record(
-            Phase::Numeric,
-            RecoveryAction::FormatDegraded {
-                from: "dense".into(),
-                to: "sparse_merge".into(),
-            },
-        );
-        log.record(
-            Phase::Numeric,
-            RecoveryAction::PivotRepaired {
-                col: 5,
-                value: 1e-8,
-                magnitude: 3e-9,
-            },
-        );
-        log.record(
-            Phase::Numeric,
-            RecoveryAction::PivotEscalated {
-                from: "none".into(),
-                to: "threshold(tau=0.1)".into(),
-            },
-        );
-        log.record(
-            Phase::Numeric,
-            RecoveryAction::PivotPerturbed {
-                cols: 3,
-                max_delta: 2e-7,
-            },
-        );
-        log.record(
-            Phase::Symbolic,
-            RecoveryAction::PatternExpanded {
-                added: 17,
-                rounds: 2,
-            },
-        );
-        log.record(
-            Phase::Symbolic,
-            RecoveryAction::Resymbolic { abandoned: 400 },
-        );
-        let decoded = decode_recovery(&encode_recovery(&log)).unwrap();
-        assert_eq!(decoded.len(), log.len());
-        let evs: Vec<&RecoveryEvent> = decoded.events().iter().collect();
-        assert!(matches!(
-            evs[0].action,
-            RecoveryAction::ChunkBackoff {
-                backoffs: 2,
-                final_chunk: 64
-            }
-        ));
-        assert!(matches!(
-            &evs[4].action,
-            RecoveryAction::PivotRepaired { col: 5, value, magnitude }
-                if *value == 1e-8 && *magnitude == 3e-9
-        ));
-        assert!(
-            matches!(&evs[5].action, RecoveryAction::PivotEscalated { to, .. } if to.contains("tau=0.1"))
-        );
-        assert!(matches!(
-            &evs[6].action,
-            RecoveryAction::PivotPerturbed { cols: 3, max_delta } if *max_delta == 2e-7
-        ));
-        assert!(matches!(
-            evs[7].action,
-            RecoveryAction::PatternExpanded {
-                added: 17,
-                rounds: 2
-            }
-        ));
-        assert!(matches!(
-            evs[8].action,
-            RecoveryAction::Resymbolic { abandoned: 400 }
-        ));
+        let log = every_action();
+        assert_eq!(log.len(), ACTIONS.len());
+        let b = encode(&mut log.clone(), recovery);
+        let decoded: RecoveryLog = decoded(&b, "RECOVERY", recovery).unwrap();
+        assert_eq!(decoded, log);
+    }
+
+    #[test]
+    fn every_tag_table_lists_each_tag_once() {
+        fn unique<T>(table: &[(u8, T)]) -> bool {
+            let mut tags: Vec<u8> = table.iter().map(|(t, _)| *t).collect();
+            tags.sort_unstable();
+            tags.windows(2).all(|w| w[0] < w[1])
+        }
+        assert!(unique(&MARKS) && unique(&ENGINES) && unique(&FORMATS));
+        assert!(unique(&PHASES) && unique(&ACTIONS));
+        for (tag, mark) in MARKS {
+            assert_eq!(tag_of(&MARKS, &mark), tag);
+        }
+        for (tag, action) in &ACTIONS {
+            assert_eq!(tag_of(&ACTIONS, action), *tag);
+        }
     }
 
     #[test]
     fn truncated_sections_are_typed_corrupt_errors() {
-        let full = encode_meta(PhaseMark::Symbolic, 1.0);
+        let full = encode(
+            &mut Meta {
+                mark: PhaseMark::Symbolic,
+                clock_ns: 1.0,
+            },
+            meta,
+        );
         for cut in 0..full.len() {
-            let e = decode_meta(&full[..cut]).unwrap_err();
+            let e = decoded::<Meta>(&full[..cut], "META", meta).unwrap_err();
             assert!(
                 matches!(e, GpluError::CheckpointCorrupt(_)),
                 "cut at {cut} gave {e:?}"
@@ -1198,9 +1201,87 @@ mod tests {
         let mut padded = full.clone();
         padded.push(0);
         assert!(matches!(
-            decode_meta(&padded),
+            decoded::<Meta>(&padded, "META", meta),
             Err(GpluError::CheckpointCorrupt(_))
         ));
+        // So is a tag no table lists.
+        let mut unknown = full;
+        unknown[0] = 9;
+        assert!(matches!(
+            decoded::<Meta>(&unknown, "META", meta),
+            Err(GpluError::CheckpointCorrupt(m)) if m.contains("unknown tag 9")
+        ));
+    }
+
+    /// Decodes a fixture section with `$walk` and encodes it again.
+    macro_rules! reencoded {
+        ($bytes:expr, $walk:ident) => {{
+            let mut s = decoded($bytes, stringify!($walk), $walk).expect(stringify!($walk));
+            encode(&mut s, $walk)
+        }};
+    }
+
+    #[test]
+    fn committed_checkpoint_snapshot_decodes_and_re_encodes_byte_for_byte() {
+        // Cut by an earlier build: seq 1 at `Preprocessed`, seq 2 carrying
+        // every section and one recovery action of each variant.
+        let fixtures =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/checkpoint");
+        let file = std::fs::read(fixtures.join("snap-00000002.ckpt")).unwrap();
+
+        // The directory works as committed, manifest hashes and all.
+        let (seq, snap) = CheckpointStore::open(&fixtures)
+            .unwrap()
+            .load_latest()
+            .unwrap()
+            .expect("the fixture directory resumes");
+        assert_eq!(seq, 2);
+        let mut again = Snapshot::new();
+        for id in snap.section_ids() {
+            let bytes = snap.section(id).unwrap();
+            let re = match id {
+                section::META => reencoded!(bytes, meta),
+                section::FINGERPRINT => reencoded!(bytes, fingerprint),
+                section::PREPROCESS => reencoded!(bytes, preprocess),
+                section::SYMBOLIC_PARTIAL => reencoded!(bytes, symbolic_partial),
+                section::SYMBOLIC => reencoded!(bytes, symbolic_done),
+                section::LEVELS => reencoded!(bytes, levels),
+                section::NUMERIC => reencoded!(bytes, numeric),
+                section::RECOVERY => reencoded!(bytes, recovery),
+                other => panic!("unexpected section {other}"),
+            };
+            assert_eq!(re, bytes, "section {id}");
+            again.add_section(id, re);
+        }
+        assert_eq!(snap.section_ids().len(), 8, "every section");
+        assert_eq!(again.to_bytes(), file);
+        let state = decode_resume(seq, &snap).unwrap();
+        assert_eq!(state.mark, PhaseMark::NumericPartial);
+        let tags: Vec<u8> = state
+            .recovery
+            .events()
+            .iter()
+            .map(|e| tag_of(&ACTIONS, &e.action))
+            .collect();
+        assert_eq!(
+            tags,
+            (0..11).collect::<Vec<u8>>(),
+            "one action of each variant"
+        );
+
+        // This build cuts the same state into the same bytes, and the
+        // manifest rewritten over them is the committed one.
+        let dir = tempdir();
+        cut_fixture_snapshots(&dir);
+        for name in ["snap-00000001.ckpt", "snap-00000002.ckpt", "manifest.json"] {
+            assert_eq!(
+                std::fs::read(dir.join(name)).unwrap(),
+                std::fs::read(fixtures.join(name)).unwrap(),
+                "{name}"
+            );
+        }
+        assert_eq!(state.recovery, every_action());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1230,7 +1311,7 @@ mod tests {
         let mut sess =
             CheckpointSession::open(&CheckpointOptions::new(&dir), &a, &lu_opts, &gpu, &NoopSink)
                 .unwrap();
-        sess.set_preprocess(&PreState {
+        sess.set_preprocess(&mut PreState {
             matrix: a.clone(),
             p_row: Permutation::identity(3),
             p_col: Permutation::identity(3),
@@ -1263,7 +1344,7 @@ mod tests {
         let mut sess =
             CheckpointSession::open(&CheckpointOptions::new(&dir), &a, &lu_opts, &gpu, &NoopSink)
                 .unwrap();
-        sess.set_preprocess(&PreState {
+        sess.set_preprocess(&mut PreState {
             matrix: a.clone(),
             p_row: Permutation::identity(3),
             p_col: Permutation::identity(3),
@@ -1273,14 +1354,18 @@ mod tests {
         let sym = SymbolicResult::from_patterns(
             &a,
             vec![vec![0], vec![1], vec![0, 2]],
-            SymbolicMetrics {
+            gplu_symbolic::result::SymbolicMetrics {
                 steps: 3,
                 edges: 4,
                 frontiers: 3,
             },
         );
-        sess.set_symbolic(&sym, 2, 2);
-        sess.set_levels(&[0, 0, 1]);
+        sess.set_symbolic(&mut SymbolicDone {
+            result: sym.clone(),
+            chunk_size: 2,
+            iterations: 2,
+        });
+        sess.set_levels(&mut vec![0, 0, 1]);
         sess.cut(&gpu, &NoopSink, PhaseMark::Levelized, None)
             .unwrap();
 

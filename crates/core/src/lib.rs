@@ -53,7 +53,7 @@ pub use drift::{DriftProfiler, DriftRow, DriftTable, DRIFT_FLAG_THRESHOLD};
 pub use error::GpluError;
 pub use gplu_numeric::{PivotPolicy, DEFAULT_PIVOT_TAU, HOST_REASONS};
 pub use pipeline::{LuFactorization, LuOptions, NumericFormat, ResidualGate, SymbolicEngine};
-pub use plan_codec::{decode_plan, encode_plan, plan_matches, PLAN_SCHEMA_VERSION};
+pub use plan_codec::{decode_plan, encode_plan, PLAN_SCHEMA_VERSION};
 pub use preprocess::{preprocess, PreprocessOptions, PreprocessOutcome};
 pub use recovery::{Phase, RecoveryAction, RecoveryEvent, RecoveryLog};
 pub use refactor::RefactorPlan;

@@ -14,7 +14,7 @@
 //! [`GpluError`] — the pipeline never panics on a well-formed input.
 
 use crate::checkpoint::{
-    self, CheckpointOptions, CheckpointSession, PhaseMark, PreState, ResumeState,
+    self, CheckpointOptions, CheckpointSession, PhaseMark, PreState, ResumeState, SymbolicDone,
 };
 use crate::error::GpluError;
 use crate::preprocess::{preprocess, PreprocessOptions, PreprocessOutcome};
@@ -251,17 +251,24 @@ pub(crate) fn lead_discipline(format: NumericFormat, sparse: bool) -> AccessDisc
 /// structural sweep comparing adjacent columns' sub-diagonal row sets
 /// (host-side, like levelization's dependency-graph build), traced as its
 /// own `phase.block_detect` span so warm paths can prove they skipped it.
-fn detect_block_plan(gpu: &Gpu, pattern: &Csc, threshold: f64, trace: &dyn TraceSink) -> BlockPlan {
+/// `cache` is the pattern's pivot cache, which the numeric phase reuses.
+fn detect_block_plan(
+    gpu: &Gpu,
+    pattern: &Csc,
+    cache: &PivotCache,
+    threshold: f64,
+    trace: &dyn TraceSink,
+) -> BlockPlan {
     trace.span_begin(
         "phase.block_detect",
         "phase",
         gpu.now().as_ns(),
         &[("threshold", threshold.into())],
     );
-    let cache = PivotCache::build(pattern);
-    let plan = BlockPlan::detect(pattern, &cache, threshold);
+    let plan = BlockPlan::detect(pattern, cache, threshold);
     // The pivot-cache build and the similarity walk each touch every
-    // stored row index once.
+    // stored row index once. The pass is priced with the build even when
+    // the host already held the cache.
     gpu.advance(SimTime::from_ns(gpu.cost().cpu_parallel_ns(
         2 * pattern.nnz() as u64 + pattern.n_cols() as u64,
     )));
@@ -605,8 +612,8 @@ pub(crate) struct NumericPhase<'p> {
     /// Present whenever `ladder` contains [`NumericFormat::SparseBlocked`].
     pub(crate) block_plan: Option<&'p BlockPlan>,
     /// A pivot cache already built over `pattern` — the warm replay's
-    /// captured one, or threshold discovery's when nothing swapped — so
-    /// the engines do not build their own.
+    /// captured one, threshold discovery's when nothing swapped, or the
+    /// blocking pass's — so the engines do not build their own.
     pub(crate) pivot: Option<&'p PivotCache>,
     /// Marks the run as a warm replay (the `refactorize` span attribute).
     pub(crate) refactorize: bool,
@@ -729,7 +736,7 @@ impl<'a> Pass<'a> {
             .should_use_sparse_format(matrix.n_rows());
         // Every later phase reads the filled pattern as CSC; the filled
         // CSR is dropped once it is built (or repaired, under pivoting).
-        let (mut pattern, swept, cache) = match policy {
+        let (mut pattern, swept, mut cache) = match policy {
             PivotPolicy::Threshold { tau } => {
                 let discipline = lead_discipline(opts.format, sparse);
                 self.pivot_discovery(tau, discipline, &mut matrix, &mut p_row, symbolic)?
@@ -762,8 +769,10 @@ impl<'a> Pass<'a> {
         let ladder: &[NumericFormat] = match opts.format {
             NumericFormat::Auto => {
                 let fill_density = pattern.nnz() as f64 / pattern.n_cols().max(1) as f64;
-                let plan = sparse
-                    .then(|| detect_block_plan(lead, &pattern, opts.block_threshold, self.trace));
+                let plan = sparse.then(|| {
+                    let cache = cache.get_or_insert_with(|| PivotCache::build(&pattern));
+                    detect_block_plan(lead, &pattern, cache, opts.block_threshold, self.trace)
+                });
                 let mean_width = plan.as_ref().map(BlockPlan::mean_width);
                 let ladder: &[NumericFormat] = match mean_width {
                     None => &[NumericFormat::Dense, NumericFormat::SparseMerge],
@@ -793,9 +802,11 @@ impl<'a> Pass<'a> {
             NumericFormat::Sparse => &[NumericFormat::Sparse],
             NumericFormat::SparseMerge => &[NumericFormat::SparseMerge],
             NumericFormat::SparseBlocked => {
+                let cache = cache.get_or_insert_with(|| PivotCache::build(&pattern));
                 block_plan = Some(detect_block_plan(
                     lead,
                     &pattern,
+                    cache,
                     opts.block_threshold,
                     self.trace,
                 ));
@@ -882,7 +893,7 @@ impl<'a> Pass<'a> {
         );
         self.report.phase_stats.preprocess = lead.stats().since(&pre_before);
         if let Some(sess) = self.session.as_deref_mut() {
-            sess.set_preprocess(&PreState {
+            sess.set_preprocess(&mut PreState {
                 matrix: matrix.clone(),
                 p_row: p_row.clone(),
                 p_col: p_col.clone(),
@@ -916,17 +927,17 @@ impl<'a> Pass<'a> {
             self.symbolic_ladder(lead, matrix, engine, partial)
         };
         self.report.phase_stats.symbolic = lead.stats().since(&sym_before);
-        let symbolic = symbolic?;
+        let mut done = SymbolicDone {
+            result: symbolic?,
+            chunk_size: self.report.chunk_size,
+            iterations: self.report.symbolic_iterations,
+        };
         if let Some(sess) = self.session.as_deref_mut() {
-            sess.set_symbolic(
-                &symbolic,
-                self.report.chunk_size,
-                self.report.symbolic_iterations,
-            );
+            sess.set_symbolic(&mut done);
             sess.note_recovery(&self.recovery);
             sess.cut(lead, self.trace, PhaseMark::Symbolic, None)?;
         }
-        Ok(symbolic)
+        Ok(done.result)
     }
 
     /// The `opts.symbolic` engine on the lead device, with engine
@@ -983,7 +994,7 @@ impl<'a> Pass<'a> {
                             return Ok(());
                         }
                         let payload =
-                            CheckpointSession::symbolic_partial_payload(engine, &p.to_resume());
+                            CheckpointSession::symbolic_partial_payload(engine, p.to_resume());
                         hooked_cut(sess, gpu, trace, slot, PhaseMark::SymbolicPartial, payload)
                     };
                     Some(&mut hook_storage)
@@ -1226,7 +1237,7 @@ impl<'a> Pass<'a> {
         self.trace
             .span_begin("phase.levelize", "phase", self.now_ns(), &[]);
         let dep = DepGraph::build_csc(pattern);
-        let lvl = levelize_gpu_traced(lead, &dep, self.trace).map_err(|e| match e {
+        let mut lvl = levelize_gpu_traced(lead, &dep, self.trace).map_err(|e| match e {
             SimError::OutOfMemory { .. } => GpluError::DeviceOom {
                 phase: Phase::Levelize,
                 attempts: 1,
@@ -1248,7 +1259,7 @@ impl<'a> Pass<'a> {
         );
         self.report.phase_stats.levelize = lead.stats().since(&lvl_before);
         if let Some(sess) = self.session.as_deref_mut() {
-            sess.set_levels(&lvl.levels.level_of);
+            sess.set_levels(&mut lvl.levels.level_of);
             sess.note_recovery(&self.recovery);
             sess.cut(lead, self.trace, PhaseMark::Levelized, None)?;
         }
@@ -1333,8 +1344,7 @@ impl<'a> Pass<'a> {
                                 batches: p.batches,
                                 gemm_tiles: p.gemm_tiles,
                             };
-                            let payload =
-                                CheckpointSession::numeric_partial_payload(format, &state);
+                            let payload = CheckpointSession::numeric_partial_payload(format, state);
                             hooked_cut(sess, lead, trace, slot, PhaseMark::NumericPartial, payload)
                         };
                         Some(&mut hook_storage)
@@ -1411,7 +1421,7 @@ impl<'a> Pass<'a> {
                         partial = None;
                         swept = None;
                         if let Some(sess) = self.session.as_deref_mut() {
-                            sess.set_preprocess(&PreState {
+                            sess.set_preprocess(&mut PreState {
                                 matrix: matrix.clone(),
                                 p_row: perms.0.clone(),
                                 p_col: perms.1.clone(),

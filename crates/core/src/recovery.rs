@@ -215,7 +215,7 @@ impl fmt::Display for RecoveryEvent {
 #[must_use = "a recovery log documents degraded results; inspect or attach it"]
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryLog {
-    events: Vec<RecoveryEvent>,
+    pub(crate) events: Vec<RecoveryEvent>,
 }
 
 impl RecoveryLog {

@@ -39,7 +39,7 @@ use gplu_trace::{TraceSink, NOOP};
 /// afterwards [`RefactorPlan::refactorize`] accepts any matrix with the
 /// same sparsity pattern and produces its factors without re-running
 /// pre-processing, symbolic factorization or levelization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RefactorPlan {
     /// Structure-only fingerprint of the input pattern; every
     /// `refactorize` call is checked against it.

@@ -97,7 +97,7 @@ pub enum AccessDiscipline {
 /// locate fill positions in the destination column, which this cache
 /// cannot know.) 13 bytes per column: what a refactorization plan's
 /// budget charges for it (16) still covers it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PivotCache {
     /// `lower_bound_after(j, j)`: first position in column `j` whose row
     /// exceeds `j`.

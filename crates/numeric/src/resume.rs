@@ -20,7 +20,7 @@ use crate::values::ValueStore;
 use gplu_sim::SimError;
 
 /// State to restart a numeric engine from the end of a completed level.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NumericResume {
     /// First level index to execute (levels `0..start_level` are done).
     pub start_level: usize,

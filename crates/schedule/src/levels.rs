@@ -5,7 +5,7 @@ use gplu_sparse::Idx;
 
 /// A level schedule: columns grouped so that every column's dependencies
 /// lie in strictly earlier levels (the paper's Figure 1(d)).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Levels {
     /// Level number of each column.
     pub level_of: Vec<u32>,

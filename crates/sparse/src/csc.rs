@@ -21,6 +21,19 @@ pub struct Csc {
     pub vals: Vec<Val>,
 }
 
+/// The 0×0 matrix.
+impl Default for Csc {
+    fn default() -> Self {
+        Csc {
+            n_rows: 0,
+            n_cols: 0,
+            col_ptr: vec![0],
+            row_idx: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+}
+
 impl Csc {
     /// Builds a CSC matrix from raw arrays, validating offsets, bounds and
     /// the sorted-rows invariant.

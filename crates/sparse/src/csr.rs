@@ -20,6 +20,19 @@ pub struct Csr {
     pub vals: Vec<Val>,
 }
 
+/// The 0×0 matrix.
+impl Default for Csr {
+    fn default() -> Self {
+        Csr {
+            n_rows: 0,
+            n_cols: 0,
+            row_ptr: vec![0],
+            col_idx: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+}
+
 impl Csr {
     /// Builds a CSR matrix from raw arrays, validating the invariants:
     /// offsets monotone and spanning `col_idx`, indices in bounds and

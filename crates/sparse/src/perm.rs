@@ -9,7 +9,7 @@
 use crate::{error::SparseError, Csr, Idx, Val};
 
 /// A permutation of `0..n`, stored as the forward map old → new.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Permutation {
     forward: Vec<Idx>,
 }

@@ -17,7 +17,7 @@ pub struct SymbolicMetrics {
 /// `A`'s values at original positions and explicit zeros at fill-ins —
 /// exactly the "non-zero filled-in matrix of A after symbolic analysis"
 /// that the paper's Algorithm 2 takes as input.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SymbolicResult {
     /// The filled matrix `As` in CSR form (values populated from `A`).
     pub filled: Csr,
