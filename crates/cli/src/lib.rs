@@ -295,7 +295,9 @@ static RUN_FLAGS: &[Flag<RunFlags>] = &[
     },
     Flag {
         usage: "--engine ooc|dynamic|um|um-prefetch",
-        help: "symbolic engine (default dynamic)",
+        help: "symbolic engine (default dynamic); with --devices, the out-of-core \
+               engines shard the source rows across the fleet and the unified-memory \
+               ones run on device 0",
         set: |o, v| put(&mut o.opts.lu.symbolic, pick(v, ENGINES)),
     },
     Flag {
@@ -904,10 +906,10 @@ fn fleet_for(a: &Csr, opts: &RunOptions) -> DeviceFleet<'static> {
 
 /// Runs the pipeline, recording telemetry when any of `--trace-out`,
 /// `--report-json`, or `--metrics` was given, and writes the requested
-/// artifacts. `--devices` above 1 takes the fleet entry point (sharded
-/// symbolic phase, `fleet` section in the run report; checkpointing was
-/// already rejected at parse time); otherwise the one device runs the
-/// classic entry points.
+/// artifacts. `--devices` above 1 takes the fleet entry point (`fleet`
+/// section in the run report; checkpointing was already rejected at parse
+/// time); otherwise the one device runs the classic entry points. Both run
+/// the same phases.
 fn compute_with_telemetry(
     fleet: &DeviceFleet<'_>,
     a: &Csr,

@@ -4,29 +4,30 @@
 //!
 //! There is no second pipeline behind these: `compute` itself runs that
 //! driver on a borrowed fleet of one. What an entry point taking a fleet
-//! chooses is the symbolic engine — fill counting sharded by source-row
-//! range (`symbolic_fleet`, priced as `FleetOoc`) instead of the
-//! `opts.symbolic` ladder — and that [`crate::PhaseReport::fleet`] is
-//! filled (per-device clock advance and busy time, deaths, interconnect
-//! traffic), at every device count including one.
+//! chooses is only that [`crate::PhaseReport::fleet`] is filled
+//! (per-device clock advance and busy time, deaths, interconnect traffic),
+//! at every device count — `compute_fleet` on one device is `compute`.
 //!
-//! Sharding never touches values — the symbolic phase splits by source
-//! row, and the numeric phase splits a schedule level by column range
-//! when the cost model quotes the split below running it whole on the
-//! home device — but both compute on host-deterministic state, so the
-//! factors are **bit-identical** to `compute` for every engine and device
-//! count (the `fleet` integration suite proves it). What the fleet
-//! changes is *pricing*: each device's clock advances only for its own
-//! shard, and every fill-count merge and every leg a split level ships is
-//! charged on the NVLink interconnect terms of the cost model.
+//! Sharding never touches values — the out-of-core symbolic engines run
+//! one two-stage shard per live device over its source rows (unified
+//! memory runs on the lead), and the numeric phase splits a schedule level
+//! by column range when the cost model quotes the split below running it
+//! whole on the home device — but both compute on host-deterministic
+//! state, so the factors are **bit-identical** to `compute` for every
+//! engine and device count (the `fleet` integration suite proves it).
+//! What the fleet changes is *pricing*: each device's clock advances only
+//! for its own shard, and every fill-count merge and every leg a split
+//! level ships is charged on the NVLink interconnect terms of the cost
+//! model.
 //!
-//! A device that fails (injected OOM or launch fault) while another is
-//! still alive is marked dead, a survivor pays for what it alone held,
-//! and the loss lands in the recovery log as
-//! [`RecoveryAction::DeviceLost`].
-//! The numeric phase hands the *last* live device's failure to the format
-//! ladder instead, exactly as a lone `Gpu`'s; only an injected crash or a
-//! whole-fleet death in the symbolic phase is terminal.
+//! A device that fails (injected OOM past the chunk backoff, or a launch
+//! fault) while another is still alive is marked dead, a survivor pays for
+//! what it alone held, and the loss lands in the recovery log as
+//! [`RecoveryAction::DeviceLost`]. The numeric phase hands the *last* live
+//! device's failure to the format ladder instead, exactly as a lone
+//! `Gpu`'s; the symbolic phase does so on a fleet of one (its engine
+//! ladder falls back to unified memory), while on a larger fleet a
+//! whole-fleet death there is terminal, as is an injected crash.
 //!
 //! [`RecoveryAction::DeviceLost`]: crate::RecoveryAction::DeviceLost
 
@@ -68,7 +69,7 @@ impl LuFactorization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::NumericFormat;
+    use crate::pipeline::{NumericFormat, SymbolicEngine};
     use crate::telemetry::RunReport;
     use crate::RecoveryAction;
     use gplu_sim::{FaultPlan, Gpu, GpuConfig};
@@ -207,6 +208,81 @@ mod tests {
             assert_eq!(lost, (0..devices - 1).collect::<Vec<_>>());
             assert_eq!(fleet.n_alive(), 1);
         }
+    }
+
+    /// A fleet of one is `compute`: the same symbolic engine, priced the
+    /// same, on every engine the ladder starts from.
+    #[test]
+    fn compute_fleet_on_one_device_is_compute_to_the_bit_for_every_symbolic_engine() {
+        let a = random_dominant(600, 4.0, 13);
+        let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+        for symbolic in [
+            SymbolicEngine::Ooc,
+            SymbolicEngine::OocDynamic,
+            SymbolicEngine::UmNoPrefetch,
+            SymbolicEngine::UmPrefetch,
+        ] {
+            let opts = LuOptions {
+                symbolic,
+                ..Default::default()
+            };
+            let gpu = Gpu::new(cfg.clone());
+            let single = LuFactorization::compute(&gpu, &a, &opts).expect("compute");
+            let fleet = DeviceFleet::new(1, cfg.clone());
+            let f = LuFactorization::compute_fleet(&fleet, &a, &opts).expect("compute_fleet");
+            let (s, r) = (&single.report, &f.report);
+            assert!(bits_equal(&single.lu.vals, &f.lu.vals), "{symbolic:?}");
+            assert_eq!(single.lu.row_idx, f.lu.row_idx, "{symbolic:?}");
+            let bits = |t: gplu_sim::SimTime| t.as_ns().to_bits();
+            assert_eq!(bits(s.total()), bits(r.total()), "{symbolic:?}");
+            assert_eq!(bits(s.symbolic), bits(r.symbolic), "{symbolic:?}");
+            assert_eq!(s.chunk_size, r.chunk_size, "{symbolic:?}");
+            assert_eq!(s.symbolic_iterations, r.symbolic_iterations, "{symbolic:?}");
+            // Debug prints each f64 in its shortest round-trip form.
+            let stats = |r: &crate::PhaseReport| format!("{:?}", r.phase_stats);
+            assert_eq!(stats(s), stats(r), "{symbolic:?}");
+            assert_eq!(bits(gpu.now()), bits(fleet.device(0).now()), "{symbolic:?}");
+            if matches!(symbolic, SymbolicEngine::Ooc | SymbolicEngine::OocDynamic) {
+                assert!(s.symbolic_iterations > 1, "{symbolic:?} must chunk");
+            }
+        }
+    }
+
+    /// One device of two fails its first traversal-state allocation once:
+    /// the two-stage shard halves its chunk and carries on, as a lone
+    /// device does, and no device is lost.
+    #[test]
+    fn a_transient_oom_on_one_device_backs_off_its_chunk_and_loses_no_device() {
+        let a = random_dominant(600, 4.0, 17);
+        let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+        let opts = LuOptions::default();
+        let clean = LuFactorization::compute(&Gpu::new(cfg.clone()), &a, &opts).expect("clean");
+        // Ordinal 3 on device 1: matrix, counts, then the state of its
+        // first counting chunk.
+        let plans = FaultPlan::parse_fleet("dev=1:oom:alloc=3", 2).expect("plans");
+        let cost = gplu_sim::CostModel::default();
+        let fleet = DeviceFleet::with_fault_plans(2, cfg, cost, &plans);
+        let f = LuFactorization::compute_fleet(&fleet, &a, &opts).expect("backoff absorbs it");
+        assert_eq!(fleet.device(1).stats().injected_oom, 1);
+        let log = f.report.recovery.events();
+        assert!(
+            log.iter()
+                .any(|e| matches!(e.action, RecoveryAction::ChunkBackoff { backoffs: 1, .. })),
+            "{}",
+            f.report.recovery.summary()
+        );
+        assert!(
+            !log.iter()
+                .any(|e| matches!(e.action, RecoveryAction::DeviceLost { .. })),
+            "{}",
+            f.report.recovery.summary()
+        );
+        assert_eq!(fleet.n_alive(), 2);
+        let fr = f.report.fleet.as_ref().expect("fleet report");
+        assert!(fr.dead.is_empty() && fr.resharded_rows == 0);
+        assert_eq!(clean.lu.col_ptr, f.lu.col_ptr);
+        assert_eq!(clean.lu.row_idx, f.lu.row_idx);
+        assert!(bits_equal(&clean.lu.vals, &f.lu.vals));
     }
 
     #[test]

@@ -34,9 +34,8 @@ use gplu_sparse::triangular::solve_lu;
 use gplu_sparse::verify::residual_probe;
 use gplu_sparse::{Csc, Csr, Permutation, SparseError, Val};
 use gplu_symbolic::{
-    expand_fill, symbolic_fleet, symbolic_ooc_dynamic_run, symbolic_ooc_run, symbolic_um_traced,
-    ChunkHook, ChunkProgress, FleetSymbolicOutcome, Partition, SymbolicResult, SymbolicResume,
-    UmMode,
+    expand_fill, symbolic_ooc_dynamic_run, symbolic_ooc_run, symbolic_um_traced, ChunkHook,
+    ChunkProgress, SymbolicResult, SymbolicResume, UmMode,
 };
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::cell::RefCell;
@@ -303,12 +302,13 @@ fn trace_recovery(trace: &dyn TraceSink, ts_ns: f64, phase: Phase, action: &Reco
 
 /// Runs one symbolic engine, filling the report and recording any
 /// in-engine recovery (chunk backoff, fault-forced streaming). The
-/// out-of-core engines take the optional chunk-watermark resume state
-/// and per-chunk checkpoint hook; unified memory runs are a single
-/// indivisible pass with no durability points.
+/// out-of-core engines run a shard per live device of `fleet` and take the
+/// optional chunk-watermark resume state and per-chunk checkpoint hook;
+/// unified memory runs on the lead as a single indivisible pass with no
+/// durability points. Returns the pattern and the rows resharded.
 #[allow(clippy::too_many_arguments)]
 fn run_symbolic(
-    gpu: &Gpu,
+    fleet: &DeviceFleet<'_>,
     matrix: &Csr,
     engine: SymbolicEngine,
     report: &mut PhaseReport,
@@ -316,51 +316,63 @@ fn run_symbolic(
     trace: &dyn TraceSink,
     resume: Option<&SymbolicResume>,
     hook: Option<&mut ChunkHook<'_>>,
-) -> Result<SymbolicResult, SimError> {
-    let faults_before = gpu.stats().injected_faults();
-    let (result, backoffs, streamed) = match engine {
+) -> Result<(SymbolicResult, usize), SimError> {
+    let injected = |g: &Gpu| g.stats().injected_faults();
+    let faults = || fleet.devices().iter().map(injected).sum::<u64>();
+    let faults_before = faults();
+    let out = match engine {
         SymbolicEngine::Ooc => {
-            let out = symbolic_ooc_run(gpu, matrix, trace, resume, hook)?;
-            report.symbolic = out.time;
-            report.chunk_size = out.chunk_size;
-            report.symbolic_iterations = out.num_iterations;
-            (out.result, out.oom_backoffs, out.streamed_output)
+            let out = symbolic_ooc_run(fleet, matrix, trace, resume, hook)?;
+            report.chunk_size = out.run.chunk;
+            report.symbolic_iterations = out.run.stage1_chunks;
+            out
         }
         SymbolicEngine::OocDynamic => {
-            let out = symbolic_ooc_dynamic_run(gpu, matrix, trace, resume, hook)?;
-            report.symbolic = out.time;
-            report.chunk_size = out.split.chunk2;
-            report.symbolic_iterations = out.num_iterations;
-            (out.result, out.oom_backoffs, out.streamed_output)
+            let out = symbolic_ooc_dynamic_run(fleet, matrix, trace, resume, hook)?;
+            report.chunk_size = out.run.split.chunk2;
+            report.symbolic_iterations = out.run.num_iterations;
+            out
         }
         SymbolicEngine::UmNoPrefetch | SymbolicEngine::UmPrefetch => {
-            let _ = (resume, hook);
             let mode = if engine == SymbolicEngine::UmPrefetch {
                 UmMode::Prefetch
             } else {
                 UmMode::NoPrefetch
             };
-            let out = symbolic_um_traced(gpu, matrix, mode, trace)?;
-            report.symbolic = out.time;
-            (out.result, 0, false)
+            let Some(&lead) = fleet.alive().first() else {
+                return Err(SimError::BadLaunch("no live device".into()));
+            };
+            let out = symbolic_um_traced(fleet.device(lead), matrix, mode, trace)?;
+            // The lead counted every row: the fill-count merge of a shard
+            // that owns them all (nothing to ship on a fleet of one).
+            let merge_from = fleet.makespan();
+            let mut owned = vec![0; fleet.len()];
+            owned[lead] = matrix.n_rows() as u64 * 4;
+            fleet.all_gather(&owned);
+            report.symbolic = out.time + (fleet.makespan() - merge_from);
+            return Ok((out.result, 0));
         }
     };
-    if backoffs > 0 {
+    report.symbolic = out.time;
+    if out.run.oom_backoffs > 0 {
         let action = RecoveryAction::ChunkBackoff {
-            backoffs,
+            backoffs: out.run.oom_backoffs,
             final_chunk: report.chunk_size,
         };
-        trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
+        trace_recovery(trace, fleet.makespan().as_ns(), Phase::Symbolic, &action);
         recovery.record(Phase::Symbolic, action);
     }
     // Streaming is the designed out-of-core response to a genuinely small
     // device; it only counts as *recovery* when injected faults forced it.
-    if streamed && gpu.stats().injected_faults() > faults_before {
+    if out.run.streamed_output && faults() > faults_before {
         let action = RecoveryAction::StreamedOutput;
-        trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
+        trace_recovery(trace, fleet.makespan().as_ns(), Phase::Symbolic, &action);
         recovery.record(Phase::Symbolic, action);
     }
-    Ok(result)
+    if let Some(fr) = &mut report.fleet {
+        fr.resharded_rows += out.resharded_rows;
+    }
+    Ok((out.result, out.resharded_rows))
 }
 
 /// Cuts an in-kernel snapshot from an engine hook. Injected crashes
@@ -476,12 +488,12 @@ impl LuFactorization {
 /// which case the typed [`GpluError::NumericallySingular`] rejection is
 /// returned. Never a silently wrong answer.
 ///
-/// `sharded` is what the fleet-taking entry points choose (see
+/// `fleet_report` is what the fleet-taking entry points choose (see
 /// [`Pass::fleet_before`]); a `Gpu`-taking entry point passes a borrowed
 /// fleet of one and `false`.
 pub(crate) fn compute_on(
     fleet: &DeviceFleet<'_>,
-    sharded: bool,
+    fleet_report: bool,
     a: &Csr,
     opts: &LuOptions,
     mut session: Option<&mut CheckpointSession>,
@@ -516,7 +528,7 @@ pub(crate) fn compute_on(
         // retry runs under a different policy, so a partial snapshot
         // from the failed rung must not replay into it.
         let sess = if i == 0 { session.take() } else { None };
-        let mut pass = Pass::new(fleet, sharded, sess, trace);
+        let mut pass = Pass::new(fleet, fleet_report, sess, trace);
         if i > 0 {
             pass.recover(
                 Phase::Numeric,
@@ -583,15 +595,14 @@ pub(crate) fn compute_on(
 /// runs [`Pass::numeric`] alone.
 pub(crate) struct Pass<'a> {
     /// The devices — a borrowed fleet of one behind the `Gpu`-taking entry
-    /// points. Host-side work advances every live clock; device work that
-    /// is not sharded (levelization, block detection, snapshot writes)
-    /// runs on the lead device and the fleet barriers after it.
+    /// points. Host-side work advances every live clock; unsharded device
+    /// work (unified-memory symbolic, levelization, block detection,
+    /// snapshot writes) runs on the lead device and the fleet barriers.
     fleet: &'a DeviceFleet<'a>,
-    /// `Some` behind the fleet-taking entry points, and the two things
-    /// they choose: the symbolic phase is sharded (`symbolic_fleet`
-    /// instead of the `opts.symbolic` ladder), and `report.fleet` is
-    /// filled — measured against this reading of the fleet as the pass
-    /// found it.
+    /// `Some` behind the fleet-taking entry points, and the one thing they
+    /// choose: `report.fleet` is filled — measured against this reading of
+    /// the fleet as the pass found it. Every phase runs the same way at
+    /// every fleet size.
     fleet_before: Option<FleetStats>,
     session: Option<&'a mut CheckpointSession>,
     trace: &'a dyn TraceSink,
@@ -641,12 +652,12 @@ pub(crate) struct NumericPhase<'p> {
 impl<'a> Pass<'a> {
     pub(crate) fn new(
         fleet: &'a DeviceFleet<'a>,
-        sharded: bool,
+        fleet_report: bool,
         session: Option<&'a mut CheckpointSession>,
         trace: &'a dyn TraceSink,
     ) -> Self {
         let mut report = PhaseReport::default();
-        if sharded {
+        if fleet_report {
             report.fleet = Some(FleetReport {
                 devices: fleet.len(),
                 ..Default::default()
@@ -654,7 +665,7 @@ impl<'a> Pass<'a> {
         }
         Pass {
             fleet,
-            fleet_before: sharded.then(|| fleet.stats()),
+            fleet_before: fleet_report.then(|| fleet.stats()),
             session,
             trace,
             recovery: RecoveryLog::default(),
@@ -920,12 +931,8 @@ impl<'a> Pass<'a> {
         }
         let lead = self.lead()?;
         let sym_before = lead.stats();
-        let symbolic = if self.fleet_before.is_some() {
-            self.symbolic_sharded(matrix)
-        } else {
-            let partial = resume.and_then(|r| r.sym_partial.as_ref());
-            self.symbolic_ladder(lead, matrix, engine, partial)
-        };
+        let partial = resume.and_then(|r| r.sym_partial.as_ref());
+        let symbolic = self.symbolic_ladder(matrix, engine, partial);
         self.report.phase_stats.symbolic = lead.stats().since(&sym_before);
         let mut done = SymbolicDone {
             result: symbolic?,
@@ -940,14 +947,14 @@ impl<'a> Pass<'a> {
         Ok(done.result)
     }
 
-    /// The `opts.symbolic` engine on the lead device, with engine
-    /// degradation: the out-of-core engines already back off their chunk
-    /// sizes under OOM; if one still fails, fall back to unified memory,
-    /// whose on-demand paging cannot run out of device capacity. A partial
+    /// The `opts.symbolic` engine, with engine degradation: the sharded
+    /// out-of-core engines already back off their chunk sizes under OOM
+    /// (and reshard past a lost device); if one still fails on a live
+    /// device, fall back to unified memory, whose on-demand paging cannot
+    /// run out of device capacity. A partial
     /// snapshot replays the chunk watermark on the engine that cut it.
     fn symbolic_ladder(
         &mut self,
-        gpu: &Gpu,
         matrix: &Csr,
         requested: SymbolicEngine,
         partial: Option<&(u8, SymbolicResume)>,
@@ -964,7 +971,10 @@ impl<'a> Pass<'a> {
             "phase.symbolic",
             "phase",
             self.now_ns(),
-            &[("engine", engine_name(requested).into())],
+            &[
+                ("engine", engine_name(requested).into()),
+                ("devices", self.fleet.n_alive().into()),
+            ],
         );
         let mut symbolic: Option<SymbolicResult> = None;
         let mut last_err: Option<SimError> = None;
@@ -981,6 +991,7 @@ impl<'a> Pass<'a> {
                 );
             }
             attempts += 1;
+            let lead = self.lead();
             // Partial state only replays on the rung that cut it.
             let rung_resume = partial
                 .filter(|(tag, _)| *tag == checkpoint::engine_tag(engine))
@@ -988,7 +999,7 @@ impl<'a> Pass<'a> {
             let mut hook_storage;
             let hook: Option<&mut ChunkHook<'_>> = match self.session.as_deref_mut() {
                 Some(sess) => {
-                    let slot = &self.ckpt_err;
+                    let (gpu, slot) = (lead?, &self.ckpt_err);
                     hook_storage = move |p: &ChunkProgress| -> Result<(), SimError> {
                         if !p.iters_done.is_multiple_of(every) {
                             return Ok(());
@@ -1001,8 +1012,8 @@ impl<'a> Pass<'a> {
                 }
                 None => None,
             };
-            match run_symbolic(
-                gpu,
+            let run = run_symbolic(
+                self.fleet,
                 matrix,
                 engine,
                 &mut self.report,
@@ -1010,8 +1021,11 @@ impl<'a> Pass<'a> {
                 trace,
                 rung_resume,
                 hook,
-            ) {
-                Ok(result) => {
+            );
+            // As in the numeric ladder: a failed rung reshards nothing.
+            self.note_losses(Phase::Symbolic, run.as_ref().map_or(0, |r| r.1));
+            match run {
+                Ok((result, _)) => {
                     symbolic = Some(result);
                     used_engine = engine;
                     break;
@@ -1044,52 +1058,6 @@ impl<'a> Pass<'a> {
             let last = last_err.unwrap_or(SimError::BadLaunch("no symbolic engine ran".into()));
             ladder_exhausted(Phase::Symbolic, attempts, last)
         })
-    }
-
-    /// Fill counting sharded by source-row range across the live devices
-    /// (GSoFa-style), with the fill-count merge priced on the
-    /// interconnect — what the fleet-taking entry points run instead of
-    /// the `opts.symbolic` ladder.
-    fn symbolic_sharded(&mut self, matrix: &Csr) -> Result<SymbolicResult, GpluError> {
-        self.trace.span_begin(
-            "phase.symbolic",
-            "phase",
-            self.now_ns(),
-            &[
-                ("engine", "FleetOoc".into()),
-                ("devices", self.fleet.n_alive().into()),
-            ],
-        );
-        let out = self.run_symbolic_fleet(matrix)?;
-        self.report.symbolic = out.time;
-        self.report.symbolic_iterations = 1;
-        self.trace.span_end(
-            "phase.symbolic",
-            "phase",
-            self.now_ns(),
-            &[
-                ("engine", "FleetOoc".into()),
-                ("devices", self.fleet.n_alive().into()),
-                ("efficiency", out.efficiency.into()),
-            ],
-        );
-        Ok(out.result)
-    }
-
-    /// One `symbolic_fleet` run with its device losses logged. Deaths
-    /// reshard inside it; only a whole-fleet death or an injected crash
-    /// surfaces as an error.
-    fn run_symbolic_fleet(&mut self, matrix: &Csr) -> Result<FleetSymbolicOutcome, GpluError> {
-        let out = match symbolic_fleet(self.fleet, matrix, Partition::Blocked) {
-            Ok(out) => out,
-            Err(e @ SimError::Crashed { .. }) => return Err(e.into()),
-            Err(e) => return Err(ladder_exhausted(Phase::Symbolic, 1, e)),
-        };
-        self.note_losses(Phase::Symbolic, out.resharded_rows);
-        if let Some(fr) = &mut self.report.fleet {
-            fr.resharded_rows += out.resharded_rows;
-        }
-        Ok(out)
     }
 
     /// Phase 2b, threshold-pivot discovery (host pre-pass): the level-scheduled
@@ -1194,24 +1162,18 @@ impl<'a> Pass<'a> {
             },
         );
         let prev = self.report.symbolic;
-        symbolic = if self.fleet_before.is_some() {
-            let re = self.run_symbolic_fleet(matrix)?;
-            self.report.symbolic = re.time;
-            re.result
-        } else {
-            // Unified memory cannot run out of device capacity, making it
-            // the safe engine for the fallback pass.
-            run_symbolic(
-                self.lead()?,
-                matrix,
-                SymbolicEngine::UmPrefetch,
-                &mut self.report,
-                &mut self.recovery,
-                self.trace,
-                None,
-                None,
-            )?
-        };
+        // Unified memory cannot run out of device capacity, making it the
+        // safe engine for the fallback pass.
+        (symbolic, _) = run_symbolic(
+            self.fleet,
+            matrix,
+            SymbolicEngine::UmPrefetch,
+            &mut self.report,
+            &mut self.recovery,
+            self.trace,
+            None,
+            None,
+        )?;
         self.report.symbolic = prev + self.report.symbolic;
         Ok((csr_to_csc(&symbolic.filled), None, None))
     }

@@ -42,15 +42,19 @@
 //! queues are detected and re-run with full-size state, so the
 //! optimization is safe regardless of the estimate's quality.
 //!
+//! `two_stage` runs on one device over an ascending set of source rows:
+//! `0..n` alone, or each live device's share of a fleet ([`crate::multi`]).
+//!
 //! Everything observable — chunk sizes, iteration counts, launch count,
 //! transfer bytes — comes out of the simulated GPU's accounting.
 
 use crate::fill2::{RowMetrics, Traversals};
 use crate::frontier::split_point;
+use crate::multi::{run_sharded, FleetSymbolicOutcome, Partition::Blocked};
 use crate::ooc::{charge_row, charge_sort, chunk_size_for, row_state_bytes, with_oom_backoff};
 use crate::result::SymbolicResult;
 use crate::resume::{ChunkHook, ChunkProgress, SymbolicResume};
-use gplu_sim::{BlockCtx, Gpu, GpuStatsSnapshot, SimError, SimTime};
+use gplu_sim::{BlockCtx, DeviceFleet, Gpu, GpuStatsSnapshot, SimError, SimTime};
 use gplu_sparse::Csr;
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use parking_lot::Mutex;
@@ -164,24 +168,37 @@ pub(crate) fn plan_split(
 /// Runs out-of-core symbolic factorization with dynamic parallelism
 /// assignment (Algorithm 4).
 pub fn symbolic_ooc_dynamic(gpu: &Gpu, a: &Csr) -> Result<DynamicOutcome, SimError> {
-    symbolic_ooc_dynamic_run(gpu, a, &NOOP, None, None)
+    let before = gpu.stats();
+    let out = symbolic_ooc_dynamic_run(&DeviceFleet::from(gpu), a, &NOOP, None, None)?;
+    let (run, stats) = (out.run, gpu.stats().since(&before));
+    Ok(DynamicOutcome {
+        result: out.result,
+        split: run.split,
+        overflows: run.overflows,
+        num_iterations: run.num_iterations,
+        oom_backoffs: run.oom_backoffs,
+        streamed_output: run.streamed_output,
+        time: stats.now,
+        stats,
+    })
 }
 
-/// Full-control entry point: [`symbolic_ooc_dynamic`] with telemetry — a
+/// Full-control entry point: [`symbolic_ooc_dynamic`] on each live device
+/// of `fleet` over its [`Blocked`] rows, with telemetry — a
 /// `symbolic.split` instant for the split decision, one `symbolic.chunk`
 /// span per counting-stage iteration (attrs: iteration, rows, part), and
 /// one `symbolic.batch` span per storing-stage or retry batch — plus
 /// optional chunk-granular resume state and a per-chunk checkpoint hook
-/// (both apply to the counting stage; the storing stage recomputes from
-/// the counts).
+/// (a fleet of one only; both apply to the counting stage, and the storing
+/// stage recomputes from the counts).
 pub fn symbolic_ooc_dynamic_run(
-    gpu: &Gpu,
+    fleet: &DeviceFleet<'_>,
     a: &Csr,
     trace: &dyn TraceSink,
     resume: Option<&SymbolicResume>,
     hook: Option<&mut ChunkHook<'_>>,
-) -> Result<DynamicOutcome, SimError> {
-    two_stage(gpu, a, trace, plan_split, resume, hook).map(|run| run.outcome)
+) -> Result<FleetSymbolicOutcome, SimError> {
+    run_sharded(fleet, a, Blocked, plan_split, trace, resume, hook)
 }
 
 /// How a fresh run learns its row split — the one decision that separates
@@ -189,46 +206,73 @@ pub fn symbolic_ooc_dynamic_run(
 /// [`crate::ooc::fixed_split`] (Algorithm 3).
 pub(crate) type SplitRule = fn(&Gpu, &Csr, &Traversals) -> Result<DynamicSplit, SimError>;
 
-/// What [`two_stage`] reports: the public outcome plus the two numbers
-/// Algorithm 3's outcome states in its own convention.
-pub(crate) struct TwoStageRun {
-    /// The run; its `num_iterations` counts every batch of both stages.
-    pub outcome: DynamicOutcome,
-    /// Stage-1 chunks alone.
-    pub stage1_chunks: usize,
+/// What the two-stage loop counted on one device's rows — or on a
+/// fleet's, added up.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TwoStageRun {
+    /// The split the run worked under (on a fleet, the first device's;
+    /// only the chunk sizes differ between devices).
+    pub split: DynamicSplit,
     /// Effective stage-1 chunk size last in force (after OOM backoff).
     pub chunk: usize,
+    /// Stage-1 chunks alone.
+    pub stage1_chunks: usize,
+    /// Stage-1 chunks plus every storing-stage and retry batch.
+    pub num_iterations: usize,
+    /// Part-1 rows re-run with full state.
+    pub overflows: usize,
+    /// Batch halvings taken after failed allocations.
+    pub oom_backoffs: usize,
+    /// True when a storing stage streamed its batches back to the host.
+    pub streamed_output: bool,
+}
+
+impl TwoStageRun {
+    /// Two devices' runs as one: the counts add up, the first run's split
+    /// stands, and the smaller chunk is the one in force.
+    pub(crate) fn and(self, other: TwoStageRun) -> TwoStageRun {
+        TwoStageRun {
+            split: self.split,
+            chunk: self.chunk.min(other.chunk),
+            stage1_chunks: self.stage1_chunks + other.stage1_chunks,
+            num_iterations: self.num_iterations + other.num_iterations,
+            overflows: self.overflows + other.overflows,
+            oom_backoffs: self.oom_backoffs + other.oom_backoffs,
+            streamed_output: self.streamed_output || other.streamed_output,
+        }
+    }
 }
 
 /// The two-stage out-of-core procedure (Algorithm 3) over the two row
-/// ranges of a [`DynamicSplit`] — the one chunk loop behind
-/// [`symbolic_ooc_dynamic`] and [`crate::ooc::symbolic_ooc`].
+/// ranges of a [`DynamicSplit`] — the one chunk loop behind every
+/// out-of-core engine — on one device's ascending `rows`, which `n1`
+/// divides. Traversals go through the caller's memo, shared by a fleet.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn two_stage(
     gpu: &Gpu,
     a: &Csr,
+    rows: &[u32],
+    traversals: &Traversals,
     trace: &dyn TraceSink,
     split_rule: SplitRule,
     resume: Option<&SymbolicResume>,
     mut hook: Option<&mut ChunkHook<'_>>,
 ) -> Result<TwoStageRun, SimError> {
     let n = a.n_rows();
-    let before = gpu.stats();
-
     if let Some(r) = resume {
         r.check(n).map_err(SimError::BadLaunch)?;
     }
 
     // The matrix pattern lives on the device for the whole phase
-    // (row_ptr + col_idx; symbolic needs no values).
+    // (row_ptr + col_idx; symbolic needs no values), beside the counts.
     let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
     let _a_dev = gpu.mem.alloc(a_bytes)?;
     gpu.h2d(a_bytes);
-    let _counts_dev = gpu.mem.alloc(n as u64 * 4)?;
+    let _counts_dev = gpu.mem.alloc(rows.len() as u64 * 4)?;
 
-    let traversals = Traversals::new(a);
     let split = match resume {
         Some(r) => r.split,
-        None => split_rule(gpu, a, &traversals)?,
+        None => split_rule(gpu, a, traversals)?,
     };
     trace.instant(
         "symbolic.split",
@@ -272,7 +316,10 @@ pub(crate) fn two_stage(
     let mut overflow_rows = 0usize;
     let mut oom_backoffs = resume.map_or(0, |r| r.oom_backoffs);
     let mut streamed_output = false;
-    let count_of = |row: usize| fill_counts[row].load(Ordering::Relaxed) as u64;
+    let count_of = |row: u32| fill_counts[row as usize].load(Ordering::Relaxed) as u64;
+    let sum_counts = |rows: &[u32]| rows.iter().map(|&row| count_of(row)).sum::<u64>();
+    // Positions `..part1` of `rows` lie below the split.
+    let part1 = rows.partition_point(|&row| (row as usize) < split.n1);
 
     // Two stages (count, then store); within each, part 1 with its large
     // chunk and shrunken queues, then part 2 with the conservative chunk.
@@ -283,8 +330,7 @@ pub(crate) fn two_stage(
         // otherwise each batch's positions stream back to the host,
         // sharing the free bytes with that batch's traversal state.
         let resident_out = if store {
-            let total_fill: u64 = (0..n).map(count_of).sum();
-            let out = gpu.mem.alloc(total_fill * 4).ok();
+            let out = gpu.mem.alloc(sum_counts(rows) * 4).ok();
             streamed_output = out.is_none();
             out
         } else {
@@ -314,13 +360,13 @@ pub(crate) fn two_stage(
             }
         };
 
-        // Traversal state for `want` rows plus, when streaming, their
-        // output positions. Sizing against free bytes is only a hint —
-        // the allocation decides, backing off geometrically when it fails.
-        let alloc_batch = |want: usize, row_bytes: u64, nnz_of: &dyn Fn(usize) -> u64| {
-            with_oom_backoff(want, |rows| {
-                let nnz = nnz_of(rows);
-                let state = gpu.mem.alloc(rows as u64 * row_bytes)?;
+        // Traversal state for `batch` plus, when streaming, its output
+        // positions. Sizing against free bytes is only a hint — the
+        // allocation decides, backing off geometrically when it fails.
+        let alloc_batch = |batch: &[u32], row_bytes: u64| {
+            with_oom_backoff(batch.len(), |got| {
+                let nnz = sum_counts(&batch[..got]);
+                let state = gpu.mem.alloc(got as u64 * row_bytes)?;
                 let out = streaming.then(|| gpu.mem.alloc(nnz * 4)).transpose()?;
                 Ok((state, out, nnz))
             })
@@ -329,11 +375,11 @@ pub(crate) fn two_stage(
         for (part, range, chunk, row_bytes) in [
             (
                 1u64,
-                0..split.n1,
+                0..part1,
                 split.chunk1,
                 part1_row_bytes(n, split.frontier_cap),
             ),
-            (2u64, split.n1..n, split.chunk2, row_state_bytes(n)),
+            (2u64, part1..rows.len(), split.chunk2, row_state_bytes(n)),
         ] {
             let capped = part == 1;
             // Counting resumes past the watermark; storing always re-runs
@@ -350,26 +396,26 @@ pub(crate) fn two_stage(
                 // Counting stage: fixed chunks, state only; the chunk the
                 // split planned is what the backoff starts from.
                 let (_state_dev, eff_chunk, backoffs) =
-                    with_oom_backoff(chunk.min(range.len()), |rows| {
-                        gpu.mem.alloc(rows as u64 * row_bytes)
+                    with_oom_backoff(chunk.min(range.len()), |got| {
+                        gpu.mem.alloc(got as u64 * row_bytes)
                     })?;
                 oom_backoffs += backoffs;
                 chunk_in_force = eff_chunk;
                 for (iter, start) in range.clone().step_by(eff_chunk).enumerate() {
-                    let rows = eff_chunk.min(range.end - start);
+                    let len = eff_chunk.min(range.end - start);
                     trace.span_begin(
                         "symbolic.chunk",
                         "chunk",
                         gpu.now().as_ns(),
                         &[
                             ("iter", iter.into()),
-                            ("rows", rows.into()),
+                            ("rows", len.into()),
                             ("part", part.into()),
                         ],
                     );
                     let clk0 = trace.enabled().then(|| gpu.clocks());
-                    gpu.launch("symbolic_1", rows, 1024, &|b: usize, ctx: &mut BlockCtx| {
-                        body((start + b) as u32, capped, ctx);
+                    gpu.launch("symbolic_1", len, 1024, &|b: usize, ctx: &mut BlockCtx| {
+                        body(rows[start + b], capped, ctx);
                     })?;
                     trace.span_end("symbolic.chunk", "chunk", gpu.now().as_ns(), &[]);
                     if let Some((obs0, pred0)) = clk0 {
@@ -390,7 +436,7 @@ pub(crate) fn two_stage(
                     stage1_chunks += 1;
                     if let Some(h) = hook.as_mut() {
                         h(&ChunkProgress {
-                            rows_done: start + rows,
+                            rows_done: start + len,
                             n_rows: n,
                             iters_done: stage1_chunks,
                             chunk: eff_chunk,
@@ -413,43 +459,42 @@ pub(crate) fn two_stage(
                 let mut start = range.start;
                 while start < range.end {
                     let free = gpu.mem.free_bytes();
-                    let mut batch = 0usize;
+                    let mut want = 0usize;
                     let mut planned_nnz = 0u64;
-                    while start + batch < range.end && batch < chunk {
-                        let c = count_of(start + batch);
+                    while start + want < range.end && want < chunk {
+                        let c = count_of(rows[start + want]);
                         let out_need = if streaming { (planned_nnz + c) * 4 } else { 0 };
-                        let need = (batch as u64 + 1) * row_bytes + out_need;
-                        if batch > 0 && need > free {
+                        let need = (want as u64 + 1) * row_bytes + out_need;
+                        if want > 0 && need > free {
                             break;
                         }
                         planned_nnz += c;
-                        batch += 1;
+                        want += 1;
                     }
-                    let ((_state_dev, out_dev, batch_nnz), rows, backoffs) =
-                        alloc_batch(batch, row_bytes, &|r| {
-                            (start..start + r).map(count_of).sum()
-                        })?;
+                    let ((_state_dev, out_dev, batch_nnz), got, backoffs) =
+                        alloc_batch(&rows[start..start + want], row_bytes)?;
                     oom_backoffs += backoffs;
                     batches += 1;
+                    let batch = &rows[start..start + got];
                     trace.span_begin(
                         "symbolic.batch",
                         "chunk",
                         gpu.now().as_ns(),
                         &[
                             ("start", start.into()),
-                            ("rows", rows.into()),
+                            ("rows", got.into()),
                             ("nnz", batch_nnz.into()),
                             ("streamed", streamed_output.into()),
                         ],
                     );
-                    gpu.launch("symbolic_2", rows, 1024, &|b: usize, ctx: &mut BlockCtx| {
-                        body((start + b) as u32, capped, ctx);
+                    gpu.launch("symbolic_2", got, 1024, &|b: usize, ctx: &mut BlockCtx| {
+                        body(batch[b], capped, ctx);
                     })?;
                     trace.span_end("symbolic.batch", "chunk", gpu.now().as_ns(), &[]);
                     if out_dev.is_some() {
                         gpu.d2h(batch_nnz * 4);
                     }
-                    start += rows;
+                    start += got;
                 }
             }
         }
@@ -463,15 +508,10 @@ pub(crate) fn two_stage(
         let mut idx = 0usize;
         while idx < retry.len() {
             let want = (retry.len() - idx).min(split.chunk2);
-            let ((_state_dev, out_dev, nnz), rows, backoffs) =
-                alloc_batch(want, row_state_bytes(n), &|r| {
-                    retry[idx..idx + r]
-                        .iter()
-                        .map(|&row| count_of(row as usize))
-                        .sum()
-                })?;
+            let ((_state_dev, out_dev, nnz), got, backoffs) =
+                alloc_batch(&retry[idx..idx + want], row_state_bytes(n))?;
             oom_backoffs += backoffs;
-            let batch = &retry[idx..idx + rows];
+            let batch = &retry[idx..idx + got];
             batches += 1;
             trace.span_begin(
                 "symbolic.retry",
@@ -491,7 +531,7 @@ pub(crate) fn two_stage(
             if out_dev.is_some() {
                 gpu.d2h(nnz * 4);
             }
-            idx += rows;
+            idx += got;
         }
 
         if !store {
@@ -499,37 +539,28 @@ pub(crate) fn two_stage(
             // back for host-side assembly (Algorithm 3 line 7).
             gpu.launch(
                 "prefix_sum",
-                n.div_ceil(1024).max(1),
+                rows.len().div_ceil(1024).max(1),
                 1024,
                 &|_b: usize, ctx: &mut BlockCtx| {
                     ctx.step(1024);
                     ctx.mem(1024 * 4);
                 },
             )?;
-            gpu.d2h(n as u64 * 4);
+            gpu.d2h(rows.len() as u64 * 4);
         }
     }
 
     // The overflow list is drained per stage; anything left means a bug.
     debug_assert!(overflowed.lock().is_empty());
 
-    // Both stages traverse on the device; the result's metrics are the
-    // single-traversal costs (the clock already charged both).
-    let result = traversals.into_result();
-    let stats = gpu.stats().since(&before);
     Ok(TwoStageRun {
-        outcome: DynamicOutcome {
-            result,
-            split,
-            overflows: overflow_rows,
-            num_iterations: stage1_chunks + batches,
-            oom_backoffs,
-            streamed_output,
-            time: stats.now,
-            stats,
-        },
-        stage1_chunks,
+        split,
         chunk: chunk_in_force,
+        stage1_chunks,
+        num_iterations: stage1_chunks + batches,
+        overflows: overflow_rows,
+        oom_backoffs,
+        streamed_output,
     })
 }
 
@@ -542,6 +573,25 @@ mod tests {
 
     fn gpu_for(a: &Csr) -> Gpu {
         Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()))
+    }
+
+    /// `run_sharded` on `gpu` alone under `rule`, as the engines run it.
+    fn run_on(
+        gpu: &Gpu,
+        a: &Csr,
+        rule: SplitRule,
+        resume: Option<&SymbolicResume>,
+        hook: Option<&mut ChunkHook<'_>>,
+    ) -> Result<FleetSymbolicOutcome, SimError> {
+        run_sharded(
+            &DeviceFleet::from(gpu),
+            a,
+            Blocked,
+            rule,
+            &NOOP,
+            resume,
+            hook,
+        )
     }
 
     #[test]
@@ -757,23 +807,38 @@ mod tests {
         // the overflow set is carried across the cut with the watermark.
         let a = random_dominant(900, 3.0, 2);
         cut_at_every_chunk_and_resume("ooc", |resume, hook| {
-            let o = crate::ooc::symbolic_ooc_run(&gpu_for(&a), &a, &NOOP, resume, hook)?;
+            let o = crate::ooc::symbolic_ooc_run(
+                &DeviceFleet::from(&gpu_for(&a)),
+                &a,
+                &NOOP,
+                resume,
+                hook,
+            )?;
             let r = o.result;
             Ok((
-                (r.filled, r.fill_count, r.metrics, o.num_iterations),
+                (r.filled, r.fill_count, r.metrics, o.run.num_iterations),
                 o.time,
             ))
         });
         cut_at_every_chunk_and_resume("dynamic", |resume, hook| {
-            let o = symbolic_ooc_dynamic_run(&gpu_for(&a), &a, &NOOP, resume, hook)?;
-            assert!(o.overflows > 0, "the case must exercise the overflow set");
+            let o = symbolic_ooc_dynamic_run(
+                &DeviceFleet::from(&gpu_for(&a)),
+                &a,
+                &NOOP,
+                resume,
+                hook,
+            )?;
+            assert!(
+                o.run.overflows > 0,
+                "the case must exercise the overflow set"
+            );
             let r = o.result;
             let outcome = (
                 r.filled,
                 r.fill_count,
                 r.metrics,
-                o.num_iterations,
-                o.overflows,
+                o.run.num_iterations,
+                o.run.overflows,
             );
             Ok((outcome, o.time))
         });
@@ -799,17 +864,18 @@ mod tests {
         let cfg = device_for_rows(&a, 8);
         let ooc = cut_at_every_chunk_and_resume("ooc", |resume, hook| {
             let gpu = Gpu::new(cfg.clone());
-            let o = crate::ooc::symbolic_ooc_run(&gpu, &a, &NOOP, resume, hook)?;
-            assert!(o.streamed_output);
+            let o =
+                crate::ooc::symbolic_ooc_run(&DeviceFleet::from(&gpu), &a, &NOOP, resume, hook)?;
+            assert!(o.run.streamed_output);
             let r = o.result;
-            Ok(((r.filled, r.metrics, o.num_iterations), o.time))
+            Ok(((r.filled, r.metrics, o.run.num_iterations), o.time))
         });
         let dynamic = cut_at_every_chunk_and_resume("dynamic", |resume, hook| {
             let gpu = Gpu::new(cfg.clone());
-            let o = symbolic_ooc_dynamic_run(&gpu, &a, &NOOP, resume, hook)?;
-            assert!(o.streamed_output);
+            let o = symbolic_ooc_dynamic_run(&DeviceFleet::from(&gpu), &a, &NOOP, resume, hook)?;
+            assert!(o.run.streamed_output);
             let r = o.result;
-            Ok(((r.filled, r.metrics, o.num_iterations), o.time))
+            Ok(((r.filled, r.metrics, o.run.num_iterations), o.time))
         });
         #[rustfmt::skip]
         let want_ooc = [
@@ -844,12 +910,12 @@ mod tests {
         for cfg in [profile.clone(), streams] {
             let run = |rule: SplitRule, resume: Option<&SymbolicResume>| {
                 let gpu = Gpu::new(cfg.clone());
-                let run = two_stage(&gpu, &a, &NOOP, rule, resume, None).expect("runs");
-                (run.outcome, last_host_traversals())
+                let run = run_on(&gpu, &a, rule, resume, None).expect("runs");
+                (run, last_host_traversals())
             };
             assert_eq!(run(fixed_split, None).1, n, "ooc");
             let (dynamic, traversals) = run(plan_split, None);
-            assert!(dynamic.overflows > 0);
+            assert!(dynamic.run.overflows > 0);
             assert_eq!(traversals, n, "dynamic, prepass included");
 
             // A run resumed past its third chunk plans no split and meets
@@ -864,7 +930,7 @@ mod tests {
                     Err(SimError::Crashed { ordinal: 3 })
                 };
                 let gpu = Gpu::new(cfg.clone());
-                let cut_run = two_stage(&gpu, &a, &NOOP, rule, None, Some(&mut hook));
+                let cut_run = run_on(&gpu, &a, rule, None, Some(&mut hook));
                 assert!(cut_run.is_err());
                 assert_eq!(run(rule, cut.as_ref()).1, n, "resumed");
             }
@@ -912,7 +978,7 @@ mod tests {
             let n = a.n_rows();
             let run = |rule: SplitRule, plan: FaultPlan, hook: Option<&mut ChunkHook<'_>>| {
                 let gpu = Gpu::with_fault_plan(cfg.clone(), CostModel::default(), plan);
-                let r = two_stage(&gpu, a, &NOOP, rule, None, hook).map(drop);
+                let r = run_on(&gpu, a, rule, None, hook).map(drop);
                 (r, gpu.mem.used_bytes())
             };
             for (engine, rule) in rules {
@@ -972,7 +1038,7 @@ mod tests {
         let tight = bare.clone().with_memory(bare.device_memory + 1024);
         for rule in [fixed_split as SplitRule, plan_split] {
             let gpu = Gpu::new(tight.clone());
-            let r = two_stage(&gpu, a, &NOOP, rule, None, None).map(drop);
+            let r = run_on(&gpu, a, rule, None, None).map(drop);
             assert!(matches!(r, Err(SimError::OutOfMemory { .. })), "{r:?}");
             assert_eq!(gpu.mem.used_bytes(), 0);
         }
@@ -991,7 +1057,14 @@ mod tests {
             },
             ..Default::default()
         };
-        let _ = symbolic_ooc_dynamic_run(&gpu_for(&a), &a, &NOOP, Some(&fits), None).expect("fits");
+        let _ = symbolic_ooc_dynamic_run(
+            &DeviceFleet::from(&gpu_for(&a)),
+            &a,
+            &NOOP,
+            Some(&fits),
+            None,
+        )
+        .expect("fits");
         let mut short_counts = fits.clone();
         short_counts.fill_counts.pop();
         let mut split_past_the_end = fits.clone();
@@ -999,7 +1072,13 @@ mod tests {
         let mut empty_part1_chunk = fits.clone();
         empty_part1_chunk.split.chunk1 = 0;
         for bad in [short_counts, split_past_the_end, empty_part1_chunk] {
-            let err = symbolic_ooc_dynamic_run(&gpu_for(&a), &a, &NOOP, Some(&bad), None);
+            let err = symbolic_ooc_dynamic_run(
+                &DeviceFleet::from(&gpu_for(&a)),
+                &a,
+                &NOOP,
+                Some(&bad),
+                None,
+            );
             assert!(matches!(err, Err(SimError::BadLaunch(_))), "{bad:?}");
         }
     }

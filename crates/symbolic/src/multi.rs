@@ -6,11 +6,13 @@
 //! embarrassingly parallel across source rows; the paper itself notes a
 //! distributed collection "can increase the aggregate available memory".
 //! This module extends the single-device out-of-core engine the same way:
-//! the source rows are partitioned across `k` simulated devices (each with
-//! its own copy of `A`, as in GSOFA), every device runs the two-stage
-//! out-of-core procedure on its slice, and the host concatenates the
-//! results. Simulated time is the **makespan** over the devices plus the
-//! final gather.
+//! the source rows are partitioned across the live devices (each with its
+//! own copy of `A`, as in GSOFA), every device runs the one two-stage
+//! chunk loop ([`crate::dynamic`]) on its rows, priced as a lone device
+//! prices them, and the host assembles the pattern from the shared
+//! traversal memo. Simulated time is the **makespan** over the devices
+//! plus the fill-count all-gather. A lone device is one shard, `0..n`, and
+//! no gather.
 //!
 //! Partitioning matters because per-row work is wildly skewed (Figure 3:
 //! late rows dominate). Two strategies are provided:
@@ -19,11 +21,13 @@
 //! * [`Partition::Strided`] — round-robin rows (interleaves the skew, the
 //!   static load-balancing GSOFA-style deployments use).
 
+use crate::dynamic::{plan_split, two_stage, SplitRule, TwoStageRun};
 use crate::fill2::Traversals;
-use crate::ooc::{charge_row, chunk_size_for, row_state_bytes};
 use crate::result::SymbolicResult;
-use gplu_sim::{BlockCtx, DeviceFleet, Gpu, SimError, SimTime};
+use crate::resume::{ChunkHook, SymbolicResume};
+use gplu_sim::{DeviceFleet, SimError, SimTime};
 use gplu_sparse::Csr;
+use gplu_trace::{TraceSink, NOOP};
 
 /// How source rows are assigned to devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +43,8 @@ pub enum Partition {
 pub struct FleetSymbolicOutcome {
     /// The factorization pattern (identical to single-device).
     pub result: SymbolicResult,
+    /// The shards' chunk-loop counters, added up.
+    pub run: TwoStageRun,
     /// Per-device simulated time spent in this phase, indexed by device
     /// ordinal (zero for devices that were dead on entry).
     pub per_device: Vec<SimTime>,
@@ -52,94 +58,81 @@ pub struct FleetSymbolicOutcome {
     pub resharded_rows: usize,
 }
 
-/// Runs the two-stage out-of-core fill counting sharded by source-row
-/// range across the live devices of `fleet` (GSoFa-style: every device
-/// holds its own copy of `A` and traverses its row slice), then prices
-/// the fill-count all-gather on the interconnect and barriers.
+/// Runs Algorithm 4 ([`crate::symbolic_ooc_dynamic`]) sharded by source
+/// row across the live devices of `fleet` (GSoFa-style: every device holds
+/// its own copy of `A`), then prices the fill-count all-gather on the
+/// interconnect and barriers.
 ///
-/// A device failure (injected OOM, launch fault, squeeze-induced OOM)
-/// marks that device dead and reshards its rows round-robin onto the
-/// survivors; the run fails only when a crash is injected
-/// ([`SimError::Crashed`] is terminal by design) or every device dies.
-/// Because each row's traversal is independent and deterministic, the
-/// merged pattern is bit-identical to the single-device engines no matter
-/// how many devices run or die.
+/// A device failure (injected OOM past the backoff, launch fault,
+/// squeeze-induced OOM) marks that device dead and reshards its rows
+/// round-robin onto the survivors; the run fails when a crash is injected
+/// ([`SimError::Crashed`] is terminal by design) or every device dies. A
+/// fleet of one keeps its device alive and returns the failure, as a lone
+/// `Gpu` does. Because each row's traversal is independent and
+/// deterministic, the merged pattern is bit-identical to the single-device
+/// engines no matter how many devices run or die.
 pub fn symbolic_fleet(
     fleet: &DeviceFleet<'_>,
     a: &Csr,
     partition: Partition,
 ) -> Result<FleetSymbolicOutcome, SimError> {
+    run_sharded(fleet, a, partition, plan_split, &NOOP, None, None)
+}
+
+/// What [`symbolic_fleet`] and both out-of-core `_run` entry points run:
+/// one [`two_stage`] per live device under `split_rule`, then the
+/// count all-gather. Resume state and the chunk hook need a fleet of one.
+pub(crate) fn run_sharded(
+    fleet: &DeviceFleet<'_>,
+    a: &Csr,
+    partition: Partition,
+    split_rule: SplitRule,
+    trace: &dyn TraceSink,
+    resume: Option<&SymbolicResume>,
+    mut hook: Option<&mut ChunkHook<'_>>,
+) -> Result<FleetSymbolicOutcome, SimError> {
     let n = a.n_rows();
     let before: Vec<_> = fleet.devices().iter().map(|g| g.stats()).collect();
-
-    // Each row's one host traversal. Set once, so re-running a dead
-    // device's rows on a survivor charges them again but cannot
-    // double-count them.
-    let traversals = Traversals::new(a);
-
-    // Runs both stages over `rows` on one device; idempotent, so a dead
-    // device's slice can simply be re-run elsewhere. Both stages charge a
-    // full traversal per row; the host runs fill2 in the first kernel over
-    // a row only.
-    let run_rows = |gpu: &Gpu, rows: &[u32]| -> Result<(), SimError> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let a_bytes = (n as u64 + 1 + a.nnz() as u64) * 4;
-        let _a_dev = gpu.mem.alloc(a_bytes)?;
-        gpu.h2d(a_bytes);
-        let chunk = chunk_size_for(gpu, n).clamp(1, rows.len().max(1));
-        let _state_dev = gpu.mem.alloc(chunk as u64 * row_state_bytes(n))?;
-        for stage in ["fleet_symbolic_1", "fleet_symbolic_2"] {
-            for batch in rows.chunks(chunk.max(1)) {
-                gpu.launch(stage, batch.len(), 1024, &|b: usize, ctx: &mut BlockCtx| {
-                    charge_row(ctx, &traversals.row(batch[b]));
-                })?;
-            }
-        }
-        let my_nnz: u64 = rows.iter().map(|&r| traversals.row(r).emitted as u64).sum();
-        if my_nnz > 0 {
-            gpu.d2h(my_nnz * 4);
-        }
-        Ok(())
-    };
-
-    let assign_rows = |owners: &[usize]| -> Vec<(usize, Vec<u32>)> {
-        let k = owners.len();
-        owners
-            .iter()
-            .enumerate()
-            .map(|(slot, &d)| {
-                let rows = match partition {
-                    Partition::Blocked => {
-                        let start = slot * n / k;
-                        let end = (slot + 1) * n / k;
-                        (start as u32..end as u32).collect()
-                    }
-                    Partition::Strided => (slot as u32..)
-                        .step_by(k)
-                        .take_while(|&r| (r as usize) < n)
-                        .collect(),
-                };
-                (d, rows)
-            })
-            .collect()
-    };
-
     let alive = fleet.alive();
     if alive.is_empty() {
         return Err(SimError::BadLaunch("no live devices in fleet".into()));
     }
-    let mut pending = assign_rows(&alive);
+    if alive.len() > 1 && (resume.is_some() || hook.is_some()) {
+        return Err(SimError::BadLaunch("resume needs a fleet of one".into()));
+    }
+
+    // Each row's one host traversal, shared by every device. Set once, so
+    // re-running a dead device's rows on a survivor charges them again but
+    // cannot double-count them.
+    let traversals = Traversals::new(a);
+    let k = alive.len();
+    let share = |slot: usize| match partition {
+        Partition::Blocked => (slot * n / k..(slot + 1) * n / k).step_by(1),
+        Partition::Strided => (slot..n).step_by(k),
+    };
+    let mut pending: Vec<(usize, Vec<u32>)> = (alive.iter().enumerate())
+        .map(|(slot, &d)| (d, share(slot).map(|r| r as u32).collect()))
+        .collect();
+    let mut owned = vec![0u64; fleet.len()];
+    let mut run: Option<TwoStageRun> = None;
     let mut died = Vec::new();
     let mut resharded_rows = 0usize;
     let mut last_err: Option<SimError> = None;
     while !pending.is_empty() {
         let mut failed_rows: Vec<u32> = Vec::new();
         for (d, rows) in pending.drain(..) {
-            match run_rows(fleet.device(d), &rows) {
-                Ok(()) => {}
+            if rows.is_empty() {
+                continue;
+            }
+            let gpu = fleet.device(d);
+            let hook = hook.as_deref_mut();
+            match two_stage(gpu, a, &rows, &traversals, trace, split_rule, resume, hook) {
+                Ok(r) => {
+                    owned[d] += rows.len() as u64 * 4;
+                    run = Some(run.map_or(r, |t| t.and(r)));
+                }
                 Err(e @ SimError::Crashed { .. }) => return Err(e),
+                Err(e) if fleet.len() == 1 => return Err(e),
                 Err(e) => {
                     fleet.mark_dead(d);
                     died.push(d);
@@ -153,18 +146,16 @@ pub fn symbolic_fleet(
         }
         let survivors = fleet.alive();
         if survivors.is_empty() {
-            return Err(last_err.unwrap_or(SimError::BadLaunch(
-                "every fleet device died during symbolic".into(),
-            )));
+            let all_dead = || SimError::BadLaunch("every fleet device died during symbolic".into());
+            return Err(last_err.unwrap_or_else(all_dead));
         }
         // Round-robin the dead devices' rows onto the survivors.
+        failed_rows.sort_unstable();
         resharded_rows += failed_rows.len();
-        let mut shards: Vec<(usize, Vec<u32>)> =
-            survivors.iter().map(|&d| (d, Vec::new())).collect();
-        for (i, r) in failed_rows.into_iter().enumerate() {
-            shards[i % survivors.len()].1.push(r);
+        for (i, &d) in survivors.iter().enumerate() {
+            let share = failed_rows.iter().skip(i).step_by(survivors.len());
+            pending.push((d, share.copied().collect()));
         }
-        pending = shards;
     }
 
     let elapsed = || -> Vec<SimTime> {
@@ -182,19 +173,7 @@ pub fn symbolic_fleet(
     // GSoFa's count merge: every live device gathers the others' per-row
     // fill counts (4 bytes per row it does not own) over the peer links,
     // then the fleet barriers before the host-side pattern merge.
-    let counts_bytes: Vec<u64> = {
-        let mut owned = vec![0u64; fleet.len()];
-        for (slot, &d) in fleet.alive().iter().enumerate() {
-            let k = fleet.n_alive();
-            let rows = match partition {
-                Partition::Blocked => ((slot + 1) * n / k - slot * n / k) as u64,
-                Partition::Strided => n.div_ceil(k).min(n) as u64,
-            };
-            owned[d] = rows * 4;
-        }
-        owned
-    };
-    fleet.all_gather(&counts_bytes);
+    fleet.all_gather(&owned);
 
     let per_device = elapsed();
     let worked: Vec<SimTime> = fleet
@@ -210,9 +189,9 @@ pub fn symbolic_fleet(
         1.0
     };
 
-    let result = traversals.into_result();
     Ok(FleetSymbolicOutcome {
-        result,
+        result: traversals.into_result(),
+        run: run.unwrap_or_default(),
         per_device,
         time: makespan,
         efficiency,

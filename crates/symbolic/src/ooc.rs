@@ -12,11 +12,12 @@
 //! on: the per-row state size, the per-row cost charge, and the geometric
 //! OOM backoff.
 
-use crate::dynamic::{two_stage, DynamicSplit};
+use crate::dynamic::DynamicSplit;
 use crate::fill2::{RowMetrics, Traversals};
+use crate::multi::{run_sharded, FleetSymbolicOutcome, Partition::Blocked};
 use crate::result::SymbolicResult;
 use crate::resume::{ChunkHook, SymbolicResume};
-use gplu_sim::{BlockCtx, Gpu, GpuConfig, GpuStatsSnapshot, SimError, SimTime};
+use gplu_sim::{BlockCtx, DeviceFleet, Gpu, GpuConfig, GpuStatsSnapshot, SimError, SimTime};
 use gplu_sparse::Csr;
 use gplu_trace::{TraceSink, NOOP};
 
@@ -123,30 +124,31 @@ pub(crate) fn fixed_split(
 
 /// Runs out-of-core GPU symbolic factorization (Algorithm 3).
 pub fn symbolic_ooc(gpu: &Gpu, a: &Csr) -> Result<OocOutcome, SimError> {
-    symbolic_ooc_run(gpu, a, &NOOP, None, None)
+    let before = gpu.stats();
+    let out = symbolic_ooc_run(&DeviceFleet::from(gpu), a, &NOOP, None, None)?;
+    let (run, stats) = (out.run, gpu.stats().since(&before));
+    Ok(OocOutcome {
+        result: out.result,
+        chunk_size: run.chunk,
+        num_iterations: run.stage1_chunks,
+        oom_backoffs: run.oom_backoffs,
+        streamed_output: run.streamed_output,
+        time: stats.now,
+        stats,
+    })
 }
 
-/// Full-control entry point: [`symbolic_ooc`] with telemetry — the spans
-/// of [`crate::dynamic::symbolic_ooc_dynamic_run`], every row in part 2 —
-/// plus optional chunk-granular resume state and a per-chunk checkpoint
-/// hook.
+/// Full-control entry point: [`symbolic_ooc`] on a fleet, as
+/// [`crate::dynamic::symbolic_ooc_dynamic_run`] runs Algorithm 4 — every
+/// row in part 2. Algorithm 3's iterations are its `run.stage1_chunks`.
 pub fn symbolic_ooc_run(
-    gpu: &Gpu,
+    fleet: &DeviceFleet<'_>,
     a: &Csr,
     trace: &dyn TraceSink,
     resume: Option<&SymbolicResume>,
     hook: Option<&mut ChunkHook<'_>>,
-) -> Result<OocOutcome, SimError> {
-    let run = two_stage(gpu, a, trace, fixed_split, resume, hook)?;
-    Ok(OocOutcome {
-        result: run.outcome.result,
-        chunk_size: run.chunk,
-        num_iterations: run.stage1_chunks,
-        oom_backoffs: run.outcome.oom_backoffs,
-        streamed_output: run.outcome.streamed_output,
-        time: run.outcome.time,
-        stats: run.outcome.stats,
-    })
+) -> Result<FleetSymbolicOutcome, SimError> {
+    run_sharded(fleet, a, Blocked, fixed_split, trace, resume, hook)
 }
 
 #[cfg(test)]

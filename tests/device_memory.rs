@@ -13,16 +13,15 @@ use gplu::sparse::gen::random::random_dominant;
 use std::path::PathBuf;
 
 /// Every kernel the pipeline launches, by phase.
-const KERNELS: [&str; 18] = [
-    // Symbolic: Algorithms 3/4, the unified-memory fallback, the fleet.
+const KERNELS: [&str; 16] = [
+    // Symbolic: Algorithms 3/4 (on every fleet shard too), the
+    // unified-memory fallback.
     "symbolic_1",
     "symbolic_2",
     "symbolic_retry",
     "prefix_sum",
     "um_symbolic_1",
     "um_symbolic_2",
-    "fleet_symbolic_1",
-    "fleet_symbolic_2",
     // Levelization (Algorithm 5).
     "cons_graph",
     "cnt_indegree",

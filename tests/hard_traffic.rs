@@ -386,9 +386,9 @@ fn threshold_pivoting_is_pinned_per_family() {
     );
     let want = (
         0x85545838054d20ab,
-        0xfa07e31f6b700389,
-        0x4111278188888882,
-        0x41338aac62222220,
+        0xf811d4c048b4b600,
+        0x410f2b9711111103,
+        0x4133263ee2222220,
     );
     assert_eq!(got, want, "actual: {got:#x?}");
 }
