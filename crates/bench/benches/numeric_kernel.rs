@@ -8,7 +8,9 @@
 //!
 //! The `core` rows run the core alone (dense discipline, column order)
 //! over a mesh and a circuit filled pattern shaped like the fleet
-//! workload's, and also print the host time per multiply–add.
+//! workload's, and also print the host time per multiply–add; it is
+//! printed for dense blocks of 300 and 700 columns too, where every
+//! column is one long supernode run.
 //!
 //! ```sh
 //! cargo bench -p gplu-bench --bench numeric_kernel
@@ -16,13 +18,13 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gplu_bench::Prepared;
-use gplu_numeric::values::ValueStore;
+use gplu_numeric::values::ColumnStore;
 use gplu_numeric::{AccessDiscipline, ColumnScratch, PivotCache};
 use gplu_sim::CostModel;
-use gplu_sparse::convert::csr_to_csc;
+use gplu_sparse::convert::{coo_to_csr, csr_to_csc};
 use gplu_sparse::gen::suite::large_suite;
 use gplu_sparse::gen::{circuit, mesh};
-use gplu_sparse::{Csc, Csr};
+use gplu_sparse::{Coo, Csc, Csr};
 use gplu_symbolic::symbolic_cpu;
 use std::time::Instant;
 
@@ -44,19 +46,21 @@ fn filled(a: &Csr) -> Csc {
 /// One pass of the core over every column in order; returns the
 /// multiply–adds it applied (its `items` less the divisions).
 fn core_pass(pattern: &Csc, cache: &PivotCache, discipline: AccessDiscipline) -> u64 {
-    let vals = ValueStore::new(&pattern.vals);
+    let mut vals = pattern.vals.clone();
+    let mut store = ColumnStore::new(&mut vals, &pattern.col_ptr);
     let mut scratch = ColumnScratch::default();
     let mut madds = 0;
     for j in 0..pattern.n_cols() {
         let costs = gplu_numeric::outcome::process_column(
             pattern,
-            &vals,
+            &store,
             j,
             discipline,
             cache,
             &mut scratch,
         )
         .expect("column ok");
+        store.seal([j]);
         madds += costs.items - (pattern.col_ptr[j + 1] - cache.lower_start(j)) as u64;
     }
     madds
@@ -108,22 +112,48 @@ fn bench_numeric_kernel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("core", name), &pattern, |b, p| {
             b.iter(|| core_pass(p, &cache, AccessDiscipline::Dense))
         });
-        // The fastest of a few passes, per multiply–add.
-        let mut best = f64::INFINITY;
-        let mut madds = 0;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            madds = black_box(core_pass(&pattern, &cache, AccessDiscipline::Dense));
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        println!(
-            "  numeric_kernel/core/{name}: {:.2} ns per multiply–add ({madds} per pass, n {}, fill {})",
-            best * 1e9 / madds as f64,
-            pattern.n_cols(),
-            pattern.nnz()
-        );
+        print_ns_per_madd(name, &pattern, &cache);
+    }
+    // Dense blocks: one supernode chain, so every column is one run as
+    // wide as the columns before it (printed only; a pass is long).
+    for s in [300, 700] {
+        let pattern = filled(&dense_block(s));
+        print_ns_per_madd(&format!("dense{s}"), &pattern, &PivotCache::build(&pattern));
     }
     group.finish();
+}
+
+/// Prints the fastest of a few core passes, per multiply–add.
+fn print_ns_per_madd(name: &str, pattern: &Csc, cache: &PivotCache) {
+    let mut best = f64::INFINITY;
+    let mut madds = 0;
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        madds = black_box(core_pass(pattern, cache, AccessDiscipline::Dense));
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    println!(
+        "  numeric_kernel/core/{name}: {:.2} ns per multiply–add ({madds} per pass, n {}, fill {})",
+        best * 1e9 / madds as f64,
+        pattern.n_cols(),
+        pattern.nnz()
+    );
+}
+
+/// A dense, diagonally dominant `s × s` matrix.
+fn dense_block(s: usize) -> Csr {
+    let mut coo = Coo::new(s, s);
+    for j in 0..s {
+        for i in 0..s {
+            let v = if i == j {
+                s as f64
+            } else {
+                1.0 / (1 + i + 2 * j) as f64
+            };
+            coo.push(i, j, v);
+        }
+    }
+    coo_to_csr(&coo)
 }
 
 criterion_group!(benches, bench_numeric_kernel);

@@ -285,6 +285,57 @@ mod tests {
         assert!(bits_equal(&clean.lu.vals, &f.lu.vals));
     }
 
+    /// A fleet's symbolic statistics are every device's delta summed: the
+    /// launches and bytes of the same sharded engine run alone on a fresh
+    /// fleet of two, device by device. On one device the sum is that
+    /// device's own delta, as `compute` reports it.
+    #[test]
+    fn fleet_symbolic_stats_sum_every_device_s_delta() {
+        let a = random_dominant(600, 4.0, 17);
+        let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+        let opts = LuOptions {
+            symbolic: SymbolicEngine::OocDynamic,
+            ..Default::default()
+        };
+        let fleet = DeviceFleet::new(2, cfg.clone());
+        let f = LuFactorization::compute_fleet(&fleet, &a, &opts).expect("compute_fleet");
+
+        let pre = crate::preprocess(&a, &opts.preprocess, fleet.device(0).cost()).expect("pre");
+        let alone = DeviceFleet::new(2, cfg.clone());
+        let before = alone.stats();
+        gplu_symbolic::symbolic_ooc_dynamic_run(&alone, &pre.matrix, &NOOP, None, None)
+            .expect("the phase alone");
+        let after = alone.stats();
+        let launches_and_bytes = |s: &gplu_sim::GpuStatsSnapshot| {
+            [s.kernels_host, s.kernels_device, s.h2d_bytes, s.d2h_bytes]
+        };
+        let per_device: Vec<[u64; 4]> = after
+            .devices
+            .iter()
+            .zip(&before.devices)
+            .map(|(now, then)| launches_and_bytes(&now.stats.since(&then.stats)))
+            .collect();
+        assert!(
+            per_device.iter().all(|d| d[0] > 0),
+            "both devices ran: {per_device:?}"
+        );
+        let sum: Vec<u64> = (0..4)
+            .map(|k| per_device[0][k] + per_device[1][k])
+            .collect();
+        assert_eq!(
+            launches_and_bytes(&f.report.phase_stats.symbolic).to_vec(),
+            sum
+        );
+
+        let single = LuFactorization::compute(&Gpu::new(cfg.clone()), &a, &opts).expect("compute");
+        let one = DeviceFleet::new(1, cfg);
+        let f1 = LuFactorization::compute_fleet(&one, &a, &opts).expect("fleet of one");
+        assert_eq!(
+            format!("{:?}", single.report.phase_stats.symbolic),
+            format!("{:?}", f1.report.phase_stats.symbolic)
+        );
+    }
+
     #[test]
     fn dead_device_lands_in_the_recovery_log() {
         let a = random_dominant(200, 4.0, 7);

@@ -26,7 +26,7 @@ use gplu_numeric::{
     PivotPolicy, PivotRule, SparseEngine, SweptFactors, DEFAULT_BLOCK_THRESHOLD, DEFAULT_PIVOT_TAU,
 };
 use gplu_schedule::{levelize_gpu_traced, DepGraph, Levels};
-use gplu_sim::{DeviceFleet, FleetStats, Gpu, SimError, SimTime};
+use gplu_sim::{DeviceFleet, FleetStats, Gpu, GpuStatsSnapshot, SimError, SimTime};
 use gplu_sparse::convert::csr_to_csc;
 use gplu_sparse::ordering::OrderingKind;
 use gplu_sparse::perm::permute_csr;
@@ -930,10 +930,16 @@ impl<'a> Pass<'a> {
             return Ok(done.result.clone());
         }
         let lead = self.lead()?;
-        let sym_before = lead.stats();
+        let sym_before = self.fleet.stats();
         let partial = resume.and_then(|r| r.sym_partial.as_ref());
         let symbolic = self.symbolic_ladder(matrix, engine, partial);
-        self.report.phase_stats.symbolic = lead.stats().since(&sym_before);
+        // Every device of a sharded phase ran its share: the phase's
+        // statistics are the sum of their deltas.
+        let sym_after = self.fleet.stats();
+        let deltas = sym_after.devices.iter().zip(&sym_before.devices);
+        self.report.phase_stats.symbolic = deltas
+            .map(|(now, then)| now.stats.since(&then.stats))
+            .fold(GpuStatsSnapshot::default(), |sum, d| sum + d);
         let mut done = SymbolicDone {
             result: symbolic?,
             chunk_size: self.report.chunk_size,
@@ -1291,15 +1297,14 @@ impl<'a> Pass<'a> {
                 let hook: Option<&mut LevelHook<'_>> = match self.session.as_deref_mut() {
                     Some(sess) => {
                         let slot = &self.ckpt_err;
-                        hook_storage = move |p: &LevelProgress<'_>| -> Result<(), SimError> {
+                        hook_storage = move |p: &LevelProgress<'_, '_>| -> Result<(), SimError> {
                             let done = p.level + 1;
                             if !done.is_multiple_of(every) && done != p.n_levels {
                                 return Ok(());
                             }
-                            let vals: Vec<f64> = (0..p.vals.len()).map(|k| p.vals.get(k)).collect();
                             let state = NumericResume {
                                 start_level: done,
-                                vals,
+                                vals: p.vals.snapshot(),
                                 mode_mix: p.mode_mix,
                                 probes: p.probes,
                                 merge_steps: p.merge_steps,

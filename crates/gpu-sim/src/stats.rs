@@ -106,6 +106,34 @@ impl GpuStatsSnapshot {
     }
 }
 
+/// Component-wise sum, for totalling several devices' deltas of one
+/// phase: counts, bytes and times add up, and so does `now` (device time),
+/// so the fractions above stay shares of the summed elapsed time.
+impl std::ops::Add for GpuStatsSnapshot {
+    type Output = GpuStatsSnapshot;
+
+    fn add(self, o: GpuStatsSnapshot) -> GpuStatsSnapshot {
+        GpuStatsSnapshot {
+            now: self.now + o.now,
+            kernels_host: self.kernels_host + o.kernels_host,
+            kernels_device: self.kernels_device + o.kernels_device,
+            dependency_waits: self.dependency_waits + o.dependency_waits,
+            kernel_time: self.kernel_time + o.kernel_time,
+            fault_time: self.fault_time + o.fault_time,
+            fault_groups: self.fault_groups + o.fault_groups,
+            h2d_bytes: self.h2d_bytes + o.h2d_bytes,
+            d2h_bytes: self.d2h_bytes + o.d2h_bytes,
+            xfer_time: self.xfer_time + o.xfer_time,
+            prefetch_time: self.prefetch_time + o.prefetch_time,
+            injected_oom: self.injected_oom + o.injected_oom,
+            injected_launch_faults: self.injected_launch_faults + o.injected_launch_faults,
+            injected_squeezes: self.injected_squeezes + o.injected_squeezes,
+            injected_crashes: self.injected_crashes + o.injected_crashes,
+            crash_points: self.crash_points + o.crash_points,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,10 +68,9 @@
 //! crossed. So per level a fleet costs at most what one device does, a
 //! chain never leaves its device, and a fleet of one — which quotes
 //! nothing — is priced exactly as the device alone. Values live in one
-//! shared host-side
-//! [`ValueStore`] — the simulator separates functional execution from
-//! pricing — which is what makes the factors bit-identical at every
-//! device count.
+//! shared host-side [`ColumnStore`] — the simulator separates functional
+//! execution from pricing — which is what makes the factors bit-identical
+//! at every device count.
 //!
 //! **Device loss and the reshard rule.** A device that fails (injected
 //! OOM or launch fault) while another is still alive is marked dead, and
@@ -87,11 +86,13 @@
 //! column's stored values are its factors, and eliminating them again is
 //! a wrong answer — and a share can die with some columns finished (the
 //! dense engine's second or later batch failing to launch).
-//! So the body runs the core **at most once per column per run**: a
-//! column paid for again whose core already completed is priced and
-//! skipped. The *last* live device is never declared dead: its error is
-//! returned to the caller's format ladder, exactly what a lone `Gpu`
-//! does. Injected crashes stay terminal, as everywhere in the pipeline.
+//! So the body runs the core **at most once per column per run**, a rule
+//! the value store itself keeps: a column is written once and then
+//! refuses to open again, so a column paid for again whose core already
+//! completed is priced and skipped. The *last* live device is never
+//! declared dead: its error is returned to the caller's format ladder,
+//! exactly what a lone `Gpu` does. Injected crashes stay terminal, as
+//! everywhere in the pipeline.
 //!
 //! The sequential reference ([`crate::seq`]) is the host-side
 //! instantiation of the same interface: it runs the identical kernel
@@ -110,7 +111,7 @@ use crate::outcome::{
 use crate::pivoting::SweptFactors;
 use crate::resume::{LevelHook, LevelProgress, NumericResume};
 use crate::scratch::ScratchPool;
-use crate::values::ValueStore;
+use crate::values::ColumnStore;
 use gplu_schedule::Levels;
 use gplu_sim::{
     split_even, BlockCost, BlockCtx, DeviceAlloc, DeviceFleet, Exec, Gpu, LaunchKind, SimError,
@@ -119,7 +120,7 @@ use gplu_sim::{
 use gplu_sparse::{Csc, Idx, SparseError};
 use gplu_trace::{AttrValue, TraceSink};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why the host launched a level, as its `numeric.level` span end's
 /// `host_reason` says (module docs, the launch rule): the kick-off, a
@@ -133,9 +134,9 @@ const REENTRY: &str = "reentry";
 const RESHARD: &str = "reshard";
 
 /// The run's one counter set: the kernel body and the dense launch hook
-/// add to it under a lock, the checkpoint hook, the level spans and the
-/// outcome read it. Each engine drives a subset and the rest stay at
-/// zero, so checkpoint/resume and telemetry never special-case one.
+/// add to it ([`SharedCounters`]), the checkpoint hook, the level spans
+/// and the outcome read it. Each engine drives a subset and the rest stay
+/// at zero, so checkpoint/resume and telemetry never special-case one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Binary-search probes (the binary-search engine).
@@ -156,6 +157,45 @@ impl EngineCounters {
             merge_steps: self.merge_steps - before.merge_steps,
             batches: self.batches - before.batches,
             gemm_tiles: self.gemm_tiles - before.gemm_tiles,
+        }
+    }
+}
+
+/// [`EngineCounters`] as the run shares them: the kernel body and the
+/// dense launch hook add to them without a lock, once per column. They
+/// are statistics that publish no other data, so `Relaxed` suffices; a
+/// launch returns only after all its blocks, which orders every addition
+/// before the driver reads them.
+#[derive(Debug, Default)]
+pub(crate) struct SharedCounters {
+    probes: AtomicU64,
+    merge_steps: AtomicU64,
+    batches: AtomicU64,
+    gemm_tiles: AtomicU64,
+}
+
+impl SharedCounters {
+    fn new(c: EngineCounters) -> Self {
+        SharedCounters {
+            probes: c.probes.into(),
+            merge_steps: c.merge_steps.into(),
+            batches: c.batches.into(),
+            gemm_tiles: c.gemm_tiles.into(),
+        }
+    }
+
+    pub(crate) fn get(&self) -> EngineCounters {
+        EngineCounters {
+            probes: self.probes.load(Ordering::Relaxed),
+            merge_steps: self.merge_steps.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
+            gemm_tiles: self.gemm_tiles.load(Ordering::Relaxed),
+        }
+    }
+
+    fn add(counter: &AtomicU64, v: u64) {
+        if v > 0 {
+            counter.fetch_add(v, Ordering::Relaxed);
         }
     }
 }
@@ -181,13 +221,13 @@ pub struct LevelRun<'a> {
     /// kernel the level before runs in ([`LaunchKind::Continue`]) or, when
     /// the host has work at the level's boundary, as a host launch.
     pub kind: LaunchKind,
-    pub(crate) counters: &'a Mutex<EngineCounters>,
+    pub(crate) counters: &'a SharedCounters,
 }
 
 impl LevelRun<'_> {
     /// Counts one M-capped kernel batch (the dense engine's launch hook).
     pub fn count_batch(&self) {
-        self.counters.lock().batches += 1;
+        SharedCounters::add(&self.counters.batches, 1);
     }
 }
 
@@ -340,14 +380,15 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         r.check(pattern.nnz(), levels.groups.len())
             .map_err(NumericError::Input)?;
     }
-    let counters = Mutex::new(
-        resume.map_or_else(EngineCounters::default, |r| EngineCounters {
-            probes: r.probes,
-            merge_steps: r.merge_steps,
-            batches: r.batches,
-            gemm_tiles: r.gemm_tiles,
-        }),
-    );
+    let counters =
+        SharedCounters::new(
+            resume.map_or_else(EngineCounters::default, |r| EngineCounters {
+                probes: r.probes,
+                merge_steps: r.merge_steps,
+                batches: r.batches,
+                gemm_tiles: r.gemm_tiles,
+            }),
+        );
     // What the engine keeps for the whole run (the dense buffer pool), on
     // every device: no allocation is left between two levels.
     let pool_bytes = engine.begin(fleet.device(first_staged), pattern, levels.max_width())?;
@@ -367,10 +408,16 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     let swept = swept.filter(|f| f.discipline == discipline);
 
     let start_level = resume.map_or(0, |r| r.start_level);
-    let vals = match resume {
-        Some(r) => ValueStore::new(&r.vals),
-        None => ValueStore::new(&pattern.vals),
-    };
+    let mut vals = resume.map_or(&pattern.vals, |r| &r.vals).clone();
+    // One write per column per run: the reshard rule's memory (module
+    // docs). A resumed run's earlier levels are sealed as they stand.
+    let mut store = ColumnStore::new(&mut vals, &pattern.col_ptr);
+    store.finish_as_is(
+        levels.groups[..start_level]
+            .iter()
+            .flatten()
+            .map(|&j| j as usize),
+    );
     let cache_storage;
     let cache = match pivot {
         Some(c) => c,
@@ -383,10 +430,6 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     let error: Mutex<Option<SparseError>> = Mutex::new(None);
     let perturbs: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
     let scratch = ScratchPool::default();
-    // Columns whose kernel core has completed in this run — the reshard
-    // rule's memory (module docs). Written by the one block that ran the
-    // column, read by blocks of a later launch: Release pairs with Acquire.
-    let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     // True when the host touched the run at the last level boundary — it
     // split the level, brought columns home or re-paid orphans — so the
     // next level has no device-side parent to be launched from.
@@ -415,7 +458,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             LevelType::C => mix.c += 1,
         }
         let (threads, stripes) = launch_shape(t);
-        let counters_before = *counters.lock();
+        let counters_before = counters.get();
         // One structural cost estimate per column, shared by the
         // placement's quotes and the kernel body.
         let items = items_of(cols);
@@ -495,27 +538,25 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             let body = |i: usize, ctx: &mut BlockCtx<'_>| {
                 let col = cols[i] as usize;
                 engine.price(&share, col, items[i], ctx);
-                if done[col].load(Ordering::Acquire) {
-                    return;
-                }
                 let core = match swept {
-                    Some(f) => Ok((f.store_column(pattern, &vals, col), None)),
+                    Some(f) => f.store_column(pattern, &store, col).map(|c| (c, None)),
                     None => scratch.with(|ws| {
-                        process_column_with(pattern, &vals, col, discipline, cache, rule, ws)
+                        process_column_with(pattern, &store, col, discipline, cache, rule, ws)
                     }),
                 };
                 match core {
                     Ok((costs, perturb)) => {
-                        done[col].store(true, Ordering::Release);
                         if let Some(delta) = perturb {
                             perturbs.lock().push((col, delta));
                         }
                         let tiles = engine.gemm_tiles(col, items[i]);
-                        let mut total = counters.lock();
-                        total.probes += costs.probes;
-                        total.merge_steps += costs.merge_steps;
-                        total.gemm_tiles += tiles;
+                        SharedCounters::add(&counters.probes, costs.probes);
+                        SharedCounters::add(&counters.merge_steps, costs.merge_steps);
+                        SharedCounters::add(&counters.gemm_tiles, tiles);
                     }
+                    // Paid for again after its core completed: the store
+                    // refused the second write, so the column is priced only.
+                    Err(SparseError::OutOfOrder { col: c, dep }) if c == dep => {}
                     Err(e) => {
                         error.lock().get_or_insert(e);
                     }
@@ -564,7 +605,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         // column finished so far. Columns a live device holds come home in
         // one coalesced leg once the slowest share is in — a split level's
         // return leg. Columns no live device holds are paid for again on
-        // the home device, level by level (price-and-skip where `done`):
+        // the home device, level by level (price-and-skip where written):
         // a dead share's columns and, when the home device itself was
         // lost, everything it alone held since the run began.
         loop {
@@ -622,9 +663,12 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             }
             break;
         }
+        // Every column of the level is written now (or failed): later
+        // levels read them without a lock.
+        store.seal(cols.iter().map(|&j| j as usize));
 
         if trace.enabled() {
-            let delta = counters.lock().delta(&counters_before);
+            let delta = counters.get().delta(&counters_before);
             let mut attrs: Vec<(&'static str, AttrValue)> = vec![
                 ("level", li.into()),
                 ("width", cols.len().into()),
@@ -677,11 +721,11 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             return Err(NumericError::from_sparse_at_level(e, li));
         }
         if let Some(h) = hook.as_mut() {
-            let c = *counters.lock();
+            let c = counters.get();
             h(&LevelProgress {
                 level: li,
                 n_levels: levels.groups.len(),
-                vals: &vals,
+                vals: &store,
                 mode_mix: mix,
                 probes: c.probes,
                 merge_steps: c.merge_steps,
@@ -697,12 +741,13 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     fleet.device(home).d2h(pattern.nnz() as u64 * 4);
     fleet.barrier();
 
+    drop(store);
     let lu = Csc::from_parts_unchecked(
         pattern.n_rows(),
         n,
         pattern.col_ptr.clone(),
         pattern.row_idx.clone(),
-        vals.into_vec(),
+        vals,
     );
     let after = fleet.stats();
     let phase = after.devices.iter().zip(&before.devices);
@@ -715,7 +760,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         .map(|&d| per_device[d])
         .fold(SimTime::ZERO, SimTime::max);
     let stats = after.devices[home].stats.since(&before.devices[home].stats);
-    let c = counters.into_inner();
+    let c = counters.get();
     // Deterministic artifact: levels run in order, but within a level the
     // recording order is the launch's block order — sort by column (each
     // column's core ran once, so each records at most once).
@@ -957,7 +1002,7 @@ mod tests {
                             _ => Box::new(BlockedEngine::new(&plan)),
                         };
                         let pool = engine.begin(&gpu, &pattern, cols.len()).expect("sized");
-                        let counters = Mutex::default();
+                        let counters = SharedCounters::default();
                         let (threads, stripes) = launch_shape(t);
                         let run = LevelRun {
                             gpu: &gpu,
@@ -975,7 +1020,7 @@ mod tests {
                         engine.launch(&run, &body).expect("launches");
                         let ctx = format!("{name} {t:?} {kind:?} width {}", cols.len());
                         assert_eq!(gpu.now().as_ns().to_bits(), quote.to_bits(), "{ctx}");
-                        let kernels = counters.lock().batches.max(1);
+                        let kernels = counters.get().batches.max(1);
                         if eight_buffers && cols.len() == widest.len() {
                             // M = 8 on the tight device: a pool of
                             // min(M, widest) = 8 dense buffers, and the
@@ -996,5 +1041,56 @@ mod tests {
             }
         }
         assert!(several_batches, "the tight device splits the widest level");
+    }
+
+    /// The home device of two loses its `k`-th launch: the survivor takes
+    /// over and pays again for every column the run had finished — priced
+    /// only, since the store refuses to open a finished column — and the
+    /// factors are the lone device's to the bit.
+    #[test]
+    fn paying_again_for_finished_columns_leaves_their_factors_untouched() {
+        use gplu_sim::FaultPlan;
+        let a = random_dominant(256, 3.0, 72);
+        let cost = CostModel::default();
+        let filled = symbolic_cpu(&a, &cost).result.filled;
+        let levels = levelize_cpu(&DepGraph::build(&filled), &cost).levels;
+        let pattern = csr_to_csc(&filled);
+        let run = |fleet: &DeviceFleet<'_>| {
+            let trace = &gplu_trace::NOOP;
+            run_levels(
+                &mut MergeEngine,
+                fleet,
+                &pattern,
+                &levels,
+                trace,
+                None,
+                None,
+                None,
+                PivotRule::Exact,
+                None,
+            )
+        };
+        let gpu = Gpu::new(GpuConfig::v100());
+        let want = run(&DeviceFleet::from(&gpu))
+            .expect("one device")
+            .outcome
+            .lu
+            .vals;
+        for k in [2, 5, 9] {
+            let plans = FaultPlan::parse_fleet(&format!("dev=0:badlaunch:numeric_merge={k}"), 2)
+                .expect("plans");
+            let fleet = DeviceFleet::with_fault_plans(2, GpuConfig::v100(), cost.clone(), &plans);
+            let got = run(&fleet).expect("the survivor finishes");
+            assert_eq!(got.died, [0], "k={k}");
+            // Everything before the failing level was finished on device 0.
+            let finished_before: usize = levels.groups[..k - 1].iter().map(Vec::len).sum();
+            assert!(
+                got.resharded_cols > finished_before,
+                "k={k}: {}",
+                got.resharded_cols
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.outcome.lu.vals), bits(&want), "k={k}");
+        }
     }
 }

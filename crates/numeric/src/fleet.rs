@@ -383,7 +383,7 @@ mod tests {
             };
             let plan = BlockPlan::detect(pattern, &PivotCache::build(pattern), 0.5);
             let f = fleet(k);
-            let mut noop = |_: &LevelProgress<'_>| -> Result<(), SimError> { Ok(()) };
+            let mut noop = |_: &LevelProgress<'_, '_>| -> Result<(), SimError> { Ok(()) };
             let hook: Option<&mut LevelHook<'_>> = if hooked { Some(&mut noop) } else { None };
             let out = run_engine_with(engine, &f, pattern, levels, &plan, hook, &NOOP)
                 .expect("runs")
@@ -482,13 +482,13 @@ mod tests {
 
             // Snapshot at the level barrier, then abort the run there.
             let mut cut: Option<NumericResume> = None;
-            let mut hook = |p: &LevelProgress<'_>| -> Result<(), SimError> {
+            let mut hook = |p: &LevelProgress<'_, '_>| -> Result<(), SimError> {
                 if p.level + 1 < cut_after {
                     return Ok(());
                 }
                 cut = Some(NumericResume {
                     start_level: p.level + 1,
-                    vals: (0..p.vals.len()).map(|i| p.vals.get(i)).collect(),
+                    vals: p.vals.snapshot(),
                     mode_mix: p.mode_mix,
                     probes: p.probes,
                     merge_steps: p.merge_steps,

@@ -47,8 +47,8 @@
 //! positions alone. Per-factorization pivot/segment positions and
 //! supernode chain ends are precomputed once in an
 //! [`outcome::PivotCache`]; the core applies each run of chained
-//! dependency columns to a target row in one pass (same order, same
-//! bits).
+//! dependency columns as one column sweep over a contiguous buffer (same
+//! order, same bits).
 //!
 //! An engine is likewise a price list: an [`engine::NumericEngine`] states
 //! its kernel name, the discipline it prices, what one block's share of a
@@ -66,9 +66,11 @@
 //! GLU 3.0's three level types (Section 2.2) are classified in [`modes`]
 //! and map to block/thread shapes per level.
 //!
-//! Values are held in an atomic-f64 store ([`values::ValueStore`]) so
-//! concurrent blocks can functionally write their own columns while
-//! reading finished ones — the level barrier provides the happens-before.
+//! A factorization's values are held in a write-once column store
+//! ([`values::ColumnStore`]) over one `Vec<f64>`: concurrent blocks each
+//! publish their own column once and read finished ones as plain slices —
+//! the level barrier provides the happens-before. The triangular solve
+//! keeps an atomic-f64 store ([`values::ValueStore`]).
 
 pub mod blocked;
 pub mod dense;

@@ -6,15 +6,17 @@
 //! The core consumes a column's dependencies a supernode run at a time:
 //! consecutive dependency columns whose lower parts nest
 //! (`lower(t) = {t + 1} ∪ lower(t + 1)`, recorded by the cache as chain
-//! ends) share one row list, so each target row is loaded, updated by the
-//! whole run and stored once, instead of once per dependency. Every row
-//! still receives the same subtractions in the same order, so the factor
-//! bits, the counters and every price are those of the one-dependency-at-
-//! a-time walk.
+//! ends) share one row list, so the run's rows are gathered into one
+//! contiguous buffer once and swept column by column: each dependency's
+//! update is one streaming slice operation over its finished lower part,
+//! read from the [`ColumnStore`] as a plain slice. Every row still
+//! receives the same subtractions in the same order, so the factor bits,
+//! the counters and every price are those of the one-dependency-at-a-time
+//! walk.
 
 use crate::modes::ModeMix;
 use crate::scratch::ColumnScratch;
-use crate::values::ValueStore;
+use crate::values::ColumnStore;
 use gplu_sim::{GpuStatsSnapshot, SimTime};
 use gplu_sparse::{Csc, Idx, SparseError};
 
@@ -271,15 +273,12 @@ pub struct ColCosts {
 }
 
 /// Factorizes column `j` against finished columns of the shared
-/// [`ValueStore`] (`pattern` supplies the immutable structure, `cache`
+/// [`ColumnStore`] (`pattern` supplies the immutable structure, `cache`
 /// the pre-computed pivot/segment positions, `scratch` the block's dense
 /// accumulator) — [`process_column_with`] under [`PivotRule::Exact`].
-///
-/// Only the block owning column `j` calls this for `j`, so the writes are
-/// data-race-free; reads target columns finished in earlier levels.
 pub fn process_column(
     pattern: &Csc,
-    vals: &ValueStore,
+    store: &ColumnStore<'_>,
     j: usize,
     discipline: AccessDiscipline,
     cache: &PivotCache,
@@ -287,7 +286,7 @@ pub fn process_column(
 ) -> Result<ColCosts, SparseError> {
     process_column_with(
         pattern,
-        vals,
+        store,
         j,
         discipline,
         cache,
@@ -298,23 +297,27 @@ pub fn process_column(
 }
 
 /// The dense-accumulator core behind every engine and every discipline:
-/// scatter column `j` into `x[row]`, eliminate against each dependency by
-/// direct indexing, apply `rule` to the pivot, and gather back — one load
-/// and one store per entry of the shared store, plain `f64` arithmetic in
-/// between. Returns the column's costs plus the static-perturbation delta
-/// applied to the pivot, if any; the perturbed pivot is written back so
-/// the factor is self-consistent (it exactly factors the input with
-/// `a_jj` bumped by the delta).
+/// open column `j` in the store, scatter it into `x[row]`, eliminate
+/// against each dependency, apply `rule` to the pivot, and publish the
+/// factors — one read and one write per entry of the column, plain `f64`
+/// arithmetic in between. Returns the column's costs plus the
+/// static-perturbation delta applied to the pivot, if any; the perturbed
+/// pivot is written back so the factor is self-consistent (it exactly
+/// factors the input with `a_jj` bumped by the delta).
 ///
 /// Dependencies are consumed a *run* at a time: consecutive dependency
 /// columns `t..t+w` of column `j` that lie in one fundamental supernode
 /// chain ([`PivotCache::chain_end`]), so each `lower(t+i)` is the run's
 /// own later rows followed by the common tail `R = lower(t+w-1)`. The
-/// core walks that one row list once, two rows at a time: each row is
-/// loaded once, receives the run's non-zero dependencies in ascending
-/// order and is stored once; a tail row's mark is checked once, and a
-/// row of the run itself is then final — the next dependency's `u`. A
-/// run of width 1 is the plain left-looking update.
+/// core gathers the run's rows `t..t+w` and then `R` into one contiguous
+/// buffer `y` and sweeps it column by column: for each dependency `t+i`
+/// in ascending order whose `u = y[i]` is non-zero, it subtracts `u ×`
+/// the finished lower part of column `t+i` — exactly the rows of
+/// `y[i+1..]`, one contiguous slice of the store — from `y[i+1..]`. Then
+/// it checks the tail's marks in order and scatters `y` back. A run of
+/// width 1 updates its tail in place through the tail's row list: the
+/// same sweep with an empty triangle and the same arithmetic, without the
+/// gather.
 ///
 /// Per target position the subtractions therefore still arrive in
 /// ascending dependency order, then the division — the order a
@@ -327,11 +330,13 @@ pub fn process_column(
 /// past the segment's last row; for binary search, every located target
 /// cost its depth in the column's search tree.
 ///
-/// **Failure-atomic:** every check runs on the accumulator and the store
-/// is written only once they have all passed, so an `Err` leaves `vals`
-/// exactly as it was. A column that returned `Ok` must not be run again:
-/// its stored values are now its factors, and a second pass would
-/// eliminate them a second time.
+/// **Failure-atomic and write-once:** every check runs on the
+/// accumulator and the column is published only once they have all
+/// passed, so an `Err` leaves the store exactly as it was. A written
+/// column cannot be opened again — its stored values are its factors,
+/// and a second pass would eliminate them a second time — so running it
+/// again, or running it before one of its dependencies is sealed
+/// ([`ColumnStore::seal`]), is [`SparseError::OutOfOrder`].
 ///
 /// Kept out of line: the level driver's kernel body is a closure
 /// instantiated per engine type per downstream crate, and one shared copy
@@ -339,13 +344,16 @@ pub fn process_column(
 #[inline(never)]
 pub fn process_column_with(
     pattern: &Csc,
-    vals: &ValueStore,
+    store: &ColumnStore<'_>,
     j: usize,
     discipline: AccessDiscipline,
     cache: &PivotCache,
     rule: PivotRule,
     scratch: &mut ColumnScratch,
 ) -> Result<(ColCosts, Option<f64>), SparseError> {
+    let column = store
+        .open(j)
+        .ok_or(SparseError::OutOfOrder { col: j, dep: j })?;
     let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
     let rows = &pattern.row_idx[start..end];
     let mut costs = ColCosts {
@@ -355,21 +363,28 @@ pub fn process_column_with(
     let count_probes = discipline == AccessDiscipline::BinarySearch;
     let count_steps = discipline == AccessDiscipline::Merge;
     let acc = scratch.begin(pattern.n_rows(), count_probes);
-    let (stamp, x, mark, depth, run) = (acc.stamp, acc.x, acc.mark, acc.depth, acc.run);
-    for (k, &r) in rows.iter().enumerate() {
-        x[r as usize] = vals.get(start + k);
+    let (stamp, x, mark, depth, y) = (acc.stamp, acc.x, acc.mark, acc.depth, acc.sweep);
+    for (&r, &v) in rows.iter().zip(column.values()) {
+        x[r as usize] = v;
         mark[r as usize] = stamp;
     }
     if count_probes {
         probe_depths(rows, 1, depth);
     }
+    // Column `c`'s sealed factors below its diagonal.
+    let lower = |c: usize| -> Result<&[f64], SparseError> {
+        let col = store
+            .column(c)
+            .ok_or(SparseError::OutOfOrder { col: j, dep: c })?;
+        Ok(&col[cache.lower_start(c) - pattern.col_ptr[c]..])
+    };
 
     let n_deps = rows.partition_point(|&r| (r as usize) < j);
     let mut k = 0;
     while k < n_deps {
         // The run: `t`, then each next dependency that is the next column
         // of `t`'s chain. (A row the chain needs but column `j` lacks cuts
-        // the run short; the tail sweep then finds it unmarked.)
+        // the run short; the tail check then finds it unmarked.)
         let t = rows[k] as usize;
         let reach = cache.chain_end(t);
         let mut w = 1;
@@ -380,72 +395,63 @@ pub fn process_column_with(
         let tail_col = t + w - 1;
         let tail = &pattern.row_idx[cache.lower_start(tail_col)..pattern.col_ptr[tail_col + 1]];
 
-        // Row `c` of the run's row list — `t + c` for `c < w`, then the
-        // tail's `s`-th row as `c = w + s` — sits at
-        // `lower_start(t + i) - i + c - 1` in column `t + i` (`c > i`), so
-        // a dependency enters the run list as `(lower_start(t + i) - i, u)`.
-        // (Each of the `i` chain columns before `t + i` holds its
-        // successor, so the subtraction cannot wrap.) Rows go two at a
-        // time (the last one pairs with itself): their subtraction chains
-        // are independent, so the floating-point pipeline overlaps them.
-        //
-        // The triangle: row `t + c` receives the listed dependencies in
-        // order and is then final — it is `u_{t+c,j}`.
-        let mut dep_offsets = 0;
-        let mut c = 0;
-        while c < w {
-            let d = (c + 1).min(w - 1);
-            let (mut a, mut b) = (x[t + c], x[t + d]);
-            for &(base, u) in run.iter() {
-                a -= vals.get(base + c - 1) * u;
-                b -= vals.get(base + d - 1) * u;
+        // How many of the run's dependencies applied (non-zero `u`), and
+        // the sum of their offsets `i` in the run.
+        let (mut applied, mut dep_offsets) = (0u64, 0usize);
+        if w == 1 {
+            let u = x[t];
+            if u != 0.0 {
+                for (&r, &l) in tail.iter().zip(lower(t)?) {
+                    let r = r as usize;
+                    if mark[r] != stamp {
+                        return Err(SparseError::MissingFill { row: r, col: j });
+                    }
+                    x[r] -= l * u;
+                }
+                applied = 1;
             }
-            let listed = run.len();
-            for (c, mut v) in [(c, a), (c + 1, b)] {
-                if c == w {
-                    break;
-                }
-                // The second row still owes the first one's dependency.
-                for &(base, u) in &run[listed..] {
-                    v -= vals.get(base + c - 1) * u;
-                }
-                x[t + c] = v;
-                costs.items += run.len() as u64;
+        } else {
+            // `y[c]` is row `t + c` for `c < w`, then the tail's rows; the
+            // lower part of column `t + i` is the rows of `y[i + 1..]`.
+            y.clear();
+            y.extend_from_slice(&x[t..t + w]);
+            y.extend(tail.iter().map(|&r| x[r as usize]));
+            for i in 0..w {
                 if count_probes {
-                    costs.probes += run.len() as u64 * depth[t + c] as u64;
+                    // Row `t + i` received every dependency applied so far.
+                    costs.probes += applied * depth[t + i] as u64;
                 }
-                if v != 0.0 {
-                    run.push((cache.lower_start(t + c) - c, v));
-                    dep_offsets += c;
+                let u = y[i];
+                if u == 0.0 {
+                    continue;
+                }
+                for (v, &l) in y[i + 1..].iter_mut().zip(lower(t + i)?) {
+                    *v -= l * u;
+                }
+                applied += 1;
+                dep_offsets += i;
+            }
+            if applied > 0 {
+                if let Some(&r) = tail.iter().find(|&&r| mark[r as usize] != stamp) {
+                    return Err(SparseError::MissingFill {
+                        row: r as usize,
+                        col: j,
+                    });
+                }
+                x[t..t + w].copy_from_slice(&y[..w]);
+                for (&r, &v) in tail.iter().zip(&y[w..]) {
+                    x[r as usize] = v;
                 }
             }
-            c += 2;
         }
-        if run.is_empty() {
+        if applied == 0 {
             k += w;
-            continue; // every `u` of the run was zero: the tail is untouched
+            continue; // every `u` of the run was zero: nothing was touched
         }
 
-        // The common tail: one mark check, one load and one store per row.
-        let mut s = 0;
-        while s < tail.len() {
-            let s2 = (s + 1).min(tail.len() - 1);
-            let (r, r2) = (tail[s] as usize, tail[s2] as usize);
-            for r in [r, r2] {
-                if mark[r] != stamp {
-                    return Err(SparseError::MissingFill { row: r, col: j });
-                }
-            }
-            let (mut a, mut b) = (x[r], x[r2]);
-            for &(base, u) in run.iter() {
-                a -= vals.get(base + w + s - 1) * u;
-                b -= vals.get(base + w + s2 - 1) * u;
-            }
-            (x[r2], x[r]) = (b, a);
-            s += 2;
-        }
-        let applied = run.len() as u64;
-        costs.items += applied * tail.len() as u64;
+        // Dependency `t + i` updated the `w - 1 - i` run rows after it and
+        // the whole tail.
+        costs.items += applied * (w - 1 + tail.len()) as u64 - dep_offsets as u64;
         if count_probes {
             // Every row of the tail was just found marked, so its depth
             // is this column's.
@@ -462,7 +468,6 @@ pub fn process_column_with(
             };
             costs.merge_steps += applied * (end_pos - k) as u64 - dep_offsets as u64;
         }
-        run.clear();
         k += w;
     }
 
@@ -479,13 +484,16 @@ pub fn process_column_with(
     if pivot == 0.0 || !pivot.is_finite() {
         return Err(SparseError::ZeroPivot { col: j });
     }
-    for (k, &r) in rows[..diag].iter().enumerate() {
-        vals.set(start + k, x[r as usize]);
-    }
-    vals.set(diag_pos, pivot);
-    for (k, &r) in rows[diag + 1..].iter().enumerate() {
-        vals.set(diag_pos + 1 + k, x[r as usize] / pivot);
-    }
+    column.publish(|col| {
+        let (above, from_diag) = col.split_at_mut(diag);
+        for (v, &r) in above.iter_mut().zip(rows) {
+            *v = x[r as usize];
+        }
+        from_diag[0] = pivot;
+        for (v, &r) in from_diag[1..].iter_mut().zip(&rows[diag + 1..]) {
+            *v = x[r as usize] / pivot;
+        }
+    });
     costs.items += (rows.len() - diag - 1) as u64;
     Ok((costs, perturbed))
 }
@@ -545,6 +553,22 @@ pub fn column_cost_estimate_cached(pattern: &Csc, cache: &PivotCache, j: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::values::ValueStore;
+
+    /// [`super::process_column`], then the seal the level driver applies
+    /// at the level boundary, so that later columns can read this one.
+    fn process_column(
+        pattern: &Csc,
+        store: &mut ColumnStore<'_>,
+        j: usize,
+        discipline: AccessDiscipline,
+        cache: &PivotCache,
+        scratch: &mut ColumnScratch,
+    ) -> Result<ColCosts, SparseError> {
+        let costs = super::process_column(pattern, store, j, discipline, cache, scratch);
+        store.seal([j]);
+        costs
+    }
     use gplu_schedule::{levelize_cpu, DepGraph, Levels};
     use gplu_sim::CostModel;
     use gplu_sparse::convert::{coo_to_csr, csr_to_csc};
@@ -665,14 +689,16 @@ mod tests {
     /// stores, under every discipline, up to the first failing column, and
     /// asserts identical results (costs, perturbation deltas or the error)
     /// per column and identical value bits at the end. Returns how many
-    /// columns skipped a dependency on an exact-zero `u_tj`.
+    /// columns skipped a dependency on an exact-zero `u_tj`, and the last
+    /// failing column seen.
     fn assert_accumulator_equals_walk(
         pattern: &Csc,
         levels: &Levels,
         label: &str,
-    ) -> Result<usize, TestCaseError> {
+    ) -> Result<(usize, Option<usize>), TestCaseError> {
         let cache = PivotCache::build(pattern);
         let mut skipped = 0;
+        let mut last_failed = None;
         for d in ALL {
             // 1e-8 is the pipeline's static-pivoting floor; 1e-2 makes the
             // clamp fire dozens of times on the hard families.
@@ -681,7 +707,8 @@ mod tests {
                 PivotRule::Perturb { threshold: 1e-8 },
                 PivotRule::Perturb { threshold: 1e-2 },
             ] {
-                let got = ValueStore::new(&pattern.vals);
+                let mut values = pattern.vals.clone();
+                let mut got = ColumnStore::new(&mut values, &pattern.col_ptr);
                 let want = ValueStore::new(&pattern.vals);
                 let mut scratch = ColumnScratch::default();
                 let mut failed = None;
@@ -690,6 +717,7 @@ mod tests {
                         let j = j as usize;
                         let g =
                             process_column_with(pattern, &got, j, d, &cache, rule, &mut scratch);
+                        got.seal([j]);
                         let w = process_column_walk(pattern, &want, j, d, &cache, rule);
                         prop_assert_eq!(&g, &w, "{}: {:?} {:?} column {}", label, d, rule, j);
                         match g {
@@ -706,7 +734,7 @@ mod tests {
                 }
                 // The walk half-writes a failing column; every other
                 // position must agree to the bit.
-                let (got, mut want) = (got.into_vec(), want.into_vec());
+                let (got, mut want) = (got.snapshot(), want.into_vec());
                 if let Some(j) = failed {
                     let range = pattern.col_ptr[j]..pattern.col_ptr[j + 1];
                     want[range.clone()].copy_from_slice(&pattern.vals[range.clone()]);
@@ -721,9 +749,10 @@ mod tests {
                 }
                 let differs = (0..got.len()).find(|&k| got[k].to_bits() != want[k].to_bits());
                 prop_assert_eq!(differs, None, "{}: {:?} {:?} value bits", label, d, rule);
+                last_failed = failed.or(last_failed);
             }
         }
-        Ok(skipped)
+        Ok((skipped, last_failed))
     }
 
     fn assert_on_matrix(a: &Csr, label: &str) -> Result<(), TestCaseError> {
@@ -762,6 +791,42 @@ mod tests {
                 assert_on_matrix(&kind.generate(n, seed), kind.name())?;
             }
         }
+
+        /// Long supernode runs ([`bordered`]): runs up to 200 wide with a
+        /// non-empty tail, exact-zero `u`s inside a run (rows of the block
+        /// that are zero off the diagonal), and a fill position cut from
+        /// the tail of one column's run — a block column's or, as wide as
+        /// the block, a border column's.
+        #[test]
+        fn prop_long_runs_equal_the_walk(
+            sparse in 1usize..30,
+            block in 64usize..200,
+            border in 2usize..16,
+            zero_rows in proptest::collection::vec(0usize..200, 0..4),
+            cut in 0usize..3000,
+            seed in 0u64..500,
+        ) {
+            let zero_rows: Vec<usize> = zero_rows.iter().map(|z| sparse + z % block).collect();
+            let (closed, levels) = filled_with_levels(&bordered(sparse, block, border, seed, &zero_rows));
+            let n = closed.n_cols();
+            // Two cases in three cut row `n - 1` from a column after the
+            // first of the block: a block column or a border column but the
+            // last, each of which holds it in the tail of a run.
+            let lone = sparse + block;
+            let cut = match cut / 1000 {
+                0 => Some(sparse + 1 + cut % (block - 1)),
+                1 => Some(lone + 1 + cut % (border - 1)),
+                _ => None,
+            };
+            let pattern = match cut {
+                Some(j) => without(&closed, n - 1, j),
+                None => closed,
+            };
+            let (skipped, failed) = assert_accumulator_equals_walk(&pattern, &levels, "bordered")?;
+            let uncut_zeros = !zero_rows.is_empty() && cut.is_none();
+            prop_assert!(!uncut_zeros || skipped > 0, "a zero `u` is skipped");
+            prop_assert_eq!(failed, cut, "the cut fill is what fails");
+        }
     }
 
     #[test]
@@ -776,7 +841,7 @@ mod tests {
                 pattern.vals[first] = 0.0;
             }
         }
-        let skipped =
+        let (skipped, _) =
             assert_accumulator_equals_walk(&pattern, &levels, "explicit zeros").expect("equal");
         assert!(skipped > 0, "the zero-u_tj skip path must be exercised");
     }
@@ -800,7 +865,8 @@ mod tests {
             .expect("walk ok");
         }
 
-        let got = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut got = ColumnStore::new(&mut values, &pattern.col_ptr);
         let pool = crate::scratch::ScratchPool::default();
         for cols in &levels.groups {
             let (left, right) = cols.split_at(cols.len() / 2);
@@ -817,7 +883,7 @@ mod tests {
                                 if rendezvous && i == 0 {
                                     both.wait();
                                 }
-                                process_column(
+                                super::process_column(
                                     pattern,
                                     got,
                                     j as usize,
@@ -831,6 +897,7 @@ mod tests {
                     });
                 }
             });
+            got.seal(cols.iter().map(|&j| j as usize));
         }
         assert_eq!(bits(&got.snapshot()), bits(&want.snapshot()));
     }
@@ -845,11 +912,12 @@ mod tests {
         let cache = PivotCache::build(&pattern);
         let open_cache = PivotCache::build(&open);
         let mut scratch = ColumnScratch::default();
-        let vals = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
         for j in 0..=col {
             process_column(
                 &pattern,
-                &vals,
+                &mut vals,
                 j,
                 AccessDiscipline::Dense,
                 &cache,
@@ -857,12 +925,13 @@ mod tests {
             )
             .expect("closed pattern factorizes");
         }
-        let vals = ValueStore::new(&open.vals);
+        let mut values = open.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &open.col_ptr);
         let mut err = None;
         for j in 0..=col {
             if let Err(e) = process_column(
                 &open,
-                &vals,
+                &mut vals,
                 j,
                 AccessDiscipline::Dense,
                 &open_cache,
@@ -882,23 +951,29 @@ mod tests {
         let pattern = filled(&a);
         let a_csc = csr_to_csc(&a);
         for col in 0..40 {
-            for k in pattern.col_ptr[col]..pattern.col_ptr[col + 1] {
-                let row = pattern.row_idx[k] as usize;
+            for &row in pattern.col_rows(col) {
+                let row = row as usize;
                 if row > col && a_csc.find_in_col(row, col).0.is_none() {
-                    let mut col_ptr = pattern.col_ptr.clone();
-                    for p in &mut col_ptr[col + 1..] {
-                        *p -= 1;
-                    }
-                    let mut row_idx = pattern.row_idx.clone();
-                    let mut vals = pattern.vals.clone();
-                    row_idx.remove(k);
-                    vals.remove(k);
-                    let open = Csc::from_parts_unchecked(40, 40, col_ptr, row_idx, vals);
+                    let open = without(&pattern, row, col);
                     return (pattern, open, (row, col));
                 }
             }
         }
         panic!("the fill of a random matrix has a sub-diagonal fill-in");
+    }
+
+    /// `pattern` with its entry `(row, col)` removed.
+    fn without(pattern: &Csc, row: usize, col: usize) -> Csc {
+        let k = pattern.find_in_col(row, col).0.expect("present");
+        let mut col_ptr = pattern.col_ptr.clone();
+        for p in &mut col_ptr[col + 1..] {
+            *p -= 1;
+        }
+        let (mut row_idx, mut vals) = (pattern.row_idx.clone(), pattern.vals.clone());
+        row_idx.remove(k);
+        vals.remove(k);
+        let (m, n) = (pattern.n_rows(), pattern.n_cols());
+        Csc::from_parts_unchecked(m, n, col_ptr, row_idx, vals)
     }
 
     /// Runs columns `0..=col` through both kernels and asserts that, under
@@ -907,16 +982,17 @@ mod tests {
     fn assert_failure_is_atomic(pattern: &Csc, col: usize, want_err: SparseError) {
         let cache = PivotCache::build(pattern);
         for d in ALL {
-            let got = ValueStore::new(&pattern.vals);
+            let mut values = pattern.vals.clone();
+            let mut got = ColumnStore::new(&mut values, &pattern.col_ptr);
             let want = ValueStore::new(&pattern.vals);
             let mut scratch = ColumnScratch::default();
             for j in 0..col {
-                process_column(pattern, &got, j, d, &cache, &mut scratch).expect("prefix ok");
+                process_column(pattern, &mut got, j, d, &cache, &mut scratch).expect("prefix ok");
                 process_column_walk(pattern, &want, j, d, &cache, PivotRule::Exact)
                     .expect("prefix ok");
             }
             let before = bits(&got.snapshot());
-            let err = process_column(pattern, &got, col, d, &cache, &mut scratch).unwrap_err();
+            let err = process_column(pattern, &mut got, col, d, &cache, &mut scratch).unwrap_err();
             assert_eq!(err, want_err, "{d:?}");
             assert_eq!(
                 process_column_walk(pattern, &want, col, d, &cache, PivotRule::Exact).unwrap_err(),
@@ -925,6 +1001,35 @@ mod tests {
             );
             assert_eq!(bits(&got.snapshot()), before, "{d:?}: store untouched");
         }
+    }
+
+    /// The store refuses a second write: running a finished column again,
+    /// or a column before one of its dependencies, is
+    /// [`SparseError::OutOfOrder`] and leaves every value as it was.
+    #[test]
+    fn out_of_order_columns_are_refused_and_leave_the_store_untouched() {
+        let pattern = six(None, &[]);
+        let cache = PivotCache::build(&pattern);
+        let mut values = pattern.vals.clone();
+        let mut store = ColumnStore::new(&mut values, &pattern.col_ptr);
+        let mut scratch = ColumnScratch::default();
+        let d = AccessDiscipline::Merge;
+        let early = process_column(&pattern, &mut store, 4, d, &cache, &mut scratch);
+        assert_eq!(early, Err(SparseError::OutOfOrder { col: 4, dep: 0 }));
+        assert_eq!(
+            bits(&store.snapshot()),
+            bits(&pattern.vals),
+            "nothing written"
+        );
+        for j in 0..6 {
+            process_column(&pattern, &mut store, j, d, &cache, &mut scratch).expect("in order");
+        }
+        let factors = bits(&store.snapshot());
+        for j in 0..6 {
+            let again = process_column(&pattern, &mut store, j, d, &cache, &mut scratch);
+            assert_eq!(again, Err(SparseError::OutOfOrder { col: j, dep: j }));
+        }
+        assert_eq!(bits(&store.snapshot()), factors, "the factors stand");
     }
 
     #[test]
@@ -963,11 +1068,12 @@ mod tests {
         let mut scratch = ColumnScratch::default();
 
         for &d in &ALL {
-            let vals = ValueStore::new(&pattern.vals);
+            let mut values = pattern.vals.clone();
+            let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
             for j in 0..40 {
-                process_column(&pattern, &vals, j, d, &cache, &mut scratch).expect("column ok");
+                process_column(&pattern, &mut vals, j, d, &cache, &mut scratch).expect("column ok");
             }
-            let got = vals.into_vec();
+            let got = vals.snapshot();
             for (k, (&want, got)) in seq.vals.iter().zip(&got).enumerate() {
                 assert!(
                     (want - got).abs() < 1e-12,
@@ -988,12 +1094,13 @@ mod tests {
         let mut seq = pattern.clone();
         crate::seq::factorize_seq(&mut seq).expect("seq factorizes");
 
-        let vals = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
         let mut scratch = ColumnScratch::default();
         for j in 0..60 {
             process_column(
                 &pattern,
-                &vals,
+                &mut vals,
                 j,
                 AccessDiscipline::Merge,
                 &cache,
@@ -1001,7 +1108,7 @@ mod tests {
             )
             .expect("ok");
         }
-        assert_eq!(vals.into_vec(), seq.vals);
+        assert_eq!(vals.snapshot(), seq.vals);
     }
 
     #[test]
@@ -1009,14 +1116,15 @@ mod tests {
         let a = random_dominant(30, 4.0, 62);
         let pattern = filled(&a);
         let cache = PivotCache::build(&pattern);
-        let vals = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
         let mut scratch = ColumnScratch::default();
         let mut dense_probes = 0;
         let mut items = 0;
         for j in 0..30 {
             let c = process_column(
                 &pattern,
-                &vals,
+                &mut vals,
                 j,
                 AccessDiscipline::Dense,
                 &cache,
@@ -1030,12 +1138,13 @@ mod tests {
         assert_eq!(dense_probes, 0);
         assert!(items > 0);
 
-        let vals = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
         let mut sparse_probes = 0;
         for j in 0..30 {
             sparse_probes += process_column(
                 &pattern,
-                &vals,
+                &mut vals,
                 j,
                 AccessDiscipline::BinarySearch,
                 &cache,
@@ -1055,12 +1164,13 @@ mod tests {
         let a = random_dominant(50, 5.0, 64);
         let pattern = filled(&a);
         let cache = PivotCache::build(&pattern);
-        let vals = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
         let mut scratch = ColumnScratch::default();
         for j in 0..50 {
             let c = process_column(
                 &pattern,
-                &vals,
+                &mut vals,
                 j,
                 AccessDiscipline::Merge,
                 &cache,
@@ -1102,7 +1212,8 @@ mod tests {
         // value must land in the store.
         let pattern = all_ones_2x2();
         let cache = PivotCache::build(&pattern);
-        let vals = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
         let rule = PivotRule::Perturb { threshold: 1e-8 };
         let mut scratch = ColumnScratch::default();
         for j in 0..2 {
@@ -1116,8 +1227,9 @@ mod tests {
                 &mut scratch,
             )
             .expect("perturbed column factorizes");
+            vals.seal([j]);
         }
-        let got = vals.into_vec();
+        let got = vals.snapshot();
         let diag1 = cache.diag(1).expect("diagonal present");
         assert_eq!(got[diag1], 1e-8, "clamped pivot written back");
     }
@@ -1214,14 +1326,13 @@ mod tests {
         let cache = PivotCache::build(pattern);
         let mut first = None;
         for d in ALL {
-            let (got, want) = (
-                ValueStore::new(&pattern.vals),
-                ValueStore::new(&pattern.vals),
-            );
+            let mut values = pattern.vals.clone();
+            let mut got = ColumnStore::new(&mut values, &pattern.col_ptr);
+            let want = ValueStore::new(&pattern.vals);
             let mut scratch = ColumnScratch::default();
             let mut results = Vec::new();
             for j in 0..pattern.n_cols() {
-                let g = process_column(pattern, &got, j, d, &cache, &mut scratch);
+                let g = process_column(pattern, &mut got, j, d, &cache, &mut scratch);
                 let w = process_column_walk(pattern, &want, j, d, &cache, PivotRule::Exact);
                 assert_eq!(g, w.map(|(c, _)| c), "{d:?} column {j}");
                 let failed = g.is_err();
@@ -1341,7 +1452,8 @@ mod tests {
         let seq = crate::seq::factorize_seq_rule(&mut lu, rule);
         let mut words = result_words(&seq, |p| (bits(&lu.vals), p.clone()));
         let cache = PivotCache::build(pattern);
-        let vals = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
         let mut scratch = ColumnScratch::default();
         let d = AccessDiscipline::Dense;
         for j in 0..pattern.n_cols() {
@@ -1349,6 +1461,7 @@ mod tests {
                 Ok((c, _)) => words.extend([c.deps, c.items]),
                 Err(_) => break, // the reference's error is hashed above
             }
+            vals.seal([j]);
         }
         let plan = BlockPlan::detect(pattern, &cache, 0.5);
         let engine = |r: Result<crate::FleetNumericOutcome, NumericError>| {
@@ -1529,13 +1642,117 @@ mod tests {
     fn zero_pivot_detected() {
         let pattern = all_ones_2x2();
         let cache = PivotCache::build(&pattern);
-        let vals = ValueStore::new(&pattern.vals);
+        let mut values = pattern.vals.clone();
+        let mut vals = ColumnStore::new(&mut values, &pattern.col_ptr);
         let mut scratch = ColumnScratch::default();
         let d = AccessDiscipline::BinarySearch;
-        process_column(&pattern, &vals, 0, d, &cache, &mut scratch).expect("col 0 fine");
+        process_column(&pattern, &mut vals, 0, d, &cache, &mut scratch).expect("col 0 fine");
         assert!(matches!(
-            process_column(&pattern, &vals, 1, d, &cache, &mut scratch),
+            process_column(&pattern, &mut vals, 1, d, &cache, &mut scratch),
             Err(SparseError::ZeroPivot { col: 1 })
         ));
+    }
+
+    /// A bordered matrix whose filled pattern holds one long supernode
+    /// chain: `sparse` sparse columns, a dense block of `block` columns,
+    /// one column coupled only to the sparse ones, then a border of
+    /// `border` rows and columns coupled to every block column (and to the
+    /// sparse columns). The block is one chain and its common tail the
+    /// border rows (the lone column is not in it, so the chain ends at the
+    /// block's last column): every border column consumes one run as wide
+    /// as the block with a non-empty tail, and every block column a run of
+    /// all the block columns before it. The rows in `zero_rows` (rows of
+    /// the block) are exact zeros off the diagonal, so every later column's
+    /// `u` there is exactly 0.0: a skipped dependency inside a run.
+    fn bordered(sparse: usize, block: usize, border: usize, seed: u64, zero_rows: &[usize]) -> Csr {
+        let n = sparse + block + 1 + border;
+        let lone = sparse + block;
+        let mut state = 0x2545_f491_4f6c_dd1d_u64 ^ seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let mut coo = gplu_sparse::Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, n as f64 + next());
+        }
+        let mut push = |i: usize, j: usize, v: f64| {
+            coo.push(i, j, if zero_rows.contains(&i) { 0.0 } else { v });
+        };
+        for i in 0..sparse {
+            let r = lone + 1 + i % border;
+            push(i, r, next());
+            push(r, i, next());
+            if i % 4 == 0 {
+                push(i, lone, next());
+                push(lone, i, next());
+            }
+            if i % 3 == 0 && i + 5 < sparse {
+                push(i + 5, i, next());
+                push(i, i + 5, next());
+            }
+        }
+        for j in sparse..lone {
+            for i in (sparse..lone).filter(|&i| i != j) {
+                push(i, j, next());
+            }
+            for r in lone + 1..n {
+                push(r, j, next());
+                push(j, r, next());
+            }
+        }
+        coo_to_csr(&coo)
+    }
+
+    /// Long runs, pinned: the sequential reference and the four formats
+    /// on one device ([`format_hashes`]), and the merge engine on a
+    /// two-device fleet (factor, cursor steps, makespan and each
+    /// device's clock), on a [`bordered`] matrix with a chain of 160
+    /// columns over a 20-row tail. The literals were taken before
+    /// the core consumed a run as one column sweep.
+    #[test]
+    fn long_supernode_runs_are_pinned_per_format_and_on_a_fleet() {
+        const PIN: [u64; 6] = [
+            0xf00bb558457eac73,
+            0xf93aabdfd369cf33,
+            0x13fca57f0f11e62d,
+            0xec53faa763b40a28,
+            0xcb7535f05f277656,
+            0x87796721a2d8a4b3,
+        ];
+        use gplu_sim::{DeviceFleet, GpuConfig};
+        let (pattern, levels) = filled_with_levels(&bordered(40, 160, 20, 0, &[]));
+        let cache = PivotCache::build(&pattern);
+        let end = cache.chain_end(40);
+        assert!(end + 1 - 40 >= 128, "chain 40..={end}");
+        assert!(cache.lower_start(end) < pattern.col_ptr[end + 1], "a tail");
+        let mut got = format_hashes(&pattern, &levels, PivotRule::Exact).to_vec();
+        let fleet = DeviceFleet::new(2, GpuConfig::v100());
+        let run = crate::run_levels(
+            &mut crate::MergeEngine,
+            &fleet,
+            &pattern,
+            &levels,
+            &gplu_trace::NOOP,
+            None,
+            None,
+            None,
+            PivotRule::Exact,
+            None,
+        )
+        .expect("the fleet factorizes");
+        let mut words = bits(&run.outcome.lu.vals);
+        words.extend([run.outcome.merge_steps, run.outcome.time.as_ns().to_bits()]);
+        words.extend(run.per_device.iter().map(|t| t.as_ns().to_bits()));
+        got.push(fnv(words));
+        if got != PIN {
+            println!("{got:#018x?}");
+        }
+        assert_eq!(
+            got, PIN,
+            "[seq, dense, merge, sparse, blocked, 2-device merge]"
+        );
     }
 }

@@ -62,7 +62,7 @@
 
 use crate::outcome::{process_column_with, AccessDiscipline, ColCosts, PivotCache, PivotRule};
 use crate::scratch::ColumnScratch;
-use crate::values::ValueStore;
+use crate::values::ColumnStore;
 use gplu_sparse::convert::csr_to_csc;
 use gplu_sparse::{Csc, Csr, Idx, SparseError};
 
@@ -138,15 +138,24 @@ pub struct SweptFactors {
 }
 
 impl SweptFactors {
-    /// Writes column `j`'s factors into `store` (laid out like the swept
+    /// Publishes column `j`'s factors in `store` (laid out like the swept
     /// pattern) and returns the costs the kernel core recorded for it —
-    /// what [`process_column_with`] would have done and returned.
-    pub fn store_column(&self, pattern: &Csc, store: &ValueStore, j: usize) -> ColCosts {
-        for k in pattern.col_ptr[j]..pattern.col_ptr[j + 1] {
-            store.set(k, self.vals[k]);
-        }
+    /// what [`process_column_with`] would have done and returned, and the
+    /// same [`SparseError::OutOfOrder`] for a column already finished.
+    pub fn store_column(
+        &self,
+        pattern: &Csc,
+        store: &ColumnStore<'_>,
+        j: usize,
+    ) -> Result<ColCosts, SparseError> {
+        let column = store
+            .open(j)
+            .ok_or(SparseError::OutOfOrder { col: j, dep: j })?;
+        column.publish(|col| {
+            col.copy_from_slice(&self.vals[pattern.col_ptr[j]..pattern.col_ptr[j + 1]])
+        });
         let located = self.located[j];
-        match self.discipline {
+        Ok(match self.discipline {
             AccessDiscipline::BinarySearch => ColCosts {
                 probes: located,
                 ..ColCosts::default()
@@ -156,7 +165,7 @@ impl SweptFactors {
                 ..ColCosts::default()
             },
             AccessDiscipline::Dense => ColCosts::default(),
-        }
+        })
     }
 }
 
@@ -192,7 +201,8 @@ fn sweep(
     discipline: AccessDiscipline,
 ) -> Option<(PivotDiscovery, SweptFactors)> {
     let n = pattern.n_cols();
-    let store = ValueStore::new(&pattern.vals);
+    let mut vals = pattern.vals.clone();
+    let mut store = ColumnStore::new(&mut vals, &pattern.col_ptr);
     let mut scratch = ColumnScratch::default();
     let rule = PivotRule::Threshold { tau };
     let mut lower_nz: Vec<u64> = Vec::with_capacity(n);
@@ -203,12 +213,13 @@ fn sweep(
             process_column_with(pattern, &store, j, discipline, cache, rule, &mut scratch).ok()?;
         // Dependency `t` with a non-zero `U(t, j)` applied its `nzL(t)`
         // non-zero multipliers; the division produced `nzL(j)`.
-        let (start, end) = (pattern.col_ptr[j], pattern.col_ptr[j + 1]);
-        for (k, &t) in (start..end).zip(&pattern.row_idx[start..end]) {
+        store.seal([j]);
+        let finished = store.column(j).unwrap_or_default();
+        for (&t, &u) in pattern.col_rows(j).iter().zip(finished) {
             if t as usize >= j {
                 break;
             }
-            if store.get(k) != 0.0 {
+            if u != 0.0 {
                 flops += lower_nz[t as usize];
             }
         }
@@ -221,9 +232,10 @@ fn sweep(
         swaps: 0,
         flops,
     };
+    drop(store);
     let factors = SweptFactors {
         discipline,
-        vals: store.into_vec(),
+        vals,
         located,
     };
     Some((disc, factors))
@@ -610,14 +622,17 @@ mod tests {
                     prop_assert_eq!(got.flops, want.flops);
                     prop_assert_eq!(factors.is_some(), want.swaps == 0);
                     if let Some(f) = factors {
-                        let (store, sink) = (ValueStore::new(&pattern.vals), ValueStore::new(&pattern.vals));
+                        let (mut vals, mut sunk) = (pattern.vals.clone(), pattern.vals.clone());
+                        let mut store = ColumnStore::new(&mut vals, &pattern.col_ptr);
+                        let sink = ColumnStore::new(&mut sunk, &pattern.col_ptr);
                         let mut ws = ColumnScratch::default();
                         for j in 0..n {
                             let exact = process_column_with(
                                 &pattern, &store, j, discipline, &cache, PivotRule::Exact, &mut ws,
                             )
                             .expect("exact core").0;
-                            let stored = f.store_column(&pattern, &sink, j);
+                            store.seal([j]);
+                            let stored = f.store_column(&pattern, &sink, j).expect("open");
                             prop_assert_eq!(
                                 (stored.probes, stored.merge_steps),
                                 (exact.probes, exact.merge_steps)
@@ -626,7 +641,7 @@ mod tests {
                         let mut lu = pattern.clone();
                         factorize_seq(&mut lu).expect("the sweep's factors exist");
                         let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        prop_assert_eq!(bits(sink.into_vec()), bits(lu.vals));
+                        prop_assert_eq!(bits(sink.snapshot()), bits(lu.vals));
                     }
                 }
                 (got, want) => prop_assert_eq!(got.err(), want.err()),

@@ -16,7 +16,7 @@
 //! `crash:at=N` fault plan.
 
 use crate::modes::ModeMix;
-use crate::values::ValueStore;
+use crate::values::ColumnStore;
 use gplu_sim::SimError;
 
 /// State to restart a numeric engine from the end of a completed level.
@@ -40,13 +40,13 @@ pub struct NumericResume {
 
 /// Progress handed to the [`LevelHook`] after each completed level.
 #[derive(Debug)]
-pub struct LevelProgress<'a> {
+pub struct LevelProgress<'a, 'v> {
     /// Index of the level that just completed.
     pub level: usize,
     /// Total number of levels in the schedule.
     pub n_levels: usize,
     /// The live value store (snapshot it to persist).
-    pub vals: &'a ValueStore,
+    pub vals: &'a ColumnStore<'v>,
     /// Mode mix so far.
     pub mode_mix: ModeMix,
     /// Probes so far (sparse engine; 0 elsewhere).
@@ -61,7 +61,7 @@ pub struct LevelProgress<'a> {
 
 /// Per-level callback. Returning an error aborts the factorization with
 /// that device error — the path an injected crash takes.
-pub type LevelHook<'h> = dyn FnMut(&LevelProgress<'_>) -> Result<(), SimError> + 'h;
+pub type LevelHook<'h> = dyn FnMut(&LevelProgress<'_, '_>) -> Result<(), SimError> + 'h;
 
 impl NumericResume {
     /// Validates the resume state against a pattern/schedule pair.

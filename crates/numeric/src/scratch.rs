@@ -5,9 +5,10 @@
 //! dense-column discipline). The buffer is never cleared: membership of a
 //! row in the current column is an epoch stamp in `mark`, so starting a
 //! column costs one counter bump, not an `O(n)` sweep. Beside it sits the
-//! run list: the non-zero dependencies of one supernode run, which the
-//! core applies to each row of the run in one pass. It is kept here so a
-//! run costs no allocation once the scratch has seen the widest one.
+//! sweep buffer: one supernode run's own rows and common tail, gathered
+//! contiguously so the core applies the run's dependencies as streaming
+//! slice updates. It is kept here so a run costs no allocation once the
+//! scratch has seen the longest one.
 
 use parking_lot::Mutex;
 
@@ -17,15 +18,14 @@ use parking_lot::Mutex;
 /// binary-search discipline's price list (how many probes Algorithm 6
 /// takes to find `row` in the current column) and stays empty until a
 /// column asks for it, so the other disciplines never pay its `n` bytes.
-/// `run` holds the current supernode run's non-zero dependencies as
-/// `(where the run's row list starts in the dependency column, u_tj)`;
-/// see [`crate::outcome::process_column_with`].
+/// `sweep` holds the current supernode run's rows, gathered from `x`; see
+/// [`crate::outcome::process_column_with`].
 #[derive(Debug, Default)]
 pub struct ColumnScratch {
     x: Vec<f64>,
     mark: Vec<u32>,
     depth: Vec<u8>,
-    run: Vec<(usize, f64)>,
+    sweep: Vec<f64>,
     epoch: u32,
 }
 
@@ -39,8 +39,8 @@ pub(crate) struct Accumulator<'a> {
     pub mark: &'a mut [u32],
     /// Probe depths (at least `n` long when asked for, else as left).
     pub depth: &'a mut [u8],
-    /// The run list, empty.
-    pub run: &'a mut Vec<(usize, f64)>,
+    /// The sweep buffer, as the last run left it.
+    pub sweep: &'a mut Vec<f64>,
 }
 
 impl ColumnScratch {
@@ -48,7 +48,7 @@ impl ColumnScratch {
     /// from every value currently in the mark array, plus the accumulator
     /// and mark arrays (each exactly `n` long), the probe-depth array
     /// (at least `n` long when `probe_depths` is set, else as it was
-    /// left) and the cleared run list. Stamps are unique per *call*,
+    /// left) and the sweep buffer. Stamps are unique per *call*,
     /// never derived from the column index, so a scratch that has
     /// already seen column `j` — of this pattern or another — or a pooled
     /// scratch handed to another column cannot read a stale mark as
@@ -67,20 +67,19 @@ impl ColumnScratch {
             self.epoch = 0;
         }
         self.epoch += 1;
-        self.run.clear();
         Accumulator {
             stamp: self.epoch,
             x: &mut self.x[..n],
             mark: &mut self.mark[..n],
             depth: &mut self.depth,
-            run: &mut self.run,
+            sweep: &mut self.sweep,
         }
     }
 }
 
 /// Pool of [`ColumnScratch`]es, one per concurrently executing block,
 /// created by the level drivers and dropped with the factorization (so
-/// the `12·n` bytes per block, and the run list, never outlive it).
+/// the `12·n` bytes per block, and the sweep buffer, never outlive it).
 #[derive(Debug, Default)]
 pub(crate) struct ScratchPool {
     pool: Mutex<Vec<ColumnScratch>>,
@@ -135,10 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn every_column_starts_with_an_empty_run_list() {
+    fn the_sweep_buffer_keeps_its_capacity_across_columns() {
         let mut ws = ColumnScratch::default();
-        ws.begin(4, false).run.push((3, 1.5));
-        assert!(ws.begin(4, false).run.is_empty());
+        ws.begin(4, false).sweep.extend([1.0; 64]);
+        let cap = ws.begin(4, false).sweep.capacity();
+        assert!(cap >= 64, "the longest run's buffer is kept: {cap}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::outcome::{process_column_with, AccessDiscipline, PivotCache, PivotRule};
 use crate::scratch::ColumnScratch;
-use crate::values::ValueStore;
+use crate::values::ColumnStore;
 use gplu_sparse::{Csc, SparseError};
 
 /// Factorizes the filled matrix sequentially: on return `lu` holds the
@@ -33,24 +33,27 @@ pub fn factorize_seq(lu: &mut Csc) -> Result<(), SparseError> {
 /// same rule at the same point.
 pub fn factorize_seq_rule(lu: &mut Csc, rule: PivotRule) -> Result<Vec<(usize, f64)>, SparseError> {
     let cache = PivotCache::build(lu);
-    let vals = ValueStore::new(&lu.vals);
+    let mut vals = lu.vals.clone();
+    let mut store = ColumnStore::new(&mut vals, &lu.col_ptr);
     let mut scratch = ColumnScratch::default();
     let mut perturbs = Vec::new();
     for j in 0..lu.n_cols() {
         let (_, perturb) = process_column_with(
             lu,
-            &vals,
+            &store,
             j,
             AccessDiscipline::Merge,
             &cache,
             rule,
             &mut scratch,
         )?;
+        store.seal([j]);
         if let Some(delta) = perturb {
             perturbs.push((j, delta));
         }
     }
-    lu.vals = vals.into_vec();
+    drop(store);
+    lu.vals = vals;
     Ok(perturbs)
 }
 

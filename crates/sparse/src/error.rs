@@ -65,6 +65,15 @@ pub enum SparseError {
         /// Column of the missing position.
         col: usize,
     },
+    /// A column was eliminated out of schedule order: against dependency
+    /// column `dep` before that column was finished, or (`dep == col`)
+    /// a second time, after its values had become its factors.
+    OutOfOrder {
+        /// The column being eliminated.
+        col: usize,
+        /// The unfinished dependency, or `col` itself.
+        dep: usize,
+    },
     /// Matrix Market parsing failure.
     Parse(String),
     /// Underlying I/O failure (stringified; `std::io::Error` is not `Clone`).
@@ -113,6 +122,12 @@ impl fmt::Display for SparseError {
                     f,
                     "missing fill position ({row}, {col}): symbolic closure violated"
                 )
+            }
+            SparseError::OutOfOrder { col, dep } if col == dep => {
+                write!(f, "column {col} eliminated a second time")
+            }
+            SparseError::OutOfOrder { col, dep } => {
+                write!(f, "column {col} eliminated before its dependency {dep}")
             }
             SparseError::Parse(msg) => write!(f, "matrix market parse error: {msg}"),
             SparseError::Io(msg) => write!(f, "i/o error: {msg}"),
