@@ -22,18 +22,18 @@
 //! * **One durable store** ([`Store`]): snapshot files keyed by a
 //!   sequence number ([`CheckpointStore`], read latest-valid-wins) or by
 //!   a pattern fingerprint ([`PlanStore`], read per key), written through
-//!   tmp file + fsync + atomic rename and indexed by a checksummed
-//!   manifest. A [`DiskFaultHook`] may fail any of its operations on a
-//!   seeded schedule.
+//!   tmp file + fsync + atomic rename. The directory is the only index:
+//!   each file verifies itself. A [`DiskFaultHook`] may fail any of its
+//!   operations on a seeded schedule.
 //!
 //! The crate is deliberately policy-free: *what* goes into each section
 //! and *when* snapshots are cut is decided by the pipeline in
 //! `gplu-core`, which owns the phase structure.
 //!
-//! Corruption of any kind — truncation, bit flips, a forged section id,
-//! a manifest pointing at a missing file — is detected and surfaced as
-//! [`CheckpointError::Corrupt`]; a resume then falls back to the next
-//! older snapshot, and only when *no* candidate verifies does it fail. A
+//! Corruption of any kind — truncation, bit flips, a forged section id —
+//! is detected and surfaced as [`CheckpointError::Corrupt`]; a resume
+//! then falls back to the next older snapshot, and only when *no*
+//! candidate verifies does it fail. A
 //! checkpointed run can therefore never be resumed from torn state: it
 //! either continues from a verified prefix of its own history or reports
 //! corruption explicitly.
@@ -46,7 +46,4 @@ pub mod store;
 pub use codec::{decode, encode, tag_of, Codec, Dec, Enc, Field};
 pub use hash::xxh64;
 pub use snapshot::{section, CheckpointError, Snapshot, FORMAT_VERSION, MAGIC};
-pub use store::{
-    CheckpointStore, DiskFaultHook, Fingerprint, KeyKind, ManifestEntry, PlanStore, Seq, Store,
-    MANIFEST_VERSION,
-};
+pub use store::{CheckpointStore, DiskFaultHook, Fingerprint, KeyKind, PlanStore, Seq, Store};

@@ -6,30 +6,30 @@
 //!
 //! 1. the snapshot is written to `<file>.tmp`,
 //! 2. the file is fsynced, then atomically renamed to `<file>`,
-//! 3. the directory is fsynced so the rename itself is durable,
-//! 4. the manifest — listing every file with its size and whole-file
-//!    XXH64 — is rebuilt from the directory and rewritten through the
-//!    same tmp/fsync/rename dance.
+//! 3. the directory is fsynced so the rename itself is durable.
 //!
-//! A crash at any point leaves either the previous state or the new state,
-//! never a torn one: a torn `.tmp` is ignored, and a torn file that somehow
-//! got renamed fails its checksums. A corrupt or missing manifest never
-//! hides intact files: the key listing falls back to a directory scan.
+//! The directory is the only index, and each file verifies itself: a
+//! snapshot carries its magic, format version and per-section checksums,
+//! so a load is one [`Snapshot::from_bytes`] and a save reads no other
+//! file. A crash at any point leaves either the previous state or the new
+//! state, never a torn one: a torn `.tmp` is not a key, and a torn file
+//! that somehow got renamed fails its checksums. Any other file in the
+//! directory — a `manifest.json` left by an older build included — is
+//! not a key either.
 //!
-//! The key kind fixes the file names and the manifest:
+//! The key kind fixes the file names:
 //!
 //! * [`Seq`] — a checkpoint directory ([`CheckpointStore`]):
-//!   `snap-%08d.ckpt` files under `manifest.json`. A resume reads them
-//!   newest first and takes the first that verifies
-//!   (**latest-valid-wins**, [`Store::load_latest`]); if files exist but
-//!   none verifies, that is a hard [`CheckpointError::Corrupt`] —
-//!   resuming from nothing when progress was supposedly saved must be an
-//!   explicit, operator-visible decision, not a silent restart.
+//!   `snap-%08d.ckpt` files. A resume reads them newest first and takes
+//!   the first that verifies (**latest-valid-wins**,
+//!   [`Store::load_latest`]); if files exist but none verifies, that is a
+//!   hard [`CheckpointError::Corrupt`] — resuming from nothing when
+//!   progress was supposedly saved must be an explicit, operator-visible
+//!   decision, not a silent restart.
 //! * [`Fingerprint`] — the solver service's plan cache ([`PlanStore`]):
-//!   `plan-%016x.ckpt` files keyed by pattern fingerprint under
-//!   `cache-manifest.json`. Corruption is per entry: a bad entry is
-//!   [`CheckpointError::Corrupt`] for that key only, which the caller
-//!   treats as a miss.
+//!   `plan-%016x.ckpt` files keyed by pattern fingerprint. Corruption is
+//!   per entry: a bad entry is [`CheckpointError::Corrupt`] for that key
+//!   only, which the caller treats as a miss.
 //!
 //! Deterministic chaos testing hooks in through [`DiskFaultHook`]: the
 //! store asks it once per operation — a write check for each save and
@@ -38,17 +38,12 @@
 //! lives here (not in `gpu-sim`) so this crate stays dependency-free; the
 //! service adapts its seeded `FaultInjector` onto it.
 
-use crate::hash::xxh64;
 use crate::snapshot::{CheckpointError, Snapshot};
-use gplu_trace::{json, JsonValue};
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind, Write as _};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// Manifest schema version (both manifests).
-pub const MANIFEST_VERSION: u64 = 1;
 
 /// Deterministic disk-fault injection: the store asks once per
 /// operation; `true` means "inject a failure here". Implementations must
@@ -61,20 +56,12 @@ pub trait DiskFaultHook: Send + Sync {
     fn on_disk_write(&self) -> bool;
 }
 
-/// What a store's files are keyed by: their names and their manifest.
+/// What a store's files are keyed by: their names.
 pub trait KeyKind {
-    /// Manifest file name inside the directory.
-    const MANIFEST: &'static str;
-    /// Manifest field the key is written under.
-    const FIELD: &'static str;
     /// File name of the snapshot stored under `key`.
     fn file_name(key: u64) -> String;
     /// The key a file name stores, `None` for any other file.
     fn key_of(name: &str) -> Option<u64>;
-    /// `key` as its manifest JSON value.
-    fn to_json(key: u64) -> String;
-    /// The key a manifest JSON value holds.
-    fn from_json(v: &JsonValue) -> Option<u64>;
 }
 
 /// Snapshot sequence numbers: a checkpoint directory.
@@ -82,8 +69,6 @@ pub trait KeyKind {
 pub enum Seq {}
 
 impl KeyKind for Seq {
-    const MANIFEST: &'static str = "manifest.json";
-    const FIELD: &'static str = "seq";
     fn file_name(key: u64) -> String {
         format!("snap-{key:08}.ckpt")
     }
@@ -93,12 +78,6 @@ impl KeyKind for Seq {
             .parse()
             .ok()
     }
-    fn to_json(key: u64) -> String {
-        key.to_string()
-    }
-    fn from_json(v: &JsonValue) -> Option<u64> {
-        v.as_u64()
-    }
 }
 
 /// Pattern fingerprints: the plan cache's disk tier.
@@ -106,20 +85,12 @@ impl KeyKind for Seq {
 pub enum Fingerprint {}
 
 impl KeyKind for Fingerprint {
-    const MANIFEST: &'static str = "cache-manifest.json";
-    const FIELD: &'static str = "key";
     fn file_name(key: u64) -> String {
         format!("plan-{key:016x}.ckpt")
     }
     fn key_of(name: &str) -> Option<u64> {
         let hex = name.strip_prefix("plan-")?.strip_suffix(".ckpt")?;
         (hex.len() == 16).then(|| u64::from_str_radix(hex, 16).ok())?
-    }
-    fn to_json(key: u64) -> String {
-        format!("\"{key:016x}\"")
-    }
-    fn from_json(v: &JsonValue) -> Option<u64> {
-        u64::from_str_radix(v.as_str()?, 16).ok()
     }
 }
 
@@ -129,19 +100,6 @@ pub type CheckpointStore = Store<Seq>;
 /// A plan-cache directory: the disk tier of the factor cache.
 pub type PlanStore = Store<Fingerprint>;
 
-/// One manifest entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    /// The key the file is stored under.
-    pub key: u64,
-    /// File name relative to the directory.
-    pub file: String,
-    /// Snapshot size in bytes.
-    pub bytes: u64,
-    /// XXH64 of the whole snapshot file.
-    pub xxh64: u64,
-}
-
 /// A directory of snapshot files keyed by `K`.
 pub struct Store<K> {
     dir: PathBuf,
@@ -149,11 +107,10 @@ pub struct Store<K> {
     kind: PhantomData<K>,
 }
 
-impl<K: KeyKind> std::fmt::Debug for Store<K> {
+impl<K> std::fmt::Debug for Store<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("dir", &self.dir)
-            .field("manifest", &K::MANIFEST)
             .field("faults", &self.faults.is_some())
             .finish()
     }
@@ -209,13 +166,12 @@ impl<K: KeyKind> Store<K> {
         }
     }
 
-    /// Durably writes `snap` under `key` and rewrites the manifest.
-    /// Returns the number of snapshot bytes written.
+    /// Durably writes `snap` under `key`; no other file is read or
+    /// written. Returns the number of snapshot bytes written.
     pub fn save(&self, key: u64, snap: &Snapshot) -> Result<u64, CheckpointError> {
         self.check(true)?;
         let bytes = snap.to_bytes();
         write_atomic(&self.dir, &self.dir.join(K::file_name(key)), &bytes)?;
-        self.rewrite_manifest()?;
         Ok(bytes.len() as u64)
     }
 
@@ -224,107 +180,37 @@ impl<K: KeyKind> Store<K> {
     pub fn remove(&self, key: u64) -> Result<(), CheckpointError> {
         self.check(true)?;
         match fs::remove_file(self.dir.join(K::file_name(key))) {
-            Ok(()) => self.rewrite_manifest(),
-            Err(e) if e.kind() == ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
+            Err(e) if e.kind() != ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
         }
     }
 
-    /// Loads and verifies the file for `key`: its size and whole-file
-    /// hash against the manifest when the manifest lists it, then the
-    /// snapshot's magic, version and per-section checksums.
+    /// Loads and verifies the file for `key`: the snapshot's magic,
+    /// version and per-section checksums.
     ///
     /// * `Ok(None)` — no file for this key (plain miss).
     /// * `Ok(Some(snap))` — the snapshot, checksum-verified.
     /// * `Err(Corrupt)` — a file exists but fails verification.
+    /// * `Err(Io)` — the entry cannot be read; other keys are unaffected.
     pub fn load(&self, key: u64) -> Result<Option<Snapshot>, CheckpointError> {
         self.check(false)?;
-        let file = K::file_name(key);
-        let data = match fs::read(self.dir.join(&file)) {
-            Ok(d) => d,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let listed = self.read_manifest().ok().flatten();
-        if let Some(e) = listed.iter().flatten().find(|e| e.key == key) {
-            if data.len() as u64 != e.bytes || xxh64(&data, 0) != e.xxh64 {
-                return Err(CheckpointError::Corrupt(format!(
-                    "{file}: file hash/size disagrees with {}",
-                    K::MANIFEST
-                )));
-            }
+        match fs::read(self.dir.join(K::file_name(key))) {
+            Ok(data) => Snapshot::from_bytes(&data).map(Some),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
         }
-        Snapshot::from_bytes(&data).map(Some)
     }
 
-    /// Every key present, ascending: from the manifest when it parses,
-    /// otherwise by directory scan (a corrupt manifest must not hide
-    /// intact files).
+    /// Every key present, ascending: the directory scan. Files that are
+    /// not snapshots of this key kind are skipped.
     pub fn keys(&self) -> Result<Vec<u64>, CheckpointError> {
         self.check(false)?;
-        let mut keys: Vec<u64> = match self.read_manifest() {
-            Ok(Some(entries)) => entries.into_iter().map(|e| e.key).collect(),
-            Ok(None) | Err(_) => fs::read_dir(&self.dir)
-                .into_iter()
-                .flatten()
-                .flatten()
-                .filter_map(|entry| K::key_of(&entry.file_name().to_string_lossy()))
-                .collect(),
-        };
+        let mut keys = Vec::new();
+        for entry in fs::read_dir(&self.dir)? {
+            keys.extend(K::key_of(&entry?.file_name().to_string_lossy()));
+        }
         keys.sort_unstable();
         Ok(keys)
-    }
-
-    /// Parses the manifest. `Ok(None)` when none exists yet.
-    pub fn read_manifest(&self) -> Result<Option<Vec<ManifestEntry>>, CheckpointError> {
-        let text = match fs::read_to_string(self.dir.join(K::MANIFEST)) {
-            Ok(t) => t,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        json::parse(&text)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| parse_manifest::<K>(&doc))
-            .map(Some)
-            .map_err(|e| CheckpointError::Corrupt(format!("{}: {e}", K::MANIFEST)))
-    }
-
-    /// Rebuilds the manifest from the files actually on disk — the
-    /// directory is the source of truth, the manifest its durable,
-    /// checksummed index.
-    fn rewrite_manifest(&self) -> Result<(), CheckpointError> {
-        let mut entries = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let file = entry.file_name().to_string_lossy().into_owned();
-            let Some(key) = K::key_of(&file) else {
-                continue;
-            };
-            let data = fs::read(entry.path())?;
-            entries.push(ManifestEntry {
-                key,
-                file,
-                bytes: data.len() as u64,
-                xxh64: xxh64(&data, 0),
-            });
-        }
-        entries.sort_by_key(|e| e.key);
-        let mut doc = format!("{{\n  \"schema_version\": {MANIFEST_VERSION},\n  \"entries\": [");
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                doc.push(',');
-            }
-            doc.push_str(&format!(
-                "\n    {{\"{}\": {}, \"file\": \"{}\", \"bytes\": {}, \"xxh64\": \"{:016x}\"}}",
-                K::FIELD,
-                K::to_json(e.key),
-                e.file,
-                e.bytes,
-                e.xxh64
-            ));
-        }
-        doc.push_str("\n  ]\n}\n");
-        write_atomic(&self.dir, &self.dir.join(K::MANIFEST), doc.as_bytes())
     }
 }
 
@@ -354,45 +240,6 @@ impl Store<Seq> {
             failures.join("; ")
         )))
     }
-}
-
-fn parse_manifest<K: KeyKind>(doc: &JsonValue) -> Result<Vec<ManifestEntry>, String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(JsonValue::as_u64)
-        .ok_or("schema_version missing")?;
-    if version != MANIFEST_VERSION {
-        return Err(format!("unknown schema_version {version}"));
-    }
-    let entries = doc
-        .get("entries")
-        .and_then(JsonValue::as_arr)
-        .ok_or("entries missing")?;
-    let mut out = Vec::with_capacity(entries.len());
-    for (i, e) in entries.iter().enumerate() {
-        let field = |name: &str| {
-            e.get(name)
-                .ok_or_else(|| format!("entries[{i}].{name} missing"))
-        };
-        let bad = |name: &str| format!("entries[{i}].{name} malformed");
-        let key = K::from_json(field(K::FIELD)?).ok_or_else(|| bad(K::FIELD))?;
-        let file = field("file")?.as_str().ok_or_else(|| bad("file"))?;
-        if file.contains('/') || file.contains("..") {
-            return Err(format!("entries[{i}].file escapes the directory"));
-        }
-        let bytes = field("bytes")?.as_u64().ok_or_else(|| bad("bytes"))?;
-        let xxh64 = field("xxh64")?
-            .as_str()
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| bad("xxh64"))?;
-        out.push(ManifestEntry {
-            key,
-            file: file.to_string(),
-            bytes,
-            xxh64,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -438,6 +285,16 @@ mod tests {
         fs::write(&p, &data).unwrap();
     }
 
+    /// The file names in `dir`, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     fn save_load_remove<K: KeyKind>(dir: &Path) {
         let store = Store::<K>::open(dir).unwrap();
         assert!(store.load(0xABCD).unwrap().is_none());
@@ -447,15 +304,14 @@ mod tests {
         let s = store.load(0xABCD).unwrap().expect("entry");
         assert_eq!(s.section(section::META), Some(&[1u8; 16][..]));
         assert_eq!(store.keys().unwrap(), vec![0xABCD, 0xEF01]);
-        let entries = store.read_manifest().unwrap().expect("manifest");
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].key, 0xABCD);
-        assert_eq!(entries[1].file, K::file_name(0xEF01));
         store.remove(0xABCD).unwrap();
         assert!(store.load(0xABCD).unwrap().is_none());
         assert_eq!(store.keys().unwrap(), vec![0xEF01]);
         // Idempotent removal.
         store.remove(0xABCD).unwrap();
+        // The directory is the index: it holds the snapshots and nothing
+        // else.
+        assert_eq!(names(dir), vec![K::file_name(0xEF01)]);
     }
 
     #[test]
@@ -465,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn file_names_and_manifests_keep_their_formats() {
+    fn file_names_keep_their_formats() {
         assert_eq!(Seq::file_name(2), "snap-00000002.ckpt");
         assert_eq!(Fingerprint::file_name(0xAB), "plan-00000000000000ab.ckpt");
         assert_eq!(Seq::key_of("snap-00000002.ckpt"), Some(2));
@@ -480,6 +336,8 @@ mod tests {
         );
         assert_eq!(Seq::key_of("plan-00000000000000ab.ckpt"), None);
         assert_eq!(Seq::key_of("snap-00000009.ckpt.tmp"), None);
+        assert_eq!(Seq::key_of("manifest.json"), None);
+        assert_eq!(Fingerprint::key_of("cache-manifest.json"), None);
     }
 
     fn corrupt_entry<K: KeyKind>(dir: &Path) {
@@ -496,6 +354,30 @@ mod tests {
     fn corrupt_entry_is_a_per_key_error() {
         corrupt_entry::<Seq>(&TempDir::new().0);
         corrupt_entry::<Fingerprint>(&TempDir::new().0);
+    }
+
+    fn every_bit_flip<K: KeyKind>(dir: &Path) {
+        let store = Store::<K>::open(dir).unwrap();
+        let mut three = snap(6);
+        three.add_section(section::LEVELS, vec![7; 24]);
+        store.save(6, &three).unwrap();
+        let p = dir.join(K::file_name(6));
+        let data = fs::read(&p).unwrap();
+        for bit in 0..data.len() * 8 {
+            let mut flipped = data.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&p, &flipped).unwrap();
+            assert!(
+                matches!(store.load(6), Err(CheckpointError::Corrupt(_))),
+                "a flip of bit {bit} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_snapshot_is_corrupt() {
+        every_bit_flip::<Seq>(&TempDir::new().0);
+        every_bit_flip::<Fingerprint>(&TempDir::new().0);
     }
 
     fn truncated_entry<K: KeyKind>(dir: &Path) {
@@ -518,42 +400,55 @@ mod tests {
         truncated_entry::<Fingerprint>(&TempDir::new().0);
     }
 
-    fn missing_manifest<K: KeyKind>(dir: &Path) {
+    fn beside_unreadable<K: KeyKind>(dir: &Path) {
         let store = Store::<K>::open(dir).unwrap();
-        store.save(42, &snap(4)).unwrap();
-        fs::remove_file(dir.join(K::MANIFEST)).unwrap();
-        assert_eq!(store.keys().unwrap(), vec![42]);
-        assert!(store.load(42).unwrap().is_some());
+        // An entry named like a snapshot that cannot be read as one.
+        fs::create_dir(dir.join(K::file_name(99))).unwrap();
+        store.save(1, &snap(1)).unwrap();
+        store.save(2, &snap(2)).unwrap();
+        store.remove(1).unwrap();
+        assert_eq!(store.load(2).unwrap(), Some(snap(2)));
+        assert!(matches!(store.load(99), Err(CheckpointError::Io(_))));
+        assert_eq!(store.keys().unwrap(), vec![2, 99]);
     }
 
     #[test]
-    fn missing_manifest_still_finds_entries() {
-        missing_manifest::<Seq>(&TempDir::new().0);
-        missing_manifest::<Fingerprint>(&TempDir::new().0);
+    fn a_save_beside_an_unreadable_entry_succeeds() {
+        beside_unreadable::<Seq>(&TempDir::new().0);
+        beside_unreadable::<Fingerprint>(&TempDir::new().0);
+        // A resume passes over it to the newest snapshot that verifies.
+        let t = TempDir::new();
+        beside_unreadable::<Seq>(&t.0);
+        let store = CheckpointStore::open(&t.0).unwrap();
+        assert_eq!(store.load_latest().unwrap(), Some((2, snap(2))));
     }
 
     fn garbage_manifest<K: KeyKind>(dir: &Path) {
+        const GARBAGE: &[u8] = b"{not json";
         let store = Store::<K>::open(dir).unwrap();
         store.save(1, &snap(1)).unwrap();
-        fs::write(dir.join(K::MANIFEST), b"{not json").unwrap();
-        assert!(matches!(
-            store.read_manifest(),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        for name in ["manifest.json", "cache-manifest.json"] {
+            fs::write(dir.join(name), GARBAGE).unwrap();
+        }
         assert_eq!(store.keys().unwrap(), vec![1]);
-        assert!(store.load(1).unwrap().is_some());
+        assert_eq!(store.load(1).unwrap(), Some(snap(1)));
+        store.save(2, &snap(2)).unwrap();
+        store.save(3, &snap(3)).unwrap();
+        store.remove(3).unwrap();
+        assert_eq!(store.keys().unwrap(), vec![1, 2]);
+        for name in ["manifest.json", "cache-manifest.json"] {
+            assert_eq!(fs::read(dir.join(name)).unwrap(), GARBAGE, "{name}");
+        }
     }
 
     #[test]
-    fn garbage_manifest_falls_back_to_directory_scan() {
+    fn a_garbage_manifest_changes_nothing() {
         garbage_manifest::<Seq>(&TempDir::new().0);
         garbage_manifest::<Fingerprint>(&TempDir::new().0);
         let t = TempDir::new();
+        garbage_manifest::<Seq>(&t.0);
         let store = CheckpointStore::open(&t.0).unwrap();
-        store.save(1, &snap(1)).unwrap();
-        fs::write(t.0.join(Seq::MANIFEST), b"{not json").unwrap();
-        let (seq, _) = store.load_latest().unwrap().expect("snapshot");
-        assert_eq!(seq, 1);
+        assert_eq!(store.load_latest().unwrap(), Some((2, snap(2))));
     }
 
     fn stray_tmp<K: KeyKind>(dir: &Path) {
@@ -561,14 +456,9 @@ mod tests {
         store.save(1, &snap(1)).unwrap();
         // A torn write that never got renamed.
         fs::write(dir.join(format!("{}.tmp", K::file_name(9))), b"torn").unwrap();
-        fs::remove_file(dir.join(K::MANIFEST)).unwrap();
         assert_eq!(store.keys().unwrap(), vec![1]);
         store.save(2, &snap(2)).unwrap();
-        assert_eq!(
-            store.keys().unwrap(),
-            vec![1, 2],
-            "the manifest skips it too"
-        );
+        assert_eq!(store.keys().unwrap(), vec![1, 2]);
     }
 
     #[test]
@@ -581,20 +471,6 @@ mod tests {
         fs::write(t.0.join("snap-00000009.ckpt.tmp"), b"torn").unwrap();
         let (seq, _) = store.load_latest().unwrap().expect("snapshot");
         assert_eq!(seq, 1);
-    }
-
-    #[test]
-    fn manifest_rejects_path_escapes() {
-        let doc = json::parse(
-            r#"{"schema_version": 1, "entries": [{"seq": 1, "file": "../evil.ckpt", "bytes": 1, "xxh64": "00"}]}"#,
-        )
-        .unwrap();
-        assert!(parse_manifest::<Seq>(&doc).is_err());
-        let doc = json::parse(
-            r#"{"schema_version": 1, "entries": [{"key": "0000000000000001", "file": "../evil.ckpt", "bytes": 1, "xxh64": "00"}]}"#,
-        )
-        .unwrap();
-        assert!(parse_manifest::<Fingerprint>(&doc).is_err());
     }
 
     #[test]
@@ -615,10 +491,6 @@ mod tests {
         assert_eq!(seq, 2);
         assert_eq!(s.section(section::META), Some(&[2u8; 16][..]));
         assert_eq!(store.keys().unwrap().last(), Some(&2));
-        let entries = store.read_manifest().unwrap().expect("manifest");
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].key, 1);
-        assert_eq!(entries[1].file, "snap-00000002.ckpt");
     }
 
     #[test]
@@ -649,16 +521,6 @@ mod tests {
             store.load_latest(),
             Err(CheckpointError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn missing_manifest_still_finds_snapshots() {
-        let t = TempDir::new();
-        let store = CheckpointStore::open(&t.0).unwrap();
-        store.save(3, &snap(3)).unwrap();
-        fs::remove_file(t.0.join(Seq::MANIFEST)).unwrap();
-        let (seq, _) = store.load_latest().unwrap().expect("snapshot");
-        assert_eq!(seq, 3);
     }
 
     /// Counts every question and fails the `fail_read`th read and the

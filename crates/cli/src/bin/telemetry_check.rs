@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! telemetry_check <report.json> [trace.json]
-//! telemetry_check --manifest <checkpoint-dir>
+//! telemetry_check --checkpoint-dir <dir>
 //! telemetry_check --service <service-report.json> [trace.json]
 //! telemetry_check --slo [--min-disk-hit-rate X] <service-report.json> [trace.json]
 //! ```
@@ -16,10 +16,9 @@
 //! trace whose every event checks against the writer's field table
 //! (`gplu_trace::CHROME_EVENT`, host `wall_ns` stamp included) and whose
 //! `numeric.level` ends say how each level launched. With
-//! `--manifest`, validates a `--checkpoint-dir` instead: the manifest
-//! parses, every listed snapshot exists with the advertised size and
-//! whole-file hash, every snapshot passes its own structural checks, and
-//! the latest-valid-wins load succeeds.
+//! `--checkpoint-dir`, validates a `gplu factorize --checkpoint-dir`
+//! directory instead: every `snap-*.ckpt` in it decodes, and the
+//! latest-valid-wins load succeeds.
 //!
 //! `--slo` is the CI gate: the `--service` checks, and the report MUST
 //! carry the observability sections, the SLO verdict must be `pass`, and
@@ -33,7 +32,7 @@
 //! pointer (`/latency/sim_p95_ns`) after the file path, and exits 1. A
 //! usage error prints the usage and exits 2.
 
-use gplu_checkpoint::{xxh64, CheckpointStore, Snapshot};
+use gplu_checkpoint::{CheckpointStore, KeyKind, Seq};
 use gplu_cli::{fraction, parse_flags, put, write_flags, CliError, Flag, Rule};
 use gplu_core::{check_run_report, HOST_REASONS, SCHEMA_VERSION};
 use gplu_server::{check_service_report, SERVICE_SCHEMA_VERSION};
@@ -45,7 +44,7 @@ use std::process::ExitCode;
 struct Options {
     service: bool,
     slo: bool,
-    manifest: bool,
+    checkpoint_dir: bool,
     min_disk_hit_rate: Option<f64>,
     /// The arguments that are not flags or flag values.
     paths: Vec<String>,
@@ -64,9 +63,9 @@ static FLAGS: &[Flag<Options>] = &[
         set: |o, _| put(&mut o.slo, Ok(true)),
     },
     Flag {
-        usage: "--manifest",
-        help: "validate the one path as a --checkpoint-dir",
-        set: |o, _| put(&mut o.manifest, Ok(true)),
+        usage: "--checkpoint-dir",
+        help: "validate the one path as a `gplu factorize --checkpoint-dir` directory",
+        set: |o, _| put(&mut o.checkpoint_dir, Ok(true)),
     },
     Flag {
         usage: "--min-disk-hit-rate <X>",
@@ -78,19 +77,19 @@ static FLAGS: &[Flag<Options>] = &[
 
 static RULES: &[Rule<Options>] = &[
     (
-        |o| u8::from(o.service) + u8::from(o.slo) + u8::from(o.manifest) > 1,
-        "--service, --slo and --manifest exclude each other",
+        |o| u8::from(o.service) + u8::from(o.slo) + u8::from(o.checkpoint_dir) > 1,
+        "--service, --slo and --checkpoint-dir exclude each other",
     ),
     (
         |o| o.min_disk_hit_rate.is_some() && !o.slo,
         "--min-disk-hit-rate needs --slo",
     ),
     (
-        |o| o.manifest && o.paths.len() != 1,
-        "--manifest takes exactly one checkpoint directory",
+        |o| o.checkpoint_dir && o.paths.len() != 1,
+        "--checkpoint-dir takes exactly one directory",
     ),
     (
-        |o| !o.manifest && !(1..=2).contains(&o.paths.len()),
+        |o| !o.checkpoint_dir && !(1..=2).contains(&o.paths.len()),
         "give one report and at most one trace",
     ),
 ];
@@ -98,7 +97,7 @@ static RULES: &[Rule<Options>] = &[
 fn usage() -> String {
     let mut out = String::from(
         "usage: telemetry_check [--service | --slo [--min-disk-hit-rate X]] \
-         <report.json> [trace.json]\n       telemetry_check --manifest <checkpoint-dir>\n",
+         <report.json> [trace.json]\n       telemetry_check --checkpoint-dir <dir>\n",
     );
     write_flags(&mut out, "\nflags:\n", FLAGS);
     out
@@ -238,56 +237,29 @@ fn check_slo(doc: &JsonValue, min_disk_hit_rate: Option<f64>) -> Result<String, 
     ))
 }
 
-/// Validates a checkpoint directory: manifest ↔ files ↔ checksums ↔
-/// structural snapshot decode, plus the latest-valid-wins load the
-/// pipeline itself would perform on `--resume`.
-fn check_manifest(dir: &str) -> Result<String, String> {
+/// Validates a checkpoint directory: every snapshot in it decodes, and
+/// the latest-valid-wins load the pipeline itself would perform on
+/// `--resume` succeeds.
+fn check_checkpoint_dir(dir: &str) -> Result<String, String> {
     let dir = std::path::Path::new(dir);
-    let store = CheckpointStore::open(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let entries = store
-        .read_manifest()
-        .map_err(|e| format!("manifest: {e}"))?
-        .ok_or("manifest: missing (no manifest.json in the directory)")?;
-    if entries.is_empty() {
-        return Err("manifest: empty (no snapshots listed)".into());
+    // Opening a store creates its directory; a validator must not.
+    if !dir.is_dir() {
+        return Err("not a directory".into());
     }
-    let mut last_seq = None;
-    for e in &entries {
-        if let Some(prev) = last_seq {
-            if e.key <= prev {
-                return Err(format!(
-                    "manifest: sequence numbers not strictly increasing ({prev} then {})",
-                    e.key
-                ));
-            }
-        }
-        last_seq = Some(e.key);
-        let path = dir.join(&e.file);
-        let data = std::fs::read(&path).map_err(|err| format!("{}: {err}", path.display()))?;
-        if data.len() as u64 != e.bytes {
-            return Err(format!(
-                "{}: size {} disagrees with manifest ({})",
-                e.file,
-                data.len(),
-                e.bytes
-            ));
-        }
-        let actual = xxh64(&data, 0);
-        if actual != e.xxh64 {
-            return Err(format!(
-                "{}: whole-file hash {actual:016x} disagrees with manifest {:016x}",
-                e.file, e.xxh64
-            ));
-        }
-        Snapshot::from_bytes(&data).map_err(|err| format!("{}: {err}", e.file))?;
+    let store = CheckpointStore::open(dir).map_err(|e| e.to_string())?;
+    let seqs = store.keys().map_err(|e| format!("keys: {e}"))?;
+    for &seq in &seqs {
+        store
+            .load(seq)
+            .map_err(|e| format!("{}: {e}", Seq::file_name(seq)))?;
     }
     let (seq, snap) = store
         .load_latest()
         .map_err(|e| format!("load_latest: {e}"))?
-        .ok_or("load_latest: no snapshot found despite a populated manifest")?;
+        .ok_or("no snapshot in the directory")?;
     Ok(format!(
-        "manifest ok: {} snapshot(s), latest seq {seq} ({} sections)",
-        entries.len(),
+        "checkpoint directory ok: {} snapshot(s), latest seq {seq} ({} sections)",
+        seqs.len(),
         snap.section_ids().len()
     ))
 }
@@ -295,8 +267,8 @@ fn check_manifest(dir: &str) -> Result<String, String> {
 /// Validates the `i`th path of `o` and says what it found there.
 fn check(o: &Options, i: usize) -> Result<String, String> {
     let path = &o.paths[i];
-    if o.manifest {
-        return check_manifest(path);
+    if o.checkpoint_dir {
+        return check_checkpoint_dir(path);
     }
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -352,7 +324,10 @@ mod tests {
         assert_eq!((o.min_disk_hit_rate, o.paths), (Some(0.5), args("r.json")));
         assert_eq!(run(&args("--service --min-disk-hit-rate 0.5 r.json")), 2);
         assert_eq!(run(&args("--slo --min-disk-hit-rate 2 r.json")), 2);
-        assert_eq!(run(&args("--manifest a b")), 2);
+        assert_eq!(run(&args("--checkpoint-dir a b")), 2);
+        // A missing checkpoint directory fails, and is not created.
+        assert_eq!(run(&args("--checkpoint-dir no/such/dir")), 1);
+        assert!(!std::path::Path::new("no/such/dir").exists());
         assert_eq!(run(&args("--service")), 2);
         // A failed validation exits 1.
         assert_eq!(run(&args("no/such/report.json")), 1);

@@ -71,7 +71,7 @@ const OPTS_FP_SEED: u64 = 0x6770_6c75_6f70_7473; // "gpluopts"
 /// `--checkpoint-every`, `--resume`).
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
-    /// Directory holding snapshots and the manifest.
+    /// Directory holding the snapshots.
     pub dir: PathBuf,
     /// Cut a partial snapshot every `every` completed numeric levels /
     /// symbolic chunks (phase boundaries always cut).
@@ -1229,7 +1229,8 @@ mod tests {
             Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/checkpoint");
         let file = std::fs::read(fixtures.join("snap-00000002.ckpt")).unwrap();
 
-        // The directory works as committed, manifest hashes and all.
+        // The directory works as committed; the manifest an older build
+        // wrote beside the snapshots is not a key.
         let (seq, snap) = CheckpointStore::open(&fixtures)
             .unwrap()
             .load_latest()
@@ -1269,11 +1270,17 @@ mod tests {
             "one action of each variant"
         );
 
-        // This build cuts the same state into the same bytes, and the
-        // manifest rewritten over them is the committed one.
+        // This build cuts the same state into the same files, and no
+        // others.
         let dir = tempdir();
         cut_fixture_snapshots(&dir);
-        for name in ["snap-00000001.ckpt", "snap-00000002.ckpt", "manifest.json"] {
+        let mut cut: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        cut.sort();
+        assert_eq!(cut, ["snap-00000001.ckpt", "snap-00000002.ckpt"]);
+        for name in &cut {
             assert_eq!(
                 std::fs::read(dir.join(name)).unwrap(),
                 std::fs::read(fixtures.join(name)).unwrap(),

@@ -336,6 +336,37 @@ mod tests {
         );
     }
 
+    /// The numeric twin: every device stages the pattern, and at launch
+    /// latencies a tenth of the V100's the dense engine splits levels
+    /// across both devices, each share a launch of its own. So the
+    /// numeric phase's statistics are every device's delta summed too,
+    /// and with the other phases' they account for every launch and byte
+    /// the fleet ran.
+    #[test]
+    fn fleet_numeric_stats_sum_every_device_s_delta() {
+        let a = random_dominant(600, 4.0, 17);
+        let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+        let cost = gplu_sim::CostModel::default().scaled_latencies(10);
+        let fleet = DeviceFleet::with_cost(2, cfg, cost);
+        let opts = LuOptions {
+            format: NumericFormat::Dense,
+            ..Default::default()
+        };
+        let before = fleet.stats();
+        let f = LuFactorization::compute_fleet(&fleet, &a, &opts).expect("compute_fleet");
+        let after = fleet.stats();
+        let launches_and_bytes = |s: &gplu_sim::GpuStatsSnapshot| {
+            [s.kernels_host, s.kernels_device, s.h2d_bytes, s.d2h_bytes]
+        };
+        let p = &f.report.phase_stats;
+        assert!(p.numeric.kernels_host > 1, "levels split: {:?}", p.numeric);
+        let phases = p.preprocess + p.symbolic + p.levelize + p.numeric;
+        assert_eq!(
+            launches_and_bytes(&phases),
+            launches_and_bytes(&after.summed_since(&before))
+        );
+    }
+
     #[test]
     fn dead_device_lands_in_the_recovery_log() {
         let a = random_dominant(200, 4.0, 7);

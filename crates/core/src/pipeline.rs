@@ -26,7 +26,7 @@ use gplu_numeric::{
     PivotPolicy, PivotRule, SparseEngine, SweptFactors, DEFAULT_BLOCK_THRESHOLD, DEFAULT_PIVOT_TAU,
 };
 use gplu_schedule::{levelize_gpu_traced, DepGraph, Levels};
-use gplu_sim::{DeviceFleet, FleetStats, Gpu, GpuStatsSnapshot, SimError, SimTime};
+use gplu_sim::{DeviceFleet, FleetStats, Gpu, SimError, SimTime};
 use gplu_sparse::convert::csr_to_csc;
 use gplu_sparse::ordering::OrderingKind;
 use gplu_sparse::perm::permute_csr;
@@ -935,11 +935,7 @@ impl<'a> Pass<'a> {
         let symbolic = self.symbolic_ladder(matrix, engine, partial);
         // Every device of a sharded phase ran its share: the phase's
         // statistics are the sum of their deltas.
-        let sym_after = self.fleet.stats();
-        let deltas = sym_after.devices.iter().zip(&sym_before.devices);
-        self.report.phase_stats.symbolic = deltas
-            .map(|(now, then)| now.stats.since(&then.stats))
-            .fold(GpuStatsSnapshot::default(), |sum, d| sum + d);
+        self.report.phase_stats.symbolic = self.fleet.stats().summed_since(&sym_before);
         let mut done = SymbolicDone {
             result: symbolic?,
             chunk_size: self.report.chunk_size,
@@ -1265,7 +1261,7 @@ impl<'a> Pass<'a> {
             _ => PivotRule::Exact,
         };
         let every = self.session.as_ref().map_or(usize::MAX, |s| s.every());
-        let num_before = lead.stats();
+        let num_before = fleet.stats();
         let mut begin_attrs: Vec<(&'static str, AttrValue)> = vec![
             ("format", format_name(requested).into()),
             ("devices", fleet.n_alive().into()),
@@ -1424,7 +1420,9 @@ impl<'a> Pass<'a> {
                 ("devices", fleet.n_alive().into()),
             ],
         );
-        self.report.phase_stats.numeric = lead.stats().since(&num_before);
+        // Every device stages the pattern and runs its shares of split
+        // levels: the phase's statistics are the sum of their deltas.
+        self.report.phase_stats.numeric = fleet.stats().summed_since(&num_before);
         if !numeric.perturbations.is_empty() {
             // The factors exactly factor the bumped matrix; mirror the
             // clamp deltas into the preprocessed diagonal so residuals

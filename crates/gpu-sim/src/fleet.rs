@@ -83,6 +83,15 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
+    /// Every device's statistics delta since the earlier reading `then`,
+    /// summed: what a phase the whole fleet ran on cost.
+    pub fn summed_since(&self, then: &FleetStats) -> GpuStatsSnapshot {
+        let deltas = self.devices.iter().zip(&then.devices);
+        deltas
+            .map(|(now, then)| now.stats.since(&then.stats))
+            .fold(GpuStatsSnapshot::default(), |sum, d| sum + d)
+    }
+
     /// The fleet-wide makespan: the latest clock among live devices (all
     /// devices when every one is dead).
     pub fn makespan(&self) -> SimTime {

@@ -28,7 +28,10 @@ pub struct NumericOutcome {
     pub lu: Csc,
     /// Simulated time of the numeric phase.
     pub time: SimTime,
-    /// GPU statistics delta.
+    /// GPU statistics delta of the home device (the one the phase's
+    /// factors end on). A split level's shares on other devices are not
+    /// in it: a whole-fleet figure sums every device's delta
+    /// ([`gplu_sim::FleetStats::summed_since`]).
     pub stats: GpuStatsSnapshot,
     /// How many levels ran in each kernel mode.
     pub mode_mix: ModeMix,

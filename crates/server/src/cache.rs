@@ -118,20 +118,79 @@ struct Slot {
     stamp: u64,
 }
 
+/// One memory tier: its entries by pattern, the bytes they charge, and
+/// the budget those bytes stay within.
 #[derive(Debug)]
-struct HostSlot {
-    entry: Arc<CachedFactor>,
-    bytes: u64,
-    stamp: u64,
+struct Tier {
+    map: HashMap<u64, Slot>,
+    used: u64,
+    budget: u64,
+    tick: u64,
+}
+
+impl Tier {
+    fn new(budget: u64) -> Self {
+        Tier {
+            map: HashMap::new(),
+            used: 0,
+            budget,
+            tick: 0,
+        }
+    }
+
+    /// The entry for `fp`, marked most recently used.
+    fn touch(&mut self, fp: u64) -> Option<Arc<CachedFactor>> {
+        self.tick += 1;
+        let slot = self.map.get_mut(&fp)?;
+        slot.stamp = self.tick;
+        Some(Arc::clone(&slot.entry))
+    }
+
+    /// Removes `fp` and releases its charge.
+    fn take(&mut self, fp: u64) -> Option<Slot> {
+        let slot = self.map.remove(&fp)?;
+        self.used -= slot.bytes;
+        Some(slot)
+    }
+
+    /// Evicts least-recently-used entries until `bytes` more fit, handing
+    /// each to `evicted`: the caller demotes or drops it. False when not
+    /// even the emptied tier holds `bytes`.
+    fn make_room(&mut self, bytes: u64, mut evicted: impl FnMut(u64, Slot)) -> bool {
+        while self.used + bytes > self.budget {
+            let lru = self
+                .map
+                .iter()
+                .min_by_key(|(_, s)| s.stamp)
+                .map(|(fp, _)| *fp);
+            let Some(fp) = lru else { return false };
+            let slot = self.take(fp).expect("lru key present");
+            evicted(fp, slot);
+        }
+        true
+    }
+
+    /// Charges `bytes` and stores the entry as the most recently used;
+    /// the caller made room.
+    fn put(&mut self, fp: u64, entry: Arc<CachedFactor>, bytes: u64) {
+        self.tick += 1;
+        self.used += bytes;
+        let stamp = self.tick;
+        self.map.insert(
+            fp,
+            Slot {
+                entry,
+                bytes,
+                stamp,
+            },
+        );
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
-    map: HashMap<u64, Slot>,
-    host: HashMap<u64, HostSlot>,
-    used: u64,
-    host_used: u64,
-    tick: u64,
+    device: Tier,
+    host: Tier,
 }
 
 /// Monotone counters the service report exposes.
@@ -255,8 +314,6 @@ fn flusher_loop(store: &PlanStore, stats: &DiskStats, rx: &mpsc::Receiver<FlushM
 #[derive(Debug)]
 pub struct FactorCache {
     inner: Mutex<Inner>,
-    device_budget: u64,
-    host_budget: u64,
     disk: Option<DiskTier>,
     /// Audit trail of rejected persisted entries (satellite of the "no
     /// wrong answers" contract: every cold fallback is documented).
@@ -309,14 +366,9 @@ impl FactorCache {
         });
         FactorCache {
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                host: HashMap::new(),
-                used: 0,
-                host_used: 0,
-                tick: 0,
+                device: Tier::new(device_budget_bytes),
+                host: Tier::new(host_budget_bytes),
             }),
-            device_budget: device_budget_bytes,
-            host_budget: host_budget_bytes,
             disk,
             rejects: Mutex::new(RecoveryLog::default()),
             hits: AtomicU64::new(0),
@@ -345,19 +397,12 @@ impl FactorCache {
     pub fn lookup_tiered(&self, pattern_fp: u64) -> Option<(Arc<CachedFactor>, CacheTier)> {
         {
             let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(slot) = inner.map.get_mut(&pattern_fp) {
-                slot.stamp = tick;
+            if let Some(entry) = inner.device.touch(pattern_fp) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some((Arc::clone(&slot.entry), CacheTier::Device));
+                return Some((entry, CacheTier::Device));
             }
-            if let Some(hs) = inner.host.remove(&pattern_fp) {
-                inner.host_used -= hs.bytes;
+            if let Some(entry) = self.promote_locked(&mut inner, pattern_fp) {
                 self.host_hits.fetch_add(1, Ordering::Relaxed);
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                let entry = Arc::clone(&hs.entry);
-                self.insert_locked(&mut inner, pattern_fp, hs.entry, hs.bytes);
                 return Some((entry, CacheTier::Host));
             }
         }
@@ -368,7 +413,7 @@ impl FactorCache {
             self.promotions.fetch_add(1, Ordering::Relaxed);
             let bytes = entry.approx_bytes().max(1);
             let mut inner = self.inner.lock().unwrap();
-            if let Some(slot) = inner.map.get(&pattern_fp) {
+            if let Some(slot) = inner.device.map.get(&pattern_fp) {
                 // Raced another worker's promotion; share its entry.
                 return Some((Arc::clone(&slot.entry), CacheTier::Disk));
             }
@@ -392,18 +437,14 @@ impl FactorCache {
         let entry = Arc::new(entry);
         let winner = {
             let mut inner = self.inner.lock().unwrap();
-            if let Some(slot) = inner.map.get(&pattern_fp) {
+            if let Some(slot) = inner.device.map.get(&pattern_fp) {
                 // Lost a cold-miss race: both workers built plans, first
                 // insertion wins so every later job shares one entry.
                 return Arc::clone(&slot.entry);
             }
-            if let Some(hs) = inner.host.remove(&pattern_fp) {
+            if let Some(existing) = self.promote_locked(&mut inner, pattern_fp) {
                 // The pattern was demoted (or rewarmed) concurrently;
                 // the resident artifacts win over the rebuilt ones.
-                inner.host_used -= hs.bytes;
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                let existing = Arc::clone(&hs.entry);
-                self.insert_locked(&mut inner, pattern_fp, hs.entry, hs.bytes);
                 return existing;
             }
             if self.insert_locked(&mut inner, pattern_fp, Arc::clone(&entry), bytes) {
@@ -421,84 +462,63 @@ impl FactorCache {
         winner
     }
 
-    /// Device-tier insertion under the lock: evicts (demotes) the LRU
-    /// until the entry fits. Returns false when the entry is bigger than
-    /// the whole device budget.
+    /// Moves `fp` host → device, if the host tier holds it.
+    fn promote_locked(&self, inner: &mut Inner, fp: u64) -> Option<Arc<CachedFactor>> {
+        let slot = inner.host.take(fp)?;
+        self.promotions.fetch_add(1, Ordering::Relaxed);
+        let entry = Arc::clone(&slot.entry);
+        self.insert_locked(inner, fp, slot.entry, slot.bytes);
+        Some(entry)
+    }
+
+    /// Device-tier insertion under the lock: demotes the LRU until the
+    /// entry fits. Returns false when the entry is bigger than the whole
+    /// device budget.
+    ///
+    /// A demoted entry's device charge is released *before* the host
+    /// charge is taken, so an entry is only ever accounted against one
+    /// tier's budget at a time. An entry the host tier cannot hold simply
+    /// drops (any in-flight `Arc` holders keep it alive; the disk tier
+    /// may still hold its plan).
     fn insert_locked(
         &self,
         inner: &mut Inner,
-        pattern_fp: u64,
+        fp: u64,
         entry: Arc<CachedFactor>,
         bytes: u64,
     ) -> bool {
-        while inner.used + bytes > self.device_budget {
-            let lru = inner
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(fp, _)| *fp);
-            match lru {
-                Some(fp) => self.demote_locked(inner, fp),
-                None => {
-                    self.oversize_skipped.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
+        let Inner { device, host } = inner;
+        let fits = device.make_room(bytes, |victim, slot| {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            if self.admit_to_host(host, victim, slot.entry, slot.bytes) {
+                self.demotions.fetch_add(1, Ordering::Relaxed);
             }
+        });
+        if !fits {
+            self.oversize_skipped.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
-        inner.used += bytes;
-        inner.tick += 1;
-        let stamp = inner.tick;
-        inner.map.insert(
-            pattern_fp,
-            Slot {
-                entry,
-                bytes,
-                stamp,
-            },
-        );
+        device.put(fp, entry, bytes);
         true
     }
 
-    /// Moves one entry device → host. The device charge is released
-    /// *before* the host byte charge is taken, so an entry is only ever
-    /// accounted against one tier's budget at a time. With no host
-    /// budget the entry simply drops (any in-flight `Arc` holders keep
-    /// it alive; the disk tier may still hold its plan).
-    fn demote_locked(&self, inner: &mut Inner, victim_fp: u64) {
-        let slot = inner.map.remove(&victim_fp).expect("lru key present");
-        let bytes = slot.bytes;
-        inner.used -= bytes;
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        if bytes > self.host_budget {
-            return;
+    /// Host-tier admission: drops the host LRU until the entry fits.
+    /// Returns false when the entry is bigger than the whole host budget.
+    fn admit_to_host(
+        &self,
+        host: &mut Tier,
+        fp: u64,
+        entry: Arc<CachedFactor>,
+        bytes: u64,
+    ) -> bool {
+        if bytes > host.budget {
+            return false;
         }
-        while inner.host_used + bytes > self.host_budget {
-            let lru = inner
-                .host
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(fp, _)| *fp);
-            match lru {
-                Some(fp) => {
-                    let hs = inner.host.remove(&fp).expect("host lru present");
-                    inner.host_used -= hs.bytes;
-                    self.host_evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => return,
-            }
-        }
-        inner.tick += 1;
-        let stamp = inner.tick;
-        inner.host.insert(
-            victim_fp,
-            HostSlot {
-                entry: slot.entry,
-                bytes,
-                stamp,
-            },
-        );
-        inner.host_used += bytes;
-        self.demotions.fetch_add(1, Ordering::Relaxed);
+        host.make_room(bytes, |_, _| {
+            self.host_evictions.fetch_add(1, Ordering::Relaxed);
+        });
+        host.put(fp, entry, bytes);
+        true
     }
 
     /// Loads and validates a persisted plan. Corrupt, truncated,
@@ -575,44 +595,14 @@ impl FactorCache {
                 continue;
             };
             let bytes = entry.approx_bytes().max(1);
-            if bytes > self.host_budget {
-                continue;
-            }
             let mut inner = self.inner.lock().unwrap();
-            if inner.map.contains_key(&key) || inner.host.contains_key(&key) {
+            if inner.device.map.contains_key(&key) || inner.host.map.contains_key(&key) {
                 continue;
             }
-            while inner.host_used + bytes > self.host_budget {
-                let lru = inner
-                    .host
-                    .iter()
-                    .min_by_key(|(_, s)| s.stamp)
-                    .map(|(fp, _)| *fp);
-                match lru {
-                    Some(fp) => {
-                        let hs = inner.host.remove(&fp).expect("host lru present");
-                        inner.host_used -= hs.bytes;
-                        self.host_evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => break,
-                }
+            if self.admit_to_host(&mut inner.host, key, entry, bytes) {
+                self.rewarmed.fetch_add(1, Ordering::Relaxed);
+                count += 1;
             }
-            if inner.host_used + bytes > self.host_budget {
-                continue;
-            }
-            inner.tick += 1;
-            let stamp = inner.tick;
-            inner.host.insert(
-                key,
-                HostSlot {
-                    entry,
-                    bytes,
-                    stamp,
-                },
-            );
-            inner.host_used += bytes;
-            self.rewarmed.fetch_add(1, Ordering::Relaxed);
-            count += 1;
         }
         count
     }
@@ -626,13 +616,11 @@ impl FactorCache {
     pub fn remove(&self, pattern_fp: u64) -> bool {
         let mut inner = self.inner.lock().unwrap();
         let mut present = false;
-        if let Some(slot) = inner.map.remove(&pattern_fp) {
-            inner.used -= slot.bytes;
+        if inner.device.take(pattern_fp).is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             present = true;
         }
-        if let Some(hs) = inner.host.remove(&pattern_fp) {
-            inner.host_used -= hs.bytes;
+        if inner.host.take(pattern_fp).is_some() {
             self.host_evictions.fetch_add(1, Ordering::Relaxed);
             present = true;
         }
@@ -668,7 +656,7 @@ impl FactorCache {
 
     /// Device-cached patterns right now.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.inner.lock().unwrap().device.map.len()
     }
 
     /// True when nothing is device-cached.
@@ -678,29 +666,29 @@ impl FactorCache {
 
     /// Host-tier entries right now.
     pub fn host_len(&self) -> usize {
-        self.inner.lock().unwrap().host.len()
+        self.inner.lock().unwrap().host.map.len()
     }
 
     /// Device budget bytes currently charged (covers only device-resident
     /// entries — demoted entries are charged to
     /// [`FactorCache::host_used_bytes`] instead, never both).
     pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().used
+        self.inner.lock().unwrap().device.used
     }
 
     /// Host-tier bytes currently charged.
     pub fn host_used_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().host_used
+        self.inner.lock().unwrap().host.used
     }
 
     /// Configured device budget.
     pub fn capacity(&self) -> u64 {
-        self.device_budget
+        self.inner.lock().unwrap().device.budget
     }
 
     /// Configured host-tier budget.
     pub fn host_capacity(&self) -> u64 {
-        self.host_budget
+        self.inner.lock().unwrap().host.budget
     }
 
     /// True when this cache was built with a persistent tier.

@@ -386,7 +386,7 @@ fn threshold_pivoting_is_pinned_per_family() {
     );
     let want = (
         0x85545838054d20ab,
-        0x1381e45ee8cdc93c,
+        0xe9c2302381773d6d,
         0x410f2b9711111103,
         0x4133263ee2222220,
     );

@@ -23,7 +23,7 @@
 use gplu::prelude::*;
 use gplu::sim::FaultPlan;
 use gplu::sparse::gen::random::random_dominant;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Matrix-seed offset from `GPLU_RESILIENCE_SEED` (default 0).
@@ -34,8 +34,23 @@ fn seed_base() -> u64 {
         .unwrap_or(0)
 }
 
-/// Fresh scratch directory per call (no tempfile dependency).
-fn ckpt_dir(tag: &str) -> PathBuf {
+/// A fresh scratch directory path per call (no tempfile dependency),
+/// removed with everything in it when the guard drops.
+struct CkptDir(PathBuf);
+
+impl CkptDir {
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for CkptDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn ckpt_dir(tag: &str) -> CkptDir {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "gplu-resilience-{}-{tag}-{}",
@@ -43,7 +58,7 @@ fn ckpt_dir(tag: &str) -> PathBuf {
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    CkptDir(dir)
 }
 
 fn gpu_for(a: &gplu::sparse::Csr) -> Gpu {
@@ -107,7 +122,7 @@ fn crash_at_every_ordinal_then_resume_is_bit_identical() {
         // Clean checkpointed run: bit-identical, and its crash-point count
         // enumerates every durability boundary a kill could land on.
         let dir = ckpt_dir(&format!("clean-{tag}"));
-        let ckpt = CheckpointOptions::new(&dir).every(2);
+        let ckpt = CheckpointOptions::new(dir.path()).every(2);
         let gpu = gpu_for(&a);
         let f = LuFactorization::compute_checkpointed(&gpu, &a, &opts, &ckpt, &gplu_trace::NOOP)
             .unwrap_or_else(|e| panic!("[{tag}] checkpointed run failed: {e}"));
@@ -120,7 +135,7 @@ fn crash_at_every_ordinal_then_resume_is_bit_identical() {
 
         for k in 1..=n_ordinals {
             let dir = ckpt_dir(&format!("crash-{tag}-{k}"));
-            let ckpt = CheckpointOptions::new(&dir).every(2);
+            let ckpt = CheckpointOptions::new(dir.path()).every(2);
 
             // Kill the run at ordinal k.
             let gpu = gpu_with_plan(&a, FaultPlan::new().crash_at(k));
@@ -138,7 +153,7 @@ fn crash_at_every_ordinal_then_resume_is_bit_identical() {
                 &gpu_for(&a),
                 &a,
                 &opts,
-                &CheckpointOptions::new(&dir).every(2).resume(true),
+                &CheckpointOptions::new(dir.path()).every(2).resume(true),
                 &gplu_trace::NOOP,
             )
             .unwrap_or_else(|e| panic!("[{tag}] resume after crash at {k} failed: {e}"));
@@ -173,7 +188,8 @@ fn crash_at_every_ordinal_under_threshold_pivoting_resumes_bit_identically() {
         let counters = |f: &LuFactorization| (f.report.probes, f.report.merge_steps);
 
         let gpu = gpu_for(&a);
-        let ckpt = CheckpointOptions::new(ckpt_dir(&format!("threshold-{tag}"))).every(2);
+        let clean_dir = ckpt_dir(&format!("threshold-{tag}"));
+        let ckpt = CheckpointOptions::new(clean_dir.path()).every(2);
         let f = LuFactorization::compute_checkpointed(&gpu, &a, &opts, &ckpt, &gplu_trace::NOOP)
             .unwrap_or_else(|e| panic!("[{tag}] checkpointed run failed: {e}"));
         assert_factors_equal(&f, &reference, &format!("[{tag}] checkpointed vs plain"));
@@ -184,7 +200,7 @@ fn crash_at_every_ordinal_under_threshold_pivoting_resumes_bit_identically() {
         for k in 1..=n_ordinals {
             let dir = ckpt_dir(&format!("threshold-crash-{tag}-{k}"));
             let gpu = gpu_with_plan(&a, FaultPlan::new().crash_at(k));
-            let ckpt = CheckpointOptions::new(&dir).every(2);
+            let ckpt = CheckpointOptions::new(dir.path()).every(2);
             let err =
                 LuFactorization::compute_checkpointed(&gpu, &a, &opts, &ckpt, &gplu_trace::NOOP)
                     .expect_err("crash plan must kill the run");
@@ -193,7 +209,7 @@ fn crash_at_every_ordinal_under_threshold_pivoting_resumes_bit_identically() {
                 &gpu_for(&a),
                 &a,
                 &opts,
-                &CheckpointOptions::new(&dir).every(2).resume(true),
+                &CheckpointOptions::new(dir.path()).every(2).resume(true),
                 &gplu_trace::NOOP,
             )
             .unwrap_or_else(|e| panic!("[{tag}] resume after crash at {k} failed: {e}"));
@@ -210,16 +226,17 @@ fn crash_at_every_ordinal_under_threshold_pivoting_resumes_bit_identically() {
 fn resumed_factors_solve_the_system() {
     let a = random_dominant(150, 4.0, 11 + seed_base());
     let dir = ckpt_dir("solve");
-    let ckpt = CheckpointOptions::new(&dir).every(2);
+    let ckpt = CheckpointOptions::new(dir.path()).every(2);
     let opts = LuOptions::default();
 
     // Find a late ordinal (inside the numeric phase) by counting first.
     let probe = gpu_for(&a);
+    let probe_dir = ckpt_dir("solve-probe");
     LuFactorization::compute_checkpointed(
         &probe,
         &a,
         &opts,
-        &CheckpointOptions::new(ckpt_dir("solve-probe")).every(2),
+        &CheckpointOptions::new(probe_dir.path()).every(2),
         &gplu_trace::NOOP,
     )
     .expect("probe run");
@@ -232,7 +249,7 @@ fn resumed_factors_solve_the_system() {
         &gpu_for(&a),
         &a,
         &opts,
-        &CheckpointOptions::new(&dir).every(2).resume(true),
+        &CheckpointOptions::new(dir.path()).every(2).resume(true),
         &gplu_trace::NOOP,
     )
     .expect("resume");
@@ -266,18 +283,19 @@ fn blocked_resumes_mid_level_with_intact_tile_count() {
 
     // Find a late ordinal (inside the numeric phase) by counting first.
     let probe = gpu_for(&a);
+    let probe_dir = ckpt_dir("blocked-probe");
     LuFactorization::compute_checkpointed(
         &probe,
         &a,
         &opts,
-        &CheckpointOptions::new(ckpt_dir("blocked-probe")).every(2),
+        &CheckpointOptions::new(probe_dir.path()).every(2),
         &gplu_trace::NOOP,
     )
     .expect("probe run");
     let late = probe.stats().crash_points.saturating_sub(1).max(1);
 
     let dir = ckpt_dir("blocked-crash");
-    let ckpt = CheckpointOptions::new(&dir).every(2);
+    let ckpt = CheckpointOptions::new(dir.path()).every(2);
     let gpu = gpu_with_plan(&a, FaultPlan::new().crash_at(late));
     LuFactorization::compute_checkpointed(&gpu, &a, &opts, &ckpt, &gplu_trace::NOOP)
         .expect_err("crash plan must kill the run");
@@ -286,7 +304,7 @@ fn blocked_resumes_mid_level_with_intact_tile_count() {
         &gpu_for(&a),
         &a,
         &opts,
-        &CheckpointOptions::new(&dir).every(2).resume(true),
+        &CheckpointOptions::new(dir.path()).every(2).resume(true),
         &gplu_trace::NOOP,
     )
     .expect("resume");
@@ -309,7 +327,7 @@ fn corrupted_snapshots_are_a_typed_error() {
         &gpu_for(&a),
         &a,
         &opts,
-        &CheckpointOptions::new(&dir).every(2),
+        &CheckpointOptions::new(dir.path()).every(2),
         &gplu_trace::NOOP,
     )
     .expect("checkpointed run");
@@ -317,7 +335,7 @@ fn corrupted_snapshots_are_a_typed_error() {
     // Flip one byte deep in every snapshot (past the header so the file
     // still looks like a checkpoint — the checksum must catch it).
     let mut flipped = 0;
-    for entry in std::fs::read_dir(&dir).expect("read dir") {
+    for entry in std::fs::read_dir(dir.path()).expect("read dir") {
         let path = entry.expect("entry").path();
         if path.extension().and_then(|e| e.to_str()) != Some("ckpt") {
             continue;
@@ -334,7 +352,7 @@ fn corrupted_snapshots_are_a_typed_error() {
         &gpu_for(&a),
         &a,
         &opts,
-        &CheckpointOptions::new(&dir).every(2).resume(true),
+        &CheckpointOptions::new(dir.path()).every(2).resume(true),
         &gplu_trace::NOOP,
     )
     .expect_err("resume from corrupted snapshots must fail");
@@ -355,7 +373,7 @@ fn resume_with_mismatched_matrix_is_a_typed_error() {
         &gpu_for(&a),
         &a,
         &opts,
-        &CheckpointOptions::new(&dir).every(2),
+        &CheckpointOptions::new(dir.path()).every(2),
         &gplu_trace::NOOP,
     )
     .expect("checkpointed run");
@@ -364,7 +382,7 @@ fn resume_with_mismatched_matrix_is_a_typed_error() {
         &gpu_for(&b),
         &b,
         &opts,
-        &CheckpointOptions::new(&dir).every(2).resume(true),
+        &CheckpointOptions::new(dir.path()).every(2).resume(true),
         &gplu_trace::NOOP,
     )
     .expect_err("resume against the wrong matrix must fail");
@@ -379,11 +397,12 @@ fn resume_with_mismatched_matrix_is_a_typed_error() {
 #[test]
 fn zero_cadence_is_rejected() {
     let a = random_dominant(60, 4.0, 41 + seed_base());
+    let dir = ckpt_dir("zero");
     let err = LuFactorization::compute_checkpointed(
         &gpu_for(&a),
         &a,
         &LuOptions::default(),
-        &CheckpointOptions::new(ckpt_dir("zero")).every(0),
+        &CheckpointOptions::new(dir.path()).every(0),
         &gplu_trace::NOOP,
     )
     .expect_err("cadence 0 must be rejected");
