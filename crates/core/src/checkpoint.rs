@@ -754,9 +754,9 @@ impl CheckpointSession {
     }
 
     /// Cuts a snapshot, from inside a running kernel loop. Crash points
-    /// bracket the write; I/O failures surface as
-    /// [`SimError::BadLaunch`] so the engine aborts (the pipeline
-    /// rewraps them via [`CheckpointSession::cut`]'s mapping).
+    /// bracket the write; an I/O failure surfaces as [`SimError::Aborted`],
+    /// which stops the engine without costing it a device or a ladder rung
+    /// and reaches the caller as [`GpluError::Checkpoint`].
     pub fn cut_in_kernel(
         &mut self,
         gpu: &Gpu,
@@ -785,7 +785,7 @@ impl CheckpointSession {
         let bytes = self
             .store
             .save(seq, &snap)
-            .map_err(|e| SimError::BadLaunch(format!("checkpoint write failed: {e}")))?;
+            .map_err(|e| SimError::Aborted(format!("checkpoint write failed: {e}")))?;
         gpu.advance(SimTime::from_ns(bytes as f64 * WRITE_NS_PER_BYTE));
         trace.span_end(
             "checkpoint.save",
@@ -810,10 +810,7 @@ impl CheckpointSession {
         partial: Option<(u32, Vec<u8>)>,
     ) -> Result<(), GpluError> {
         self.cut_in_kernel(gpu, trace, mark, partial)
-            .map_err(|e| match e {
-                SimError::BadLaunch(msg) => GpluError::Checkpoint(msg),
-                other => GpluError::from(other),
-            })
+            .map_err(GpluError::from)
     }
 }
 

@@ -86,7 +86,8 @@ pub enum GpluError {
     /// one being factorized.
     CheckpointMismatch(String),
     /// Checkpoint configuration or I/O failure (bad flag combination,
-    /// unwritable directory, failed write).
+    /// unwritable directory, failed write), and every other host abort
+    /// ([`SimError::Aborted`]).
     Checkpoint(String),
     /// The solver service's bounded admission queue is full — the typed
     /// backpressure signal: resubmit later or shed load upstream.
@@ -233,6 +234,9 @@ impl From<SimError> for GpluError {
             // callers (and the chaos suite) can distinguish "the process
             // died as scheduled" from a genuine device failure.
             SimError::Crashed { ordinal } => GpluError::Crashed { ordinal },
+            // The host stopped the run; a failed snapshot write is the
+            // reason one reaches a caller.
+            SimError::Aborted(msg) => GpluError::Checkpoint(msg),
             other => GpluError::Sim(other),
         }
     }
@@ -279,6 +283,8 @@ mod tests {
         assert!(matches!(e, GpluError::Sim(_)));
         let e: GpluError = NumericError::Input("bad rhs".into()).into();
         assert!(matches!(e, GpluError::Input(_)));
+        let e: GpluError = NumericError::Sim(SimError::Aborted("write".into())).into();
+        assert_eq!(e, GpluError::Checkpoint("write".into()));
     }
 
     #[test]

@@ -23,11 +23,8 @@
 //! A device that fails (injected OOM past the chunk backoff, or a launch
 //! fault) while another is still alive is marked dead, a survivor pays for
 //! what it alone held, and the loss lands in the recovery log as
-//! [`RecoveryAction::DeviceLost`]. The numeric phase hands the *last* live
-//! device's failure to the format ladder instead, exactly as a lone
-//! `Gpu`'s; the symbolic phase does so on a fleet of one (its engine
-//! ladder falls back to unified memory), while on a larger fleet a
-//! whole-fleet death there is terminal, as is an injected crash.
+//! [`RecoveryAction::DeviceLost`]. Both phases hand the *last* live
+//! device's failure to their ladders, exactly as a lone `Gpu`'s.
 //!
 //! [`RecoveryAction::DeviceLost`]: crate::RecoveryAction::DeviceLost
 

@@ -38,7 +38,6 @@ use gplu_symbolic::{
     ChunkProgress, SymbolicResult, SymbolicResume, UmMode,
 };
 use gplu_trace::{AttrValue, TraceSink, NOOP};
-use std::cell::RefCell;
 
 /// Which symbolic engine the pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -340,7 +339,7 @@ fn run_symbolic(
                 UmMode::NoPrefetch
             };
             let Some(&lead) = fleet.alive().first() else {
-                return Err(SimError::BadLaunch("no live device".into()));
+                return Err(SimError::Aborted("no live device".into()));
             };
             let out = symbolic_um_traced(fleet.device(lead), matrix, mode, trace)?;
             // The lead counted every row: the fill-count merge of a shard
@@ -369,34 +368,7 @@ fn run_symbolic(
         trace_recovery(trace, fleet.makespan().as_ns(), Phase::Symbolic, &action);
         recovery.record(Phase::Symbolic, action);
     }
-    if let Some(fr) = &mut report.fleet {
-        fr.resharded_rows += out.resharded_rows;
-    }
     Ok((out.result, out.resharded_rows))
-}
-
-/// Cuts an in-kernel snapshot from an engine hook. Injected crashes
-/// pass through untouched (they must abort the whole pipeline), while
-/// checkpoint I/O failures are stashed in `slot` and replaced with a
-/// sentinel device error: the engine aborts, and the ladder rethrows
-/// the stored error instead of degrading around a broken disk.
-fn hooked_cut(
-    sess: &mut CheckpointSession,
-    gpu: &Gpu,
-    trace: &dyn TraceSink,
-    slot: &RefCell<Option<GpluError>>,
-    mark: PhaseMark,
-    payload: (u32, Vec<u8>),
-) -> Result<(), SimError> {
-    match sess.cut_in_kernel(gpu, trace, mark, Some(payload)) {
-        Ok(()) => Ok(()),
-        Err(e @ SimError::Crashed { .. }) => Err(e),
-        Err(SimError::BadLaunch(msg)) => {
-            *slot.borrow_mut() = Some(GpluError::Checkpoint(msg));
-            Err(SimError::BadLaunch("checkpoint write failed".into()))
-        }
-        Err(other) => Err(other),
-    }
 }
 
 /// Overwrites the diagonal value of column `col` in both the factorized
@@ -608,9 +580,6 @@ pub(crate) struct Pass<'a> {
     trace: &'a dyn TraceSink,
     pub(crate) recovery: RecoveryLog,
     pub(crate) report: PhaseReport,
-    /// Checkpoint I/O failures inside engine hooks land here (see
-    /// `hooked_cut`); the ladders rethrow them instead of degrading.
-    ckpt_err: RefCell<Option<GpluError>>,
 }
 
 /// The numeric phase's inputs: everything [`Pass::numeric`] needs beyond
@@ -670,7 +639,6 @@ impl<'a> Pass<'a> {
             trace,
             recovery: RecoveryLog::default(),
             report,
-            ckpt_err: RefCell::new(None),
         }
     }
 
@@ -683,7 +651,7 @@ impl<'a> Pass<'a> {
     fn lead(&self) -> Result<&'a Gpu, GpluError> {
         let lead = (0..self.fleet.len()).find(|&d| !self.fleet.is_dead(d));
         lead.map(|d| self.fleet.device(d))
-            .ok_or_else(|| GpluError::Sim(SimError::BadLaunch("no live devices in fleet".into())))
+            .ok_or_else(|| SimError::Aborted("no live devices in fleet".into()).into())
     }
 
     /// Advances every live device's clock by `t` — host-side work
@@ -701,21 +669,24 @@ impl<'a> Pass<'a> {
         self.recovery.record(phase, action);
     }
 
-    /// Logs every device that died since the last call as
-    /// [`RecoveryAction::DeviceLost`] (fleet-taking entry points only; a
-    /// borrowed fleet of one never loses its device).
+    /// Counts a phase's `resharded` rows or columns and logs every device
+    /// that died since the last call as [`RecoveryAction::DeviceLost`]
+    /// (fleet-taking entry points only; a borrowed fleet of one never
+    /// loses its device).
     fn note_losses(&mut self, phase: Phase, resharded: usize) {
-        let (Some(before), Some(fr)) = (&self.fleet_before, &self.report.fleet) else {
+        let (Some(before), Some(fr)) = (&self.fleet_before, &mut self.report.fleet) else {
             return;
         };
+        match phase {
+            Phase::Symbolic => fr.resharded_rows += resharded,
+            _ => fr.resharded_cols += resharded,
+        }
         let lost: Vec<usize> = (0..self.fleet.len())
             .filter(|&d| self.fleet.is_dead(d) && !before.devices[d].dead && !fr.dead.contains(&d))
             .collect();
+        fr.dead.extend(&lost);
         for device in lost {
             self.recover(phase, RecoveryAction::DeviceLost { device, resharded });
-            if let Some(fr) = &mut self.report.fleet {
-                fr.dead.push(device);
-            }
         }
     }
 
@@ -967,7 +938,7 @@ impl<'a> Pass<'a> {
             SymbolicEngine::UmNoPrefetch => &[SymbolicEngine::UmNoPrefetch],
             SymbolicEngine::UmPrefetch => &[SymbolicEngine::UmPrefetch],
         };
-        let trace = self.trace;
+        let (trace, lead) = (self.trace, self.lead()?);
         let every = self.session.as_ref().map_or(usize::MAX, |s| s.every());
         trace.span_begin(
             "phase.symbolic",
@@ -993,7 +964,6 @@ impl<'a> Pass<'a> {
                 );
             }
             attempts += 1;
-            let lead = self.lead();
             // Partial state only replays on the rung that cut it.
             let rung_resume = partial
                 .filter(|(tag, _)| *tag == checkpoint::engine_tag(engine))
@@ -1001,14 +971,13 @@ impl<'a> Pass<'a> {
             let mut hook_storage;
             let hook: Option<&mut ChunkHook<'_>> = match self.session.as_deref_mut() {
                 Some(sess) => {
-                    let (gpu, slot) = (lead?, &self.ckpt_err);
                     hook_storage = move |p: &ChunkProgress| -> Result<(), SimError> {
                         if !p.iters_done.is_multiple_of(every) {
                             return Ok(());
                         }
                         let payload =
                             CheckpointSession::symbolic_partial_payload(engine, p.to_resume());
-                        hooked_cut(sess, gpu, trace, slot, PhaseMark::SymbolicPartial, payload)
+                        sess.cut_in_kernel(lead, trace, PhaseMark::SymbolicPartial, Some(payload))
                     };
                     Some(&mut hook_storage)
                 }
@@ -1032,18 +1001,12 @@ impl<'a> Pass<'a> {
                     used_engine = engine;
                     break;
                 }
-                Err(e) => {
-                    if let Some(ce) = self.ckpt_err.borrow_mut().take() {
-                        return Err(ce);
-                    }
-                    if matches!(e, SimError::Crashed { .. }) {
-                        // An injected kill is terminal by design: no
-                        // ladder degrades around it — a later run
-                        // resumes from the last durable snapshot.
-                        return Err(e.into());
-                    }
-                    last_err = Some(e);
-                }
+                // An injected kill or a host abort (a failed snapshot
+                // write, unusable resume state) stops the run: no ladder
+                // degrades around it — a later run resumes from the last
+                // durable snapshot.
+                Err(e) if e.is_terminal() => return Err(e.into()),
+                Err(e) => last_err = Some(e),
             }
         }
         trace.span_end(
@@ -1057,7 +1020,7 @@ impl<'a> Pass<'a> {
             ],
         );
         symbolic.ok_or_else(|| {
-            let last = last_err.unwrap_or(SimError::BadLaunch("no symbolic engine ran".into()));
+            let last = last_err.unwrap_or(SimError::Aborted("no symbolic engine ran".into()));
             ladder_exhausted(Phase::Symbolic, attempts, last)
         })
     }
@@ -1292,7 +1255,6 @@ impl<'a> Pass<'a> {
                 let mut hook_storage;
                 let hook: Option<&mut LevelHook<'_>> = match self.session.as_deref_mut() {
                     Some(sess) => {
-                        let slot = &self.ckpt_err;
                         hook_storage = move |p: &LevelProgress<'_, '_>| -> Result<(), SimError> {
                             let done = p.level + 1;
                             if !done.is_multiple_of(every) && done != p.n_levels {
@@ -1308,7 +1270,8 @@ impl<'a> Pass<'a> {
                                 gemm_tiles: p.gemm_tiles,
                             };
                             let payload = CheckpointSession::numeric_partial_payload(format, state);
-                            hooked_cut(sess, lead, trace, slot, PhaseMark::NumericPartial, payload)
+                            let mark = PhaseMark::NumericPartial;
+                            sess.cut_in_kernel(lead, trace, mark, Some(payload))
                         };
                         Some(&mut hook_storage)
                     }
@@ -1340,21 +1303,9 @@ impl<'a> Pass<'a> {
                 let resharded = run.as_ref().map_or(0, |out| out.resharded_cols);
                 self.note_losses(Phase::Numeric, resharded);
                 match run {
-                    Ok(out) => {
-                        if let Some(fr) = &mut self.report.fleet {
-                            fr.resharded_cols += out.resharded_cols;
-                        }
-                        break 'numeric (out.outcome, format);
-                    }
-                    Err(NumericError::Sim(e)) => {
-                        if let Some(ce) = self.ckpt_err.borrow_mut().take() {
-                            return Err(ce);
-                        }
-                        if matches!(e, SimError::Crashed { .. }) {
-                            return Err(e.into());
-                        }
-                        last_err = Some(e);
-                    }
+                    Ok(out) => break 'numeric (out.outcome, format),
+                    Err(NumericError::Sim(e)) if e.is_terminal() => return Err(e.into()),
+                    Err(NumericError::Sim(e)) => last_err = Some(e),
                     Err(NumericError::SingularPivot { col, level }) => {
                         // A pivot cancelled to zero mid-elimination. The
                         // structure is unchanged, so the symbolic result
@@ -1399,7 +1350,7 @@ impl<'a> Pass<'a> {
                     Err(NumericError::Input(msg)) => return Err(GpluError::Input(msg)),
                 }
             }
-            let last = last_err.unwrap_or(SimError::BadLaunch("no numeric format ran".into()));
+            let last = last_err.unwrap_or(SimError::Aborted("no numeric format ran".into()));
             return Err(ladder_exhausted(Phase::Numeric, attempts, last));
         };
         self.report.numeric = numeric.time;

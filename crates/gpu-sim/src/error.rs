@@ -1,4 +1,10 @@
 //! Simulator error type.
+//!
+//! Two variants stop a run wherever they arise; every other one is a
+//! device failure the caller may work around ([`SimError::is_terminal`]).
+//! A device failure sheds its device only while another live device can
+//! take the work ([`crate::DeviceFleet::lose`]); otherwise it goes to the
+//! caller's recovery ladder, as on a lone device.
 
 use std::fmt;
 
@@ -25,16 +31,31 @@ pub enum SimError {
         /// Allocation length in bytes.
         len: u64,
     },
-    /// Kernel grid configuration violates device limits.
+    /// A kernel failed to launch: its grid violates device limits, or a
+    /// fault plan failed it.
     BadLaunch(String),
     /// The process was killed at an injected crash point (fault plan
-    /// `crash:at=N`). Unlike every other fault this one is terminal:
-    /// recovery ladders must not degrade around it — the pipeline dies
-    /// and a later run resumes from the last durable checkpoint.
+    /// `crash:at=N`). Unlike every other fault this one is terminal
+    /// ([`SimError::is_terminal`]): recovery ladders must not degrade
+    /// around it — the pipeline dies and a later run resumes from the last
+    /// durable checkpoint.
     Crashed {
         /// Crash-point ordinal (1-based) the kill fired on.
         ordinal: u64,
     },
+    /// The host stopped the run: a checkpoint write from inside a kernel
+    /// loop failed, or the run's own state is unusable (resume state that
+    /// does not fit its matrix, no live device). Terminal, like
+    /// [`SimError::Crashed`]: no device is lost and no ladder degrades.
+    Aborted(String),
+}
+
+impl SimError {
+    /// True for the errors that stop the run: an injected crash and a
+    /// host abort. Every other error is a device failure.
+    pub fn is_terminal(&self) -> bool {
+        matches!(self, SimError::Crashed { .. } | SimError::Aborted(_))
+    }
 }
 
 impl fmt::Display for SimError {
@@ -62,6 +83,7 @@ impl fmt::Display for SimError {
             SimError::Crashed { ordinal } => {
                 write!(f, "process killed at injected crash point #{ordinal}")
             }
+            SimError::Aborted(msg) => write!(f, "run aborted: {msg}"),
         }
     }
 }

@@ -26,8 +26,14 @@
 //!   [`SimError::Crashed`]. Crash points are passed by the pipeline at
 //!   checkpoint sites (immediately before and after each durable write),
 //!   so `crash:at=N` models process death at every possible durability
-//!   boundary. Crashes are terminal: recovery ladders do not degrade
-//!   around them — a later run resumes from the last valid checkpoint.
+//!   boundary. Crashes are terminal ([`SimError::is_terminal`]): recovery
+//!   ladders do not degrade around them — a later run resumes from the
+//!   last valid checkpoint.
+//!
+//! Every other fault is a device failure: on a fleet it sheds the device
+//! while another live device can take the work, and otherwise goes to the
+//! caller's ladder ([`crate::DeviceFleet::lose`]). This module and the
+//! launcher are the only places a [`SimError::BadLaunch`] is built.
 //!
 //! Plans come from the builder API, from a compact spec string
 //! (`FaultPlan::parse("oom:alloc=3,badlaunch:numeric_dense=1")`, also read

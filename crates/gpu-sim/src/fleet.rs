@@ -13,8 +13,10 @@
 //! * **barriers** that advance every live clock to the fleet-wide maximum
 //!   (a sharded phase cannot finish before its slowest shard) and record
 //!   how long each device waited there,
-//! * **liveness tracking** ([`DeviceFleet::mark_dead`]) so chaos suites
-//!   can kill one device and callers can reshard onto the survivors.
+//! * **liveness tracking** under one loss rule ([`DeviceFleet::lose`]): a
+//!   failure sheds its device only while another live device can take
+//!   the work, so callers reshard onto the survivors, and the last live
+//!   device's failure goes to the caller, as a lone device's does.
 //!
 //! Sharded drivers (`gplu-symbolic`'s fleet fill counting, `gplu-numeric`'s
 //! level-partitioned engines) compute values in exactly the same
@@ -25,6 +27,7 @@
 use crate::clock::SimTime;
 use crate::config::GpuConfig;
 use crate::cost::CostModel;
+use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::launch::Gpu;
 use crate::stats::GpuStatsSnapshot;
@@ -90,19 +93,6 @@ impl FleetStats {
         deltas
             .map(|(now, then)| now.stats.since(&then.stats))
             .fold(GpuStatsSnapshot::default(), |sum, d| sum + d)
-    }
-
-    /// The fleet-wide makespan: the latest clock among live devices (all
-    /// devices when every one is dead).
-    pub fn makespan(&self) -> SimTime {
-        let fold_max = |iter: &mut dyn Iterator<Item = SimTime>| {
-            iter.fold(None, |acc: Option<SimTime>, t| {
-                Some(acc.map_or(t, |a| a.max(t)))
-            })
-        };
-        let live = fold_max(&mut self.devices.iter().filter(|d| !d.dead).map(|d| d.stats.now));
-        live.or_else(|| fold_max(&mut self.devices.iter().map(|d| d.stats.now)))
-            .unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -218,15 +208,21 @@ impl<'a> DeviceFleet<'a> {
         &self.devices
     }
 
-    /// Marks device `d` dead: it keeps its clock and stats (the work it
-    /// completed before dying stays priced) but drops out of barriers,
-    /// exchanges and [`DeviceFleet::alive`]. Returns `false` if it was
-    /// already dead.
-    pub fn mark_dead(&self, d: usize) -> bool {
+    /// The one loss rule: decides what device `d` failing with `e` means.
+    /// A terminal error ([`SimError::is_terminal`]) is returned. So is the
+    /// failure of the last live device, which stays alive: its caller's
+    /// ladder handles it, as a lone device's. Otherwise `d` is marked dead:
+    /// it keeps its clock and stats (the work it completed stays priced)
+    /// but drops out of barriers, exchanges and [`DeviceFleet::alive`],
+    /// and its work is the survivors' to take over.
+    pub fn lose(&self, d: usize, e: SimError) -> Result<(), SimError> {
         let mut dead = self.dead.lock();
-        let was = dead[d];
+        let survivor = (0..dead.len()).any(|o| o != d && !dead[o]);
+        if e.is_terminal() || !survivor {
+            return Err(e);
+        }
         dead[d] = true;
-        !was
+        Ok(())
     }
 
     /// Whether device `d` has been marked dead.
@@ -243,13 +239,6 @@ impl<'a> DeviceFleet<'a> {
     /// Number of live devices.
     pub fn n_alive(&self) -> usize {
         self.dead.lock().iter().filter(|&&d| !d).count()
-    }
-
-    /// True once any device has been marked dead — the fleet analogue of
-    /// the cache's disk-down degradation signal, feeding admission
-    /// decisions upstream.
-    pub fn degraded(&self) -> bool {
-        self.dead.lock().iter().any(|&d| d)
     }
 
     /// Prices device `d` receiving `bytes` over the peer link in one leg:
@@ -311,20 +300,14 @@ impl<'a> DeviceFleet<'a> {
         max
     }
 
-    /// The latest clock among live devices (all devices when every one
-    /// is dead). Reads clocks only — level loops call this per span
-    /// timestamp; [`FleetStats::makespan`] is the snapshot holders' twin.
+    /// The latest clock among live devices ([`DeviceFleet::lose`] leaves
+    /// at least one). Reads clocks only — level loops call this per span
+    /// timestamp.
     pub fn makespan(&self) -> SimTime {
         let dead = self.dead.lock();
-        let latest = |with_dead: bool| {
-            let live = self.devices.iter().zip(dead.iter());
-            live.filter(|(_, &d)| with_dead || !d)
-                .map(|(gpu, _)| gpu.now())
-                .reduce(SimTime::max)
-        };
-        latest(false)
-            .or_else(|| latest(true))
-            .unwrap_or(SimTime::ZERO)
+        let live = self.devices.iter().zip(dead.iter()).filter(|(_, &d)| !d);
+        live.map(|(gpu, _)| gpu.now())
+            .fold(SimTime::ZERO, SimTime::max)
     }
 
     /// A consistent snapshot of every device plus the interconnect.
@@ -451,9 +434,8 @@ mod tests {
     fn dead_devices_drop_out_of_barriers_and_exchange() {
         let f = fleet(3);
         f.device(1).advance(SimTime::from_ns(9000.0));
-        assert!(f.mark_dead(1));
-        assert!(!f.mark_dead(1), "second kill is a no-op");
-        assert!(f.degraded());
+        assert_eq!(f.lose(1, SimError::BadLaunch("fault".into())), Ok(()));
+        assert!(f.is_dead(1));
         assert_eq!(f.alive(), vec![0, 2]);
         assert_eq!(f.n_alive(), 2);
         // The dead device's clock no longer drags the barrier.
@@ -464,6 +446,32 @@ mod tests {
         assert_eq!(f.stats().interconnect.exchanges, 2);
         // Makespan ignores the dead clock too.
         assert!(f.makespan() < SimTime::from_ns(9000.0));
+    }
+
+    #[test]
+    fn a_failure_sheds_its_device_only_while_a_survivor_takes_the_work() {
+        let oom = || SimError::OutOfMemory {
+            requested: 1,
+            free: 0,
+            capacity: 0,
+        };
+        let f = fleet(3);
+        assert_eq!(
+            f.lose(1, SimError::Crashed { ordinal: 1 }),
+            Err(SimError::Crashed { ordinal: 1 })
+        );
+        let abort = SimError::Aborted("stop".into());
+        assert_eq!(f.lose(1, abort.clone()), Err(abort));
+        assert_eq!(f.n_alive(), 3, "a terminal error loses no device");
+        assert_eq!(f.lose(1, oom()), Ok(()));
+        assert_eq!(f.lose(0, SimError::BadLaunch("fault".into())), Ok(()));
+        assert_eq!(f.alive(), vec![2]);
+        assert_eq!(f.lose(2, oom()), Err(oom()), "the last live device");
+        assert_eq!(f.alive(), vec![2], "stays alive");
+        // A fleet of one is the same rule with no survivor.
+        let one = fleet(1);
+        assert_eq!(one.lose(0, oom()), Err(oom()));
+        assert_eq!(one.n_alive(), 1);
     }
 
     #[test]

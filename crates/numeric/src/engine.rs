@@ -73,26 +73,29 @@
 //! at every device count.
 //!
 //! **Device loss and the reshard rule.** A device that fails (injected
-//! OOM or launch fault) while another is still alive is marked dead, and
-//! what it held dies with it. Each level ends with a settlement that makes
-//! the home device whole: columns some live device holds come home over
-//! the interconnect; columns no live device holds are paid for again on
-//! the home device. For a lost non-home share that is the share, whole:
-//! nothing it computed had come home. When the home device itself is lost
-//! the next live ordinal becomes home — no earlier than the moment of the
-//! failure — and pays again, level by level from the start of the run,
-//! for every finished column only the dead device held. Paying is not
-//! recomputing, though. The kernel core is *not* idempotent — a finished
-//! column's stored values are its factors, and eliminating them again is
-//! a wrong answer — and a share can die with some columns finished (the
-//! dense engine's second or later batch failing to launch).
-//! So the body runs the core **at most once per column per run**, a rule
-//! the value store itself keeps: a column is written once and then
-//! refuses to open again, so a column paid for again whose core already
-//! completed is priced and skipped. The *last* live device is never
-//! declared dead: its error is returned to the caller's format ladder,
-//! exactly what a lone `Gpu` does. Injected crashes stay terminal, as
-//! everywhere in the pipeline.
+//! OOM or launch fault) goes through the fleet's one loss rule
+//! ([`DeviceFleet::lose`]): while another device is still alive it is
+//! marked dead, and what it held dies with it. Each level ends with a
+//! settlement that makes the home device whole: columns some live device
+//! holds come home over the interconnect; columns no live device holds
+//! are paid for again on the home device. For a lost non-home share that
+//! is the share, whole: nothing it computed had come home. When the home
+//! device itself is lost the next live ordinal becomes home — no earlier
+//! than the moment of the failure — and pays again, level by level from
+//! the start of the run, for every finished column only the dead device
+//! held. Paying is not recomputing, though. The kernel core is *not*
+//! idempotent — a finished column's stored values are its factors, and
+//! eliminating them again is a wrong answer — and a share can die with
+//! some columns finished (the dense engine's second or later batch
+//! failing to launch). So the body runs the core **at most once per
+//! column per run**, a rule the value store itself keeps: a column is
+//! written once and then refuses to open again, so a column paid for
+//! again whose core already completed is priced and skipped. The *last*
+//! live device is never declared dead: its error is returned to the
+//! caller's format ladder, exactly what a lone `Gpu` does. Terminal
+//! errors — an injected crash, a host abort such as a failed checkpoint
+//! write from the level hook — are returned at once, as everywhere in the
+//! pipeline.
 //!
 //! The sequential reference ([`crate::seq`]) is the host-side
 //! instantiation of the same interface: it runs the identical kernel
@@ -337,7 +340,6 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
 ) -> Result<FleetNumericOutcome, NumericError> {
     let n = pattern.n_cols();
     let before = fleet.stats();
-    let mut died: Vec<usize> = Vec::new();
     let mut resharded_cols = 0usize;
 
     // Resident on every live device (each holds a full copy, the GSoFa
@@ -346,17 +348,10 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     // survivors; the last live device's failure is the caller's to handle.
     let csc_bytes = ((n + 1) as u64 + 2 * pattern.nnz() as u64) * 4;
     let mut arenas: Vec<Vec<DeviceAlloc>> = (0..fleet.len()).map(|_| Vec::new()).collect();
-    // Takes device `d` out of the run — only while a survivor exists: the
-    // last live device's error goes to the caller's ladder, exactly as a
-    // lone `Gpu`'s does, and injected crashes are terminal everywhere.
-    let lose = |d: usize, e: SimError, arena: &mut Vec<DeviceAlloc>, died: &mut Vec<usize>| {
+    // A failing device frees what it staged; the fleet decides the rest.
+    let lose = |d: usize, e: SimError, arena: &mut Vec<DeviceAlloc>| {
         arena.clear();
-        if is_fatal(&e) || fleet.n_alive() == 1 {
-            return Err(e);
-        }
-        fleet.mark_dead(d);
-        died.push(d);
-        Ok(())
+        fleet.lose(d, e)
     };
     for d in fleet.alive() {
         let gpu = fleet.device(d);
@@ -367,13 +362,11 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         });
         match staged {
             Ok(lvl_dev) => arenas[d].push(lvl_dev),
-            Err(e) => lose(d, e, &mut arenas[d], &mut died)?,
+            Err(e) => lose(d, e, &mut arenas[d])?,
         }
     }
     let Some(&first_staged) = fleet.alive().first() else {
-        return Err(NumericError::Sim(SimError::BadLaunch(
-            "no live devices in fleet".into(),
-        )));
+        return Err(SimError::Aborted("no live devices in fleet".into()).into());
     };
 
     if let Some(r) = resume {
@@ -396,7 +389,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         for d in fleet.alive() {
             match fleet.device(d).mem.alloc(pool_bytes) {
                 Ok(pool) => arenas[d].push(pool),
-                Err(e) => lose(d, e, &mut arenas[d], &mut died)?,
+                Err(e) => lose(d, e, &mut arenas[d])?,
             }
         }
     }
@@ -564,7 +557,7 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
             };
             match engine.launch(&share, &body) {
                 Ok(()) => Ok(true),
-                Err(e) => lose(d, e, &mut arenas[d], &mut died).map(|()| false),
+                Err(e) => lose(d, e, &mut arenas[d]).map(|()| false),
             }
         };
         // What the host launches itself: the shares of a split level and
@@ -750,16 +743,13 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
         vals,
     );
     let after = fleet.stats();
-    let phase = after.devices.iter().zip(&before.devices);
-    let (per_device, per_device_busy): (Vec<SimTime>, Vec<SimTime>) = phase
-        .map(|(now, then)| now.elapsed_and_busy_since(then))
-        .unzip();
+    let elapsed = |d: usize| after.devices[d].stats.since(&before.devices[d].stats);
     let makespan = fleet
         .alive()
         .iter()
-        .map(|&d| per_device[d])
+        .map(|&d| elapsed(d).now)
         .fold(SimTime::ZERO, SimTime::max);
-    let stats = after.devices[home].stats.since(&before.devices[home].stats);
+    let stats = elapsed(home);
     let c = counters.get();
     // Deterministic artifact: levels run in order, but within a level the
     // recording order is the launch's block order — sort by column (each
@@ -781,9 +771,6 @@ pub fn run_levels<E: NumericEngine + ?Sized>(
     engine.finish(&mut out);
     Ok(FleetNumericOutcome {
         outcome: out,
-        per_device,
-        per_device_busy,
-        died,
         resharded_cols,
     })
 }
@@ -937,12 +924,6 @@ fn quote_share<E: NumericEngine + ?Sized>(engine: &E, share: &LevelRun<'_>, item
     engine.quote(share, &blocks).as_ns()
 }
 
-/// Injected crashes must abort the whole pipeline: no device-loss or
-/// format ladder degrades around them.
-fn is_fatal(e: &SimError) -> bool {
-    matches!(e, SimError::Crashed { .. })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1081,7 +1062,7 @@ mod tests {
                 .expect("plans");
             let fleet = DeviceFleet::with_fault_plans(2, GpuConfig::v100(), cost.clone(), &plans);
             let got = run(&fleet).expect("the survivor finishes");
-            assert_eq!(got.died, [0], "k={k}");
+            assert_eq!(fleet.alive(), [1], "k={k}");
             // Everything before the failing level was finished on device 0.
             let finished_before: usize = levels.groups[..k - 1].iter().map(Vec::len).sum();
             assert!(

@@ -12,26 +12,19 @@ use crate::merge::MergeEngine;
 use crate::outcome::{NumericOutcome, PivotCache, PivotRule};
 use crate::resume::{LevelHook, NumericResume};
 use gplu_schedule::Levels;
-use gplu_sim::{DeviceFleet, SimTime};
+use gplu_sim::DeviceFleet;
 use gplu_sparse::Csc;
 use gplu_trace::TraceSink;
 
 /// Outcome of a fleet numeric run: the ordinary [`NumericOutcome`]
-/// (bit-identical factors, makespan time) plus fleet accounting.
+/// (bit-identical factors, makespan time) plus the columns a loss cost.
+/// Which devices were lost, and each device's clock, are the fleet's to
+/// say ([`DeviceFleet::is_dead`], [`DeviceFleet::stats`]).
 #[derive(Debug, Clone)]
 pub struct FleetNumericOutcome {
     /// The factors and counters, as the single-device driver reports them.
     pub outcome: NumericOutcome,
-    /// Per-device simulated clock advance over this phase, indexed by
-    /// device ordinal. Barriers level the live clocks, so these are equal
-    /// by construction; see `per_device_busy` for who did the work.
-    pub per_device: Vec<SimTime>,
-    /// `per_device` less the time each device spent waiting at barriers:
-    /// its launches, transfers and exchange legs.
-    pub per_device_busy: Vec<SimTime>,
-    /// Devices that died during this phase (their columns were re-run).
-    pub died: Vec<usize>,
-    /// Columns paid for again on the home device after device deaths.
+    /// Columns paid for again on the home device after device losses.
     pub resharded_cols: usize,
 }
 
@@ -244,7 +237,7 @@ mod tests {
                         singles[0].lu.vals, out.outcome.lu.vals,
                         "{name} k={k} must be bit-identical"
                     );
-                    assert!(out.died.is_empty());
+                    assert_eq!(f.n_alive(), k);
                     let (got, one) = (&out.outcome, single);
                     // A level leaves the home device only when the quote
                     // says that is cheaper: more devices never cost time.
@@ -495,7 +488,7 @@ mod tests {
                     batches: p.batches,
                     gemm_tiles: p.gemm_tiles,
                 });
-                Err(SimError::BadLaunch("cut".into()))
+                Err(SimError::Aborted("cut".into()))
             };
             assert!(run(None, Some(&mut hook)).is_err(), "k={k}: the cut aborts");
             let cut = cut.expect("hook ran");
@@ -522,6 +515,7 @@ mod tests {
             let f1 = DeviceFleet::with_cost(1, GpuConfig::v100(), cost.clone());
             let one = run_engine(name, &f1, &pattern, &levels, &plan).expect("k=1");
             let f4 = DeviceFleet::with_cost(4, GpuConfig::v100(), cost.clone());
+            let before = f4.stats();
             let four = run_engine(name, &f4, &pattern, &levels, &plan).expect("k=4");
             assert!(
                 four.outcome.time.as_ns() < one.outcome.time.as_ns(),
@@ -537,8 +531,12 @@ mod tests {
             );
             assert!(ic.bytes > 0);
             // Every device worked, and the busy times say who waited.
-            assert!(four.per_device_busy.iter().all(|t| t.as_ns() > 0.0));
-            assert!(four.per_device_busy[1] < four.per_device[1], "{name}");
+            let after = f4.stats().devices;
+            let (elapsed, busy): (Vec<_>, Vec<_>) = (after.iter().zip(&before.devices))
+                .map(|(now, then)| now.elapsed_and_busy_since(then))
+                .unzip();
+            assert!(busy.iter().all(|t| t.as_ns() > 0.0));
+            assert!(busy[1] < elapsed[1], "{name}");
         }
     }
 
@@ -571,7 +569,6 @@ mod tests {
             let clean = run_engine(name, &fleet(4), &pattern, &levels, &plan).expect("clean");
             let f = fleet_losing(4, &cost, 0, name, 4);
             let out = run_engine(name, &f, &pattern, &levels, &plan).expect("fleet survives");
-            assert_eq!(out.died, vec![0], "{name}");
             assert_eq!(f.alive(), vec![1, 2, 3], "{name}");
             assert_eq!(out.resharded_cols, 4 * 8, "{name}: levels 0..=3 paid again");
             assert_eq!(single.lu.vals, out.outcome.lu.vals, "{name}: bit-identical");
@@ -607,8 +604,8 @@ mod tests {
             let f = fleet_losing(4, &cost, 2, name, 2);
             let out = run_engine(name, &f, &pattern, &levels, &plan).expect("home survives");
             assert_eq!(
-                (out.died.as_slice(), out.resharded_cols),
-                (&[2][..], share(1, 2)),
+                (f.alive(), out.resharded_cols),
+                (vec![0, 1, 3], share(1, 2)),
                 "{name}"
             );
             assert_eq!(single.lu.vals, out.outcome.lu.vals, "{name}: bit-identical");
@@ -619,8 +616,8 @@ mod tests {
             let f = fleet_losing(4, &cost, 0, name, 2);
             let out = run_engine(name, &f, &pattern, &levels, &plan).expect("a survivor adopts");
             assert_eq!(
-                (out.died.as_slice(), out.resharded_cols),
-                (&[0][..], share(0, 0) + share(1, 0) - 5),
+                (f.alive(), out.resharded_cols),
+                (vec![1, 2, 3], share(0, 0) + share(1, 0) - 5),
                 "{name}"
             );
             assert_eq!(single.lu.vals, out.outcome.lu.vals, "{name}: bit-identical");
@@ -656,11 +653,12 @@ mod tests {
         let run = |spec: &str| {
             let plans = FaultPlan::parse_fleet(spec, 2).expect("plans");
             let f = DeviceFleet::with_fault_plans(2, cfg.clone(), cost.clone(), &plans);
-            factorize_fleet_dense(&f, &pattern, &levels, &NOOP, PivotRule::Exact)
-                .expect("the other device survives")
+            let out = factorize_fleet_dense(&f, &pattern, &levels, &NOOP, PivotRule::Exact)
+                .expect("the other device survives");
+            (out, f.alive())
         };
-        let clean = run("");
-        assert!(clean.died.is_empty());
+        let (clean, alive) = run("");
+        assert_eq!(alive, [0, 1]);
         assert_eq!(clean.outcome.batches as usize, 2 * 3 * levels.n_levels());
         // Home's share of every level is a host launch: every level split.
         let home = &clean.outcome.stats;
@@ -676,13 +674,9 @@ mod tests {
                 (spec, 8 * levels_owed)
             });
             for (label, owed) in allocs.chain(launches) {
-                let out = run(&label);
+                let (out, alive) = run(&label);
                 assert_eq!(out.outcome.m_limit, Some(3));
-                assert_eq!(
-                    out.died,
-                    vec![dev],
-                    "{label}: every fault lands in this phase"
-                );
+                assert_eq!(alive, [1 - dev], "{label}: every fault lands in this phase");
                 let (want, got) = (&single.lu.vals, &out.outcome.lu.vals);
                 let differ = (0..want.len()).filter(|&i| want[i].to_bits() != got[i].to_bits());
                 assert_eq!(differ.count(), 0, "{label}: values off the merge factors");

@@ -57,9 +57,12 @@
 //! the blocked engine's tile count). [`engine::run_levels`] owns
 //! everything else, once: device staging, level classification, the one
 //! kernel body every level runs, the one counter set, the launch rule
-//! (host launch or in-kernel dependency wait), sharding across a fleet, device loss — a dead device's
-//! share is paid for again by the survivors, but no column's core ever
-//! runs twice — trace spans, resume cuts and checkpoint hooks. The
+//! (host launch or in-kernel dependency wait), sharding across a fleet,
+//! device loss under the fleet's one rule ([`gplu_sim::DeviceFleet::lose`]:
+//! a failing device is shed only while another live device can take its
+//! work, whose survivors pay for its share again, but no column's core
+//! ever runs twice; the last live device's failure goes to the caller's
+//! format ladder) — trace spans, resume cuts and checkpoint hooks. The
 //! sequential reference ([`seq`]) is the host-side instantiation of the
 //! same kernel core, which is why all five agree bit-for-bit.
 //!

@@ -1748,7 +1748,8 @@ mod tests {
         .expect("the fleet factorizes");
         let mut words = bits(&run.outcome.lu.vals);
         words.extend([run.outcome.merge_steps, run.outcome.time.as_ns().to_bits()]);
-        words.extend(run.per_device.iter().map(|t| t.as_ns().to_bits()));
+        let clocks = fleet.stats().devices.into_iter().map(|d| d.stats.now);
+        words.extend(clocks.map(|t| t.as_ns().to_bits()));
         got.push(fnv(words));
         if got != PIN {
             println!("{got:#018x?}");

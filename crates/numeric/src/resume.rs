@@ -11,9 +11,9 @@
 //! All GPU engines accept an optional [`NumericResume`] (skip levels
 //! below the watermark, seed the value store and counters) and an
 //! optional [`LevelHook`] invoked after every completed level. The hook
-//! is where the pipeline cuts snapshots; it returns a [`SimError`] to
-//! abort the run — in particular the injected [`SimError::Crashed`] of a
-//! `crash:at=N` fault plan.
+//! is where the pipeline cuts snapshots; it returns a terminal
+//! [`SimError`] to stop the run — the injected [`SimError::Crashed`] of a
+//! `crash:at=N` fault plan, or [`SimError::Aborted`] when a write fails.
 
 use crate::modes::ModeMix;
 use crate::values::ColumnStore;
@@ -59,8 +59,8 @@ pub struct LevelProgress<'a, 'v> {
     pub gemm_tiles: u64,
 }
 
-/// Per-level callback. Returning an error aborts the factorization with
-/// that device error — the path an injected crash takes.
+/// Per-level callback. Returning an error stops the factorization with
+/// it; a terminal one ([`SimError::is_terminal`]) is what a hook returns.
 pub type LevelHook<'h> = dyn FnMut(&LevelProgress<'_, '_>) -> Result<(), SimError> + 'h;
 
 impl NumericResume {

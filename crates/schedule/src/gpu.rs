@@ -227,7 +227,7 @@ fn topo_sort(gpu: &Gpu, g: &DepGraph, trace: &dyn TraceSink) -> Result<Vec<u32>,
         // A cycle would mean the dependency graph was not a DAG — edges
         // always ascend, so this is unreachable unless the graph is
         // corrupt.
-        return Err(SimError::BadLaunch(format!(
+        return Err(SimError::Aborted(format!(
             "topological sort visited {scheduled} of {n} columns (cycle?)"
         )));
     }

@@ -154,9 +154,12 @@ impl Tier {
     }
 
     /// Evicts least-recently-used entries until `bytes` more fit, handing
-    /// each to `evicted`: the caller demotes or drops it. False when not
-    /// even the emptied tier holds `bytes`.
+    /// each to `evicted`: the caller demotes or drops it. False, with
+    /// nothing evicted, when not even the emptied tier holds `bytes`.
     fn make_room(&mut self, bytes: u64, mut evicted: impl FnMut(u64, Slot)) -> bool {
+        if bytes > self.budget {
+            return false;
+        }
         while self.used + bytes > self.budget {
             let lru = self
                 .map
@@ -511,14 +514,13 @@ impl FactorCache {
         entry: Arc<CachedFactor>,
         bytes: u64,
     ) -> bool {
-        if bytes > host.budget {
-            return false;
-        }
-        host.make_room(bytes, |_, _| {
+        let fits = host.make_room(bytes, |_, _| {
             self.host_evictions.fetch_add(1, Ordering::Relaxed);
         });
-        host.put(fp, entry, bytes);
-        true
+        if fits {
+            host.put(fp, entry, bytes);
+        }
+        fits
     }
 
     /// Loads and validates a persisted plan. Corrupt, truncated,
@@ -831,6 +833,31 @@ mod tests {
         assert_eq!(cache.counters().oversize_skipped, 1);
         // The handle still works.
         assert!(arc.plan.n() == 60);
+    }
+
+    #[test]
+    fn an_oversize_insert_evicts_nothing() {
+        let small: Vec<Csr> = (0..2).map(|s| random_dominant(60, 3.0, 21 + s)).collect();
+        let big = random_dominant(400, 3.0, 23);
+        let one = entry_for(&small[0]).approx_bytes();
+        let cache = FactorCache::new(one * 3);
+        assert!(entry_for(&big).approx_bytes() > cache.capacity());
+        for m in &small {
+            cache.insert(gplu_core::pattern_fingerprint(m), entry_for(m));
+        }
+        let before = cache.counters();
+        cache.insert(gplu_core::pattern_fingerprint(&big), entry_for(&big));
+        let after = cache.counters();
+        assert_eq!(after.oversize_skipped, before.oversize_skipped + 1);
+        assert_eq!(
+            (after.evictions, after.demotions),
+            (before.evictions, before.demotions)
+        );
+        assert_eq!(cache.len(), 2, "the hot set stays on the device");
+        for m in &small {
+            let hit = cache.lookup_tiered(gplu_core::pattern_fingerprint(m));
+            assert!(matches!(hit, Some((_, CacheTier::Device))));
+        }
     }
 
     #[test]

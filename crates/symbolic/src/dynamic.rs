@@ -260,7 +260,7 @@ pub(crate) fn two_stage(
 ) -> Result<TwoStageRun, SimError> {
     let n = a.n_rows();
     if let Some(r) = resume {
-        r.check(n).map_err(SimError::BadLaunch)?;
+        r.check(n).map_err(SimError::Aborted)?;
     }
 
     // The matrix pattern lives on the device for the whole phase
@@ -1079,7 +1079,11 @@ mod tests {
                 Some(&bad),
                 None,
             );
-            assert!(matches!(err, Err(SimError::BadLaunch(_))), "{bad:?}");
+            // The host stops the run: no device is at fault, so no ladder
+            // degrades around it.
+            let err = err.expect_err("rejected");
+            assert!(matches!(err, SimError::Aborted(_)), "{bad:?}");
+            assert!(err.is_terminal(), "{bad:?}");
         }
     }
 

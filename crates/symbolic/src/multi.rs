@@ -12,7 +12,9 @@
 //! prices them, and the host assembles the pattern from the shared
 //! traversal memo. Simulated time is the **makespan** over the devices
 //! plus the fill-count all-gather. A lone device is one shard, `0..n`, and
-//! no gather.
+//! no gather. A failing device is shed under the fleet's one loss rule
+//! ([`DeviceFleet::lose`]) and its rows re-run on the survivors; the last
+//! live device's failure is the caller's, at every fleet size.
 //!
 //! Partitioning matters because per-row work is wildly skewed (Figure 3:
 //! late rows dominate). Two strategies are provided:
@@ -38,23 +40,20 @@ pub enum Partition {
     Strided,
 }
 
-/// Outcome of a fleet symbolic run, with liveness and reshard accounting.
+/// Outcome of a fleet symbolic run. Which devices it lost, and each
+/// device's clock, are the fleet's to say ([`DeviceFleet::is_dead`],
+/// [`DeviceFleet::stats`]).
 #[derive(Debug, Clone)]
 pub struct FleetSymbolicOutcome {
     /// The factorization pattern (identical to single-device).
     pub result: SymbolicResult,
     /// The shards' chunk-loop counters, added up.
     pub run: TwoStageRun,
-    /// Per-device simulated time spent in this phase, indexed by device
-    /// ordinal (zero for devices that were dead on entry).
-    pub per_device: Vec<SimTime>,
     /// Post-barrier makespan of the phase.
     pub time: SimTime,
     /// Parallel efficiency over the devices that did work.
     pub efficiency: f64,
-    /// Devices that died *during this phase* (their work was resharded).
-    pub died: Vec<usize>,
-    /// Rows re-run on survivors after device deaths.
+    /// Rows re-run on survivors after device losses.
     pub resharded_rows: usize,
 }
 
@@ -64,11 +63,12 @@ pub struct FleetSymbolicOutcome {
 /// interconnect and barriers.
 ///
 /// A device failure (injected OOM past the backoff, launch fault,
-/// squeeze-induced OOM) marks that device dead and reshards its rows
-/// round-robin onto the survivors; the run fails when a crash is injected
-/// ([`SimError::Crashed`] is terminal by design) or every device dies. A
-/// fleet of one keeps its device alive and returns the failure, as a lone
-/// `Gpu` does. Because each row's traversal is independent and
+/// squeeze-induced OOM) goes through the fleet's one loss rule
+/// ([`DeviceFleet::lose`]): while another live device can take the work,
+/// the failing device is marked dead and its rows reshard round-robin onto
+/// the survivors. The last live device's failure is returned with the
+/// device alive, as a lone `Gpu` returns it, and a terminal error is
+/// returned at once. Because each row's traversal is independent and
 /// deterministic, the merged pattern is bit-identical to the single-device
 /// engines no matter how many devices run or die.
 pub fn symbolic_fleet(
@@ -95,10 +95,10 @@ pub(crate) fn run_sharded(
     let before: Vec<_> = fleet.devices().iter().map(|g| g.stats()).collect();
     let alive = fleet.alive();
     if alive.is_empty() {
-        return Err(SimError::BadLaunch("no live devices in fleet".into()));
+        return Err(SimError::Aborted("no live devices in fleet".into()));
     }
     if alive.len() > 1 && (resume.is_some() || hook.is_some()) {
-        return Err(SimError::BadLaunch("resume needs a fleet of one".into()));
+        return Err(SimError::Aborted("resume needs a fleet of one".into()));
     }
 
     // Each row's one host traversal, shared by every device. Set once, so
@@ -115,9 +115,7 @@ pub(crate) fn run_sharded(
         .collect();
     let mut owned = vec![0u64; fleet.len()];
     let mut run: Option<TwoStageRun> = None;
-    let mut died = Vec::new();
     let mut resharded_rows = 0usize;
-    let mut last_err: Option<SimError> = None;
     while !pending.is_empty() {
         let mut failed_rows: Vec<u32> = Vec::new();
         for (d, rows) in pending.drain(..) {
@@ -131,25 +129,18 @@ pub(crate) fn run_sharded(
                     owned[d] += rows.len() as u64 * 4;
                     run = Some(run.map_or(r, |t| t.and(r)));
                 }
-                Err(e @ SimError::Crashed { .. }) => return Err(e),
-                Err(e) if fleet.len() == 1 => return Err(e),
                 Err(e) => {
-                    fleet.mark_dead(d);
-                    died.push(d);
+                    fleet.lose(d, e)?;
                     failed_rows.extend(rows);
-                    last_err = Some(e);
                 }
             }
         }
         if failed_rows.is_empty() {
             break;
         }
+        // Round-robin the dead devices' rows onto the survivors (`lose`
+        // leaves at least one).
         let survivors = fleet.alive();
-        if survivors.is_empty() {
-            let all_dead = || SimError::BadLaunch("every fleet device died during symbolic".into());
-            return Err(last_err.unwrap_or_else(all_dead));
-        }
-        // Round-robin the dead devices' rows onto the survivors.
         failed_rows.sort_unstable();
         resharded_rows += failed_rows.len();
         for (i, &d) in survivors.iter().enumerate() {
@@ -192,10 +183,8 @@ pub(crate) fn run_sharded(
     Ok(FleetSymbolicOutcome {
         result: traversals.into_result(),
         run: run.unwrap_or_default(),
-        per_device,
         time: makespan,
         efficiency,
-        died,
         resharded_rows,
     })
 }
@@ -247,7 +236,6 @@ mod tests {
         let a = banded_dominant(600, 4, 54);
         let out = symbolic_fleet(&device_fleet(&a, 3), &a, Partition::Strided).expect("runs");
         assert!(out.efficiency > 0.0 && out.efficiency <= 1.0 + 1e-9);
-        assert_eq!(out.per_device.len(), 3);
     }
 
     #[test]
@@ -262,7 +250,7 @@ mod tests {
                     single.result.filled, out.result.filled,
                     "k={k} {partition:?}"
                 );
-                assert!(out.died.is_empty());
+                assert_eq!(f.n_alive(), k);
                 assert_eq!(out.resharded_rows, 0);
             }
         }
@@ -297,24 +285,26 @@ mod tests {
             &plans,
         );
         let out = symbolic_fleet(&f, &a, Partition::Strided).expect("fleet survives");
-        assert_eq!(out.died, vec![2]);
         assert!(out.resharded_rows > 0);
-        assert!(f.is_dead(2));
-        assert_eq!(f.n_alive(), 3);
+        assert_eq!(f.alive(), vec![0, 1, 3]);
         assert_eq!(single.result.filled, out.result.filled, "bit-identical");
     }
 
     #[test]
-    fn whole_fleet_death_is_an_error() {
+    fn the_last_live_device_fails_alive_like_a_lone_device() {
         let a = banded_dominant(300, 3, 57);
+        let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+        let cost = gplu_sim::CostModel::default();
+        let lone = {
+            let plans = gplu_sim::FaultPlan::parse_fleet("badlaunch:*=1:persistent", 1);
+            let f =
+                DeviceFleet::with_fault_plans(1, cfg.clone(), cost.clone(), &plans.expect("plans"));
+            symbolic_fleet(&f, &a, Partition::Blocked).expect_err("a lone device fails")
+        };
         let plans = gplu_sim::FaultPlan::parse_fleet("badlaunch:*=1:persistent", 2).expect("plans");
-        let f = DeviceFleet::with_fault_plans(
-            2,
-            GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
-            gplu_sim::CostModel::default(),
-            &plans,
-        );
-        assert!(symbolic_fleet(&f, &a, Partition::Blocked).is_err());
-        assert_eq!(f.n_alive(), 0);
+        let f = DeviceFleet::with_fault_plans(2, cfg, cost, &plans);
+        let err = symbolic_fleet(&f, &a, Partition::Blocked).expect_err("the pair fails");
+        assert_eq!(err, lone);
+        assert_eq!(f.alive(), vec![1], "device 0 is shed, device 1 stays alive");
     }
 }

@@ -83,8 +83,8 @@ pub struct ChunkProgress {
     pub overflow_rows: Vec<u32>,
 }
 
-/// Per-chunk callback. Returning an error aborts the phase with that
-/// device error — the path an injected crash takes.
+/// Per-chunk callback. Returning an error stops the phase with it; a
+/// terminal one ([`SimError::is_terminal`]) is what a hook returns.
 pub type ChunkHook<'h> = dyn FnMut(&ChunkProgress) -> Result<(), SimError> + 'h;
 
 impl ChunkProgress {

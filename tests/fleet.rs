@@ -13,7 +13,10 @@
 //!    device; a survivor pays for what it held, the run completes
 //!    bit-identically, and the recovery log records the
 //!    [`RecoveryAction::DeviceLost`];
-//! 3. **locality scheduling** — the service routes a hot pattern back to
+//! 3. **a fleet fails like a device** — a plan on every device ends as
+//!    one device with that plan ends: a failure sheds its device only
+//!    while another can take the work;
+//! 4. **locality scheduling** — the service routes a hot pattern back to
 //!    the device that built its plan, so per-device hit rates stay
 //!    meaningful.
 //!
@@ -239,23 +242,97 @@ fn device_lost_between_dense_batches_reshards_bit_identically() {
 
 #[test]
 fn whole_fleet_fault_plans_broadcast_without_device_prefix() {
-    // An unprefixed spec reaches every device, so it kills the whole
-    // fleet — there is no survivor to reshard onto and the run is
-    // terminal. (If the spec had only reached one device, the reshard
-    // path above would have absorbed it.)
+    // An unprefixed spec reaches every device. Device 0's second
+    // allocation fails while device 1 can take its rows, so device 0 is
+    // shed; device 1's own second allocation fails with no survivor left,
+    // so it stays alive and its failure goes to the engine ladder, which
+    // runs unified memory on it — what one device with this plan does.
     let a = block_banded(32, 12, 4, 78);
     let plans = FaultPlan::parse_fleet("oom:alloc=2", 2).expect("plans");
     assert_eq!(plans.len(), 2);
     let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
     let fleet = DeviceFleet::with_fault_plans(2, cfg, CostModel::default(), &plans);
-    let err = LuFactorization::compute_fleet(&fleet, &a, &LuOptions::default())
-        .expect_err("whole-fleet death is terminal");
+    let opts = LuOptions::default();
+    let f = LuFactorization::compute_fleet(&fleet, &a, &opts).expect("the pair survives");
+    let single = LuFactorization::compute(&gpu_for(&a), &a, &opts).expect("single");
+    assert_bit_identical(&single, &f, "oom:alloc=2 on both devices");
+    assert_eq!(fleet.alive(), vec![1]);
+    let lost: Vec<_> = (f.report.recovery.events().iter())
+        .filter(|e| matches!(e.action, RecoveryAction::DeviceLost { .. }))
+        .map(|e| e.action.clone())
+        .collect();
+    assert_eq!(
+        lost,
+        vec![RecoveryAction::DeviceLost {
+            device: 0,
+            resharded: 0
+        }]
+    );
+}
+
+/// Every whole-fleet plan the fleet suites use, on both devices of a pair,
+/// ends as one device with that plan ends: the same outcome class, and on
+/// success the clean run's factor bits. A failure sheds its device only
+/// while the other can take the work; the last device's failure goes to
+/// the ladders a lone device runs.
+#[test]
+fn a_fleet_with_a_plan_on_every_device_fails_like_one_device() {
+    let a = block_banded(32, 12, 4, 78);
+    let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+    let cost = CostModel::default();
+    let kernels = [
+        "symbolic_1",
+        "symbolic_2",
+        "prefix_sum",
+        "numeric_dense",
+        "numeric_sparse",
+        "numeric_merge",
+        "numeric_blocked",
+    ];
+    let specs = (1..=8)
+        .map(|k| format!("oom:alloc={k}"))
+        .chain(["oom:alloc=1:persistent".into(), "squeeze:alloc=2:1".into()])
+        .chain(kernels.iter().map(|k| format!("badlaunch:{k}=1")));
+    // The outcome class: success, or the error's variant.
+    let class = |r: &Result<LuFactorization, GpluError>| {
+        r.as_ref().map(drop).map_err(std::mem::discriminant)
+    };
+    let formats = [
+        NumericFormat::Auto,
+        NumericFormat::Dense,
+        NumericFormat::Sparse,
+        NumericFormat::SparseMerge,
+        NumericFormat::SparseBlocked,
+    ];
+    let mut classes = std::collections::HashSet::new();
+    for spec in specs {
+        let mut fired = false;
+        for format in formats {
+            let opts = LuOptions {
+                format,
+                ..LuOptions::default()
+            };
+            let label = format!("{spec} {format:?}");
+            let clean = LuFactorization::compute(&gpu_for(&a), &a, &opts).expect("clean");
+            let plan = FaultPlan::parse(&spec).expect("plan");
+            let gpu = Gpu::with_fault_plan(cfg.clone(), cost.clone(), plan);
+            let lone = LuFactorization::compute(&gpu, &a, &opts);
+            fired |= gpu.stats().injected_faults() > 0;
+            let plans = FaultPlan::parse_fleet(&spec, 2).expect("plans");
+            let fleet = DeviceFleet::with_fault_plans(2, cfg.clone(), cost.clone(), &plans);
+            let pair = LuFactorization::compute_fleet(&fleet, &a, &opts);
+            assert_eq!(class(&pair), class(&lone), "{label}: {pair:?} vs {lone:?}");
+            if let Ok(f) = &pair {
+                assert_bit_identical(&clean, f, &label);
+            }
+            assert!(fleet.n_alive() >= 1, "{label}: the last device stays alive");
+            classes.insert(class(&lone));
+        }
+        assert!(fired, "{spec}: the plan never fired");
+    }
     assert!(
-        matches!(
-            err,
-            GpluError::DeviceOom { .. } | GpluError::RecoveryExhausted { .. }
-        ),
-        "unexpected error: {err:?}"
+        classes.len() > 1,
+        "some plan must fail the run: {classes:?}"
     );
 }
 

@@ -13,7 +13,10 @@
 //!    [`GpluError::CheckpointCorrupt`] — never a panic, never a silently
 //!    wrong answer;
 //! 4. resuming against a different matrix is a typed
-//!    [`GpluError::CheckpointMismatch`].
+//!    [`GpluError::CheckpointMismatch`];
+//! 5. a snapshot that cannot be written from inside an engine hook is a
+//!    typed [`GpluError::Checkpoint`]: no ladder degrades around a broken
+//!    disk.
 //!
 //! Deterministic: matrices derive from a fixed seed offset by
 //! `GPLU_RESILIENCE_SEED` (the CI seed matrix), so each CI shard explores
@@ -23,6 +26,7 @@
 use gplu::prelude::*;
 use gplu::sim::FaultPlan;
 use gplu::sparse::gen::random::random_dominant;
+use gplu_trace::{AttrValue, EventKind, Recorder, TraceEvent};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -410,4 +414,81 @@ fn zero_cadence_is_rejected() {
         matches!(err, GpluError::Checkpoint(_)),
         "expected Checkpoint config error, got {err:?}"
     );
+}
+
+/// Checkpoint I/O failures are not engine failures: a snapshot that
+/// cannot be written from inside the symbolic chunk hook or the numeric
+/// level hook stops the run as a [`GpluError::Checkpoint`]. The engine
+/// ladder (out-of-core → unified memory) and the format ladder (dense →
+/// merge) each have a rung to degrade to, and neither takes it.
+#[test]
+fn a_failed_write_inside_an_engine_hook_is_a_checkpoint_error() {
+    let a = random_dominant(120, 4.0, 7 + seed_base());
+    let opts = LuOptions {
+        format: NumericFormat::Dense,
+        ..Default::default()
+    };
+    let run = |dir: &Path| {
+        let recorder = Recorder::new();
+        let ckpt = CheckpointOptions::new(dir).every(1);
+        let gpu = gpu_for(&a);
+        let out = LuFactorization::compute_checkpointed(&gpu, &a, &opts, &ckpt, &recorder);
+        (out, recorder.into_events())
+    };
+    let text = |e: &TraceEvent, key: &str| match e.attr(key) {
+        Some(AttrValue::Sym(s)) => s.to_string(),
+        Some(AttrValue::Str(s)) => s.clone(),
+        _ => String::new(),
+    };
+    // Every snapshot write begun, as (mark, seq).
+    let saves = |events: &[TraceEvent]| -> Vec<(String, u64)> {
+        let begun = events
+            .iter()
+            .filter(|e| e.name == "checkpoint.save" && e.kind == EventKind::Begin);
+        begun
+            .map(|e| {
+                (
+                    text(e, "mark"),
+                    e.attr("seq").and_then(AttrValue::as_u64).unwrap(),
+                )
+            })
+            .collect()
+    };
+    let dir = ckpt_dir("hook-clean");
+    let (clean, events) = run(dir.path());
+    clean.expect("clean checkpointed run");
+    let clean_saves = saves(&events);
+    for mark in ["symbolic_partial", "numeric_partial"] {
+        let &(_, seq) = clean_saves
+            .iter()
+            .find(|(m, _)| m == mark)
+            .unwrap_or_else(|| panic!("no {mark} cut in {clean_saves:?}"));
+        // A non-empty directory holds the path of that cut's temporary
+        // file, so the write cannot create it.
+        let dir = ckpt_dir(&format!("hook-{mark}"));
+        let blocker = dir.path().join(format!("snap-{seq:08}.tmp"));
+        std::fs::create_dir_all(blocker.join("occupied")).expect("blocker");
+        let (out, events) = run(dir.path());
+        let err = out.expect_err("the write fails");
+        assert!(
+            matches!(err, GpluError::Checkpoint(_)),
+            "{mark}: expected a checkpoint error, got {err:?}"
+        );
+        let last = saves(&events).pop();
+        assert_eq!(
+            last,
+            Some((mark.to_string(), seq)),
+            "{mark}: the hook's write"
+        );
+        let actions: Vec<String> = (events.iter())
+            .filter(|e| e.name == "recovery")
+            .map(|e| text(e, "action"))
+            .collect();
+        assert!(
+            !actions
+                .iter()
+                .any(|a| a.contains("degraded") || a.contains("lost")),
+            "{mark}: a ladder degraded around the write: {actions:?}"
+        );
+    }
 }
