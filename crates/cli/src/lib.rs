@@ -813,7 +813,7 @@ fn run_serve(o: &ServeOptions, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let report = ServiceReport::capture_with_slo(&svc, o.slo.as_ref());
-    let metrics_text = svc.observability().map(|obs| obs.registry().to_text());
+    let metrics_text = svc.metrics().map(|m| m.to_text());
     svc.shutdown();
     writeln!(out, "{}", report.summary())?;
     for (id, e) in failures.iter().take(10) {
@@ -2154,5 +2154,85 @@ mod tests {
             matches!(err, CliError::Check(_)),
             "expected a check failure, got {err}"
         );
+    }
+
+    /// `serve --stress --workers 1 --jobs 200 --seed 1 --metrics-out`
+    /// exposes every metric the service exposed before its counts moved
+    /// into one registry, and every counter with the same value.
+    #[test]
+    fn metrics_out_keeps_every_name_and_count_of_the_stress_run() {
+        use gplu_trace::json;
+        let metrics_path = tmp("pin-metrics.txt");
+        let report_path = tmp("pin-report.json");
+        #[rustfmt::skip]
+        let args = ["serve", "--stress", "--workers", "1", "--jobs", "200", "--seed", "1",
+            "--metrics-out", &metrics_path, "--service-report", &report_path];
+        run_str(&args).expect("stress run");
+        let text = std::fs::read_to_string(&metrics_path).expect("metrics file");
+        let exposed: Vec<(&str, &str, &str)> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| {
+                let mut f = l.splitn(3, ' ');
+                (f.next().unwrap(), f.next().expect(l), f.next().expect(l))
+            })
+            .collect();
+        let find = |kind: &str, name: &str| {
+            let hit = exposed.iter().find(|(k, n, _)| *k == kind && *n == name);
+            hit.unwrap_or_else(|| panic!("{kind} {name} missing")).2
+        };
+        // `service.rejected` is the client's race against the queue (160,
+        // 145 and 130 in three runs of the same command), so its pin is
+        // this run's own report.
+        let report = json::parse(&std::fs::read_to_string(&report_path).expect("report"))
+            .expect("report parses");
+        let rejected = report.number_at("/queue/rejections").to_string();
+        let counters = [
+            ("service.cancelled", "0"),
+            ("service.completed", "200"),
+            ("service.deadline_dropped", "0"),
+            ("service.failed", "0"),
+            ("service.gate_failures", "0"),
+            ("service.load_shed", "0"),
+            ("service.quarantine_rejects", "0"),
+            ("service.recovered_jobs", "0"),
+            ("service.recovery_events", "0"),
+            ("service.rejected", &rejected),
+        ];
+        for (name, value) in counters {
+            assert_eq!(find("counter", name), value, "{name}");
+        }
+        for name in [
+            "service.cache_entries",
+            "service.cache_evictions",
+            "service.cache_host_entries",
+            "service.cache_host_used_bytes",
+            "service.cache_used_bytes",
+            "service.device_dead{device=0}",
+            "service.device_plan_bytes{device=0}",
+            "service.device_queue_depth{device=0}",
+            "service.disk_tier_down",
+            "service.in_flight",
+            "service.queue_depth",
+        ] {
+            find("gauge", name);
+        }
+        for metric in [
+            "execute_ns",
+            "queue_wait_ns",
+            "sim_ns",
+            "solve_ns",
+            "wall_ns",
+        ] {
+            for tenant in ["t0", "t1", "t2", "t3"] {
+                find("hist", &format!("service.{metric}{{tenant={tenant}}}"));
+            }
+        }
+        for metric in ["sim_ns", "wall_ns"] {
+            for tier in ["cached_solve", "cold", "warm_disk", "warm_host", "warm"] {
+                find("hist", &format!("service.{metric}{{tier={tier}}}"));
+            }
+        }
+        assert_eq!(exposed.len(), counters.len() + 11 + 30, "no name added");
     }
 }

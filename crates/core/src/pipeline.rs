@@ -114,6 +114,46 @@ impl Default for ResidualGate {
     }
 }
 
+impl ResidualGate {
+    /// Probes `f`'s residual into its report, emits the
+    /// `numeric.residual_gate` instant at `ts` with the caller's own
+    /// attribute, and returns the rejected residual as the error. A
+    /// disabled gate accepts without probing; what a rejection costs
+    /// (escalation or a typed error) is the caller's decision.
+    pub(crate) fn check(
+        &self,
+        f: &mut LuFactorization,
+        trace: &dyn TraceSink,
+        ts: f64,
+        attr: impl FnOnce() -> (&'static str, AttrValue),
+    ) -> Result<(), f64> {
+        if !self.enabled {
+            return Ok(());
+        }
+        let r = residual_probe(&f.preprocessed, &f.lu, self.probes.max(1));
+        f.report.residual = Some(r);
+        let pass = r.is_finite() && r <= self.threshold;
+        if trace.enabled() {
+            trace.instant(
+                "numeric.residual_gate",
+                "verify",
+                ts,
+                &[
+                    ("residual", r.into()),
+                    ("threshold", self.threshold.into()),
+                    ("pass", pass.into()),
+                    attr(),
+                ],
+            );
+        }
+        if pass {
+            Ok(())
+        } else {
+            Err(r)
+        }
+    }
+}
+
 /// End-to-end pipeline options.
 #[derive(Debug, Clone)]
 pub struct LuOptions {
@@ -512,29 +552,12 @@ pub(crate) fn compute_on(
         }
         match pass.run(a, opts, policy) {
             Ok(mut f) => {
-                if !opts.gate.enabled {
-                    return Ok(f);
+                let ts = fleet.makespan().as_ns();
+                let policy = || ("policy", AttrValue::Str(policy_desc(policy)));
+                match opts.gate.check(&mut f, trace, ts, policy) {
+                    Ok(()) => return Ok(f),
+                    Err(r) => best_residual = best_residual.min(r),
                 }
-                let r = residual_probe(&f.preprocessed, &f.lu, opts.gate.probes.max(1));
-                f.report.residual = Some(r);
-                let accepted = r.is_finite() && r <= opts.gate.threshold;
-                if trace.enabled() {
-                    trace.instant(
-                        "numeric.residual_gate",
-                        "verify",
-                        fleet.makespan().as_ns(),
-                        &[
-                            ("residual", r.into()),
-                            ("threshold", opts.gate.threshold.into()),
-                            ("pass", accepted.into()),
-                            ("policy", AttrValue::Str(policy_desc(policy))),
-                        ],
-                    );
-                }
-                if accepted {
-                    return Ok(f);
-                }
-                best_residual = best_residual.min(r);
             }
             Err(e @ GpluError::Crashed { .. }) => return Err(e),
             Err(e) => {

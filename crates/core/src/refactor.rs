@@ -28,7 +28,6 @@ use crate::pipeline::{
 use gplu_numeric::{discover_pivots_swept, BlockPlan, PivotCache, PivotPolicy};
 use gplu_schedule::Levels;
 use gplu_sim::{DeviceFleet, Gpu, SimTime};
-use gplu_sparse::verify::residual_probe;
 use gplu_sparse::{Csc, Csr, Permutation};
 use gplu_trace::{TraceSink, NOOP};
 
@@ -257,7 +256,7 @@ impl RefactorPlan {
         let mut report = pass.report;
         report.recovery = pass.recovery;
 
-        let f = LuFactorization {
+        let mut f = LuFactorization {
             lu,
             preprocessed: matrix,
             p_row: self.p_row.clone(),
@@ -270,35 +269,16 @@ impl RefactorPlan {
         // as the cold pipeline but never escalates: a failing warm
         // factorization is rejected typed (the caller falls back to a
         // cold factorization, which owns the ladder).
-        if self.gate.enabled {
-            let r = residual_probe(&f.preprocessed, &f.lu, self.gate.probes.max(1));
-            let pass = r.is_finite() && r <= self.gate.threshold;
-            if trace.enabled() {
-                trace.instant(
-                    "numeric.residual_gate",
-                    "verify",
-                    gpu.now().as_ns(),
-                    &[
-                        ("residual", r.into()),
-                        ("threshold", self.gate.threshold.into()),
-                        ("pass", pass.into()),
-                        ("refactorize", true.into()),
-                    ],
-                );
-            }
-            if !pass {
-                return Err(GpluError::NumericallySingular {
-                    residual: r,
-                    threshold: self.gate.threshold,
-                    attempts: 1,
-                });
-            }
-            let mut f = f;
-            f.report.residual = Some(r);
-            return Ok(f);
+        let ts = gpu.now().as_ns();
+        let refactorize = || ("refactorize", true.into());
+        match self.gate.check(&mut f, trace, ts, refactorize) {
+            Ok(()) => Ok(f),
+            Err(residual) => Err(GpluError::NumericallySingular {
+                residual,
+                threshold: self.gate.threshold,
+                attempts: 1,
+            }),
         }
-
-        Ok(f)
     }
 }
 

@@ -1,13 +1,13 @@
-//! Live service observability: the metrics registry, the sliding SLO
-//! window, and the cost-model drift profiler, bundled per service.
+//! Live service observability: what the service records only when
+//! [`crate::ServiceConfig::observability`] is on (the default).
 //!
-//! [`ServiceObs`] hangs off the service's shared state when
-//! [`crate::ServiceConfig::observability`] is on (the default). It owns:
+//! [`ServiceObs`] hangs off the service's shared state and owns what
+//! nothing else records:
 //!
-//! * a [`MetricsRegistry`] of counters, gauges, and log-linear latency
-//!   histograms keyed per tenant (`service.wall_ns{tenant=t0}`) and per
-//!   cache tier (`service.sim_ns{tier=warm}`), split into queue-wait vs
-//!   execution vs solve time,
+//! * log-linear latency histograms keyed per tenant
+//!   (`service.wall_ns{tenant=t0}`) and per cache tier
+//!   (`service.sim_ns{tier=warm}`), split into queue-wait vs execution vs
+//!   solve time, and the `service.recovery_events` counter,
 //! * a [`SloWindow`] — a sliding window over the last N completed jobs
 //!   that [`SloSpec`] thresholds are evaluated against. The gated
 //!   latencies are the *simulated* ones, which are deterministic in the
@@ -24,17 +24,23 @@
 //!   other calls stay on the no-op sink — that is what holds the
 //!   `service_slo` bench under its 2% overhead budget.
 //!
+//! The histograms live in the service's one [`MetricsRegistry`], beside
+//! the job counters the service keeps there whether or not this layer is
+//! on. The registry's gauges belong to neither: the queue, the cache
+//! and the fleet scheduler own that state, and
+//! [`crate::SolverService::metrics`] reads it into the gauges when it
+//! exposes the registry.
+//!
 //! Everything here is lock-cheap at job granularity: histograms are
 //! atomics, the window takes a short mutex per completion, and the
 //! drift profiler filters events by a pointer-compare before touching
 //! its map.
 
-use crate::fleet::DeviceLoadSnapshot;
 use crate::job::ExecTier;
 use crate::report::percentile;
 use gplu_core::{DriftProfiler, DriftTable, DRIFT_FLAG_THRESHOLD};
 use gplu_trace::json::{self, at_most, Field, JsonValue, Kind::*, Rule};
-use gplu_trace::{Counter, Gauge, Histogram, MetricsRegistry, TraceSink, NOOP};
+use gplu_trace::{Counter, Histogram, MetricsRegistry, TraceSink, NOOP};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -365,7 +371,8 @@ const TIERS: [ExecTier; 5] = [
 /// workers. See the module docs for the three sub-systems.
 #[derive(Debug)]
 pub struct ServiceObs {
-    registry: MetricsRegistry,
+    /// The service's registry, shared with its job counters.
+    registry: Arc<MetricsRegistry>,
     drift: DriftProfiler,
     /// Sampling period for [`ServiceObs::drift_sink`]; 0 disables.
     drift_every: u64,
@@ -380,70 +387,25 @@ pub struct ServiceObs {
     tier_wall: [Arc<Histogram>; 5],
     tier_sim: [Arc<Histogram>; 5],
     window: SloWindow,
-    queue_depth: Arc<Gauge>,
-    in_flight: Arc<Gauge>,
-    cache_entries: Arc<Gauge>,
-    cache_used_bytes: Arc<Gauge>,
-    cache_evictions: Arc<Gauge>,
-    host_entries: Arc<Gauge>,
-    host_used_bytes: Arc<Gauge>,
-    /// 1 while the persistent cache tier is in the `down` degraded mode.
-    disk_tier_down: Arc<Gauge>,
-    /// Per-device fleet gauges, indexed by device ordinal: logical
-    /// queue depth, homed plan bytes (the service-level arena-occupancy
-    /// stand-in), and the dead flag.
-    device_queue: Vec<Arc<Gauge>>,
-    device_plan_bytes: Vec<Arc<Gauge>>,
-    device_dead: Vec<Arc<Gauge>>,
-    load_shed: Arc<Counter>,
-    completed: Arc<Counter>,
-    failed: Arc<Counter>,
-    rejected: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    deadline_dropped: Arc<Counter>,
-    recovered_jobs: Arc<Counter>,
+    /// Recovery-ladder actions over every completed job.
     recovery_events: Arc<Counter>,
-    gate_failures: Arc<Counter>,
-    quarantine_rejects: Arc<Counter>,
 }
 
 impl ServiceObs {
-    /// A fresh bundle with a window of `slo_window` completed jobs,
-    /// drift profiling on one in `drift_sample_every` pipeline calls
-    /// (0 turns the profiler off entirely; 1 profiles every call), and
-    /// fleet gauges for `devices` devices.
-    pub fn new(slo_window: usize, drift_sample_every: u64, devices: usize) -> ServiceObs {
-        let registry = MetricsRegistry::new();
+    /// A fresh bundle recording into `registry`, with a window of
+    /// `slo_window` completed jobs and drift profiling on one in
+    /// `drift_sample_every` pipeline calls (0 turns the profiler off
+    /// entirely; 1 profiles every call).
+    pub fn new(
+        registry: Arc<MetricsRegistry>,
+        slo_window: usize,
+        drift_sample_every: u64,
+    ) -> ServiceObs {
         let tier_hist = |metric: &str| {
             TIERS.map(|t| registry.histogram(&format!("service.{metric}{{tier={}}}", t.label())))
         };
-        let device_gauge = |metric: &str| {
-            (0..devices.max(1))
-                .map(|d| registry.gauge(&format!("service.{metric}{{device={d}}}")))
-                .collect()
-        };
         ServiceObs {
-            device_queue: device_gauge("device_queue_depth"),
-            device_plan_bytes: device_gauge("device_plan_bytes"),
-            device_dead: device_gauge("device_dead"),
-            queue_depth: registry.gauge("service.queue_depth"),
-            in_flight: registry.gauge("service.in_flight"),
-            cache_entries: registry.gauge("service.cache_entries"),
-            cache_used_bytes: registry.gauge("service.cache_used_bytes"),
-            cache_evictions: registry.gauge("service.cache_evictions"),
-            host_entries: registry.gauge("service.cache_host_entries"),
-            host_used_bytes: registry.gauge("service.cache_host_used_bytes"),
-            disk_tier_down: registry.gauge("service.disk_tier_down"),
-            load_shed: registry.counter("service.load_shed"),
-            completed: registry.counter("service.completed"),
-            failed: registry.counter("service.failed"),
-            rejected: registry.counter("service.rejected"),
-            cancelled: registry.counter("service.cancelled"),
-            deadline_dropped: registry.counter("service.deadline_dropped"),
-            recovered_jobs: registry.counter("service.recovered_jobs"),
             recovery_events: registry.counter("service.recovery_events"),
-            gate_failures: registry.counter("service.gate_failures"),
-            quarantine_rejects: registry.counter("service.quarantine_rejects"),
             tier_wall: tier_hist("wall_ns"),
             tier_sim: tier_hist("sim_ns"),
             registry,
@@ -455,7 +417,8 @@ impl ServiceObs {
         }
     }
 
-    /// The underlying registry (exposition, report embedding, tests).
+    /// The registry the histograms record into. Its gauges are set only
+    /// when [`crate::SolverService::metrics`] exposes it.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -492,88 +455,9 @@ impl ServiceObs {
         self.window.evaluate(spec)
     }
 
-    /// Samples the queue depth gauge.
-    pub fn on_queue_depth(&self, depth: usize) {
-        self.queue_depth.set(depth as i64);
-    }
-
-    /// Workers entering (+1) / leaving (-1) job execution.
-    pub fn on_worker_busy(&self, delta: i64) {
-        self.in_flight.add(delta);
-    }
-
-    /// A submission bounced off the full queue.
-    pub fn on_reject(&self) {
-        self.rejected.inc();
-    }
-
-    /// A queued job observed its cancellation flag.
-    pub fn on_cancel(&self) {
-        self.cancelled.inc();
-    }
-
-    /// A queued job aged past its deadline.
-    pub fn on_deadline_drop(&self) {
-        self.deadline_dropped.inc();
-    }
-
-    /// A job returned a typed error.
-    pub fn on_failed(&self) {
-        self.failed.inc();
-    }
-
-    /// A numeric rejection struck the job's pattern.
-    pub fn on_gate_failure(&self) {
-        self.gate_failures.inc();
-    }
-
-    /// A job was fast-rejected off a quarantined pattern.
-    pub fn on_quarantine_reject(&self) {
-        self.quarantine_rejects.inc();
-    }
-
-    /// Refreshes the cache gauges from a counters snapshot.
-    pub fn on_cache_state(&self, entries: usize, used_bytes: u64, evictions: u64) {
-        self.cache_entries.set(entries as i64);
-        self.cache_used_bytes.set(used_bytes as i64);
-        self.cache_evictions.set(evictions as i64);
-    }
-
-    /// Refreshes the tiered-cache gauges: host-tier residency and the
-    /// disk tier's degraded-mode flag.
-    pub fn on_tier_state(&self, host_entries: usize, host_used_bytes: u64, disk_down: bool) {
-        self.host_entries.set(host_entries as i64);
-        self.host_used_bytes.set(host_used_bytes as i64);
-        self.disk_tier_down.set(i64::from(disk_down));
-    }
-
-    /// A best-effort job was shed at admission under degraded mode.
-    pub fn on_load_shed(&self) {
-        self.load_shed.inc();
-    }
-
-    /// Refreshes the per-device fleet gauges from a scheduler snapshot.
-    pub fn on_fleet_state(&self, snap: &[DeviceLoadSnapshot]) {
-        for s in snap {
-            if let Some(g) = self.device_queue.get(s.device) {
-                g.set(s.queued as i64);
-            }
-            if let Some(g) = self.device_plan_bytes.get(s.device) {
-                g.set(s.plan_bytes as i64);
-            }
-            if let Some(g) = self.device_dead.get(s.device) {
-                g.set(i64::from(s.dead));
-            }
-        }
-    }
-
     /// Folds one completed job into the histograms and the SLO window.
     pub fn record_job(&self, o: &JobObservation<'_>) {
-        self.completed.inc();
-        if o.recovery_events > 0 {
-            self.recovered_jobs.inc();
-            self.recovery_events.add(o.recovery_events as u64);
-        }
+        self.recovery_events.add(o.recovery_events as u64);
         let handles = {
             let mut map = self.tenant_handles.lock().expect("tenant handles lock");
             match map.get(o.tenant) {
@@ -690,7 +574,7 @@ mod tests {
 
     #[test]
     fn slo_window_slides_and_gates() {
-        let obs = ServiceObs::new(4, 1, 1);
+        let obs = ServiceObs::new(Arc::default(), 4, 1);
         // 6 jobs; the window keeps the last 4 (sim 300..=600).
         for i in 1..=6u64 {
             obs.record_job(&JobObservation {
@@ -728,7 +612,7 @@ mod tests {
 
     #[test]
     fn record_job_keys_histograms_by_tenant_and_tier() {
-        let obs = ServiceObs::new(16, 1, 2);
+        let obs = ServiceObs::new(Arc::default(), 16, 1);
         for (tenant, wall) in [("t0", 100u64), ("t0", 200), ("t1", 400)] {
             obs.record_job(&JobObservation {
                 tenant,
@@ -765,7 +649,6 @@ mod tests {
             .and_then(JsonValue::as_u64)
             .expect("p95");
         assert!((400..=425).contains(&p95), "upper-bound estimate: {p95}");
-        assert_eq!(obs.registry().counter("service.completed").get(), 3);
         assert_eq!(obs.registry().counter("service.recovery_events").get(), 3);
     }
 }

@@ -82,10 +82,8 @@ pub struct ServiceReport {
     pub disk_down: bool,
     /// Queue capacity.
     pub queue_cap: usize,
-    /// Per-device fleet state, in device order (one entry for a
-    /// single-device service).
-    pub fleet: Vec<DeviceLoadSnapshot>,
-    /// Full metrics-registry snapshot (`None` when observability off).
+    /// Full metrics-registry snapshot, gauges read at capture (`None`
+    /// when observability off).
     pub metrics: Option<JsonValue>,
     /// Per-tenant latency quantiles (`None` when observability off).
     pub tenants: Option<JsonValue>,
@@ -120,8 +118,7 @@ impl ServiceReport {
             disk_enabled: svc.cache().disk_enabled(),
             disk_down: svc.cache().disk_down(),
             queue_cap: svc.queue_cap(),
-            fleet: svc.fleet().snapshot(),
-            metrics: obs.map(|o| o.registry().to_json()),
+            metrics: svc.metrics().map(MetricsRegistry::to_json),
             tenants: obs.map(|o| o.tenants_json()),
             slo_eval: obs.map(|o| o.slo(spec.unwrap_or(&default_spec))),
             drift_table: obs.map(|o| o.drift_table()),
@@ -190,9 +187,9 @@ impl ServiceReport {
                 self.cache.host_hits,
             ));
         }
-        if self.fleet.len() > 1 {
-            let per: Vec<String> = self
-                .fleet
+        let fleet = &s.devices;
+        if fleet.len() > 1 {
+            let per: Vec<String> = fleet
                 .iter()
                 .map(|d| {
                     format!(
@@ -208,8 +205,8 @@ impl ServiceReport {
                 .collect();
             out.push_str(&format!(
                 "\nfleet: {} devices{} | {}",
-                self.fleet.len(),
-                if self.fleet.iter().any(|d| d.dead) {
+                fleet.len(),
+                if fleet.iter().any(|d| d.dead) {
                     " (DEGRADED)"
                 } else {
                     ""
@@ -294,7 +291,7 @@ pub const SERVICE_REPORT: &[Field<ServiceReport>] = &[
     ("/robustness/gate_failures", Count, |r| r.stats.gate_failures.into()),
     ("/robustness/quarantine_rejected", Count, |r| r.stats.quarantine_rejected.into()),
     ("/robustness/quarantined_patterns", Count, |r| r.stats.quarantined_patterns.into()),
-    ("/fleet", Object(|v| json::check(FLEET, FLEET_RULES, v)), |r| json::write(FLEET, &r.fleet)),
+    ("/fleet", Object(|v| json::check(FLEET, FLEET_RULES, v)), |r| json::write(FLEET, &r.stats.devices)),
     ("/metrics", Optional(&Object(|v| MetricsRegistry::from_json(v).map(drop).map_err(|e| format!(": {e}")))), |r| r.metrics.clone().into()),
     ("/tenants", Optional(&Object(check_tenants)), |r| r.tenants.clone().into()),
     ("/slo", Optional(&Object(|v| json::check(SLO_EVAL, SLO_RULES, v))), |r| r.slo_eval.as_ref().map(SloEval::to_json).into()),
@@ -417,6 +414,7 @@ mod tests {
                 hot_hits: 2,
                 sim_ns: vec![100.0, 200.0, 300.0],
                 wall_ns: vec![1000.0, 2000.0, 3000.0],
+                devices: vec![DeviceLoadSnapshot::default()],
                 ..Default::default()
             },
             cache: CacheCounters::default(),
@@ -429,7 +427,6 @@ mod tests {
             disk_enabled: false,
             disk_down: false,
             queue_cap: 64,
-            fleet: vec![DeviceLoadSnapshot::default()],
             metrics: None,
             tenants: None,
             slo_eval: None,

@@ -9,7 +9,7 @@ use gplu_checkpoint::{DiskFaultHook, PlanStore};
 use gplu_core::{matrix_fingerprint, pattern_fingerprint, GpluError, LuFactorization};
 use gplu_numeric::TriSolvePlan;
 use gplu_sim::{CostModel, DiskOp, FaultInjector, FaultPlan, Gpu, GpuConfig};
-use gplu_trace::{Recorder, TraceSink, NOOP};
+use gplu_trace::{Counter, MetricsRegistry, Recorder, TraceSink, NOOP};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,10 +32,13 @@ pub struct ServiceConfig {
     /// service quarantines it and fast-rejects further jobs on it with
     /// [`GpluError::Quarantined`]. 0 disables quarantine.
     pub quarantine_strikes: u32,
-    /// Live observability (the [`ServiceObs`] layer: metrics registry,
-    /// SLO window, drift profiler). On by default; the `service_slo`
-    /// bench turns it off to measure the registry's overhead against a
-    /// bare service.
+    /// Live observability: the [`ServiceObs`] layer (per-tenant and
+    /// per-tier latency histograms, SLO window, drift profiler) and the
+    /// exposed metrics registry ([`SolverService::metrics`]). Off, the
+    /// service still counts every event ([`SolverService::stats`]) but
+    /// records no histogram and exposes no registry. On by default; the
+    /// `service_slo` bench turns it off to measure the layer's overhead
+    /// against a bare service.
     pub observability: bool,
     /// Completed jobs the sliding SLO window holds.
     pub slo_window: usize,
@@ -130,32 +133,53 @@ impl WallClock {
     }
 }
 
-/// Monotone service counters (atomics — read with [`SolverService::stats`]).
+/// The service's counts, read with [`SolverService::stats`]. The
+/// outcomes the metrics registry exposes are handles into it, so each
+/// event is counted once, at one site, whether or not observability is
+/// on.
 #[derive(Debug, Default)]
 struct ServiceStats {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_dropped: AtomicU64,
-    cold: AtomicU64,
-    warm: AtomicU64,
-    warm_host: AtomicU64,
-    warm_disk: AtomicU64,
-    cached_solve: AtomicU64,
-    load_shed: AtomicU64,
-    hot_jobs: AtomicU64,
-    hot_hits: AtomicU64,
-    plans_built: AtomicU64,
-    injected_faults: AtomicU64,
-    jobs_recovered: AtomicU64,
-    gate_failures: AtomicU64,
-    quarantine_rejected: AtomicU64,
+    submitted: Counter,
+    rejected: Arc<Counter>,
+    completed: Arc<Counter>,
+    failed: Arc<Counter>,
+    cancelled: Arc<Counter>,
+    deadline_dropped: Arc<Counter>,
+    cold: Counter,
+    warm: Counter,
+    warm_host: Counter,
+    warm_disk: Counter,
+    cached_solve: Counter,
+    load_shed: Arc<Counter>,
+    hot_jobs: Counter,
+    hot_hits: Counter,
+    plans_built: Counter,
+    injected_faults: Counter,
+    jobs_recovered: Arc<Counter>,
+    gate_failures: Arc<Counter>,
+    quarantine_rejected: Arc<Counter>,
     max_depth: AtomicU64,
     // Completed-job latencies for the percentile report.
     sim_ns: Mutex<Vec<f64>>,
     wall_ns: Mutex<Vec<f64>>,
+}
+
+impl ServiceStats {
+    fn new(metrics: &MetricsRegistry) -> ServiceStats {
+        let exposed = |name: &str| metrics.counter(&format!("service.{name}"));
+        ServiceStats {
+            rejected: exposed("rejected"),
+            completed: exposed("completed"),
+            failed: exposed("failed"),
+            cancelled: exposed("cancelled"),
+            deadline_dropped: exposed("deadline_dropped"),
+            load_shed: exposed("load_shed"),
+            jobs_recovered: exposed("recovered_jobs"),
+            gate_failures: exposed("gate_failures"),
+            quarantine_rejected: exposed("quarantine_rejects"),
+            ..ServiceStats::default()
+        }
+    }
 }
 
 /// Point-in-time view of the service counters.
@@ -238,6 +262,10 @@ struct Shared {
     in_flight: AtomicU64,
     cap: usize,
     cache: FactorCache,
+    /// The one metrics registry: the counters of `stats` always, the
+    /// observability layer's histograms when it is on, and the gauges
+    /// [`SolverService::metrics`] sets when it exposes the registry.
+    metrics: Arc<MetricsRegistry>,
     stats: ServiceStats,
     clock: WallClock,
     trace: Option<Arc<Recorder>>,
@@ -248,7 +276,8 @@ struct Shared {
     /// Device-fleet placement: locality-first routing plus per-device
     /// load/hit accounting (trivial for a single-device service).
     fleet: FleetScheduler,
-    /// Live metrics/SLO/drift bundle, when observability is on.
+    /// Latency histograms, SLO window and drift profiler, when
+    /// observability is on.
     obs: Option<Arc<ServiceObs>>,
 }
 
@@ -317,6 +346,7 @@ impl SolverService {
             // previously-hot pattern never recomputes symbolic work.
             cache.rewarm();
         }
+        let metrics = Arc::new(MetricsRegistry::new());
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
@@ -324,7 +354,7 @@ impl SolverService {
             in_flight: AtomicU64::new(0),
             cap: cfg.queue_cap.max(1),
             cache,
-            stats: ServiceStats::default(),
+            stats: ServiceStats::new(&metrics),
             clock: WallClock::new(),
             trace,
             strikes: Mutex::new(HashMap::new()),
@@ -332,11 +362,12 @@ impl SolverService {
             fleet: FleetScheduler::new(cfg.devices),
             obs: cfg.observability.then(|| {
                 Arc::new(ServiceObs::new(
+                    Arc::clone(&metrics),
                     cfg.slo_window,
                     cfg.drift_sample_every,
-                    cfg.devices.max(1),
                 ))
             }),
+            metrics,
         });
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -358,11 +389,8 @@ impl SolverService {
         let sh = &self.shared;
         let mut q = sh.queue.lock().unwrap();
         if q.len() >= sh.cap {
-            sh.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            sh.stats.rejected.inc();
             drop(q);
-            if let Some(o) = &sh.obs {
-                o.on_reject();
-            }
             let sink = sh.sink();
             if sink.enabled() {
                 sink.instant("service.reject", "service", sh.clock.now(), &[]);
@@ -385,11 +413,8 @@ impl SolverService {
             && (sh.cache.disk_down() || sh.fleet.degraded())
         {
             let depth = q.len();
-            sh.stats.load_shed.fetch_add(1, Ordering::Relaxed);
+            sh.stats.load_shed.inc();
             drop(q);
-            if let Some(o) = &sh.obs {
-                o.on_load_shed();
-            }
             let sink = sh.sink();
             if sink.enabled() {
                 sink.instant("service.load_shed", "service", sh.clock.now(), &[]);
@@ -403,7 +428,7 @@ impl SolverService {
         let (tx, rx) = mpsc::channel();
         let cancelled = Arc::new(AtomicBool::new(false));
         if spec.hot {
-            sh.stats.hot_jobs.fetch_add(1, Ordering::Relaxed);
+            sh.stats.hot_jobs.inc();
         }
         // Placement at admission: the device is decided while the
         // pattern's home (if any) is current, and the per-device
@@ -418,13 +443,10 @@ impl SolverService {
             device,
         });
         let depth = q.len() as u64;
-        sh.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        sh.stats.submitted.inc();
         sh.stats.max_depth.fetch_max(depth, Ordering::Relaxed);
         drop(q);
         sh.cv.notify_one();
-        if let Some(o) = &sh.obs {
-            o.on_queue_depth(depth as usize);
-        }
         sh.sink().counter(
             "service.queue_depth",
             "service",
@@ -485,38 +507,32 @@ impl SolverService {
     /// degraded to the admission path. Returns false for an
     /// out-of-range ordinal or the last live device.
     pub fn mark_device_dead(&self, device: usize) -> bool {
-        let killed = self.shared.fleet.mark_dead(device);
-        if killed {
-            if let Some(o) = &self.shared.obs {
-                o.on_fleet_state(&self.shared.fleet.snapshot());
-            }
-        }
-        killed
+        self.shared.fleet.mark_dead(device)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> StatsSnapshot {
         let s = &self.shared.stats;
         StatsSnapshot {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            cancelled: s.cancelled.load(Ordering::Relaxed),
-            deadline_dropped: s.deadline_dropped.load(Ordering::Relaxed),
-            cold: s.cold.load(Ordering::Relaxed),
-            warm: s.warm.load(Ordering::Relaxed),
-            warm_host: s.warm_host.load(Ordering::Relaxed),
-            warm_disk: s.warm_disk.load(Ordering::Relaxed),
-            cached_solve: s.cached_solve.load(Ordering::Relaxed),
-            load_shed: s.load_shed.load(Ordering::Relaxed),
-            hot_jobs: s.hot_jobs.load(Ordering::Relaxed),
-            hot_hits: s.hot_hits.load(Ordering::Relaxed),
-            plans_built: s.plans_built.load(Ordering::Relaxed),
-            injected_faults: s.injected_faults.load(Ordering::Relaxed),
-            jobs_recovered: s.jobs_recovered.load(Ordering::Relaxed),
-            gate_failures: s.gate_failures.load(Ordering::Relaxed),
-            quarantine_rejected: s.quarantine_rejected.load(Ordering::Relaxed),
+            submitted: s.submitted.get(),
+            rejected: s.rejected.get(),
+            completed: s.completed.get(),
+            failed: s.failed.get(),
+            cancelled: s.cancelled.get(),
+            deadline_dropped: s.deadline_dropped.get(),
+            cold: s.cold.get(),
+            warm: s.warm.get(),
+            warm_host: s.warm_host.get(),
+            warm_disk: s.warm_disk.get(),
+            cached_solve: s.cached_solve.get(),
+            load_shed: s.load_shed.get(),
+            hot_jobs: s.hot_jobs.get(),
+            hot_hits: s.hot_hits.get(),
+            plans_built: s.plans_built.get(),
+            injected_faults: s.injected_faults.get(),
+            jobs_recovered: s.jobs_recovered.get(),
+            gate_failures: s.gate_failures.get(),
+            quarantine_rejected: s.quarantine_rejected.get(),
             quarantined_patterns: if self.shared.strike_limit == 0 {
                 0
             } else {
@@ -554,6 +570,34 @@ impl SolverService {
     /// [`ServiceConfig::observability`] on.
     pub fn observability(&self) -> Option<&Arc<ServiceObs>> {
         self.shared.obs.as_ref()
+    }
+
+    /// The metrics registry as exposed, or `None` when
+    /// [`ServiceConfig::observability`] is off. Its counters are the
+    /// service's own counts; every gauge is set here, from the state its
+    /// owner holds now: the queue, the workers, the cache tiers and the
+    /// fleet scheduler.
+    pub fn metrics(&self) -> Option<&MetricsRegistry> {
+        self.shared.obs.as_ref()?;
+        let sh = &self.shared;
+        let gauge = |name: &str, v: u64| sh.metrics.gauge(name).set(v as i64);
+        gauge("service.queue_depth", self.queue_depth() as u64);
+        gauge("service.in_flight", sh.in_flight.load(Ordering::SeqCst));
+        gauge("service.cache_entries", sh.cache.len() as u64);
+        gauge("service.cache_used_bytes", sh.cache.used_bytes());
+        gauge("service.cache_evictions", sh.cache.counters().evictions);
+        gauge("service.cache_host_entries", sh.cache.host_len() as u64);
+        gauge("service.cache_host_used_bytes", sh.cache.host_used_bytes());
+        gauge("service.disk_tier_down", u64::from(sh.cache.disk_down()));
+        for d in sh.fleet.snapshot() {
+            let device = |metric: &str, v: u64| {
+                gauge(&format!("service.{metric}{{device={}}}", d.device), v);
+            };
+            device("device_queue_depth", d.queued);
+            device("device_plan_bytes", d.plan_bytes);
+            device("device_dead", u64::from(d.dead));
+        }
+        Some(&sh.metrics)
     }
 
     /// Blocks until the queue is empty and every worker is idle, then
@@ -635,12 +679,11 @@ fn worker_loop(sh: &Shared) {
                 q = sh.cv.wait(q).unwrap();
             }
         };
-        let depth = sh.queue.lock().unwrap().len() as f64;
-        if let Some(o) = &sh.obs {
-            o.on_queue_depth(depth as usize);
+        let sink = sh.sink();
+        if sink.enabled() {
+            let depth = sh.queue.lock().unwrap().len() as f64;
+            sink.counter("service.queue_depth", "service", sh.clock.now(), depth);
         }
-        sh.sink()
-            .counter("service.queue_depth", "service", sh.clock.now(), depth);
         process(sh, job);
         sh.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
@@ -649,22 +692,16 @@ fn worker_loop(sh: &Shared) {
 fn process(sh: &Shared, job: QueuedJob) {
     let start = sh.clock.now();
     if job.cancelled.load(Ordering::SeqCst) {
-        sh.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+        sh.stats.cancelled.inc();
         sh.fleet.finish(job.device, job.spec.hot, false);
-        if let Some(o) = &sh.obs {
-            o.on_cancel();
-        }
         let _ = job.tx.send(Err(GpluError::Cancelled));
         return;
     }
     let waited_ns = job.enqueued.elapsed().as_nanos() as u64;
     if let Some(deadline_ns) = job.spec.deadline_ns {
         if waited_ns > deadline_ns {
-            sh.stats.deadline_dropped.fetch_add(1, Ordering::Relaxed);
+            sh.stats.deadline_dropped.inc();
             sh.fleet.finish(job.device, job.spec.hot, false);
-            if let Some(o) = &sh.obs {
-                o.on_deadline_drop();
-            }
             let _ = job.tx.send(Err(GpluError::DeadlineExceeded {
                 waited_ns,
                 deadline_ns,
@@ -673,13 +710,7 @@ fn process(sh: &Shared, job: QueuedJob) {
         }
     }
 
-    if let Some(o) = &sh.obs {
-        o.on_worker_busy(1);
-    }
     let outcome = execute(sh, &job);
-    if let Some(o) = &sh.obs {
-        o.on_worker_busy(-1);
-    }
 
     let end = sh.clock.now();
     let sink = sh.sink();
@@ -745,19 +776,20 @@ fn process(sh: &Shared, job: QueuedJob) {
             sh.fleet
                 .finish(job.device, job.spec.hot, r.tier != ExecTier::Cold);
             match r.tier {
-                ExecTier::Cold => sh.stats.cold.fetch_add(1, Ordering::Relaxed),
-                ExecTier::Warm => sh.stats.warm.fetch_add(1, Ordering::Relaxed),
-                ExecTier::WarmHost => sh.stats.warm_host.fetch_add(1, Ordering::Relaxed),
-                ExecTier::WarmDisk => sh.stats.warm_disk.fetch_add(1, Ordering::Relaxed),
-                ExecTier::CachedSolve => sh.stats.cached_solve.fetch_add(1, Ordering::Relaxed),
-            };
+                ExecTier::Cold => &sh.stats.cold,
+                ExecTier::Warm => &sh.stats.warm,
+                ExecTier::WarmHost => &sh.stats.warm_host,
+                ExecTier::WarmDisk => &sh.stats.warm_disk,
+                ExecTier::CachedSolve => &sh.stats.cached_solve,
+            }
+            .inc();
             if job.spec.hot && r.tier != ExecTier::Cold {
-                sh.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
+                sh.stats.hot_hits.inc();
             }
             if r.recovery_events > 0 {
-                sh.stats.jobs_recovered.fetch_add(1, Ordering::Relaxed);
+                sh.stats.jobs_recovered.inc();
             }
-            sh.stats.completed.fetch_add(1, Ordering::Relaxed);
+            sh.stats.completed.inc();
             sh.stats.sim_ns.lock().unwrap().push(r.sim_ns);
             sh.stats.wall_ns.lock().unwrap().push(r.wall_ns as f64);
             if let Some(o) = &sh.obs {
@@ -772,24 +804,12 @@ fn process(sh: &Shared, job: QueuedJob) {
                     hot: job.spec.hot,
                     recovery_events: r.recovery_events,
                 });
-                let c = sh.cache.counters();
-                o.on_cache_state(sh.cache.len(), sh.cache.used_bytes(), c.evictions);
-                o.on_tier_state(
-                    sh.cache.host_len(),
-                    sh.cache.host_used_bytes(),
-                    sh.cache.disk_down(),
-                );
-                o.on_fleet_state(&sh.fleet.snapshot());
             }
             let _ = job.tx.send(Ok(r));
         }
         Err(e) => {
-            sh.stats.failed.fetch_add(1, Ordering::Relaxed);
+            sh.stats.failed.inc();
             sh.fleet.finish(job.device, job.spec.hot, false);
-            if let Some(o) = &sh.obs {
-                o.on_failed();
-                o.on_fleet_state(&sh.fleet.snapshot());
-            }
             let _ = job.tx.send(Err(e));
         }
     }
@@ -809,10 +829,7 @@ fn execute(sh: &Shared, job: &QueuedJob) -> Result<JobResult, GpluError> {
     if sh.strike_limit > 0 {
         let strikes = *sh.strikes.lock().unwrap().get(&fp).unwrap_or(&0);
         if strikes >= sh.strike_limit {
-            sh.stats.quarantine_rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &sh.obs {
-                o.on_quarantine_reject();
-            }
+            sh.stats.quarantine_rejected.inc();
             let sink = sh.sink();
             if sink.enabled() {
                 sink.instant(
@@ -842,9 +859,7 @@ fn execute(sh: &Shared, job: &QueuedJob) -> Result<JobResult, GpluError> {
     let outcome = execute_tiers(sh, job, &gpu, fp, value_fp);
     // Chaos accounting holds whether or not the job survived its faults:
     // an unrecoverable injection still shows up in the service report.
-    sh.stats
-        .injected_faults
-        .fetch_add(gpu.stats().injected_faults(), Ordering::Relaxed);
+    sh.stats.injected_faults.add(gpu.stats().injected_faults());
 
     // Numeric rejections are strikes against the pattern: the cached
     // plan (if any) is suspect for this traffic and is evicted, and a
@@ -856,10 +871,7 @@ fn execute(sh: &Shared, job: &QueuedJob) -> Result<JobResult, GpluError> {
             | GpluError::StalePivotOrder { .. },
         ) = &outcome
         {
-            sh.stats.gate_failures.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &sh.obs {
-                o.on_gate_failure();
-            }
+            sh.stats.gate_failures.inc();
             sh.cache.remove(fp);
             *sh.strikes.lock().unwrap().entry(fp).or_insert(0) += 1;
         }
@@ -904,7 +916,7 @@ fn execute_tiers(
             // build can only fail on inconsistent inputs — in that case
             // the job still succeeds, it just stays uncacheable.
             let entry = f.refactor_plan(a, &spec.opts).ok().map(|plan| {
-                sh.stats.plans_built.fetch_add(1, Ordering::Relaxed);
+                sh.stats.plans_built.inc();
                 let cached = CachedFactor::new(plan, TriSolvePlan::new(&f.lu));
                 cached.store_latest(value_fp, Arc::clone(&f));
                 // The plan now lives where this job ran: charge the

@@ -477,3 +477,149 @@ fn malformed_service_reports_are_rejected_at_their_pointer() {
         }
     }
 }
+
+/// `name`'s value in the `gauges` of a report's `/metrics` section.
+fn gauge(doc: &JsonValue, name: &str) -> f64 {
+    doc.pointer("/metrics/gauges")
+        .and_then(|g| g.get(name))
+        .and_then(JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("gauge {name} missing"))
+}
+
+/// Captures `svc`'s report and asserts that every exposed gauge which
+/// copies a report field equals that field.
+fn assert_no_stale_gauge(svc: &SolverService, step: &str) {
+    let doc = ServiceReport::capture(svc).to_json();
+    for (name, ptr) in [
+        ("service.cache_host_entries", "/cache/host/entries"),
+        ("service.cache_entries", "/cache/entries"),
+        ("service.cache_used_bytes", "/cache/used_bytes"),
+    ] {
+        assert_eq!(gauge(&doc, name), doc.number_at(ptr), "{step}: {name}");
+    }
+    for (d, device) in doc.array_at("/fleet/per_device").iter().enumerate() {
+        let name = format!("service.device_queue_depth{{device={d}}}");
+        assert_eq!(
+            gauge(&doc, &name),
+            device.number_at("/queued"),
+            "{step}: {name}"
+        );
+    }
+}
+
+/// A 2×2 system with a full pattern: diagonal 2.0 factorizes, 1.0 makes
+/// the second pivot cancel to zero.
+fn full_2x2(diagonal: f64) -> Csr {
+    let mut coo = gplu::sparse::Coo::new(2, 2);
+    for i in 0..2 {
+        for j in 0..2 {
+            coo.push(i, j, if i == j { diagonal } else { 1.0 });
+        }
+    }
+    gplu::sparse::convert::coo_to_csr(&coo)
+}
+
+#[test]
+fn exposed_gauges_are_read_from_their_owners_at_every_step() {
+    // A rewarmed host tier, before any job has run.
+    let dir = std::env::temp_dir().join(format!("gplu-service-gauges-{}", std::process::id()));
+    let persistent = |rewarm| ServiceConfig {
+        workers: 1,
+        cache_dir: Some(dir.clone()),
+        rewarm,
+        ..Default::default()
+    };
+    let svc = SolverService::start(persistent(false));
+    for seed in [80, 81] {
+        svc.submit(JobSpec::new(
+            random_dominant(60, 4.0, seed),
+            JobKind::Factorize,
+        ))
+        .expect("submit")
+        .wait()
+        .expect("cold job");
+    }
+    assert!(svc.drain(), "both plans are durable");
+    svc.shutdown();
+    let svc = SolverService::start(persistent(true));
+    assert_eq!(svc.cache().host_len(), 2, "rewarm fills the host tier");
+    assert_no_stale_gauge(&svc, "rewarm");
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A job cancelled while another runs on a 2-device service. The
+    // worker may start the victim before its flag lands; each retry
+    // occupies it with a fresh cold pattern.
+    let svc = SolverService::start(ServiceConfig {
+        workers: 1,
+        devices: 2,
+        ..Default::default()
+    });
+    let cancelled = (0..8u64).any(|k| {
+        let running = svc
+            .submit(JobSpec::new(
+                random_dominant(400, 5.0, 82 + 10 * k),
+                JobKind::Factorize,
+            ))
+            .expect("submit");
+        let victim = svc
+            .submit(JobSpec::new(
+                random_dominant(30, 3.0, 83),
+                JobKind::Factorize,
+            ))
+            .expect("submit");
+        victim.cancel();
+        running.wait().expect("running job");
+        matches!(victim.wait(), Err(GpluError::Cancelled))
+    });
+    assert!(cancelled, "every victim started before its cancel landed");
+    assert_no_stale_gauge(&svc, "cancel");
+
+    // A gate failure that evicts its pattern's plan.
+    svc.submit(JobSpec::new(full_2x2(2.0), JobKind::Factorize))
+        .expect("submit")
+        .wait()
+        .expect("good values");
+    let e = svc
+        .submit(JobSpec::new(full_2x2(1.0), JobKind::Factorize))
+        .expect("submit")
+        .wait()
+        .unwrap_err();
+    assert!(matches!(e, GpluError::SingularPivot { .. }), "got {e}");
+    assert_eq!(svc.stats().gate_failures, 1);
+    assert_no_stale_gauge(&svc, "gate failure");
+    svc.shutdown();
+}
+
+#[test]
+fn counts_do_not_depend_on_the_observability_knob() {
+    let specs = generate_workload(&WorkloadParams {
+        jobs: 40,
+        hard_fraction: 0.3,
+        fault_every: 5,
+        hot_n: 120,
+        cold_n: 80,
+        seed: 5,
+        ..Default::default()
+    });
+    let counts = |observability| {
+        let svc = SolverService::start(ServiceConfig {
+            workers: 1,
+            observability,
+            ..Default::default()
+        });
+        // One job at a time: no count depends on the queue's timing.
+        for spec in &specs {
+            let _ = svc.submit(spec.clone()).expect("an empty queue").wait();
+        }
+        let mut stats = svc.stats();
+        svc.shutdown();
+        stats.wall_ns.clear();
+        stats
+    };
+    let on = counts(true);
+    assert!(on.failed > 0 && on.gate_failures > 0, "{on:?}");
+    assert!(on.injected_faults > 0 && on.jobs_recovered > 0, "{on:?}");
+    assert!(on.quarantine_rejected > 0, "{on:?}");
+    assert_eq!(on, counts(false));
+}
