@@ -83,6 +83,8 @@ pub struct FleetStats {
     pub devices: Vec<FleetDeviceStats>,
     /// Interconnect accounting.
     pub interconnect: InterconnectStats,
+    /// Work units (rows or columns) lost devices shed onto survivors.
+    pub resharded: usize,
 }
 
 impl FleetStats {
@@ -109,6 +111,7 @@ pub struct DeviceFleet<'a> {
     dead: Mutex<Vec<bool>>,
     barrier_wait: Mutex<Vec<SimTime>>,
     interconnect: Mutex<InterconnectStats>,
+    resharded: Mutex<usize>,
 }
 
 #[derive(Debug)]
@@ -185,6 +188,7 @@ impl<'a> DeviceFleet<'a> {
             dead: Mutex::new(vec![false; n]),
             barrier_wait: Mutex::new(vec![SimTime::ZERO; n]),
             interconnect: Mutex::new(InterconnectStats::default()),
+            resharded: Mutex::new(0),
         }
     }
 
@@ -223,6 +227,12 @@ impl<'a> DeviceFleet<'a> {
         }
         dead[d] = true;
         Ok(())
+    }
+
+    /// Counts `units` of a lost device's work taken over by survivors, on
+    /// every path: a run that later fails still moved it.
+    pub fn reshard(&self, units: usize) {
+        *self.resharded.lock() += units;
     }
 
     /// Whether device `d` has been marked dead.
@@ -331,6 +341,7 @@ impl<'a> DeviceFleet<'a> {
         FleetStats {
             devices,
             interconnect: self.interconnect.lock().clone(),
+            resharded: *self.resharded.lock(),
         }
     }
 }

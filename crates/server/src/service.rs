@@ -456,37 +456,6 @@ impl SolverService {
         Ok(JobHandle { id, rx, cancelled })
     }
 
-    /// Submits with bounded retry on [`GpluError::QueueFull`]:
-    /// exponential backoff (200 µs base, doubling, capped) with
-    /// deterministic jitter derived from the job's pattern fingerprint
-    /// and attempt number — no wall-clock randomness, so replays with
-    /// the same workload seed back off identically. Other errors
-    /// (including [`GpluError::LoadShed`]) return immediately: shed
-    /// means *reduce* load, not hammer the queue.
-    pub fn submit_with_backoff(
-        &self,
-        spec: JobSpec,
-        max_retries: u32,
-    ) -> Result<JobHandle, GpluError> {
-        let seed = pattern_fingerprint(&spec.matrix);
-        let mut attempt = 0u32;
-        loop {
-            match self.submit(spec.clone()) {
-                Ok(h) => return Ok(h),
-                Err(e @ GpluError::QueueFull { .. }) => {
-                    if attempt >= max_retries {
-                        return Err(e);
-                    }
-                    let base_us = 200u64 << attempt.min(6);
-                    let jitter_us = splitmix64(seed ^ u64::from(attempt)) % (base_us / 2 + 1);
-                    thread::sleep(Duration::from_micros(base_us + jitter_us));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Jobs waiting right now.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.lock().unwrap().len()
@@ -642,15 +611,6 @@ impl SolverService {
         // A no-op without a disk tier; skipped (false) when it is down.
         self.shared.cache.flush();
     }
-}
-
-/// SplitMix64: the repo's standard seeded mixer, here for backoff
-/// jitter (deterministic in the pattern fingerprint and attempt).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl Drop for SolverService {

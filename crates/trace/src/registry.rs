@@ -10,19 +10,17 @@
 //!    [`MetricsRegistry`]; recording is a handful of relaxed atomic ops on
 //!    a fixed-size structure. The registry's name map is locked only at
 //!    handle creation, never per sample.
-//! 2. **Fixed size, mergeable.** A histogram is [`BUCKET_COUNT`] atomic
+//! 2. **Fixed size.** A histogram is [`BUCKET_COUNT`] atomic
 //!    counters in a log-linear (HDR-style) layout: values below
 //!    [`SUB_BUCKETS`] get exact unit buckets, and every octave above is
 //!    split into [`SUB_BUCKETS`] linear sub-buckets, bounding the relative
-//!    quantization error by `1/SUB_BUCKETS` (6.25%). Two histograms (e.g.
-//!    from two worker shards) merge by bucket-wise addition.
+//!    quantization error by `1/SUB_BUCKETS` (6.25%).
 //! 3. **Lossless exposition.** [`MetricsRegistry::to_text`] /
 //!    [`to_json`](MetricsRegistry::to_json) serialize the full bucket
 //!    state (not pre-reduced quantiles), and [`from_text`]
 //!    (MetricsRegistry::from_text) / [`from_json`]
 //!    (MetricsRegistry::from_json) parse it back, so downstream tooling
-//!    (`telemetry_check --slo`) can re-derive any quantile and merged
-//!    views exactly.
+//!    (`telemetry_check --slo`) can re-derive any quantile exactly.
 //!
 //! Label sets are flattened into the metric name by convention
 //! (`service.wall_ns{tenant=t3,tier=warm}`); names must be non-empty and
@@ -231,27 +229,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Bucket-wise addition of `other` into `self`. Associative and
-    /// commutative up to atomic interleaving; quantiles of the merge match
-    /// quantiles of the concatenated sample streams exactly (the layout is
-    /// identical on both sides).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n > 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// The non-empty buckets as `(index, count)` pairs, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
@@ -330,21 +307,6 @@ impl MetricsRegistry {
             .keys()
             .cloned()
             .collect()
-    }
-
-    /// Folds every instrument of `other` into `self` (creating missing
-    /// names): counters and histogram buckets add, gauges take `other`'s
-    /// value when present there.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        for (name, c) in other.counters.lock().expect("metrics lock").iter() {
-            self.counter(name).add(c.get());
-        }
-        for (name, g) in other.gauges.lock().expect("metrics lock").iter() {
-            self.gauge(name).set(g.get());
-        }
-        for (name, h) in other.histograms.lock().expect("metrics lock").iter() {
-            self.histogram(name).merge_from(h);
-        }
     }
 
     /// Lossless plain-text exposition (one instrument per line):
@@ -653,19 +615,5 @@ mod tests {
         assert_eq!(back.gauge("depth").get(), -3);
         assert_eq!(back.histogram("lat{tenant=t0}").quantile(1.0), Some(1000));
         assert_eq!(back.histogram("empty").count(), 0);
-    }
-
-    #[test]
-    fn merge_adds_counts_and_preserves_extrema() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        b.record(1_000_000);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(10));
-        assert_eq!(a.max(), Some(1_000_000));
-        let est = a.quantile(1.0).expect("non-empty");
-        assert!(est >= 1_000_000 && est as f64 <= 1_000_000.0 * (1.0 + 1.0 / 16.0));
     }
 }

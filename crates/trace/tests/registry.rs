@@ -1,7 +1,6 @@
 //! Property coverage for the live metrics registry: quantile estimates
-//! against a sorted-vector oracle (the 1/16 relative-error contract),
-//! merge associativity, and lossless round-trips through both exposition
-//! formats.
+//! against a sorted-vector oracle (the 1/16 relative-error contract) and
+//! lossless round-trips through both exposition formats.
 
 use gplu_trace::registry::{bucket_bounds, bucket_index, BUCKET_COUNT, SUB_BUCKETS};
 use gplu_trace::{Histogram, MetricsRegistry};
@@ -61,44 +60,6 @@ proptest! {
                 est as f64 <= truth as f64 * (1.0 + 1.0 / SUB_BUCKETS as f64),
                 "q={} est={} truth={}", q, est, truth
             );
-        }
-    }
-
-    #[test]
-    fn merge_is_associative_and_matches_the_concatenated_stream(
-        a in Just(()).prop_perturb(|(), mut rng| arb_values(&mut rng, 80)),
-        b in Just(()).prop_perturb(|(), mut rng| arb_values(&mut rng, 80)),
-        c in Just(()).prop_perturb(|(), mut rng| arb_values(&mut rng, 80)),
-    ) {
-        let fill = |values: &[u64]| {
-            let h = Histogram::new();
-            for &v in values {
-                h.record(v);
-            }
-            h
-        };
-        // (a ⊕ b) ⊕ c
-        let left = fill(&a);
-        left.merge_from(&fill(&b));
-        left.merge_from(&fill(&c));
-        // a ⊕ (b ⊕ c)
-        let bc = fill(&b);
-        bc.merge_from(&fill(&c));
-        let right = fill(&a);
-        right.merge_from(&bc);
-        // one histogram over the concatenated stream
-        let all: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-        let direct = fill(&all);
-
-        for h in [&left, &right] {
-            prop_assert_eq!(h.count(), direct.count());
-            prop_assert_eq!(h.sum(), direct.sum());
-            prop_assert_eq!(h.min(), direct.min());
-            prop_assert_eq!(h.max(), direct.max());
-            prop_assert_eq!(h.nonzero_buckets(), direct.nonzero_buckets());
-            for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-                prop_assert_eq!(h.quantile(q), direct.quantile(q), "q={}", q);
-            }
         }
     }
 
@@ -167,26 +128,6 @@ proptest! {
             prop_assert_eq!(next_lo, hi + 1, "gap after bucket {}", i);
         }
     }
-}
-
-#[test]
-fn registry_merge_folds_every_instrument_kind() {
-    let a = MetricsRegistry::new();
-    let b = MetricsRegistry::new();
-    a.counter("n").add(2);
-    b.counter("n").add(3);
-    b.counter("only_b").add(7);
-    a.gauge("g").set(1);
-    b.gauge("g").set(9);
-    a.histogram("h").record(10);
-    b.histogram("h").record(20);
-
-    a.merge_from(&b);
-    assert_eq!(a.counter("n").get(), 5);
-    assert_eq!(a.counter("only_b").get(), 7);
-    assert_eq!(a.gauge("g").get(), 9, "gauges are last-writer-wins");
-    assert_eq!(a.histogram("h").count(), 2);
-    assert_eq!(a.histogram("h").sum(), 30);
 }
 
 #[test]

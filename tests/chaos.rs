@@ -13,26 +13,13 @@
 //! case index, and `GPLU_CHAOS_SEED` (the CI seed matrix) offsets the
 //! fault-plan seed so each CI shard explores a different schedule set.
 
+mod common;
+
+use common::{assert_bits_eq, gpu_for, gpu_with_plan, seed_base, ENGINES};
 use gplu::prelude::*;
 use gplu::sim::FaultPlan;
 use gplu::sparse::gen::random::random_dominant;
 use proptest::prelude::*;
-
-/// Offset applied to every fault-plan seed, taken from `GPLU_CHAOS_SEED`
-/// (default 0). Lets CI run disjoint schedule sets without code changes.
-fn seed_base() -> u64 {
-    std::env::var("GPLU_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-const ENGINES: [SymbolicEngine; 4] = [
-    SymbolicEngine::Ooc,
-    SymbolicEngine::OocDynamic,
-    SymbolicEngine::UmNoPrefetch,
-    SymbolicEngine::UmPrefetch,
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -51,25 +38,16 @@ proptest! {
         };
 
         // Fault-free reference on an identical device.
-        let clean = Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()));
-        let reference = LuFactorization::compute(&clean, &a, &opts);
+        let reference = LuFactorization::compute(&gpu_for(&a), &a, &opts);
         prop_assert!(reference.is_ok(), "clean run failed: {:?}", reference.err());
         let reference = reference.expect("checked above");
 
-        let plan = FaultPlan::from_seed(fseed + seed_base().wrapping_mul(1_000_003));
-        let gpu = Gpu::with_fault_plan(
-            GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
-            CostModel::default(),
-            plan,
-        );
+        let plan = FaultPlan::from_seed(fseed + seed_base("GPLU_CHAOS_SEED").wrapping_mul(1_000_003));
+        let gpu = gpu_with_plan(&a, plan);
         // Reaching either arm without a panic is itself the core property.
         match LuFactorization::compute(&gpu, &a, &opts) {
             Ok(f) => {
-                prop_assert_eq!(
-                    &f.lu.vals,
-                    &reference.lu.vals,
-                    "recovered factors differ from the fault-free run"
-                );
+                assert_bits_eq(&f.lu.vals, &reference.lu.vals, "recovered vs fault-free");
                 prop_assert_eq!(
                     &f.lu.col_ptr,
                     &reference.lu.col_ptr,
@@ -108,18 +86,13 @@ proptest! {
             symbolic: SymbolicEngine::Ooc,
             ..Default::default()
         };
-        let clean = Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()));
         let reference =
-            LuFactorization::compute(&clean, &a, &opts).expect("clean run must succeed");
+            LuFactorization::compute(&gpu_for(&a), &a, &opts).expect("clean run must succeed");
 
-        let gpu = Gpu::with_fault_plan(
-            GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
-            CostModel::default(),
-            FaultPlan::new().oom_on_alloc(alloc),
-        );
+        let gpu = gpu_with_plan(&a, FaultPlan::new().oom_on_alloc(alloc));
         match LuFactorization::compute(&gpu, &a, &opts) {
             Ok(f) => {
-                prop_assert_eq!(&f.lu.vals, &reference.lu.vals);
+                assert_bits_eq(&f.lu.vals, &reference.lu.vals, "absorbed OOM vs fault-free");
                 if gpu.stats().injected_oom > 0 {
                     prop_assert!(!f.report.recovery.is_empty());
                 }

@@ -8,9 +8,11 @@
 //! fails, until the fault no longer fires; a checkpointed run is killed at
 //! every crash point.
 
+mod common;
+
+use common::{assert_device_empty, config_for, gpu_for, gpu_with_plan, TempDir, FORMATS};
 use gplu::prelude::*;
 use gplu::sparse::gen::random::random_dominant;
-use std::path::PathBuf;
 
 /// Every kernel the pipeline launches, by phase.
 const KERNELS: [&str; 16] = [
@@ -37,30 +39,9 @@ const KERNELS: [&str; 16] = [
     "trisolve_u",
 ];
 
-const FORMATS: [NumericFormat; 5] = [
-    NumericFormat::Dense,
-    NumericFormat::Sparse,
-    NumericFormat::SparseMerge,
-    NumericFormat::SparseBlocked,
-    NumericFormat::Auto,
-];
-
-fn cfg(a: &Csr) -> GpuConfig {
-    GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz())
-}
-
 fn faulted_gpu(a: &Csr, spec: &str) -> Gpu {
     let plan = FaultPlan::parse(spec).expect("valid fault spec");
-    Gpu::with_fault_plan(cfg(a), CostModel::default(), plan)
-}
-
-fn assert_clean(gpu: &Gpu, ctx: &str) {
-    assert_eq!(
-        gpu.mem.used_bytes(),
-        0,
-        "{ctx}: device bytes left allocated"
-    );
-    assert_eq!(gpu.um.resident_pages(), 0, "{ctx}: UM pages left resident");
+    gpu_with_plan(a, plan)
 }
 
 /// True when the device's fault plan fired.
@@ -86,12 +67,6 @@ fn sweep(mut attempt: impl FnMut(&str) -> bool) -> usize {
     fired_runs
 }
 
-fn ckpt_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gplu-device-memory-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn every_fault_outcome_leaves_every_device_empty() {
     let a = random_dominant(120, 4.0, 7);
@@ -113,7 +88,7 @@ fn every_fault_outcome_leaves_every_device_empty() {
         let runs = sweep(|spec| {
             let gpu = faulted_gpu(&a, spec);
             let _ = LuFactorization::compute(&gpu, &a, &opts);
-            assert_clean(&gpu, &format!("compute {symbolic:?}/{format:?} {spec}"));
+            assert_device_empty(&gpu, &format!("compute {symbolic:?}/{format:?} {spec}"));
             fired(&gpu)
         });
         assert!(runs > 0, "{symbolic:?}/{format:?}: no fault fired");
@@ -132,10 +107,11 @@ fn every_fault_outcome_leaves_every_device_empty() {
             ..Default::default()
         };
         let run = |gpu: &Gpu, tag: &str| {
-            let ckpt = CheckpointOptions::new(ckpt_dir(tag)).every(2);
+            let dir = TempDir::new(&format!("device-memory-{tag}"));
+            let ckpt = CheckpointOptions::new(dir.path()).every(2);
             LuFactorization::compute_checkpointed(gpu, &a, &opts, &ckpt, &gplu_trace::NOOP)
         };
-        let clean = Gpu::new(cfg(&a));
+        let clean = gpu_for(&a);
         run(&clean, "clean").expect("clean checkpointed run");
         let crash_points = clean.stats().crash_points;
         assert!(crash_points > 0);
@@ -143,11 +119,7 @@ fn every_fault_outcome_leaves_every_device_empty() {
             let gpu = faulted_gpu(&a, &format!("crash:at={k}"));
             let err = run(&gpu, &format!("crash-{k}")).expect_err("crash plan kills the run");
             assert_eq!(err, GpluError::Crashed { ordinal: k });
-            assert_clean(&gpu, &format!("checkpointed {format:?} crash at {k}"));
-        }
-        let _ = std::fs::remove_dir_all(ckpt_dir("clean"));
-        for k in 1..=crash_points {
-            let _ = std::fs::remove_dir_all(ckpt_dir(&format!("crash-{k}")));
+            assert_device_empty(&gpu, &format!("checkpointed {format:?} crash at {k}"));
         }
     }
 
@@ -159,10 +131,11 @@ fn every_fault_outcome_leaves_every_device_empty() {
         };
         let runs = sweep(|spec| {
             let plans = FaultPlan::parse_fleet(&format!("dev=1:{spec}"), 2).expect("valid spec");
-            let fleet = DeviceFleet::with_fault_plans(2, cfg(&a), CostModel::default(), &plans);
+            let fleet =
+                DeviceFleet::with_fault_plans(2, config_for(&a), CostModel::default(), &plans);
             let _ = LuFactorization::compute_fleet(&fleet, &a, &opts);
             for (d, gpu) in fleet.devices().iter().enumerate() {
-                assert_clean(gpu, &format!("fleet {format:?} dev=1:{spec}, device {d}"));
+                assert_device_empty(gpu, &format!("fleet {format:?} dev=1:{spec}, device {d}"));
             }
             fired(fleet.device(1))
         });
@@ -170,14 +143,13 @@ fn every_fault_outcome_leaves_every_device_empty() {
     }
 
     // `solve_on_gpu` with the factors of a clean run.
-    let f =
-        LuFactorization::compute(&Gpu::new(cfg(&a)), &a, &LuOptions::default()).expect("clean run");
+    let f = LuFactorization::compute(&gpu_for(&a), &a, &LuOptions::default()).expect("clean run");
     let plan = f.solve_plan();
     let b = a.spmv(&vec![1.0; a.n_rows()]);
     let runs = sweep(|spec| {
         let gpu = faulted_gpu(&a, spec);
         let _ = f.solve_on_gpu(&gpu, &plan, &b);
-        assert_clean(&gpu, &format!("solve_on_gpu {spec}"));
+        assert_device_empty(&gpu, &format!("solve_on_gpu {spec}"));
         fired(&gpu)
     });
     assert!(runs > 0, "solve_on_gpu: no fault fired");

@@ -15,55 +15,15 @@
 //! 4. **no symbolic work for previously-hot patterns** — a rewarmed
 //!    service serves the old hot set without building a single plan.
 
+mod common;
+
+use common::{assert_bits_eq, drift, gpu_for, TempDir};
 use gplu::checkpoint::{section, PlanStore, Snapshot};
 use gplu::core::pattern_fingerprint;
 use gplu::prelude::*;
 use gplu::server::{CacheCounters, ExecTier};
 use gplu::sparse::gen::circuit::{circuit, CircuitParams};
 use gplu::sparse::Csr;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Self-cleaning scratch directory (mirrors the cache unit tests' idiom;
-/// no external tempdir crate in the build environment).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "gplu-persistence-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&path).expect("create scratch dir");
-        TempDir(path)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Deterministic value drift on a fixed pattern (the service workload's
-/// perturbation shape).
-fn drift(base: &Csr, version: u64) -> Csr {
-    let mut m = base.clone();
-    for (k, v) in m.vals.iter_mut().enumerate() {
-        let wob = ((k as u64)
-            .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(version.wrapping_mul(7919))
-            % 97) as f64;
-        *v *= 1.0 + wob / 1000.0;
-    }
-    m
-}
 
 fn hot_patterns(count: u64, seed: u64) -> Vec<Csr> {
     (0..count)
@@ -80,14 +40,13 @@ fn hot_patterns(count: u64, seed: u64) -> Vec<Csr> {
 
 /// Single-threaded cold reference for one `(pattern, values)` pair.
 fn cold_reference(a: &Csr) -> LuFactorization {
-    let gpu = Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()));
-    LuFactorization::compute(&gpu, a, &LuOptions::default()).expect("cold reference")
+    LuFactorization::compute(&gpu_for(a), a, &LuOptions::default()).expect("cold reference")
 }
 
 fn persistent_config(dir: &TempDir, rewarm: bool) -> ServiceConfig {
     ServiceConfig {
         workers: 2,
-        cache_dir: Some(dir.path().clone()),
+        cache_dir: Some(dir.path().to_path_buf()),
         rewarm,
         ..Default::default()
     }
@@ -150,12 +109,8 @@ fn warm_restart_serves_the_old_hot_set_without_symbolic_work() {
                 "pattern {pi} v{version}: previously-hot patterns must not re-run \
                  symbolic work after a rewarmed restart"
             );
-            assert_eq!(
-                cold_reference(&a).lu.vals,
-                vals,
-                "pattern {pi} v{version} served {tier:?}: rescued factors must be \
-                 bit-identical to the cold pipeline"
-            );
+            let ctx = format!("pattern {pi} v{version} rescued from {tier:?}");
+            assert_bits_eq(&vals, &cold_reference(&a).lu.vals, &ctx);
             tiers.push(tier);
         }
     }
@@ -187,13 +142,13 @@ fn cold_restart_rescues_from_disk_on_demand() {
     let a = drift(&patterns[0], 3);
     let (tier, vals) = run_job(&svc, a.clone());
     assert_eq!(tier, ExecTier::WarmDisk, "miss must be rescued from disk");
-    assert_eq!(cold_reference(&a).lu.vals, vals);
+    assert_bits_eq(&vals, &cold_reference(&a).lu.vals, "disk rescue");
 
     // The rescue promoted the plan to the device tier.
     let b = drift(&patterns[0], 4);
     let (tier, vals) = run_job(&svc, b.clone());
     assert_eq!(tier, ExecTier::Warm, "promoted entry must serve warm");
-    assert_eq!(cold_reference(&b).lu.vals, vals);
+    assert_bits_eq(&vals, &cold_reference(&b).lu.vals, "promoted entry");
     assert_eq!(svc.stats().plans_built, 0);
     svc.shutdown();
 }
@@ -247,11 +202,8 @@ fn corrupt_truncated_and_cross_version_entries_fall_back_cold() {
             ExecTier::Cold,
             "pattern {pi}: a rejected disk entry must cost a cold rebuild"
         );
-        assert_eq!(
-            cold_reference(&a).lu.vals,
-            vals,
-            "pattern {pi}: cold fallback must be bit-identical to a never-cached run"
-        );
+        let ctx = format!("pattern {pi}: cold fallback");
+        assert_bits_eq(&vals, &cold_reference(&a).lu.vals, &ctx);
     }
     let counters = svc.cache_counters();
     assert_eq!(
@@ -300,7 +252,8 @@ fn crash_mid_stress_loses_only_unflushed_work() {
         let a = drift(base, 5);
         let (tier, vals) = run_job(&svc, a.clone());
         assert_ne!(tier, ExecTier::Cold, "durable pattern {pi} must rescue");
-        assert_eq!(cold_reference(&a).lu.vals, vals);
+        let ctx = format!("durable pattern {pi}");
+        assert_bits_eq(&vals, &cold_reference(&a).lu.vals, &ctx);
     }
     for (pi, base) in torn.iter().enumerate() {
         let a = drift(base, 5);
@@ -310,7 +263,8 @@ fn crash_mid_stress_loses_only_unflushed_work() {
             ExecTier::Cold,
             "torn pattern {pi} was never durable; it must rebuild cold"
         );
-        assert_eq!(cold_reference(&a).lu.vals, vals);
+        let ctx = format!("torn pattern {pi}");
+        assert_bits_eq(&vals, &cold_reference(&a).lu.vals, &ctx);
     }
     svc.shutdown();
 }

@@ -15,6 +15,9 @@
 //! 4. **accounting** — plan construction happens once per distinct hot
 //!    pattern, and the service report's sections stay self-consistent.
 
+mod common;
+
+use common::{assert_bits_eq, drift, gpu_for, mutated};
 use gplu::prelude::*;
 use gplu::server::{
     check_service_report, generate_workload, ExecTier, JobHandle, ServiceReport, WorkloadParams,
@@ -25,24 +28,9 @@ use gplu::sparse::verify::check_solution;
 use gplu::sparse::Csr;
 use gplu::trace::{json, JsonValue};
 
-/// Deterministic value drift on a fixed pattern (the service workload's
-/// perturbation shape).
-fn drift(base: &Csr, version: u64) -> Csr {
-    let mut m = base.clone();
-    for (k, v) in m.vals.iter_mut().enumerate() {
-        let wob = ((k as u64)
-            .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(version.wrapping_mul(7919))
-            % 97) as f64;
-        *v *= 1.0 + wob / 1000.0;
-    }
-    m
-}
-
 /// Single-threaded cold reference for one `(pattern, values)` pair.
 fn cold_reference(a: &Csr) -> LuFactorization {
-    let gpu = Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()));
-    LuFactorization::compute(&gpu, a, &LuOptions::default()).expect("cold reference")
+    LuFactorization::compute(&gpu_for(a), a, &LuOptions::default()).expect("cold reference")
 }
 
 #[test]
@@ -77,7 +65,8 @@ fn every_tier_is_bit_identical_to_a_cold_factorization() {
     for (pi, version, h) in handles.drain(..) {
         let r = h.wait().expect("priming job completes");
         let reference = cold_reference(&drift(&patterns[pi], version));
-        assert_eq!(reference.lu.vals, r.factorization.lu.vals);
+        let ctx = format!("pattern {pi} v{version} priming");
+        assert_bits_eq(&r.factorization.lu.vals, &reference.lu.vals, &ctx);
         tiers.push(r.tier);
     }
     for (pi, base) in patterns.iter().enumerate() {
@@ -93,12 +82,8 @@ fn every_tier_is_bit_identical_to_a_cold_factorization() {
     for (pi, version, h) in handles {
         let r = h.wait().expect("job completes");
         let reference = cold_reference(&drift(&patterns[pi], version));
-        assert_eq!(
-            reference.lu.vals, r.factorization.lu.vals,
-            "pattern {pi} v{version} served {:?}: factors must be bit-identical \
-             to the single-threaded cold pipeline",
-            r.tier
-        );
+        let ctx = format!("pattern {pi} v{version} served {:?}", r.tier);
+        assert_bits_eq(&r.factorization.lu.vals, &reference.lu.vals, &ctx);
         tiers.push(r.tier);
     }
 
@@ -124,7 +109,8 @@ fn every_tier_is_bit_identical_to_a_cold_factorization() {
         ExecTier::CachedSolve,
         "duplicate submissions must be served from cached factors"
     );
-    assert_eq!(warm.factorization.lu.vals, dup.factorization.lu.vals);
+    let (dup_vals, warm_vals) = (&dup.factorization.lu.vals, &warm.factorization.lu.vals);
+    assert_bits_eq(dup_vals, warm_vals, "cached factors vs warm");
     tiers.push(warm.tier);
     tiers.push(dup.tier);
 
@@ -151,7 +137,7 @@ fn blocked_format_refactorizes_warm_without_re_blocking() {
         format: NumericFormat::SparseBlocked,
         ..Default::default()
     };
-    let gpu = || Gpu::new(GpuConfig::v100_symbolic_profile(base.n_rows(), base.nnz()));
+    let gpu = || gpu_for(&base);
 
     // Plan-level proof: the captured BlockPlan is replayed on the warm
     // path — the trace must show no `phase.block_detect` (and no symbolic
@@ -172,7 +158,7 @@ fn blocked_format_refactorizes_warm_without_re_blocking() {
     );
     assert!(warm.report.gemm_tiles > 0, "warm run must stay blocked");
     let cold_drifted = LuFactorization::compute(&gpu(), &drifted, &opts).expect("cold drifted");
-    assert_eq!(warm.lu.vals, cold_drifted.lu.vals);
+    assert_bits_eq(&warm.lu.vals, &cold_drifted.lu.vals, "warm blocked vs cold");
 
     // Service-level proof: a hot SparseBlocked job lands on the warm tier
     // and stays bit-identical to the cold blocked pipeline.
@@ -189,7 +175,11 @@ fn blocked_format_refactorizes_warm_without_re_blocking() {
     assert_eq!(r.tier, ExecTier::Warm, "same hot pattern must serve warm");
     assert!(r.factorization.report.gemm_tiles > 0);
     let reference = LuFactorization::compute(&gpu(), &drift(&base, 2), &opts).expect("reference");
-    assert_eq!(reference.lu.vals, r.factorization.lu.vals);
+    assert_bits_eq(
+        &r.factorization.lu.vals,
+        &reference.lu.vals,
+        "warm blocked job",
+    );
     svc.shutdown();
 }
 
@@ -226,10 +216,8 @@ fn eviction_under_a_starved_budget_never_corrupts_results() {
     for (pi, round, h) in handles {
         let r = h.wait().expect("job completes despite evictions");
         let reference = cold_reference(&drift(&patterns[pi], round));
-        assert_eq!(
-            reference.lu.vals, r.factorization.lu.vals,
-            "pattern {pi} round {round}: eviction must never corrupt a result"
-        );
+        let ctx = format!("pattern {pi} round {round} under eviction");
+        assert_bits_eq(&r.factorization.lu.vals, &reference.lu.vals, &ctx);
     }
     let counters = svc.cache_counters();
     assert!(
@@ -392,30 +380,6 @@ fn stress_workload_sustains_the_hit_rate_and_a_consistent_report() {
     // included.
     let doc = json::parse(&report.to_json().to_pretty()).expect("report parses");
     check_service_report(&doc).expect("valid service report");
-}
-
-/// `doc` with the field at `ptr` set to `value` (JSON text), or removed.
-fn mutated(doc: &JsonValue, ptr: &str, value: Option<&str>) -> JsonValue {
-    let mut doc = doc.clone();
-    let (parent, key) = ptr.rsplit_once('/').expect("a JSON pointer");
-    let mut at = &mut doc;
-    for step in parent.split('/').skip(1) {
-        at = match at {
-            JsonValue::Arr(items) => &mut items[step.parse::<usize>().expect(ptr)],
-            JsonValue::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).expect(ptr).1,
-            _ => panic!("{ptr}: no such parent"),
-        };
-    }
-    let value = value.map(|v| json::parse(v).expect("JSON text"));
-    match (at, value) {
-        (JsonValue::Arr(items), Some(v)) => items[key.parse::<usize>().expect(ptr)] = v,
-        (JsonValue::Obj(fields), v) => {
-            fields.retain(|(k, _)| k != key);
-            fields.extend(v.map(|v| (key.to_string(), v)));
-        }
-        _ => panic!("{ptr}: no such parent"),
-    }
-    doc
 }
 
 #[test]

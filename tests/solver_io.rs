@@ -2,6 +2,9 @@
 //! pipeline, permutation bookkeeping, and the Table 4 diagonal-repair
 //! path.
 
+mod common;
+
+use common::gpu_for;
 use gplu::prelude::*;
 use gplu::sparse::convert::coo_to_csr;
 use gplu::sparse::gen::planar::{planar, PlanarParams};
@@ -9,10 +12,6 @@ use gplu::sparse::gen::random::random_dominant;
 use gplu::sparse::io::{read_matrix_market, write_matrix_market};
 use gplu::sparse::verify::check_solution;
 use gplu::sparse::Coo;
-
-fn gpu_for(a: &gplu::sparse::Csr) -> Gpu {
-    Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()))
-}
 
 #[test]
 fn matrix_market_round_trip_then_factorize() {

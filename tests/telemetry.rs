@@ -6,20 +6,19 @@
 //! timestamps and balanced B/E events. A malformed report is rejected
 //! with the JSON pointer of the field at fault.
 
+mod common;
+
+use common::{config_for, gpu_for, gpu_with_plan, mutated};
 use gplu_core::{
     check_run_report, LuFactorization, LuOptions, NumericFormat, PivotPolicy, RunReport,
     SymbolicEngine, DEFAULT_PIVOT_TAU,
 };
-use gplu_sim::{CostModel, DeviceFleet, FaultPlan, Gpu, GpuConfig};
+use gplu_sim::{CostModel, DeviceFleet, FaultPlan, Gpu};
 use gplu_sparse::gen::circuit::{circuit, CircuitParams};
 use gplu_sparse::gen::hard::HardKind;
 use gplu_sparse::gen::random::random_dominant;
 use gplu_sparse::Csr;
 use gplu_trace::{chrome_trace, json, JsonValue, Recorder, TraceEvent};
-
-fn gpu_for(a: &Csr) -> Gpu {
-    Gpu::new(GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()))
-}
 
 fn traced_run(gpu: &Gpu, a: &Csr, opts: &LuOptions) -> (LuFactorization, Vec<TraceEvent>) {
     let recorder = Recorder::new();
@@ -159,11 +158,7 @@ fn fault_injected_run_produces_valid_artifacts_and_recovery_instants() {
     };
     // Ordinal 3 is the symbolic state chunk: the engine backs off its
     // chunk size and recovers.
-    let gpu = Gpu::with_fault_plan(
-        GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz()),
-        CostModel::default(),
-        FaultPlan::new().oom_on_alloc(3),
-    );
+    let gpu = gpu_with_plan(&a, FaultPlan::new().oom_on_alloc(3));
     let (f, events) = traced_run(&gpu, &a, &opts);
     assert!(
         !f.report.recovery.is_empty(),
@@ -221,30 +216,6 @@ fn phase_spans_cover_the_whole_run() {
     );
 }
 
-/// `doc` with the field at `ptr` set to `value` (JSON text), or removed.
-fn mutated(doc: &JsonValue, ptr: &str, value: Option<&str>) -> JsonValue {
-    let mut doc = doc.clone();
-    let (parent, key) = ptr.rsplit_once('/').expect("a JSON pointer");
-    let mut at = &mut doc;
-    for step in parent.split('/').skip(1) {
-        at = match at {
-            JsonValue::Arr(items) => &mut items[step.parse::<usize>().expect(ptr)],
-            JsonValue::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).expect(ptr).1,
-            _ => panic!("{ptr}: no such parent"),
-        };
-    }
-    let value = value.map(|v| json::parse(v).expect("JSON text"));
-    match (at, value) {
-        (JsonValue::Arr(items), Some(v)) => items[key.parse::<usize>().expect(ptr)] = v,
-        (JsonValue::Obj(fields), v) => {
-            fields.retain(|(k, _)| k != key);
-            fields.extend(v.map(|v| (key.to_string(), v)));
-        }
-        _ => panic!("{ptr}: no such parent"),
-    }
-    doc
-}
-
 /// The run report of `gplu factorize` on `gplu gen circuit 500 6`, on
 /// `devices` devices under `faults`.
 fn circuit_report(devices: usize, faults: &str) -> JsonValue {
@@ -255,7 +226,7 @@ fn circuit_report(devices: usize, faults: &str) -> JsonValue {
         ..Default::default()
     });
     let plans = FaultPlan::parse_fleet(faults, devices).expect("fault plan");
-    let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+    let cfg = config_for(&a);
     let fleet = DeviceFleet::with_fault_plans(devices, cfg, CostModel::default(), &plans);
     let recorder = Recorder::new();
     let opts = LuOptions::default();
