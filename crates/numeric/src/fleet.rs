@@ -17,15 +17,13 @@ use gplu_sparse::Csc;
 use gplu_trace::TraceSink;
 
 /// Outcome of a fleet numeric run: the ordinary [`NumericOutcome`]
-/// (bit-identical factors, makespan time) plus the columns a loss cost.
-/// Which devices were lost, and each device's clock, are the fleet's to
+/// (bit-identical factors, makespan time). Which devices were lost, the
+/// columns their losses cost and each device's clock are the fleet's to
 /// say ([`DeviceFleet::is_dead`], [`DeviceFleet::stats`]).
 #[derive(Debug, Clone)]
 pub struct FleetNumericOutcome {
     /// The factors and counters, as the single-device driver reports them.
     pub outcome: NumericOutcome,
-    /// Columns paid for again on the home device after device losses.
-    pub resharded_cols: usize,
 }
 
 /// [`run_levels`] on an engine taken by value — what lets every entry
@@ -570,7 +568,11 @@ mod tests {
             let f = fleet_losing(4, &cost, 0, name, 4);
             let out = run_engine(name, &f, &pattern, &levels, &plan).expect("fleet survives");
             assert_eq!(f.alive(), vec![1, 2, 3], "{name}");
-            assert_eq!(out.resharded_cols, 4 * 8, "{name}: levels 0..=3 paid again");
+            assert_eq!(
+                f.stats().resharded,
+                4 * 8,
+                "{name}: levels 0..=3 paid again"
+            );
             assert_eq!(single.lu.vals, out.outcome.lu.vals, "{name}: bit-identical");
             assert_eq!(clean.outcome.merge_steps, out.outcome.merge_steps, "{name}");
             // The sole-holder rule is priced, not assumed.
@@ -604,7 +606,7 @@ mod tests {
             let f = fleet_losing(4, &cost, 2, name, 2);
             let out = run_engine(name, &f, &pattern, &levels, &plan).expect("home survives");
             assert_eq!(
-                (f.alive(), out.resharded_cols),
+                (f.alive(), f.stats().resharded),
                 (vec![0, 1, 3], share(1, 2)),
                 "{name}"
             );
@@ -616,7 +618,7 @@ mod tests {
             let f = fleet_losing(4, &cost, 0, name, 2);
             let out = run_engine(name, &f, &pattern, &levels, &plan).expect("a survivor adopts");
             assert_eq!(
-                (f.alive(), out.resharded_cols),
+                (f.alive(), f.stats().resharded),
                 (vec![1, 2, 3], share(0, 0) + share(1, 0) - 5),
                 "{name}"
             );
@@ -655,9 +657,9 @@ mod tests {
             let f = DeviceFleet::with_fault_plans(2, cfg.clone(), cost.clone(), &plans);
             let out = factorize_fleet_dense(&f, &pattern, &levels, &NOOP, PivotRule::Exact)
                 .expect("the other device survives");
-            (out, f.alive())
+            (out, f.alive(), f.stats().resharded)
         };
-        let (clean, alive) = run("");
+        let (clean, alive, _) = run("");
         assert_eq!(alive, [0, 1]);
         assert_eq!(clean.outcome.batches as usize, 2 * 3 * levels.n_levels());
         // Home's share of every level is a host launch: every level split.
@@ -674,13 +676,13 @@ mod tests {
                 (spec, 8 * levels_owed)
             });
             for (label, owed) in allocs.chain(launches) {
-                let (out, alive) = run(&label);
+                let (out, alive, resharded) = run(&label);
                 assert_eq!(out.outcome.m_limit, Some(3));
                 assert_eq!(alive, [1 - dev], "{label}: every fault lands in this phase");
                 let (want, got) = (&single.lu.vals, &out.outcome.lu.vals);
                 let differ = (0..want.len()).filter(|&i| want[i].to_bits() != got[i].to_bits());
                 assert_eq!(differ.count(), 0, "{label}: values off the merge factors");
-                assert_eq!(out.resharded_cols, owed, "{label}");
+                assert_eq!(resharded, owed, "{label}");
                 if dev == 0 && owed > 0 {
                     assert!(
                         out.outcome.time > clean.outcome.time,
